@@ -1,10 +1,28 @@
 """Theorem engines deciding the epsilon-optimality characterizations.
 
-Each engine discharges one inclusion test per (eps', generator) pair through a
-homogenized membership LP: the perspective multipliers lam (summing to alpha)
-make "exists alpha > 0 with x* in d_{alpha*eps+eps'}(alpha f)(x)" a single
-linear system, and strict positivity of alpha is decided by maximizing alpha
-and requiring a positive supremum. Refutations are exact; the universally
+Every mode checks one inclusion, for each eps' >= 0,
+
+    d_eps' h(x_bar)  in  U_{alpha > 0, mu >= 0}
+                         d_{alpha*eps + eps'}(alpha f + sum_j mu_j phi_j)(x_bar),
+
+and only the list phi changes: () for rop, (h,) for equality and convex, G for
+constrained. One homogenized membership LP (`_union_lp`) decides every test:
+multipliers on the pieces of f sum to alpha, those on the pieces of phi_j to
+mu_j >= 0, and "alpha > 0" is decided by maximizing alpha and requiring a
+positive supremum. Its budget row measures alpha f + sum mu_j phi_j against
+alpha (f(x_bar) - eps) - eps' with no mu_j phi_j(x_bar) term:
+
+- equality: the gate puts x_bar on {h = 0}, so the term is zero;
+- constrained: the paper's split alpha*eps + eps' = eps1 + eps2 with
+  -eps2 <= <mu, G(x_bar)> <= 0 cancels the term once eps1 and eps2 are
+  eliminated; the leftover alpha*eps + eps' + <mu, G(x_bar)> >= 0 follows from
+  the budget row by weak duality, since the gates put x_bar in dom f and dom G;
+- convex: the test at (eps', x*) = (0, 0) asks for some beta >= 0 with
+  f + beta h >= f(x_bar) - eps everywhere, which by LP duality is exact
+  eps-optimality over {h <= 0}; a -beta h(x_bar) term would loosen it
+  whenever h(x_bar) < 0.
+
+Refutations are exact; in the three boundary modes the universally
 quantified eps' is discharged on a finite sweep only, which is why the
 positive verdict is named CERTIFIED_ON_GRID.
 """
@@ -20,7 +38,6 @@ from .lp import (
     NEG_INF,
     Infeasible,
     LinearProgram,
-    Optimal,
     Unbounded,
     lp_max_component,
     lp_solve,
@@ -186,216 +203,88 @@ def _sup_evidence(lp: LinearProgram, comp_index: int) -> MembershipEvidence:
     return MembershipEvidence(member, res.value, lp, res.outcome, witness)
 
 
-# -- the four membership engines ----------------------------------------------
+# -- the membership LP --------------------------------------------------------
 
 
-def _domain_blocks(fns):
-    """(fn, rows, rhs) triples for every declared effective domain."""
-    out = []
-    for fn in fns:
-        if fn.domain is not None:
-            out.append((fn.domain.a, fn.domain.b))
-    return out
+def _union_lp(f, phis, x_bar, eps, eps_prime, xstar, ray=None, max_mu=None):
+    """Homogenized LP for x* in the union over alpha > 0 and mu >= 0 of
+    d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar).
 
-
-def _union_lp_rop(f, x_bar, eps, eps_prime, xstar, ray=None):
-    n = f.n
+    Columns: lam on the pieces of f (summing to alpha), nu on the pieces of
+    each phi_j (summing to mu_j), eta on the domain rows of f and of each
+    phi_j, alpha, and the ray parameter t when `ray` is given (x* then moves
+    to x* + t*ray). Rows: the slopes, alpha = sum lam, the budget and, with
+    `max_mu`, sum nu <= max_mu. Returns (lp, alpha column, t column or None).
+    """
     b = _LpBuilder()
     lam = b.vars(len(f.pieces), lower=_ZERO)
-    domains = _domain_blocks([f])
-    eta = [b.vars(len(rows), lower=_ZERO) for rows, _ in domains]
+    nus = [b.vars(len(phi.pieces), lower=_ZERO) for phi in phis]
+    domains = [fn.domain for fn in (f, *phis) if fn.domain is not None]
+    etas = [b.vars(len(dom.b), lower=_ZERO) for dom in domains]
     alpha = b.var(lower=_ZERO)
     t = b.var(lower=_ZERO) if ray is not None else None
 
-    fx = f.value(x_bar)
-    for j in range(n):
-        coeffs = {lam[i]: f.pieces[i].a[j] for i in range(len(lam))}
-        for (rows, _), etas in zip(domains, eta):
-            for r, er in enumerate(etas):
-                coeffs[er] = coeffs.get(er, _ZERO) + rows[r][j]
+    # (column, slope, budget coefficient) of every multiplier on an affine row
+    terms = [(v, p.a, p.b) for v, p in zip(lam, f.pieces)]
+    for phi, nu in zip(phis, nus):
+        terms += [(v, p.a, p.b) for v, p in zip(nu, phi.pieces)]
+    for dom, eta in zip(domains, etas):
+        terms += [(v, row, -rhs) for v, row, rhs in zip(eta, dom.a, dom.b)]
+    for j in range(f.n):
+        coeffs = {v: a[j] for v, a, _ in terms}
         if ray is not None:
             coeffs[t] = -ray[j]
         b.row(coeffs, "=", xstar[j])
-    b.row({alpha: _ONE, **{i: -_ONE for i in lam}}, "=", _ZERO)
-    budget = {lam[i]: f.pieces[i].b for i in range(len(lam))}
-    for (rows, rhs), etas in zip(domains, eta):
-        for r, er in enumerate(etas):
-            budget[er] = budget.get(er, _ZERO) - rhs[r]
-    budget[alpha] = -(fx - eps)
+    b.row({alpha: _ONE, **{v: -_ONE for v in lam}}, "=", _ZERO)
+    budget = {v: off for v, _, off in terms}
+    budget[alpha] = -(f.value(x_bar) - eps)
     if ray is not None:
         budget[t] = _dot(ray, x_bar)
     b.row(budget, ">=", -_dot(xstar, x_bar) - eps_prime)
+    if max_mu is not None:
+        b.row({v: _ONE for nu in nus for v in nu}, "<=", max_mu)
     return b.lp(), alpha, t
+
+
+def _member(f, phis, x_bar, eps, eps_prime, xstar, max_mu=None) -> MembershipEvidence:
+    lp, alpha, _ = _union_lp(
+        f, phis, x_bar, rat(eps), rat(eps_prime), xstar, max_mu=max_mu
+    )
+    return _sup_evidence(lp, alpha)
 
 
 def union_member_rop(f, x_bar, eps, eps_prime, xstar) -> MembershipEvidence:
     """Is x* in the union over alpha > 0 of d_{alpha*eps+eps'}(alpha f)(x_bar)?"""
     if not f.is_finite_at(x_bar):
         raise Inapplicable("point-off-domain")
-    lp, alpha, _ = _union_lp_rop(f, x_bar, rat(eps), rat(eps_prime), xstar)
-    return _sup_evidence(lp, alpha)
-
-
-def _union_lp_constrained(f, G, x_bar, eps, eps_prime, xstar, ray=None):
-    n = f.n
-    b = _LpBuilder()
-    lam = b.vars(len(f.pieces), lower=_ZERO)
-    nus = [b.vars(len(g.pieces), lower=_ZERO) for g in G]
-    domains = _domain_blocks([f, *G])
-    eta = [b.vars(len(rows), lower=_ZERO) for rows, _ in domains]
-    alpha = b.var(lower=_ZERO)
-    mu = b.vars(len(G), lower=_ZERO)
-    e1 = b.var(lower=_ZERO)
-    e2 = b.var(lower=_ZERO)
-    t = b.var(lower=_ZERO) if ray is not None else None
-
-    fx = f.value(x_bar)
-    gx = [g.value(x_bar) for g in G]
-    for j in range(n):
-        coeffs = {lam[i]: f.pieces[i].a[j] for i in range(len(lam))}
-        for g, nu in zip(G, nus):
-            for k, nv in enumerate(nu):
-                coeffs[nv] = g.pieces[k].a[j]
-        for (rows, _), etas in zip(domains, eta):
-            for r, er in enumerate(etas):
-                coeffs[er] = coeffs.get(er, _ZERO) + rows[r][j]
-        if ray is not None:
-            coeffs[t] = -ray[j]
-        b.row(coeffs, "=", xstar[j])
-    b.row({alpha: _ONE, **{i: -_ONE for i in lam}}, "=", _ZERO)
-    for j, nu in enumerate(nus):
-        b.row({mu[j]: _ONE, **{nv: -_ONE for nv in nu}}, "=", _ZERO)
-    budget = {lam[i]: f.pieces[i].b for i in range(len(lam))}
-    for g, nu in zip(G, nus):
-        for k, nv in enumerate(nu):
-            budget[nv] = g.pieces[k].b
-    for (rows, rhs), etas in zip(domains, eta):
-        for r, er in enumerate(etas):
-            budget[er] = budget.get(er, _ZERO) - rhs[r]
-    budget[alpha] = -fx
-    for j in range(len(G)):
-        budget[mu[j]] = budget.get(mu[j], _ZERO) - gx[j]
-    budget[e1] = _ONE
-    if ray is not None:
-        budget[t] = _dot(ray, x_bar)
-    b.row(budget, ">=", -_dot(xstar, x_bar))
-    # eps1 + eps2 = alpha*eps + eps'
-    b.row({e1: _ONE, e2: _ONE, alpha: -eps}, "=", eps_prime)
-    # -eps2 <= <mu, G(x_bar)> <= 0
-    b.row({mu[j]: gx[j] for j in range(len(G))}, "<=", _ZERO)
-    b.row({e2: _ONE, **{mu[j]: gx[j] for j in range(len(G))}}, ">=", _ZERO)
-    return b.lp(), alpha, t
+    return _member(f, (), x_bar, eps, eps_prime, xstar)
 
 
 def union_member_constrained(f, G, x_bar, eps, eps_prime, xstar) -> MembershipEvidence:
-    """Constrained membership: alpha > 0, mu >= 0, budget split eps1+eps2 and
-    the sandwich -eps2 <= <mu, G(x_bar)> <= 0, in one homogenized LP."""
-    if not f.is_finite_at(x_bar):
+    """Constrained membership: alpha > 0 and mu >= 0 with phi = G."""
+    if not f.is_finite_at(x_bar) or any(g.value(x_bar) > 0 for g in G):
         raise Inapplicable("point-off-domain")
-    for g in G:
-        if g.value(x_bar) == INF or g.value(x_bar) > 0:
-            raise Inapplicable("point-off-domain")
-    lp, alpha, _ = _union_lp_constrained(
-        f, tuple(G), x_bar, rat(eps), rat(eps_prime), xstar
-    )
-    return _sup_evidence(lp, alpha)
-
-
-def _union_lp_equality(f, h, x_bar, eps, eps_prime, xstar, ray=None, max_beta=None):
-    n = f.n
-    b = _LpBuilder()
-    lam = b.vars(len(f.pieces), lower=_ZERO)
-    kap = b.vars(len(h.pieces), lower=_ZERO)
-    domains = _domain_blocks([f, h])
-    eta = [b.vars(len(rows), lower=_ZERO) for rows, _ in domains]
-    alpha = b.var(lower=_ZERO)
-    beta = b.var(lower=_ZERO)
-    t = b.var(lower=_ZERO) if ray is not None else None
-
-    fx = f.value(x_bar)
-    hx = h.value(x_bar)
-    for j in range(n):
-        coeffs = {lam[i]: f.pieces[i].a[j] for i in range(len(lam))}
-        for k, kv in enumerate(kap):
-            coeffs[kv] = h.pieces[k].a[j]
-        for (rows, _), etas in zip(domains, eta):
-            for r, er in enumerate(etas):
-                coeffs[er] = coeffs.get(er, _ZERO) + rows[r][j]
-        if ray is not None:
-            coeffs[t] = -ray[j]
-        b.row(coeffs, "=", xstar[j])
-    b.row({alpha: _ONE, **{i: -_ONE for i in lam}}, "=", _ZERO)
-    b.row({beta: _ONE, **{kv: -_ONE for kv in kap}}, "=", _ZERO)
-    budget = {lam[i]: f.pieces[i].b for i in range(len(lam))}
-    for k, kv in enumerate(kap):
-        budget[kv] = h.pieces[k].b
-    for (rows, rhs), etas in zip(domains, eta):
-        for r, er in enumerate(etas):
-            budget[er] = budget.get(er, _ZERO) - rhs[r]
-    budget[alpha] = -(fx - eps)
-    budget[beta] = budget.get(beta, _ZERO) - hx
-    if ray is not None:
-        budget[t] = _dot(ray, x_bar)
-    b.row(budget, ">=", -_dot(xstar, x_bar) - eps_prime)
-    if max_beta is not None:
-        b.row({beta: _ONE}, "<=", rat(max_beta))
-    return b.lp(), alpha, t
+    return _member(f, tuple(G), x_bar, eps, eps_prime, xstar)
 
 
 def union_member_equality(
     f, h, x_bar, eps, eps_prime, xstar, max_beta=None
 ) -> MembershipEvidence:
     """Equality-constraint membership: alpha > 0, beta >= 0 with x* in
-    d_{alpha*eps+eps'}(alpha f + beta h)(x_bar)."""
+    d_{alpha*eps+eps'}(alpha f + beta h)(x_bar); `max_beta` caps beta."""
     if not f.is_finite_at(x_bar):
         raise Inapplicable("point-off-domain")
     if h.value(x_bar) != 0:
         raise Inapplicable("point-not-on-boundary")
-    lp, alpha, _ = _union_lp_equality(
-        f, h, x_bar, rat(eps), rat(eps_prime), xstar, max_beta=max_beta
-    )
-    return _sup_evidence(lp, alpha)
-
-
-def _convex_lp(f, h, x_bar, eps) -> LinearProgram:
-    n = f.n
-    b = _LpBuilder()
-    lam = b.vars(len(f.pieces), lower=_ZERO)
-    kap = b.vars(len(h.pieces), lower=_ZERO)
-    domains = _domain_blocks([f, h])
-    eta = [b.vars(len(rows), lower=_ZERO) for rows, _ in domains]
-    beta = b.var(lower=_ZERO)
-    for j in range(n):
-        coeffs = {lam[i]: f.pieces[i].a[j] for i in range(len(lam))}
-        for k, kv in enumerate(kap):
-            coeffs[kv] = h.pieces[k].a[j]
-        for (rows, _), etas in zip(domains, eta):
-            for r, er in enumerate(etas):
-                coeffs[er] = coeffs.get(er, _ZERO) + rows[r][j]
-        b.row(coeffs, "=", _ZERO)
-    b.row({i: _ONE for i in lam}, "=", _ONE)
-    b.row({beta: _ONE, **{kv: -_ONE for kv in kap}}, "=", _ZERO)
-    budget = {lam[i]: f.pieces[i].b for i in range(len(lam))}
-    for k, kv in enumerate(kap):
-        budget[kv] = h.pieces[k].b
-    for (rows, rhs), etas in zip(domains, eta):
-        for r, er in enumerate(etas):
-            budget[er] = budget.get(er, _ZERO) - rhs[r]
-    budget[beta] = budget.get(beta, _ZERO) - h.value(x_bar)
-    b.row(budget, ">=", f.value(x_bar) - eps)
-    return b.lp()
+    return _member(f, (h,), x_bar, eps, eps_prime, xstar, max_mu=max_beta)
 
 
 def convex_case_member(f, h, x_bar, eps) -> MembershipEvidence:
-    """The trivial convex characterization 0 in U_{beta>=0} d_eps(f+beta h)(x_bar)."""
+    """The convex characterization: some beta >= 0 with f + beta h >= f(x_bar) - eps
+    everywhere, i.e. the membership test at (eps', x*) = (0, 0) with phi = (h,)."""
     if not f.is_finite_at(x_bar) or not h.is_finite_at(x_bar):
         raise Inapplicable("point-off-domain")
-    lp = _convex_lp(f, h, x_bar, rat(eps))
-    out = lp_solve(lp)
-    if isinstance(out, Infeasible):
-        return MembershipEvidence(False, None, lp, out)
-    witness = out.x if isinstance(out, Optimal) else out.point
-    return MembershipEvidence(True, None, lp, out, witness)
+    return _member(f, (h,), x_bar, eps, _ZERO, (_ZERO,) * f.n)
 
 
 # -- applicability gates -------------------------------------------------------
@@ -501,21 +390,26 @@ class CertificateVerdict:
         return (self.witness_eps_prime, self.witness_xstar)
 
 
+def _phis(mode, problem: ReverseProblem) -> tuple:
+    """The functions phi_j whose multiples join alpha*f in `mode`'s union; for
+    rop, constrained and equality also the region of the essential gate."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    h = problem.reverse
+    return {
+        "rop": (),
+        "constrained": problem.constraints,
+        "equality": (h,),
+        "convex": (h,),
+    }[mode]
+
+
 def _membership_lp(mode, problem: ReverseProblem, eps_prime, xstar, ray=None):
     """Deterministic LP rebuild for a logged check (used for replay)."""
-    f, h = problem.objective, problem.reverse
-    x_bar, eps = problem.point, problem.epsilon
-    if mode == "rop":
-        lp, alpha, t = _union_lp_rop(f, x_bar, eps, eps_prime, xstar, ray=ray)
-    elif mode == "constrained":
-        lp, alpha, t = _union_lp_constrained(
-            f, problem.constraints, x_bar, eps, eps_prime, xstar, ray=ray
-        )
-    elif mode == "equality":
-        lp, alpha, t = _union_lp_equality(f, h, x_bar, eps, eps_prime, xstar, ray=ray)
-    else:
-        raise InputError(f"no membership LP for mode {mode!r}")
-    return lp, alpha, t
+    phis = _phis(mode, problem)
+    return _union_lp(
+        problem.objective, phis, problem.point, problem.epsilon, eps_prime, xstar, ray
+    )
 
 
 def _mode_member(mode, problem, eps_prime, xstar) -> MembershipEvidence:
@@ -539,104 +433,71 @@ def verify(problem: ReverseProblem, mode: str, sweep: EpsPrimeSweep | None = Non
     f, h = problem.objective, problem.reverse
     x_bar, eps = problem.point, problem.epsilon
     gates = []
-    info = []
+    log = []
 
-    if not f.is_finite_at(x_bar):
-        return CertificateVerdict(
-            INAPPLICABLE, mode, reason="point-off-domain", gates=(("dom-f", False),)
+    def verdict(tag, **kw):
+        return CertificateVerdict(tag, mode, gates=tuple(gates), log=tuple(log), **kw)
+
+    def gate(name, ok, reason):
+        gates.append((name, ok))
+        return None if ok else verdict(INAPPLICABLE, reason=reason)
+
+    def check(eps_prime, xstar, ev):
+        log.append(CheckRecord(eps_prime, xstar, "vertex", ev.member, ev))
+        if ev.member:
+            return None
+        return verdict(
+            REFUTED,
+            witness_eps_prime=eps_prime,
+            witness_xstar=xstar,
+            witness_evidence=ev,
         )
-    gates.append(("dom-f", True))
+
+    if out := gate("dom-f", f.is_finite_at(x_bar), "point-off-domain"):
+        return out
 
     if mode == "convex":
-        hx = h.value(x_bar)
-        if hx == INF or hx > 0:
-            gates.append(("h<=0", False))
-            return CertificateVerdict(
-                INAPPLICABLE, mode, reason="point-off-domain", gates=tuple(gates)
-            )
-        gates.append(("h<=0", True))
-        ev = convex_case_member(f, h, x_bar, eps)
-        record = CheckRecord(_ZERO, (_ZERO,) * problem.n, "vertex", ev.member, ev)
-        if ev.member:
-            return CertificateVerdict(
-                CERTIFIED, mode, gates=tuple(gates), log=(record,)
-            )
-        return CertificateVerdict(
-            REFUTED,
-            mode,
-            witness_eps_prime=_ZERO,
-            witness_xstar=(_ZERO,) * problem.n,
-            witness_evidence=ev,
-            gates=tuple(gates),
-            log=(record,),
-        )
+        if out := gate("h<=0", h.value(x_bar) <= 0, "point-off-domain"):
+            return out
+        zero = (_ZERO,) * problem.n
+        ev = _mode_member(mode, problem, _ZERO, zero)
+        return check(_ZERO, zero, ev) or verdict(CERTIFIED)
 
-    if h.value(x_bar) != 0:
-        gates.append(("h=0", False))
-        return CertificateVerdict(
-            INAPPLICABLE, mode, reason="point-not-on-boundary", gates=tuple(gates)
-        )
-    gates.append(("h=0", True))
-
+    if out := gate("h=0", h.value(x_bar) == 0, "point-not-on-boundary"):
+        return out
     if mode == "constrained":
-        for g in problem.constraints:
-            gx = g.value(x_bar)
-            if gx == INF or gx > 0:
-                gates.append(("G<=0", False))
-                return CertificateVerdict(
-                    INAPPLICABLE, mode, reason="point-off-domain", gates=tuple(gates)
-                )
-        gates.append(("G<=0", True))
+        feasible = all(g.value(x_bar) <= 0 for g in problem.constraints)
+        if out := gate("G<=0", feasible, "point-off-domain"):
+            return out
 
-    region = {
-        "rop": None,
-        "equality": (h,),
-        "constrained": tuple(problem.constraints),
-    }[mode]
-    if not essential_check(f, region, x_bar, eps):
-        gates.append(("essential", False))
+    if not essential_check(f, _phis(mode, problem), x_bar, eps):
         # The point is then an unconstrained eps-minimizer candidate; report
         # the trivial characterization informationally.
         zero = (_ZERO,) * problem.n
-        info.append(
-            ("zero-in-subdiff-f", subdiff_member(SubdiffQuery(f, x_bar, eps), zero))
-        )
-        return CertificateVerdict(
+        trivial = subdiff_member(SubdiffQuery(f, x_bar, eps), zero)
+        gates.append(("essential", False))
+        return verdict(
             INAPPLICABLE,
-            mode,
             reason="essential-assumption-fails",
-            gates=tuple(gates),
-            info=tuple(info),
+            info=(("zero-in-subdiff-f", trivial),),
         )
     gates.append(("essential", True))
 
     if mode == "constrained":
-        if not slater_check(problem.constraints, f):
-            gates.append(("slater", False))
-            return CertificateVerdict(
-                INAPPLICABLE, mode, reason="slater-fails", gates=tuple(gates)
-            )
-        gates.append(("slater", True))
+        slater = slater_check(problem.constraints, f)
+        if out := gate("slater", slater, "slater-fails"):
+            return out
 
     if sweep is None:
         sweep = default_sweep(eps)
-    log = []
     for eps_prime in sweep.materialize():
         vrep = subdiff_vrep(SubdiffQuery(h, x_bar, eps_prime))
-        assert not vrep.is_empty(), "hypothesis (H') holds for polyhedral data"
+        if vrep.is_empty():
+            raise RuntimeError("empty d_eps' h(x_bar) at a point of dom h")
         for vert in vrep.vertices:
             ev = _mode_member(mode, problem, eps_prime, vert)
-            log.append(CheckRecord(eps_prime, vert, "vertex", ev.member, ev))
-            if not ev.member:
-                return CertificateVerdict(
-                    REFUTED,
-                    mode,
-                    witness_eps_prime=eps_prime,
-                    witness_xstar=vert,
-                    witness_evidence=ev,
-                    gates=tuple(gates),
-                    log=tuple(log),
-                )
+            if out := check(eps_prime, vert, ev):
+                return out
         base = vrep.vertices[0]
         for ray in vrep.rays:
             ev = _mode_ray_check(mode, problem, eps_prime, base, ray)
@@ -646,19 +507,11 @@ def verify(problem: ReverseProblem, mode: str, sweep: EpsPrimeSweep | None = Non
                 # subgradient beyond it and refute on that point.
                 t_out = (ev.sup if ev.sup != NEG_INF else _ZERO) + 1
                 xstar = tuple(b + t_out * r for b, r in zip(base, ray))
-                point_ev = _mode_member(mode, problem, eps_prime, xstar)
-                assert not point_ev.member
-                log.append(CheckRecord(eps_prime, xstar, "vertex", False, point_ev))
-                return CertificateVerdict(
-                    REFUTED,
-                    mode,
-                    witness_eps_prime=eps_prime,
-                    witness_xstar=xstar,
-                    witness_evidence=point_ev,
-                    gates=tuple(gates),
-                    log=tuple(log),
-                )
-    return CertificateVerdict(CERTIFIED, mode, gates=tuple(gates), log=tuple(log))
+                ev = _mode_member(mode, problem, eps_prime, xstar)
+                if ev.member:
+                    raise RuntimeError("a subgradient beyond the ray's sup was accepted")
+                return check(eps_prime, xstar, ev)
+    return verdict(CERTIFIED)
 
 
 def falsify(
@@ -667,18 +520,11 @@ def falsify(
     """verify() on a dense breakpoint sweep; the verdict's `witness` property
     carries the first (eps', x*) refutation pair, if any."""
     if sweep is None:
-        region = {
-            "rop": None,
-            "equality": (problem.reverse,),
-            "constrained": tuple(problem.constraints),
-            "convex": None,
-        }[mode]
+        f, x_bar = problem.objective, problem.point
         slack = None
-        if problem.objective.is_finite_at(problem.point):
-            inf_val = _inf_over_region(problem.objective, region)
-            if inf_val is None or inf_val == NEG_INF:
-                slack = None
-            else:
-                slack = problem.objective.value(problem.point) - inf_val
+        if f.is_finite_at(x_bar):
+            inf_val = _inf_over_region(f, _phis(mode, problem))
+            if inf_val is not None and inf_val != NEG_INF:
+                slack = f.value(x_bar) - inf_val
         sweep = dense_sweep(problem.epsilon, slack, seed=seed)
     return verify(problem, mode, sweep)

@@ -14,22 +14,15 @@ import sys
 from fractions import Fraction
 
 from .certificates import (
+    MODES,
     CertificateVerdict,
     EpsPrimeSweep,
-    _convex_lp,
     _membership_lp,
     default_sweep,
     falsify,
     verify,
 )
-from .lp import (
-    INF,
-    Infeasible,
-    LinearProgram,
-    Optimal,
-    Unbounded,
-    check_outcome,
-)
+from .lp import INF, Infeasible, Optimal, Unbounded, check_outcome, max_component_lp
 from .model import Inapplicable, InputError, fmt, fmt_vec, rat
 from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
 from .pareto import SIGMA_KINDS, bridge_check, eff_set, grid_sample
@@ -42,6 +35,12 @@ EXIT_PASS = 0
 EXIT_REFUTED = 1
 EXIT_INAPPLICABLE = 2
 EXIT_INPUT_ERROR = 3
+
+_EXIT_CODE = {
+    "CERTIFIED_ON_GRID": EXIT_PASS,
+    "REFUTED": EXIT_REFUTED,
+    "INAPPLICABLE": EXIT_INAPPLICABLE,
+}
 
 
 # -- serialization -------------------------------------------------------------
@@ -116,15 +115,6 @@ def _verdict_to_doc(verdict: CertificateVerdict, sweep_values) -> dict:
 # -- replay --------------------------------------------------------------------
 
 
-def _probe(lp: LinearProgram, index: int) -> LinearProgram:
-    obj = tuple(
-        Fraction(1) if j == index else Fraction(0) for j in range(lp.n)
-    )
-    return LinearProgram(
-        lp.n, obj, sense="max", rows=lp.rows, lower=lp.lower, upper=lp.upper
-    )
-
-
 def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
@@ -137,25 +127,18 @@ def replay(problem, report: dict) -> None:
         eps_prime = rat(check["eps_prime"])
         generator = tuple(rat(v) for v in check["generator"])
         outcome = _outcome_from_doc(check["outcome"])
-        if mode == "convex":
-            lp = _convex_lp(
-                problem.objective, problem.reverse, problem.point, problem.epsilon
-            )
-            check_outcome(lp, outcome)
-            continue
         if check["kind"] == "vertex":
-            lp, alpha, _ = _membership_lp(mode, problem, eps_prime, generator)
-            check_outcome(_probe(lp, alpha), outcome)
+            lp, index, _ = _membership_lp(mode, problem, eps_prime, generator)
         else:
             if eps_prime not in vrep_cache:
                 vrep_cache[eps_prime] = subdiff_vrep(
                     SubdiffQuery(problem.reverse, problem.point, eps_prime)
                 )
             base = vrep_cache[eps_prime].vertices[0]
-            lp, _alpha, t = _membership_lp(
+            lp, _alpha, index = _membership_lp(
                 mode, problem, eps_prime, base, ray=generator
             )
-            check_outcome(_probe(lp, t), outcome)
+        check_outcome(max_component_lp(lp, index), outcome)
 
 
 # -- commands ------------------------------------------------------------------
@@ -174,18 +157,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
     sweep, values = _parse_sweep(args.eps_prime, problem.epsilon, args.seed)
     verdict = verify(problem, args.mode, sweep)
-    doc = _verdict_to_doc(verdict, values)
-    doc = {"command": "verify", **doc}
+    doc = {"command": "verify", **_verdict_to_doc(verdict, values)}
     if args.cross_check_grid is not None:
         lo, hi, step = (rat(v) for v in args.cross_check_grid)
         grid = GridSpec(((lo, hi),) * problem.n, step)
         doc["oracle_cross_check"] = _cross_check_doc(problem, args.mode, grid, verdict)
-    code = {
-        "CERTIFIED_ON_GRID": EXIT_PASS,
-        "REFUTED": EXIT_REFUTED,
-        "INAPPLICABLE": EXIT_INAPPLICABLE,
-    }[verdict.tag]
-    return doc, code
+    return doc, _EXIT_CODE[verdict.tag]
 
 
 def _cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
@@ -214,12 +191,7 @@ def _cmd_falsify(args) -> tuple[dict, int]:
     verdict = falsify(problem, args.mode, seed=args.seed)
     values = sorted({rec.eps_prime for rec in verdict.log})
     doc = {"command": "falsify", **_verdict_to_doc(verdict, values)}
-    code = {
-        "CERTIFIED_ON_GRID": EXIT_PASS,
-        "REFUTED": EXIT_REFUTED,
-        "INAPPLICABLE": EXIT_INAPPLICABLE,
-    }[verdict.tag]
-    return doc, code
+    return doc, _EXIT_CODE[verdict.tag]
 
 
 def _cmd_subdiff(args) -> tuple[dict, int]:
@@ -308,11 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    modes = ["rop", "constrained", "equality", "convex"]
-
     p = sub.add_parser("verify", help="decide the certificate on an eps' sweep")
     p.add_argument("--problem", required=True)
-    p.add_argument("--mode", required=True, choices=modes)
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--eps-prime", help="comma-separated eps' values (replaces the default sweep)")
     p.add_argument(
         "--cross-check-grid",
@@ -325,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("falsify", help="stress the certificate on a dense sweep")
     p.add_argument("--problem", required=True)
-    p.add_argument("--mode", required=True, choices=modes)
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_falsify)
 
@@ -341,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="grid oracle eps-argmin")
     p.add_argument("--problem", required=True)
-    p.add_argument("--mode", required=True, choices=modes)
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--box", nargs=2, metavar=("LO", "HI"), required=True)
     p.add_argument("--step", required=True)
     p.set_defaults(handler=_cmd_brute)

@@ -27,6 +27,7 @@ __all__ = [
     "LpOutcome",
     "lp_solve",
     "lp_max_component",
+    "max_component_lp",
     "ComponentMax",
     "check_outcome",
     "CertificateError",
@@ -300,7 +301,8 @@ class _Simplex:
         # Phase 1: minimize the artificial sum.
         cost1 = self._cost_row({self.nreal + i: _ONE for i in range(self.m)})
         cost1, enter = self._run(cost1, self.nreal)
-        assert enter is None, "phase-1 objective is bounded below by zero"
+        if enter is not None:
+            raise RuntimeError("phase 1 unbounded although its objective is >= 0")
         if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
             return Infeasible(farkas=self._dual_from(cost1, _ONE))
         # Drive remaining artificials out of the basis (or drop their rows).
@@ -355,20 +357,17 @@ class ComponentMax:
     outcome: LpOutcome
 
 
-def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
-    """Maximize variable `index` subject to lp's constraints and bounds."""
+def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
+    """lp with its objective replaced by: maximize variable `index`."""
     if not 0 <= index < lp.n:
         raise InputError(f"component index {index} out of range")
     obj = tuple(_ONE if j == index else _ZERO for j in range(lp.n))
-    probe = LinearProgram(
-        n=lp.n,
-        objective=obj,
-        sense="max",
-        rows=lp.rows,
-        lower=lp.lower,
-        upper=lp.upper,
-    )
-    outcome = lp_solve(probe)
+    return LinearProgram(lp.n, obj, "max", lp.rows, lp.lower, lp.upper)
+
+
+def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
+    """Maximize variable `index` subject to lp's constraints and bounds."""
+    outcome = lp_solve(max_component_lp(lp, index))
     if isinstance(outcome, Optimal):
         return ComponentMax(outcome.value, outcome)
     if isinstance(outcome, Unbounded):

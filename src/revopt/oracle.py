@@ -216,10 +216,11 @@ def boundary_projection(f, h, x, y):
             root = prev_t + (t - prev_t) * prev_g / (prev_g - gt)
             break
         prev_t, prev_g = t, gt
-    assert root is not None, "a sign change exists between the endpoints"
+    if root is None:
+        raise RuntimeError("no sign change of h between the endpoints")
     pi = tuple((1 - root) * xj + root * yj for xj, yj in zip(x, y))
-    assert h.value(pi) == 0
-    assert f.value(pi) < f.value(x)
+    if h.value(pi) != 0 or not f.value(pi) < f.value(x):
+        raise RuntimeError("boundary projection is off {h = 0} or does not descend")
     return pi
 
 
@@ -272,7 +273,8 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
         rows.append((row, ">=", lo))
     lp = LinearProgram(n + 1, (_ZERO,) * n + (_ONE,), rows=tuple(rows))
     out = lp_solve(lp)
-    assert isinstance(out, Optimal), "a box-constrained epigraph LP is solvable"
+    if not isinstance(out, Optimal):
+        raise RuntimeError("a box-constrained epigraph LP has no optimum")
     y = out.x[:n]
     if h.value(y) >= 0:
         return BoundaryReport(False, "interior point not found (h(y) >= 0)", (), (), ())

@@ -221,7 +221,7 @@ def reee_check(sample: ParetoSample, eps, eps_prime_list) -> ReeeReport:
 def product_rule_check(components, x_bar, eps, a_matrix) -> bool:
     """A is in the strong eps-subdifferential of F = (f_1, ..., f_r) iff each
     row lies in the scalar eps_i-subdifferential; decided on the exact LP
-    route and asserted equal to the componentwise membership conjunction."""
+    route and checked against the componentwise membership conjunction."""
     components = tuple(components)
     x_bar = tuple(rat(v) for v in x_bar)
     eps = tuple(rat(v) for v in eps)
@@ -260,7 +260,8 @@ def product_rule_check(components, x_bar, eps, a_matrix) -> bool:
         subdiff_member(SubdiffQuery(fn, x_bar, eps_i), row)
         for fn, row, eps_i in zip(components, rows, eps)
     )
-    assert vector_ok == product_ok, "product formula must match the vector route"
+    if vector_ok != product_ok:
+        raise RuntimeError("product formula disagrees with the vector route")
     return vector_ok
 
 

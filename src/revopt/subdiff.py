@@ -62,7 +62,8 @@ def subdiff_member(q: SubdiffQuery, s) -> bool:
     threshold = q.fn.value(q.point) - _dot(s, q.point) - q.eps
     if isinstance(out, Unbounded):
         return False
-    assert isinstance(out, Optimal), "epigraph LP cannot be infeasible here"
+    if not isinstance(out, Optimal):
+        raise RuntimeError("epigraph LP is infeasible at a point of dom fn")
     return out.value >= threshold
 
 

@@ -73,28 +73,31 @@ def _segment_root(h, pos, neg):
     raise AssertionError("sign change lost")
 
 
+def _epigraph_lp(f, fns, extra_rows):
+    """min t over the epigraph of f, the domains of `fns` and `extra_rows`
+    (rows in x, lifted here by a zero t column)."""
+    from revopt.lp import LinearProgram
+
+    n = f.n
+    rows = [(p.a + (-F(1),), "<=", -p.b) for p in f.pieces]
+    for fn in fns:
+        if fn.domain is not None:
+            for row, rhs in zip(fn.domain.a, fn.domain.b):
+                rows.append((row + (F(0),), "<=", rhs))
+    rows += [(a + (F(0),), rel, rhs) for a, rel, rhs in extra_rows]
+    return LinearProgram(n + 1, (F(0),) * n + (F(1),), rows=tuple(rows))
+
+
 def exact_feasible_inf(f, h):
     """Exact inf of f over {h >= 0} (and dom f): the reverse region is the
     union of the per-piece polyhedra {piece_k >= 0}, so one epigraph LP per
     piece of h decides it. Returns a scalar, -inf, or None (empty region)."""
-    from revopt.lp import Infeasible, LinearProgram, Unbounded, lp_solve
+    from revopt.lp import Infeasible, Unbounded, lp_solve
 
-    n = f.n
     best = None
     unbounded = False
     for piece in h.pieces:
-        rows = []
-        for p in f.pieces:
-            rows.append((p.a + (-F(1),), "<=", -p.b))
-        for fn in (f, h):
-            if fn.domain is not None:
-                for row, rhs in zip(fn.domain.a, fn.domain.b):
-                    rows.append((row + (F(0),), "<=", rhs))
-        rows.append((piece.a + (F(0),), ">=", -piece.b))
-        lp = LinearProgram(
-            n + 1, (F(0),) * n + (F(1),), rows=tuple(rows)
-        )
-        out = lp_solve(lp)
+        out = lp_solve(_epigraph_lp(f, (f, h), [(piece.a, ">=", -piece.b)]))
         if isinstance(out, Infeasible):
             continue
         if isinstance(out, Unbounded):
@@ -105,6 +108,22 @@ def exact_feasible_inf(f, h):
     if unbounded:
         return float("-inf")
     return best
+
+
+def exact_convex_inf(f, h):
+    """Exact inf of f over {h <= 0} (and dom f, dom h): the region is one
+    polyhedron, so one epigraph LP decides it; its outcome is re-validated
+    with check_outcome. Returns a scalar, -inf, or None (empty region)."""
+    from revopt.lp import Infeasible, Unbounded, check_outcome, lp_solve
+
+    lp = _epigraph_lp(f, (f, h), [(p.a, "<=", -p.b) for p in h.pieces])
+    out = lp_solve(lp)
+    check_outcome(lp, out)
+    if isinstance(out, Infeasible):
+        return None
+    if isinstance(out, Unbounded):
+        return float("-inf")
+    return out.value
 
 
 def make_instance(seed: int, n: int) -> ReverseProblem:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from corpus import box_domain, exact_convex_inf, random_fn
 from revopt.certificates import (
     EpsPrimeSweep,
+    _membership_lp,
     convex_case_member,
     essential_check,
     falsify,
@@ -14,7 +16,7 @@ from revopt.certificates import (
     union_member_rop,
     verify,
 )
-from revopt.lp import check_outcome
+from revopt.lp import check_outcome, max_component_lp
 from revopt.model import AffineForm, Inapplicable, PolyhedralConvexFunction, ReverseProblem
 from revopt.subdiff import SubdiffQuery, subdiff_member
 
@@ -198,11 +200,67 @@ def test_verify_essential_gate_reports_trivial_side():
     assert dict(v.info)["zero-in-subdiff-f"] is True
 
 
+def test_constrained_lp_without_constraints_is_the_rop_lp():
+    # Same columns, rows and order, with and without a ray column.
+    rng = random.Random(11)
+    dom = box_domain(1)
+    for _ in range(40):
+        pieces = tuple(
+            AffineForm((F(rng.randint(-3, 3)),), F(rng.randint(-3, 3)))
+            for _ in range(rng.randint(1, 4))
+        )
+        f = PolyhedralConvexFunction(1, pieces, dom if rng.random() < 0.5 else None)
+        p = ReverseProblem(1, f, abs_minus_one(), (F(1),), F(rng.randint(0, 2)))
+        ep = F(rng.randint(0, 3), 2)
+        xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
+        for ray in (None, (F(rng.choice([-1, 1])),)):
+            rop = _membership_lp("rop", p, ep, xs, ray=ray)
+            assert _membership_lp("constrained", p, ep, xs, ray=ray) == rop
+
+
 def test_verify_convex_mode():
     p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1))
     assert verify(p, "convex").tag == "CERTIFIED_ON_GRID"
     q = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(0))
     assert verify(q, "convex").tag == "REFUTED"
+
+
+def test_verify_convex_refutes_an_interior_point_that_is_not_optimal():
+    # min x s.t. -x <= 0 has infimum 0 < f(1); h(1) = -1 < 0.
+    p = ReverseProblem(1, fn(1, ((1,), 0)), fn(1, ((-1,), 0)), (F(1),), F(0))
+    v = verify(p, "convex")
+    assert v.tag == "REFUTED"
+    assert v.witness == (F(0), (F(0),))
+    lp, alpha, _ = _membership_lp("convex", p, F(0), (F(0),))
+    check_outcome(max_component_lp(lp, alpha), v.witness_evidence.outcome)
+
+
+def _interior_candidate(rng):
+    """Integer data with h(x_bar) < 0 and eps spread around the exact gap
+    f(x_bar) - inf{f : h <= 0}, so both verdicts occur."""
+    n = rng.choice([1, 2])
+    while True:
+        f = random_fn(rng, n, domain=box_domain(n))
+        h = random_fn(rng, n)
+        x = tuple(F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n))
+        if f.is_finite_at(x) and h.value(x) < 0:
+            break
+    inf = exact_convex_inf(f, h)
+    gap = f.value(x) - inf
+    eps = gap * F(rng.randint(0, 15), 10) if gap > 0 else F(rng.randint(0, 2))
+    return ReverseProblem(n, f, h, x, eps), inf
+
+
+def test_verify_convex_matches_the_exact_infimum_off_the_boundary():
+    rng = random.Random(2024)
+    wrong = []
+    for i in range(150):
+        p, inf = _interior_candidate(rng)
+        optimal = inf >= p.objective.value(p.point) - p.epsilon
+        tag = verify(p, "convex").tag
+        if tag != ("CERTIFIED_ON_GRID" if optimal else "REFUTED"):
+            wrong.append((i, tag))
+    assert wrong == []
 
 
 def test_falsify_finds_witness_on_example_b():

@@ -207,3 +207,21 @@ def test_replay_covers_ray_checks(tmp_path, capsys):
     )
     assert any(c["kind"] == "ray" for c in rep["checks"])
     replay(load_problem(str(path)), rep)
+
+
+def test_replay_covers_convex_mode(tmp_path, capsys):
+    # At x_bar = 1 the convex problem min |x| s.t. |x| - 1 <= 0 is
+    # 1-optimal but not 0-optimal.
+    for eps, verdict in (("1", "CERTIFIED_ON_GRID"), ("0", "REFUTED")):
+        path = tmp_path / f"convex{eps}.json"
+        path.write_text(json.dumps(example_a_doc(eps)))
+        _, rep = _run(capsys, ["verify", "--problem", str(path), "--mode", "convex"])
+        assert rep["verdict"] == verdict
+        problem = load_problem(str(path))
+        replay(problem, rep)
+
+    (check,) = rep["checks"]
+    assert check["outcome"]["tag"] == "optimal"
+    check["outcome"]["dual"][0] = "7/3"
+    with pytest.raises(CertificateError):
+        replay(problem, rep)
