@@ -11,12 +11,16 @@ from .model import (
 )
 from .lp import LinearProgram, lp_max_component, lp_solve
 from .polytope import VPolytope, h_member, project, vertex_enumerate
-from .subdiff import SubdiffQuery, scale_subdiff, subdiff_member, subdiff_vrep
+from .subdiff import (
+    SubdiffQuery,
+    scale_subdiff,
+    subdiff_epigraph,
+    subdiff_member,
+    subdiff_vrep,
+)
 from .certificates import (
     CertificateVerdict,
-    EpsPrimeSweep,
     convex_case_member,
-    default_sweep,
     essential_check,
     falsify,
     slater_check,

@@ -22,14 +22,35 @@ alpha (f(x_bar) - eps) - eps' with no mu_j phi_j(x_bar) term:
   eps-optimality over {h <= 0}; a -beta h(x_bar) term would loosen it
   whenever h(x_bar) < 0.
 
-Refutations are exact; in the three boundary modes the universally
-quantified eps' is discharged on a finite sweep only, which is why the
-positive verdict is named CERTIFIED_ON_GRID.
+In the three boundary modes (rop, constrained, equality) the quantifier over
+eps' is discharged exactly. Let E = {(eps', s) : eps' >= 0, s in
+d_eps' h(x_bar)} and W = {(eps', x*) : x* in the union at eps'}. By
+`subdiff_epigraph`, E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}
+over the pieces i and the domain rows r of h. W is the projection onto
+(eps', x*) of the polyhedron of `_union_lp` (eps' and x* read as variables)
+cut by alpha > 0, so W is convex, and E is inside W exactly when:
+
+- every point (delta_i, a_i) lies in W: one max-alpha probe each;
+- the ray (1, 0) recedes in W: nothing to check, since raising eps' only
+  relaxes the budget row;
+- every ray (sigma_r, C_r) recedes in W: one max-t probe that starts at
+  (delta_0, a_0) and moves eps' and x* together, so the t column's budget
+  coefficient is <C_r, x_bar> + sigma_r. The probe allows alpha = 0, which is
+  sound: an unbounded t gives a recession direction of the closed polyhedron
+  (alpha >= 0) that projects onto a positive multiple of the ray, and its
+  alpha component is >= 0, so adding it to any point with alpha > 0 keeps
+  alpha > 0. A finite supremum t* puts the ray's point at any t > t* outside
+  even the closed polyhedron's projection.
+
+Every failure therefore exhibits an exact point of E outside W: a
+(delta_i, a_i), or the ray's point at t* + 1, which is logged as the last
+(vertex) check. Refutations are exact by the necessity direction of the
+characterization and positive verdicts by its sufficiency; the positive tag
+keeps its historical name CERTIFIED_ON_GRID, which reports and tools match.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,15 +70,18 @@ from .model import (
     ReverseProblem,
     rat,
 )
-from .subdiff import SubdiffQuery, subdiff_member, subdiff_vrep
+# subdiff_vrep stays bound here because bench/spans.py traces it.
+from .subdiff import (  # noqa: F401
+    SubdiffQuery,
+    subdiff_epigraph,
+    subdiff_member,
+    subdiff_vrep,
+)
 
 __all__ = [
-    "EpsPrimeSweep",
     "MembershipEvidence",
     "CheckRecord",
     "CertificateVerdict",
-    "default_sweep",
-    "dense_sweep",
     "essential_check",
     "slater_check",
     "union_member_rop",
@@ -77,56 +101,6 @@ MODES = ("rop", "constrained", "equality", "convex")
 CERTIFIED = "CERTIFIED_ON_GRID"
 REFUTED = "REFUTED"
 INAPPLICABLE = "INAPPLICABLE"
-
-
-# -- eps' sweeps -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EpsPrimeSweep:
-    """Finite stand-in for the universally quantified eps' >= 0.
-
-    `values` always contains 0; `randomized_extra` seeded draws are spread
-    uniformly (in steps of bound/64) over [0, random_bound].
-    """
-
-    values: tuple[Fraction, ...]
-    randomized_extra: int = 0
-    seed: int = 0
-    random_bound: Fraction = Fraction(4)
-
-    def __post_init__(self):
-        vals = {rat(v) for v in self.values}
-        vals.add(_ZERO)
-        if any(v < 0 for v in vals):
-            raise InputError("sweep values must be >= 0")
-        object.__setattr__(self, "values", tuple(sorted(vals)))
-        object.__setattr__(self, "random_bound", rat(self.random_bound))
-
-    def materialize(self) -> tuple[Fraction, ...]:
-        vals = set(self.values)
-        if self.randomized_extra:
-            rng = random.Random(self.seed)
-            for _ in range(self.randomized_extra):
-                vals.add(Fraction(rng.randint(0, 64), 64) * self.random_bound)
-        return tuple(sorted(vals))
-
-
-def default_sweep(epsilon, seed: int = 0) -> EpsPrimeSweep:
-    """Two regimes around eps_hat = max(eps, 1) plus seeded random draws."""
-    e = max(rat(epsilon), _ONE)
-    values = (_ZERO, e / 8, e / 4, e / 2, e, 2 * e, 4 * e)
-    return EpsPrimeSweep(values, randomized_extra=8, seed=seed, random_bound=4 * e)
-
-
-def dense_sweep(epsilon, slack, seed: int = 0) -> EpsPrimeSweep:
-    """Breakpoint candidates k*eps_hat/16 for k = 0..64, eps_hat scaled by the
-    optimality slack f(x) - inf f when that is finite."""
-    e = max(rat(epsilon), _ONE)
-    if slack is not None and slack != INF and slack > e:
-        e = rat(slack)
-    values = tuple(Fraction(k) * e / 16 for k in range(65))
-    return EpsPrimeSweep(values, randomized_extra=8, seed=seed, random_bound=4 * e)
 
 
 # -- small LP assembly helper ------------------------------------------------
@@ -173,8 +147,9 @@ class MembershipEvidence:
     """Outcome of one homogenized membership test.
 
     `sup` is the supremum of alpha (or of the ray parameter t); `outcome` is
-    the certified LP outcome backing it, stated against `lp`. On acceptance,
-    `witness` is a feasible multiplier vector realizing alpha > 0.
+    the certified LP outcome backing it, stated against `lp`, the probe LP
+    that maximizes alpha (or t). On acceptance, `witness` is a feasible point
+    of that LP realizing alpha > 0 (or, for a ray, any feasible point).
     """
 
     member: bool
@@ -187,7 +162,7 @@ class MembershipEvidence:
 def _sup_evidence(lp: LinearProgram, comp_index: int) -> MembershipEvidence:
     res = lp_max_component(lp, comp_index)
     if res.value == NEG_INF:
-        return MembershipEvidence(False, NEG_INF, lp, res.outcome)
+        return MembershipEvidence(False, NEG_INF, res.lp, res.outcome)
     if res.value == INF:
         out = res.outcome
         point = out.point
@@ -197,10 +172,10 @@ def _sup_evidence(lp: LinearProgram, comp_index: int) -> MembershipEvidence:
         else:
             k = (1 - point[comp_index]) / step
             witness = tuple(p + k * r for p, r in zip(point, out.ray))
-        return MembershipEvidence(True, INF, lp, out, witness)
+        return MembershipEvidence(True, INF, res.lp, out, witness)
     member = res.value > 0
     witness = res.outcome.x if member else None
-    return MembershipEvidence(member, res.value, lp, res.outcome, witness)
+    return MembershipEvidence(member, res.value, res.lp, res.outcome, witness)
 
 
 # -- the membership LP --------------------------------------------------------
@@ -212,9 +187,10 @@ def _union_lp(f, phis, x_bar, eps, eps_prime, xstar, ray=None, max_mu=None):
 
     Columns: lam on the pieces of f (summing to alpha), nu on the pieces of
     each phi_j (summing to mu_j), eta on the domain rows of f and of each
-    phi_j, alpha, and the ray parameter t when `ray` is given (x* then moves
-    to x* + t*ray). Rows: the slopes, alpha = sum lam, the budget and, with
-    `max_mu`, sum nu <= max_mu. Returns (lp, alpha column, t column or None).
+    phi_j, alpha, and the ray parameter t when `ray` = (d_eps', d_x*) is given
+    ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). Rows: the
+    slopes, alpha = sum lam, the budget and, with `max_mu`, sum nu <= max_mu.
+    Returns (lp, alpha column, t column or None).
     """
     b = _LpBuilder()
     lam = b.vars(len(f.pieces), lower=_ZERO)
@@ -233,13 +209,13 @@ def _union_lp(f, phis, x_bar, eps, eps_prime, xstar, ray=None, max_mu=None):
     for j in range(f.n):
         coeffs = {v: a[j] for v, a, _ in terms}
         if ray is not None:
-            coeffs[t] = -ray[j]
+            coeffs[t] = -ray[1][j]
         b.row(coeffs, "=", xstar[j])
     b.row({alpha: _ONE, **{v: -_ONE for v in lam}}, "=", _ZERO)
     budget = {v: off for v, _, off in terms}
     budget[alpha] = -(f.value(x_bar) - eps)
     if ray is not None:
-        budget[t] = _dot(ray, x_bar)
+        budget[t] = _dot(ray[1], x_bar) + ray[0]
     b.row(budget, ">=", -_dot(xstar, x_bar) - eps_prime)
     if max_mu is not None:
         b.row({v: _ONE for nu in nus for v in nu}, "<=", max_mu)
@@ -364,6 +340,10 @@ def slater_check(G, f) -> bool:
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One logged membership probe. A vertex check tests the point
+    (eps_prime, generator); a ray check tests the ray with direction
+    (eps_prime, generator) = (sigma_r, C_r) from h's first generator."""
+
     eps_prime: Fraction
     generator: tuple
     kind: str  # "vertex" or "ray"
@@ -417,17 +397,18 @@ def _mode_member(mode, problem, eps_prime, xstar) -> MembershipEvidence:
     return _sup_evidence(lp, alpha)
 
 
-def _mode_ray_check(mode, problem, eps_prime, base, ray) -> MembershipEvidence:
-    lp, _alpha, t = _membership_lp(mode, problem, eps_prime, base, ray=ray)
+def _mode_ray_check(mode, problem, base, ray) -> MembershipEvidence:
+    lp, _alpha, t = _membership_lp(mode, problem, *base, ray=ray)
     res = lp_max_component(lp, t)
     accepted = res.value == INF
     witness = res.outcome.point if accepted else None
-    return MembershipEvidence(accepted, res.value, lp, res.outcome, witness)
+    return MembershipEvidence(accepted, res.value, res.lp, res.outcome, witness)
 
 
-def verify(problem: ReverseProblem, mode: str, sweep: EpsPrimeSweep | None = None):
-    """Run the applicability gates and the per-(eps', generator) inclusion
-    checks; first failure refutes with an exact witness."""
+def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
+    """Run the applicability gates, then one inclusion check per generator of
+    d_eps' h(x_bar) over all eps' >= 0; the first failure refutes with an
+    exact witness."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     f, h = problem.objective, problem.reverse
@@ -488,43 +469,31 @@ def verify(problem: ReverseProblem, mode: str, sweep: EpsPrimeSweep | None = Non
         if out := gate("slater", slater, "slater-fails"):
             return out
 
-    if sweep is None:
-        sweep = default_sweep(eps)
-    for eps_prime in sweep.materialize():
-        vrep = subdiff_vrep(SubdiffQuery(h, x_bar, eps_prime))
-        if vrep.is_empty():
-            raise RuntimeError("empty d_eps' h(x_bar) at a point of dom h")
-        for vert in vrep.vertices:
-            ev = _mode_member(mode, problem, eps_prime, vert)
-            if out := check(eps_prime, vert, ev):
-                return out
-        base = vrep.vertices[0]
-        for ray in vrep.rays:
-            ev = _mode_ray_check(mode, problem, eps_prime, base, ray)
-            log.append(CheckRecord(eps_prime, ray, "ray", ev.member, ev))
-            if not ev.member:
-                # The ray leaves the union at t = sup; exhibit a concrete
-                # subgradient beyond it and refute on that point.
-                t_out = (ev.sup if ev.sup != NEG_INF else _ZERO) + 1
-                xstar = tuple(b + t_out * r for b, r in zip(base, ray))
-                ev = _mode_member(mode, problem, eps_prime, xstar)
-                if ev.member:
-                    raise RuntimeError("a subgradient beyond the ray's sup was accepted")
-                return check(eps_prime, xstar, ev)
+    points, rays = subdiff_epigraph(h, x_bar)
+    for eps_prime, slope in points:
+        ev = _mode_member(mode, problem, eps_prime, slope)
+        if out := check(eps_prime, slope, ev):
+            return out
+    base = points[0]
+    for ray in rays:
+        ev = _mode_ray_check(mode, problem, base, ray)
+        log.append(CheckRecord(*ray, "ray", ev.member, ev))
+        if not ev.member:
+            # The ray leaves the union at t = sup; refute on the point of E
+            # one step beyond it.
+            if ev.sup == NEG_INF:
+                raise RuntimeError("the ray's base point left the union")
+            t_out = ev.sup + 1
+            eps_prime = base[0] + t_out * ray[0]
+            xstar = tuple(b + t_out * r for b, r in zip(base[1], ray[1]))
+            ev = _mode_member(mode, problem, eps_prime, xstar)
+            if ev.member:
+                raise RuntimeError("a subgradient beyond the ray's sup was accepted")
+            return check(eps_prime, xstar, ev)
     return verdict(CERTIFIED)
 
 
-def falsify(
-    problem: ReverseProblem, mode: str, sweep: EpsPrimeSweep | None = None, seed: int = 0
-) -> CertificateVerdict:
-    """verify() on a dense breakpoint sweep; the verdict's `witness` property
-    carries the first (eps', x*) refutation pair, if any."""
-    if sweep is None:
-        f, x_bar = problem.objective, problem.point
-        slack = None
-        if f.is_finite_at(x_bar):
-            inf_val = _inf_over_region(f, _phis(mode, problem))
-            if inf_val is not None and inf_val != NEG_INF:
-                slack = f.value(x_bar) - inf_val
-        sweep = dense_sweep(problem.epsilon, slack, seed=seed)
-    return verify(problem, mode, sweep)
+def falsify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
+    """The same exact decision as verify(); the verdict's `witness` property
+    carries the refuting (eps', x*) pair, if any."""
+    return verify(problem, mode)

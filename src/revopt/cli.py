@@ -13,21 +13,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .certificates import (
-    MODES,
-    CertificateVerdict,
-    EpsPrimeSweep,
-    _membership_lp,
-    default_sweep,
-    falsify,
-    verify,
-)
+from .certificates import MODES, CertificateVerdict, _membership_lp, falsify, verify
 from .lp import INF, Infeasible, Optimal, Unbounded, check_outcome, max_component_lp
 from .model import Inapplicable, InputError, fmt, fmt_vec, rat
 from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
 from .pareto import SIGMA_KINDS, bridge_check, eff_set, grid_sample
 from .problemfile import load_problem
-from .subdiff import SubdiffQuery, subdiff_vrep
+from .subdiff import SubdiffQuery, subdiff_epigraph, subdiff_vrep
 
 __all__ = ["main", "run", "replay"]
 
@@ -83,13 +75,12 @@ def _outcome_from_doc(doc) -> object:
     raise InputError(f"unknown outcome tag {tag!r}")
 
 
-def _verdict_to_doc(verdict: CertificateVerdict, sweep_values) -> dict:
+def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
     doc = {
         "verdict": verdict.tag,
         "mode": verdict.mode,
         "reason": verdict.reason,
         "gates": [[name, ok] for name, ok in verdict.gates],
-        "sweep": [fmt(v) for v in sweep_values],
         "checks": [
             {
                 "eps_prime": fmt(rec.eps_prime),
@@ -119,10 +110,11 @@ def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
     Rebuilds each check's LP deterministically and checks the stored outcome's
-    certificate exactly; raises CertificateError on any mismatch.
+    certificate exactly; raises CertificateError on any mismatch. A ray check
+    logs its direction, and starts at the first generator of h's
+    eps'-subdifferentials (`subdiff_epigraph`).
     """
     mode = report["mode"]
-    vrep_cache: dict = {}
     for check in report.get("checks", ()):
         eps_prime = rat(check["eps_prime"])
         generator = tuple(rat(v) for v in check["generator"])
@@ -130,34 +122,19 @@ def replay(problem, report: dict) -> None:
         if check["kind"] == "vertex":
             lp, index, _ = _membership_lp(mode, problem, eps_prime, generator)
         else:
-            if eps_prime not in vrep_cache:
-                vrep_cache[eps_prime] = subdiff_vrep(
-                    SubdiffQuery(problem.reverse, problem.point, eps_prime)
-                )
-            base = vrep_cache[eps_prime].vertices[0]
-            lp, _alpha, index = _membership_lp(
-                mode, problem, eps_prime, base, ray=generator
-            )
+            (base, *_), _rays = subdiff_epigraph(problem.reverse, problem.point)
+            ray = (eps_prime, generator)
+            lp, _alpha, index = _membership_lp(mode, problem, *base, ray=ray)
         check_outcome(max_component_lp(lp, index), outcome)
 
 
 # -- commands ------------------------------------------------------------------
 
 
-def _parse_sweep(text, epsilon, seed) -> tuple[EpsPrimeSweep, tuple]:
-    if text is None:
-        sweep = default_sweep(epsilon, seed=seed)
-    else:
-        values = tuple(rat(part) for part in text.split(","))
-        sweep = EpsPrimeSweep(values)
-    return sweep, sweep.materialize()
-
-
 def _cmd_verify(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
-    sweep, values = _parse_sweep(args.eps_prime, problem.epsilon, args.seed)
-    verdict = verify(problem, args.mode, sweep)
-    doc = {"command": "verify", **_verdict_to_doc(verdict, values)}
+    verdict = verify(problem, args.mode)
+    doc = {"command": "verify", **_verdict_to_doc(verdict)}
     if args.cross_check_grid is not None:
         lo, hi, step = (rat(v) for v in args.cross_check_grid)
         grid = GridSpec(((lo, hi),) * problem.n, step)
@@ -188,9 +165,8 @@ def _cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
 
 def _cmd_falsify(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
-    verdict = falsify(problem, args.mode, seed=args.seed)
-    values = sorted({rec.eps_prime for rec in verdict.log})
-    doc = {"command": "falsify", **_verdict_to_doc(verdict, values)}
+    verdict = falsify(problem, args.mode)
+    doc = {"command": "falsify", **_verdict_to_doc(verdict)}
     return doc, _EXIT_CODE[verdict.tag]
 
 
@@ -273,6 +249,9 @@ def _cmd_pareto(args) -> tuple[dict, int]:
     return doc, EXIT_PASS if rep.passed else EXIT_REFUTED
 
 
+_SEED_HELP = "accepted for compatibility; has no effect (the decision is exact)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revopt",
@@ -280,23 +259,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="decide the certificate on an eps' sweep")
+    p = sub.add_parser("verify", help="decide the certificate for all eps' >= 0")
     p.add_argument("--problem", required=True)
     p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--eps-prime", help="comma-separated eps' values (replaces the default sweep)")
     p.add_argument(
         "--cross-check-grid",
         nargs=3,
         metavar=("LO", "HI", "STEP"),
         help="attach a brute-force oracle cross-check on this grid",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("falsify", help="stress the certificate on a dense sweep")
+    p = sub.add_parser("falsify", help="the same exact decision as verify")
     p.add_argument("--problem", required=True)
     p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(handler=_cmd_falsify)
 
     p = sub.add_parser("subdiff", help="generators of an eps-subdifferential")

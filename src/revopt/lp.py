@@ -351,10 +351,12 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
 
 @dataclass(frozen=True)
 class ComponentMax:
-    """Supremum of one variable over an LP's feasible set."""
+    """Supremum of one variable over an LP's feasible set; `outcome` is
+    stated against `lp`, the probe LP that was solved."""
 
     value: object  # Fraction, INF (unbounded) or NEG_INF (infeasible)
     outcome: LpOutcome
+    lp: LinearProgram
 
 
 def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
@@ -367,12 +369,13 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
 
 def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
     """Maximize variable `index` subject to lp's constraints and bounds."""
-    outcome = lp_solve(max_component_lp(lp, index))
+    probe = max_component_lp(lp, index)
+    outcome = lp_solve(probe)
     if isinstance(outcome, Optimal):
-        return ComponentMax(outcome.value, outcome)
+        return ComponentMax(outcome.value, outcome, probe)
     if isinstance(outcome, Unbounded):
-        return ComponentMax(INF, outcome)
-    return ComponentMax(NEG_INF, outcome)
+        return ComponentMax(INF, outcome, probe)
+    return ComponentMax(NEG_INF, outcome, probe)
 
 
 # -- exact certificate re-validation ---------------------------------------

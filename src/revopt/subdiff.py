@@ -2,8 +2,10 @@
 
 Membership is one epigraph LP; the generator representation comes from the
 LP-dual multiplier polytope, enumerated exactly and projected onto the slope
-coordinates. The scaling law  d_eps(lam f) = lam * d_(eps/lam) f  is exposed
-as an operation so both routes can be compared generator-for-generator.
+coordinates. Over all eps >= 0 at once the sets stack into a polyhedron with
+closed-form generators (`subdiff_epigraph`). The scaling law
+d_eps(lam f) = lam * d_(eps/lam) f  is exposed as an operation so both routes
+can be compared generator-for-generator.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from .lp import LinearProgram, Optimal, Unbounded, lp_solve
 from .model import HPolyhedron, InputError, PolyhedralConvexFunction, rat
 from .polytope import VPolytope, project
 
-__all__ = ["SubdiffQuery", "subdiff_member", "subdiff_vrep", "scale_subdiff"]
+__all__ = [
+    "SubdiffQuery",
+    "subdiff_member",
+    "subdiff_epigraph",
+    "subdiff_vrep",
+    "scale_subdiff",
+]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -71,17 +79,39 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def subdiff_epigraph(fn: PolyhedralConvexFunction, point) -> tuple[tuple, tuple]:
+    """Generators of E = {(eps, s) : eps >= 0, s in d_eps fn(point)}.
+
+    For fn = max_i (<a_i, x> + b_i) on dom fn = {C x <= d}, LP duality gives
+    fn*(s) + fn(point) - <s, point> = min sum lam_i delta_i + sum eta_r sigma_r
+    over lam in the unit simplex and eta >= 0 with sum lam_i a_i + C^T eta = s,
+    where delta_i = fn(point) - piece_i(point) and sigma_r = d_r - C_r . point.
+    Hence E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}. Returns the
+    points (delta_i, a_i) in piece order and the rays (sigma_r, C_r) in row
+    order, repeats dropped; the ray (1, 0) is left implicit. `point` must lie
+    in dom fn.
+    """
+    point = tuple(rat(v) for v in point)
+    if not fn.is_finite_at(point):
+        raise InputError("point is off the domain")
+    top = fn.value(point)
+    points = [(top - p.value(point), p.a) for p in fn.pieces]
+    dom = fn.domain
+    rays = []
+    if dom is not None:
+        rays = [(d - _dot(c, point), c) for c, d in zip(dom.a, dom.b)]
+    return tuple(dict.fromkeys(points)), tuple(dict.fromkeys(rays))
+
+
 def _lifted_multiplier_system(q: SubdiffQuery) -> tuple[HPolyhedron, range]:
     """H-description of {(lam, eta, s)} whose s-projection is d_eps fn(point).
 
     s = sum lam_i a_i + C^T eta with lam a unit simplex, eta >= 0 on the
-    domain rows, and the dual value at least fn(point) - eps.
+    domain rows, and sum lam_i delta_i + sum eta_r sigma_r <= eps with the
+    coefficients of `subdiff_epigraph`.
     """
-    fn, x0 = q.fn, q.point
-    p = len(fn.pieces)
-    dom = fn.domain
-    m = dom.m if dom is not None else 0
-    n = fn.n
+    points, rays = subdiff_epigraph(q.fn, q.point)
+    p, m, n = len(points), len(rays), q.fn.n
     dim = p + m + n
     rows, rhs = [], []
 
@@ -92,25 +122,17 @@ def _lifted_multiplier_system(q: SubdiffQuery) -> tuple[HPolyhedron, range]:
         rows.append(tuple(vec))
         rhs.append(bound)
 
-    for i in range(p):
+    for i in range(p + m):
         row([(i, -_ONE)], _ZERO)
-    for r in range(m):
-        row([(p + r, -_ONE)], _ZERO)
     row([(i, _ONE) for i in range(p)], _ONE)
     row([(i, -_ONE) for i in range(p)], -_ONE)
+    gens = points + rays
     for j in range(n):
         entries = [(p + m + j, _ONE)]
-        entries += [(i, -fn.pieces[i].a[j]) for i in range(p)]
-        if dom is not None:
-            entries += [(p + r, -dom.a[r][j]) for r in range(m)]
+        entries += [(i, -slope[j]) for i, (_, slope) in enumerate(gens)]
         row(entries, _ZERO)
         row([(idx, -val) for idx, val in entries], _ZERO)
-    budget = [(i, -(fn.pieces[i].value(x0))) for i in range(p)]
-    if dom is not None:
-        budget += [
-            (p + r, dom.b[r] - _dot(dom.a[r], x0)) for r in range(m)
-        ]
-    row(budget, -(fn.value(x0) - q.eps))
+    row([(i, cost) for i, (cost, _) in enumerate(gens)], q.eps)
     return HPolyhedron(tuple(rows), tuple(rhs), dim), range(p + m, p + m + n)
 
 

@@ -13,7 +13,6 @@ import pytest
 
 from corpus import corpus, exact_feasible_inf, random_fn
 from revopt.certificates import (
-    default_sweep,
     falsify,
     union_member_equality,
     union_member_rop,
@@ -71,16 +70,15 @@ def corpus_results():
     t0 = time.perf_counter()
     instances = corpus(120, 80, seed_base=1000)
     records = []
-    for i, problem in enumerate(instances):
-        verdict = verify(problem, "rop", default_sweep(problem.epsilon, seed=i))
-        dense = falsify(problem, "rop", seed=i)
+    for problem in instances:
+        verdict = verify(problem, "rop")
+        dense = falsify(problem, "rop")
         step = F(1, 60) if problem.n == 1 else F(1, 8)
         grid = GridSpec(((F(-3), F(3)),) * problem.n, step)
         oracle = brute_eps_argmin(problem, "reverse", grid)
         records.append(
             {
                 "problem": problem,
-                "seed": i,
                 "verdict": verdict,
                 "dense": dense,
                 "oracle": oracle,
@@ -105,7 +103,7 @@ def test_criterion_1_worked_example_a():
 
 def test_criterion_2_worked_example_b():
     t0 = time.perf_counter()
-    verdict = verify(example_b(), "rop")  # the default sweep contains eps'=2
+    verdict = verify(example_b(), "rop")  # refuted at h's generator (2, -1)
     assert verdict.tag == "REFUTED"
     ep, xstar = verdict.witness
     assert subdiff_member(SubdiffQuery(abs_minus_one(), (F(1),), ep), xstar)
@@ -133,27 +131,29 @@ def test_criterion_3_randomized_corpus(corpus_results):
         problem, verdict, dense, oracle = (
             rec["problem"], rec["verdict"], rec["dense"], rec["oracle"],
         )
+        # falsify is the same exact decision as verify.
+        assert (dense.tag, dense.witness) == (verdict.tag, verdict.witness)
         if verdict.tag == "INAPPLICABLE":
-            assert dense.tag == "INAPPLICABLE"
             inapplicable += 1
             continue
         threshold = problem.objective.value(problem.point) - problem.epsilon
         exact_inf = exact_feasible_inf(problem.objective, problem.reverse)
-        if dense.tag == "REFUTED" or verdict.tag == "REFUTED":
+        optimal = exact_inf is None or exact_inf >= threshold
+        # Every applicable verdict is the exact truth, in both directions.
+        assert verdict.tag == ("CERTIFIED_ON_GRID" if optimal else "REFUTED")
+        if verdict.tag == "REFUTED":
             refuted += 1
-            # Exact necessity: a refuted candidate is strictly suboptimal.
-            assert exact_inf == NEG_INF or exact_inf < threshold
             # Grid view agrees within the L*step bound.
             if oracle.min_value is not None and oracle.min_value != INF:
                 assert oracle.min_value - threshold <= oracle.error_bound
             # Witness re-checks: true subgradient plus valid LP evidence.
-            who = dense if dense.tag == "REFUTED" else verdict
-            ep, xstar = who.witness
+            ep, xstar = verdict.witness
             assert subdiff_member(
                 SubdiffQuery(problem.reverse, problem.point, ep), xstar
             )
-            check_outcome(who.witness_evidence.lp, who.witness_evidence.outcome)
-        if dense.tag == "CERTIFIED_ON_GRID":
+            evidence = verdict.witness_evidence
+            check_outcome(evidence.lp, evidence.outcome)
+        else:
             certified += 1
             assert oracle.min_value is not None
             if oracle.min_value != INF:
@@ -161,7 +161,8 @@ def test_criterion_3_randomized_corpus(corpus_results):
     assert refuted > 0 and certified > 0
     assert elapsed < 300.0
     _ok(3, f"({len(records)} instances: {certified} certified, {refuted} refuted, "
-           f"{inapplicable} inapplicable; zero oracle contradictions; {elapsed:.0f}s)")
+           f"{inapplicable} inapplicable; every verdict exact; zero oracle "
+           f"contradictions; {elapsed:.0f}s)")
 
 
 def test_criterion_4_closed_forms_and_scaling():
@@ -221,9 +222,8 @@ def test_criterion_5_pareto_identities(corpus_results):
 def test_criterion_6_mode_coherence(corpus_results):
     records, _ = corpus_results
     for rec in records:
-        problem, seed = rec["problem"], rec["seed"]
-        sweep = default_sweep(problem.epsilon, seed=seed)
-        again = verify(problem, "constrained", sweep)
+        problem = rec["problem"]
+        again = verify(problem, "constrained")
         assert again.tag == rec["verdict"].tag
         assert again.witness == rec["verdict"].witness
     rng = random.Random(606)

@@ -3,9 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import box_domain, exact_convex_inf, random_fn
+from corpus import (
+    adversarial_family,
+    box_domain,
+    exact_convex_inf,
+    exact_feasible_inf,
+    face_domain_family,
+    random_fn,
+)
 from revopt.certificates import (
-    EpsPrimeSweep,
     _membership_lp,
     convex_case_member,
     essential_check,
@@ -17,7 +23,13 @@ from revopt.certificates import (
     verify,
 )
 from revopt.lp import check_outcome, max_component_lp
-from revopt.model import AffineForm, Inapplicable, PolyhedralConvexFunction, ReverseProblem
+from revopt.model import (
+    AffineForm,
+    HPolyhedron,
+    Inapplicable,
+    PolyhedralConvexFunction,
+    ReverseProblem,
+)
 from revopt.subdiff import SubdiffQuery, subdiff_member
 
 F = Fraction
@@ -171,7 +183,7 @@ def test_verify_example_a_certified():
 
 
 def test_verify_example_b_refuted_with_exact_witness():
-    v = verify(example_b(), "rop", EpsPrimeSweep((F(0), F(1), F(2))))
+    v = verify(example_b(), "rop")
     assert v.tag == "REFUTED"
     assert v.witness == (F(2), (F(-1),))
     # Soundness re-checks: the witness is a true eps'-subgradient of h and
@@ -213,7 +225,7 @@ def test_constrained_lp_without_constraints_is_the_rop_lp():
         p = ReverseProblem(1, f, abs_minus_one(), (F(1),), F(rng.randint(0, 2)))
         ep = F(rng.randint(0, 3), 2)
         xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
-        for ray in (None, (F(rng.choice([-1, 1])),)):
+        for ray in (None, (F(rng.randint(0, 2)), (F(rng.choice([-1, 1])),))):
             rop = _membership_lp("rop", p, ep, xs, ray=ray)
             assert _membership_lp("constrained", p, ep, xs, ray=ray) == rop
 
@@ -263,6 +275,93 @@ def test_verify_convex_matches_the_exact_infimum_off_the_boundary():
     assert wrong == []
 
 
+def ray_problem(eps=0):
+    """min |x| s.t. x - 1 >= 0 with dom h = {x <= 1}, at x_bar = 1: h = +inf
+    beyond 1, so x_bar is optimal and d_eps' h(1) grows the ray (0, 1)."""
+    h = PolyhedralConvexFunction(
+        1, (AffineForm((1,), -1),), HPolyhedron(((F(1),),), (F(1),), 1)
+    )
+    return ReverseProblem(1, absf(), h, (F(1),), F(eps))
+
+
+def test_every_logged_check_revalidates_against_its_own_lp():
+    # The evidence's LP is the probe that was solved, in every mode.
+    for problem in (example_a(), example_b(), ray_problem()):
+        for mode in ("rop", "constrained", "equality", "convex"):
+            v = verify(problem, mode)
+            assert v.log
+            for rec in v.log:
+                check_outcome(rec.evidence.lp, rec.evidence.outcome)
+    v = verify(ray_problem(), "rop")
+    assert v.tag == "CERTIFIED_ON_GRID"
+    assert [rec.kind for rec in v.log] == ["vertex", "ray"]
+
+
+def test_verify_runs_no_double_description(monkeypatch):
+    import revopt.certificates
+    import revopt.polytope
+
+    def forbidden(*args):
+        raise AssertionError("double description on the verify path")
+
+    monkeypatch.setattr(revopt.certificates, "subdiff_vrep", forbidden)
+    monkeypatch.setattr(revopt.polytope, "vertex_enumerate", forbidden)
+    for problem in (example_a(), example_b(), ray_problem()):
+        for mode in ("rop", "constrained", "equality", "convex"):
+            verify(problem, mode)
+            falsify(problem, mode)
+
+
+def test_verify_never_certifies_the_adversarial_family():
+    # eps is below the exact gap on every instance, so no candidate is
+    # eps-optimal; a finite eps' sweep certified some of them.
+    family = adversarial_family(748)
+    assert len(family) > 300
+    for problem in family:
+        v = verify(problem, "rop")
+        assert v.tag != "CERTIFIED_ON_GRID"
+        if v.tag == "REFUTED":
+            ep, xstar = v.witness
+            assert subdiff_member(SubdiffQuery(problem.reverse, problem.point, ep), xstar)
+
+
+def test_verify_matches_the_exact_infimum_when_h_has_a_face_domain():
+    paths = set()
+    for problem in face_domain_family(300):
+        v = verify(problem, "rop")
+        rays = [rec for rec in v.log if rec.kind == "ray"]
+        paths.add((v.tag, bool(rays), any(not rec.accepted for rec in rays)))
+        if v.tag == "INAPPLICABLE":
+            continue
+        inf = exact_feasible_inf(problem.objective, problem.reverse)
+        threshold = problem.objective.value(problem.point) - problem.epsilon
+        optimal = inf is None or inf >= threshold
+        assert v.tag == ("CERTIFIED_ON_GRID" if optimal else "REFUTED")
+        for rec in v.log:
+            check_outcome(rec.evidence.lp, rec.evidence.outcome)
+        if v.tag == "REFUTED":
+            # The witness is the last check, a rejected vertex check, also
+            # when a ray failed first.
+            last = v.log[-1]
+            assert (last.kind, last.accepted) == ("vertex", False)
+            assert v.witness == (last.eps_prime, last.generator)
+            ep, xstar = v.witness
+            assert subdiff_member(SubdiffQuery(problem.reverse, problem.point, ep), xstar)
+    # The ray path certifies and refutes.
+    assert ("CERTIFIED_ON_GRID", True, False) in paths
+    assert ("REFUTED", True, True) in paths
+
+
+def test_exact_feasible_inf_counts_the_outside_of_dom_h():
+    # min -x s.t. -x - 1 >= 0 on dom h = {x <= 0}: h = +inf for x > 0.
+    h = PolyhedralConvexFunction(
+        1, (AffineForm((-1,), -1),), HPolyhedron(((F(1),),), (F(0),), 1)
+    )
+    assert exact_feasible_inf(fn(1, ((-1,), 0)), h) == float("-inf")
+    # |x| over {x <= -1} and {x > 0}: 0, approached from above.
+    assert exact_feasible_inf(absf(), h) == 0
+
+
 def test_falsify_finds_witness_on_example_b():
     v = falsify(example_b(), "rop")
     assert v.tag == "REFUTED"
@@ -303,18 +402,16 @@ def test_union_accepted_set_is_convex():
 def test_eps_monotone_certification():
     # Once certified, every larger eps certifies too (while the essential
     # gate still holds; at eps = 2 example B leaves its scope).
-    sweep = EpsPrimeSweep((F(0), F(1, 2), F(1), F(2), F(4)))
     for eps in (F(1), F(5, 4), F(3, 2), F(7, 4)):
-        v = verify(example_b(eps), "rop", sweep)
+        v = verify(example_b(eps), "rop")
         assert v.tag == "CERTIFIED_ON_GRID", eps
 
 
 def test_mode_coherence_constrained_vs_rop():
-    sweep = EpsPrimeSweep((F(0), F(1, 2), F(1), F(2)))
     for make in (example_a, example_b):
         for eps in (F(0), F(1)):
             p = make(eps)
-            a = verify(p, "rop", sweep)
-            b = verify(p, "constrained", sweep)
+            a = verify(p, "rop")
+            b = verify(p, "constrained")
             assert a.tag == b.tag
             assert a.witness == b.witness

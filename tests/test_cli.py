@@ -59,10 +59,7 @@ def test_verify_example_a(problem_a, capsys):
 
 
 def test_verify_example_b_refuted(problem_b, capsys):
-    code, doc = _run(
-        capsys,
-        ["verify", "--problem", problem_b, "--mode", "rop", "--eps-prime", "0,1,2"],
-    )
+    code, doc = _run(capsys, ["verify", "--problem", problem_b, "--mode", "rop"])
     assert code == 1
     assert doc["witness"] == {"eps_prime": "2", "x_star": ["-1"]}
 
@@ -94,6 +91,27 @@ def test_falsify_exit_codes(problem_a, problem_b, capsys):
     assert code == 1
     code, _ = _run(capsys, ["falsify", "--problem", problem_a, "--mode", "rop"])
     assert code == 0
+
+
+def test_falsify_reports_the_verify_decision(problem_a, problem_b, capsys):
+    for path in (problem_a, problem_b):
+        for mode in ("rop", "constrained", "equality", "convex"):
+            args = ["--problem", path, "--mode", mode]
+            v_code, v_doc = _run(capsys, ["verify", *args])
+            f_code, f_doc = _run(capsys, ["falsify", *args, "--seed", "5"])
+            assert f_code == v_code
+            assert {**f_doc, "command": "verify"} == v_doc
+            if mode == "convex":
+                assert len(f_doc["checks"]) == 1
+
+
+def test_seed_has_no_effect_and_eps_prime_is_gone(problem_b, capsys):
+    argv = ["verify", "--problem", problem_b, "--mode", "rop"]
+    _, plain = _run(capsys, argv)
+    _, seeded = _run(capsys, [*argv, "--seed", "7"])
+    assert seeded == plain
+    assert run([*argv, "--eps-prime", "0,2"]) == 3
+    capsys.readouterr()
 
 
 def test_subdiff_reverse(problem_a, capsys):
@@ -169,10 +187,7 @@ def test_reports_byte_identical(problem_b, capsys):
 
 
 def test_replay_validates_and_detects_tampering(problem_b, capsys):
-    code, doc = _run(
-        capsys,
-        ["verify", "--problem", problem_b, "--mode", "rop", "--eps-prime", "0,2"],
-    )
+    code, doc = _run(capsys, ["verify", "--problem", problem_b, "--mode", "rop"])
     assert code == 1
     problem = load_problem(problem_b)
     replay(problem, doc)  # every stored certificate re-validates
@@ -201,12 +216,15 @@ def test_replay_covers_ray_checks(tmp_path, capsys):
     }
     path = tmp_path / "ray.json"
     path.write_text(json.dumps(doc))
-    code, rep = _run(
-        capsys,
-        ["verify", "--problem", str(path), "--mode", "rop", "--eps-prime", "0"],
-    )
-    assert any(c["kind"] == "ray" for c in rep["checks"])
-    replay(load_problem(str(path)), rep)
+    code, rep = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+    assert code == 0
+    (ray,) = [c for c in rep["checks"] if c["kind"] == "ray"]
+    assert (ray["eps_prime"], ray["generator"]) == ("0", ["1"])
+    problem = load_problem(str(path))
+    replay(problem, rep)
+    ray["generator"] = ["2"]  # a direction the report did not check
+    with pytest.raises(CertificateError):
+        replay(problem, rep)
 
 
 def test_replay_covers_convex_mode(tmp_path, capsys):

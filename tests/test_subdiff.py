@@ -9,8 +9,14 @@ from revopt.model import (
     InputError,
     PolyhedralConvexFunction,
 )
-from revopt.polytope import vpoly_member
-from revopt.subdiff import SubdiffQuery, scale_subdiff, subdiff_member, subdiff_vrep
+from revopt.polytope import VPolytope, vpoly_member
+from revopt.subdiff import (
+    SubdiffQuery,
+    scale_subdiff,
+    subdiff_epigraph,
+    subdiff_member,
+    subdiff_vrep,
+)
 
 F = Fraction
 
@@ -154,3 +160,36 @@ def test_scaling_law_exact_on_random_instances():
         assert via_law == direct
         done += 1
     assert done >= 40
+
+
+def test_epigraph_closed_form_of_abs_minus_one():
+    h = PolyhedralConvexFunction(1, (AffineForm((1,), -1), AffineForm((-1,), -1)))
+    points, rays = subdiff_epigraph(h, (F(1),))
+    assert points == ((F(0), (F(1),)), (F(2), (F(-1),)))
+    assert rays == ()
+
+
+def test_epigraph_generators_decide_membership_for_every_eps():
+    # (eps, s) is in conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}
+    # exactly when s is in d_eps f(x0).
+    rng = random.Random(17)
+    done = 0
+    for _ in range(40):
+        n = rng.choice([1, 2])
+        f = _random_fn(rng, n, with_domain=rng.random() < 0.5)
+        x0 = tuple(F(rng.randint(-1, 1)) for _ in range(n))
+        if not f.is_finite_at(x0):
+            continue
+        points, rays = subdiff_epigraph(f, x0)
+        epigraph = VPolytope(
+            n + 1,
+            tuple((e, *s) for e, s in points),
+            ((F(1),) + (F(0),) * n,) + tuple((e, *c) for e, c in rays),
+        )
+        for _ in range(12):
+            eps = F(rng.randint(0, 8), 4)
+            s = tuple(F(rng.randint(-6, 6), 2) for _ in range(n))
+            q = SubdiffQuery(f, x0, eps)
+            assert vpoly_member(epigraph, (eps, *s)) == subdiff_member(q, s)
+        done += 1
+    assert done >= 30
