@@ -179,10 +179,9 @@ def _cmd_subdiff(args) -> tuple[dict, int]:
         fn = problem.reverse
     elif which.startswith("constraint:"):
         idx = which.split(":", 1)[1]
-        try:
-            fn = problem.constraints[int(idx)]
-        except (ValueError, IndexError) as exc:
-            raise InputError(f"no constraint {idx!r}") from exc
+        if not idx.isdecimal() or int(idx) >= len(problem.constraints):
+            raise InputError(f"no constraint {idx!r}")
+        fn = problem.constraints[int(idx)]
     else:
         raise InputError(f"unknown function selector {which!r}")
     eps = rat(args.eps)

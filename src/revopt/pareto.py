@@ -149,23 +149,18 @@ def bridge_check(f, h, box, step, eps) -> BridgeReport:
     on the boundary {h = 0} land back in the eps-argmin."""
     eps = rat(eps)
     sample, _grid = grid_sample(f, h, box, step)
-    feasible = [
-        i
-        for i, pt in enumerate(sample.points)
-        if h.value(pt) != INF and h.value(pt) >= 0
-    ]
-    finite = [i for i in feasible if f.value(sample.points[i]) != INF]
+    # images[i] = (f, -h) at point i, or None off dom f or dom h.
+    images = sample.images
+    finite = [i for i, img in enumerate(images) if img is not None and img[1] <= 0]
     if not finite:
         return BridgeReport(True, (), (), (), (), ())
-    best = min(f.value(sample.points[i]) for i in finite)
-    argmin = tuple(
-        i for i in finite if f.value(sample.points[i]) <= best + eps
-    )
+    best = min(images[i][0] for i in finite)
+    argmin = tuple(i for i in finite if images[i][0] <= best + eps)
     weak = eff_set(sample, (eps, _ZERO), "w")
     eff = eff_set(sample, (eps, _ZERO), "e")
-    boundary_eff = [i for i in eff if h.value(sample.points[i]) == 0]
-    missing_weak = tuple(i for i in argmin if i not in set(weak))
-    missing_arg = tuple(i for i in boundary_eff if i not in set(argmin))
+    weak_set, argmin_set = set(weak), set(argmin)
+    missing_weak = tuple(i for i in argmin if i not in weak_set)
+    missing_arg = tuple(i for i in eff if images[i][1] == 0 and i not in argmin_set)
     return BridgeReport(False, argmin, weak, eff, missing_weak, missing_arg)
 
 

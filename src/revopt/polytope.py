@@ -1,9 +1,12 @@
-"""Exact polyhedral geometry: H-to-V conversion, projection, membership.
+"""Exact polyhedral geometry: H-to-V conversion, projection, pruning, membership.
 
-The enumerator is the double description method run on the homogenization
-cone {(x,t) : Ax - bt <= 0, t >= 0}, with rows inserted in lexicographic
-order and an explicit lineality basis so unbounded and degenerate inputs are
-handled exactly. Rays are kept as primitive integer vectors internally, which
+`prune` reduces a generator list to its extreme generators; it is the part
+the production paths use. Double description is the reference enumerator
+that the tests cross-check closed forms against: `vertex_enumerate` runs it
+on the homogenization cone {(x,t) : Ax - bt <= 0, t >= 0}, with rows inserted
+in lexicographic order and an explicit lineality basis so unbounded and
+degenerate inputs are handled exactly, and `project` prunes its projected
+generators. Rays are kept as primitive integer vectors internally, which
 keeps the arithmetic in machine integers.
 """
 
@@ -16,7 +19,14 @@ from math import gcd
 from .lp import Infeasible, LinearProgram, lp_solve
 from .model import HPolyhedron, InputError
 
-__all__ = ["VPolytope", "vertex_enumerate", "project", "h_member", "vpoly_member"]
+__all__ = [
+    "VPolytope",
+    "vertex_enumerate",
+    "project",
+    "prune",
+    "h_member",
+    "vpoly_member",
+]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,13 +53,7 @@ def _primitive(vec) -> tuple[int, ...]:
     denom = 1
     for v in vec:
         denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    return _primitive_int(tuple(int(v * denom) for v in vec))
 
 
 def _normalize_ray(vec) -> tuple[Fraction, ...]:
@@ -201,61 +205,46 @@ def vpoly_member(vp: VPolytope, x) -> bool:
     return not isinstance(lp_solve(lp), Infeasible)
 
 
-def _cone_member(target, rays) -> bool:
-    if not any(target):
-        return True
-    if not rays:
-        return False
-    n = len(target)
-    rows = [
-        (tuple(r[j] for r in rays), "=", target[j]) for j in range(n)
-    ]
-    lp = LinearProgram(
-        len(rays),
-        (_ZERO,) * len(rays),
-        rows=tuple(rows),
-        lower=(_ZERO,) * len(rays),
+def prune(n: int, vertices, rays) -> VPolytope:
+    """conv(vertices) + cone(rays) with every redundant generator dropped.
+
+    The candidates are deduplicated (rays normalized, zero rays dropped) and
+    sorted; then rays, and after them vertices, are dropped one at a time in
+    lex order when the generators still kept without them already give them.
+    """
+    origin = ((_ZERO,) * n,)
+    kept_rays = _drop_redundant(
+        sorted({_normalize_ray(r) for r in rays if any(r)}),
+        lambda others: VPolytope(n, origin, others),
     )
-    return not isinstance(lp_solve(lp), Infeasible)
+    kept_verts = _drop_redundant(
+        sorted(set(vertices)),
+        lambda others: VPolytope(n, others, kept_rays),
+    )
+    return VPolytope(n, kept_verts, kept_rays)
+
+
+def _drop_redundant(candidates, body) -> tuple:
+    kept = list(candidates)
+    i = 0
+    while i < len(kept):
+        if vpoly_member(body(tuple(kept[:i] + kept[i + 1 :])), kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(kept)
 
 
 def project(poly: HPolyhedron, keep) -> VPolytope:
-    """Generator form of the coordinate projection onto the `keep` indices.
-
-    Lifted generators are enumerated, projected, then pruned: a generator is
-    dropped when it is a convex-plus-conic combination of the others.
-    """
+    """Generator form of the coordinate projection onto the `keep` indices:
+    the lifted generators, projected, then `prune`d."""
     keep = tuple(keep)
     for j in keep:
         if not 0 <= j < poly.n:
             raise InputError(f"projection index {j} out of range")
     lifted = vertex_enumerate(poly)
-    if lifted.is_empty():
-        return VPolytope(len(keep), (), ())
-    verts = sorted({tuple(v[j] for j in keep) for v in lifted.vertices})
-    rays = sorted(
-        {
-            _normalize_ray(pr)
-            for pr in (tuple(r[j] for j in keep) for r in lifted.rays)
-            if any(pr)
-        }
+    return prune(
+        len(keep),
+        [tuple(v[j] for j in keep) for v in lifted.vertices],
+        [tuple(r[j] for j in keep) for r in lifted.rays],
     )
-    # Prune non-extreme rays, then vertices, one at a time (order is lex).
-    kept_rays = list(rays)
-    i = 0
-    while i < len(kept_rays):
-        others = kept_rays[:i] + kept_rays[i + 1 :]
-        if _cone_member(kept_rays[i], others):
-            kept_rays.pop(i)
-        else:
-            i += 1
-    kept_verts = list(verts)
-    i = 0
-    while i < len(kept_verts):
-        others = kept_verts[:i] + kept_verts[i + 1 :]
-        trial = VPolytope(len(keep), tuple(others), tuple(kept_rays))
-        if others and vpoly_member(trial, kept_verts[i]):
-            kept_verts.pop(i)
-        else:
-            i += 1
-    return VPolytope(len(keep), tuple(kept_verts), tuple(kept_rays))

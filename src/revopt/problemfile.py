@@ -34,25 +34,37 @@ def _check_fields(doc: dict, allowed: set, what: str):
         raise InputError(f"{what}: unknown fields {sorted(unknown)}")
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what}: expected an array")
+    return value
+
+
+def _vector(value, what: str) -> tuple:
+    return tuple(rat(v) for v in _array(value, what))
+
+
 def _parse_function(doc, n: int, what: str) -> PolyhedralConvexFunction:
     _check_fields(doc, _FUNCTION_FIELDS, what)
-    if "pieces" not in doc or not doc["pieces"]:
+    if "pieces" not in doc or not _array(doc["pieces"], f"{what}.pieces"):
         raise InputError(f"{what}: needs a nonempty pieces list")
     pieces = []
     for k, piece in enumerate(doc["pieces"]):
-        _check_fields(piece, _PIECE_FIELDS, f"{what}.pieces[{k}]")
+        at = f"{what}.pieces[{k}]"
+        _check_fields(piece, _PIECE_FIELDS, at)
         if "a" not in piece or "b" not in piece:
-            raise InputError(f"{what}.pieces[{k}]: needs fields a and b")
-        pieces.append(AffineForm(tuple(rat(v) for v in piece["a"]), rat(piece["b"])))
+            raise InputError(f"{at}: needs fields a and b")
+        pieces.append(AffineForm(_vector(piece["a"], f"{at}.a"), rat(piece["b"])))
     domain = None
     if "domain" in doc and doc["domain"] is not None:
         dom = doc["domain"]
         _check_fields(dom, _DOMAIN_FIELDS, f"{what}.domain")
         if "A" not in dom or "b" not in dom:
             raise InputError(f"{what}.domain: needs fields A and b")
+        rows = _array(dom["A"], f"{what}.domain.A")
         domain = HPolyhedron(
-            tuple(tuple(rat(v) for v in row) for row in dom["A"]),
-            tuple(rat(v) for v in dom["b"]),
+            tuple(_vector(row, f"{what}.domain.A[{k}]") for k, row in enumerate(rows)),
+            _vector(dom["b"], f"{what}.domain.b"),
             n,
         )
     return PolyhedralConvexFunction(n, tuple(pieces), domain)
@@ -64,15 +76,15 @@ def parse_problem(doc) -> ReverseProblem:
         if field not in doc:
             raise InputError(f"problem: missing field {field!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError("problem: n must be a positive integer")
     objective = _parse_function(doc["objective"], n, "objective")
     reverse = _parse_function(doc["reverse"], n, "reverse")
     constraints = tuple(
         _parse_function(g, n, f"constraints[{j}]")
-        for j, g in enumerate(doc.get("constraints", ()))
+        for j, g in enumerate(_array(doc.get("constraints", []), "constraints"))
     )
-    point = tuple(rat(v) for v in doc["point"])
+    point = _vector(doc["point"], "point")
     epsilon = rat(doc["epsilon"])
     return ReverseProblem(n, objective, reverse, point, epsilon, constraints)
 

@@ -1,9 +1,9 @@
 """Fenchel epsilon-subdifferential calculus for polyhedral convex functions.
 
-Membership is one epigraph LP; the generator representation comes from the
-LP-dual multiplier polytope, enumerated exactly and projected onto the slope
-coordinates. Over all eps >= 0 at once the sets stack into a polyhedron with
-closed-form generators (`subdiff_epigraph`). The scaling law
+Membership is one epigraph LP. Over all eps >= 0 at once the sets stack into
+a polyhedron with closed-form generators (`subdiff_epigraph`), and the
+generator representation of one set is its slice at eps, read off those
+generators in closed form (`subdiff_vrep`). The scaling law
 d_eps(lam f) = lam * d_(eps/lam) f  is exposed as an operation so both routes
 can be compared generator-for-generator.
 """
@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import LinearProgram, Optimal, Unbounded, lp_solve
-from .model import HPolyhedron, InputError, PolyhedralConvexFunction, rat
-from .polytope import VPolytope, project
+from .model import InputError, PolyhedralConvexFunction, rat
+
+# project stays bound here because bench/spans.py traces it.
+from .polytope import VPolytope, project, prune  # noqa: F401
 
 __all__ = [
     "SubdiffQuery",
@@ -103,45 +105,31 @@ def subdiff_epigraph(fn: PolyhedralConvexFunction, point) -> tuple[tuple, tuple]
     return tuple(dict.fromkeys(points)), tuple(dict.fromkeys(rays))
 
 
-def _lifted_multiplier_system(q: SubdiffQuery) -> tuple[HPolyhedron, range]:
-    """H-description of {(lam, eta, s)} whose s-projection is d_eps fn(point).
-
-    s = sum lam_i a_i + C^T eta with lam a unit simplex, eta >= 0 on the
-    domain rows, and sum lam_i delta_i + sum eta_r sigma_r <= eps with the
-    coefficients of `subdiff_epigraph`.
-    """
-    points, rays = subdiff_epigraph(q.fn, q.point)
-    p, m, n = len(points), len(rays), q.fn.n
-    dim = p + m + n
-    rows, rhs = [], []
-
-    def row(entries, bound):
-        vec = [_ZERO] * dim
-        for idx, val in entries:
-            vec[idx] = val
-        rows.append(tuple(vec))
-        rhs.append(bound)
-
-    for i in range(p + m):
-        row([(i, -_ONE)], _ZERO)
-    row([(i, _ONE) for i in range(p)], _ONE)
-    row([(i, -_ONE) for i in range(p)], -_ONE)
-    gens = points + rays
-    for j in range(n):
-        entries = [(p + m + j, _ONE)]
-        entries += [(i, -slope[j]) for i, (_, slope) in enumerate(gens)]
-        row(entries, _ZERO)
-        row([(idx, -val) for idx, val in entries], _ZERO)
-    row([(i, cost) for i, (cost, _) in enumerate(gens)], q.eps)
-    return HPolyhedron(tuple(rows), tuple(rhs), dim), range(p + m, p + m + n)
-
-
 def subdiff_vrep(q: SubdiffQuery) -> VPolytope:
-    """Exact generator representation of the epsilon-subdifferential."""
+    """Exact generator representation of the epsilon-subdifferential.
+
+    d_eps fn(point) is the slice at eps' = eps of the E of `subdiff_epigraph`.
+    Its vertices lie among the a_i with delta_i <= eps and the crossings of
+    eps' = eps with the edges [(delta_i, a_i), (delta_j, a_j)], delta_i <= eps
+    < delta_j, and (delta_i, a_i) + t (sigma_r, C_r), sigma_r > 0, of E; its
+    rays are the C_r with sigma_r = 0. `prune` drops the redundant ones.
+    """
     if not q.fn.is_finite_at(q.point):
         return VPolytope(q.fn.n, (), ())
-    system, keep = _lifted_multiplier_system(q)
-    return project(system, keep)
+    points, rays = subdiff_epigraph(q.fn, q.point)
+    eps = q.eps
+    inside = [(delta, a) for delta, a in points if delta <= eps]
+    vertices = [a for _, a in inside]
+    for delta, a in inside:
+        for delta_j, a_j in points:
+            if delta_j > eps:
+                t = (eps - delta) / (delta_j - delta)
+                vertices.append(tuple(x + t * (y - x) for x, y in zip(a, a_j)))
+        for sigma, c in rays:
+            if sigma > 0:
+                t = (eps - delta) / sigma
+                vertices.append(tuple(x + t * y for x, y in zip(a, c)))
+    return prune(q.fn.n, vertices, [c for sigma, c in rays if sigma == 0])
 
 
 def scale_subdiff(q: SubdiffQuery, lam) -> VPolytope:

@@ -170,6 +170,66 @@ def test_input_errors_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("constraints",), None),
+        (("constraints",), {}),
+        (("objective", "pieces"), 5),
+        (("objective", "pieces", 0, "a"), "1"),
+        (("point",), "1"),
+        (("n",), True),
+        (("reverse", "domain"), {"A": "1", "b": ["1"]}),
+        (("reverse", "domain"), {"A": ["1"], "b": ["1"]}),
+        (("reverse", "domain"), {"A": [["1"]], "b": "1"}),
+    ],
+    ids=[
+        "constraints-null",
+        "constraints-object",
+        "pieces-number",
+        "a-string",
+        "point-string",
+        "n-boolean",
+        "A-string",
+        "A-row-string",
+        "domain-b-string",
+    ],
+)
+def test_malformed_shapes_exit_3(tmp_path, capsys, path, value):
+    doc = example_a_doc()
+    _set(doc, path, value)
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(doc))
+    for argv in (
+        ["verify", "--mode", "rop"],
+        ["subdiff", "--fn", "objective", "--eps", "0"],
+    ):
+        code, out = _run(capsys, [argv[0], "--problem", str(p), *argv[1:]])
+        assert code == 3
+        assert "error" in out
+
+
+def test_subdiff_rejects_a_constraint_index_out_of_range(tmp_path, capsys):
+    doc = example_a_doc()
+    doc["constraints"] = [{"pieces": [{"a": ["1"], "b": "-5"}]}]
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    argv = ["subdiff", "--problem", str(p), "--eps", "0", "--fn"]
+    code, out = _run(capsys, [*argv, "constraint:0"])
+    assert code == 0
+    assert out["vertices"] == [["1"]]
+    for bad in ("constraint:-1", "constraint:1", "constraint:x", "constraint:"):
+        code, out = _run(capsys, [*argv, bad])
+        assert code == 3
+        assert "error" in out
+
+
 def test_parse_roundtrip():
     doc = example_a_doc()
     problem = parse_problem(doc)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from revopt.model import AffineForm, InputError, PolyhedralConvexFunction
+from revopt.model import AffineForm, HPolyhedron, InputError, PolyhedralConvexFunction
 from revopt.pareto import (
     ParetoSample,
     bridge_check,
@@ -138,6 +138,30 @@ def test_bridge_steep_case():
 def test_bridge_saturated_epsilon():
     rep = bridge_check(absf(), abs_minus_one(), ((F(-3), F(3)),), F(1, 4), F(100))
     assert rep.passed
+
+
+class Counted:
+    """A function that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def value(self, x):
+        self.calls += 1
+        return self.fn.value(x)
+
+
+def test_bridge_check_evaluates_f_and_h_once_per_grid_point():
+    # h is +inf right of x = 2, so some grid points have no image.
+    h = PolyhedralConvexFunction(
+        1, abs_minus_one().pieces, HPolyhedron(((F(1),),), (F(2),), 1)
+    )
+    box, step = ((F(-3), F(3)),), F(1, 4)
+    for eps in (F(0), F(1, 2), F(100)):
+        counted_f, counted_h = Counted(steep()), Counted(h)
+        rep = bridge_check(counted_f, counted_h, box, step, eps)
+        assert rep == bridge_check(steep(), h, box, step, eps)
+        assert counted_f.calls == counted_h.calls == 25
 
 
 def test_reee_two_point_example():

@@ -9,7 +9,7 @@ from revopt.model import (
     InputError,
     PolyhedralConvexFunction,
 )
-from revopt.polytope import VPolytope, vpoly_member
+from revopt.polytope import VPolytope, project, vpoly_member
 from revopt.subdiff import (
     SubdiffQuery,
     scale_subdiff,
@@ -193,3 +193,110 @@ def test_epigraph_generators_decide_membership_for_every_eps():
             assert vpoly_member(epigraph, (eps, *s)) == subdiff_member(q, s)
         done += 1
     assert done >= 30
+
+
+def _rational_query(rng):
+    """n <= 3, rational pieces; half get a domain whose rows pass through x0
+    (sigma = 0, rays) or not, some as equality pairs (lineality)."""
+
+    def q():
+        return F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+
+    n = rng.choice([1, 2, 3])
+    x0 = tuple(F(rng.randint(-4, 4), rng.choice([1, 2, 3])) for _ in range(n))
+    pieces = tuple(
+        AffineForm(tuple(q() for _ in range(n)), q())
+        for _ in range(rng.randint(1, 5))
+    )
+    domain = None
+    if rng.random() < 0.5:
+        rows, rhs = [], []
+        for _ in range(rng.randint(1, 4)):
+            c = tuple(q() for _ in range(n))
+            at_x0 = sum(a * x for a, x in zip(c, x0))
+            if rng.random() < 0.25:
+                rows += [c, tuple(-v for v in c)]
+                rhs += [at_x0, -at_x0]
+            else:
+                rows.append(c)
+                rhs.append(at_x0 + rng.choice([F(0), F(rng.randint(1, 9), 2)]))
+        domain = HPolyhedron(tuple(rows), tuple(rhs), n)
+    fn = PolyhedralConvexFunction(n, pieces, domain)
+    return SubdiffQuery(fn, x0, F(rng.randint(0, 12), rng.choice([1, 2, 4])))
+
+
+def _lifted_multiplier_system(q):
+    """{(lam, eta, s) : lam in the unit simplex, eta >= 0,
+    s = sum lam_i a_i + sum eta_r C_r, sum lam_i delta_i + sum eta_r sigma_r <= eps},
+    whose projection onto s is d_eps fn(x0) by LP duality."""
+    fn, x0 = q.fn, q.point
+    gens = [(fn.value(x0) - p.value(x0), p.a) for p in fn.pieces]
+    p = len(gens)
+    if fn.domain is not None:
+        for c, d in zip(fn.domain.a, fn.domain.b):
+            gens.append((d - sum(a * x for a, x in zip(c, x0)), c))
+    m, n = len(gens), fn.n
+    rows, rhs = [], []
+    for i in range(m):
+        rows.append(tuple(-F(k == i) for k in range(m)) + (F(0),) * n)
+        rhs.append(F(0))
+    simplex = tuple(F(i < p) for i in range(m)) + (F(0),) * n
+    rows += [simplex, tuple(-v for v in simplex)]
+    rhs += [F(1), F(-1)]
+    for j in range(n):
+        row = tuple(-slope[j] for _, slope in gens) + tuple(F(k == j) for k in range(n))
+        rows += [row, tuple(-v for v in row)]
+        rhs += [F(0), F(0)]
+    rows.append(tuple(cost for cost, _ in gens) + (F(0),) * n)
+    rhs.append(q.eps)
+    return HPolyhedron(tuple(rows), tuple(rhs), m + n), range(m, m + n)
+
+
+def test_vrep_equals_double_description_of_the_lifted_system():
+    rng = random.Random(29)
+    seen = {"domain": 0, "rays": 0, "lineality": 0}
+    for _ in range(240):
+        q = _rational_query(rng)
+        got = subdiff_vrep(q)
+        assert got == project(*_lifted_multiplier_system(q))
+        seen["domain"] += q.fn.domain is not None
+        seen["rays"] += bool(got.rays)
+        seen["lineality"] += any(tuple(-c for c in r) in got.rays for r in got.rays)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_vrep_and_cli_subdiff_run_no_double_description(monkeypatch, tmp_path, capsys):
+    import json
+
+    import revopt.polytope
+    import revopt.subdiff
+    from revopt.cli import run
+
+    def forbidden(*args):
+        raise AssertionError("double description on the subdiff path")
+
+    monkeypatch.setattr(revopt.polytope, "vertex_enumerate", forbidden)
+    monkeypatch.setattr(revopt.subdiff, "project", forbidden)
+    rng = random.Random(30)
+    for _ in range(20):
+        q = _rational_query(rng)
+        assert not subdiff_vrep(q).is_empty()
+        scale_subdiff(q, F(3, 2))
+    # f(x) = x on {x <= 1} at its boundary point: [1, +inf).
+    doc = {
+        "n": 1,
+        "objective": {
+            "pieces": [{"a": ["1"], "b": "0"}],
+            "domain": {"A": [["1"]], "b": ["1"]},
+        },
+        "reverse": {"pieces": [{"a": ["1"], "b": "-1"}]},
+        "point": ["1"],
+        "epsilon": "0",
+    }
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps(doc))
+    argv = ["subdiff", "--problem", str(path), "--fn", "objective", "--eps", "1"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["vertices"] == [["1"]]
+    assert out["rays"] == [["1"]]
