@@ -54,15 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import (
-    INF,
-    NEG_INF,
-    Infeasible,
-    LinearProgram,
-    Unbounded,
-    lp_max_component,
-    lp_solve,
-)
+# lp_solve stays bound here because bench/spans.py traces it.
+from .lp import INF, NEG_INF, LinearProgram, lp_max_component, lp_solve  # noqa: F401
 from .model import (
     Inapplicable,
     InputError,
@@ -73,6 +66,8 @@ from .model import (
 # subdiff_vrep stays bound here because bench/spans.py traces it.
 from .subdiff import (  # noqa: F401
     SubdiffQuery,
+    epigraph_inf,
+    joint_domain,
     subdiff_epigraph,
     subdiff_member,
     subdiff_vrep,
@@ -107,32 +102,26 @@ INAPPLICABLE = "INAPPLICABLE"
 
 
 class _LpBuilder:
+    """Nonnegative columns and sparse rows of one feasibility LP."""
+
     def __init__(self):
-        self.lower: list = []
+        self.n = 0
         self.rows: list = []
 
-    def var(self, lower=None) -> int:
-        self.lower.append(lower)
-        return len(self.lower) - 1
-
-    def vars(self, count: int, lower=None) -> list[int]:
-        return [self.var(lower) for _ in range(count)]
+    def vars(self, count: int) -> list[int]:
+        self.n += count
+        return list(range(self.n - count, self.n))
 
     def row(self, coeffs: dict, rel: str, rhs):
         self.rows.append((dict(coeffs), rel, rat(rhs)))
 
-    def lp(self, objective: dict | None = None, sense: str = "min") -> LinearProgram:
-        n = len(self.lower)
+    def lp(self) -> LinearProgram:
         rows = tuple(
-            (
-                tuple(coeffs.get(j, _ZERO) for j in range(n)),
-                rel,
-                rhs,
-            )
+            (tuple(coeffs.get(j, _ZERO) for j in range(self.n)), rel, rhs)
             for coeffs, rel, rhs in self.rows
         )
-        obj = tuple((objective or {}).get(j, _ZERO) for j in range(n))
-        return LinearProgram(n, obj, sense, rows=rows, lower=tuple(self.lower))
+        zero = (_ZERO,) * self.n
+        return LinearProgram(self.n, zero, rows=rows, lower=zero)
 
 
 def _dot(a, b):
@@ -186,26 +175,25 @@ def _union_lp(f, phis, x_bar, eps, eps_prime, xstar, ray=None, max_mu=None):
     d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar).
 
     Columns: lam on the pieces of f (summing to alpha), nu on the pieces of
-    each phi_j (summing to mu_j), eta on the domain rows of f and of each
-    phi_j, alpha, and the ray parameter t when `ray` = (d_eps', d_x*) is given
-    ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). Rows: the
+    each phi_j (summing to mu_j), eta on the rows of the `joint_domain` of f
+    and the phi_j, alpha, and the ray parameter t when `ray` = (d_eps', d_x*)
+    is given ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). Rows: the
     slopes, alpha = sum lam, the budget and, with `max_mu`, sum nu <= max_mu.
     Returns (lp, alpha column, t column or None).
     """
     b = _LpBuilder()
-    lam = b.vars(len(f.pieces), lower=_ZERO)
-    nus = [b.vars(len(phi.pieces), lower=_ZERO) for phi in phis]
-    domains = [fn.domain for fn in (f, *phis) if fn.domain is not None]
-    etas = [b.vars(len(dom.b), lower=_ZERO) for dom in domains]
-    alpha = b.var(lower=_ZERO)
-    t = b.var(lower=_ZERO) if ray is not None else None
+    lam = b.vars(len(f.pieces))
+    nus = [b.vars(len(phi.pieces)) for phi in phis]
+    dom = joint_domain(f.n, (f, *phis))
+    eta = b.vars(dom.m)
+    alpha = b.vars(1)[0]
+    t = b.vars(1)[0] if ray is not None else None
 
     # (column, slope, budget coefficient) of every multiplier on an affine row
     terms = [(v, p.a, p.b) for v, p in zip(lam, f.pieces)]
     for phi, nu in zip(phis, nus):
         terms += [(v, p.a, p.b) for v, p in zip(nu, phi.pieces)]
-    for dom, eta in zip(domains, etas):
-        terms += [(v, row, -rhs) for v, row, rhs in zip(eta, dom.a, dom.b)]
+    terms += [(v, row, -rhs) for v, row, rhs in zip(eta, dom.a, dom.b)]
     for j in range(f.n):
         coeffs = {v: a[j] for v, a, _ in terms}
         if ray is not None:
@@ -266,31 +254,6 @@ def convex_case_member(f, h, x_bar, eps) -> MembershipEvidence:
 # -- applicability gates -------------------------------------------------------
 
 
-def _inf_over_region(f: PolyhedralConvexFunction, region):
-    """inf of f over {x : phi(x) <= 0 for phi in region} as an extended value;
-    None when the region (intersected with dom f) is empty."""
-    n = f.n
-    b = _LpBuilder()
-    x = b.vars(n)
-    t = b.var()
-    for piece in f.pieces:
-        b.row({**{x[j]: piece.a[j] for j in range(n)}, t: -_ONE}, "<=", -piece.b)
-    fns = [f] + list(region or [])
-    for fn in fns:
-        if fn.domain is not None:
-            for row, rhs in zip(fn.domain.a, fn.domain.b):
-                b.row({x[j]: row[j] for j in range(n)}, "<=", rhs)
-    for phi in region or []:
-        for piece in phi.pieces:
-            b.row({x[j]: piece.a[j] for j in range(n)}, "<=", -piece.b)
-    out = lp_solve(b.lp(objective={t: _ONE}))
-    if isinstance(out, Infeasible):
-        return None
-    if isinstance(out, Unbounded):
-        return NEG_INF
-    return out.value
-
-
 def essential_check(f, region, x_bar, eps) -> bool:
     """inf of f over the region is strictly below f(x_bar) - eps.
 
@@ -299,7 +262,7 @@ def essential_check(f, region, x_bar, eps) -> bool:
     """
     if not f.is_finite_at(x_bar):
         raise Inapplicable("point-off-domain")
-    inf_val = _inf_over_region(f, region)
+    inf_val, _ = epigraph_inf(f, region or ())
     if inf_val is None:
         return False
     if inf_val == NEG_INF:
@@ -310,29 +273,17 @@ def essential_check(f, region, x_bar, eps) -> bool:
 def slater_check(G, f) -> bool:
     """Is there x0 in dom f and dom G with every g_j(x0) < 0?
 
-    Decided by maximizing a common slack tau with every piece of every g_j
-    bounded by -tau; strict feasibility means a positive supremum.
+    Decided by the infimum of max_j g_j over dom f and dom G: strict
+    feasibility means it is negative (or -inf).
     """
     G = tuple(G)
     if not G:
         return True
-    n = f.n
-    b = _LpBuilder()
-    x = b.vars(n)
-    tau = b.var()
-    for fn in (f, *G):
-        if fn.domain is not None:
-            for row, rhs in zip(fn.domain.a, fn.domain.b):
-                b.row({x[j]: row[j] for j in range(n)}, "<=", rhs)
-    for g in G:
-        for piece in g.pieces:
-            b.row(
-                {**{x[j]: piece.a[j] for j in range(n)}, tau: _ONE},
-                "<=",
-                -piece.b,
-            )
-    res = lp_max_component(b.lp(), tau)
-    return res.value == INF or (res.value != NEG_INF and res.value > 0)
+    max_g = PolyhedralConvexFunction(
+        f.n, tuple(p for g in G for p in g.pieces), joint_domain(f.n, (f, *G))
+    )
+    inf_val, _ = epigraph_inf(max_g)
+    return inf_val is not None and inf_val < 0
 
 
 # -- verdicts -------------------------------------------------------------------

@@ -51,11 +51,12 @@ class Inapplicable(Exception):
 def rat(text) -> Fraction:
     """Parse an exact rational from an int or a "p/q" / integer string.
 
-    Decimal or float literals are rejected: the wire format is rationals only.
+    Decimal or float literals and booleans (an `int` subtype) are rejected:
+    the wire format is rationals only.
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         if not _RAT_RE.match(text.strip()):

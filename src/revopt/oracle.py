@@ -12,8 +12,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import LinearProgram, Optimal, lp_solve
-from .model import INF, InputError, PolyhedralConvexFunction, ReverseProblem, rat
+# lp_solve stays bound here because bench/spans.py traces it.
+from .lp import lp_solve  # noqa: F401
+from .model import (
+    INF,
+    HPolyhedron,
+    InputError,
+    PolyhedralConvexFunction,
+    ReverseProblem,
+    rat,
+)
+from .subdiff import epigraph_inf
 
 __all__ = [
     "GridSpec",
@@ -151,14 +160,21 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
 
     feasible = 0
     best = None
+    # (index, f value) of the feasible points within eps of the running best;
+    # the running best only falls, so this keeps every final eps-argmin point.
+    near = []
     for idx in itertools.product(*ranges):
         g_vals = [g.value(idx) for g in g_evs] if need_g else ()
         if not _feasible_fn(mode, h_ev.value(idx), g_vals):
             continue
         feasible += 1
         val = f_ev.value(idx)
-        if val != INF and (best is None or val < best):
+        if val == INF:
+            continue
+        if best is None or val < best:
             best = val
+        if val <= best + problem.epsilon:
+            near.append((idx, val))
     bound = problem.objective.lipschitz_bound() * grid.step
     if feasible == 0:
         return BruteResult(mode, 0, None, (), (), bound)
@@ -167,12 +183,8 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
 
     threshold = best + problem.epsilon
     argmin, slack = [], []
-    for idx in itertools.product(*ranges):
-        g_vals = [g.value(idx) for g in g_evs] if need_g else ()
-        if not _feasible_fn(mode, h_ev.value(idx), g_vals):
-            continue
-        val = f_ev.value(idx)
-        if val != INF and val <= threshold:
+    for idx, val in near:
+        if val <= threshold:
             argmin.append(tuple(axes[j][k] for j, k in enumerate(idx)))
             slack.append(threshold - val)
     return BruteResult(mode, feasible, best, tuple(argmin), tuple(slack), bound)
@@ -262,20 +274,15 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
         return BoundaryReport(False, "essential assumption fails on the grid", (), (), ())
     # Interior descent point: exact minimizer of f over the box.
     n = grid.n
-    rows = []
-    for p in f.pieces:
-        rows.append((p.a + (-_ONE,), "<=", -p.b))
+    box_rows, box_rhs = [], []
     for j, (lo, hi) in enumerate(grid.box):
-        e = [_ZERO] * n
-        e[j] = _ONE
-        row = tuple(e) + (_ZERO,)
-        rows.append((row, "<=", hi))
-        rows.append((row, ">=", lo))
-    lp = LinearProgram(n + 1, (_ZERO,) * n + (_ONE,), rows=tuple(rows))
-    out = lp_solve(lp)
-    if not isinstance(out, Optimal):
+        e = tuple(_ONE if k == j else _ZERO for k in range(n))
+        box_rows += [e, tuple(-v for v in e)]
+        box_rhs += [hi, -lo]
+    on_box = PolyhedralConvexFunction(n, f.pieces, HPolyhedron(box_rows, box_rhs, n))
+    _, y = epigraph_inf(on_box)
+    if y is None:
         raise RuntimeError("a box-constrained epigraph LP has no optimum")
-    y = out.x[:n]
     if h.value(y) >= 0:
         return BoundaryReport(False, "interior point not found (h(y) >= 0)", (), (), ())
 

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import INF, NEG_INF, LinearProgram, Unbounded, lp_max_component, lp_solve
+# lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
+from .lp import INF, lp_max_component, lp_solve  # noqa: F401
 from .model import InputError, PolyhedralConvexFunction, rat
 from .oracle import GridSpec
-from .subdiff import SubdiffQuery, subdiff_member
+from .subdiff import SubdiffQuery, _dot, epigraph_inf, joint_domain, subdiff_member
 
 __all__ = [
     "ParetoSample",
@@ -33,7 +34,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 SIGMA_KINDS = ("s", "e", "w")
 
@@ -147,8 +147,13 @@ def bridge_check(f, h, box, step, eps) -> BridgeReport:
     """Both implications of the reverse-to-bicriteria bridge on one grid:
     the eps-argmin over {h >= 0} lands in the weak set, and efficient points
     on the boundary {h = 0} land back in the eps-argmin."""
-    eps = rat(eps)
     sample, _grid = grid_sample(f, h, box, step)
+    return _bridge_of_sample(sample, eps)
+
+
+def _bridge_of_sample(sample: ParetoSample, eps) -> BridgeReport:
+    """`bridge_check` on a `grid_sample` already taken."""
+    eps = rat(eps)
     # images[i] = (f, -h) at point i, or None off dom f or dom h.
     images = sample.images
     finite = [i for i, img in enumerate(images) if img is not None and img[1] <= 0]
@@ -215,8 +220,8 @@ def reee_check(sample: ParetoSample, eps, eps_prime_list) -> ReeeReport:
 
 def product_rule_check(components, x_bar, eps, a_matrix) -> bool:
     """A is in the strong eps-subdifferential of F = (f_1, ..., f_r) iff each
-    row lies in the scalar eps_i-subdifferential; decided on the exact LP
-    route and checked against the componentwise membership conjunction."""
+    row lies in the scalar eps_i-subdifferential of its component, the
+    components of F being the f_i restricted to dom F."""
     components = tuple(components)
     x_bar = tuple(rat(v) for v in x_bar)
     eps = tuple(rat(v) for v in eps)
@@ -230,34 +235,12 @@ def product_rule_check(components, x_bar, eps, a_matrix) -> bool:
         if not fn.is_finite_at(x_bar):
             raise InputError("x_bar must lie in every component domain")
 
-    # Vector route: the defining inequality quantified over the joint domain.
-    vector_ok = True
-    for fn, row, eps_i in zip(components, rows, eps):
-        b = []
-        for piece in fn.pieces:
-            b.append((piece.a + (-_ONE,), "<=", -piece.b))
-        for other in components:
-            if other.domain is not None:
-                for drow, rhs in zip(other.domain.a, other.domain.b):
-                    b.append((drow + (_ZERO,), "<=", rhs))
-        lp = LinearProgram(
-            n + 1,
-            tuple(-v for v in row) + (_ONE,),
-            rows=tuple(b),
-        )
-        out = lp_solve(lp)
-        bound = fn.value(x_bar) - sum(r * x for r, x in zip(row, x_bar)) - eps_i
-        if isinstance(out, Unbounded) or out.value < bound:
-            vector_ok = False
-            break
-
-    product_ok = all(
+    dom = joint_domain(n, components)
+    restricted = (PolyhedralConvexFunction(n, fn.pieces, dom) for fn in components)
+    return all(
         subdiff_member(SubdiffQuery(fn, x_bar, eps_i), row)
-        for fn, row, eps_i in zip(components, rows, eps)
+        for fn, row, eps_i in zip(restricted, rows, eps)
     )
-    if vector_ok != product_ok:
-        raise RuntimeError("product formula disagrees with the vector route")
-    return vector_ok
 
 
 # -- r = 2 scalarization -------------------------------------------------------
@@ -292,22 +275,16 @@ def scalarization_check(f, x_bar, eps, a_matrix, lam) -> bool:
     if not scalar_side:
         return True  # vacuous implication
 
-    # Refutation search: x with F(x) strictly below F(x_bar) + A(x-x_bar) - eps
-    # in both criteria, via a maximized common slack.
-    b = []
+    # Refutation search: x in dom f with F(x) strictly below
+    # F(x_bar) + A(x - x_bar) - eps in both criteria, i.e. a negative infimum
+    # of max(f - f(x_bar) - <a1, . - x_bar> + eps1, -<a2, . - x_bar> + eps2).
     a1, a2 = rows
-    f_bar = f.value(x_bar)
-    for piece in f.pieces:
-        coeffs = tuple(pa - r for pa, r in zip(piece.a, a1)) + (_ONE,)
-        rhs = f_bar - sum(r * x for r, x in zip(a1, x_bar)) - eps[0] - piece.b
-        b.append((coeffs, "<=", rhs))
-    coeffs = tuple(-r for r in a2) + (_ONE,)
-    rhs = -sum(r * x for r, x in zip(a2, x_bar)) - eps[1]
-    b.append((coeffs, "<=", rhs))
-    if f.domain is not None:
-        for drow, drhs in zip(f.domain.a, f.domain.b):
-            b.append((drow + (_ZERO,), "<=", drhs))
-    lp = LinearProgram(n + 1, (_ZERO,) * (n + 1), rows=tuple(b))
-    res = lp_max_component(lp, n)
-    violated = res.value == INF or (res.value != NEG_INF and res.value > 0)
-    return not violated
+    shift = f.value(x_bar) - _dot(a1, x_bar) - eps[0]
+    gap = PolyhedralConvexFunction(
+        n,
+        tuple((tuple(pa - r for pa, r in zip(p.a, a1)), p.b - shift) for p in f.pieces)
+        + ((tuple(-r for r in a2), _dot(a2, x_bar) + eps[1]),),
+        f.domain,
+    )
+    inf_val, _ = epigraph_inf(gap)
+    return inf_val is None or inf_val >= 0

@@ -1,6 +1,11 @@
 """Fenchel epsilon-subdifferential calculus for polyhedral convex functions.
 
-Membership is one epigraph LP. Over all eps >= 0 at once the sets stack into
+`epigraph_inf` is the one epigraph LP of the library: the exact infimum of
+fn(x) - <slope, x> over dom fn cut by {phi <= 0} for each phi of a region,
+with columns (x, t) and rows fn's pieces, the stacked domain rows of fn and
+of the region (`joint_domain`), then the region's pieces. Membership, the
+essential and Slater gates, the bicriteria checks and the oracle's interior
+point are each one call to it. Over all eps >= 0 at once the sets stack into
 a polyhedron with closed-form generators (`subdiff_epigraph`), and the
 generator representation of one set is its slice at eps, read off those
 generators in closed form (`subdiff_vrep`). The scaling law
@@ -13,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import LinearProgram, Optimal, Unbounded, lp_solve
-from .model import InputError, PolyhedralConvexFunction, rat
+from .lp import Infeasible, LinearProgram, Unbounded, lp_solve
+from .model import NEG_INF, HPolyhedron, InputError, PolyhedralConvexFunction, rat
 
 # project stays bound here because bench/spans.py traces it.
 from .polytope import VPolytope, project, prune  # noqa: F401
 
 __all__ = [
+    "joint_domain",
+    "epigraph_inf",
     "SubdiffQuery",
     "subdiff_member",
     "subdiff_epigraph",
@@ -29,6 +36,40 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def joint_domain(n: int, fns) -> HPolyhedron:
+    """The intersection of the domains of `fns`: their rows stacked in order
+    (no rows when none of them has a domain)."""
+    doms = [fn.domain for fn in fns if fn.domain is not None]
+    return HPolyhedron(
+        tuple(row for d in doms for row in d.a), tuple(v for d in doms for v in d.b), n
+    )
+
+
+def epigraph_inf(fn: PolyhedralConvexFunction, region=(), slope=None):
+    """(value, argmin) of inf fn(x) - <slope, x> over dom fn and {phi <= 0}
+    (inside dom phi) for every phi in `region`.
+
+    The value is None when that set is empty and NEG_INF when the LP is
+    unbounded; the argmin is a Bland vertex when the value is finite, else
+    None. One LP min t over columns (x, t): rows are fn's pieces
+    <a, x> - t <= -b, the domain rows of fn and of each phi, then each phi's
+    pieces <a, x> <= -b.
+    """
+    n = fn.n
+    slope = (_ZERO,) * n if slope is None else tuple(rat(v) for v in slope)
+    rows = [(p.a + (-_ONE,), "<=", -p.b) for p in fn.pieces]
+    dom = joint_domain(n, (fn, *region))
+    rows += [(row + (_ZERO,), "<=", rhs) for row, rhs in zip(dom.a, dom.b)]
+    rows += [(p.a + (_ZERO,), "<=", -p.b) for phi in region for p in phi.pieces]
+    lp = LinearProgram(n + 1, tuple(-v for v in slope) + (_ONE,), rows=tuple(rows))
+    out = lp_solve(lp)
+    if isinstance(out, Infeasible):
+        return None, None
+    if isinstance(out, Unbounded):
+        return NEG_INF, None
+    return out.value, out.x[:n]
 
 
 @dataclass(frozen=True)
@@ -49,32 +90,19 @@ class SubdiffQuery:
 
 
 def subdiff_member(q: SubdiffQuery, s) -> bool:
-    """True iff fn(x) >= fn(point) + <s, x - point> - eps for all x in dom fn.
-
-    Decided by minimizing t - <s, x> over the epigraph and comparing the
-    optimum with fn(point) - <s, point> - eps.
-    """
+    """True iff fn(x) >= fn(point) + <s, x - point> - eps for all x in dom fn,
+    i.e. inf fn - <s, .> is at least fn(point) - <s, point> - eps."""
     s = tuple(rat(v) for v in s)
     if len(s) != q.fn.n:
         raise InputError("slope dimension mismatch")
     if not q.fn.is_finite_at(q.point):
         return False
-    n = q.fn.n
-    rows = []
-    for piece in q.fn.pieces:
-        rows.append((piece.a + (-_ONE,), "<=", -piece.b))
-    dom = q.fn.domain
-    if dom is not None:
-        for row, rhs in zip(dom.a, dom.b):
-            rows.append((row + (_ZERO,), "<=", rhs))
-    lp = LinearProgram(n + 1, tuple(-v for v in s) + (_ONE,), rows=tuple(rows))
-    out = lp_solve(lp)
-    threshold = q.fn.value(q.point) - _dot(s, q.point) - q.eps
-    if isinstance(out, Unbounded):
-        return False
-    if not isinstance(out, Optimal):
+    value, _ = epigraph_inf(q.fn, slope=s)
+    if value is None:
         raise RuntimeError("epigraph LP is infeasible at a point of dom fn")
-    return out.value >= threshold
+    if value == NEG_INF:
+        return False
+    return value >= q.fn.value(q.point) - _dot(s, q.point) - q.eps
 
 
 def _dot(a, b):

@@ -84,6 +84,24 @@ def test_slater_examples():
     assert slater_check((fn(1, ((1,), 0)), fn(1, ((-1,), -2))), f)
 
 
+def test_slater_respects_the_domains_of_f_and_g():
+    # G = (x,): x0 = -1 is strictly feasible unless a domain cuts it off.
+    g = fn(1, ((1,), 0))
+    at_least_one = HPolyhedron(((F(-1),),), (F(-1),), 1)
+
+    def on(dom, f):
+        return PolyhedralConvexFunction(1, f.pieces, dom)
+
+    assert slater_check((g,), absf())
+    assert not slater_check((g,), on(at_least_one, absf()))
+    assert not slater_check((on(at_least_one, g),), absf())
+    # dom f = [-3, 3] and dom g2 = {x <= 1/2}: any x0 in [-3, 1/2) works.
+    g2 = on(HPolyhedron(((F(1),),), (F(1, 2),), 1), fn(1, ((1,), F(-1, 2))))
+    assert slater_check((g, g2), on(box_domain(1), absf()))
+    # Disjoint domains leave no point to be strictly feasible at.
+    assert not slater_check((g2,), on(at_least_one, absf()))
+
+
 # -- union membership ----------------------------------------------------
 
 

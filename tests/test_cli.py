@@ -1,10 +1,13 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from revopt.cli import replay, run
 from revopt.lp import CertificateError
+from revopt.model import PolyhedralConvexFunction
+from revopt.pareto import bridge_check
 from revopt.problemfile import load_problem, parse_problem, problem_to_doc
 
 F = Fraction
@@ -149,6 +152,33 @@ def test_pareto_command(problem_a, capsys):
     assert ["1"] in doc["sigma_set"]
 
 
+def test_pareto_command_samples_the_grid_once(monkeypatch, capsys):
+    calls = []
+    original = PolyhedralConvexFunction.value
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    problems = Path(__file__).resolve().parent.parent / "problems"
+    for name in ("example_a.json", "example_b.json"):
+        path = str(problems / name)
+        argv = ["pareto", "--problem", path, "--box", "-1", "1", "--step", "1/2"]
+        monkeypatch.setattr(PolyhedralConvexFunction, "value", counted)
+        calls.clear()
+        code, doc = _run(capsys, [*argv, "--sigma", "w"])
+        assert len(calls) == 10  # f and h at each of the 5 grid points
+        monkeypatch.undo()
+        p = load_problem(path)
+        box = ((F(-1), F(1)),)
+        rep = bridge_check(p.objective, p.reverse, box, F(1, 2), p.epsilon)
+        pts = [[str(F(k, 2))] for k in range(-2, 3)]
+        assert doc["eps_argmin"] == [pts[i] for i in rep.eps_argmin]
+        assert doc["weak_set"] == doc["sigma_set"] == [pts[i] for i in rep.weak_set]
+        assert doc["efficient_set"] == [pts[i] for i in rep.eff_set]
+        assert code == (0 if rep.passed else 1)
+
+
 def test_input_errors_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -185,6 +215,8 @@ def _set(doc, path, value):
         (("objective", "pieces", 0, "a"), "1"),
         (("point",), "1"),
         (("n",), True),
+        (("epsilon",), True),
+        (("objective", "pieces", 0, "b"), False),
         (("reverse", "domain"), {"A": "1", "b": ["1"]}),
         (("reverse", "domain"), {"A": ["1"], "b": ["1"]}),
         (("reverse", "domain"), {"A": [["1"]], "b": "1"}),
@@ -196,6 +228,8 @@ def _set(doc, path, value):
         "a-string",
         "point-string",
         "n-boolean",
+        "epsilon-boolean",
+        "b-boolean",
         "A-string",
         "A-row-string",
         "domain-b-string",

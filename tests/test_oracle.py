@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from revopt.model import AffineForm, InputError, PolyhedralConvexFunction, ReverseProblem
+from revopt import oracle
 from revopt.oracle import (
     GridSpec,
     boundary_equivalence_check,
@@ -136,3 +138,24 @@ def test_boundary_equivalence_inapplicable_when_essential_fails():
     f = fn(1, ((0,), 5))
     rep = boundary_equivalence_check(f, abs_minus_one(), grid_1d(), F(0))
     assert not rep.applicable
+
+
+def test_brute_evaluates_each_grid_function_once_per_point(monkeypatch):
+    # f is evaluated at the feasible points only, h and G at every point.
+    calls = []
+    original = oracle._GridEvaluator.value
+
+    def counted(self, idx):
+        calls.append((id(self), idx))
+        return original(self, idx)
+
+    monkeypatch.setattr(oracle._GridEvaluator, "value", counted)
+    g = fn(1, ((1,), -2))
+    p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1, 2), (g,))
+    grid = grid_1d()
+    for mode in ("reverse", "equality", "constrained-reverse", "convex"):
+        calls.clear()
+        res = brute_eps_argmin(p, mode, grid)
+        assert res.eps_argmin and len(set(calls)) == len(calls)
+        counts = sorted(Counter(key for key, _ in calls).values())
+        assert counts[-1] == 25 and counts[0] == res.feasible_count

@@ -200,6 +200,17 @@ def test_product_rule_examples():
 
 
 def test_product_rule_random_consistency():
+    # Each row against the reference epigraph LP of tests/corpus.py: a is an
+    # eps-subgradient of f at x iff inf (f - a x) >= f(x) - a x - eps.
+    from corpus import _epigraph_lp
+
+    from revopt.lp import Optimal, lp_solve
+
+    def member(f, x, eps_i, row):
+        folded = fn(1, *[((p.a[0] - row[0],), p.b) for p in f.pieces])
+        out = lp_solve(_epigraph_lp(folded, (), []))
+        return isinstance(out, Optimal) and out.value >= folded.value(x) - eps_i
+
     rng = random.Random(43)
     for _ in range(60):
         comps = tuple(
@@ -215,7 +226,23 @@ def test_product_rule_random_consistency():
         x = (F(rng.randint(-2, 2)),)
         eps = (F(rng.randint(0, 2)), F(rng.randint(0, 2)))
         a = ((F(rng.randint(-2, 2)),), (F(rng.randint(-2, 2)),))
-        product_rule_check(comps, x, eps, a)  # the internal assert is the test
+        expected = all(map(member, comps, (x, x), eps, a))
+        assert product_rule_check(comps, x, eps, a) == expected
+
+
+def test_product_rule_restricts_components_to_the_joint_domain():
+    # F = (f1, f2) lives on dom F = {x <= 0}; the row 1 of A is a
+    # 0-subgradient of f2 = 0 restricted there (0 >= x on dom F), though not
+    # of f2 on the whole line.
+    f1 = PolyhedralConvexFunction(
+        1, (AffineForm((0,), 0),), HPolyhedron(((F(1),),), (F(0),), 1)
+    )
+    f2 = fn(1, ((0,), 0))
+    a = ((F(0),), (F(1),))
+    assert product_rule_check((f1, f2), (F(0),), (F(0), F(0)), a)
+    assert product_rule_check((f2, f1), (F(0),), (F(0), F(0)), a[::-1])
+    minus = ((F(-1),), (F(0),))  # -x >= 0 fails on dom F
+    assert not product_rule_check((f1, f2), (F(0),), (F(0), F(0)), minus)
 
 
 def test_scalarization_examples():
@@ -239,3 +266,15 @@ def test_scalarization_rejects_zero_lambda():
         scalarization_check(
             absf(), (F(1),), (F(0), F(0)), ((F(1),), (F(0),)), (F(0), F(0))
         )
+
+
+def test_scalarization_refutes_only_inside_dom_f():
+    # f = 0 on {x <= 0}: with A = ((1,), (1,)) and lam = (1, 1) the combined
+    # row 2 is a 0-subgradient of f at 0, and no x <= 0 violates both
+    # criteria; x = 1 would, but it lies outside dom f.
+    f = PolyhedralConvexFunction(
+        1, (AffineForm((0,), 0),), HPolyhedron(((F(1),),), (F(0),), 1)
+    )
+    a = ((F(1),), (F(1),))
+    assert scalarization_check(f, (F(0),), (F(0), F(0)), a, (F(1), F(1)))
+    assert scalarization_check(f, (F(-1),), (F(1), F(0)), a, (F(1), F(1)))

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from revopt.lp import Infeasible, Unbounded, lp_solve
 from revopt.model import (
+    NEG_INF,
     AffineForm,
     HPolyhedron,
     InputError,
@@ -12,6 +14,8 @@ from revopt.model import (
 from revopt.polytope import VPolytope, project, vpoly_member
 from revopt.subdiff import (
     SubdiffQuery,
+    epigraph_inf,
+    joint_domain,
     scale_subdiff,
     subdiff_epigraph,
     subdiff_member,
@@ -300,3 +304,64 @@ def test_vrep_and_cli_subdiff_run_no_double_description(monkeypatch, tmp_path, c
     out = json.loads(capsys.readouterr().out)
     assert out["vertices"] == [["1"]]
     assert out["rays"] == [["1"]]
+
+
+def _rational_fn(rng, n, domain_chance):
+    def q():
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+    pieces = tuple(
+        AffineForm(tuple(q() for _ in range(n)), q()) for _ in range(rng.randint(1, 3))
+    )
+    domain = None
+    if rng.random() < domain_chance:
+        rows = [tuple(q() for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        domain = HPolyhedron(tuple(rows), tuple(q() for _ in rows), n)
+    return PolyhedralConvexFunction(n, pieces, domain)
+
+
+def test_epigraph_inf_matches_the_reference_epigraph_lp():
+    # The reference folds the slope into fn's pieces and states the region's
+    # pieces as extra rows of tests/corpus._epigraph_lp.
+    from corpus import _epigraph_lp
+
+    rng = random.Random(59)
+    kinds = {"empty": 0, "unbounded": 0, "finite": 0}
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        fn = _rational_fn(rng, n, 0.5)
+        region = tuple(_rational_fn(rng, n, 0.3) for _ in range(rng.randint(0, 2)))
+        slope = None
+        if rng.random() < 0.7:
+            slope = tuple(F(rng.randint(-9, 9), rng.choice((1, 5))) for _ in range(n))
+        s = slope or (F(0),) * n
+        folded = PolyhedralConvexFunction(
+            n,
+            tuple(
+                AffineForm(tuple(a - c for a, c in zip(p.a, s)), p.b) for p in fn.pieces
+            ),
+        )
+        extra = [(p.a, "<=", -p.b) for phi in region for p in phi.pieces]
+        ref = lp_solve(_epigraph_lp(folded, (fn, *region), extra))
+        value, argmin = epigraph_inf(fn, region, slope)
+        if isinstance(ref, Infeasible):
+            kinds["empty"] += 1
+            assert (value, argmin) == (None, None)
+        elif isinstance(ref, Unbounded):
+            kinds["unbounded"] += 1
+            assert value == NEG_INF and argmin is None
+        else:
+            kinds["finite"] += 1
+            assert value == ref.value
+            assert fn.value(argmin) - sum(a * x for a, x in zip(s, argmin)) == value
+            assert all(phi.value(argmin) <= 0 for phi in region)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_joint_domain_stacks_the_rows_in_order():
+    a = HPolyhedron(((F(1),),), (F(2),), 1)
+    b = HPolyhedron(((F(-1),), (F(3),)), (F(0), F(9)), 1)
+    fns = [PolyhedralConvexFunction(1, absf().pieces, d) for d in (a, None, b)]
+    joint = joint_domain(1, fns)
+    assert joint.a == ((F(1),), (F(-1),), (F(3),)) and joint.b == (F(2), F(0), F(9))
+    assert joint_domain(1, [absf()]).m == 0
