@@ -17,7 +17,7 @@ from .certificates import MODES, CertificateVerdict, _membership_lp, falsify, ve
 from .lp import INF, Infeasible, Optimal, Unbounded, check_outcome, max_component_lp
 from .model import Inapplicable, InputError, fmt, fmt_vec, rat
 from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
-from .pareto import SIGMA_KINDS, _bridge_of_sample, eff_set, grid_sample
+from .pareto import SIGMA_KINDS, _bridge, eff_set, grid_sample
 from .problemfile import load_problem
 from .subdiff import SubdiffQuery, subdiff_epigraph, subdiff_vrep
 
@@ -225,7 +225,7 @@ def _cmd_pareto(args) -> tuple[dict, int]:
     step = rat(args.step)
     f, h = problem.objective, problem.reverse
     sample, _grid = grid_sample(f, h, box, step)
-    rep = _bridge_of_sample(sample, problem.epsilon)
+    rep = _bridge(sample.images, problem.epsilon)
     pts = sample.points
     doc = {
         "command": "pareto",

@@ -4,13 +4,25 @@ Feasibility is exact at every grid point, so the oracle never misclassifies a
 point; it only misses off-grid optima, bounded by lipschitz_bound * step.
 The boundary-improvement map pi(x) realizes the interior-to-boundary descent
 argument exactly via root isolation on a piecewise-linear section.
+
+The grid is walked a row at a time in integers. On x = lo + step * k every
+affine piece, domain row and constraint is integer-affine in the index vector
+k once scaled by a positive integer, so its values along the last axis form an
+integer arithmetic progression (a `range`), and a function's row is the
+pointwise max of its pieces' ranges. f shares one scale with eps; h, each g
+and each domain row have their own, since only their signs are compared.
+Values turn back into `Fraction`s only in the results.
 """
 
 from __future__ import annotations
 
-import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import compress, product, repeat
+from math import lcm, prod
+from operator import eq, ge, le, mul
 
 # lp_solve stays bound here because bench/spans.py traces it.
 from .lp import lp_solve  # noqa: F401
@@ -58,69 +70,113 @@ class GridSpec:
 
     def __post_init__(self):
         box = tuple((rat(lo), rat(hi)) for lo, hi in self.box)
+        if not box:
+            raise InputError("grid needs at least one axis")
         step = rat(self.step)
         if step <= 0:
             raise InputError("grid step must be > 0")
-        count = 1
         for lo, hi in box:
             if lo > hi:
                 raise InputError("grid box has lo > hi")
-            span = (hi - lo) / step
-            if span.denominator != 1:
+            if ((hi - lo) / step).denominator != 1:
                 raise InputError("grid span must be an integer number of steps")
-            count *= int(span) + 1
-        if count > self.cap:
-            raise InputError(f"grid has {count} points, cap is {self.cap}")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "step", step)
+        count = prod(self.shape)
+        if count > self.cap:
+            raise InputError(f"grid has {count} points, cap is {self.cap}")
 
     @property
     def n(self) -> int:
         return len(self.box)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Points per axis."""
+        return tuple(int((hi - lo) / self.step) + 1 for lo, hi in self.box)
+
     def axes(self) -> list[list[Fraction]]:
-        out = []
-        for lo, hi in self.box:
-            ticks = int((hi - lo) / self.step) + 1
-            out.append([lo + k * self.step for k in range(ticks)])
-        return out
+        return [
+            [lo + k * self.step for k in range(m)]
+            for (lo, _), m in zip(self.box, self.shape)
+        ]
 
     def points(self):
-        return itertools.product(*self.axes())
+        return product(*self.axes())
+
+    def leads(self):
+        """Leading indices of the rows, in the order of `points`; a row is
+        the run of points along the last axis."""
+        return product(*map(range, self.shape[:-1]))
+
+
+def _integer_forms(forms, grid: GridSpec, extra=()):
+    """Each affine form (a, b) on the grid x = lo + step * k as integers
+    (c, s) with scale * (<a, x> + b) = c + <s, k>, and that scale: the least
+    positive integer that clears every denominator, those of `extra` too."""
+    los = [lo for lo, _ in grid.box]
+    real = [
+        (b + sum(map(mul, a, los)), [a_j * grid.step for a_j in a]) for a, b in forms
+    ]
+    scale = lcm(
+        *(v.denominator for c, s in real for v in (c, *s)),
+        *(v.denominator for v in extra),
+    )
+    return [(int(c * scale), [int(v * scale) for v in s]) for c, s in real], scale
 
 
 class _GridEvaluator:
-    """Per-axis memoized evaluation of a polyhedral function on a grid."""
+    """Exact scaled values of a polyhedral function on a grid, one row at a time.
 
-    def __init__(self, fn: PolyhedralConvexFunction, axes):
-        self.offsets = [p.b for p in fn.pieces]
-        self.contrib = [
-            [[a_j * v for v in axis] for a_j, axis in zip(p.a, axes)]
-            for p in fn.pieces
-        ]
-        self.dom_rows = None
+    A row is the run of points along the last axis at fixed leading indices.
+    Scaled by `scale`, each piece is integer-affine in the index vector, so its
+    values along a row are an integer arithmetic progression; each domain row,
+    scaled on its own, keeps the points with a nonpositive progression, which
+    is one interval of the row.
+    """
+
+    def __init__(self, fn: PolyhedralConvexFunction, grid: GridSpec, extra=()):
+        self.pieces, self.scale = _integer_forms(
+            ((p.a, p.b) for p in fn.pieces), grid, extra
+        )
+        self.dom_rows = []
         if fn.domain is not None:
             self.dom_rows = [
-                (
-                    [[a_j * v for v in axis] for a_j, axis in zip(row, axes)],
-                    rhs,
-                )
+                _integer_forms([(row, -rhs)], grid)[0][0]
                 for row, rhs in zip(fn.domain.a, fn.domain.b)
             ]
+        self.m = grid.shape[-1]
 
-    def value(self, idx):
-        if self.dom_rows is not None:
-            for cols, rhs in self.dom_rows:
-                if sum(cols[j][k] for j, k in enumerate(idx)) > rhs:
-                    return INF
-        return max(
-            off + sum(cols[j][k] for j, k in enumerate(idx))
-            for off, cols in zip(self.offsets, self.contrib)
-        )
+    def row(self, lead) -> list:
+        """Scaled values along the row at leading indices `lead`; INF off dom."""
+        lo, hi = 0, self.m
+        for c, s in self.dom_rows:
+            c += sum(map(mul, s, lead))
+            t = s[-1]
+            # c + t * k <= 0
+            if t > 0:
+                hi = min(hi, -c // t + 1)
+            elif t < 0:
+                lo = max(lo, -(c // t))
+            elif c > 0:
+                hi = 0
+        if hi <= lo:
+            return [INF] * self.m
+        runs = []
+        for c, s in self.pieces:
+            t = s[-1]
+            c += sum(map(mul, s, lead)) + t * lo
+            runs.append(range(c, c + t * (hi - lo), t) if t else repeat(c, hi - lo))
+        vals = list(runs[0]) if len(runs) == 1 else list(map(max, *runs))
+        if lo == 0 and hi == self.m:
+            return vals
+        return [INF] * lo + vals + [INF] * (self.m - hi)
 
 
 @dataclass(frozen=True)
 class BruteResult:
+    """The eps-argmin over the feasible grid points, in grid order."""
+
     mode: str
     feasible_count: int
     min_value: object  # Fraction, INF, or None when no grid point is feasible
@@ -133,16 +189,29 @@ class BruteResult:
         return self.feasible_count == 0
 
 
-def _feasible_fn(mode, h_val, g_vals):
-    if mode == "reverse":
-        return h_val >= 0
-    if mode == "equality":
-        return h_val == 0
-    if mode == "constrained-reverse":
-        return h_val >= 0 and all(g <= 0 for g in g_vals)
-    if mode == "convex":
-        return h_val <= 0
-    raise InputError(f"unknown oracle mode {mode!r}")
+#: Grid results still referenced somewhere, under a key derived from each.
+_LIVE_RESULTS = weakref.WeakValueDictionary()
+
+
+def _shared(key, result):
+    """`result`, or an equal result made earlier under `key` and still
+    referenced: a caller that keeps the results of many passes over the same
+    instances holds each distinct result once."""
+    live = _LIVE_RESULTS.get(key)
+    if live == result:
+        return live
+    _LIVE_RESULTS[key] = result
+    return result
+
+
+#: oracle mode -> the test h's scaled value must pass at a feasible point
+#: (off dom h, h = +inf passes only h >= 0)
+_H_TEST = {
+    "reverse": ge,
+    "equality": eq,
+    "constrained-reverse": ge,
+    "convex": le,
+}
 
 
 def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> BruteResult:
@@ -151,43 +220,68 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
         raise InputError(f"unknown oracle mode {mode!r}")
     if grid.n != problem.n:
         raise InputError("grid dimension mismatch")
-    axes = grid.axes()
-    f_ev = _GridEvaluator(problem.objective, axes)
-    h_ev = _GridEvaluator(problem.reverse, axes)
-    g_evs = [_GridEvaluator(g, axes) for g in problem.constraints]
-    ranges = [range(len(a)) for a in axes]
-    need_g = mode == "constrained-reverse"
+    f_ev = _GridEvaluator(problem.objective, grid, (problem.epsilon,))
+    h_ev = _GridEvaluator(problem.reverse, grid)
+    g_evs = []
+    if mode == "constrained-reverse":
+        g_evs = [_GridEvaluator(g, grid) for g in problem.constraints]
+    eps = int(problem.epsilon * f_ev.scale)
+    test, zeros, ks_all = _H_TEST[mode], repeat(0), range(grid.shape[-1])
 
     feasible = 0
     best = None
-    # (index, f value) of the feasible points within eps of the running best;
-    # the running best only falls, so this keeps every final eps-argmin point.
+    # (leading indices, last index, scaled f) of the feasible points within
+    # eps of the running best; pruned whenever the best falls.
     near = []
-    for idx in itertools.product(*ranges):
-        g_vals = [g.value(idx) for g in g_evs] if need_g else ()
-        if not _feasible_fn(mode, h_ev.value(idx), g_vals):
+    for lead in grid.leads():
+        ks = list(compress(ks_all, map(test, h_ev.row(lead), zeros)))
+        for g_ev in g_evs:
+            if not ks:
+                break
+            g_row = g_ev.row(lead)
+            ks = [k for k in ks if g_row[k] <= 0]
+        if not ks:
             continue
-        feasible += 1
-        val = f_ev.value(idx)
-        if val == INF:
+        feasible += len(ks)
+        f_row = f_ev.row(lead)
+        vals = [f_row[k] for k in ks]
+        low = min(vals)
+        if low == INF:
             continue
-        if best is None or val < best:
-            best = val
-        if val <= best + problem.epsilon:
-            near.append((idx, val))
+        if best is None or low < best:
+            best = low
+            near = [item for item in near if item[2] <= best + eps]
+        cut = best + eps
+        near.extend((lead, k, v) for k, v in zip(ks, vals) if v <= cut)
     bound = problem.objective.lipschitz_bound() * grid.step
     if feasible == 0:
         return BruteResult(mode, 0, None, (), (), bound)
     if best is None:
         return BruteResult(mode, feasible, INF, (), (), bound)
 
-    threshold = best + problem.epsilon
-    argmin, slack = [], []
-    for idx, val in near:
-        if val <= threshold:
-            argmin.append(tuple(axes[j][k] for j, k in enumerate(idx)))
-            slack.append(threshold - val)
-    return BruteResult(mode, feasible, best, tuple(argmin), tuple(slack), bound)
+    # Pruned whenever the best fell, `near` holds exactly the eps-argmin.
+    threshold = best + eps
+
+    # The points share their coordinate objects, and equal slacks one object.
+    @cache
+    def tick(j, k):
+        return grid.box[j][0] + k * grid.step
+
+    @cache
+    def slack(v):
+        return Fraction(threshold - v, f_ev.scale)
+
+    axes = range(grid.n)
+    res = BruteResult(
+        mode,
+        feasible,
+        Fraction(best, f_ev.scale),
+        tuple(tuple(map(tick, axes, (*lead, k))) for lead, k, _ in near),
+        tuple(slack(v) for _, _, v in near),
+        bound,
+    )
+    key = (grid, mode, feasible, bound, f_ev.scale, best, threshold, hash(tuple(near)))
+    return _shared(key, res)
 
 
 def boundary_projection(f, h, x, y):
@@ -256,15 +350,15 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     eps = rat(eps)
     if f.domain is not None or h.domain is not None:
         return BoundaryReport(False, "functions must be finite-valued", (), (), ())
-    axes = grid.axes()
-    f_ev = _GridEvaluator(f, axes)
-    h_ev = _GridEvaluator(h, axes)
-    ranges = [range(len(a)) for a in axes]
-    pts, fvals, hvals = [], [], []
-    for idx in itertools.product(*ranges):
-        pts.append(tuple(axes[j][k] for j, k in enumerate(idx)))
-        fvals.append(f_ev.value(idx))
-        hvals.append(h_ev.value(idx))
+    # f and eps share one scale; h is compared only with 0.
+    f_ev = _GridEvaluator(f, grid, (eps,))
+    h_ev = _GridEvaluator(h, grid)
+    eps = int(eps * f_ev.scale)
+    pts = list(grid.points())
+    fvals, hvals = [], []
+    for lead in grid.leads():
+        fvals += f_ev.row(lead)
+        hvals += h_ev.row(lead)
     feas = [i for i, hv in enumerate(hvals) if hv >= 0]
     if not feas:
         return BoundaryReport(False, "no feasible grid point", (), (), ())
@@ -292,7 +386,7 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     for i in feas:
         if hvals[i] > 0:
             pi = boundary_projection(f, h, pts[i], y)
-            val = f.value(pi)
+            val = f.value(pi) * f_ev.scale
             if val < improved:
                 improved = val
     equality_side = tuple(

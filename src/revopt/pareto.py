@@ -1,5 +1,6 @@
-"""Finite-sample bicriteria machinery: preorders, eps-sigma-efficient sets,
-the bridge between the reverse program and its bicriteria counterpart, the
+"""Finite-sample bicriteria machinery: preorders, eps-sigma-efficient sets
+(one sort for two criteria), the bridge between the reverse program and its
+bicriteria counterpart (on the oracle's integer grid values), the
 intersection identity for efficient sets, the strong-subdifferential product
 formula, and the r = 2 scalarization check.
 
@@ -10,13 +11,16 @@ needed here (strictly positive weights in `scalarization_check`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
 from .lp import INF, lp_max_component, lp_solve  # noqa: F401
 from .model import InputError, PolyhedralConvexFunction, rat
-from .oracle import GridSpec
+from .oracle import GridSpec, _GridEvaluator, _shared
 from .subdiff import SubdiffQuery, _dot, epigraph_inf, joint_domain, subdiff_member
 
 __all__ = [
@@ -92,41 +96,83 @@ def _sigma_dominates(y, yp, sigma: str) -> bool:
 
 
 def eff_set(sample: ParetoSample, eps, sigma: str) -> tuple[int, ...]:
-    """Indices of the eps-sigma-efficient sample points (exact scan)."""
+    """Indices of the eps-sigma-efficient sample points, exactly."""
     if sigma not in SIGMA_KINDS:
         raise InputError(f"unknown sigma {sigma!r}")
     eps = tuple(rat(v) for v in eps)
     if len(eps) != sample.r:
         raise InputError("eps length mismatch")
-    kept = []
-    for i, img in enumerate(sample.images):
-        if img is None:
-            continue
-        shifted = tuple(a - e for a, e in zip(img, eps))
-        if any(
-            other is not None and _sigma_dominates(other, shifted, sigma)
-            for other in sample.images
-        ):
-            continue
-        kept.append(i)
-    return tuple(kept)
+    return _efficient(sample.images, sample.r, eps, sigma)
+
+
+def _efficient(images, r: int, eps, sigma: str) -> tuple[int, ...]:
+    """`eff_set` on images of any exactly ordered numbers.
+
+    Point i is kept unless some image o satisfies o <^sigma y_i - eps. For
+    sigma = s that asks for one coordinate of o below the shifted image, so the
+    per-coordinate minima decide it; for r = 1 the three kinds coincide with it.
+    For r = 2 one sort by the first criterion and the prefix minima of the
+    second decide w and e (the r = 2 maxima sweep of Kung, Luccio and
+    Preparata, JACM 1975); r >= 3 scans all pairs.
+    """
+    present = [img for img in images if img is not None]
+    if not present:
+        return ()
+    shifted = (
+        (i, tuple(a - e for a, e in zip(img, eps)))
+        for i, img in enumerate(images)
+        if img is not None
+    )
+    if sigma == "s" or r == 1:
+        lows = [min(col) for col in zip(*present)]
+        return tuple(i for i, t in shifted if not any(map(lt, lows, t)))
+    if r > 2:
+        return tuple(
+            i
+            for i, t in shifted
+            if not any(_sigma_dominates(o, t, sigma) for o in present)
+        )
+    present.sort(key=itemgetter(0))
+    firsts = [o1 for o1, _ in present]
+    # below[c]: the least second coordinate among the c least first ones
+    below = [None, *accumulate((o2 for _, o2 in present), min)]
+
+    def dominated(t1, t2):
+        # w: some o < t. e: some o <= t with o != t, that is o1 < t1 and
+        # o2 <= t2, or o1 <= t1 and o2 < t2.
+        c = bisect_left(firsts, t1)
+        if sigma == "w":
+            return c > 0 and below[c] < t2
+        c_eq = bisect_right(firsts, t1)
+        return (c > 0 and below[c] <= t2) or (c_eq > 0 and below[c_eq] < t2)
+
+    return tuple(i for i, (t1, t2) in shifted if not dominated(t1, t2))
 
 
 # -- the (ROP) <-> (BOP) bridge -----------------------------------------------
 
 
+def _grid_images(f, h, grid: GridSpec, extra=()):
+    """(f, -h) at every grid point in the order of `grid.points()`, None off
+    dom f or dom h, each criterion scaled to integers by its own positive
+    factor (f's also clears the denominators of `extra`); and the factors."""
+    f_ev, h_ev = _GridEvaluator(f, grid, extra), _GridEvaluator(h, grid)
+    images = []
+    for lead in grid.leads():
+        for fv, hv in zip(f_ev.row(lead), h_ev.row(lead)):
+            images.append(None if fv == INF or hv == INF else (fv, -hv))
+    return images, f_ev.scale, h_ev.scale
+
+
 def grid_sample(f, h, box, step) -> tuple[ParetoSample, GridSpec]:
     """Sample of the bicriteria map x -> (f(x), -h(x)) over a rational grid."""
     grid = GridSpec(tuple(box), step)
-    points, images = [], []
-    for pt in grid.points():
-        points.append(pt)
-        fv, hv = f.value(pt), h.value(pt)
-        if fv == INF or hv == INF:
-            images.append(None)
-        else:
-            images.append((fv, -hv))
-    return ParetoSample(2, tuple(points), tuple(images)), grid
+    images, f_scale, h_scale = _grid_images(f, h, grid)
+    images = tuple(
+        None if img is None else (Fraction(img[0], f_scale), Fraction(img[1], h_scale))
+        for img in images
+    )
+    return ParetoSample(2, tuple(grid.points()), images), grid
 
 
 @dataclass(frozen=True)
@@ -147,26 +193,28 @@ def bridge_check(f, h, box, step, eps) -> BridgeReport:
     """Both implications of the reverse-to-bicriteria bridge on one grid:
     the eps-argmin over {h >= 0} lands in the weak set, and efficient points
     on the boundary {h = 0} land back in the eps-argmin."""
-    sample, _grid = grid_sample(f, h, box, step)
-    return _bridge_of_sample(sample, eps)
-
-
-def _bridge_of_sample(sample: ParetoSample, eps) -> BridgeReport:
-    """`bridge_check` on a `grid_sample` already taken."""
     eps = rat(eps)
-    # images[i] = (f, -h) at point i, or None off dom f or dom h.
-    images = sample.images
+    # Scaling each criterion by a positive factor, and eps with f, keeps
+    # every set below.
+    images, f_scale, _ = _grid_images(f, h, GridSpec(tuple(box), step), (eps,))
+    return _bridge(images, int(eps * f_scale))
+
+
+def _bridge(images, eps) -> BridgeReport:
+    """`bridge_check` on grid images already taken: images[i] is (f, -h) at
+    point i, or None off dom f or dom h."""
     finite = [i for i, img in enumerate(images) if img is not None and img[1] <= 0]
     if not finite:
         return BridgeReport(True, (), (), (), (), ())
     best = min(images[i][0] for i in finite)
     argmin = tuple(i for i in finite if images[i][0] <= best + eps)
-    weak = eff_set(sample, (eps, _ZERO), "w")
-    eff = eff_set(sample, (eps, _ZERO), "e")
+    weak = _efficient(images, 2, (eps, 0), "w")
+    eff = _efficient(images, 2, (eps, 0), "e")
     weak_set, argmin_set = set(weak), set(argmin)
     missing_weak = tuple(i for i in argmin if i not in weak_set)
     missing_arg = tuple(i for i in eff if images[i][1] == 0 and i not in argmin_set)
-    return BridgeReport(False, argmin, weak, eff, missing_weak, missing_arg)
+    key = (argmin, weak, eff, missing_weak, missing_arg)
+    return _shared(key, BridgeReport(False, *key))
 
 
 # -- the efficient-set intersection identity -----------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from revopt import oracle
 from revopt.cli import replay, run
 from revopt.lp import CertificateError
 from revopt.model import PolyhedralConvexFunction
@@ -154,20 +155,24 @@ def test_pareto_command(problem_a, capsys):
 
 def test_pareto_command_samples_the_grid_once(monkeypatch, capsys):
     calls = []
-    original = PolyhedralConvexFunction.value
+    row = oracle._GridEvaluator.row
 
-    def counted(self, x):
-        calls.append(x)
-        return original(self, x)
+    def recording_row(self, lead):
+        calls.append(lead)
+        return row(self, lead)
+
+    def no_pointwise_value(self, x):
+        raise AssertionError("the grid is evaluated a row at a time")
 
     problems = Path(__file__).resolve().parent.parent / "problems"
     for name in ("example_a.json", "example_b.json"):
         path = str(problems / name)
         argv = ["pareto", "--problem", path, "--box", "-1", "1", "--step", "1/2"]
-        monkeypatch.setattr(PolyhedralConvexFunction, "value", counted)
+        monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+        monkeypatch.setattr(PolyhedralConvexFunction, "value", no_pointwise_value)
         calls.clear()
         code, doc = _run(capsys, [*argv, "--sigma", "w"])
-        assert len(calls) == 10  # f and h at each of the 5 grid points
+        assert calls == [(), ()]  # f and h on the one row of 5 grid points
         monkeypatch.undo()
         p = load_problem(path)
         box = ((F(-1), F(1)),)

@@ -1,0 +1,134 @@
+"""The integer grid layer against the Fraction reference in `reference.py`."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import reference
+from revopt.model import AffineForm, HPolyhedron, PolyhedralConvexFunction, ReverseProblem
+from revopt.oracle import (
+    ORACLE_MODES,
+    GridSpec,
+    boundary_equivalence_check,
+    brute_eps_argmin,
+)
+from revopt.pareto import SIGMA_KINDS, ParetoSample, bridge_check, eff_set, grid_sample
+
+F = Fraction
+DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def _rational(rng, bound=3):
+    d = rng.choice(DENOMINATORS)
+    return F(rng.randint(-bound * d, bound * d), d)
+
+
+def _domain(rng, n):
+    rows = tuple(tuple(_rational(rng) for _ in range(n)) for _ in range(rng.randint(1, 2)))
+    return HPolyhedron(rows, tuple(_rational(rng, 2) for _ in rows), n)
+
+
+def _fn(rng, n, through=None, domain=False):
+    """Rational pieces; with `through`, the max is 0 at that point."""
+    pieces = []
+    for i in range(rng.randint(1, 4)):
+        a = tuple(_rational(rng) for _ in range(n))
+        if through is None:
+            b = _rational(rng)
+        else:
+            drop = F(0) if i == 0 else F(rng.randint(0, 4), rng.choice(DENOMINATORS))
+            b = -sum(x * y for x, y in zip(a, through)) - drop
+        pieces.append(AffineForm(a, b))
+    return PolyhedralConvexFunction(n, tuple(pieces), _domain(rng, n) if domain else None)
+
+
+def _grid(rng, n):
+    step = rng.choice((F(1, 7), F(1, 3), F(2, 5), F(1, 2)))
+    ticks = {1: 30, 2: 9, 3: 4}[n]
+    box = []
+    for _ in range(n):
+        lo = F(rng.randint(-20, 0), 7)
+        box.append((lo, lo + step * rng.randint(2, ticks)))
+    return GridSpec(tuple(box), step)
+
+
+def _case(seed, n):
+    rng = random.Random(seed)
+    grid = _grid(rng, n)
+    # h vanishes at a grid point half the time, so equality mode is not empty.
+    idx = [rng.randrange(m) for m in grid.shape] if rng.random() < 0.5 else None
+    f = _fn(rng, n, domain=rng.random() < 0.4)
+    zero = None if idx is None else tuple(lo + k * grid.step for (lo, _), k in zip(grid.box, idx))
+    h = _fn(rng, n, through=zero, domain=rng.random() < 0.4)
+    gs = tuple(_fn(rng, n, domain=rng.random() < 0.4) for _ in range(rng.randint(0, 2)))
+    eps = F(rng.randint(0, 6), rng.choice(DENOMINATORS))
+    return ReverseProblem(n, f, h, (F(0),) * n, eps, gs), grid
+
+
+CASES = [(seed, n) for n in (1, 2, 3) for seed in range(12 * n, 12 * n + 12)]
+
+
+@pytest.mark.parametrize("seed,n", CASES)
+def test_brute_eps_argmin_matches_the_fraction_reference(seed, n):
+    problem, grid = _case(seed, n)
+    for mode in ORACLE_MODES:
+        assert brute_eps_argmin(problem, mode, grid) == reference.brute_eps_argmin(
+            problem, mode, grid
+        ), mode
+
+
+def test_reference_cases_reach_every_branch():
+    # The comparisons above mean something only if the cases hit feasible
+    # points in every mode, off-domain points and argmin sets of several points.
+    feasible, off_domain, several = set(), 0, 0
+    for seed, n in CASES:
+        problem, grid = _case(seed, n)
+        for mode in ORACLE_MODES:
+            res = reference.brute_eps_argmin(problem, mode, grid)
+            if res.feasible_count:
+                feasible.add(mode)
+            off_domain += res.min_value == float("inf")
+            several += len(res.eps_argmin) > 1
+    assert feasible == set(ORACLE_MODES)
+    assert off_domain and several
+
+
+@pytest.mark.parametrize("seed,n", CASES)
+def test_grid_sample_and_bridge_match_the_fraction_reference(seed, n):
+    problem, grid = _case(seed, n)
+    f, h = problem.objective, problem.reverse
+    assert grid_sample(f, h, grid.box, grid.step) == reference.grid_sample(
+        f, h, grid.box, grid.step
+    )
+    assert bridge_check(f, h, grid.box, grid.step, problem.epsilon) == (
+        reference.bridge_check(f, h, grid.box, grid.step, problem.epsilon)
+    )
+
+
+def test_boundary_equivalence_matches_the_fraction_reference():
+    applicable = 0
+    for seed, n in CASES[:24]:
+        problem, grid = _case(seed, n)
+        f = PolyhedralConvexFunction(n, problem.objective.pieces)
+        h = PolyhedralConvexFunction(n, problem.reverse.pieces)
+        rep = boundary_equivalence_check(f, h, grid, problem.epsilon)
+        assert rep == reference.boundary_equivalence_check(f, h, grid, problem.epsilon)
+        applicable += rep.applicable
+    assert applicable
+
+
+def test_eff_set_matches_the_pairwise_scan_with_ties_and_duplicates():
+    rng = random.Random(5)
+    for trial in range(200):
+        r = (1, 2, 2, 3)[trial % 4]
+        # Few distinct values, so ties and duplicate images are common.
+        images = [
+            None if rng.random() < 0.1 else tuple(F(rng.randint(-3, 3), 2) for _ in range(r))
+            for _ in range(rng.randint(0, 25))
+        ]
+        sample = ParetoSample(r, tuple((F(i),) for i in range(len(images))), tuple(images))
+        for _ in range(3):
+            eps = tuple(F(rng.randint(-2, 3), 2) for _ in range(r))
+            for sigma in SIGMA_KINDS:
+                assert eff_set(sample, eps, sigma) == reference.eff_set(sample, eps, sigma)

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,6 +41,8 @@ def test_grid_validation():
         GridSpec(((F(0), F(1)),), F(3, 7))
     with pytest.raises(InputError):
         GridSpec(((F(0), F(1)),), F(1, 100), cap=50)
+    with pytest.raises(InputError):
+        GridSpec((), F(1))
 
 
 def test_brute_reverse_abs():
@@ -140,22 +141,63 @@ def test_boundary_equivalence_inapplicable_when_essential_fails():
     assert not rep.applicable
 
 
-def test_brute_evaluates_each_grid_function_once_per_point(monkeypatch):
-    # f is evaluated at the feasible points only, h and G at every point.
+def _record_rows(monkeypatch):
+    """Patch the grid evaluator to record (function, leading indices) per row."""
     calls = []
-    original = oracle._GridEvaluator.value
+    init, row = oracle._GridEvaluator.__init__, oracle._GridEvaluator.row
 
-    def counted(self, idx):
-        calls.append((id(self), idx))
-        return original(self, idx)
+    def recording_init(self, fn, grid, extra=()):
+        init(self, fn, grid, extra)
+        self.fn = fn
 
-    monkeypatch.setattr(oracle._GridEvaluator, "value", counted)
-    g = fn(1, ((1,), -2))
-    p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1, 2), (g,))
-    grid = grid_1d()
-    for mode in ("reverse", "equality", "constrained-reverse", "convex"):
+    def recording_row(self, lead):
+        calls.append((self.fn, lead))
+        return row(self, lead)
+
+    monkeypatch.setattr(oracle._GridEvaluator, "__init__", recording_init)
+    monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+    return calls
+
+
+def test_brute_evaluates_each_grid_function_once_per_point(monkeypatch):
+    # Rows run along x2 at fixed x1 in {-1, -1/2, 0, 1/2, 1}. h = x1 passes
+    # h >= 0 on the rows x1 >= 0, g = 1/2 - x1 <= 0 holds on x1 >= 1/2 only:
+    # h is evaluated on every row, g only on rows where some point passes h,
+    # f only on rows that hold a feasible point, and no function twice on a row.
+    calls = _record_rows(monkeypatch)
+    f = fn(2, ((0, 1), 0), ((0, -1), 0))
+    h = fn(2, ((1, 0), 0))
+    g = fn(2, ((-1, 0), F(1, 2)))
+    p = ReverseProblem(2, f, h, (F(0), F(0)), F(1, 2), (g,))
+    grid = GridSpec(((F(-1), F(1)),) * 2, F(1, 2))
+    rows = {x1: (k,) for k, x1 in enumerate((F(-1), F(-1, 2), F(0), F(1, 2), F(1)))}
+    expect = {
+        # mode: (rows where h passes, rows with a feasible point)
+        "reverse": ({0, F(1, 2), 1}, {0, F(1, 2), 1}),
+        "equality": ({0}, {0}),
+        "constrained-reverse": ({0, F(1, 2), 1}, {F(1, 2), 1}),
+        "convex": ({-1, F(-1, 2), 0}, {-1, F(-1, 2), 0}),
+    }
+    for mode, (h_rows, feasible_rows) in expect.items():
         calls.clear()
         res = brute_eps_argmin(p, mode, grid)
         assert res.eps_argmin and len(set(calls)) == len(calls)
-        counts = sorted(Counter(key for key, _ in calls).values())
-        assert counts[-1] == 25 and counts[0] == res.feasible_count
+        assert res.feasible_count == 5 * len(feasible_rows)
+        seen = {fn_: [lead for key, lead in calls if key is fn_] for fn_ in (f, h, g)}
+        assert seen[h] == list(rows.values())
+        g_rows = h_rows if mode == "constrained-reverse" else set()
+        assert seen[g] == [rows[x1] for x1 in sorted(g_rows)]
+        assert seen[f] == [rows[x1] for x1 in sorted(feasible_rows)]
+
+
+def test_equal_live_results_share_one_object():
+    p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1, 2))
+    first = brute_eps_argmin(p, "reverse", grid_1d())
+    again = brute_eps_argmin(p, "reverse", grid_1d())
+    assert again is first
+    relaxed = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1))
+    assert brute_eps_argmin(relaxed, "reverse", grid_1d()) != first
+    # A key shared by unequal results never hands back the wrong one.
+    other = oracle.BruteResult("reverse", 1, F(2), ((F(2),),), (F(0),), F(1))
+    assert oracle._shared(("key",), first) is first
+    assert oracle._shared(("key",), other) is other

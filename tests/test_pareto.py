@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from revopt import oracle
 from revopt.model import AffineForm, HPolyhedron, InputError, PolyhedralConvexFunction
 from revopt.pareto import (
     ParetoSample,
@@ -140,28 +141,39 @@ def test_bridge_saturated_epsilon():
     assert rep.passed
 
 
-class Counted:
-    """A function that counts its evaluations."""
+def test_bridge_check_evaluates_f_and_h_once_per_grid_point(monkeypatch):
+    # h is +inf right of x = 2, so some grid points have no image. f and h
+    # are each evaluated once on every row of the grid: the one row in 1-D,
+    # the 5 rows at x1 = -1, -1/2, ..., 1 in 2-D.
+    calls = []
+    row = oracle._GridEvaluator.row
 
-    def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+    def recording_row(self, lead):
+        calls.append((self, lead))
+        return row(self, lead)
 
-    def value(self, x):
-        self.calls += 1
-        return self.fn.value(x)
-
-
-def test_bridge_check_evaluates_f_and_h_once_per_grid_point():
-    # h is +inf right of x = 2, so some grid points have no image.
-    h = PolyhedralConvexFunction(
+    h1 = PolyhedralConvexFunction(
         1, abs_minus_one().pieces, HPolyhedron(((F(1),),), (F(2),), 1)
     )
-    box, step = ((F(-3), F(3)),), F(1, 4)
-    for eps in (F(0), F(1, 2), F(100)):
-        counted_f, counted_h = Counted(steep()), Counted(h)
-        rep = bridge_check(counted_f, counted_h, box, step, eps)
-        assert rep == bridge_check(steep(), h, box, step, eps)
-        assert counted_f.calls == counted_h.calls == 25
+    h2 = PolyhedralConvexFunction(
+        2, (AffineForm((F(1), F(1)), F(-1)),), HPolyhedron(((F(0), F(1)),), (F(1, 2),), 2)
+    )
+    f2 = fn(2, ((1, 0), 0), ((0, -1), 0))
+    cases = (
+        (steep(), h1, ((F(-3), F(3)),), F(1, 4), [()]),
+        (f2, h2, ((F(-1), F(1)),) * 2, F(1, 2), [(k,) for k in range(5)]),
+    )
+    for f, h, box, step, leads in cases:
+        for eps in (F(0), F(1, 2), F(100)):
+            expected = bridge_check(f, h, box, step, eps)
+            monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+            calls.clear()
+            assert bridge_check(f, h, box, step, eps) == expected
+            monkeypatch.undo()
+            evaluators = {ev for ev, _ in calls}
+            assert len(evaluators) == 2
+            for ev in evaluators:
+                assert [lead for key, lead in calls if key is ev] == leads
 
 
 def test_reee_two_point_example():
