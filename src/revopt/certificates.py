@@ -61,6 +61,7 @@ from .model import (
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
+    _dot,
     rat,
 )
 # subdiff_vrep stays bound here because bench/spans.py traces it.
@@ -122,10 +123,6 @@ class _LpBuilder:
         )
         zero = (_ZERO,) * self.n
         return LinearProgram(self.n, zero, rows=rows, lower=zero)
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 # -- membership evidence ------------------------------------------------------

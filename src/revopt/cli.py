@@ -9,6 +9,7 @@ certificates re-validate bit-exactly against the problem file (see `replay`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -251,7 +252,10 @@ def _cmd_pareto(args) -> tuple[dict, int]:
 _SEED_HELP = "accepted for compatibility; has no effect (the decision is exact)"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, and building it costs about as much as a small verify."""
     parser = argparse.ArgumentParser(
         prog="revopt",
         description="Exact epsilon-optimality certificates for reverse convex programs.",
@@ -304,9 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
     try:

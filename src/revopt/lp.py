@@ -1,23 +1,31 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-Two-phase primal simplex over `Fraction` with Bland's rule, so every solve
-terminates and identical inputs give identical outcomes. Each outcome carries
-its own evidence: an optimal basis yields a dual vector (strong duality and
-complementary slackness hold exactly), infeasibility yields a Farkas vector,
-unboundedness yields an improving recession ray.
+Two-phase primal simplex in exact integer arithmetic with Bland's rule, so
+every solve terminates and identical inputs give identical outcomes. Each
+outcome carries its own evidence: an optimal basis yields a dual vector
+(strong duality and complementary slackness hold exactly), infeasibility
+yields a Farkas vector, unboundedness yields an improving recession ray.
+
+The tableau is a lean standard form (`_Simplex`): a lower-bounded variable is
+one native nonnegative column, shifted by its bound, and only a free variable
+is split in two; lower bounds never become rows, upper bounds do; and an
+inequality row starts from its slack whenever its right-hand side allows, so
+only the other rows carry an artificial and phase 1 runs only if one does.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
-free multipliers); see `LinearProgram.oriented_rows`.
+free multipliers); see `LinearProgram.oriented_rows`. A lower bound's
+multiplier is the reduced cost of its variable's column.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .model import INF, NEG_INF, InputError, rat
+from .model import INF, NEG_INF, InputError, _dot, rat
 
 __all__ = [
     "LinearProgram",
@@ -146,46 +154,103 @@ def _reduce_row(den: int, cells: list[int]) -> tuple[int, list[int]]:
     return den, cells
 
 
-class _Simplex:
-    """Dense exact tableau on the equality standard form.
+def _lcm_den(values) -> int:
+    """The least common denominator of some Fractions."""
+    den = 1
+    for v in values:
+        d = v.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    return den
 
-    Free variables are split x = p - q; every oriented inequality row gets a
-    slack; every row gets an artificial whose columns double as B^-1
-    bookkeeping for dual extraction. Rows are integer vectors sharing one
-    positive denominator each, so the hot loops stay in machine integers.
+
+class _Simplex:
+    """Dense exact tableau on the lean standard form of an LP.
+
+    Columns: a variable with a lower bound l is one native column y = x - l
+    >= 0; only a variable without one is split x = p - q. Then one slack per
+    inequality row, then the artificials.
+
+    Rows: the constraint rows and the upper bounds, oriented `<=` and with
+    the lower bounds shifted into the right-hand side; lower-bound rows are
+    not in the tableau (the native column carries them). An inequality row
+    whose shifted right-hand side is >= 0 starts with its slack basic; every
+    other row is negated if needed so its right-hand side is >= 0 and gets an
+    artificial. Phase 1 runs only when some row has an artificial.
+
+    Multipliers in the oriented layout of `LinearProgram.oriented_rows`: a
+    tableau row's come from the reduced cost of its starting basic column,
+    the slack or the artificial, whose column keeps B^-1 bookkeeping; a lower
+    bound's is the reduced cost of its native column, in phase 2 for
+    `Optimal.dual` and in phase 1 for `Infeasible.farkas`.
+
+    Rows are integer vectors sharing one positive denominator each, built
+    from the numerators directly, so the hot loops stay in machine integers.
     """
 
     MAX_PIVOTS = 200_000
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.oriented = lp.oriented_rows()
         n = lp.n
-        self.m = len(self.oriented)
-        ineq_idx = [i for i, (_, _, eq) in enumerate(self.oriented) if not eq]
-        self.slack_of_row = {row: n * 2 + k for k, row in enumerate(ineq_idx)}
-        self.nreal = n * 2 + len(ineq_idx)
-        self.width = self.nreal + self.m + 1  # + artificials + rhs
-        self.sigma = []
+        lower, upper = lp.lower, lp.upper
+        # per variable: its column, and its negative part's (None if native)
+        self.cols = []
+        ncol = 0
+        for low in lower:
+            self.cols.append((ncol, None if low is not None else ncol + 1))
+            ncol += 1 if low is not None else 2
+        # tableau rows as (oriented index, orientation, coeffs, shifted rhs, eq)
+        spec = []
+        for k, (coeffs, rel, rhs) in enumerate(lp.rows):
+            shift = sum(a * low for a, low in zip(coeffs, lower) if a and low)
+            if shift:
+                rhs -= shift
+            spec.append((k, -1 if rel == ">=" else 1, coeffs, rhs, rel == "="))
+        self.lower_row = {}  # variable -> oriented index of its lower bound
+        k = len(lp.rows)
+        for j, (low, up) in enumerate(zip(lower, upper)):
+            if low is not None:
+                self.lower_row[j] = k
+                k += 1
+            if up is not None:
+                unit = tuple(_ONE if i == j else _ZERO for i in range(n))
+                spec.append((k, 1, unit, up if low is None else up - low, False))
+                k += 1
+        self.norient = k
+        self.m = len(spec)
+        slack_start = [not eq and o * rhs >= 0 for _, o, _, rhs, eq in spec]
+        self.nreal = ncol + sum(1 for *_, eq in spec if not eq)
+        self.nart = slack_start.count(False)
+        self.width = self.nreal + self.nart + 1  # + rhs
         self.tab = []  # rows as (den, int cells)
-        for i, (coeffs, rhs, _eq) in enumerate(self.oriented):
-            sigma = 1 if rhs >= 0 else -1
-            self.sigma.append(sigma)
-            den = 1
-            for v in coeffs:
-                den = den // gcd(den, v.denominator) * v.denominator
-            den = den // gcd(den, rhs.denominator) * rhs.denominator
+        self.basis = []
+        # per row: (oriented index, sign, starting basic column, artificial?)
+        self.origin = []
+        slack, art = ncol, self.nreal
+        for (k, o, coeffs, rhs, eq), by_slack in zip(spec, slack_start):
+            sign = 1 if o * rhs >= 0 else -1  # makes the oriented rhs >= 0
+            scale = sign * o  # from the row as given to the tableau row
+            den = _lcm_den((*coeffs, rhs))
             row = [0] * self.width
-            for j, v in enumerate(coeffs):
-                cell = sigma * int(v * den)
-                row[j] = cell
-                row[n + j] = -cell
-            if i in self.slack_of_row:
-                row[self.slack_of_row[i]] = sigma * den
-            row[self.nreal + i] = den
-            row[-1] = sigma * int(rhs * den)
+            for (p, q), v in zip(self.cols, coeffs):
+                if v:
+                    cell = scale * v.numerator * (den // v.denominator)
+                    row[p] = cell
+                    if q is not None:
+                        row[q] = -cell
+            row[-1] = scale * rhs.numerator * (den // rhs.denominator)
+            if not eq:
+                row[slack] = sign * den
+                start = slack
+                slack += 1
+            if not by_slack:
+                row[art] = den
+                start = art
+                art += 1
             self.tab.append(_reduce_row(den, row))
-        self.basis = [self.nreal + i for i in range(self.m)]
+            self.basis.append(start)
+            self.origin.append((k, sign, start, not by_slack))
         self.live = list(range(self.m))  # rows not deleted as redundant
 
     # -- pivoting ---------------------------------------------------------
@@ -246,102 +311,110 @@ class _Simplex:
 
     def _cost_row(self, costs: dict):
         """Reduced-cost row (den, cells) for column costs {col: Fraction}."""
-        den = 1
-        for v in costs.values():
-            den = den // gcd(den, v.denominator) * v.denominator
+        den = _lcm_den(costs.values())
         cells = [0] * self.width
         for j, v in costs.items():
-            cells[j] = int(v * den)
+            cells[j] = v.numerator * (den // v.denominator)
         cost = (den, cells)
         for r in self.live:
             cb = costs.get(self.basis[r], _ZERO)
             if cb:
                 den_c, cc = cost
                 den_r, row = self.tab[r]
-                num = int(cb * den)  # cb scaled into the cost denominator
+                num = cb.numerator * (den // cb.denominator)  # cb in cost units
                 merged = [a * den * den_r - num * den_c * b for a, b in zip(cc, row)]
                 cost = _reduce_row(den_c * den * den_r, merged)
         return cost
 
     # -- solution extraction ----------------------------------------------
 
-    def _values(self) -> dict:
-        return {
+    def _x(self, column_values: dict, shift: bool) -> tuple:
+        """A point (shift=True) or a direction in x from column values."""
+        out = []
+        for (p, q), low in zip(self.cols, self.lp.lower):
+            v = column_values.get(p, _ZERO)
+            if q is not None:
+                v -= column_values.get(q, _ZERO)
+            elif shift:
+                v += low
+            out.append(v)
+        return tuple(out)
+
+    def _point(self) -> tuple:
+        values = {
             self.basis[r]: Fraction(self.tab[r][1][-1], self.tab[r][0])
             for r in self.live
         }
+        return self._x(values, shift=True)
 
-    def _point(self) -> tuple:
-        vals = self._values()
-        n = self.lp.n
-        return tuple(
-            vals.get(j, _ZERO) - vals.get(n + j, _ZERO) for j in range(n)
-        )
+    def _multipliers(self, cost, art_cost: int) -> tuple:
+        """Oriented-row multipliers from the reduced costs of `cost`.
 
-    def _dual_from(self, cost, art_cost: Fraction) -> tuple:
-        """Oriented-row multipliers from the artificial-column reduced costs.
-
-        Reduced cost of artificial i equals art_cost - y_i, and the oriented
-        multiplier is -sigma_i * y_i.
+        A tableau row's simplex multiplier y_i is art_cost minus its
+        artificial's reduced cost, or minus its slack's (cost 0, coefficient
+        +1); the oriented multiplier is -sign_i * y_i. A lower bound's is its
+        native column's reduced cost.
         """
         den, cells = cost
-        out = []
-        for i in range(self.m):
-            y_i = art_cost - Fraction(cells[self.nreal + i], den)
-            out.append(-self.sigma[i] * y_i)
+        out = [_ZERO] * self.norient
+        for k, sign, col, artificial in self.origin:
+            if artificial:
+                out[k] = Fraction(sign * (cells[col] - art_cost * den), den)
+            else:
+                out[k] = Fraction(cells[col], den)
+        for j, k in self.lower_row.items():
+            out[k] = Fraction(cells[self.cols[j][0]], den)
         return tuple(out)
 
     # -- phases ------------------------------------------------------------
 
     def solve(self) -> LpOutcome:
         minimize = self.lp.sense == "min"
-        n = self.lp.n
         cvec = self.lp.objective if minimize else tuple(-v for v in self.lp.objective)
 
-        # Phase 1: minimize the artificial sum.
-        cost1 = self._cost_row({self.nreal + i: _ONE for i in range(self.m)})
-        cost1, enter = self._run(cost1, self.nreal)
-        if enter is not None:
-            raise RuntimeError("phase 1 unbounded although its objective is >= 0")
-        if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
-            return Infeasible(farkas=self._dual_from(cost1, _ONE))
-        # Drive remaining artificials out of the basis (or drop their rows).
-        for r in list(self.live):
-            if self.basis[r] >= self.nreal:
-                enter_col = next(
-                    (j for j in range(self.nreal) if self.tab[r][1][j] != 0), None
-                )
-                if enter_col is None:
-                    self.live.remove(r)  # redundant row
-                else:
-                    cost1 = self._pivot(r, enter_col, cost1)
+        if self.nart:
+            # Phase 1: minimize the artificial sum.
+            arts = range(self.nreal, self.nreal + self.nart)
+            cost1 = self._cost_row({j: _ONE for j in arts})
+            cost1, enter = self._run(cost1, self.nreal)
+            if enter is not None:
+                raise RuntimeError("phase 1 unbounded although its objective is >= 0")
+            if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
+                return Infeasible(farkas=self._multipliers(cost1, 1))
+            # Drive remaining artificials out of the basis (or drop their rows).
+            for r in list(self.live):
+                if self.basis[r] >= self.nreal:
+                    enter_col = next(
+                        (j for j in range(self.nreal) if self.tab[r][1][j] != 0), None
+                    )
+                    if enter_col is None:
+                        self.live.remove(r)  # redundant row
+                    else:
+                        cost1 = self._pivot(r, enter_col, cost1)
 
-        # Phase 2: the real objective on split variables.
+        # Phase 2: the real objective on the structural columns.
         costs2 = {}
-        for j in range(n):
-            if cvec[j]:
-                costs2[j] = cvec[j]
-                costs2[n + j] = -cvec[j]
+        for (p, q), c in zip(self.cols, cvec):
+            if c:
+                costs2[p] = c
+                if q is not None:
+                    costs2[q] = -c
         cost2 = self._cost_row(costs2)
         cost2, enter = self._run(cost2, self.nreal)
         if enter is not None:
-            ray_int = {enter: _ONE}
+            ray = {enter: _ONE}
             for r in self.live:
                 den_r, row = self.tab[r]
                 coef = row[enter]
                 if coef:
-                    ray_int[self.basis[r]] = Fraction(-coef, den_r)
-            ray = tuple(
-                ray_int.get(j, _ZERO) - ray_int.get(n + j, _ZERO) for j in range(n)
-            )
-            return Unbounded(ray=ray, point=self._point())
+                    ray[self.basis[r]] = Fraction(-coef, den_r)
+            return Unbounded(ray=self._x(ray, shift=False), point=self._point())
 
         x = self._point()
         value = sum(c * v for c, v in zip(self.lp.objective, x))
         # The extracted multipliers already satisfy the max-sense convention
         # (c = A'^T y) when cvec was negated, so no sign flip is needed.
-        dual = self._dual_from(cost2, _ZERO)
-        return Optimal(x=x, value=value, dual=dual)
+        return Optimal(x=x, value=value, dual=self._multipliers(cost2, 0))
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
@@ -364,7 +437,11 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
     if not 0 <= index < lp.n:
         raise InputError(f"component index {index} out of range")
     obj = tuple(_ONE if j == index else _ZERO for j in range(lp.n))
-    return LinearProgram(lp.n, obj, "max", lp.rows, lp.lower, lp.upper)
+    # lp's rows and bounds are validated already: copy them, do not rebuild
+    probe = copy.copy(lp)
+    object.__setattr__(probe, "objective", obj)
+    object.__setattr__(probe, "sense", "max")
+    return probe
 
 
 def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
@@ -379,10 +456,6 @@ def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
 
 
 # -- exact certificate re-validation ---------------------------------------
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:

@@ -78,6 +78,10 @@ def fmt_vec(vec) -> list[str]:
     return [fmt(v) for v in vec]
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
 def _as_vector(values, n: int, what: str) -> tuple[Fraction, ...]:
     vec = tuple(rat(v) for v in values)
     if len(vec) != n:

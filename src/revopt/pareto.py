@@ -19,9 +19,9 @@ from operator import itemgetter, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
 from .lp import INF, lp_max_component, lp_solve  # noqa: F401
-from .model import InputError, PolyhedralConvexFunction, rat
+from .model import InputError, PolyhedralConvexFunction, _dot, rat
 from .oracle import GridSpec, _GridEvaluator, _shared
-from .subdiff import SubdiffQuery, _dot, epigraph_inf, joint_domain, subdiff_member
+from .subdiff import SubdiffQuery, epigraph_inf, joint_domain, subdiff_member
 
 __all__ = [
     "ParetoSample",

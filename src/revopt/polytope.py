@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .lp import Infeasible, LinearProgram, lp_solve
-from .model import HPolyhedron, InputError
+from .model import HPolyhedron, InputError, _dot
 
 __all__ = [
     "VPolytope",
@@ -42,10 +42,6 @@ class VPolytope:
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.rays
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _primitive(vec) -> tuple[int, ...]:

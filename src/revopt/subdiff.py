@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import Infeasible, LinearProgram, Unbounded, lp_solve
-from .model import NEG_INF, HPolyhedron, InputError, PolyhedralConvexFunction, rat
+from .model import (
+    NEG_INF,
+    HPolyhedron,
+    InputError,
+    PolyhedralConvexFunction,
+    _dot,
+    rat,
+)
 
 # project stays bound here because bench/spans.py traces it.
 from .polytope import VPolytope, project, prune  # noqa: F401
@@ -103,10 +110,6 @@ def subdiff_member(q: SubdiffQuery, s) -> bool:
     if value == NEG_INF:
         return False
     return value >= q.fn.value(q.point) - _dot(s, q.point) - q.eps
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def subdiff_epigraph(fn: PolyhedralConvexFunction, point) -> tuple[tuple, tuple]:

@@ -1,14 +1,19 @@
-"""Slow reference implementations of the grid layer, for tests only.
+"""Slow reference implementations for tests only.
 
-They evaluate every grid point separately in `Fraction` arithmetic and decide
-efficiency by scanning all pairs, the way the library did before its integer
-row evaluator and its sorting sweep. Tests assert that the library's results
-equal these exactly.
+The grid layer's references evaluate every grid point separately in
+`Fraction` arithmetic and decide efficiency by scanning all pairs, the way the
+library did before its integer row evaluator and its sorting sweep. The LP
+reference (`reference_lp_solve`) is the library's earlier simplex: every
+variable split x = p - q, every bound an oriented row, and an artificial on
+every row. Tests assert that the library's results equal these exactly (for
+LPs: the same outcome class and optimal value).
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
+from revopt.lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
 from revopt.model import INF, HPolyhedron, PolyhedralConvexFunction, rat
 from revopt.oracle import BoundaryReport, BruteResult, GridSpec, boundary_projection
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
@@ -162,3 +167,224 @@ def bridge_check(f, h, box, step, eps) -> BridgeReport:
     missing_weak = tuple(i for i in argmin if i not in weak)
     missing_arg = tuple(i for i in eff if images[i][1] == 0 and i not in argmin)
     return BridgeReport(False, argmin, weak, eff, missing_weak, missing_arg)
+
+
+# -- the split-variable simplex ----------------------------------------------
+
+
+def _reduce_row(den: int, cells: list[int]) -> tuple[int, list[int]]:
+    """Normalize a (denominator, cells) row: den > 0 and gcd 1."""
+    if den < 0:
+        den = -den
+        cells = [-v for v in cells]
+    g = den
+    for v in cells:
+        g = gcd(g, v)
+        if g == 1:
+            return den, cells
+    if g > 1:
+        den //= g
+        cells = [v // g for v in cells]
+    return den, cells
+
+
+class _Simplex:
+    """Dense exact tableau on the equality standard form.
+
+    Free variables are split x = p - q; every oriented inequality row gets a
+    slack; every row gets an artificial whose columns double as B^-1
+    bookkeeping for dual extraction. Rows are integer vectors sharing one
+    positive denominator each, so the hot loops stay in machine integers.
+    """
+
+    MAX_PIVOTS = 200_000
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        self.oriented = lp.oriented_rows()
+        n = lp.n
+        self.m = len(self.oriented)
+        ineq_idx = [i for i, (_, _, eq) in enumerate(self.oriented) if not eq]
+        self.slack_of_row = {row: n * 2 + k for k, row in enumerate(ineq_idx)}
+        self.nreal = n * 2 + len(ineq_idx)
+        self.width = self.nreal + self.m + 1  # + artificials + rhs
+        self.sigma = []
+        self.tab = []  # rows as (den, int cells)
+        for i, (coeffs, rhs, _eq) in enumerate(self.oriented):
+            sigma = 1 if rhs >= 0 else -1
+            self.sigma.append(sigma)
+            den = 1
+            for v in coeffs:
+                den = den // gcd(den, v.denominator) * v.denominator
+            den = den // gcd(den, rhs.denominator) * rhs.denominator
+            row = [0] * self.width
+            for j, v in enumerate(coeffs):
+                cell = sigma * int(v * den)
+                row[j] = cell
+                row[n + j] = -cell
+            if i in self.slack_of_row:
+                row[self.slack_of_row[i]] = sigma * den
+            row[self.nreal + i] = den
+            row[-1] = sigma * int(rhs * den)
+            self.tab.append(_reduce_row(den, row))
+        self.basis = [self.nreal + i for i in range(self.m)]
+        self.live = list(range(self.m))  # rows not deleted as redundant
+
+    # -- pivoting ---------------------------------------------------------
+
+    def _pivot(self, r: int, j: int, cost) -> tuple[int, list[int]]:
+        den_r, row = self.tab[r]
+        piv = row[j]
+        self.tab[r] = (den_r, row) = _reduce_row(piv, row)
+        for i in self.live:
+            if i == r:
+                continue
+            den_i, other = self.tab[i]
+            fac = other[j]
+            if fac:
+                merged = [a * den_r - fac * b for a, b in zip(other, row)]
+                self.tab[i] = _reduce_row(den_i * den_r, merged)
+        den_c, cc = cost
+        fac = cc[j]
+        if fac:
+            merged = [a * den_r - fac * b for a, b in zip(cc, row)]
+            cost = _reduce_row(den_c * den_r, merged)
+        self.basis[r] = j
+        return cost
+
+    def _run(self, cost, allowed: int):
+        """Bland iterations; returns (cost, entering column) where the column
+        is None at optimality and set when the objective is unbounded."""
+        pivots = 0
+        while True:
+            cells = cost[1]
+            enter = None
+            for j in range(allowed):
+                if cells[j] < 0:
+                    enter = j
+                    break
+            if enter is None:
+                return cost, None
+            leave = None
+            bn = bd = None  # best ratio as a positive-denominator int pair
+            for r in self.live:
+                den_r, row = self.tab[r]
+                coef = row[enter]
+                if coef > 0:
+                    num = row[-1]
+                    if (
+                        leave is None
+                        or num * bd < bn * coef
+                        or (num * bd == bn * coef and self.basis[r] < self.basis[leave])
+                    ):
+                        bn, bd = num, coef
+                        leave = r
+            if leave is None:
+                return cost, enter
+            cost = self._pivot(leave, enter, cost)
+            pivots += 1
+            if pivots > self.MAX_PIVOTS:  # Bland terminates; guard bugs only
+                raise RuntimeError("simplex pivot budget exceeded")
+
+    def _cost_row(self, costs: dict):
+        """Reduced-cost row (den, cells) for column costs {col: Fraction}."""
+        den = 1
+        for v in costs.values():
+            den = den // gcd(den, v.denominator) * v.denominator
+        cells = [0] * self.width
+        for j, v in costs.items():
+            cells[j] = int(v * den)
+        cost = (den, cells)
+        for r in self.live:
+            cb = costs.get(self.basis[r], _ZERO)
+            if cb:
+                den_c, cc = cost
+                den_r, row = self.tab[r]
+                num = int(cb * den)  # cb scaled into the cost denominator
+                merged = [a * den * den_r - num * den_c * b for a, b in zip(cc, row)]
+                cost = _reduce_row(den_c * den * den_r, merged)
+        return cost
+
+    # -- solution extraction ----------------------------------------------
+
+    def _values(self) -> dict:
+        return {
+            self.basis[r]: Fraction(self.tab[r][1][-1], self.tab[r][0])
+            for r in self.live
+        }
+
+    def _point(self) -> tuple:
+        vals = self._values()
+        n = self.lp.n
+        return tuple(
+            vals.get(j, _ZERO) - vals.get(n + j, _ZERO) for j in range(n)
+        )
+
+    def _dual_from(self, cost, art_cost: Fraction) -> tuple:
+        """Oriented-row multipliers from the artificial-column reduced costs.
+
+        Reduced cost of artificial i equals art_cost - y_i, and the oriented
+        multiplier is -sigma_i * y_i.
+        """
+        den, cells = cost
+        out = []
+        for i in range(self.m):
+            y_i = art_cost - Fraction(cells[self.nreal + i], den)
+            out.append(-self.sigma[i] * y_i)
+        return tuple(out)
+
+    # -- phases ------------------------------------------------------------
+
+    def solve(self) -> LpOutcome:
+        minimize = self.lp.sense == "min"
+        n = self.lp.n
+        cvec = self.lp.objective if minimize else tuple(-v for v in self.lp.objective)
+
+        # Phase 1: minimize the artificial sum.
+        cost1 = self._cost_row({self.nreal + i: _ONE for i in range(self.m)})
+        cost1, enter = self._run(cost1, self.nreal)
+        if enter is not None:
+            raise RuntimeError("phase 1 unbounded although its objective is >= 0")
+        if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
+            return Infeasible(farkas=self._dual_from(cost1, _ONE))
+        # Drive remaining artificials out of the basis (or drop their rows).
+        for r in list(self.live):
+            if self.basis[r] >= self.nreal:
+                enter_col = next(
+                    (j for j in range(self.nreal) if self.tab[r][1][j] != 0), None
+                )
+                if enter_col is None:
+                    self.live.remove(r)  # redundant row
+                else:
+                    cost1 = self._pivot(r, enter_col, cost1)
+
+        # Phase 2: the real objective on split variables.
+        costs2 = {}
+        for j in range(n):
+            if cvec[j]:
+                costs2[j] = cvec[j]
+                costs2[n + j] = -cvec[j]
+        cost2 = self._cost_row(costs2)
+        cost2, enter = self._run(cost2, self.nreal)
+        if enter is not None:
+            ray_int = {enter: _ONE}
+            for r in self.live:
+                den_r, row = self.tab[r]
+                coef = row[enter]
+                if coef:
+                    ray_int[self.basis[r]] = Fraction(-coef, den_r)
+            ray = tuple(
+                ray_int.get(j, _ZERO) - ray_int.get(n + j, _ZERO) for j in range(n)
+            )
+            return Unbounded(ray=ray, point=self._point())
+
+        x = self._point()
+        value = sum(c * v for c, v in zip(self.lp.objective, x))
+        # The extracted multipliers already satisfy the max-sense convention
+        # (c = A'^T y) when cvec was negated, so no sign flip is needed.
+        dual = self._dual_from(cost2, _ZERO)
+        return Optimal(x=x, value=value, dual=dual)
+
+
+def reference_lp_solve(lp: LinearProgram) -> LpOutcome:
+    return _Simplex(lp).solve()

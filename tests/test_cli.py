@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from revopt import oracle
+from revopt import cli, oracle
 from revopt.cli import replay, run
 from revopt.lp import CertificateError
 from revopt.model import PolyhedralConvexFunction
@@ -80,6 +80,22 @@ def test_verify_cross_check(problem_b, capsys):
     cc = doc["oracle_cross_check"]
     assert cc["min_value"] == "1"
     assert cc["consistent"] is True
+
+
+def test_parser_is_built_once_and_keeps_no_state(problem_b, capsys):
+    cli._build_parser.cache_clear()
+    plain = ["verify", "--problem", problem_b, "--mode", "rop"]
+    code, first = _run(capsys, plain)
+    grid = ["--cross-check-grid", "-3", "3", "1/4"]
+    code, crossed = _run(capsys, plain + grid)
+    assert "oracle_cross_check" in crossed
+    code, second = _run(capsys, plain)
+    assert code == 1
+    assert "oracle_cross_check" not in second
+    assert second == first
+    assert run(["verify", "--problem", problem_b]) == 3  # no --mode
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_verify_inapplicable(tmp_path, capsys):

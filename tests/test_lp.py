@@ -13,6 +13,7 @@ from revopt.lp import (
     check_outcome,
     lp_max_component,
     lp_solve,
+    max_component_lp,
 )
 from revopt.model import InputError
 
@@ -141,3 +142,13 @@ def test_determinism_repeated_solves():
     for _ in range(40):
         lp = _random_lp(rng)
         assert lp_solve(lp) == lp_solve(lp)
+
+
+def test_max_component_lp_reuses_the_validated_rows(monkeypatch):
+    lp = LinearProgram(2, (1, 1), rows=(((1, 2), "<=", 3),), lower=(0, None))
+    monkeypatch.setattr("revopt.lp.rat", None)  # no value is parsed again
+    probe = max_component_lp(lp, 1)
+    assert (probe.objective, probe.sense) == ((0, 1), "max")
+    assert (probe.rows, probe.lower, probe.upper) == (lp.rows, lp.lower, lp.upper)
+    assert probe.rows is lp.rows
+    assert lp.objective == (1, 1) and lp.sense == "min"

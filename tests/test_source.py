@@ -1,6 +1,9 @@
 """Invariants of the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import revopt
@@ -56,3 +59,39 @@ def test_linear_programs_are_assembled_in_four_places_only():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites |= {(path.stem, scope) for scope in _linear_program_calls(tree)}
     assert sites == allowed
+
+
+_VERIFY_AND_REPLAY = """
+import io, json, sys
+from contextlib import redirect_stdout
+from revopt import cli
+from revopt.problemfile import load_problem
+print(sys.flags.optimize, file=sys.stderr)
+for path in sys.argv[1:]:
+    for mode in cli.MODES:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.run(["verify", "--problem", path, "--mode", mode])
+        cli.replay(load_problem(path), json.loads(buf.getvalue()))
+        sys.stdout.write(f"{code}\\n{buf.getvalue()}")
+"""
+
+
+def test_verify_and_replay_do_not_depend_on_assert_statements():
+    # Under python -O an invariant kept in an assert would silently vanish;
+    # the reports and their replay must come out the same either way.
+    root = Path(revopt.__file__).resolve().parents[2]
+    paths = [str(root / "problems" / f"example_{x}.json") for x in "ab"]
+    env = dict(os.environ, PYTHONPATH=str(Path(revopt.__file__).resolve().parents[1]))
+    runs = {}
+    for flags in ((), ("-O",)):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _VERIFY_AND_REPLAY, *paths],
+            env=env,
+            capture_output=True,
+            check=True,
+        )
+        assert proc.stderr.decode().strip() == str(len(flags))
+        runs[flags] = proc.stdout
+    assert runs[("-O",)] == runs[()]
+    assert runs[()].count(b'"verdict"') == 8
