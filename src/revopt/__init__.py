@@ -10,7 +10,7 @@ from .model import (
     ReverseProblem,
 )
 from .lp import LinearProgram, lp_max_component, lp_solve
-from .polytope import VPolytope, h_member, project, vertex_enumerate
+from .polytope import VPolytope, project, vertex_enumerate
 from .subdiff import (
     SubdiffQuery,
     scale_subdiff,
@@ -20,13 +20,11 @@ from .subdiff import (
 )
 from .certificates import (
     CertificateVerdict,
-    convex_case_member,
     essential_check,
     falsify,
+    membership_lp,
     slater_check,
-    union_member_constrained,
-    union_member_equality,
-    union_member_rop,
+    union_member,
     verify,
 )
 from .oracle import GridSpec, boundary_projection, brute_eps_argmin

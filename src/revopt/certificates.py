@@ -6,10 +6,10 @@ Every mode checks one inclusion, for each eps' >= 0,
                          d_{alpha*eps + eps'}(alpha f + sum_j mu_j phi_j)(x_bar),
 
 and only the list phi changes: () for rop, (h,) for equality and convex, G for
-constrained. One homogenized membership LP (`_union_lp`) decides every test:
-multipliers on the pieces of f sum to alpha, those on the pieces of phi_j to
-mu_j >= 0, and "alpha > 0" is decided by maximizing alpha and requiring a
-positive supremum. Its budget row measures alpha f + sum mu_j phi_j against
+constrained. One homogenized membership LP (`membership_lp`) decides every
+test: multipliers on the pieces of f sum to alpha, those on the pieces of
+phi_j to mu_j >= 0, and "alpha > 0" is decided by maximizing alpha and
+requiring a positive supremum. Its budget row measures alpha f + sum mu_j phi_j against
 alpha (f(x_bar) - eps) - eps' with no mu_j phi_j(x_bar) term:
 
 - equality: the gate puts x_bar on {h = 0}, so the term is zero;
@@ -27,7 +27,7 @@ eps' is discharged exactly. Let E = {(eps', s) : eps' >= 0, s in
 d_eps' h(x_bar)} and W = {(eps', x*) : x* in the union at eps'}. By
 `subdiff_epigraph`, E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}
 over the pieces i and the domain rows r of h. W is the projection onto
-(eps', x*) of the polyhedron of `_union_lp` (eps' and x* read as variables)
+(eps', x*) of the polyhedron of `membership_lp` (eps' and x* read as variables)
 cut by alpha > 0, so W is convex, and E is inside W exactly when:
 
 - every point (delta_i, a_i) lies in W: one max-alpha probe each;
@@ -54,8 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# lp_solve stays bound here because bench/spans.py traces it.
-from .lp import INF, NEG_INF, LinearProgram, lp_max_component, lp_solve  # noqa: F401
+from .lp import INF, NEG_INF, LinearProgram, Optimal, Unbounded, lp_solve
 from .model import (
     Inapplicable,
     InputError,
@@ -64,15 +63,17 @@ from .model import (
     _dot,
     rat,
 )
-# subdiff_vrep stays bound here because bench/spans.py traces it.
-from .subdiff import (  # noqa: F401
+from .subdiff import (
     SubdiffQuery,
     epigraph_inf,
     joint_domain,
     subdiff_epigraph,
     subdiff_member,
-    subdiff_vrep,
 )
+
+# Unused here; they stay bound because bench/spans.py traces them at this module.
+from .lp import lp_max_component  # noqa: F401
+from .subdiff import subdiff_vrep  # noqa: F401
 
 __all__ = [
     "MembershipEvidence",
@@ -80,10 +81,8 @@ __all__ = [
     "CertificateVerdict",
     "essential_check",
     "slater_check",
-    "union_member_rop",
-    "union_member_constrained",
-    "union_member_equality",
-    "convex_case_member",
+    "membership_lp",
+    "union_member",
     "verify",
     "falsify",
     "MODES",
@@ -99,153 +98,100 @@ REFUTED = "REFUTED"
 INAPPLICABLE = "INAPPLICABLE"
 
 
-# -- small LP assembly helper ------------------------------------------------
-
-
-class _LpBuilder:
-    """Nonnegative columns and sparse rows of one feasibility LP."""
-
-    def __init__(self):
-        self.n = 0
-        self.rows: list = []
-
-    def vars(self, count: int) -> list[int]:
-        self.n += count
-        return list(range(self.n - count, self.n))
-
-    def row(self, coeffs: dict, rel: str, rhs):
-        self.rows.append((dict(coeffs), rel, rat(rhs)))
-
-    def lp(self) -> LinearProgram:
-        rows = tuple(
-            (tuple(coeffs.get(j, _ZERO) for j in range(self.n)), rel, rhs)
-            for coeffs, rel, rhs in self.rows
-        )
-        zero = (_ZERO,) * self.n
-        return LinearProgram(self.n, zero, rows=rows, lower=zero)
-
-
-# -- membership evidence ------------------------------------------------------
+# -- the membership probe -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MembershipEvidence:
-    """Outcome of one homogenized membership test.
+    """Outcome of one homogenized membership probe.
 
-    `sup` is the supremum of alpha (or of the ray parameter t); `outcome` is
-    the certified LP outcome backing it, stated against `lp`, the probe LP
-    that maximizes alpha (or t). On acceptance, `witness` is a feasible point
-    of that LP realizing alpha > 0 (or, for a ray, any feasible point).
+    `sup` is the supremum of alpha (or of the ray parameter t): the optimal
+    value, INF when unbounded, NEG_INF when infeasible. `outcome` is the
+    certified LP outcome backing it, stated against `lp`, the probe solved.
     """
 
     member: bool
     sup: object
     lp: LinearProgram
     outcome: object
-    witness: tuple | None = None
 
 
-def _sup_evidence(lp: LinearProgram, comp_index: int) -> MembershipEvidence:
-    res = lp_max_component(lp, comp_index)
-    if res.value == NEG_INF:
-        return MembershipEvidence(False, NEG_INF, res.lp, res.outcome)
-    if res.value == INF:
-        out = res.outcome
-        point = out.point
-        step = out.ray[comp_index]
-        if point[comp_index] > 0:
-            witness = point
-        else:
-            k = (1 - point[comp_index]) / step
-            witness = tuple(p + k * r for p, r in zip(point, out.ray))
-        return MembershipEvidence(True, INF, res.lp, out, witness)
-    member = res.value > 0
-    witness = res.outcome.x if member else None
-    return MembershipEvidence(member, res.value, res.lp, res.outcome, witness)
+def _phis(mode, problem: ReverseProblem) -> tuple:
+    """The functions phi_j whose multiples join alpha*f in `mode`'s union; for
+    rop, constrained and equality also the region of the essential gate."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    h = problem.reverse
+    return {
+        "rop": (),
+        "constrained": problem.constraints,
+        "equality": (h,),
+        "convex": (h,),
+    }[mode]
 
 
-# -- the membership LP --------------------------------------------------------
+def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
+    """The probe LP for x* in the union over alpha > 0 and mu >= 0 of
+    d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar), with `mode`'s phi.
 
-
-def _union_lp(f, phis, x_bar, eps, eps_prime, xstar, ray=None, max_mu=None):
-    """Homogenized LP for x* in the union over alpha > 0 and mu >= 0 of
-    d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar).
-
-    Columns: lam on the pieces of f (summing to alpha), nu on the pieces of
-    each phi_j (summing to mu_j), eta on the rows of the `joint_domain` of f
-    and the phi_j, alpha, and the ray parameter t when `ray` = (d_eps', d_x*)
-    is given ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). Rows: the
-    slopes, alpha = sum lam, the budget and, with `max_mu`, sum nu <= max_mu.
-    Returns (lp, alpha column, t column or None).
+    Nonnegative columns: lam on the pieces of f (summing to alpha), nu on the
+    pieces of each phi_j (summing to mu_j), eta on the rows of the
+    `joint_domain` of f and the phi_j, alpha, and the ray parameter t when
+    `ray` = (d_eps', d_x*) is given ((eps', x*) then moves to
+    (eps' + t*d_eps', x* + t*d_x*)). Rows: the slopes, alpha = sum lam and the
+    budget. The objective maximizes the last column: alpha, or t.
     """
-    b = _LpBuilder()
-    lam = b.vars(len(f.pieces))
-    nus = [b.vars(len(phi.pieces)) for phi in phis]
+    f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
     dom = joint_domain(f.n, (f, *phis))
-    eta = b.vars(dom.m)
-    alpha = b.vars(1)[0]
-    t = b.vars(1)[0] if ray is not None else None
-
-    # (column, slope, budget coefficient) of every multiplier on an affine row
-    terms = [(v, p.a, p.b) for v, p in zip(lam, f.pieces)]
-    for phi, nu in zip(phis, nus):
-        terms += [(v, p.a, p.b) for v, p in zip(nu, phi.pieces)]
-    terms += [(v, row, -rhs) for v, row, rhs in zip(eta, dom.a, dom.b)]
-    for j in range(f.n):
-        coeffs = {v: a[j] for v, a, _ in terms}
-        if ray is not None:
-            coeffs[t] = -ray[1][j]
-        b.row(coeffs, "=", xstar[j])
-    b.row({alpha: _ONE, **{v: -_ONE for v in lam}}, "=", _ZERO)
-    budget = {v: off for v, _, off in terms}
-    budget[alpha] = -(f.value(x_bar) - eps)
+    # (slope, coefficient in alpha = sum lam, budget coefficient) per column
+    cols = [(p.a, -_ONE, p.b) for p in f.pieces]
+    cols += [(p.a, _ZERO, p.b) for phi in phis for p in phi.pieces]
+    cols += [(row, _ZERO, -rhs) for row, rhs in zip(dom.a, dom.b)]
+    cols.append(((_ZERO,) * f.n, _ONE, problem.epsilon - f.value(x_bar)))
     if ray is not None:
-        budget[t] = _dot(ray[1], x_bar) + ray[0]
-    b.row(budget, ">=", -_dot(xstar, x_bar) - eps_prime)
-    if max_mu is not None:
-        b.row({v: _ONE for nu in nus for v in nu}, "<=", max_mu)
-    return b.lp(), alpha, t
+        d_eps, d_x = ray
+        cols.append((tuple(-v for v in d_x), _ZERO, _dot(d_x, x_bar) + d_eps))
+    slopes, alpha_row, budget = zip(*cols)
+    rows = [([s[j] for s in slopes], "=", xstar[j]) for j in range(f.n)]
+    rows.append((alpha_row, "=", _ZERO))
+    rows.append((budget, ">=", -_dot(xstar, x_bar) - eps_prime))
+    n = len(cols)
+    return LinearProgram(n, (_ZERO,) * (n - 1) + (_ONE,), "max", rows, (_ZERO,) * n)
 
 
-def _member(f, phis, x_bar, eps, eps_prime, xstar, max_mu=None) -> MembershipEvidence:
-    lp, alpha, _ = _union_lp(
-        f, phis, x_bar, rat(eps), rat(eps_prime), xstar, max_mu=max_mu
-    )
-    return _sup_evidence(lp, alpha)
+def _probe(lp: LinearProgram, ray=False) -> MembershipEvidence:
+    """Solve a probe: a point is a member when sup alpha > 0, a ray when t is
+    unbounded."""
+    outcome = lp_solve(lp)
+    if isinstance(outcome, Optimal):
+        sup = outcome.value
+    else:
+        sup = INF if isinstance(outcome, Unbounded) else NEG_INF
+    return MembershipEvidence(sup == INF if ray else sup > 0, sup, lp, outcome)
 
 
-def union_member_rop(f, x_bar, eps, eps_prime, xstar) -> MembershipEvidence:
-    """Is x* in the union over alpha > 0 of d_{alpha*eps+eps'}(alpha f)(x_bar)?"""
-    if not f.is_finite_at(x_bar):
-        raise Inapplicable("point-off-domain")
-    return _member(f, (), x_bar, eps, eps_prime, xstar)
+def _point_gates(problem: ReverseProblem, mode):
+    """The gates on x_bar itself, in order, as (name, passed, reason); lazy,
+    so a caller that stops at the first failure evaluates no further gate."""
+    f, h, x_bar = problem.objective, problem.reverse, problem.point
+    yield "dom-f", f.is_finite_at(x_bar), "point-off-domain"
+    if mode == "convex":
+        yield "h<=0", h.value(x_bar) <= 0, "point-off-domain"
+        return
+    yield "h=0", h.value(x_bar) == 0, "point-not-on-boundary"
+    if mode == "constrained":
+        feasible = all(g.value(x_bar) <= 0 for g in problem.constraints)
+        yield "G<=0", feasible, "point-off-domain"
 
 
-def union_member_constrained(f, G, x_bar, eps, eps_prime, xstar) -> MembershipEvidence:
-    """Constrained membership: alpha > 0 and mu >= 0 with phi = G."""
-    if not f.is_finite_at(x_bar) or any(g.value(x_bar) > 0 for g in G):
-        raise Inapplicable("point-off-domain")
-    return _member(f, tuple(G), x_bar, eps, eps_prime, xstar)
-
-
-def union_member_equality(
-    f, h, x_bar, eps, eps_prime, xstar, max_beta=None
-) -> MembershipEvidence:
-    """Equality-constraint membership: alpha > 0, beta >= 0 with x* in
-    d_{alpha*eps+eps'}(alpha f + beta h)(x_bar); `max_beta` caps beta."""
-    if not f.is_finite_at(x_bar):
-        raise Inapplicable("point-off-domain")
-    if h.value(x_bar) != 0:
-        raise Inapplicable("point-not-on-boundary")
-    return _member(f, (h,), x_bar, eps, eps_prime, xstar, max_mu=max_beta)
-
-
-def convex_case_member(f, h, x_bar, eps) -> MembershipEvidence:
-    """The convex characterization: some beta >= 0 with f + beta h >= f(x_bar) - eps
-    everywhere, i.e. the membership test at (eps', x*) = (0, 0) with phi = (h,)."""
-    if not f.is_finite_at(x_bar) or not h.is_finite_at(x_bar):
-        raise Inapplicable("point-off-domain")
-    return _member(f, (h,), x_bar, eps, _ZERO, (_ZERO,) * f.n)
+def union_member(problem: ReverseProblem, mode, eps_prime, xstar) -> MembershipEvidence:
+    """Is x* in `mode`'s union at eps'? Raises Inapplicable, with the reason
+    `verify` reports, when a gate on x_bar fails."""
+    _phis(mode, problem)  # rejects an unknown mode before any gate
+    for _name, ok, reason in _point_gates(problem, mode):
+        if not ok:
+            raise Inapplicable(reason)
+    return _probe(membership_lp(problem, mode, eps_prime, xstar))
 
 
 # -- applicability gates -------------------------------------------------------
@@ -318,47 +264,11 @@ class CertificateVerdict:
         return (self.witness_eps_prime, self.witness_xstar)
 
 
-def _phis(mode, problem: ReverseProblem) -> tuple:
-    """The functions phi_j whose multiples join alpha*f in `mode`'s union; for
-    rop, constrained and equality also the region of the essential gate."""
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    h = problem.reverse
-    return {
-        "rop": (),
-        "constrained": problem.constraints,
-        "equality": (h,),
-        "convex": (h,),
-    }[mode]
-
-
-def _membership_lp(mode, problem: ReverseProblem, eps_prime, xstar, ray=None):
-    """Deterministic LP rebuild for a logged check (used for replay)."""
-    phis = _phis(mode, problem)
-    return _union_lp(
-        problem.objective, phis, problem.point, problem.epsilon, eps_prime, xstar, ray
-    )
-
-
-def _mode_member(mode, problem, eps_prime, xstar) -> MembershipEvidence:
-    lp, alpha, _ = _membership_lp(mode, problem, eps_prime, xstar)
-    return _sup_evidence(lp, alpha)
-
-
-def _mode_ray_check(mode, problem, base, ray) -> MembershipEvidence:
-    lp, _alpha, t = _membership_lp(mode, problem, *base, ray=ray)
-    res = lp_max_component(lp, t)
-    accepted = res.value == INF
-    witness = res.outcome.point if accepted else None
-    return MembershipEvidence(accepted, res.value, res.lp, res.outcome, witness)
-
-
 def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     """Run the applicability gates, then one inclusion check per generator of
     d_eps' h(x_bar) over all eps' >= 0; the first failure refutes with an
     exact witness."""
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
+    phis = _phis(mode, problem)
     f, h = problem.objective, problem.reverse
     x_bar, eps = problem.point, problem.epsilon
     gates = []
@@ -371,7 +281,8 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
         gates.append((name, ok))
         return None if ok else verdict(INAPPLICABLE, reason=reason)
 
-    def check(eps_prime, xstar, ev):
+    def check(eps_prime, xstar):
+        ev = _probe(membership_lp(problem, mode, eps_prime, xstar))
         log.append(CheckRecord(eps_prime, xstar, "vertex", ev.member, ev))
         if ev.member:
             return None
@@ -382,24 +293,15 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
             witness_evidence=ev,
         )
 
-    if out := gate("dom-f", f.is_finite_at(x_bar), "point-off-domain"):
-        return out
+    for name, ok, reason in _point_gates(problem, mode):
+        if out := gate(name, ok, reason):
+            return out
 
     if mode == "convex":
-        if out := gate("h<=0", h.value(x_bar) <= 0, "point-off-domain"):
-            return out
         zero = (_ZERO,) * problem.n
-        ev = _mode_member(mode, problem, _ZERO, zero)
-        return check(_ZERO, zero, ev) or verdict(CERTIFIED)
+        return check(_ZERO, zero) or verdict(CERTIFIED)
 
-    if out := gate("h=0", h.value(x_bar) == 0, "point-not-on-boundary"):
-        return out
-    if mode == "constrained":
-        feasible = all(g.value(x_bar) <= 0 for g in problem.constraints)
-        if out := gate("G<=0", feasible, "point-off-domain"):
-            return out
-
-    if not essential_check(f, _phis(mode, problem), x_bar, eps):
+    if not essential_check(f, phis, x_bar, eps):
         # The point is then an unconstrained eps-minimizer candidate; report
         # the trivial characterization informationally.
         zero = (_ZERO,) * problem.n
@@ -419,12 +321,11 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
 
     points, rays = subdiff_epigraph(h, x_bar)
     for eps_prime, slope in points:
-        ev = _mode_member(mode, problem, eps_prime, slope)
-        if out := check(eps_prime, slope, ev):
+        if out := check(eps_prime, slope):
             return out
     base = points[0]
     for ray in rays:
-        ev = _mode_ray_check(mode, problem, base, ray)
+        ev = _probe(membership_lp(problem, mode, *base, ray=ray), ray=True)
         log.append(CheckRecord(*ray, "ray", ev.member, ev))
         if not ev.member:
             # The ray leaves the union at t = sup; refute on the point of E
@@ -434,10 +335,10 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
             t_out = ev.sup + 1
             eps_prime = base[0] + t_out * ray[0]
             xstar = tuple(b + t_out * r for b, r in zip(base[1], ray[1]))
-            ev = _mode_member(mode, problem, eps_prime, xstar)
-            if ev.member:
+            out = check(eps_prime, xstar)
+            if out is None:
                 raise RuntimeError("a subgradient beyond the ray's sup was accepted")
-            return check(eps_prime, xstar, ev)
+            return out
     return verdict(CERTIFIED)
 
 

@@ -14,8 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .certificates import MODES, CertificateVerdict, _membership_lp, falsify, verify
-from .lp import INF, Infeasible, Optimal, Unbounded, check_outcome, max_component_lp
+from .certificates import MODES, CertificateVerdict, falsify, membership_lp, verify
+from .lp import INF, Infeasible, Optimal, Unbounded, check_outcome
 from .model import Inapplicable, InputError, fmt, fmt_vec, rat
 from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
 from .pareto import SIGMA_KINDS, _bridge, eff_set, grid_sample
@@ -110,23 +110,24 @@ def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
 def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
-    Rebuilds each check's LP deterministically and checks the stored outcome's
-    certificate exactly; raises CertificateError on any mismatch. A ray check
-    logs its direction, and starts at the first generator of h's
-    eps'-subdifferentials (`subdiff_epigraph`).
+    Rebuilds each check's LP with `membership_lp`, the builder `verify` solved,
+    and checks the stored outcome's certificate exactly; raises
+    CertificateError on any mismatch. A ray check logs its direction, and
+    starts at the first generator of h's eps'-subdifferentials
+    (`subdiff_epigraph`).
     """
     mode = report["mode"]
+    base = None
     for check in report.get("checks", ()):
         eps_prime = rat(check["eps_prime"])
         generator = tuple(rat(v) for v in check["generator"])
-        outcome = _outcome_from_doc(check["outcome"])
         if check["kind"] == "vertex":
-            lp, index, _ = _membership_lp(mode, problem, eps_prime, generator)
+            lp = membership_lp(problem, mode, eps_prime, generator)
         else:
-            (base, *_), _rays = subdiff_epigraph(problem.reverse, problem.point)
-            ray = (eps_prime, generator)
-            lp, _alpha, index = _membership_lp(mode, problem, *base, ray=ray)
-        check_outcome(max_component_lp(lp, index), outcome)
+            if base is None:
+                (base, *_), _rays = subdiff_epigraph(problem.reverse, problem.point)
+            lp = membership_lp(problem, mode, *base, ray=(eps_prime, generator))
+        check_outcome(lp, _outcome_from_doc(check["outcome"]))
 
 
 # -- commands ------------------------------------------------------------------

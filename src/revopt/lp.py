@@ -425,11 +425,10 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
 @dataclass(frozen=True)
 class ComponentMax:
     """Supremum of one variable over an LP's feasible set; `outcome` is
-    stated against `lp`, the probe LP that was solved."""
+    stated against `max_component_lp` of that LP."""
 
     value: object  # Fraction, INF (unbounded) or NEG_INF (infeasible)
     outcome: LpOutcome
-    lp: LinearProgram
 
 
 def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
@@ -446,13 +445,12 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
 
 def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
     """Maximize variable `index` subject to lp's constraints and bounds."""
-    probe = max_component_lp(lp, index)
-    outcome = lp_solve(probe)
+    outcome = lp_solve(max_component_lp(lp, index))
     if isinstance(outcome, Optimal):
-        return ComponentMax(outcome.value, outcome, probe)
+        return ComponentMax(outcome.value, outcome)
     if isinstance(outcome, Unbounded):
-        return ComponentMax(INF, outcome, probe)
-    return ComponentMax(NEG_INF, outcome, probe)
+        return ComponentMax(INF, outcome)
+    return ComponentMax(NEG_INF, outcome)
 
 
 # -- exact certificate re-validation ---------------------------------------

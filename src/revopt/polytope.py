@@ -24,7 +24,6 @@ __all__ = [
     "vertex_enumerate",
     "project",
     "prune",
-    "h_member",
     "vpoly_member",
 ]
 
@@ -164,11 +163,6 @@ def vertex_enumerate(poly: HPolyhedron) -> VPolytope:
     if not vertices:
         return VPolytope(n, (), ())
     return VPolytope(n, tuple(sorted(vertices)), tuple(sorted(rays)))
-
-
-def h_member(poly: HPolyhedron, x) -> bool:
-    """Exact membership by row evaluation; empty row list means the whole space."""
-    return poly.contains(x)
 
 
 def vpoly_member(vp: VPolytope, x) -> bool:

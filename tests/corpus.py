@@ -122,6 +122,24 @@ def _open_side_meets_dom(f, normal, rhs):
     return isinstance(out, Unbounded) or out.value > rhs
 
 
+def beta_capped_member(problem, eps_prime, xstar):
+    """Equality-mode membership with beta = 0 forced: `membership_lp` plus the
+    row sum(nu) <= 0 over the multipliers on h's pieces. True when the
+    supremum of alpha is positive."""
+    from revopt.certificates import membership_lp
+    from revopt.lp import LinearProgram, Optimal, Unbounded, lp_solve
+
+    lp = membership_lp(problem, "equality", eps_prime, xstar)
+    lam = len(problem.objective.pieces)
+    nu = range(lam, lam + len(problem.reverse.pieces))
+    cap = tuple(F(int(j in nu)) for j in range(lp.n))
+    capped = LinearProgram(
+        lp.n, lp.objective, lp.sense, lp.rows + ((cap, "<=", F(0)),), lp.lower
+    )
+    out = lp_solve(capped)
+    return isinstance(out, Unbounded) or (isinstance(out, Optimal) and out.value > 0)
+
+
 def exact_feasible_inf(f, h):
     """Exact inf of f over {h >= 0} (and dom f). h = +inf outside dom h, so
     the reverse region is the union of the per-piece polyhedra

@@ -11,13 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from corpus import corpus, exact_feasible_inf, random_fn
-from revopt.certificates import (
-    falsify,
-    union_member_equality,
-    union_member_rop,
-    verify,
-)
+from corpus import beta_capped_member, corpus, exact_feasible_inf, random_fn
+from revopt.certificates import falsify, union_member, verify
 from revopt.cli import run
 from revopt.lp import Infeasible, Optimal, check_outcome, lp_solve
 from revopt.model import (
@@ -235,9 +230,10 @@ def test_criterion_6_mode_coherence(corpus_results):
         eps = F(rng.randint(0, 2))
         ep = F(rng.randint(0, 3), 2)
         xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
-        a = union_member_rop(f, x, eps, ep, xs)
-        b = union_member_equality(f, h, x, eps, ep, xs, max_beta=F(0))
-        assert a.member == b.member
+        p = ReverseProblem(1, f, h, x, eps)
+        a = union_member(p, "rop", ep, xs)
+        b = beta_capped_member(p, ep, xs)
+        assert a.member == b
     _ok(6, "(constrained m=0 matches rop verdict-for-verdict; 500 beta=0 queries agree)")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from corpus import (
     adversarial_family,
+    beta_capped_member,
     box_domain,
     exact_convex_inf,
     exact_feasible_inf,
@@ -12,17 +13,15 @@ from corpus import (
     random_fn,
 )
 from revopt.certificates import (
-    _membership_lp,
-    convex_case_member,
+    MODES,
     essential_check,
     falsify,
+    membership_lp,
     slater_check,
-    union_member_constrained,
-    union_member_equality,
-    union_member_rop,
+    union_member,
     verify,
 )
-from revopt.lp import check_outcome, max_component_lp
+from revopt.lp import check_outcome
 from revopt.model import (
     AffineForm,
     HPolyhedron,
@@ -105,12 +104,17 @@ def test_slater_respects_the_domains_of_f_and_g():
 # -- union membership ----------------------------------------------------
 
 
+def vanishing_at(x):
+    """h(y) = y - x, which is 0 at x, so the boundary gate h(x_bar) = 0 holds
+    at x_bar = x."""
+    return fn(1, ((1,), -x[0]))
+
+
 def test_union_rop_examples():
-    f = absf()
-    x = (F(1),)
-    assert union_member_rop(f, x, F(0), F(0), (F(2),)).member
-    assert not union_member_rop(f, x, F(0), F(0), (F(-1),)).member
-    boundary = union_member_rop(f, x, F(0), F(0), (F(0),))
+    p = example_a()
+    assert union_member(p, "rop", F(0), (F(2),)).member
+    assert not union_member(p, "rop", F(0), (F(-1),)).member
+    boundary = union_member(p, "rop", F(0), (F(0),))
     assert not boundary.member
     assert boundary.sup == 0  # only alpha = 0 is feasible
 
@@ -120,16 +124,16 @@ def test_union_rop_off_domain_raises():
 
     dom = HPolyhedron(((F(1),),), (F(0),), 1)
     f = PolyhedralConvexFunction(1, (AffineForm((1,), 0),), dom)
+    p = ReverseProblem(1, f, vanishing_at((F(1),)), (F(1),), F(0))
     with pytest.raises(Inapplicable):
-        union_member_rop(f, (F(1),), F(0), F(0), (F(1),))
+        union_member(p, "rop", F(0), (F(1),))
 
 
 def test_union_constrained_examples():
-    f = absf()
     g = fn(1, ((1,), -1))
-    x = (F(1),)
-    assert union_member_constrained(f, (g,), x, F(0), F(0), (F(2),)).member
-    assert union_member_constrained(f, (g,), x, F(0), F(0), (F(3),)).member
+    p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(0), (g,))
+    assert union_member(p, "constrained", F(0), (F(2),)).member
+    assert union_member(p, "constrained", F(0), (F(3),)).member
 
 
 def test_union_constrained_reduces_to_rop_when_unconstrained():
@@ -144,16 +148,16 @@ def test_union_constrained_reduces_to_rop_when_unconstrained():
         eps = F(rng.randint(0, 2))
         ep = F(rng.randint(0, 3), 2)
         xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
-        a = union_member_rop(f, x, eps, ep, xs)
-        b = union_member_constrained(f, (), x, eps, ep, xs)
+        p = ReverseProblem(1, f, vanishing_at(x), x, eps)
+        a = union_member(p, "rop", ep, xs)
+        b = union_member(p, "constrained", ep, xs)
         assert a.member == b.member
 
 
 def test_union_equality_examples():
-    f, h = absf(), abs_minus_one()
-    x = (F(1),)
-    assert union_member_equality(f, h, x, F(0), F(0), (F(5),)).member
-    bad = union_member_equality(f, h, x, F(0), F(0), (F(-1, 2),))
+    p = example_a()
+    assert union_member(p, "equality", F(0), (F(5),)).member
+    bad = union_member(p, "equality", F(0), (F(-1, 2),))
     assert not bad.member
     check_outcome(bad.lp, bad.outcome)  # LP infeasibility backs the refusal
 
@@ -173,22 +177,63 @@ def test_union_equality_beta_zero_matches_rop():
         eps = F(rng.randint(0, 2))
         ep = F(rng.randint(0, 3), 2)
         xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
-        a = union_member_rop(f, x, eps, ep, xs)
-        b = union_member_equality(f, h, x, eps, ep, xs, max_beta=F(0))
-        assert a.member == b.member
+        p = ReverseProblem(1, f, h, x, eps)
+        a = union_member(p, "rop", ep, xs)
+        b = beta_capped_member(p, ep, xs)
+        assert a.member == b
 
 
 def test_union_equality_gates():
-    f, h = absf(), abs_minus_one()
+    p = ReverseProblem(1, absf(), abs_minus_one(), (F(2),), F(0))
     with pytest.raises(Inapplicable):
-        union_member_equality(f, h, (F(2),), F(0), F(0), (F(1),))
+        union_member(p, "equality", F(0), (F(1),))
 
 
 def test_convex_case_examples():
-    f, h = absf(), abs_minus_one()
-    assert convex_case_member(f, h, (F(0),), F(0)).member
-    assert not convex_case_member(f, h, (F(1),), F(0)).member
-    assert convex_case_member(f, h, (F(1),), F(1)).member
+    zero = (F(0),)
+
+    def member(x, eps):
+        p = ReverseProblem(1, absf(), abs_minus_one(), x, eps)
+        return union_member(p, "convex", F(0), zero).member
+
+    assert member((F(0),), F(0))
+    assert not member((F(1),), F(0))
+    assert member((F(1),), F(1))
+
+
+def gate_cases():
+    """(problem, modes) pairs, one per gate on x_bar, that fail exactly that
+    gate in each listed mode."""
+    dom = HPolyhedron(((F(1),),), (F(0),), 1)  # x <= 0, so x_bar = 1 is off it
+    off_dom_f = PolyhedralConvexFunction(1, absf().pieces, dom)
+    yield ReverseProblem(1, off_dom_f, abs_minus_one(), (F(1),), F(0)), MODES
+    # h(2) = 1: off the boundary, and outside {h <= 0}.
+    yield ReverseProblem(1, absf(), abs_minus_one(), (F(2),), F(0)), MODES
+    g = fn(1, ((1,), -2))  # g(3) = 1 > 0
+    h = vanishing_at((F(3),))
+    yield ReverseProblem(1, absf(), h, (F(3),), F(0), (g,)), ("constrained",)
+
+
+def test_union_member_raises_the_gate_reason_that_verify_reports():
+    seen = set()
+    for problem, modes in gate_cases():
+        for mode in modes:
+            v = verify(problem, mode)
+            assert v.tag == "INAPPLICABLE"
+            name, ok = v.gates[-1]
+            assert not ok
+            seen.add((name, mode))
+            with pytest.raises(Inapplicable) as err:
+                union_member(problem, mode, F(0), (F(0),))
+            assert str(err.value) == v.reason
+    assert seen == {
+        *(("dom-f", mode) for mode in MODES),
+        ("h=0", "rop"),
+        ("h=0", "constrained"),
+        ("h=0", "equality"),
+        ("h<=0", "convex"),
+        ("G<=0", "constrained"),
+    }
 
 
 # -- verify / falsify ----------------------------------------------------
@@ -244,8 +289,8 @@ def test_constrained_lp_without_constraints_is_the_rop_lp():
         ep = F(rng.randint(0, 3), 2)
         xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
         for ray in (None, (F(rng.randint(0, 2)), (F(rng.choice([-1, 1])),))):
-            rop = _membership_lp("rop", p, ep, xs, ray=ray)
-            assert _membership_lp("constrained", p, ep, xs, ray=ray) == rop
+            rop = membership_lp(p, "rop", ep, xs, ray=ray)
+            assert membership_lp(p, "constrained", ep, xs, ray=ray) == rop
 
 
 def test_verify_convex_mode():
@@ -261,8 +306,8 @@ def test_verify_convex_refutes_an_interior_point_that_is_not_optimal():
     v = verify(p, "convex")
     assert v.tag == "REFUTED"
     assert v.witness == (F(0), (F(0),))
-    lp, alpha, _ = _membership_lp("convex", p, F(0), (F(0),))
-    check_outcome(max_component_lp(lp, alpha), v.witness_evidence.outcome)
+    lp = membership_lp(p, "convex", F(0), (F(0),))
+    check_outcome(lp, v.witness_evidence.outcome)
 
 
 def _interior_candidate(rng):
@@ -302,14 +347,22 @@ def ray_problem(eps=0):
     return ReverseProblem(1, absf(), h, (F(1),), F(eps))
 
 
-def test_every_logged_check_revalidates_against_its_own_lp():
-    # The evidence's LP is the probe that was solved, in every mode.
+def test_every_logged_check_revalidates_against_its_own_lp(monkeypatch):
+    # The evidence's LP is the probe that was solved, in every mode, and
+    # replay rebuilds exactly that LP from the report.
+    from revopt import cli
+
+    rebuilt = []
+    monkeypatch.setattr(cli, "check_outcome", lambda lp, _outcome: rebuilt.append(lp))
     for problem in (example_a(), example_b(), ray_problem()):
         for mode in ("rop", "constrained", "equality", "convex"):
             v = verify(problem, mode)
             assert v.log
             for rec in v.log:
                 check_outcome(rec.evidence.lp, rec.evidence.outcome)
+            rebuilt.clear()
+            cli.replay(problem, cli._verdict_to_doc(v))
+            assert rebuilt == [rec.evidence.lp for rec in v.log]
     v = verify(ray_problem(), "rop")
     assert v.tag == "CERTIFIED_ON_GRID"
     assert [rec.kind for rec in v.log] == ["vertex", "ray"]
@@ -402,19 +455,18 @@ def test_falsify_surfaces_inapplicable():
 
 
 def test_union_accepted_set_is_convex():
-    f = absf()
-    x = (F(1),)
+    p = example_a(F(1, 2))
     rng = random.Random(5)
     accepted = []
     for _ in range(40):
         xs = (F(rng.randint(-8, 8), rng.randint(1, 3)),)
-        if union_member_rop(f, x, F(1, 2), F(1), xs).member:
+        if union_member(p, "rop", F(1), xs).member:
             accepted.append(xs)
     for i in range(0, len(accepted) - 1, 2):
         a, b = accepted[i], accepted[i + 1]
         for t in (F(1, 4), F(1, 2), F(3, 4)):
             mid = (t * a[0] + (1 - t) * b[0],)
-            assert union_member_rop(f, x, F(1, 2), F(1), mid).member
+            assert union_member(p, "rop", F(1), mid).member
 
 
 def test_eps_monotone_certification():

@@ -9,7 +9,7 @@ import pytest
 import reference
 from corpus import corpus
 from revopt import certificates, lp, oracle, pareto, polytope, subdiff
-from revopt.certificates import MODES, _membership_lp, verify
+from revopt.certificates import MODES, membership_lp, verify
 from revopt.lp import (
     Infeasible,
     LinearProgram,
@@ -127,7 +127,7 @@ def test_every_lp_of_verify_on_the_corpus_head_matches(monkeypatch):
 
 def test_nonnegative_columns_are_native_and_their_bounds_leave_the_tableau():
     problem = load_problem(str(PROBLEMS[0]))
-    membership, _alpha, _t = _membership_lp("rop", problem, F(0), (F(1),))
+    membership = membership_lp(problem, "rop", F(0), (F(1),))
     assert all(low == 0 for low in membership.lower)
     simplex = _Simplex(membership)
     assert len(simplex.tab) == len(membership.rows)

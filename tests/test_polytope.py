@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from revopt.lp import Infeasible, LinearProgram, lp_solve
 from revopt.model import HPolyhedron
-from revopt.polytope import h_member, project, vertex_enumerate, vpoly_member
+from revopt.polytope import project, vertex_enumerate, vpoly_member
 
 F = Fraction
 
@@ -65,9 +65,9 @@ def test_project_empty():
 
 def test_h_member():
     p = hp([[1]], [1], 1)
-    assert h_member(p, (F(1),))
-    assert not h_member(p, (F(2),))
-    assert h_member(hp([], [], 1), (F(123),))
+    assert p.contains((F(1),))
+    assert not p.contains((F(2),))
+    assert hp([], [], 1).contains((F(123),))
 
 
 def _rank(rows):
@@ -143,7 +143,7 @@ def test_vpoly_member_covers_polyhedron_points():
             for ray in v.rays:
                 c = F(rng.randint(0, 3))
                 pt = [a + c * b for a, b in zip(pt, ray)]
-            assert h_member(p, tuple(pt))
+            assert p.contains(tuple(pt))
             assert vpoly_member(v, tuple(pt))
 
 
@@ -179,7 +179,7 @@ def _combinatorial_vertices(p):
         mat = [list(p.a[i]) + [p.b[i]] for i in rows]
         # Gaussian elimination with exact pivots.
         sol = _solve_square(mat, n)
-        if sol is not None and h_member(p, sol):
+        if sol is not None and p.contains(sol):
             verts.add(sol)
     return verts
 

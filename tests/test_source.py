@@ -49,7 +49,7 @@ def test_linear_programs_are_assembled_in_four_places_only():
     # test and the one epigraph LP (every exact infimum) build an LP.
     allowed = {
         ("polytope", "vpoly_member"),
-        ("certificates", "_LpBuilder.lp"),
+        ("certificates", "membership_lp"),
         ("subdiff", "epigraph_inf"),
     }
     sites = set()
@@ -59,6 +59,46 @@ def test_linear_programs_are_assembled_in_four_places_only():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites |= {(path.stem, scope) for scope in _linear_program_calls(tree)}
     assert sites == allowed
+
+
+def _bench_bindings():
+    """The (module, attribute) pairs that bench/spans.py wraps, read from its
+    source: the bench code is neither imported nor run."""
+    root = Path(revopt.__file__).resolve().parents[2]
+    tree = ast.parse((root / "bench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "BINDINGS" for target in node.targets
+        ):
+            bindings = ast.literal_eval(node.value)
+            return {(module, attr) for module, attr, _name in bindings}
+    raise AssertionError("bench/spans.py defines no BINDINGS")
+
+
+def test_unused_imports_are_kept_only_where_the_bench_traces_them():
+    # An import that its module never reads (flagged `# noqa: F401`) is
+    # dead code unless bench/spans.py wraps the function at that module.
+    kept = set()
+    for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = "revopt" if path.stem == "__init__" else f"revopt.{path.stem}"
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if not any("# noqa: F401" in line for line in span):
+                continue
+            kept |= {
+                (module, alias.asname or alias.name)
+                for alias in node.names
+                if (alias.asname or alias.name) not in read
+            }
+    # The scan sees the imports it is meant to check.
+    assert ("revopt.certificates", "lp_max_component") in kept
+    assert kept - _bench_bindings() == set()
 
 
 _VERIFY_AND_REPLAY = """
