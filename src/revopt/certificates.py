@@ -241,8 +241,7 @@ class CheckRecord:
     eps_prime: Fraction
     generator: tuple
     kind: str  # "vertex" or "ray"
-    accepted: bool
-    evidence: MembershipEvidence
+    evidence: MembershipEvidence  # the check passed iff evidence.member
 
 
 @dataclass(frozen=True)
@@ -250,18 +249,16 @@ class CertificateVerdict:
     tag: str
     mode: str
     reason: str | None = None
-    witness_eps_prime: Fraction | None = None
-    witness_xstar: tuple | None = None
-    witness_evidence: MembershipEvidence | None = None
     gates: tuple = ()
     log: tuple = ()
     info: tuple = ()
 
     @property
     def witness(self):
+        """A refutation's (eps', x*): the point of its last, failed check."""
         if self.tag != REFUTED:
             return None
-        return (self.witness_eps_prime, self.witness_xstar)
+        return (self.log[-1].eps_prime, self.log[-1].generator)
 
 
 def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
@@ -283,15 +280,8 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
 
     def check(eps_prime, xstar):
         ev = _probe(membership_lp(problem, mode, eps_prime, xstar))
-        log.append(CheckRecord(eps_prime, xstar, "vertex", ev.member, ev))
-        if ev.member:
-            return None
-        return verdict(
-            REFUTED,
-            witness_eps_prime=eps_prime,
-            witness_xstar=xstar,
-            witness_evidence=ev,
-        )
+        log.append(CheckRecord(eps_prime, xstar, "vertex", ev))
+        return None if ev.member else verdict(REFUTED)
 
     for name, ok, reason in _point_gates(problem, mode):
         if out := gate(name, ok, reason):
@@ -326,7 +316,7 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     base = points[0]
     for ray in rays:
         ev = _probe(membership_lp(problem, mode, *base, ray=ray), ray=True)
-        log.append(CheckRecord(*ray, "ray", ev.member, ev))
+        log.append(CheckRecord(*ray, "ray", ev))
         if not ev.member:
             # The ray leaves the union at t = sup; refute on the point of E
             # one step beyond it.

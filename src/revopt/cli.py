@@ -87,8 +87,8 @@ def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
                 "eps_prime": fmt(rec.eps_prime),
                 "generator": fmt_vec(rec.generator),
                 "kind": rec.kind,
-                "accepted": rec.accepted,
-                "sup": None if rec.evidence.sup is None else fmt(rec.evidence.sup),
+                "accepted": rec.evidence.member,
+                "sup": fmt(rec.evidence.sup),
                 "outcome": _outcome_to_doc(rec.evidence.outcome),
             }
             for rec in verdict.log
@@ -96,11 +96,9 @@ def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
         "witness": None,
         "info": [[k, v] for k, v in verdict.info],
     }
-    if verdict.tag == "REFUTED":
-        doc["witness"] = {
-            "eps_prime": fmt(verdict.witness_eps_prime),
-            "x_star": fmt_vec(verdict.witness_xstar),
-        }
+    if verdict.witness is not None:
+        eps_prime, xstar = verdict.witness
+        doc["witness"] = {"eps_prime": fmt(eps_prime), "x_star": fmt_vec(xstar)}
     return doc
 
 

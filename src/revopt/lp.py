@@ -14,7 +14,8 @@ only the other rows carry an artificial and phase 1 runs only if one does.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
-free multipliers); see `LinearProgram.oriented_rows`. A lower bound's
+free multipliers), each row as its nonzero terms; `LinearProgram.oriented_rows`
+builds it, and the tableau and `check_outcome` read it. A lower bound's
 multiplier is the reduced cost of its variable's column.
 """
 
@@ -98,22 +99,24 @@ class LinearProgram:
         return vals
 
     def oriented_rows(self):
-        """The system as `(coeffs, rhs, is_equality)` rows with inequalities
-        oriented `<=`: constraint rows first, then per-variable lower and
-        upper bound rows. Certificates index into this list."""
+        """The system as `(terms, rhs, is_equality)` rows with inequalities
+        oriented `<=`, where `terms` are the row's nonzero `(column,
+        coefficient)` pairs: constraint rows first (`>=` rows negated), then
+        per variable its lower bound row `-x_j <= -l_j` and its upper bound row
+        `x_j <= u_j`, one term each. Certificates index into this list."""
         out = []
         for coeffs, rel, rhs in self.rows:
             if rel == ">=":
-                out.append((tuple(-v for v in coeffs), -rhs, False))
+                terms = tuple([(j, -v) for j, v in enumerate(coeffs) if v])
+                out.append((terms, -rhs, False))
             else:
-                out.append((coeffs, rhs, rel == "="))
-        for j in range(self.n):
-            if self.lower[j] is not None:
-                coeffs = tuple(-_ONE if k == j else _ZERO for k in range(self.n))
-                out.append((coeffs, -self.lower[j], False))
-            if self.upper[j] is not None:
-                coeffs = tuple(_ONE if k == j else _ZERO for k in range(self.n))
-                out.append((coeffs, self.upper[j], False))
+                terms = tuple([(j, v) for j, v in enumerate(coeffs) if v])
+                out.append((terms, rhs, rel == "="))
+        for j, (low, up) in enumerate(zip(self.lower, self.upper)):
+            if low is not None:
+                out.append((((j, -_ONE),), -low, False))
+            if up is not None:
+                out.append((((j, _ONE),), up, False))
         return out
 
 
@@ -171,12 +174,13 @@ class _Simplex:
     >= 0; only a variable without one is split x = p - q. Then one slack per
     inequality row, then the artificials.
 
-    Rows: the constraint rows and the upper bounds, oriented `<=` and with
-    the lower bounds shifted into the right-hand side; lower-bound rows are
-    not in the tableau (the native column carries them). An inequality row
-    whose shifted right-hand side is >= 0 starts with its slack basic; every
-    other row is negated if needed so its right-hand side is >= 0 and gets an
-    artificial. Phase 1 runs only when some row has an artificial.
+    Rows: the constraint and upper-bound rows of `LinearProgram.oriented_rows`,
+    each with the lower bounds shifted into its right-hand side, rhs -
+    sum_j a_j * l_j; lower-bound rows are not in the tableau (the native
+    column carries them). An inequality row whose shifted right-hand side is
+    >= 0 starts with its slack basic; every other row is negated if needed so
+    its right-hand side is >= 0 and gets an artificial. Phase 1 runs only when
+    some row has an artificial.
 
     Multipliers in the oriented layout of `LinearProgram.oriented_rows`: a
     tableau row's come from the reduced cost of its starting basic column,
@@ -192,34 +196,29 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        n = lp.n
-        lower, upper = lp.lower, lp.upper
+        lower = lp.lower
         # per variable: its column, and its negative part's (None if native)
         self.cols = []
         ncol = 0
         for low in lower:
             self.cols.append((ncol, None if low is not None else ncol + 1))
             ncol += 1 if low is not None else 2
-        # tableau rows as (oriented index, orientation, coeffs, shifted rhs, eq)
+        oriented = lp.oriented_rows()
+        self.norient = len(oriented)
+        self.lower_row = {}  # variable -> oriented index of its lower bound
+        # tableau rows as (oriented index, terms, shifted rhs, eq)
         spec = []
-        for k, (coeffs, rel, rhs) in enumerate(lp.rows):
-            shift = sum(a * low for a, low in zip(coeffs, lower) if a and low)
+        nrows = len(lp.rows)
+        for k, (terms, rhs, eq) in enumerate(oriented):
+            if k >= nrows and terms[0][1] < 0:  # a lower bound row
+                self.lower_row[terms[0][0]] = k
+                continue
+            shift = sum(a * lower[j] for j, a in terms if lower[j])
             if shift:
                 rhs -= shift
-            spec.append((k, -1 if rel == ">=" else 1, coeffs, rhs, rel == "="))
-        self.lower_row = {}  # variable -> oriented index of its lower bound
-        k = len(lp.rows)
-        for j, (low, up) in enumerate(zip(lower, upper)):
-            if low is not None:
-                self.lower_row[j] = k
-                k += 1
-            if up is not None:
-                unit = tuple(_ONE if i == j else _ZERO for i in range(n))
-                spec.append((k, 1, unit, up if low is None else up - low, False))
-                k += 1
-        self.norient = k
+            spec.append((k, terms, rhs, eq))
         self.m = len(spec)
-        slack_start = [not eq and o * rhs >= 0 for _, o, _, rhs, eq in spec]
+        slack_start = [not eq and rhs >= 0 for _, _, rhs, eq in spec]
         self.nreal = ncol + sum(1 for *_, eq in spec if not eq)
         self.nart = slack_start.count(False)
         self.width = self.nreal + self.nart + 1  # + rhs
@@ -228,18 +227,17 @@ class _Simplex:
         # per row: (oriented index, sign, starting basic column, artificial?)
         self.origin = []
         slack, art = ncol, self.nreal
-        for (k, o, coeffs, rhs, eq), by_slack in zip(spec, slack_start):
-            sign = 1 if o * rhs >= 0 else -1  # makes the oriented rhs >= 0
-            scale = sign * o  # from the row as given to the tableau row
-            den = _lcm_den((*coeffs, rhs))
+        for (k, terms, rhs, eq), by_slack in zip(spec, slack_start):
+            sign = 1 if rhs >= 0 else -1  # makes the tableau row's rhs >= 0
+            den = _lcm_den((*(v for _, v in terms), rhs))
             row = [0] * self.width
-            for (p, q), v in zip(self.cols, coeffs):
-                if v:
-                    cell = scale * v.numerator * (den // v.denominator)
-                    row[p] = cell
-                    if q is not None:
-                        row[q] = -cell
-            row[-1] = scale * rhs.numerator * (den // rhs.denominator)
+            for j, v in terms:
+                p, q = self.cols[j]
+                cell = sign * v.numerator * (den // v.denominator)
+                row[p] = cell
+                if q is not None:
+                    row[q] = -cell
+            row[-1] = sign * rhs.numerator * (den // rhs.denominator)
             if not eq:
                 row[slack] = sign * den
                 start = slack
@@ -459,63 +457,63 @@ def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
 def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
     """Re-validate an outcome's certificate exactly; raises CertificateError.
 
-    This is pure linear algebra on the oriented system: no re-solving.
+    This is pure linear algebra on the sparse oriented system: no re-solving.
     """
     oriented = lp.oriented_rows()
+    sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
     if isinstance(outcome, Optimal):
-        _check_feasible(oriented, outcome.x)
+        if not _within(oriented, outcome.x):
+            raise CertificateError("claimed point is infeasible")
         if _dot(lp.objective, outcome.x) != outcome.value:
             raise CertificateError("objective value mismatch")
-        y = outcome.dual
-        if len(y) != len(oriented):
-            raise CertificateError("dual length mismatch")
-        sign = _ONE if lp.sense == "min" else -_ONE
-        for (_, _, eq), yi in zip(oriented, y):
-            if not eq and yi < 0:
-                raise CertificateError("dual sign violated on inequality row")
-        for j in range(lp.n):
-            # min: c + A'^T y = 0; max: c - A'^T y = 0.
-            resid = lp.objective[j] + sign * sum(
-                yi * row[0][j] for yi, row in zip(y, oriented)
-            )
-            if resid != 0:
-                raise CertificateError("dual stationarity violated")
-        dual_value = -sign * sum(yi * row[1] for yi, row in zip(y, oriented))
-        if dual_value != outcome.value:
+        combo, total = _combine(lp.n, oriented, outcome.dual, "dual")
+        if any(c + sign * v for c, v in zip(lp.objective, combo)):
+            raise CertificateError("dual stationarity violated")
+        if -sign * total != outcome.value:
             raise CertificateError("strong duality violated")
-        for yi, (coeffs, rhs, _eq) in zip(y, oriented):
-            if yi * (_dot(coeffs, outcome.x) - rhs) != 0:
+        for yi, (terms, rhs, _eq) in zip(outcome.dual, oriented):
+            if yi and sum(a * outcome.x[j] for j, a in terms) != rhs:
                 raise CertificateError("complementary slackness violated")
     elif isinstance(outcome, Infeasible):
-        y = outcome.farkas
-        if len(y) != len(oriented):
-            raise CertificateError("farkas length mismatch")
-        for (_, _, eq), yi in zip(oriented, y):
-            if not eq and yi < 0:
-                raise CertificateError("farkas sign violated")
-        for j in range(lp.n):
-            if sum(yi * row[0][j] for yi, row in zip(y, oriented)) != 0:
-                raise CertificateError("farkas combination is not 0^T x")
-        if sum(yi * row[1] for yi, row in zip(y, oriented)) >= 0:
+        combo, total = _combine(lp.n, oriented, outcome.farkas, "farkas")
+        if any(combo):
+            raise CertificateError("farkas combination is not 0^T x")
+        if total >= 0:
             raise CertificateError("farkas combination fails to contradict")
     elif isinstance(outcome, Unbounded):
-        _check_feasible(oriented, outcome.point)
-        r = outcome.ray
-        for coeffs, _rhs, eq in oriented:
-            v = _dot(coeffs, r)
-            if (eq and v != 0) or (not eq and v > 0):
-                raise CertificateError("ray is not a recession direction")
-        drift = _dot(lp.objective, r)
-        if lp.sense == "min" and drift >= 0:
-            raise CertificateError("ray does not improve the minimum")
-        if lp.sense == "max" and drift <= 0:
-            raise CertificateError("ray does not improve the maximum")
+        if not _within(oriented, outcome.point):
+            raise CertificateError("claimed point is infeasible")
+        if not _within(oriented, outcome.ray, cone=True):
+            raise CertificateError("ray is not a recession direction")
+        if sign * _dot(lp.objective, outcome.ray) >= 0:
+            raise CertificateError("ray does not improve the objective")
     else:
         raise CertificateError(f"unknown outcome {outcome!r}")
 
 
-def _check_feasible(oriented, x):
-    for coeffs, rhs, eq in oriented:
-        v = _dot(coeffs, x)
-        if (eq and v != rhs) or (not eq and v > rhs):
-            raise CertificateError("claimed point is infeasible")
+def _combine(n, oriented, y, name):
+    """(A'^T y, b'^T y) over y's nonzero entries, after checking that y has
+    one multiplier per oriented row and none negative on an inequality row."""
+    if len(y) != len(oriented):
+        raise CertificateError(f"{name} length mismatch")
+    combo = [_ZERO] * n
+    total = _ZERO
+    for yi, (terms, rhs, eq) in zip(y, oriented):
+        if not yi:
+            continue
+        if yi < 0 and not eq:
+            raise CertificateError(f"{name} sign violated on inequality row")
+        for j, a in terms:
+            combo[j] += yi * a
+        total += yi * rhs
+    return combo, total
+
+
+def _within(oriented, x, cone=False):
+    """Does x satisfy every oriented row, with right-hand sides 0 if `cone`?"""
+    for terms, rhs, eq in oriented:
+        v = sum(a * x[j] for j, a in terms)
+        b = 0 if cone else rhs
+        if v > b or (eq and v != b):
+            return False
+    return True

@@ -3,7 +3,7 @@
 Feasibility is exact at every grid point, so the oracle never misclassifies a
 point; it only misses off-grid optima, bounded by lipschitz_bound * step.
 The boundary-improvement map pi(x) realizes the interior-to-boundary descent
-argument exactly via root isolation on a piecewise-linear section.
+argument exactly: the root of h on a segment has a closed form.
 
 The grid is walked a row at a time in integers. On x = lo + step * k every
 affine piece, domain row and constraint is integer-affine in the index vector
@@ -287,8 +287,11 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
 def boundary_projection(f, h, x, y):
     """The point pi on [y, x] with h(pi) = 0 nearest to x.
 
-    Requires h(x) > 0 and h(y) < 0; exact root isolation on the
-    piecewise-linear section t -> h((1-t) x + t y).
+    Requires h(x) > 0 and h(y) < 0. Along x + t (y - x), piece i of h is
+    c_i + t d_i with d_i = piece_i(y) - c_i, and h <= 0 where every piece is.
+    A piece with d_i >= 0 is negative on all of [0, 1], as it is at y; one
+    with d_i < 0 is <= 0 from t = c_i / -d_i on. So the root is the largest
+    c_i / (c_i - piece_i(y)) over the pieces with piece_i(y) < c_i.
     """
     x = tuple(rat(v) for v in x)
     y = tuple(rat(v) for v in y)
@@ -297,33 +300,11 @@ def boundary_projection(f, h, x, y):
         raise InputError("boundary projection requires h(x) > 0")
     if hy == INF or hy >= 0:
         raise InputError("boundary projection requires h(y) < 0")
-    # Piece i along the segment: c_i + t * d_i.
-    cs, ds = [], []
-    for p in h.pieces:
-        cs.append(p.value(x))
-        ds.append(sum(a * (yj - xj) for a, yj, xj in zip(p.a, y, x)))
-    nodes = {_ZERO, _ONE}
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if ds[i] != ds[j]:
-                t = (cs[j] - cs[i]) / (ds[i] - ds[j])
-                if 0 < t < 1:
-                    nodes.add(t)
-    nodes = sorted(nodes)
-
-    def g(t):
-        return max(c + t * d for c, d in zip(cs, ds))
-
-    root = None
-    prev_t, prev_g = nodes[0], g(nodes[0])
-    for t in nodes[1:]:
-        gt = g(t)
-        if prev_g > 0 >= gt:
-            root = prev_t + (t - prev_t) * prev_g / (prev_g - gt)
-            break
-        prev_t, prev_g = t, gt
-    if root is None:
-        raise RuntimeError("no sign change of h between the endpoints")
+    root = max(
+        c / (c - cy)
+        for c, cy in ((p.value(x), p.value(y)) for p in h.pieces)
+        if cy < c
+    )
     pi = tuple((1 - root) * xj + root * yj for xj, yj in zip(x, y))
     if h.value(pi) != 0 or not f.value(pi) < f.value(x):
         raise RuntimeError("boundary projection is off {h = 0} or does not descend")

@@ -2,10 +2,11 @@
 
 The grid layer's references evaluate every grid point separately in
 `Fraction` arithmetic and decide efficiency by scanning all pairs, the way the
-library did before its integer row evaluator and its sorting sweep. The LP
-reference (`reference_lp_solve`) is the library's earlier simplex: every
-variable split x = p - q, every bound an oriented row, and an artificial on
-every row. Tests assert that the library's results equal these exactly (for
+library did before its integer row evaluator and its sorting sweep. The
+boundary projection's reference isolates the root by walking h's breakpoints
+on the segment, where the library uses a closed form. The LP reference
+(`reference_lp_solve`) is the library's earlier simplex: every variable split
+x = p - q, every bound an oriented row, and an artificial on every row. Tests assert that the library's results equal these exactly (for
 LPs: the same outcome class and optimal value).
 """
 
@@ -14,8 +15,8 @@ from fractions import Fraction
 from math import gcd
 
 from revopt.lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
-from revopt.model import INF, HPolyhedron, PolyhedralConvexFunction, rat
-from revopt.oracle import BoundaryReport, BruteResult, GridSpec, boundary_projection
+from revopt.model import INF, HPolyhedron, InputError, PolyhedralConvexFunction, rat
+from revopt.oracle import BoundaryReport, BruteResult, GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.subdiff import epigraph_inf
 
@@ -86,6 +87,52 @@ def brute_eps_argmin(problem, mode, grid: GridSpec) -> BruteResult:
     return BruteResult(mode, feasible, best, argmin, slack, bound)
 
 
+def reference_boundary_projection(f, h, x, y):
+    """The point pi on [y, x] with h(pi) = 0 nearest to x.
+
+    Requires h(x) > 0 and h(y) < 0; exact root isolation on the
+    piecewise-linear section t -> h((1-t) x + t y).
+    """
+    x = tuple(rat(v) for v in x)
+    y = tuple(rat(v) for v in y)
+    hx, hy = h.value(x), h.value(y)
+    if hx == INF or hx <= 0:
+        raise InputError("boundary projection requires h(x) > 0")
+    if hy == INF or hy >= 0:
+        raise InputError("boundary projection requires h(y) < 0")
+    # Piece i along the segment: c_i + t * d_i.
+    cs, ds = [], []
+    for p in h.pieces:
+        cs.append(p.value(x))
+        ds.append(sum(a * (yj - xj) for a, yj, xj in zip(p.a, y, x)))
+    nodes = {_ZERO, _ONE}
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            if ds[i] != ds[j]:
+                t = (cs[j] - cs[i]) / (ds[i] - ds[j])
+                if 0 < t < 1:
+                    nodes.add(t)
+    nodes = sorted(nodes)
+
+    def g(t):
+        return max(c + t * d for c, d in zip(cs, ds))
+
+    root = None
+    prev_t, prev_g = nodes[0], g(nodes[0])
+    for t in nodes[1:]:
+        gt = g(t)
+        if prev_g > 0 >= gt:
+            root = prev_t + (t - prev_t) * prev_g / (prev_g - gt)
+            break
+        prev_t, prev_g = t, gt
+    if root is None:
+        raise RuntimeError("no sign change of h between the endpoints")
+    pi = tuple((1 - root) * xj + root * yj for xj, yj in zip(x, y))
+    if h.value(pi) != 0 or not f.value(pi) < f.value(x):
+        raise RuntimeError("boundary projection is off {h = 0} or does not descend")
+    return pi
+
+
 def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     eps = rat(eps)
     if f.domain is not None or h.domain is not None:
@@ -117,7 +164,7 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     m_boundary = min((fvals[i] for i in boundary), default=None)
     improved = min(
         [m_feas]
-        + [f.value(boundary_projection(f, h, pts[i], y)) for i in feas if hvals[i] > 0]
+        + [f.value(reference_boundary_projection(f, h, pts[i], y)) for i in feas if hvals[i] > 0]
     )
     equality_side = tuple(
         pts[i] for i in boundary if m_boundary is not None and fvals[i] <= m_boundary + eps
@@ -201,8 +248,11 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.oriented = lp.oriented_rows()
         n = lp.n
+        self.oriented = [  # the sparse oriented rows made dense
+            ([dict(terms).get(j, _ZERO) for j in range(n)], rhs, eq)
+            for terms, rhs, eq in lp.oriented_rows()
+        ]
         self.m = len(self.oriented)
         ineq_idx = [i for i, (_, _, eq) in enumerate(self.oriented) if not eq]
         self.slack_of_row = {row: n * 2 + k for k, row in enumerate(ineq_idx)}

@@ -102,7 +102,7 @@ def test_criterion_2_worked_example_b():
     assert verdict.tag == "REFUTED"
     ep, xstar = verdict.witness
     assert subdiff_member(SubdiffQuery(abs_minus_one(), (F(1),), ep), xstar)
-    check_outcome(verdict.witness_evidence.lp, verdict.witness_evidence.outcome)
+    check_outcome(verdict.log[-1].evidence.lp, verdict.log[-1].evidence.outcome)
     grid = GridSpec(((F(-3), F(3)),), F(1, 100))
     oracle = brute_eps_argmin(example_b(), "reverse", grid)
     assert oracle.min_value == 1 == steep().value((F(-1),))
@@ -146,7 +146,7 @@ def test_criterion_3_randomized_corpus(corpus_results):
             assert subdiff_member(
                 SubdiffQuery(problem.reverse, problem.point, ep), xstar
             )
-            evidence = verdict.witness_evidence
+            evidence = verdict.log[-1].evidence
             check_outcome(evidence.lp, evidence.outcome)
         else:
             certified += 1

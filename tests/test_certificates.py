@@ -253,7 +253,7 @@ def test_verify_example_b_refuted_with_exact_witness():
     # its membership LP evidence re-validates.
     h = example_b().reverse
     assert subdiff_member(SubdiffQuery(h, (F(1),), F(2)), (F(-1),))
-    check_outcome(v.witness_evidence.lp, v.witness_evidence.outcome)
+    check_outcome(v.log[-1].evidence.lp, v.log[-1].evidence.outcome)
 
 
 def test_verify_example_b_relaxed_is_certified():
@@ -307,7 +307,7 @@ def test_verify_convex_refutes_an_interior_point_that_is_not_optimal():
     assert v.tag == "REFUTED"
     assert v.witness == (F(0), (F(0),))
     lp = membership_lp(p, "convex", F(0), (F(0),))
-    check_outcome(lp, v.witness_evidence.outcome)
+    check_outcome(lp, v.log[-1].evidence.outcome)
 
 
 def _interior_candidate(rng):
@@ -401,7 +401,7 @@ def test_verify_matches_the_exact_infimum_when_h_has_a_face_domain():
     for problem in face_domain_family(300):
         v = verify(problem, "rop")
         rays = [rec for rec in v.log if rec.kind == "ray"]
-        paths.add((v.tag, bool(rays), any(not rec.accepted for rec in rays)))
+        paths.add((v.tag, bool(rays), any(not rec.evidence.member for rec in rays)))
         if v.tag == "INAPPLICABLE":
             continue
         inf = exact_feasible_inf(problem.objective, problem.reverse)
@@ -414,7 +414,7 @@ def test_verify_matches_the_exact_infimum_when_h_has_a_face_domain():
             # The witness is the last check, a rejected vertex check, also
             # when a ray failed first.
             last = v.log[-1]
-            assert (last.kind, last.accepted) == ("vertex", False)
+            assert (last.kind, last.evidence.member) == ("vertex", False)
             assert v.witness == (last.eps_prime, last.generator)
             ep, xstar = v.witness
             assert subdiff_member(SubdiffQuery(problem.reverse, problem.point, ep), xstar)

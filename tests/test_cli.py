@@ -5,13 +5,15 @@ from pathlib import Path
 import pytest
 
 from revopt import cli, oracle
+from revopt.certificates import MODES
 from revopt.cli import replay, run
-from revopt.lp import CertificateError
+from revopt.lp import CertificateError, _Simplex
 from revopt.model import PolyhedralConvexFunction
 from revopt.pareto import bridge_check
 from revopt.problemfile import load_problem, parse_problem, problem_to_doc
 
 F = Fraction
+PROBLEMS = sorted(Path(__file__).resolve().parent.parent.glob("problems/*.json"))
 
 
 def example_a_doc(eps="0"):
@@ -358,3 +360,22 @@ def test_replay_covers_convex_mode(tmp_path, capsys):
     check["outcome"]["dual"][0] = "7/3"
     with pytest.raises(CertificateError):
         replay(problem, rep)
+
+
+def test_replay_trusts_no_solver(capsys, monkeypatch):
+    # Replay re-validates the stored certificates by linear algebra alone:
+    # every report of the problem files replays with the simplex disabled.
+    reports = []
+    for path in PROBLEMS:
+        for mode in MODES:
+            _, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", mode])
+            reports.append((load_problem(str(path)), doc))
+    tags = {c["outcome"]["tag"] for _, doc in reports for c in doc["checks"]}
+    assert len(reports) >= 8 and {"optimal", "infeasible"} <= tags
+
+    def refuse(self):
+        raise RuntimeError("replay ran the simplex")
+
+    monkeypatch.setattr(_Simplex, "solve", refuse)
+    for problem, doc in reports:
+        replay(problem, doc)

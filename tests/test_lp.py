@@ -6,6 +6,7 @@ import pytest
 from revopt.lp import (
     INF,
     NEG_INF,
+    CertificateError,
     Infeasible,
     LinearProgram,
     Optimal,
@@ -152,3 +153,51 @@ def test_max_component_lp_reuses_the_validated_rows(monkeypatch):
     assert (probe.rows, probe.lower, probe.upper) == (lp.rows, lp.lower, lp.upper)
     assert probe.rows is lp.rows
     assert lp.objective == (1, 1) and lp.sense == "min"
+
+
+def _bounded_lp(objective=(-1, 1, 0), sense="min", rhs=1):
+    """x + y - z >= rhs and y - z = 0 with 0 <= x <= 2, y >= 0 and z free.
+
+    Oriented rows: -x - y + z <= -rhs, y - z = 0, -x <= 0, x <= 2, -y <= 0.
+    """
+    rows = (((1, 1, -1), ">=", rhs), ((0, 1, -1), "=", 0))
+    return LinearProgram(3, objective, sense, rows, (0, 0, None), (2, None, None))
+
+
+# min y - x is -2 at (2, 0, 0), with multipliers on x <= 2 and -y <= 0; max y
+# is unbounded along (0, 1, 1); rhs = 3 is infeasible since x <= 2. Where the
+# algebra allows, a forgery breaks one condition only: slackness cannot be,
+# since feasibility, stationarity and strong duality imply it.
+X, DUAL = (2, 0, 0), (0, 0, 0, 1, 1)
+FORGED_LPS = {
+    Optimal: _bounded_lp(),
+    Unbounded: _bounded_lp((0, 1, 0), "max"),
+    Infeasible: _bounded_lp(rhs=3),
+}
+
+
+@pytest.mark.parametrize(
+    "forged",
+    [
+        pytest.param(Optimal(X, -2, (0, 0, -1, 0, 1)), id="negative-lower-bound-dual"),
+        pytest.param(Optimal(X, -2, (0, 0, 0, 2, 1)), id="shifted-upper-bound-dual"),
+        pytest.param(Optimal(X, -2, (0, 0, 0, 1, 2)), id="only-stationarity-broken"),
+        pytest.param(Optimal((3, 0, 0), -3, DUAL), id="x-above-upper-bound"),
+        pytest.param(Optimal((2, 0, 1), -2, DUAL), id="only-x-off-equality-row"),
+        pytest.param(Optimal(X, -2, DUAL[:-1]), id="dual-one-short"),
+        pytest.param(Optimal((1, 0, 0), -1, DUAL), id="no-strong-duality"),
+        pytest.param(Optimal(X, -2, (0, 0, 1, 2, 1)), id="bound-row-not-complementary"),
+        # x <= 0 read off -x <= 0: only the sign is wrong
+        pytest.param(Infeasible((1, 1, -1, 0, 0)), id="farkas-sign-flip-on-bound-row"),
+        pytest.param(Infeasible((1, 1, 0, 1, 1)), id="farkas-combination-nonzero"),
+        pytest.param(Unbounded((0, -1, -1), (1, 0, 0)), id="ray-leaves-lower-bound"),
+        pytest.param(Unbounded((0, 0, 0), (1, 0, 0)), id="ray-without-drift"),
+    ],
+)
+def test_forged_certificates_are_rejected(forged):
+    lp = FORGED_LPS[type(forged)]
+    genuine = lp_solve(lp)
+    assert type(genuine) is type(forged) and genuine != forged
+    check_outcome(lp, genuine)
+    with pytest.raises(CertificateError):
+        check_outcome(lp, forged)

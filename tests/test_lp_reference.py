@@ -66,6 +66,8 @@ def _assert_same(problem_lp):
     if isinstance(new, Optimal):
         assert new.value == old.value
     check_outcome(problem_lp, new)
+    # The reference reads the oriented rows densely: both encodings agree.
+    check_outcome(problem_lp, old)
     return new
 
 
