@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import INF, NEG_INF, LinearProgram, Optimal, Unbounded, lp_solve
+from .lp import INF, NEG_INF, LinearProgram, lp_solve, lp_value
 from .model import (
     Inapplicable,
     InputError,
@@ -82,6 +82,7 @@ __all__ = [
     "essential_check",
     "slater_check",
     "membership_lp",
+    "probe_evidence",
     "union_member",
     "verify",
     "falsify",
@@ -159,15 +160,15 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     return LinearProgram(n, (_ZERO,) * (n - 1) + (_ONE,), "max", rows, (_ZERO,) * n)
 
 
-def _probe(lp: LinearProgram, ray=False) -> MembershipEvidence:
-    """Solve a probe: a point is a member when sup alpha > 0, a ray when t is
-    unbounded."""
-    outcome = lp_solve(lp)
-    if isinstance(outcome, Optimal):
-        sup = outcome.value
-    else:
-        sup = INF if isinstance(outcome, Unbounded) else NEG_INF
+def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:
+    """Read a probe's outcome: a point is a member when sup alpha > 0, a ray
+    when t is unbounded. Solves nothing, so `replay` re-reads logged checks."""
+    sup = lp_value(lp, outcome)
     return MembershipEvidence(sup == INF if ray else sup > 0, sup, lp, outcome)
+
+
+def _probe(lp: LinearProgram, ray=False) -> MembershipEvidence:
+    return probe_evidence(lp, lp_solve(lp), ray)
 
 
 def _point_gates(problem: ReverseProblem, mode):
@@ -201,15 +202,12 @@ def essential_check(f, region, x_bar, eps) -> bool:
     """inf of f over the region is strictly below f(x_bar) - eps.
 
     `region` is None for the whole space, or a list of polyhedral functions
-    phi constraining phi(x) <= 0. An infeasible region yields False.
+    phi constraining phi(x) <= 0. An infeasible region yields False (its
+    infimum is +inf).
     """
     if not f.is_finite_at(x_bar):
         raise Inapplicable("point-off-domain")
     inf_val, _ = epigraph_inf(f, region or ())
-    if inf_val is None:
-        return False
-    if inf_val == NEG_INF:
-        return True
     return inf_val < f.value(x_bar) - rat(eps)
 
 
@@ -217,7 +215,7 @@ def slater_check(G, f) -> bool:
     """Is there x0 in dom f and dom G with every g_j(x0) < 0?
 
     Decided by the infimum of max_j g_j over dom f and dom G: strict
-    feasibility means it is negative (or -inf).
+    feasibility means it is negative (or -inf; +inf when they are disjoint).
     """
     G = tuple(G)
     if not G:
@@ -226,7 +224,7 @@ def slater_check(G, f) -> bool:
         f.n, tuple(p for g in G for p in g.pieces), joint_domain(f.n, (f, *G))
     )
     inf_val, _ = epigraph_inf(max_g)
-    return inf_val is not None and inf_val < 0
+    return inf_val < 0
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -293,9 +291,11 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
 
     if not essential_check(f, phis, x_bar, eps):
         # The point is then an unconstrained eps-minimizer candidate; report
-        # the trivial characterization informationally.
+        # the trivial characterization informationally. With no phi the gate
+        # solved inf f over dom f and found it >= f(x_bar) - eps: that is
+        # 0 in d_eps f(x_bar), since the dom-f gate put x_bar in dom f.
         zero = (_ZERO,) * problem.n
-        trivial = subdiff_member(SubdiffQuery(f, x_bar, eps), zero)
+        trivial = not phis or subdiff_member(SubdiffQuery(f, x_bar, eps), zero)
         gates.append(("essential", False))
         return verdict(
             INAPPLICABLE,

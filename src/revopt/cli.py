@@ -14,8 +14,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .certificates import MODES, CertificateVerdict, falsify, membership_lp, verify
-from .lp import INF, Infeasible, Optimal, Unbounded, check_outcome
+from .certificates import (
+    MODES,
+    CertificateVerdict,
+    falsify,
+    membership_lp,
+    probe_evidence,
+    verify,
+)
+from .lp import INF, CertificateError, Infeasible, Optimal, Unbounded, check_outcome
 from .model import Inapplicable, InputError, fmt, fmt_vec, rat
 from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
 from .pareto import SIGMA_KINDS, _bridge, eff_set, grid_sample
@@ -109,23 +116,30 @@ def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
     Rebuilds each check's LP with `membership_lp`, the builder `verify` solved,
-    and checks the stored outcome's certificate exactly; raises
-    CertificateError on any mismatch. A ray check logs its direction, and
-    starts at the first generator of h's eps'-subdifferentials
-    (`subdiff_epigraph`).
+    checks the stored outcome's certificate exactly and re-reads the check's
+    `accepted` and `sup` off it (`probe_evidence`); raises CertificateError on
+    any mismatch. A ray check logs its direction, and starts at the first
+    generator of h's eps'-subdifferentials (`subdiff_epigraph`).
     """
     mode = report["mode"]
     base = None
     for check in report.get("checks", ()):
         eps_prime = rat(check["eps_prime"])
         generator = tuple(rat(v) for v in check["generator"])
-        if check["kind"] == "vertex":
+        kind = check["kind"]
+        if kind == "vertex":
             lp = membership_lp(problem, mode, eps_prime, generator)
-        else:
+        elif kind == "ray":
             if base is None:
                 (base, *_), _rays = subdiff_epigraph(problem.reverse, problem.point)
             lp = membership_lp(problem, mode, *base, ray=(eps_prime, generator))
-        check_outcome(lp, _outcome_from_doc(check["outcome"]))
+        else:
+            raise CertificateError(f"unknown check kind {kind!r}")
+        outcome = _outcome_from_doc(check["outcome"])
+        check_outcome(lp, outcome)
+        ev = probe_evidence(lp, outcome, ray=kind == "ray")
+        if check["accepted"] is not ev.member or check["sup"] != fmt(ev.sup):
+            raise CertificateError("accepted or sup disagrees with the outcome")
 
 
 # -- commands ------------------------------------------------------------------

@@ -35,9 +35,9 @@ __all__ = [
     "Infeasible",
     "LpOutcome",
     "lp_solve",
+    "lp_value",
     "lp_max_component",
     "max_component_lp",
-    "ComponentMax",
     "check_outcome",
     "CertificateError",
 ]
@@ -420,13 +420,15 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     return _Simplex(lp).solve()
 
 
-@dataclass(frozen=True)
-class ComponentMax:
-    """Supremum of one variable over an LP's feasible set; `outcome` is
-    stated against `max_component_lp` of that LP."""
-
-    value: object  # Fraction, INF (unbounded) or NEG_INF (infeasible)
-    outcome: LpOutcome
+def lp_value(lp: LinearProgram, outcome: LpOutcome):
+    """The extended-real value an outcome certifies: the optimum; when
+    unbounded, -inf for min and +inf for max; when infeasible, +inf for min
+    and -inf for max (inf of the empty set is +inf, its sup -inf). It reads
+    the outcome and never solves."""
+    if isinstance(outcome, Optimal):
+        return outcome.value
+    empty = INF if lp.sense == "min" else NEG_INF
+    return -empty if isinstance(outcome, Unbounded) else empty
 
 
 def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
@@ -441,14 +443,11 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
     return probe
 
 
-def lp_max_component(lp: LinearProgram, index: int) -> ComponentMax:
-    """Maximize variable `index` subject to lp's constraints and bounds."""
-    outcome = lp_solve(max_component_lp(lp, index))
-    if isinstance(outcome, Optimal):
-        return ComponentMax(outcome.value, outcome)
-    if isinstance(outcome, Unbounded):
-        return ComponentMax(INF, outcome)
-    return ComponentMax(NEG_INF, outcome)
+def lp_max_component(lp: LinearProgram, index: int):
+    """sup of variable `index` over lp's feasible set, in the extended reals:
+    a Fraction, INF (unbounded) or NEG_INF (infeasible)."""
+    probe = max_component_lp(lp, index)
+    return lp_value(probe, lp_solve(probe))
 
 
 # -- exact certificate re-validation ---------------------------------------

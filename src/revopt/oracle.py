@@ -38,6 +38,7 @@ from .subdiff import epigraph_inf
 
 __all__ = [
     "GridSpec",
+    "GRID_CAP",
     "BruteResult",
     "brute_eps_argmin",
     "boundary_projection",
@@ -50,6 +51,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 ORACLE_MODES = ("reverse", "equality", "constrained-reverse", "convex")
+
+GRID_CAP = 10**6  # the most points a GridSpec may have
 
 #: verify-mode -> oracle feasibility mode
 MODE_MAP = {
@@ -66,7 +69,6 @@ class GridSpec:
 
     box: tuple[tuple[Fraction, Fraction], ...]
     step: Fraction
-    cap: int = 10**6
 
     def __post_init__(self):
         box = tuple((rat(lo), rat(hi)) for lo, hi in self.box)
@@ -83,8 +85,8 @@ class GridSpec:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "step", step)
         count = prod(self.shape)
-        if count > self.cap:
-            raise InputError(f"grid has {count} points, cap is {self.cap}")
+        if count > GRID_CAP:
+            raise InputError(f"grid has {count} points, cap is {GRID_CAP}")
 
     @property
     def n(self) -> int:

@@ -335,4 +335,4 @@ def scalarization_check(f, x_bar, eps, a_matrix, lam) -> bool:
         f.domain,
     )
     inf_val, _ = epigraph_inf(gap)
-    return inf_val is None or inf_val >= 0
+    return inf_val >= 0

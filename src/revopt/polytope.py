@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .lp import Infeasible, LinearProgram, lp_solve
+from .lp import INF, LinearProgram, lp_solve, lp_value
 from .model import HPolyhedron, InputError, _dot
 
 __all__ = [
@@ -166,22 +166,11 @@ def vertex_enumerate(poly: HPolyhedron) -> VPolytope:
 
 
 def vpoly_member(vp: VPolytope, x) -> bool:
-    """Is x in conv(vertices) + cone(rays)? Decided by one feasibility LP.
-
-    One-dimensional bodies are intervals, so that case is pure comparison.
-    """
+    """Is x in conv(vertices) + cone(rays)? Decided by one feasibility LP."""
     if len(x) != vp.n:
         raise InputError("membership: dimension mismatch")
     if not vp.vertices:
         return False
-    if vp.n == 1:
-        lo = min(v[0] for v in vp.vertices)
-        hi = max(v[0] for v in vp.vertices)
-        if (Fraction(1),) in vp.rays:
-            hi = None
-        if (Fraction(-1),) in vp.rays:
-            lo = None
-        return (lo is None or lo <= x[0]) and (hi is None or x[0] <= hi)
     nv, nr = len(vp.vertices), len(vp.rays)
     nvar = nv + nr
     rows = []
@@ -192,7 +181,7 @@ def vpoly_member(vp: VPolytope, x) -> bool:
     lp = LinearProgram(
         nvar, (_ZERO,) * nvar, rows=tuple(rows), lower=(_ZERO,) * nvar
     )
-    return not isinstance(lp_solve(lp), Infeasible)
+    return lp_value(lp, lp_solve(lp)) < INF
 
 
 def prune(n: int, vertices, rays) -> VPolytope:

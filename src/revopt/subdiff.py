@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import Infeasible, LinearProgram, Unbounded, lp_solve
+from .lp import INF, LinearProgram, Optimal, lp_solve, lp_value
 from .model import (
-    NEG_INF,
     HPolyhedron,
     InputError,
     PolyhedralConvexFunction,
@@ -58,11 +57,11 @@ def epigraph_inf(fn: PolyhedralConvexFunction, region=(), slope=None):
     """(value, argmin) of inf fn(x) - <slope, x> over dom fn and {phi <= 0}
     (inside dom phi) for every phi in `region`.
 
-    The value is None when that set is empty and NEG_INF when the LP is
-    unbounded; the argmin is a Bland vertex when the value is finite, else
-    None. One LP min t over columns (x, t): rows are fn's pieces
-    <a, x> - t <= -b, the domain rows of fn and of each phi, then each phi's
-    pieces <a, x> <= -b.
+    The value is in the extended reals (`lp_value`): +inf when that set is
+    empty, -inf when the LP is unbounded; the argmin is a Bland vertex when
+    the value is finite, else None. One LP min t over columns (x, t): rows
+    are fn's pieces <a, x> - t <= -b, the domain rows of fn and of each phi,
+    then each phi's pieces <a, x> <= -b.
     """
     n = fn.n
     slope = (_ZERO,) * n if slope is None else tuple(rat(v) for v in slope)
@@ -72,11 +71,7 @@ def epigraph_inf(fn: PolyhedralConvexFunction, region=(), slope=None):
     rows += [(p.a + (_ZERO,), "<=", -p.b) for phi in region for p in phi.pieces]
     lp = LinearProgram(n + 1, tuple(-v for v in slope) + (_ONE,), rows=tuple(rows))
     out = lp_solve(lp)
-    if isinstance(out, Infeasible):
-        return None, None
-    if isinstance(out, Unbounded):
-        return NEG_INF, None
-    return out.value, out.x[:n]
+    return lp_value(lp, out), (out.x[:n] if isinstance(out, Optimal) else None)
 
 
 @dataclass(frozen=True)
@@ -105,10 +100,8 @@ def subdiff_member(q: SubdiffQuery, s) -> bool:
     if not q.fn.is_finite_at(q.point):
         return False
     value, _ = epigraph_inf(q.fn, slope=s)
-    if value is None:
+    if value == INF:
         raise RuntimeError("epigraph LP is infeasible at a point of dom fn")
-    if value == NEG_INF:
-        return False
     return value >= q.fn.value(q.point) - _dot(s, q.point) - q.eps
 
 

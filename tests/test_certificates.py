@@ -275,6 +275,31 @@ def test_verify_essential_gate_reports_trivial_side():
     assert dict(v.info)["zero-in-subdiff-f"] is True
 
 
+def test_a_failed_essential_gate_with_no_phi_answers_zero_in_subdiff(monkeypatch):
+    # With no phi the gate's LP is inf f over dom f, and failing it is
+    # 0 in d_eps f(x_bar): rop and unconstrained decisions solve that one LP.
+    # Equality mode gates over {h <= 0}, so it still asks subdiff_member.
+    import revopt.certificates as certificates
+    import revopt.subdiff as subdiff
+
+    real, solved = subdiff.lp_solve, []
+
+    def counted(lp):
+        solved.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(subdiff, "lp_solve", counted)
+    monkeypatch.setattr(certificates, "lp_solve", counted)
+    # f = |x| is 0-optimal at x_bar = 0, on the boundary of h(y) = y.
+    p = ReverseProblem(1, absf(), vanishing_at((F(0),)), (F(0),), F(0))
+    for mode, lps in (("rop", 1), ("constrained", 1), ("equality", 2)):
+        solved.clear()
+        v = verify(p, mode)
+        assert (v.tag, v.reason) == ("INAPPLICABLE", "essential-assumption-fails")
+        assert dict(v.info) == {"zero-in-subdiff-f": True}
+        assert len(solved) == lps, mode
+
+
 def test_constrained_lp_without_constraints_is_the_rop_lp():
     # Same columns, rows and order, with and without a ray column.
     rng = random.Random(11)

@@ -379,3 +379,30 @@ def test_replay_trusts_no_solver(capsys, monkeypatch):
     monkeypatch.setattr(_Simplex, "solve", refuse)
     for problem, doc in reports:
         replay(problem, doc)
+
+
+def test_replay_rereads_each_checks_verdict_off_its_outcome(capsys):
+    # A certificate that re-validates does not vouch for the `accepted` and
+    # `sup` logged beside it: replay reads them again off the outcome.
+    path = next(p for p in PROBLEMS if p.name == "example_b.json")
+    code, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+    assert code == 1
+    problem = load_problem(str(path))
+    replay(problem, doc)
+
+    forged = json.loads(json.dumps(doc))
+    refuting = forged["checks"][-1]
+    assert (refuting["accepted"], refuting["outcome"]["tag"]) == (False, "infeasible")
+    refuting["accepted"], refuting["sup"] = True, "1"  # the Farkas vector stays
+    with pytest.raises(CertificateError):
+        replay(problem, forged)
+    for key, value in (("accepted", True), ("sup", "1")):
+        half = json.loads(json.dumps(doc))
+        half["checks"][-1][key] = value
+        with pytest.raises(CertificateError):
+            replay(problem, half)
+
+    unknown = json.loads(json.dumps(doc))
+    unknown["checks"][0]["kind"] = "edge"
+    with pytest.raises(CertificateError):
+        replay(problem, unknown)

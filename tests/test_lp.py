@@ -14,6 +14,7 @@ from revopt.lp import (
     check_outcome,
     lp_max_component,
     lp_solve,
+    lp_value,
     max_component_lp,
 )
 from revopt.model import InputError
@@ -45,24 +46,46 @@ def test_unbounded_with_ray():
     check_outcome(lp, out)
 
 
+_EMPTY = (((1,), "<=", 0), ((1,), ">=", 1))
+
+
+@pytest.mark.parametrize(
+    "sense, rows, kind, value",
+    [
+        pytest.param("min", (((1,), ">=", 3),), Optimal, 3, id="min-optimal"),
+        pytest.param("max", (((1,), "<=", 3),), Optimal, 3, id="max-optimal"),
+        pytest.param("min", (((1,), "<=", 3),), Unbounded, NEG_INF, id="min-unbounded"),
+        pytest.param("max", (((1,), ">=", 3),), Unbounded, INF, id="max-unbounded"),
+        pytest.param("min", _EMPTY, Infeasible, INF, id="min-infeasible"),
+        pytest.param("max", _EMPTY, Infeasible, NEG_INF, id="max-infeasible"),
+    ],
+)
+def test_lp_value_reads_every_outcome_in_the_extended_reals(sense, rows, kind, value):
+    # inf of the empty set is +inf and its sup -inf (Rockafellar, section 4).
+    lp = LinearProgram(1, (1,), sense, rows=rows)
+    out = lp_solve(lp)
+    assert isinstance(out, kind)
+    assert lp_value(lp, out) == value
+
+
 def test_max_component_box():
     lp = LinearProgram(1, (0,), rows=(((1,), ">=", 0), ((1,), "<=", 2)))
-    assert lp_max_component(lp, 0).value == 2
+    assert lp_max_component(lp, 0) == 2
 
 
 def test_max_component_degenerate_point():
     lp = LinearProgram(1, (0,), rows=(((1,), "=", 0),))
-    assert lp_max_component(lp, 0).value == 0
+    assert lp_max_component(lp, 0) == 0
 
 
 def test_max_component_unbounded():
     lp = LinearProgram(1, (0,), rows=(((1,), ">=", 0),))
-    assert lp_max_component(lp, 0).value == INF
+    assert lp_max_component(lp, 0) == INF
 
 
 def test_max_component_infeasible():
     lp = LinearProgram(1, (0,), rows=(((1,), "<=", -1), ((1,), ">=", 1)))
-    assert lp_max_component(lp, 0).value == NEG_INF
+    assert lp_max_component(lp, 0) == NEG_INF
 
 
 def test_max_component_index_error():

@@ -39,8 +39,8 @@ def test_grid_validation():
         GridSpec(((F(0), F(1)),), F(0))
     with pytest.raises(InputError):
         GridSpec(((F(0), F(1)),), F(3, 7))
-    with pytest.raises(InputError):
-        GridSpec(((F(0), F(1)),), F(1, 100), cap=50)
+    with pytest.raises(InputError, match="grid has 1002001 points"):
+        GridSpec(((F(0), F(1)),) * 2, F(1, 1000))  # 1001 x 1001 points
     with pytest.raises(InputError):
         GridSpec((), F(1))
 

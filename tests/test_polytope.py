@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from revopt.lp import Infeasible, LinearProgram, lp_solve
 from revopt.model import HPolyhedron
-from revopt.polytope import project, vertex_enumerate, vpoly_member
+from revopt.polytope import VPolytope, project, vertex_enumerate, vpoly_member
 
 F = Fraction
 
@@ -145,6 +145,31 @@ def test_vpoly_member_covers_polyhedron_points():
                 pt = [a + c * b for a, b in zip(pt, ray)]
             assert p.contains(tuple(pt))
             assert vpoly_member(v, tuple(pt))
+
+
+def test_vpoly_member_in_one_dimension():
+    # conv{-1, 1/2, 2} plus no ray, one ray, or both: an interval, a
+    # half-line each way, and the whole line.
+    pts = ((F(-1),), (F(2),), (F(1, 2),))
+    up, down = (F(1),), (F(-1),)
+    bodies = {
+        (): (F(-1), F(2)),
+        (up,): (F(-1), None),
+        (down,): (None, F(2)),
+        (up, down): (None, None),
+    }
+    for rays, (lo, hi) in bodies.items():
+        body = VPolytope(1, pts, rays)
+        for x in (F(-5), F(-1), F(-1, 3), F(2), F(7, 3), F(9)):
+            inside = (lo is None or lo <= x) and (hi is None or x <= hi)
+            assert vpoly_member(body, (x,)) is inside, (rays, x)
+    assert not vpoly_member(VPolytope(1, (), (up,)), (F(0),))
+
+
+def test_vpoly_member_reads_a_ray_by_its_direction_not_its_length():
+    body = VPolytope(1, ((F(0),),), ((F(2),),))
+    assert vpoly_member(body, (F(5),))
+    assert not vpoly_member(body, (F(-1, 2),))
 
 
 def test_projection_soundness():

@@ -61,6 +61,21 @@ def test_linear_programs_are_assembled_in_four_places_only():
     assert sites == allowed
 
 
+def test_no_module_but_cli_imports_unbounded():
+    # lp defines Unbounded, and lp.lp_value is the one reading of an outcome
+    # as a value; cli builds and writes outcomes for reports, so it needs the
+    # class as well.
+    importers = set()
+    for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                alias.name.split(".")[-1] == "Unbounded" for alias in node.names
+            ):
+                importers.add(path.stem)
+    assert importers == {"cli"}
+
+
 def _bench_bindings():
     """The (module, attribute) pairs that bench/spans.py wraps, read from its
     source: the bench code is neither imported nor run."""

@@ -5,6 +5,7 @@ import pytest
 
 from revopt.lp import Infeasible, Unbounded, lp_solve
 from revopt.model import (
+    INF,
     NEG_INF,
     AffineForm,
     HPolyhedron,
@@ -346,7 +347,7 @@ def test_epigraph_inf_matches_the_reference_epigraph_lp():
         value, argmin = epigraph_inf(fn, region, slope)
         if isinstance(ref, Infeasible):
             kinds["empty"] += 1
-            assert (value, argmin) == (None, None)
+            assert (value, argmin) == (INF, None)
         elif isinstance(ref, Unbounded):
             kinds["unbounded"] += 1
             assert value == NEG_INF and argmin is None
@@ -356,6 +357,29 @@ def test_epigraph_inf_matches_the_reference_epigraph_lp():
             assert fn.value(argmin) - sum(a * x for a, x in zip(s, argmin)) == value
             assert all(phi.value(argmin) <= 0 for phi in region)
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_an_empty_region_reads_as_plus_infinity_at_every_gate(monkeypatch):
+    # inf over the empty set is +inf, so each gate is one comparison with it.
+    from revopt import pareto
+    from revopt.certificates import essential_check, slater_check
+
+    at_least_one = HPolyhedron(((F(-1),),), (F(-1),), 1)  # x >= 1
+    at_most_zero = HPolyhedron(((F(1),),), (F(0),), 1)  # x <= 0
+    f = PolyhedralConvexFunction(1, absf().pieces, at_most_zero)
+    g = PolyhedralConvexFunction(1, (AffineForm((1,), -5),), at_least_one)
+    assert epigraph_inf(f, (g,)) == (INF, None)
+    # inf of f over an empty region is not below anything
+    assert not essential_check(f, (g,), (F(0),), F(0))
+    # disjoint domains leave no strictly feasible point
+    assert not slater_check((g,), f)
+    # An empty refutation search refutes nothing. x_bar in dom f keeps the
+    # search region nonempty through the API, so the infimum is fed directly.
+    a = ((F(1),), (F(0),))
+    for inf_val, holds in ((INF, True), (F(-1), False)):
+        monkeypatch.setattr(pareto, "epigraph_inf", lambda fn: (inf_val, None))
+        check = pareto.scalarization_check(absf(), (F(1),), (F(0),) * 2, a, (F(1),) * 2)
+        assert check is holds
 
 
 def test_joint_domain_stacks_the_rows_in_order():
