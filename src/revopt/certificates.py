@@ -47,6 +47,15 @@ Every failure therefore exhibits an exact point of E outside W: a
 (vertex) check. Refutations are exact by the necessity direction of the
 characterization and positive verdicts by its sufficiency; the positive tag
 keeps its historical name CERTIFIED_ON_GRID, which reports and tools match.
+
+Necessity needs the essential assumption, which `essential_check` gates: inf f
+over R = dom f and {phi <= 0} is below f(x_bar) - eps. R holds the mode's
+feasible set (f is +inf off dom f; {h >= 0, G <= 0} lies in {G <= 0} and
+{h = 0} in {h <= 0}) and the point gates put x_bar in it, so a failed gate
+proves eps-optimality. Its certificate is the probe at (eps', x*) = (0, 0),
+which by LP duality accepts exactly when inf f over R >= f(x_bar) - eps: a
+failed gate logs that one accepted vertex check and certifies, as convex mode
+does with its own phi.
 """
 
 from __future__ import annotations
@@ -63,17 +72,11 @@ from .model import (
     _dot,
     rat,
 )
-from .subdiff import (
-    SubdiffQuery,
-    epigraph_inf,
-    joint_domain,
-    subdiff_epigraph,
-    subdiff_member,
-)
+from .subdiff import epigraph_inf, joint_domain, subdiff_epigraph
 
 # Unused here; they stay bound because bench/spans.py traces them at this module.
 from .lp import lp_max_component  # noqa: F401
-from .subdiff import subdiff_vrep  # noqa: F401
+from .subdiff import subdiff_member, subdiff_vrep  # noqa: F401
 
 __all__ = [
     "MembershipEvidence",
@@ -118,8 +121,10 @@ class MembershipEvidence:
 
 
 def _phis(mode, problem: ReverseProblem) -> tuple:
-    """The functions phi_j whose multiples join alpha*f in `mode`'s union; for
-    rop, constrained and equality also the region of the essential gate."""
+    """The functions phi_j whose multiples join alpha*f in `mode`'s union. The
+    probe at (eps', x*) = (0, 0) with them decides eps-optimality over dom f
+    and {phi <= 0}: convex mode's verdict, and in the other modes the
+    certificate of a failed essential gate, whose region this also is."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     h = problem.reverse
@@ -249,7 +254,6 @@ class CertificateVerdict:
     reason: str | None = None
     gates: tuple = ()
     log: tuple = ()
-    info: tuple = ()
 
     @property
     def witness(self):
@@ -262,7 +266,7 @@ class CertificateVerdict:
 def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     """Run the applicability gates, then one inclusion check per generator of
     d_eps' h(x_bar) over all eps' >= 0; the first failure refutes with an
-    exact witness."""
+    exact witness. A failed essential gate certifies by one check at (0, 0)."""
     phis = _phis(mode, problem)
     f, h = problem.objective, problem.reverse
     x_bar, eps = problem.point, problem.epsilon
@@ -285,23 +289,17 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
         if out := gate(name, ok, reason):
             return out
 
+    zero = (_ZERO,) * problem.n
     if mode == "convex":
-        zero = (_ZERO,) * problem.n
         return check(_ZERO, zero) or verdict(CERTIFIED)
 
     if not essential_check(f, phis, x_bar, eps):
-        # The point is then an unconstrained eps-minimizer candidate; report
-        # the trivial characterization informationally. With no phi the gate
-        # solved inf f over dom f and found it >= f(x_bar) - eps: that is
-        # 0 in d_eps f(x_bar), since the dom-f gate put x_bar in dom f.
-        zero = (_ZERO,) * problem.n
-        trivial = not phis or subdiff_member(SubdiffQuery(f, x_bar, eps), zero)
+        # x_bar is eps-optimal over dom f and {phi <= 0}, which holds the
+        # feasible set; the probe at (0, 0), the gate LP's dual, certifies it.
         gates.append(("essential", False))
-        return verdict(
-            INAPPLICABLE,
-            reason="essential-assumption-fails",
-            info=(("zero-in-subdiff-f", trivial),),
-        )
+        if check(_ZERO, zero):
+            raise RuntimeError("a failed essential gate's (0, 0) probe rejected")
+        return verdict(CERTIFIED)
     gates.append(("essential", True))
 
     if mode == "constrained":

@@ -15,7 +15,10 @@ import sys
 from fractions import Fraction
 
 from .certificates import (
+    CERTIFIED,
+    INAPPLICABLE,
     MODES,
+    REFUTED,
     CertificateVerdict,
     falsify,
     membership_lp,
@@ -101,7 +104,6 @@ def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
             for rec in verdict.log
         ],
         "witness": None,
-        "info": [[k, v] for k, v in verdict.info],
     }
     if verdict.witness is not None:
         eps_prime, xstar = verdict.witness
@@ -112,17 +114,43 @@ def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
 # -- replay --------------------------------------------------------------------
 
 
+def _implied_verdict(gates, checks) -> str | None:
+    """The verdict tag that the gates and the re-read checks, as (kind,
+    accepted, at (0, 0)) triples, imply; None when no verdict fits them."""
+    failed = [i for i, (_name, ok) in enumerate(gates) if not ok]
+    if failed:
+        if failed != [len(gates) - 1]:
+            return None
+        if gates[-1][0] == "essential":
+            return CERTIFIED if checks == [("vertex", True, True)] else None
+        return None if checks else INAPPLICABLE
+    if not checks:
+        return None
+    if all(ok for _kind, ok, _zero in checks):
+        return CERTIFIED
+    # A refutation ends on a rejected vertex check; a ray check rejected just
+    # before it is the one that located that point.
+    *rest, last = checks
+    if last[:2] != ("vertex", False) or not all(ok for _k, ok, _z in rest[:-1]):
+        return None
+    if rest and rest[-1][:2] == ("vertex", False):
+        return None
+    return REFUTED
+
+
 def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
     Rebuilds each check's LP with `membership_lp`, the builder `verify` solved,
     checks the stored outcome's certificate exactly and re-reads the check's
-    `accepted` and `sup` off it (`probe_evidence`); raises CertificateError on
+    `accepted` and `sup` off it (`probe_evidence`); then re-derives the
+    verdict tag from the gates and those checks. Raises CertificateError on
     any mismatch. A ray check logs its direction, and starts at the first
     generator of h's eps'-subdifferentials (`subdiff_epigraph`).
     """
     mode = report["mode"]
     base = None
+    seen = []
     for check in report.get("checks", ()):
         eps_prime = rat(check["eps_prime"])
         generator = tuple(rat(v) for v in check["generator"])
@@ -140,6 +168,9 @@ def replay(problem, report: dict) -> None:
         ev = probe_evidence(lp, outcome, ray=kind == "ray")
         if check["accepted"] is not ev.member or check["sup"] != fmt(ev.sup):
             raise CertificateError("accepted or sup disagrees with the outcome")
+        seen.append((kind, ev.member, not any((eps_prime, *generator))))
+    if report.get("verdict") != _implied_verdict(report.get("gates", ()), seen):
+        raise CertificateError("the verdict does not follow from the gates and checks")
 
 
 # -- commands ------------------------------------------------------------------

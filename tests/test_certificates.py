@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from corpus import (
     adversarial_family,
     beta_capped_member,
     box_domain,
+    corpus,
     exact_convex_inf,
     exact_feasible_inf,
     face_domain_family,
@@ -269,16 +271,22 @@ def test_verify_boundary_gate():
 
 
 def test_verify_essential_gate_reports_trivial_side():
-    v = verify(example_a(1), "rop")  # inf f = 0 is not below f(1) - 1
-    assert v.tag == "INAPPLICABLE"
-    assert v.reason == "essential-assumption-fails"
-    assert dict(v.info)["zero-in-subdiff-f"] is True
+    # inf f = 0 is not below f(1) - 1, so x_bar = 1 is 1-optimal: the failed
+    # gate certifies, and its certificate is one accepted check at (0, 0).
+    p = example_a(1)
+    v = verify(p, "rop")
+    assert (v.tag, v.reason, v.witness) == ("CERTIFIED_ON_GRID", None, None)
+    assert v.gates[-1] == ("essential", False)
+    (rec,) = v.log
+    assert (rec.kind, rec.eps_prime, rec.generator) == ("vertex", 0, (F(0),))
+    assert rec.evidence.member
+    check_outcome(rec.evidence.lp, rec.evidence.outcome)
+    assert exact_feasible_inf(p.objective, p.reverse) >= 1 - p.epsilon
 
 
-def test_a_failed_essential_gate_with_no_phi_answers_zero_in_subdiff(monkeypatch):
-    # With no phi the gate's LP is inf f over dom f, and failing it is
-    # 0 in d_eps f(x_bar): rop and unconstrained decisions solve that one LP.
-    # Equality mode gates over {h <= 0}, so it still asks subdiff_member.
+def test_a_failed_essential_gate_costs_the_gate_and_one_probe(monkeypatch):
+    # The gate's LP and the probe at (0, 0) are the whole decision in every
+    # boundary mode; no subdifferential membership LP is asked.
     import revopt.certificates as certificates
     import revopt.subdiff as subdiff
 
@@ -288,16 +296,25 @@ def test_a_failed_essential_gate_with_no_phi_answers_zero_in_subdiff(monkeypatch
         solved.append(lp)
         return real(lp)
 
+    def forbidden(*args):
+        raise AssertionError("subdiff_member on the verify path")
+
     monkeypatch.setattr(subdiff, "lp_solve", counted)
     monkeypatch.setattr(certificates, "lp_solve", counted)
-    # f = |x| is 0-optimal at x_bar = 0, on the boundary of h(y) = y.
+    monkeypatch.setattr(subdiff, "subdiff_member", forbidden)
+    monkeypatch.setattr(certificates, "subdiff_member", forbidden)
+    # f = |x| is 0-optimal at x_bar = 0, on the boundary of h(y) = y, also
+    # under g(x) = x - 1 <= 0.
     p = ReverseProblem(1, absf(), vanishing_at((F(0),)), (F(0),), F(0))
-    for mode, lps in (("rop", 1), ("constrained", 1), ("equality", 2)):
+    with_g = dataclasses.replace(p, constraints=(fn(1, ((1,), -1)),))
+    for problem, mode in (
+        (p, "rop"), (p, "constrained"), (with_g, "constrained"), (p, "equality"),
+    ):
         solved.clear()
-        v = verify(p, mode)
-        assert (v.tag, v.reason) == ("INAPPLICABLE", "essential-assumption-fails")
-        assert dict(v.info) == {"zero-in-subdiff-f": True}
-        assert len(solved) == lps, mode
+        v = verify(problem, mode)
+        assert v.tag == "CERTIFIED_ON_GRID", mode
+        assert v.gates[-1] == ("essential", False)
+        assert len(solved) == 2, mode
 
 
 def test_constrained_lp_without_constraints_is_the_rop_lp():
@@ -448,6 +465,39 @@ def test_verify_matches_the_exact_infimum_when_h_has_a_face_domain():
     assert ("REFUTED", True, True) in paths
 
 
+def test_the_essential_gate_fails_exactly_when_the_zero_probe_accepts():
+    # By LP duality the probe at (0, 0) accepts exactly when inf f over dom f
+    # and {phi <= 0} is >= f(x_bar) - eps, which is the gate failing; so a
+    # failed gate certifies with that one check, and the check replays.
+    from revopt import cli
+
+    failed = {}
+    for problem in corpus() + adversarial_family(60) + face_domain_family(60):
+        f, x_bar, eps = problem.objective, problem.point, problem.epsilon
+        zero = (F(0),) * problem.n
+        regions = {
+            "rop": (),
+            "constrained": problem.constraints,
+            "equality": (problem.reverse,),
+        }
+        for mode, region in regions.items():
+            gate = essential_check(f, region, x_bar, eps)
+            assert gate == (not union_member(problem, mode, F(0), zero).member)
+            if gate:
+                continue
+            failed[mode] = failed.get(mode, 0) + 1
+            v = verify(problem, mode)
+            assert (v.tag, v.gates[-1]) == ("CERTIFIED_ON_GRID", ("essential", False))
+            assert [(r.kind, r.eps_prime, r.generator) for r in v.log] == [
+                ("vertex", 0, zero)
+            ]
+            cli.replay(problem, cli._verdict_to_doc(v))
+            if mode == "rop":
+                inf = exact_feasible_inf(f, problem.reverse)
+                assert inf is None or inf >= f.value(x_bar) - eps
+    assert failed == {"rop": 56, "constrained": 56, "equality": 158}
+
+
 def test_exact_feasible_inf_counts_the_outside_of_dom_h():
     # min -x s.t. -x - 1 >= 0 on dom h = {x <= 0}: h = +inf for x > 0.
     h = PolyhedralConvexFunction(
@@ -471,8 +521,9 @@ def test_falsify_none_on_example_a():
 
 
 def test_falsify_surfaces_inapplicable():
-    v = falsify(example_a(1), "rop")
-    assert v.tag == "INAPPLICABLE"
+    # h(2) = 1: x_bar is off the boundary {h = 0}.
+    v = falsify(ReverseProblem(1, absf(), abs_minus_one(), (F(2),), F(0)), "rop")
+    assert (v.tag, v.reason) == ("INAPPLICABLE", "point-not-on-boundary")
     assert v.witness is None
 
 

@@ -101,11 +101,34 @@ def test_parser_is_built_once_and_keeps_no_state(problem_b, capsys):
 
 
 def test_verify_inapplicable(tmp_path, capsys):
+    doc = example_a_doc()
+    doc["point"] = ["2"]  # h(2) = 1: off the boundary {h = 0}
     path = tmp_path / "p.json"
-    path.write_text(json.dumps(example_a_doc("1")))  # essential fails at eps=1
-    code, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
-    assert code == 2
-    assert doc["reason"] == "essential-assumption-fails"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "falsify"):
+        code, out = _run(capsys, [command, "--problem", str(path), "--mode", "rop"])
+        assert code == 2
+        assert out["verdict"] == "INAPPLICABLE"
+        assert out["reason"] == "point-not-on-boundary"
+        assert out["checks"] == [] and "info" not in out
+
+
+def test_a_failed_essential_gate_certifies_and_agrees_with_the_grid(tmp_path, capsys):
+    # At eps = 1 inf f = 0 is not below f(1) - 1: the gate fails, and the
+    # one check at (0, 0) certifies.
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps(example_a_doc("1")))
+    argv = ["verify", "--problem", str(path), "--mode", "rop"]
+    code, doc = _run(capsys, [*argv, "--cross-check-grid", "-3", "3", "1/4"])
+    assert code == 0
+    assert doc["verdict"] == "CERTIFIED_ON_GRID"
+    assert doc["gates"][-1] == ["essential", False]
+    assert [(c["eps_prime"], c["generator"], c["accepted"]) for c in doc["checks"]] == [
+        ("0", ["0"], True)
+    ]
+    assert doc["oracle_cross_check"]["consistent"] is True
+    assert "info" not in doc
+    replay(load_problem(str(path)), doc)
 
 
 def test_falsify_exit_codes(problem_a, problem_b, capsys):
@@ -406,3 +429,59 @@ def test_replay_rereads_each_checks_verdict_off_its_outcome(capsys):
     unknown["checks"][0]["kind"] = "edge"
     with pytest.raises(CertificateError):
         replay(problem, unknown)
+
+
+def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys):
+    # Every honest report replays: a failed gate is the last one, a failed
+    # essential gate certifies by one accepted check at (0, 0), any other
+    # failed gate is INAPPLICABLE with no checks, and otherwise the checks
+    # decide between CERTIFIED and REFUTED.
+    off = example_a_doc()
+    off["point"] = ["2"]
+    paths = [str(p) for p in PROBLEMS]
+    for name, doc in (("a1.json", example_a_doc("1")), ("off.json", off)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    reports = {}
+    for path in paths:
+        for mode in MODES:
+            _, doc = _run(capsys, ["verify", "--problem", path, "--mode", mode])
+            replay(load_problem(path), doc)
+            reports[Path(path).stem, mode] = doc
+    assert {doc["verdict"] for doc in reports.values()} == {
+        "CERTIFIED_ON_GRID", "REFUTED", "INAPPLICABLE"
+    }
+
+    def forged(key, **changes):
+        doc = json.loads(json.dumps(reports[key]))
+        doc.update(changes)
+        return doc
+
+    b = load_problem(next(str(p) for p in PROBLEMS if p.name == "example_b.json"))
+    a1, off_problem = load_problem(paths[-2]), load_problem(paths[-1])
+    gates = [["dom-f", True], ["h=0", True], ["essential", False]]
+    inapplicable = {"verdict": "INAPPLICABLE", "reason": "essential-assumption-fails"}
+    for problem, doc in (
+        # A refutation hidden behind a failed essential gate with no checks.
+        (b, forged(("example_b", "rop"), gates=gates, checks=[], **inapplicable)),
+        # A refutation relabelled, and a certificate relabelled.
+        (b, forged(("example_b", "rop"), verdict="CERTIFIED_ON_GRID")),
+        (b, forged(("example_b", "rop"), verdict="INAPPLICABLE")),
+        (a1, forged(("a1", "rop"), verdict="REFUTED")),
+        # A failed essential gate without its check, or not the last gate.
+        (a1, forged(("a1", "rop"), checks=[])),
+        (a1, forged(("a1", "rop"), gates=[["essential", False], ["h=0", True]])),
+        # A point gate that failed, read as a certificate.
+        (off_problem, forged(("off", "rop"), verdict="CERTIFIED_ON_GRID")),
+        # Passed gates and no checks.
+        (b, forged(("example_b", "rop"), checks=[])),
+    ):
+        with pytest.raises(CertificateError):
+            replay(problem, doc)
+
+    # A rejected vertex check before the refuting one is no refutation.
+    refuted = reports["example_b", "rop"]
+    last = refuted["checks"][-1]
+    with pytest.raises(CertificateError):
+        replay(b, {**refuted, "checks": [last, last]})

@@ -1,6 +1,7 @@
 """Invariants of the library source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -132,11 +133,16 @@ for path in sys.argv[1:]:
 """
 
 
-def test_verify_and_replay_do_not_depend_on_assert_statements():
+def test_verify_and_replay_do_not_depend_on_assert_statements(tmp_path):
     # Under python -O an invariant kept in an assert would silently vanish;
-    # the reports and their replay must come out the same either way.
+    # the reports and their replay must come out the same either way. Example
+    # A at eps = 1 fails the essential gate and certifies by its (0, 0) check.
     root = Path(revopt.__file__).resolve().parents[2]
     paths = [str(root / "problems" / f"example_{x}.json") for x in "ab"]
+    doc = json.loads(Path(paths[0]).read_text(encoding="utf-8"))
+    relaxed = tmp_path / "example_a_eps1.json"
+    relaxed.write_text(json.dumps({**doc, "epsilon": "1"}), encoding="utf-8")
+    paths.append(str(relaxed))
     env = dict(os.environ, PYTHONPATH=str(Path(revopt.__file__).resolve().parents[1]))
     runs = {}
     for flags in ((), ("-O",)):
@@ -149,4 +155,4 @@ def test_verify_and_replay_do_not_depend_on_assert_statements():
         assert proc.stderr.decode().strip() == str(len(flags))
         runs[flags] = proc.stdout
     assert runs[("-O",)] == runs[()]
-    assert runs[()].count(b'"verdict"') == 8
+    assert runs[()].count(b'"verdict"') == 12
