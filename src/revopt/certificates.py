@@ -7,10 +7,11 @@ Every mode checks one inclusion, for each eps' >= 0,
 
 and only the list phi changes: () for rop, (h,) for equality and convex, G for
 constrained. One homogenized membership LP (`membership_lp`) decides every
-test: multipliers on the pieces of f sum to alpha, those on the pieces of
-phi_j to mu_j >= 0, and "alpha > 0" is decided by maximizing alpha and
-requiring a positive supremum. Its budget row measures alpha f + sum mu_j phi_j against
-alpha (f(x_bar) - eps) - eps' with no mu_j phi_j(x_bar) term:
+test: multipliers lam on the pieces of f sum to alpha, those on the pieces of
+phi_j to mu_j >= 0, and "alpha > 0" is decided by maximizing alpha = sum lam
+and requiring a positive supremum; alpha has no column of its own. Its budget
+row measures alpha f + sum mu_j phi_j against alpha (f(x_bar) - eps) - eps'
+with no mu_j phi_j(x_bar) term:
 
 - equality: the gate puts x_bar on {h = 0}, so the term is zero;
 - constrained: the paper's split alpha*eps + eps' = eps1 + eps2 with
@@ -48,14 +49,15 @@ Every failure therefore exhibits an exact point of E outside W: a
 characterization and positive verdicts by its sufficiency; the positive tag
 keeps its historical name CERTIFIED_ON_GRID, which reports and tools match.
 
-Necessity needs the essential assumption, which `essential_check` gates: inf f
-over R = dom f and {phi <= 0} is below f(x_bar) - eps. R holds the mode's
-feasible set (f is +inf off dom f; {h >= 0, G <= 0} lies in {G <= 0} and
-{h = 0} in {h <= 0}) and the point gates put x_bar in it, so a failed gate
-proves eps-optimality. Its certificate is the probe at (eps', x*) = (0, 0),
-which by LP duality accepts exactly when inf f over R >= f(x_bar) - eps: a
-failed gate logs that one accepted vertex check and certifies, as convex mode
-does with its own phi.
+Necessity needs the essential assumption: inf f over R = dom f and
+{phi <= 0} is below f(x_bar) - eps. R holds the mode's feasible set (f is +inf
+off dom f; {h >= 0, G <= 0} lies in {G <= 0} and {h = 0} in {h <= 0}) and the
+point gates put x_bar in it. By LP duality the probe at (eps', x*) = (0, 0)
+accepts exactly when inf f over R >= f(x_bar) - eps, so that one probe is the
+`essential` gate: accepted, it proves eps-optimality and certifies as the
+decision's single vertex check, as it decides convex mode with its own phi;
+rejected, the gate passes and the probe is not logged. `essential_check`
+computes the same gate from the primal side and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ INAPPLICABLE = "INAPPLICABLE"
 class MembershipEvidence:
     """Outcome of one homogenized membership probe.
 
-    `sup` is the supremum of alpha (or of the ray parameter t): the optimal
-    value, INF when unbounded, NEG_INF when infeasible. `outcome` is the
+    `sup` is the supremum of alpha = sum lam (or of the ray parameter t): the
+    optimal value, INF when unbounded, NEG_INF when infeasible. `outcome` is the
     certified LP outcome backing it, stated against `lp`, the probe solved.
     """
 
@@ -124,7 +126,7 @@ def _phis(mode, problem: ReverseProblem) -> tuple:
     """The functions phi_j whose multiples join alpha*f in `mode`'s union. The
     probe at (eps', x*) = (0, 0) with them decides eps-optimality over dom f
     and {phi <= 0}: convex mode's verdict, and in the other modes the
-    certificate of a failed essential gate, whose region this also is."""
+    essential gate, whose region this also is."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     h = problem.reverse
@@ -140,29 +142,29 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     """The probe LP for x* in the union over alpha > 0 and mu >= 0 of
     d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar), with `mode`'s phi.
 
-    Nonnegative columns: lam on the pieces of f (summing to alpha), nu on the
-    pieces of each phi_j (summing to mu_j), eta on the rows of the
-    `joint_domain` of f and the phi_j, alpha, and the ray parameter t when
-    `ray` = (d_eps', d_x*) is given ((eps', x*) then moves to
-    (eps' + t*d_eps', x* + t*d_x*)). Rows: the slopes, alpha = sum lam and the
-    budget. The objective maximizes the last column: alpha, or t.
+    Nonnegative columns: lam on the pieces of f, nu on the pieces of each
+    phi_j (summing to mu_j), eta on the rows of the `joint_domain` of f and
+    the phi_j, and the ray parameter t when `ray` = (d_eps', d_x*) is given
+    ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). alpha = sum lam
+    is not a column: its budget coefficient eps - f(x_bar) joins each lam's.
+    Rows: the n slopes and the budget. The objective maximizes sum lam, or t.
     """
     f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
     dom = joint_domain(f.n, (f, *phis))
-    # (slope, coefficient in alpha = sum lam, budget coefficient) per column
-    cols = [(p.a, -_ONE, p.b) for p in f.pieces]
-    cols += [(p.a, _ZERO, p.b) for phi in phis for p in phi.pieces]
-    cols += [(row, _ZERO, -rhs) for row, rhs in zip(dom.a, dom.b)]
-    cols.append(((_ZERO,) * f.n, _ONE, problem.epsilon - f.value(x_bar)))
+    shift = problem.epsilon - f.value(x_bar)  # alpha's budget coefficient
+    gain = _ONE if ray is None else _ZERO  # maximize sum lam, unless t
+    # (slope, budget coefficient, objective coefficient) per column
+    cols = [(p.a, p.b + shift, gain) for p in f.pieces]
+    cols += [(p.a, p.b, _ZERO) for phi in phis for p in phi.pieces]
+    cols += [(row, -rhs, _ZERO) for row, rhs in zip(dom.a, dom.b)]
     if ray is not None:
         d_eps, d_x = ray
-        cols.append((tuple(-v for v in d_x), _ZERO, _dot(d_x, x_bar) + d_eps))
-    slopes, alpha_row, budget = zip(*cols)
+        cols.append((tuple(-v for v in d_x), _dot(d_x, x_bar) + d_eps, _ONE))
+    slopes, budget, objective = zip(*cols)
     rows = [([s[j] for s in slopes], "=", xstar[j]) for j in range(f.n)]
-    rows.append((alpha_row, "=", _ZERO))
     rows.append((budget, ">=", -_dot(xstar, x_bar) - eps_prime))
     n = len(cols)
-    return LinearProgram(n, (_ZERO,) * (n - 1) + (_ONE,), "max", rows, (_ZERO,) * n)
+    return LinearProgram(n, objective, "max", rows, (_ZERO,) * n)
 
 
 def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:
@@ -208,7 +210,8 @@ def essential_check(f, region, x_bar, eps) -> bool:
 
     `region` is None for the whole space, or a list of polyhedral functions
     phi constraining phi(x) <= 0. An infeasible region yields False (its
-    infimum is +inf).
+    infimum is +inf). The primal side of the `essential` gate, one epigraph
+    LP: `verify` decides the gate by its dual, the probe at (0, 0).
     """
     if not f.is_finite_at(x_bar):
         raise Inapplicable("point-off-domain")
@@ -266,10 +269,10 @@ class CertificateVerdict:
 def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     """Run the applicability gates, then one inclusion check per generator of
     d_eps' h(x_bar) over all eps' >= 0; the first failure refutes with an
-    exact witness. A failed essential gate certifies by one check at (0, 0)."""
-    phis = _phis(mode, problem)
-    f, h = problem.objective, problem.reverse
-    x_bar, eps = problem.point, problem.epsilon
+    exact witness. The check at (0, 0) decides convex mode and, in the other
+    modes, the essential gate: accepted, it certifies on its own."""
+    _phis(mode, problem)  # rejects an unknown mode before any gate
+    f, h, x_bar = problem.objective, problem.reverse, problem.point
     gates = []
     log = []
 
@@ -289,18 +292,16 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
         if out := gate(name, ok, reason):
             return out
 
+    # Accepted, the probe at (0, 0) proves x_bar eps-optimal over dom f and
+    # {phi <= 0}, which holds the feasible set; rejected, it proves the
+    # essential assumption (LP duality), which only a refutation needs.
     zero = (_ZERO,) * problem.n
-    if mode == "convex":
-        return check(_ZERO, zero) or verdict(CERTIFIED)
-
-    if not essential_check(f, phis, x_bar, eps):
-        # x_bar is eps-optimal over dom f and {phi <= 0}, which holds the
-        # feasible set; the probe at (0, 0), the gate LP's dual, certifies it.
-        gates.append(("essential", False))
-        if check(_ZERO, zero):
-            raise RuntimeError("a failed essential gate's (0, 0) probe rejected")
-        return verdict(CERTIFIED)
-    gates.append(("essential", True))
+    ev = _probe(membership_lp(problem, mode, _ZERO, zero))
+    if mode != "convex":
+        gates.append(("essential", not ev.member))
+    if ev.member or mode == "convex":
+        log.append(CheckRecord(_ZERO, zero, "vertex", ev))
+        return verdict(CERTIFIED if ev.member else REFUTED)
 
     if mode == "constrained":
         slater = slater_check(problem.constraints, f)

@@ -40,9 +40,9 @@ EXIT_INAPPLICABLE = 2
 EXIT_INPUT_ERROR = 3
 
 _EXIT_CODE = {
-    "CERTIFIED_ON_GRID": EXIT_PASS,
-    "REFUTED": EXIT_REFUTED,
-    "INAPPLICABLE": EXIT_INAPPLICABLE,
+    CERTIFIED: EXIT_PASS,
+    REFUTED: EXIT_REFUTED,
+    INAPPLICABLE: EXIT_INAPPLICABLE,
 }
 
 
@@ -196,10 +196,10 @@ def _cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
         "error_bound": fmt(res.error_bound),
         "consistent": True,
     }
-    if verdict.tag == "INAPPLICABLE" or res.min_value is None or res.min_value == INF:
+    if verdict.tag == INAPPLICABLE or res.min_value is None or res.min_value == INF:
         return doc
     threshold = problem.objective.value(problem.point) - problem.epsilon
-    if verdict.tag == "REFUTED":
+    if verdict.tag == REFUTED:
         # An exact refutation tolerates a grid minimum above the threshold
         # only within the grid error bound.
         doc["consistent"] = res.min_value - threshold <= res.error_bound

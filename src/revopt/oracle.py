@@ -175,6 +175,18 @@ class _GridEvaluator:
         return [INF] * lo + vals + [INF] * (self.m - hi)
 
 
+def _grid_images(f, h, grid: GridSpec, extra=()):
+    """(f, -h) at every grid point in the order of `grid.points()`, None off
+    dom f or dom h, each criterion scaled to integers by its own positive
+    factor (f's also clears the denominators of `extra`); and the factors."""
+    f_ev, h_ev = _GridEvaluator(f, grid, extra), _GridEvaluator(h, grid)
+    images = []
+    for lead in grid.leads():
+        for fv, hv in zip(f_ev.row(lead), h_ev.row(lead)):
+            images.append(None if fv == INF or hv == INF else (fv, -hv))
+    return images, f_ev.scale, h_ev.scale
+
+
 @dataclass(frozen=True)
 class BruteResult:
     """The eps-argmin over the feasible grid points, in grid order."""
@@ -333,16 +345,12 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     eps = rat(eps)
     if f.domain is not None or h.domain is not None:
         return BoundaryReport(False, "functions must be finite-valued", (), (), ())
-    # f and eps share one scale; h is compared only with 0.
-    f_ev = _GridEvaluator(f, grid, (eps,))
-    h_ev = _GridEvaluator(h, grid)
-    eps = int(eps * f_ev.scale)
+    # f and eps share one scale; -h is compared only with 0.
+    images, f_scale, _ = _grid_images(f, h, grid, (eps,))
+    fvals, neg_h = zip(*images)
+    eps = int(eps * f_scale)
     pts = list(grid.points())
-    fvals, hvals = [], []
-    for lead in grid.leads():
-        fvals += f_ev.row(lead)
-        hvals += h_ev.row(lead)
-    feas = [i for i, hv in enumerate(hvals) if hv >= 0]
+    feas = [i for i, v in enumerate(neg_h) if v <= 0]
     if not feas:
         return BoundaryReport(False, "no feasible grid point", (), (), ())
     m_all = min(fvals)
@@ -363,13 +371,13 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     if h.value(y) >= 0:
         return BoundaryReport(False, "interior point not found (h(y) >= 0)", (), (), ())
 
-    boundary = [i for i in feas if hvals[i] == 0]
+    boundary = [i for i in feas if neg_h[i] == 0]
     m_boundary = min((fvals[i] for i in boundary), default=None)
     improved = m_feas
     for i in feas:
-        if hvals[i] > 0:
+        if neg_h[i] < 0:
             pi = boundary_projection(f, h, pts[i], y)
-            val = f.value(pi) * f_ev.scale
+            val = f.value(pi) * f_scale
             if val < improved:
                 improved = val
     equality_side = tuple(

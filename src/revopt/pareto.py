@@ -18,9 +18,9 @@ from itertools import accumulate
 from operator import itemgetter, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
-from .lp import INF, lp_max_component, lp_solve  # noqa: F401
+from .lp import lp_max_component, lp_solve  # noqa: F401
 from .model import InputError, PolyhedralConvexFunction, _dot, rat
-from .oracle import GridSpec, _GridEvaluator, _shared
+from .oracle import GridSpec, _grid_images, _shared
 from .subdiff import SubdiffQuery, epigraph_inf, joint_domain, subdiff_member
 
 __all__ = [
@@ -150,18 +150,6 @@ def _efficient(images, r: int, eps, sigma: str) -> tuple[int, ...]:
 
 
 # -- the (ROP) <-> (BOP) bridge -----------------------------------------------
-
-
-def _grid_images(f, h, grid: GridSpec, extra=()):
-    """(f, -h) at every grid point in the order of `grid.points()`, None off
-    dom f or dom h, each criterion scaled to integers by its own positive
-    factor (f's also clears the denominators of `extra`); and the factors."""
-    f_ev, h_ev = _GridEvaluator(f, grid, extra), _GridEvaluator(h, grid)
-    images = []
-    for lead in grid.leads():
-        for fv, hv in zip(f_ev.row(lead), h_ev.row(lead)):
-            images.append(None if fv == INF or hv == INF else (fv, -hv))
-    return images, f_ev.scale, h_ev.scale
 
 
 def grid_sample(f, h, box, step) -> tuple[ParetoSample, GridSpec]:

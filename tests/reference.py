@@ -7,18 +7,28 @@ boundary projection's reference isolates the root by walking h's breakpoints
 on the segment, where the library uses a closed form. The LP reference
 (`reference_lp_solve`) is the library's earlier simplex: every variable split
 x = p - q, every bound an oriented row, and an artificial on every row. Tests assert that the library's results equal these exactly (for
-LPs: the same outcome class and optimal value).
+LPs: the same outcome class and optimal value). The membership probe's
+reference (`reference_membership_lp`) is the library's earlier builder, which
+kept alpha as a column of its own.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd
 
+from revopt.certificates import _phis
 from revopt.lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
-from revopt.model import INF, HPolyhedron, InputError, PolyhedralConvexFunction, rat
+from revopt.model import (
+    INF,
+    HPolyhedron,
+    InputError,
+    PolyhedralConvexFunction,
+    _dot,
+    rat,
+)
 from revopt.oracle import BoundaryReport, BruteResult, GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
-from revopt.subdiff import epigraph_inf
+from revopt.subdiff import epigraph_inf, joint_domain
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -438,3 +448,26 @@ class _Simplex:
 
 def reference_lp_solve(lp: LinearProgram) -> LpOutcome:
     return _Simplex(lp).solve()
+
+
+def reference_membership_lp(problem, mode, eps_prime, xstar, ray=None):
+    """The membership probe with alpha as a column: lam on the pieces of f,
+    nu on the pieces of each phi_j, eta on the joint domain rows, alpha, and
+    t for a ray. Rows: the slopes, alpha = sum lam and the budget; the
+    objective maximizes the last column, alpha or t."""
+    f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
+    dom = joint_domain(f.n, (f, *phis))
+    # (slope, coefficient in alpha = sum lam, budget coefficient) per column
+    cols = [(p.a, -_ONE, p.b) for p in f.pieces]
+    cols += [(p.a, _ZERO, p.b) for phi in phis for p in phi.pieces]
+    cols += [(row, _ZERO, -rhs) for row, rhs in zip(dom.a, dom.b)]
+    cols.append(((_ZERO,) * f.n, _ONE, problem.epsilon - f.value(x_bar)))
+    if ray is not None:
+        d_eps, d_x = ray
+        cols.append((tuple(-v for v in d_x), _ZERO, _dot(d_x, x_bar) + d_eps))
+    slopes, alpha_row, budget = zip(*cols)
+    rows = [([s[j] for s in slopes], "=", xstar[j]) for j in range(f.n)]
+    rows.append((alpha_row, "=", _ZERO))
+    rows.append((budget, ">=", -_dot(xstar, x_bar) - eps_prime))
+    n = len(cols)
+    return LinearProgram(n, (_ZERO,) * (n - 1) + (_ONE,), "max", rows, (_ZERO,) * n)

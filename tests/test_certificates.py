@@ -19,11 +19,12 @@ from revopt.certificates import (
     essential_check,
     falsify,
     membership_lp,
+    probe_evidence,
     slater_check,
     union_member,
     verify,
 )
-from revopt.lp import check_outcome
+from revopt.lp import check_outcome, lp_solve
 from revopt.model import (
     AffineForm,
     HPolyhedron,
@@ -31,7 +32,7 @@ from revopt.model import (
     PolyhedralConvexFunction,
     ReverseProblem,
 )
-from revopt.subdiff import SubdiffQuery, subdiff_member
+from revopt.subdiff import SubdiffQuery, subdiff_epigraph, subdiff_member
 
 F = Fraction
 
@@ -284,9 +285,10 @@ def test_verify_essential_gate_reports_trivial_side():
     assert exact_feasible_inf(p.objective, p.reverse) >= 1 - p.epsilon
 
 
-def test_a_failed_essential_gate_costs_the_gate_and_one_probe(monkeypatch):
-    # The gate's LP and the probe at (0, 0) are the whole decision in every
-    # boundary mode; no subdifferential membership LP is asked.
+def test_a_failed_essential_gate_costs_one_probe(monkeypatch):
+    # The probe at (0, 0) is the gate and its certificate, so it is the whole
+    # decision in every boundary mode: no epigraph LP through essential_check
+    # and no subdifferential membership LP is asked.
     import revopt.certificates as certificates
     import revopt.subdiff as subdiff
 
@@ -297,10 +299,11 @@ def test_a_failed_essential_gate_costs_the_gate_and_one_probe(monkeypatch):
         return real(lp)
 
     def forbidden(*args):
-        raise AssertionError("subdiff_member on the verify path")
+        raise AssertionError("essential_check or subdiff_member on the verify path")
 
     monkeypatch.setattr(subdiff, "lp_solve", counted)
     monkeypatch.setattr(certificates, "lp_solve", counted)
+    monkeypatch.setattr(certificates, "essential_check", forbidden)
     monkeypatch.setattr(subdiff, "subdiff_member", forbidden)
     monkeypatch.setattr(certificates, "subdiff_member", forbidden)
     # f = |x| is 0-optimal at x_bar = 0, on the boundary of h(y) = y, also
@@ -314,7 +317,8 @@ def test_a_failed_essential_gate_costs_the_gate_and_one_probe(monkeypatch):
         v = verify(problem, mode)
         assert v.tag == "CERTIFIED_ON_GRID", mode
         assert v.gates[-1] == ("essential", False)
-        assert len(solved) == 2, mode
+        assert len(solved) == 1, mode
+        assert solved == [v.log[0].evidence.lp], mode
 
 
 def test_constrained_lp_without_constraints_is_the_rop_lp():
@@ -333,6 +337,38 @@ def test_constrained_lp_without_constraints_is_the_rop_lp():
         for ray in (None, (F(rng.randint(0, 2)), (F(rng.choice([-1, 1])),))):
             rop = membership_lp(p, "rop", ep, xs, ray=ray)
             assert membership_lp(p, "constrained", ep, xs, ray=ray) == rop
+
+
+def test_membership_lp_matches_the_alpha_column_reference():
+    # Folding alpha = sum lam into the lam columns changes neither the
+    # verdict nor the supremum of any probe verify logs, vertex or ray, and
+    # drops exactly alpha's column and its row.
+    from reference import reference_membership_lp
+
+    covered = set()
+    for problem in corpus() + adversarial_family(60) + face_domain_family(60):
+        base = None
+        for mode in MODES:
+            for rec in verify(problem, mode).log:
+                ray = rec.kind == "ray"
+                if ray:
+                    base = base or subdiff_epigraph(problem.reverse, problem.point)[0][0]
+                    old = reference_membership_lp(
+                        problem, mode, *base, ray=(rec.eps_prime, rec.generator)
+                    )
+                else:
+                    old = reference_membership_lp(
+                        problem, mode, rec.eps_prime, rec.generator
+                    )
+                ref = probe_evidence(old, lp_solve(old), ray=ray)
+                new = rec.evidence
+                assert (new.member, new.sup) == (ref.member, ref.sup)
+                assert len(new.lp.rows) == problem.n + 1
+                assert (len(old.rows), old.n) == (len(new.lp.rows) + 1, new.lp.n + 1)
+                covered.add((rec.kind, new.member))
+    assert covered == {
+        ("vertex", True), ("vertex", False), ("ray", True), ("ray", False)
+    }
 
 
 def test_verify_convex_mode():
@@ -467,11 +503,13 @@ def test_verify_matches_the_exact_infimum_when_h_has_a_face_domain():
 
 def test_the_essential_gate_fails_exactly_when_the_zero_probe_accepts():
     # By LP duality the probe at (0, 0) accepts exactly when inf f over dom f
-    # and {phi <= 0} is >= f(x_bar) - eps, which is the gate failing; so a
-    # failed gate certifies with that one check, and the check replays.
+    # and {phi <= 0} is >= f(x_bar) - eps, which is the gate failing; so
+    # verify's gate, decided by that probe, agrees with the primal epigraph LP
+    # of essential_check, and a failed gate certifies with that one check,
+    # which replays.
     from revopt import cli
 
-    failed = {}
+    failed, passed = {}, {}
     for problem in corpus() + adversarial_family(60) + face_domain_family(60):
         f, x_bar, eps = problem.objective, problem.point, problem.epsilon
         zero = (F(0),) * problem.n
@@ -481,12 +519,17 @@ def test_the_essential_gate_fails_exactly_when_the_zero_probe_accepts():
             "equality": (problem.reverse,),
         }
         for mode, region in regions.items():
+            v = verify(problem, mode)
+            gates = dict(v.gates)
+            if "essential" not in gates:
+                continue
             gate = essential_check(f, region, x_bar, eps)
+            assert gates["essential"] == gate
             assert gate == (not union_member(problem, mode, F(0), zero).member)
             if gate:
+                passed[mode] = passed.get(mode, 0) + 1
                 continue
             failed[mode] = failed.get(mode, 0) + 1
-            v = verify(problem, mode)
             assert (v.tag, v.gates[-1]) == ("CERTIFIED_ON_GRID", ("essential", False))
             assert [(r.kind, r.eps_prime, r.generator) for r in v.log] == [
                 ("vertex", 0, zero)
@@ -496,6 +539,7 @@ def test_the_essential_gate_fails_exactly_when_the_zero_probe_accepts():
                 inf = exact_feasible_inf(f, problem.reverse)
                 assert inf is None or inf >= f.value(x_bar) - eps
     assert failed == {"rop": 56, "constrained": 56, "equality": 158}
+    assert passed == {"rop": 256, "constrained": 256, "equality": 154}
 
 
 def test_exact_feasible_inf_counts_the_outside_of_dom_h():
