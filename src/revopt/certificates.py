@@ -138,6 +138,27 @@ def _phis(mode, problem: ReverseProblem) -> tuple:
     }[mode]
 
 
+def _probe_columns(problem: ReverseProblem, mode):
+    """The parts of `mode`'s probe that no check changes, as (slope rows,
+    budget row, objective of a point probe): the columns lam, nu and eta of
+    `membership_lp`, with f(x_bar) evaluated once. Memoised per mode in the
+    problem's own instance dict, so the memo lives and dies with the problem;
+    `verify`, `union_member` and `replay` all reuse it."""
+    memo = vars(problem).setdefault("_probe_columns", {})
+    if mode in memo:
+        return memo[mode]
+    f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
+    dom = joint_domain(f.n, (f, *phis))
+    shift = problem.epsilon - f.value(x_bar)  # alpha's budget coefficient
+    # (slope, budget coefficient, objective coefficient) per column
+    cols = [(p.a, p.b + shift, _ONE) for p in f.pieces]
+    cols += [(p.a, p.b, _ZERO) for phi in phis for p in phi.pieces]
+    cols += [(row, -rhs, _ZERO) for row, rhs in zip(dom.a, dom.b)]
+    slopes, budget, gain = zip(*cols)
+    memo[mode] = out = (tuple(zip(*slopes)), budget, gain)
+    return out
+
+
 def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     """The probe LP for x* in the union over alpha > 0 and mu >= 0 of
     d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar), with `mode`'s phi.
@@ -148,22 +169,19 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). alpha = sum lam
     is not a column: its budget coefficient eps - f(x_bar) joins each lam's.
     Rows: the n slopes and the budget. The objective maximizes sum lam, or t.
+    Only the right-hand sides and the t column depend on the check; the rest
+    is built once per problem and mode (`_probe_columns`).
     """
-    f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
-    dom = joint_domain(f.n, (f, *phis))
-    shift = problem.epsilon - f.value(x_bar)  # alpha's budget coefficient
-    gain = _ONE if ray is None else _ZERO  # maximize sum lam, unless t
-    # (slope, budget coefficient, objective coefficient) per column
-    cols = [(p.a, p.b + shift, gain) for p in f.pieces]
-    cols += [(p.a, p.b, _ZERO) for phi in phis for p in phi.pieces]
-    cols += [(row, -rhs, _ZERO) for row, rhs in zip(dom.a, dom.b)]
+    slopes, budget, objective = _probe_columns(problem, mode)
+    x_bar = problem.point
     if ray is not None:
         d_eps, d_x = ray
-        cols.append((tuple(-v for v in d_x), _dot(d_x, x_bar) + d_eps, _ONE))
-    slopes, budget, objective = zip(*cols)
-    rows = [([s[j] for s in slopes], "=", xstar[j]) for j in range(f.n)]
+        slopes = [(*row, -d_x[j]) for j, row in enumerate(slopes)]
+        budget = (*budget, _dot(d_x, x_bar) + d_eps)
+        objective = (_ZERO,) * len(objective) + (_ONE,)
+    rows = [(row, "=", xstar[j]) for j, row in enumerate(slopes)]
     rows.append((budget, ">=", -_dot(xstar, x_bar) - eps_prime))
-    n = len(cols)
+    n = len(budget)
     return LinearProgram(n, objective, "max", rows, (_ZERO,) * n)
 
 

@@ -25,8 +25,9 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
-from .model import INF, NEG_INF, InputError, _dot, rat
+from .model import INF, NEG_INF, InputError, _lcm_den, _over_common_den, rat
 
 __all__ = [
     "LinearProgram",
@@ -44,6 +45,7 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 _RELS = ("<=", "=", ">=")
 
@@ -114,7 +116,8 @@ class LinearProgram:
                 out.append((terms, rhs, rel == "="))
         for j, (low, up) in enumerate(zip(self.lower, self.upper)):
             if low is not None:
-                out.append((((j, -_ONE),), -low, False))
+                # -low only when nonzero: negating a Fraction builds a new one
+                out.append((((j, _MINUS_ONE),), -low if low else low, False))
             if up is not None:
                 out.append((((j, _ONE),), up, False))
         return out
@@ -155,16 +158,6 @@ def _reduce_row(den: int, cells: list[int]) -> tuple[int, list[int]]:
         den //= g
         cells = [v // g for v in cells]
     return den, cells
-
-
-def _lcm_den(values) -> int:
-    """The least common denominator of some Fractions."""
-    den = 1
-    for v in values:
-        d = v.denominator
-        if d != 1:
-            den = den // gcd(den, d) * d
-    return den
 
 
 class _Simplex:
@@ -457,47 +450,75 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
     """Re-validate an outcome's certificate exactly; raises CertificateError.
 
     This is pure linear algebra on the sparse oriented system: no re-solving.
+    It runs in integers: the objective and the oriented rows share one common
+    denominator, and so do the entries of each vector of the outcome.
     """
-    oriented = lp.oriented_rows()
+    den, cost, rows = _integer_system(lp)
     sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
     if isinstance(outcome, Optimal):
-        if not _within(oriented, outcome.x):
+        x, x_den = _over_common_den(outcome.x)
+        if not _within(rows, x, x_den):
             raise CertificateError("claimed point is infeasible")
-        if _dot(lp.objective, outcome.x) != outcome.value:
+        value = outcome.value
+        # Each test is its rational identity multiplied through by den, the
+        # vector's denominator and value's denominator.
+        if sum(map(mul, cost, x)) * value.denominator != value.numerator * den * x_den:
             raise CertificateError("objective value mismatch")
-        combo, total = _combine(lp.n, oriented, outcome.dual, "dual")
-        if any(c + sign * v for c, v in zip(lp.objective, combo)):
+        combo, total, y_den = _combine(lp.n, rows, outcome.dual, "dual")
+        if any(c * y_den + sign * v for c, v in zip(cost, combo)):
             raise CertificateError("dual stationarity violated")
-        if -sign * total != outcome.value:
+        if -sign * total * value.denominator != value.numerator * den * y_den:
             raise CertificateError("strong duality violated")
-        for yi, (terms, rhs, _eq) in zip(outcome.dual, oriented):
-            if yi and sum(a * outcome.x[j] for j, a in terms) != rhs:
+        for yi, (terms, rhs, _eq) in zip(outcome.dual, rows):
+            if yi and sum(a * x[j] for j, a in terms) != rhs * x_den:
                 raise CertificateError("complementary slackness violated")
     elif isinstance(outcome, Infeasible):
-        combo, total = _combine(lp.n, oriented, outcome.farkas, "farkas")
+        combo, total, _y_den = _combine(lp.n, rows, outcome.farkas, "farkas")
         if any(combo):
             raise CertificateError("farkas combination is not 0^T x")
         if total >= 0:
             raise CertificateError("farkas combination fails to contradict")
     elif isinstance(outcome, Unbounded):
-        if not _within(oriented, outcome.point):
+        if not _within(rows, *_over_common_den(outcome.point)):
             raise CertificateError("claimed point is infeasible")
-        if not _within(oriented, outcome.ray, cone=True):
+        ray, _ray_den = _over_common_den(outcome.ray)
+        if not _within(rows, ray, 0):
             raise CertificateError("ray is not a recession direction")
-        if sign * _dot(lp.objective, outcome.ray) >= 0:
+        if sign * sum(map(mul, cost, ray)) >= 0:
             raise CertificateError("ray does not improve the objective")
     else:
         raise CertificateError(f"unknown outcome {outcome!r}")
 
 
-def _combine(n, oriented, y, name):
-    """(A'^T y, b'^T y) over y's nonzero entries, after checking that y has
-    one multiplier per oriented row and none negative on an inequality row."""
-    if len(y) != len(oriented):
+def _integer_system(lp: LinearProgram):
+    """(den, objective, rows): the objective and `lp.oriented_rows()` times
+    their least common denominator den, as integers."""
+    oriented = lp.oriented_rows()
+    values = list(lp.objective)
+    for terms, rhs, _eq in oriented:
+        values.append(rhs)
+        values.extend(a for _j, a in terms)
+    den = _lcm_den(values)
+
+    def scale(v):
+        return v.numerator * (den // v.denominator)
+
+    rows = [
+        ([(j, scale(a)) for j, a in terms], scale(rhs), eq) for terms, rhs, eq in oriented
+    ]
+    return den, [scale(c) for c in lp.objective], rows
+
+
+def _combine(n, rows, y, name):
+    """(A'^T y, b'^T y) times y_den over y's nonzero entries, and y_den, the
+    common denominator of y; after checking that y has one multiplier per
+    oriented row and none negative on an inequality row."""
+    if len(y) != len(rows):
         raise CertificateError(f"{name} length mismatch")
-    combo = [_ZERO] * n
-    total = _ZERO
-    for yi, (terms, rhs, eq) in zip(y, oriented):
+    y, y_den = _over_common_den(y)
+    combo = [0] * n
+    total = 0
+    for yi, (terms, rhs, eq) in zip(y, rows):
         if not yi:
             continue
         if yi < 0 and not eq:
@@ -505,14 +526,15 @@ def _combine(n, oriented, y, name):
         for j, a in terms:
             combo[j] += yi * a
         total += yi * rhs
-    return combo, total
+    return combo, total, y_den
 
 
-def _within(oriented, x, cone=False):
-    """Does x satisfy every oriented row, with right-hand sides 0 if `cone`?"""
-    for terms, rhs, eq in oriented:
+def _within(rows, x, x_den):
+    """Does the point x / x_den satisfy every row? With x_den = 0 the
+    right-hand sides are 0: is x a recession direction?"""
+    for terms, rhs, eq in rows:
         v = sum(a * x[j] for j, a in terms)
-        b = 0 if cone else rhs
+        b = rhs * x_den
         if v > b or (eq and v != b):
             return False
     return True

@@ -3,6 +3,12 @@
 All quantities are `fractions.Fraction` values ("scalars" below); nothing in
 this package ever rounds. Extended values use the distinguished tag `INF`,
 never a large number, so indicator semantics stay exact.
+
+Each function and polyhedron also keeps an integer image of its rows, built
+once, on first use: a function's pieces share one common denominator, and
+each domain row has its own. Evaluation brings the point to one common
+denominator, compares integers, and builds at most one `Fraction`, for the
+value.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 __all__ = [
     "INF",
@@ -59,18 +68,23 @@ def rat(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
-        if not _RAT_RE.match(text.strip()):
+        literal = text.strip()
+        if not _RAT_RE.match(literal):
             raise InputError(f"not a rational literal: {text!r}")
-        return Fraction(text.strip())
+        num, _, den = literal.partition("/")
+        return Fraction(int(num), int(den or 1))
     raise InputError(f"not a rational literal: {text!r}")
 
 
 def fmt(value) -> str:
     """Canonical string for a scalar: "p/q", plain integer, or "inf"."""
-    if value == INF:
-        return "inf"
-    if value == NEG_INF:
-        return "-inf"
+    # Only the float tags can be infinite; comparing a Fraction with a float
+    # would convert the float to a Fraction first.
+    if value.__class__ is float:
+        if value == INF:
+            return "inf"
+        if value == NEG_INF:
+            return "-inf"
     return str(value)
 
 
@@ -80,6 +94,17 @@ def fmt_vec(vec) -> list[str]:
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
+
+
+def _lcm_den(values) -> int:
+    """The least common denominator of some rationals (ints included)."""
+    return lcm(*[v.denominator for v in values])
+
+
+def _over_common_den(values) -> tuple[list[int], int]:
+    """Integers `nums` and one denominator `den` > 0 with values = nums / den."""
+    den = _lcm_den(values)
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _as_vector(values, n: int, what: str) -> tuple[Fraction, ...]:
@@ -135,13 +160,24 @@ class HPolyhedron:
     def m(self) -> int:
         return len(self.a)
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """The integer image: each row (A_r, b_r) times its own least common
+        denominator."""
+        rows = []
+        for row, rhs in zip(self.a, self.b):
+            nums, _den = _over_common_den((*row, rhs))
+            rows.append((tuple(nums[:-1]), nums[-1]))
+        return tuple(rows)
+
     def contains(self, x) -> bool:
         if len(x) != self.n:
             raise InputError("membership: dimension mismatch")
-        return all(
-            sum(ai * xi for ai, xi in zip(row, x)) <= bi
-            for row, bi in zip(self.a, self.b)
-        )
+        return self._holds(*_over_common_den(x))
+
+    def _holds(self, nums, den) -> bool:
+        """Does the point nums / den satisfy every row?"""
+        return all(sum(map(mul, a, nums)) <= b * den for a, b in self._rows)
 
 
 @dataclass(frozen=True)
@@ -171,13 +207,27 @@ class PolyhedralConvexFunction:
             raise InputError("domain dimension mismatch")
         object.__setattr__(self, "pieces", pieces)
 
+    @cached_property
+    def _image(self) -> tuple:
+        """The integer image (D, rows): each piece (a_i, b_i) times D, the
+        least common denominator of all the pieces, as (A_i, B_i)."""
+        nums, den = _over_common_den([v for p in self.pieces for v in (*p.a, p.b)])
+        n = self.n
+        rows = [nums[k : k + n + 1] for k in range(0, len(nums), n + 1)]
+        return den, tuple((tuple(row[:n]), row[n]) for row in rows)
+
     def value(self, x):
         """Exact value: max over pieces on the domain, INF outside it."""
         if len(x) != self.n:
             raise InputError("eval: dimension mismatch")
-        if self.domain is not None and not self.domain.contains(x):
+        nums, den = _over_common_den(x)
+        if self.domain is not None and not self.domain._holds(nums, den):
             return INF
-        return max(p.value(x) for p in self.pieces)
+        return Fraction(max(self._scaled_pieces(nums, den)), self._image[0] * den)
+
+    def _scaled_pieces(self, nums, den) -> list[int]:
+        """Each piece at the point nums / den, times D * den (D of `_image`)."""
+        return [sum(map(mul, a, nums), b * den) for a, b in self._image[1]]
 
     def is_finite_at(self, x) -> bool:
         return self.domain is None or self.domain.contains(x)

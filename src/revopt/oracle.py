@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, product, repeat
-from math import lcm, prod
+from math import prod
 from operator import eq, ge, le, mul
 
 # lp_solve stays bound here because bench/spans.py traces it.
@@ -32,6 +32,8 @@ from .model import (
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
+    _lcm_den,
+    _over_common_den,
     rat,
 )
 from .subdiff import epigraph_inf
@@ -120,10 +122,7 @@ def _integer_forms(forms, grid: GridSpec, extra=()):
     real = [
         (b + sum(map(mul, a, los)), [a_j * grid.step for a_j in a]) for a, b in forms
     ]
-    scale = lcm(
-        *(v.denominator for c, s in real for v in (c, *s)),
-        *(v.denominator for v in extra),
-    )
+    scale = _lcm_den([*(v for c, s in real for v in (c, *s)), *extra])
     return [(int(c * scale), [int(v * scale) for v in s]) for c, s in real], scale
 
 
@@ -314,15 +313,34 @@ def boundary_projection(f, h, x, y):
         raise InputError("boundary projection requires h(x) > 0")
     if hy == INF or hy >= 0:
         raise InputError("boundary projection requires h(y) < 0")
-    root = max(
-        c / (c - cy)
-        for c, cy in ((p.value(x), p.value(y)) for p in h.pieces)
-        if cy < c
-    )
-    pi = tuple((1 - root) * xj + root * yj for xj, yj in zip(x, y))
+    nums, den = _projection(h, x, _pieces_at(h, y))
+    pi = tuple(Fraction(v, den) for v in nums)
     if h.value(pi) != 0 or not f.value(pi) < f.value(x):
         raise RuntimeError("boundary projection is off {h = 0} or does not descend")
     return pi
+
+
+def _pieces_at(h, y):
+    """(ys, r, vals): y = ys / r and each piece of h at y times D * r, where
+    D is the denominator of h's integer image."""
+    ys, r = _over_common_den(y)
+    return ys, r, h._scaled_pieces(ys, r)
+
+
+def _projection(h, x, y_image):
+    """`boundary_projection`'s pi, unchecked, as integers nums / den; y
+    given by `_pieces_at`. With piece_i(x) = c / (D q) and piece_i(y) =
+    d / (D r), the root c_i / (c_i - piece_i(y)) is c r / (c r - d q)."""
+    ys, r, y_vals = y_image
+    xs, q = _over_common_den(x)
+    top = bottom = None  # the largest root so far, top / bottom
+    for c, d in zip(h._scaled_pieces(xs, q), y_vals):
+        num = c * r
+        gap = num - d * q
+        if gap > 0 and (top is None or num * bottom > top * gap):
+            top, bottom = num, gap
+    # pi = (1 - root) x + root y over the denominator bottom * q * r
+    return [(bottom - top) * u * r + top * v * q for u, v in zip(xs, ys)], bottom * q * r
 
 
 @dataclass(frozen=True)
@@ -373,11 +391,18 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
 
     boundary = [i for i in feas if neg_h[i] == 0]
     m_boundary = min((fvals[i] for i in boundary), default=None)
+    # h at y, and each piece at y, are the same for every interior point;
+    # f(pi) and h(pi) are read through f's and h's integer images.
+    y_image = _pieces_at(h, y)
+    f_den = f._image[0]
     improved = m_feas
     for i in feas:
         if neg_h[i] < 0:
-            pi = boundary_projection(f, h, pts[i], y)
-            val = f.value(pi) * f_scale
+            nums, den = _projection(h, pts[i], y_image)
+            # f(pi) * f_scale, and f(x) * f_scale = fvals[i]
+            val = Fraction(max(f._scaled_pieces(nums, den)) * f_scale, f_den * den)
+            if max(h._scaled_pieces(nums, den)) != 0 or not val < fvals[i]:
+                raise RuntimeError("boundary projection is off {h = 0} or does not descend")
             if val < improved:
                 improved = val
     equality_side = tuple(

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 
 from .lp import INF, LinearProgram, lp_solve, lp_value
-from .model import HPolyhedron, InputError, _dot
+from .model import HPolyhedron, InputError, _dot, _over_common_den
 
 __all__ = [
     "VPolytope",
@@ -45,10 +45,8 @@ class VPolytope:
 
 def _primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (same ray)."""
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return _primitive_int(tuple(int(v * denom) for v in vec))
+    nums, _den = _over_common_den(vec)
+    return _primitive_int(tuple(nums))
 
 
 def _normalize_ray(vec) -> tuple[Fraction, ...]:

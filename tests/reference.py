@@ -9,7 +9,11 @@ on the segment, where the library uses a closed form. The LP reference
 x = p - q, every bound an oriented row, and an artificial on every row. Tests assert that the library's results equal these exactly (for
 LPs: the same outcome class and optimal value). The membership probe's
 reference (`reference_membership_lp`) is the library's earlier builder, which
-kept alpha as a column of its own.
+kept alpha as a column of its own. The evaluation references
+(`reference_value`, `reference_contains`) and the certificate check's
+(`reference_check_outcome`) are the library's earlier `Fraction` versions,
+before it evaluated and re-validated in integers; `reference_rat` parsed each
+literal twice.
 """
 
 import itertools
@@ -17,8 +21,16 @@ from fractions import Fraction
 from math import gcd
 
 from revopt.certificates import _phis
-from revopt.lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
+from revopt.lp import (
+    CertificateError,
+    Infeasible,
+    LinearProgram,
+    LpOutcome,
+    Optimal,
+    Unbounded,
+)
 from revopt.model import (
+    _RAT_RE,
     INF,
     HPolyhedron,
     InputError,
@@ -31,6 +43,98 @@ from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.subdiff import epigraph_inf, joint_domain
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+# -- scalars and evaluation in Fraction arithmetic ------------------------------
+
+
+def reference_rat(text) -> Fraction:
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
+    if isinstance(text, str):
+        if not _RAT_RE.match(text.strip()):
+            raise InputError(f"not a rational literal: {text!r}")
+        return Fraction(text.strip())
+    raise InputError(f"not a rational literal: {text!r}")
+
+
+def reference_contains(poly: HPolyhedron, x) -> bool:
+    if len(x) != poly.n:
+        raise InputError("membership: dimension mismatch")
+    return all(
+        sum(ai * xi for ai, xi in zip(row, x)) <= bi for row, bi in zip(poly.a, poly.b)
+    )
+
+
+def reference_value(fn: PolyhedralConvexFunction, x):
+    if len(x) != fn.n:
+        raise InputError("eval: dimension mismatch")
+    if fn.domain is not None and not reference_contains(fn.domain, x):
+        return INF
+    return max(p.value(x) for p in fn.pieces)
+
+
+# -- certificate re-validation in Fraction arithmetic ---------------------------
+
+
+def reference_check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
+    oriented = lp.oriented_rows()
+    sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
+    if isinstance(outcome, Optimal):
+        if not _within(oriented, outcome.x):
+            raise CertificateError("claimed point is infeasible")
+        if _dot(lp.objective, outcome.x) != outcome.value:
+            raise CertificateError("objective value mismatch")
+        combo, total = _combine(lp.n, oriented, outcome.dual, "dual")
+        if any(c + sign * v for c, v in zip(lp.objective, combo)):
+            raise CertificateError("dual stationarity violated")
+        if -sign * total != outcome.value:
+            raise CertificateError("strong duality violated")
+        for yi, (terms, rhs, _eq) in zip(outcome.dual, oriented):
+            if yi and sum(a * outcome.x[j] for j, a in terms) != rhs:
+                raise CertificateError("complementary slackness violated")
+    elif isinstance(outcome, Infeasible):
+        combo, total = _combine(lp.n, oriented, outcome.farkas, "farkas")
+        if any(combo):
+            raise CertificateError("farkas combination is not 0^T x")
+        if total >= 0:
+            raise CertificateError("farkas combination fails to contradict")
+    elif isinstance(outcome, Unbounded):
+        if not _within(oriented, outcome.point):
+            raise CertificateError("claimed point is infeasible")
+        if not _within(oriented, outcome.ray, cone=True):
+            raise CertificateError("ray is not a recession direction")
+        if sign * _dot(lp.objective, outcome.ray) >= 0:
+            raise CertificateError("ray does not improve the objective")
+    else:
+        raise CertificateError(f"unknown outcome {outcome!r}")
+
+
+def _combine(n, oriented, y, name):
+    if len(y) != len(oriented):
+        raise CertificateError(f"{name} length mismatch")
+    combo = [_ZERO] * n
+    total = _ZERO
+    for yi, (terms, rhs, eq) in zip(y, oriented):
+        if not yi:
+            continue
+        if yi < 0 and not eq:
+            raise CertificateError(f"{name} sign violated on inequality row")
+        for j, a in terms:
+            combo[j] += yi * a
+        total += yi * rhs
+    return combo, total
+
+
+def _within(oriented, x, cone=False):
+    for terms, rhs, eq in oriented:
+        v = sum(a * x[j] for j, a in terms)
+        b = 0 if cone else rhs
+        if v > b or (eq and v != b):
+            return False
+    return True
 
 
 class GridEvaluator:
@@ -105,7 +209,7 @@ def reference_boundary_projection(f, h, x, y):
     """
     x = tuple(rat(v) for v in x)
     y = tuple(rat(v) for v in y)
-    hx, hy = h.value(x), h.value(y)
+    hx, hy = reference_value(h, x), reference_value(h, y)
     if hx == INF or hx <= 0:
         raise InputError("boundary projection requires h(x) > 0")
     if hy == INF or hy >= 0:
@@ -138,7 +242,7 @@ def reference_boundary_projection(f, h, x, y):
     if root is None:
         raise RuntimeError("no sign change of h between the endpoints")
     pi = tuple((1 - root) * xj + root * yj for xj, yj in zip(x, y))
-    if h.value(pi) != 0 or not f.value(pi) < f.value(x):
+    if reference_value(h, pi) != 0 or not reference_value(f, pi) < reference_value(f, x):
         raise RuntimeError("boundary projection is off {h = 0} or does not descend")
     return pi
 
@@ -168,13 +272,17 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
         rhs += [hi, -lo]
     on_box = PolyhedralConvexFunction(n, f.pieces, HPolyhedron(rows, rhs, n))
     _, y = epigraph_inf(on_box)
-    if h.value(y) >= 0:
+    if reference_value(h, y) >= 0:
         return BoundaryReport(False, "interior point not found (h(y) >= 0)", (), (), ())
     boundary = [i for i in feas if hvals[i] == 0]
     m_boundary = min((fvals[i] for i in boundary), default=None)
     improved = min(
         [m_feas]
-        + [f.value(reference_boundary_projection(f, h, pts[i], y)) for i in feas if hvals[i] > 0]
+        + [
+            reference_value(f, reference_boundary_projection(f, h, pts[i], y))
+            for i in feas
+            if hvals[i] > 0
+        ]
     )
     equality_side = tuple(
         pts[i] for i in boundary if m_boundary is not None and fvals[i] <= m_boundary + eps
@@ -189,7 +297,7 @@ def grid_sample(f, h, box, step):
     points, images = [], []
     for pt in grid.points():
         points.append(pt)
-        fv, hv = f.value(pt), h.value(pt)
+        fv, hv = reference_value(f, pt), reference_value(h, pt)
         images.append(None if fv == INF or hv == INF else (fv, -hv))
     return ParetoSample(2, tuple(points), tuple(images)), grid
 
@@ -461,7 +569,7 @@ def reference_membership_lp(problem, mode, eps_prime, xstar, ray=None):
     cols = [(p.a, -_ONE, p.b) for p in f.pieces]
     cols += [(p.a, _ZERO, p.b) for phi in phis for p in phi.pieces]
     cols += [(row, _ZERO, -rhs) for row, rhs in zip(dom.a, dom.b)]
-    cols.append(((_ZERO,) * f.n, _ONE, problem.epsilon - f.value(x_bar)))
+    cols.append(((_ZERO,) * f.n, _ONE, problem.epsilon - reference_value(f, x_bar)))
     if ray is not None:
         d_eps, d_x = ray
         cols.append((tuple(-v for v in d_x), _ZERO, _dot(d_x, x_bar) + d_eps))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from corpus import face_domain_family
 from revopt import cli, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
@@ -383,6 +384,38 @@ def test_replay_covers_convex_mode(tmp_path, capsys):
     check["outcome"]["dual"][0] = "7/3"
     with pytest.raises(CertificateError):
         replay(problem, rep)
+
+
+def test_f_at_x_bar_is_read_at_most_once_per_decision_and_replay(monkeypatch):
+    # The probe's columns, f(x_bar) in the budget among them, are built once
+    # per problem and mode, however many checks a decision logs or replays.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += face_domain_family(12)
+    seen = []
+    original = PolyhedralConvexFunction.value
+
+    def counting(self, x):
+        seen.append((self, tuple(x)))
+        return original(self, x)
+
+    def f_at_x_bar(problem):
+        count = sum(fn is problem.objective and x == problem.point for fn, x in seen)
+        seen.clear()
+        return count
+
+    monkeypatch.setattr(PolyhedralConvexFunction, "value", counting)
+    most_checks = 0
+    for problem in problems:
+        for mode in MODES:
+            fresh = parse_problem(problem_to_doc(problem))
+            seen.clear()
+            doc = cli._verdict_to_doc(cli.verify(fresh, mode))
+            assert f_at_x_bar(fresh) <= 1
+            fresh = parse_problem(problem_to_doc(problem))
+            replay(fresh, doc)
+            assert f_at_x_bar(fresh) <= 1
+            most_checks = max(most_checks, len(doc["checks"]))
+    assert most_checks >= 2
 
 
 def test_replay_trusts_no_solver(capsys, monkeypatch):

@@ -1,5 +1,7 @@
-"""The lean simplex against the split-variable reference in `reference.py`."""
+"""The lean simplex, and the integer certificate check, against the
+references in `reference.py`."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +13,7 @@ from corpus import corpus
 from revopt import certificates, lp, oracle, pareto, polytope, subdiff
 from revopt.certificates import MODES, membership_lp, verify
 from revopt.lp import (
+    CertificateError,
     Infeasible,
     LinearProgram,
     Optimal,
@@ -78,6 +81,79 @@ def test_random_lps_match_the_reference():
         out = _assert_same(_random_lp(rng))
         kinds[type(out)] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def _check_result(check, problem_lp, outcome):
+    """What `check` makes of an outcome: None, or the error's type and, for a
+    CertificateError, its text. A dropped entry can also end in an
+    IndexError, whose text names the container (a list or a tuple)."""
+    try:
+        check(problem_lp, outcome)
+    except CertificateError as exc:
+        return CertificateError, str(exc)
+    except IndexError:
+        return IndexError, None
+    return None
+
+
+def _forgeries(outcome):
+    """The outcome and its one-entry forgeries: each entry of each vector
+    shifted by 1/7 and by -1/7, each nonzero multiplier negated, each entry
+    dropped; an optimum's value shifted by 1/7 too."""
+    yield outcome
+    for field in dataclasses.fields(outcome):
+        vec = getattr(outcome, field.name)
+        if not isinstance(vec, tuple):
+            yield dataclasses.replace(outcome, **{field.name: vec + F(1, 7)})
+            continue
+        for k, v in enumerate(vec):
+            forged = [vec[:k] + (v + d,) + vec[k + 1 :] for d in (F(1, 7), F(-1, 7))]
+            forged.append(vec[:k] + vec[k + 1 :])
+            if field.name in ("dual", "farkas") and v:
+                forged.append(vec[:k] + (-v,) + vec[k + 1 :])
+            for new in forged:
+                yield dataclasses.replace(outcome, **{field.name: new})
+
+
+def test_check_outcome_matches_the_fraction_reference_on_forgeries(monkeypatch):
+    # The integer check gives the reference's verdict and error message on
+    # every outcome, and each one-entry forgery of it, of the random LPs and
+    # of the probes that `verify` solves on the problem files.
+    def run():
+        for path in PROBLEMS:
+            for mode in MODES:
+                verify(load_problem(str(path)), mode)
+
+    rng = random.Random(71)
+    lps = [_random_lp(rng) for _ in range(400)] + _captured_lps(monkeypatch, run)
+    rejected = set()
+    compared = 0
+    for problem_lp in lps:
+        for outcome in _forgeries(lp_solve(problem_lp)):
+            got = _check_result(check_outcome, problem_lp, outcome)
+            assert got == _check_result(reference.reference_check_outcome, problem_lp, outcome)
+            compared += 1
+            if got is not None:
+                rejected.add(got[1])
+    assert compared > 5000
+    # Every rejection is reached, and an IndexError, but complementary
+    # slackness: a feasible x, stationarity and strong duality already give
+    # y . (b - A x) = 0 with both factors >= 0 termwise.
+    assert rejected == {
+        None,
+        "claimed point is infeasible",
+        "objective value mismatch",
+        "dual length mismatch",
+        "dual sign violated on inequality row",
+        "dual stationarity violated",
+        "strong duality violated",
+        "farkas length mismatch",
+        "farkas sign violated on inequality row",
+        "farkas combination is not 0^T x",
+        "farkas combination fails to contradict",
+        "ray is not a recession direction",
+        "ray does not improve the objective",
+    }
 
 
 def _captured_lps(monkeypatch, run):

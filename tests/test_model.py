@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
 
+F = Fraction
+
 import pytest
 
+import reference
 from revopt.model import (
     INF,
+    NEG_INF,
     AffineForm,
     HPolyhedron,
     InputError,
@@ -61,6 +65,38 @@ def test_rat_rejects_non_rationals(bad):
         rat(bad)
 
 
+def _parsed(parse, text):
+    """The exact value `parse` reads from `text`, or "rejected"."""
+    try:
+        value = parse(text)
+    except InputError:
+        return "rejected"
+    return type(value), value
+
+
+def test_rat_accepts_and_rejects_what_the_two_pass_parser_did():
+    literals = [" 3/4 ", "+5", "-0/3", "1/0", "1.5", "1e3", "1_0", True, 2.0]
+    literals += ["007/010", "-12/8", "3/-4", "+-1", "1/", "/2", " 9\n", 6, F(2, 6)]
+    rng = random.Random(3)
+    literals += ["".join(rng.choices("0123456789/+- ._", k=rng.randint(1, 6))) for _ in range(3000)]
+    accepted = 0
+    for text in literals:
+        got = _parsed(rat, text)
+        assert got == _parsed(reference.reference_rat, text), text
+        accepted += got != "rejected"
+    assert _parsed(rat, " 3/4 ") == (F, F(3, 4))
+    assert _parsed(rat, "-0/3") == (F, F(0))
+    assert 100 < accepted < len(literals) - 100
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [(F(3, 4), "3/4"), (F(-6, 2), "-3"), (F(0), "0"), (7, "7"), (-2, "-2"), (INF, "inf"), (NEG_INF, "-inf")],
+)
+def test_fmt_formats_fractions_ints_and_the_infinite_tags(value, text):
+    assert fmt(value) == text
+
+
 def _random_function(rng, n):
     pieces = tuple(
         AffineForm(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)),
@@ -90,6 +126,48 @@ def test_eval_positively_homogeneous_under_piece_scaling():
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         x = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for _ in range(n))
         assert f.scaled(lam).value(x) == lam * f.value(x)
+
+
+def _rational_point(rng, n):
+    return tuple(F(rng.randint(-12, 12), rng.choice((1, 2, 3, 7))) for _ in range(n))
+
+
+def test_value_and_contains_match_the_fraction_reference():
+    # Seeded rational functions and domains; points inside, off and on a
+    # domain (each row made tight at a drawn point in turn), some given as ints.
+    rng = random.Random(29)
+    where = {"inside": 0, "off": 0, "on": 0}
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        pieces = tuple(
+            AffineForm(_rational_point(rng, n), F(rng.randint(-9, 9), rng.choice((1, 4, 5))))
+            for _ in range(rng.randint(1, 4))
+        )
+        centre = _rational_point(rng, n)
+        rows = [_rational_point(rng, n) for _ in range(rng.randint(1, 3))]
+        slack = [F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in rows]
+        rhs = [sum(a * x for a, x in zip(row, centre)) + s for row, s in zip(rows, slack)]
+        dom = HPolyhedron(tuple(rows), tuple(rhs), n)
+        f = PolyhedralConvexFunction(n, pieces, dom)
+        points = [centre, tuple(int(v) for v in centre)]
+        points += [_rational_point(rng, n) for _ in range(4)]
+        for row, b in zip(rows, rhs):
+            k = next((j for j, a in enumerate(row) if a), None)
+            if k is not None:  # move the centre along axis k onto the row
+                shift = (b - sum(a * x for a, x in zip(row, centre))) / row[k]
+                points.append(centre[:k] + (centre[k] + shift,) + centre[k + 1 :])
+        for x in points:
+            inside = reference.reference_contains(dom, x)
+            assert dom.contains(x) is inside
+            assert f.is_finite_at(x) is inside
+            value = f.value(x)
+            assert value == reference.reference_value(f, x)
+            assert type(value) is (float if value == INF else F)
+            tight = any(sum(a * v for a, v in zip(r, x)) == b for r, b in zip(rows, rhs))
+            where["on" if inside and tight else "inside" if inside else "off"] += 1
+            unbounded = PolyhedralConvexFunction(n, pieces)
+            assert unbounded.value(x) == reference.reference_value(unbounded, x)
+    assert min(where.values()) >= 100, where
 
 
 def test_problem_validation():
