@@ -70,19 +70,22 @@ def _outcome_to_doc(outcome) -> dict:
 
 def _outcome_from_doc(doc) -> object:
     tag = doc.get("tag")
-    if tag == "optimal":
-        return Optimal(
-            x=tuple(rat(v) for v in doc["x"]),
-            value=rat(doc["value"]),
-            dual=tuple(rat(v) for v in doc["dual"]),
-        )
-    if tag == "infeasible":
-        return Infeasible(farkas=tuple(rat(v) for v in doc["farkas"]))
-    if tag == "unbounded":
-        return Unbounded(
-            ray=tuple(rat(v) for v in doc["ray"]),
-            point=tuple(rat(v) for v in doc["point"]),
-        )
+    try:
+        if tag == "optimal":
+            return Optimal(
+                x=tuple(rat(v) for v in doc["x"]),
+                value=rat(doc["value"]),
+                dual=tuple(rat(v) for v in doc["dual"]),
+            )
+        if tag == "infeasible":
+            return Infeasible(farkas=tuple(rat(v) for v in doc["farkas"]))
+        if tag == "unbounded":
+            return Unbounded(
+                ray=tuple(rat(v) for v in doc["ray"]),
+                point=tuple(rat(v) for v in doc["point"]),
+            )
+    except KeyError as exc:
+        raise CertificateError(f"the {tag} outcome lacks {exc}") from None
     raise InputError(f"unknown outcome tag {tag!r}")
 
 
@@ -112,6 +115,16 @@ def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
 
 
 # -- replay --------------------------------------------------------------------
+
+
+_CHECK_FIELDS = ("eps_prime", "generator", "kind", "accepted", "sup", "outcome")
+
+
+def _require(doc, keys, what) -> None:
+    """Raise CertificateError unless the report part `doc` has every key."""
+    for key in keys:
+        if key not in doc:
+            raise CertificateError(f"{what} lacks {key!r}")
 
 
 def _implied_verdict(gates, checks) -> str | None:
@@ -145,15 +158,21 @@ def replay(problem, report: dict) -> None:
     checks the stored outcome's certificate exactly and re-reads the check's
     `accepted` and `sup` off it (`probe_evidence`); then re-derives the
     verdict tag from the gates and those checks. Raises CertificateError on
-    any mismatch. A ray check logs its direction, and starts at the first
-    generator of h's eps'-subdifferentials (`subdiff_epigraph`).
+    any mismatch, on a missing field that replay reads, and on a generator
+    without one entry per variable. A ray check logs its direction, and
+    starts at the first generator of h's eps'-subdifferentials
+    (`subdiff_epigraph`).
     """
+    _require(report, ("mode",), "the report")
     mode = report["mode"]
     base = None
     seen = []
     for check in report.get("checks", ()):
+        _require(check, _CHECK_FIELDS, "a check")
         eps_prime = rat(check["eps_prime"])
         generator = tuple(rat(v) for v in check["generator"])
+        if len(generator) != problem.n:
+            raise CertificateError("generator length mismatch")
         kind = check["kind"]
         if kind == "vertex":
             lp = membership_lp(problem, mode, eps_prime, generator)

@@ -14,9 +14,10 @@ only the other rows carry an artificial and phase 1 runs only if one does.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
-free multipliers), each row as its nonzero terms; `LinearProgram.oriented_rows`
-builds it, and the tableau and `check_outcome` read it. A lower bound's
-multiplier is the reduced cost of its variable's column.
+free multipliers), each row as its nonzero terms. `_oriented` builds it once
+per LP in integers over one common denominator, and the tableau and
+`check_outcome` read it. A lower bound's multiplier is the reduced cost of its
+variable's column.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 _RELS = ("<=", "=", ">=")
 
@@ -100,27 +100,30 @@ class LinearProgram:
             raise InputError("lp: bound vector length mismatch")
         return vals
 
-    def oriented_rows(self):
-        """The system as `(terms, rhs, is_equality)` rows with inequalities
-        oriented `<=`, where `terms` are the row's nonzero `(column,
-        coefficient)` pairs: constraint rows first (`>=` rows negated), then
-        per variable its lower bound row `-x_j <= -l_j` and its upper bound row
-        `x_j <= u_j`, one term each. Certificates index into this list."""
-        out = []
-        for coeffs, rel, rhs in self.rows:
-            if rel == ">=":
-                terms = tuple([(j, -v) for j, v in enumerate(coeffs) if v])
-                out.append((terms, -rhs, False))
-            else:
-                terms = tuple([(j, v) for j, v in enumerate(coeffs) if v])
-                out.append((terms, rhs, rel == "="))
-        for j, (low, up) in enumerate(zip(self.lower, self.upper)):
-            if low is not None:
-                # -low only when nonzero: negating a Fraction builds a new one
-                out.append((((j, _MINUS_ONE),), -low if low else low, False))
-            if up is not None:
-                out.append((((j, _ONE),), up, False))
-        return out
+
+def _oriented(lp: LinearProgram) -> tuple[int, list]:
+    """The oriented system in integers: `(den, rows)`, where den is the least
+    common denominator of the rows' and bounds' data and each row is `(terms,
+    rhs, is_equality)` times den, with inequalities oriented `<=` and `terms`
+    the row's nonzero `(column, coefficient)` pairs. Constraint rows come
+    first (`>=` rows negated), then per variable its lower bound row `-x_j <=
+    -l_j` and its upper bound row `x_j <= u_j`, one term each. Certificates
+    index into `rows`."""
+    bounds = [v for v in (*lp.lower, *lp.upper) if v is not None]
+    den = _lcm_den([*bounds, *(v for coeffs, _, rhs in lp.rows for v in (*coeffs, rhs))])
+    rows = []
+    for coeffs, rel, rhs in lp.rows:
+        scale = -den if rel == ">=" else den
+        terms = [
+            (j, v.numerator * (scale // v.denominator)) for j, v in enumerate(coeffs) if v
+        ]
+        rows.append((terms, rhs.numerator * (scale // rhs.denominator), rel == "="))
+    for j, (low, up) in enumerate(zip(lp.lower, lp.upper)):
+        if low is not None:
+            rows.append(([(j, -den)], -low.numerator * (den // low.denominator), False))
+        if up is not None:
+            rows.append(([(j, den)], up.numerator * (den // up.denominator), False))
+    return den, rows
 
 
 @dataclass(frozen=True)
@@ -167,49 +170,52 @@ class _Simplex:
     >= 0; only a variable without one is split x = p - q. Then one slack per
     inequality row, then the artificials.
 
-    Rows: the constraint and upper-bound rows of `LinearProgram.oriented_rows`,
-    each with the lower bounds shifted into its right-hand side, rhs -
-    sum_j a_j * l_j; lower-bound rows are not in the tableau (the native
-    column carries them). An inequality row whose shifted right-hand side is
-    >= 0 starts with its slack basic; every other row is negated if needed so
-    its right-hand side is >= 0 and gets an artificial. Phase 1 runs only when
-    some row has an artificial.
+    Rows: the constraint and upper-bound rows of the oriented system
+    (`_oriented`), each with the lower bounds shifted into its right-hand
+    side, rhs - sum_j a_j * l_j; lower-bound rows are not in the tableau (the
+    native column carries them). An inequality row whose shifted right-hand
+    side is >= 0 starts with its slack basic; every other row is negated if
+    needed so its right-hand side is >= 0 and gets an artificial. Phase 1 runs
+    only when some row has an artificial.
 
-    Multipliers in the oriented layout of `LinearProgram.oriented_rows`: a
-    tableau row's come from the reduced cost of its starting basic column,
-    the slack or the artificial, whose column keeps B^-1 bookkeeping; a lower
-    bound's is the reduced cost of its native column, in phase 2 for
-    `Optimal.dual` and in phase 1 for `Infeasible.farkas`.
+    Multipliers in the oriented layout: a tableau row's come from the reduced
+    cost of its starting basic column, the slack or the artificial, whose
+    column keeps B^-1 bookkeeping; a lower bound's is the reduced cost of its
+    native column, in phase 2 for `Optimal.dual` and in phase 1 for
+    `Infeasible.farkas`.
 
-    Rows are integer vectors sharing one positive denominator each, built
-    from the numerators directly, so the hot loops stay in machine integers.
+    Rows are integer vectors sharing one positive denominator each, taken
+    from the integer oriented system over den^2 (the shift multiplies two
+    values over den) and reduced, so the hot loops stay in machine integers.
     """
 
     MAX_PIVOTS = 200_000
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        lower = lp.lower
         # per variable: its column, and its negative part's (None if native)
         self.cols = []
         ncol = 0
-        for low in lower:
+        for low in lp.lower:
             self.cols.append((ncol, None if low is not None else ncol + 1))
             ncol += 1 if low is not None else 2
-        oriented = lp.oriented_rows()
+        den, oriented = _oriented(lp)
         self.norient = len(oriented)
-        self.lower_row = {}  # variable -> oriented index of its lower bound
-        # tableau rows as (oriented index, terms, shifted rhs, eq)
-        spec = []
         nrows = len(lp.rows)
-        for k, (terms, rhs, eq) in enumerate(oriented):
-            if k >= nrows and terms[0][1] < 0:  # a lower bound row
-                self.lower_row[terms[0][0]] = k
-                continue
-            shift = sum(a * lower[j] for j, a in terms if lower[j])
-            if shift:
-                rhs -= shift
-            spec.append((k, terms, rhs, eq))
+        self.lower_row = {}  # variable -> oriented index of its lower bound
+        lower = {}  # variable -> its nonzero lower bound times den
+        for k in range(nrows, self.norient):
+            ((j, a),), rhs, _eq = oriented[k]
+            if a < 0:
+                self.lower_row[j] = k
+                if rhs:
+                    lower[j] = -rhs
+        # tableau rows as (oriented index, terms, shifted rhs times den^2, eq)
+        spec = [
+            (k, terms, rhs * den - sum(a * lower[j] for j, a in terms if j in lower), eq)
+            for k, (terms, rhs, eq) in enumerate(oriented)
+            if k < nrows or terms[0][1] > 0
+        ]
         self.m = len(spec)
         slack_start = [not eq and rhs >= 0 for _, _, rhs, eq in spec]
         self.nreal = ncol + sum(1 for *_, eq in spec if not eq)
@@ -220,26 +226,25 @@ class _Simplex:
         # per row: (oriented index, sign, starting basic column, artificial?)
         self.origin = []
         slack, art = ncol, self.nreal
+        den2 = den * den
         for (k, terms, rhs, eq), by_slack in zip(spec, slack_start):
             sign = 1 if rhs >= 0 else -1  # makes the tableau row's rhs >= 0
-            den = _lcm_den((*(v for _, v in terms), rhs))
             row = [0] * self.width
-            for j, v in terms:
+            for j, a in terms:
                 p, q = self.cols[j]
-                cell = sign * v.numerator * (den // v.denominator)
-                row[p] = cell
+                row[p] = cell = sign * a * den
                 if q is not None:
                     row[q] = -cell
-            row[-1] = sign * rhs.numerator * (den // rhs.denominator)
+            row[-1] = sign * rhs
             if not eq:
-                row[slack] = sign * den
+                row[slack] = sign * den2
                 start = slack
                 slack += 1
             if not by_slack:
-                row[art] = den
+                row[art] = den2
                 start = art
                 art += 1
-            self.tab.append(_reduce_row(den, row))
+            self.tab.append(_reduce_row(den2, row))
             self.basis.append(start)
             self.origin.append((k, sign, start, not by_slack))
         self.live = list(range(self.m))  # rows not deleted as redundant
@@ -300,20 +305,18 @@ class _Simplex:
             if pivots > self.MAX_PIVOTS:  # Bland terminates; guard bugs only
                 raise RuntimeError("simplex pivot budget exceeded")
 
-    def _cost_row(self, costs: dict):
-        """Reduced-cost row (den, cells) for column costs {col: Fraction}."""
-        den = _lcm_den(costs.values())
+    def _cost_row(self, den: int, costs: dict):
+        """Reduced-cost row (den, cells) for column costs {col: int} / den."""
         cells = [0] * self.width
         for j, v in costs.items():
-            cells[j] = v.numerator * (den // v.denominator)
+            cells[j] = v
         cost = (den, cells)
         for r in self.live:
-            cb = costs.get(self.basis[r], _ZERO)
+            cb = costs.get(self.basis[r])
             if cb:
                 den_c, cc = cost
                 den_r, row = self.tab[r]
-                num = cb.numerator * (den // cb.denominator)  # cb in cost units
-                merged = [a * den * den_r - num * den_c * b for a, b in zip(cc, row)]
+                merged = [a * den * den_r - cb * den_c * b for a, b in zip(cc, row)]
                 cost = _reduce_row(den_c * den * den_r, merged)
         return cost
 
@@ -360,13 +363,10 @@ class _Simplex:
     # -- phases ------------------------------------------------------------
 
     def solve(self) -> LpOutcome:
-        minimize = self.lp.sense == "min"
-        cvec = self.lp.objective if minimize else tuple(-v for v in self.lp.objective)
-
         if self.nart:
             # Phase 1: minimize the artificial sum.
             arts = range(self.nreal, self.nreal + self.nart)
-            cost1 = self._cost_row({j: _ONE for j in arts})
+            cost1 = self._cost_row(1, {j: 1 for j in arts})
             cost1, enter = self._run(cost1, self.nreal)
             if enter is not None:
                 raise RuntimeError("phase 1 unbounded although its objective is >= 0")
@@ -384,13 +384,16 @@ class _Simplex:
                         cost1 = self._pivot(r, enter_col, cost1)
 
         # Phase 2: the real objective on the structural columns.
+        cvec, c_den = _over_common_den(self.lp.objective)
+        if self.lp.sense == "max":
+            cvec = [-c for c in cvec]
         costs2 = {}
         for (p, q), c in zip(self.cols, cvec):
             if c:
                 costs2[p] = c
                 if q is not None:
                     costs2[q] = -c
-        cost2 = self._cost_row(costs2)
+        cost2 = self._cost_row(c_den, costs2)
         cost2, enter = self._run(cost2, self.nreal)
         if enter is not None:
             ray = {enter: _ONE}
@@ -449,23 +452,26 @@ def lp_max_component(lp: LinearProgram, index: int):
 def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
     """Re-validate an outcome's certificate exactly; raises CertificateError.
 
-    This is pure linear algebra on the sparse oriented system: no re-solving.
-    It runs in integers: the objective and the oriented rows share one common
-    denominator, and so do the entries of each vector of the outcome.
+    This is pure linear algebra on the sparse oriented system (`_oriented`):
+    no re-solving. It runs in integers: the rows share one common
+    denominator, the objective has its own, and so do the entries of each
+    vector of the outcome; each vector must have one entry per variable, or
+    per oriented row for a multiplier vector.
     """
-    den, cost, rows = _integer_system(lp)
+    den, rows = _oriented(lp)
+    cost, c_den = _over_common_den(lp.objective)
     sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
     if isinstance(outcome, Optimal):
-        x, x_den = _over_common_den(outcome.x)
+        x, x_den = _vector(outcome.x, lp.n, "x")
         if not _within(rows, x, x_den):
             raise CertificateError("claimed point is infeasible")
         value = outcome.value
-        # Each test is its rational identity multiplied through by den, the
-        # vector's denominator and value's denominator.
-        if sum(map(mul, cost, x)) * value.denominator != value.numerator * den * x_den:
+        # Each test is its rational identity multiplied through by the
+        # denominators of the rows, the objective, the vector and value.
+        if sum(map(mul, cost, x)) * value.denominator != value.numerator * c_den * x_den:
             raise CertificateError("objective value mismatch")
         combo, total, y_den = _combine(lp.n, rows, outcome.dual, "dual")
-        if any(c * y_den + sign * v for c, v in zip(cost, combo)):
+        if any(c * den * y_den + sign * v * c_den for c, v in zip(cost, combo)):
             raise CertificateError("dual stationarity violated")
         if -sign * total * value.denominator != value.numerator * den * y_den:
             raise CertificateError("strong duality violated")
@@ -479,9 +485,9 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
         if total >= 0:
             raise CertificateError("farkas combination fails to contradict")
     elif isinstance(outcome, Unbounded):
-        if not _within(rows, *_over_common_den(outcome.point)):
+        if not _within(rows, *_vector(outcome.point, lp.n, "point")):
             raise CertificateError("claimed point is infeasible")
-        ray, _ray_den = _over_common_den(outcome.ray)
+        ray, _ray_den = _vector(outcome.ray, lp.n, "ray")
         if not _within(rows, ray, 0):
             raise CertificateError("ray is not a recession direction")
         if sign * sum(map(mul, cost, ray)) >= 0:
@@ -490,32 +496,19 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
         raise CertificateError(f"unknown outcome {outcome!r}")
 
 
-def _integer_system(lp: LinearProgram):
-    """(den, objective, rows): the objective and `lp.oriented_rows()` times
-    their least common denominator den, as integers."""
-    oriented = lp.oriented_rows()
-    values = list(lp.objective)
-    for terms, rhs, _eq in oriented:
-        values.append(rhs)
-        values.extend(a for _j, a in terms)
-    den = _lcm_den(values)
-
-    def scale(v):
-        return v.numerator * (den // v.denominator)
-
-    rows = [
-        ([(j, scale(a)) for j, a in terms], scale(rhs), eq) for terms, rhs, eq in oriented
-    ]
-    return den, [scale(c) for c in lp.objective], rows
+def _vector(values, length, name):
+    """values over their common denominator, as `_over_common_den`, after
+    checking that there are `length` of them."""
+    if len(values) != length:
+        raise CertificateError(f"{name} length mismatch")
+    return _over_common_den(values)
 
 
 def _combine(n, rows, y, name):
     """(A'^T y, b'^T y) times y_den over y's nonzero entries, and y_den, the
     common denominator of y; after checking that y has one multiplier per
     oriented row and none negative on an inequality row."""
-    if len(y) != len(rows):
-        raise CertificateError(f"{name} length mismatch")
-    y, y_den = _over_common_den(y)
+    y, y_den = _vector(y, len(rows), name)
     combo = [0] * n
     total = 0
     for yi, (terms, rhs, eq) in zip(y, rows):

@@ -13,7 +13,9 @@ kept alpha as a column of its own. The evaluation references
 (`reference_value`, `reference_contains`) and the certificate check's
 (`reference_check_outcome`) are the library's earlier `Fraction` versions,
 before it evaluated and re-validated in integers; `reference_rat` parsed each
-literal twice.
+literal twice. `reference_oriented_rows` is the library's earlier `Fraction`
+form of the oriented layout, which the certificate check's and the LP's
+references read; the library builds the same rows in integers.
 """
 
 import itertools
@@ -43,6 +45,7 @@ from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.subdiff import epigraph_inf, joint_domain
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 # -- scalars and evaluation in Fraction arithmetic ------------------------------
@@ -79,10 +82,34 @@ def reference_value(fn: PolyhedralConvexFunction, x):
 # -- certificate re-validation in Fraction arithmetic ---------------------------
 
 
+def reference_oriented_rows(lp):
+    """The system as `(terms, rhs, is_equality)` rows with inequalities
+    oriented `<=`, where `terms` are the row's nonzero `(column,
+    coefficient)` pairs: constraint rows first (`>=` rows negated), then
+    per variable its lower bound row `-x_j <= -l_j` and its upper bound row
+    `x_j <= u_j`, one term each. Certificates index into this list."""
+    out = []
+    for coeffs, rel, rhs in lp.rows:
+        if rel == ">=":
+            terms = tuple([(j, -v) for j, v in enumerate(coeffs) if v])
+            out.append((terms, -rhs, False))
+        else:
+            terms = tuple([(j, v) for j, v in enumerate(coeffs) if v])
+            out.append((terms, rhs, rel == "="))
+    for j, (low, up) in enumerate(zip(lp.lower, lp.upper)):
+        if low is not None:
+            # -low only when nonzero: negating a Fraction builds a new one
+            out.append((((j, _MINUS_ONE),), -low if low else low, False))
+        if up is not None:
+            out.append((((j, _ONE),), up, False))
+    return out
+
+
 def reference_check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
-    oriented = lp.oriented_rows()
+    oriented = reference_oriented_rows(lp)
     sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
     if isinstance(outcome, Optimal):
+        _length(outcome.x, lp.n, "x")
         if not _within(oriented, outcome.x):
             raise CertificateError("claimed point is infeasible")
         if _dot(lp.objective, outcome.x) != outcome.value:
@@ -102,8 +129,10 @@ def reference_check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
         if total >= 0:
             raise CertificateError("farkas combination fails to contradict")
     elif isinstance(outcome, Unbounded):
+        _length(outcome.point, lp.n, "point")
         if not _within(oriented, outcome.point):
             raise CertificateError("claimed point is infeasible")
+        _length(outcome.ray, lp.n, "ray")
         if not _within(oriented, outcome.ray, cone=True):
             raise CertificateError("ray is not a recession direction")
         if sign * _dot(lp.objective, outcome.ray) >= 0:
@@ -112,9 +141,13 @@ def reference_check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
         raise CertificateError(f"unknown outcome {outcome!r}")
 
 
-def _combine(n, oriented, y, name):
-    if len(y) != len(oriented):
+def _length(vec, length, name):
+    if len(vec) != length:
         raise CertificateError(f"{name} length mismatch")
+
+
+def _combine(n, oriented, y, name):
+    _length(y, len(oriented), name)
     combo = [_ZERO] * n
     total = _ZERO
     for yi, (terms, rhs, eq) in zip(y, oriented):
@@ -369,7 +402,7 @@ class _Simplex:
         n = lp.n
         self.oriented = [  # the sparse oriented rows made dense
             ([dict(terms).get(j, _ZERO) for j in range(n)], rhs, eq)
-            for terms, rhs, eq in lp.oriented_rows()
+            for terms, rhs, eq in reference_oriented_rows(lp)
         ]
         self.m = len(self.oriented)
         ineq_idx = [i for i, (_, _, eq) in enumerate(self.oriented) if not eq]

@@ -518,3 +518,30 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
     last = refuted["checks"][-1]
     with pytest.raises(CertificateError):
         replay(b, {**refuted, "checks": [last, last]})
+
+
+def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
+    # A report that lacks a field replay reads, or logs a vector of the wrong
+    # length, is rejected as a bad certificate, not by a KeyError or an
+    # IndexError from inside the check.
+    path = next(p for p in PROBLEMS if p.name == "example_b.json")
+    _, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+    problem = load_problem(str(path))
+    replay(problem, doc)
+    assert any(c["outcome"]["tag"] == "optimal" for c in doc["checks"])
+
+    def forged(change):
+        copy = json.loads(json.dumps(doc))
+        change(copy)
+        return copy
+
+    optimal = next(i for i, c in enumerate(doc["checks"]) if c["outcome"]["tag"] == "optimal")
+    for report in (
+        forged(lambda d: d["checks"][0].pop("sup")),
+        forged(lambda d: d["checks"][0].pop("outcome")),
+        forged(lambda d: d.pop("mode")),
+        forged(lambda d: d["checks"][0].update(generator=[])),
+        forged(lambda d: d["checks"][optimal]["outcome"]["x"].pop()),
+    ):
+        with pytest.raises(CertificateError):
+            replay(problem, report)

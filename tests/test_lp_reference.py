@@ -2,6 +2,7 @@
 references in `reference.py`."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -84,28 +85,26 @@ def test_random_lps_match_the_reference():
 
 
 def _check_result(check, problem_lp, outcome):
-    """What `check` makes of an outcome: None, or the error's type and, for a
-    CertificateError, its text. A dropped entry can also end in an
-    IndexError, whose text names the container (a list or a tuple)."""
+    """What `check` makes of an outcome: None, or the CertificateError's
+    text."""
     try:
         check(problem_lp, outcome)
     except CertificateError as exc:
-        return CertificateError, str(exc)
-    except IndexError:
-        return IndexError, None
+        return str(exc)
     return None
 
 
 def _forgeries(outcome):
     """The outcome and its one-entry forgeries: each entry of each vector
     shifted by 1/7 and by -1/7, each nonzero multiplier negated, each entry
-    dropped; an optimum's value shifted by 1/7 too."""
+    dropped, a zero entry appended; an optimum's value shifted by 1/7 too."""
     yield outcome
     for field in dataclasses.fields(outcome):
         vec = getattr(outcome, field.name)
         if not isinstance(vec, tuple):
             yield dataclasses.replace(outcome, **{field.name: vec + F(1, 7)})
             continue
+        yield dataclasses.replace(outcome, **{field.name: vec + (F(0),)})
         for k, v in enumerate(vec):
             forged = [vec[:k] + (v + d,) + vec[k + 1 :] for d in (F(1, 7), F(-1, 7))]
             forged.append(vec[:k] + vec[k + 1 :])
@@ -115,32 +114,57 @@ def _forgeries(outcome):
                 yield dataclasses.replace(outcome, **{field.name: new})
 
 
-def test_check_outcome_matches_the_fraction_reference_on_forgeries(monkeypatch):
-    # The integer check gives the reference's verdict and error message on
-    # every outcome, and each one-entry forgery of it, of the random LPs and
-    # of the probes that `verify` solves on the problem files.
+def _random_and_probe_lps(monkeypatch):
+    """The 400 random LPs, then every LP that `verify` solves on the problem
+    files in each mode."""
+
     def run():
         for path in PROBLEMS:
             for mode in MODES:
                 verify(load_problem(str(path)), mode)
 
     rng = random.Random(71)
-    lps = [_random_lp(rng) for _ in range(400)] + _captured_lps(monkeypatch, run)
+    return [_random_lp(rng) for _ in range(400)] + _captured_lps(monkeypatch, run)
+
+
+def test_the_integer_system_is_the_reference_layout_over_its_denominator(monkeypatch):
+    # One builder makes the oriented system in integers for the tableau and
+    # the certificate check: it is the Fraction layout, row for row, times
+    # the least common denominator of its entries.
+    for problem_lp in _random_and_probe_lps(monkeypatch):
+        den, rows = lp._oriented(problem_lp)
+        oriented = reference.reference_oriented_rows(problem_lp)
+        assert den == math.lcm(
+            *(v.denominator for terms, rhs, _eq in oriented for _j, v in (*terms, (0, rhs)))
+        )
+        assert rows == [
+            ([(j, a * den) for j, a in terms], rhs * den, eq) for terms, rhs, eq in oriented
+        ]
+        assert all(type(v) is int for terms, rhs, _eq in rows for _j, v in (*terms, (0, rhs)))
+
+
+def test_check_outcome_matches_the_fraction_reference_on_forgeries(monkeypatch):
+    # The integer check gives the reference's verdict and error message on
+    # every outcome, and each one-entry forgery of it, of the random LPs and
+    # of the probes that `verify` solves on the problem files.
     rejected = set()
     compared = 0
-    for problem_lp in lps:
+    for problem_lp in _random_and_probe_lps(monkeypatch):
         for outcome in _forgeries(lp_solve(problem_lp)):
             got = _check_result(check_outcome, problem_lp, outcome)
             assert got == _check_result(reference.reference_check_outcome, problem_lp, outcome)
             compared += 1
-            if got is not None:
-                rejected.add(got[1])
+            rejected.add(got)
     assert compared > 5000
-    # Every rejection is reached, and an IndexError, but complementary
-    # slackness: a feasible x, stationarity and strong duality already give
-    # y . (b - A x) = 0 with both factors >= 0 termwise.
+    # Every rejection is reached but complementary slackness: a feasible x,
+    # stationarity and strong duality already give y . (b - A x) = 0 with both
+    # factors >= 0 termwise. A vector of the wrong length is rejected by its
+    # length, before any entry is read.
     assert rejected == {
         None,
+        "x length mismatch",
+        "point length mismatch",
+        "ray length mismatch",
         "claimed point is infeasible",
         "objective value mismatch",
         "dual length mismatch",

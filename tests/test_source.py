@@ -24,9 +24,9 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _linear_program_calls(tree):
+def _calls(tree, callee):
     """Qualified names ("f", "C.m", "f.g") of the functions that call
-    LinearProgram(...); "" for module-level calls."""
+    `callee`(...); "" for module-level calls."""
     found = []
 
     def visit(node, scope):
@@ -37,7 +37,7 @@ def _linear_program_calls(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name == "LinearProgram":
+                if name == callee:
                     found.append(".".join(scope))
             visit(child, scope)
 
@@ -58,8 +58,25 @@ def test_linear_programs_are_assembled_in_four_places_only():
         if path.stem == "lp":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        sites |= {(path.stem, scope) for scope in _linear_program_calls(tree)}
+        sites |= {(path.stem, scope) for scope in _calls(tree, "LinearProgram")}
     assert sites == allowed
+
+
+def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
+    # One builder turns an LP into its integer oriented system, whose layout
+    # every certificate indexes; the tableau and the certificate check read
+    # it, and the Fraction layout `oriented_rows` is gone.
+    sites = set()
+    for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites |= {(path.stem, scope) for scope in _calls(tree, "_oriented")}
+        assert _calls(tree, "oriented_rows") == []
+        assert not any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "oriented_rows"
+            for node in ast.walk(tree)
+        )
+    assert sites == {("lp", "_Simplex.__init__"), ("lp", "check_outcome")}
 
 
 def test_no_module_but_cli_imports_unbounded():
