@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .lp import INF, NEG_INF, LinearProgram, lp_solve, lp_value
 from .model import (
@@ -72,6 +73,7 @@ from .model import (
     PolyhedralConvexFunction,
     ReverseProblem,
     _dot,
+    _over_common_den,
     rat,
 )
 from .subdiff import epigraph_inf, joint_domain, subdiff_epigraph
@@ -139,14 +141,9 @@ def _phis(mode, problem: ReverseProblem) -> tuple:
 
 
 def _probe_columns(problem: ReverseProblem, mode):
-    """The parts of `mode`'s probe that no check changes, as (slope rows,
-    budget row, objective of a point probe): the columns lam, nu and eta of
-    `membership_lp`, with f(x_bar) evaluated once. Memoised per mode in the
-    problem's own instance dict, so the memo lives and dies with the problem;
-    `verify`, `union_member` and `replay` all reuse it."""
-    memo = vars(problem).setdefault("_probe_columns", {})
-    if mode in memo:
-        return memo[mode]
+    """The columns lam, nu and eta of `mode`'s probe (`membership_lp`), as
+    (slope rows, budget row, objective of a point probe), with f(x_bar)
+    evaluated once; `membership_lp` calls it once per problem and mode."""
     f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
     dom = joint_domain(f.n, (f, *phis))
     shift = problem.epsilon - f.value(x_bar)  # alpha's budget coefficient
@@ -155,8 +152,17 @@ def _probe_columns(problem: ReverseProblem, mode):
     cols += [(p.a, p.b, _ZERO) for phi in phis for p in phi.pieces]
     cols += [(row, -rhs, _ZERO) for row, rhs in zip(dom.a, dom.b)]
     slopes, budget, gain = zip(*cols)
-    memo[mode] = out = (tuple(zip(*slopes)), budget, gain)
-    return out
+    return tuple(zip(*slopes)), budget, gain
+
+
+def _budget_rhs(x_bar, eps_prime, xstar) -> Fraction:
+    """The budget row's right-hand side -<x*, x_bar> - eps', from x_bar and
+    x* over their common denominators: one Fraction."""
+    xb, xb_den = _over_common_den(x_bar)
+    xs, xs_den = _over_common_den(xstar)
+    den = xb_den * xs_den
+    num = -sum(map(mul, xs, xb)) * eps_prime.denominator - eps_prime.numerator * den
+    return Fraction(num, den * eps_prime.denominator)
 
 
 def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
@@ -168,21 +174,33 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     the phi_j, and the ray parameter t when `ray` = (d_eps', d_x*) is given
     ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). alpha = sum lam
     is not a column: its budget coefficient eps - f(x_bar) joins each lam's.
-    Rows: the n slopes and the budget. The objective maximizes sum lam, or t.
-    Only the right-hand sides and the t column depend on the check; the rest
-    is built once per problem and mode (`_probe_columns`).
+    Rows: the n slopes (= x*) and the budget (>= -<x*, x_bar> - eps'). The
+    objective maximizes sum lam, or t.
+
+    Only the right-hand sides and the t column depend on the check. The
+    template, the point probe with every right-hand side zero (the probe at
+    (eps', x*) = (0, 0)), is built, validated and oriented in integers once
+    per problem and mode, and memoised in the problem's own instance dict, so
+    it lives and dies with the problem; `verify`, `union_member` and `replay`
+    all reuse it. A point probe is the template with its right-hand sides
+    swapped in by `LinearProgram.with_rhs`, which validates only those and
+    rescales the template's oriented system. A ray probe adds the t column to
+    the template's rows, builds that LP with zero right-hand sides, and
+    derives the probe from it the same way.
     """
-    slopes, budget, objective = _probe_columns(problem, mode)
-    x_bar = problem.point
+    memo = vars(problem).setdefault("_probe_templates", {})
+    if mode not in memo:
+        slopes, budget, gain = _probe_columns(problem, mode)
+        rows = [(row, "=", _ZERO) for row in slopes] + [(budget, ">=", _ZERO)]
+        memo[mode] = LinearProgram(len(gain), gain, "max", rows, (_ZERO,) * len(gain))
+    template = memo[mode]
     if ray is not None:
         d_eps, d_x = ray
-        slopes = [(*row, -d_x[j]) for j, row in enumerate(slopes)]
-        budget = (*budget, _dot(d_x, x_bar) + d_eps)
-        objective = (_ZERO,) * len(objective) + (_ONE,)
-    rows = [(row, "=", xstar[j]) for j, row in enumerate(slopes)]
-    rows.append((budget, ">=", -_dot(xstar, x_bar) - eps_prime))
-    n = len(budget)
-    return LinearProgram(n, objective, "max", rows, (_ZERO,) * n)
+        t_col = [-v for v in d_x] + [_dot(d_x, problem.point) + d_eps]
+        rows = [((*a, t), rel, b) for (a, rel, b), t in zip(template.rows, t_col)]
+        n = template.n + 1
+        template = LinearProgram(n, (_ZERO,) * template.n + (_ONE,), "max", rows, (_ZERO,) * n)
+    return template.with_rhs((*xstar, _budget_rhs(problem.point, eps_prime, xstar)))
 
 
 def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:

@@ -68,25 +68,29 @@ def _outcome_to_doc(outcome) -> dict:
     raise InputError(f"unknown outcome {outcome!r}")
 
 
+_OUTCOME_FIELDS = {
+    "optimal": ("x", "value", "dual"),
+    "infeasible": ("farkas",),
+    "unbounded": ("ray", "point"),
+}
+
+
 def _outcome_from_doc(doc) -> object:
-    tag = doc.get("tag")
-    try:
-        if tag == "optimal":
-            return Optimal(
-                x=tuple(rat(v) for v in doc["x"]),
-                value=rat(doc["value"]),
-                dual=tuple(rat(v) for v in doc["dual"]),
-            )
-        if tag == "infeasible":
-            return Infeasible(farkas=tuple(rat(v) for v in doc["farkas"]))
-        if tag == "unbounded":
-            return Unbounded(
-                ray=tuple(rat(v) for v in doc["ray"]),
-                point=tuple(rat(v) for v in doc["point"]),
-            )
-    except KeyError as exc:
-        raise CertificateError(f"the {tag} outcome lacks {exc}") from None
-    raise InputError(f"unknown outcome tag {tag!r}")
+    """A report's outcome; CertificateError unless it is one."""
+    _require(doc, ("tag",), "an outcome")
+    tag = doc["tag"]
+    if tag not in _OUTCOME_FIELDS:
+        raise CertificateError(f"unknown outcome tag {tag!r}")
+    _require(doc, _OUTCOME_FIELDS[tag], f"the {tag} outcome")
+    if tag == "optimal":
+        return Optimal(
+            x=_rationals(doc["x"], "x"),
+            value=_rational(doc["value"], "value"),
+            dual=_rationals(doc["dual"], "dual"),
+        )
+    if tag == "infeasible":
+        return Infeasible(farkas=_rationals(doc["farkas"], "farkas"))
+    return Unbounded(ray=_rationals(doc["ray"], "ray"), point=_rationals(doc["point"], "point"))
 
 
 def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
@@ -121,10 +125,38 @@ _CHECK_FIELDS = ("eps_prime", "generator", "kind", "accepted", "sup", "outcome")
 
 
 def _require(doc, keys, what) -> None:
-    """Raise CertificateError unless the report part `doc` has every key."""
+    """Raise CertificateError unless the report part `doc` is an object with
+    every key."""
+    if not isinstance(doc, dict):
+        raise CertificateError(f"{what} is not an object")
     for key in keys:
         if key not in doc:
             raise CertificateError(f"{what} lacks {key!r}")
+
+
+def _rational(value, what) -> Fraction:
+    """A report's rational literal (`rat`); CertificateError unless it is one."""
+    try:
+        return rat(value)
+    except InputError:
+        raise CertificateError(f"{what} is not a rational: {value!r}") from None
+
+
+def _rationals(values, what) -> tuple:
+    """A report's list of rational literals; CertificateError unless it is one."""
+    if not isinstance(values, list):
+        raise CertificateError(f"{what} is not a list")
+    return tuple(_rational(v, what) for v in values)
+
+
+def _gates(gates) -> list:
+    """A report's gates, each a [name, passed] pair; CertificateError unless
+    they are."""
+    if not isinstance(gates, list) or not all(
+        isinstance(gate, list) and len(gate) == 2 for gate in gates
+    ):
+        raise CertificateError("the gates are not a list of [name, passed] pairs")
+    return gates
 
 
 def _implied_verdict(gates, checks) -> str | None:
@@ -158,19 +190,25 @@ def replay(problem, report: dict) -> None:
     checks the stored outcome's certificate exactly and re-reads the check's
     `accepted` and `sup` off it (`probe_evidence`); then re-derives the
     verdict tag from the gates and those checks. Raises CertificateError on
-    any mismatch, on a missing field that replay reads, and on a generator
-    without one entry per variable. A ray check logs its direction, and
-    starts at the first generator of h's eps'-subdifferentials
-    (`subdiff_epigraph`).
+    any mismatch and on any malformed part that replay reads: a missing
+    field, a part of the wrong JSON type, an unknown mode, kind or outcome
+    tag, a literal that is not rational, or a generator without one entry
+    per variable. A ray check logs its direction, and starts at the first
+    generator of h's eps'-subdifferentials (`subdiff_epigraph`).
     """
     _require(report, ("mode",), "the report")
     mode = report["mode"]
+    if mode not in MODES:
+        raise CertificateError(f"unknown mode {mode!r}")
+    checks = report.get("checks", [])
+    if not isinstance(checks, list):
+        raise CertificateError("the checks are not a list")
     base = None
     seen = []
-    for check in report.get("checks", ()):
+    for check in checks:
         _require(check, _CHECK_FIELDS, "a check")
-        eps_prime = rat(check["eps_prime"])
-        generator = tuple(rat(v) for v in check["generator"])
+        eps_prime = _rational(check["eps_prime"], "eps_prime")
+        generator = _rationals(check["generator"], "generator")
         if len(generator) != problem.n:
             raise CertificateError("generator length mismatch")
         kind = check["kind"]
@@ -188,7 +226,7 @@ def replay(problem, report: dict) -> None:
         if check["accepted"] is not ev.member or check["sup"] != fmt(ev.sup):
             raise CertificateError("accepted or sup disagrees with the outcome")
         seen.append((kind, ev.member, not any((eps_prime, *generator))))
-    if report.get("verdict") != _implied_verdict(report.get("gates", ()), seen):
+    if report.get("verdict") != _implied_verdict(_gates(report.get("gates", [])), seen):
         raise CertificateError("the verdict does not follow from the gates and checks")
 
 

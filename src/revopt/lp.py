@@ -14,10 +14,15 @@ only the other rows carry an artificial and phase 1 runs only if one does.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
-free multipliers), each row as its nonzero terms. `_oriented` builds it once
-per LP in integers over one common denominator, and the tableau and
-`check_outcome` read it. A lower bound's multiplier is the reduced cost of its
-variable's column.
+free multipliers), each row as its nonzero terms. `_oriented` builds it from
+the `Fraction` data in integers over one common denominator, at most once per
+LP (`LinearProgram._system`), and the tableau and `check_outcome` read it. A
+lower bound's multiplier is the reduced cost of its variable's column.
+
+An LP whose right-hand sides are all zero is a template: `with_rhs` derives
+the LP that differs from it only in its right-hand sides, validating only
+those, and carries the template's system over to it rescaled, so a family of
+checks on one matrix builds and validates that matrix once.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 
 from .model import INF, NEG_INF, InputError, _lcm_den, _over_common_den, rat
@@ -100,6 +106,33 @@ class LinearProgram:
             raise InputError("lp: bound vector length mismatch")
         return vals
 
+    @cached_property
+    def _system(self) -> tuple[int, list]:
+        """The oriented system in integers (`_oriented`), built on first use;
+        `with_rhs` sets it on the LPs it derives."""
+        return _oriented(self)
+
+    def with_rhs(self, values) -> "LinearProgram":
+        """This LP with its rows' right-hand sides replaced by `values`, one
+        per row. Only `values` are validated (`rat`): the coefficients and
+        bounds are this LP's, validated already, and are shared, not copied.
+        When this LP's right-hand sides are all zero, its oriented system is
+        over the least common denominator of the coefficients and bounds
+        alone, so the derived LP's is that system rescaled to take in the
+        denominators of `values`; otherwise `_oriented` builds it on use."""
+        rhs = tuple(rat(v) for v in values)
+        if len(rhs) != len(self.rows):
+            raise InputError("lp: right-hand side length mismatch")
+        lp = object.__new__(type(self))
+        fields = vars(lp)
+        fields.update(vars(self))  # this LP's fields, and its system if built
+        fields["rows"] = tuple((coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs))
+        if any(b for *_, b in self.rows):
+            fields.pop("_system", None)
+        else:
+            fields["_system"] = _rescaled(self._system, self.rows, rhs)
+        return lp
+
 
 def _oriented(lp: LinearProgram) -> tuple[int, list]:
     """The oriented system in integers: `(den, rows)`, where den is the least
@@ -124,6 +157,27 @@ def _oriented(lp: LinearProgram) -> tuple[int, list]:
         if up is not None:
             rows.append(([(j, den)], up.numerator * (den // up.denominator), False))
     return den, rows
+
+
+def _rescaled(system, rows, rhs) -> tuple[int, list]:
+    """The oriented `system` of an LP whose constraint `rows` have zero
+    right-hand sides, with those right-hand sides set to `rhs`: what
+    `_oriented` makes of the derived LP. Its denominator is lcm(den, the
+    denominators of rhs); while that is den, the rows' terms and the bound
+    rows are `system`'s own, shared since no reader mutates them."""
+    den, oriented = system
+    new_den = lcm(den, *(b.denominator for b in rhs))
+    k = new_den // den
+    out = []
+    for (terms, _zero, eq), (_coeffs, rel, _b), b in zip(oriented, rows, rhs):
+        if k != 1:
+            terms = [(j, a * k) for j, a in terms]
+        scale = -new_den if rel == ">=" else new_den
+        out.append((terms, b.numerator * (scale // b.denominator), eq))
+    bounds = oriented[len(rhs) :]
+    if k != 1:
+        bounds = [([(j, a * k) for j, a in terms], v * k, eq) for terms, v, eq in bounds]
+    return new_den, out + bounds
 
 
 @dataclass(frozen=True)
@@ -199,7 +253,7 @@ class _Simplex:
         for low in lp.lower:
             self.cols.append((ncol, None if low is not None else ncol + 1))
             ncol += 1 if low is not None else 2
-        den, oriented = _oriented(lp)
+        den, oriented = lp._system
         self.norient = len(oriented)
         nrows = len(lp.rows)
         self.lower_row = {}  # variable -> oriented index of its lower bound
@@ -327,18 +381,20 @@ class _Simplex:
         out = []
         for (p, q), low in zip(self.cols, self.lp.lower):
             v = column_values.get(p, _ZERO)
-            if q is not None:
-                v -= column_values.get(q, _ZERO)
-            elif shift:
+            if q in column_values:
+                v -= column_values[q]
+            elif shift and low:
                 v += low
             out.append(v)
         return tuple(out)
 
     def _point(self) -> tuple:
-        values = {
-            self.basis[r]: Fraction(self.tab[r][1][-1], self.tab[r][0])
-            for r in self.live
-        }
+        """The basic solution; column values hold only its nonzero entries."""
+        values = {}
+        for r in self.live:
+            den, row = self.tab[r]
+            if row[-1]:
+                values[self.basis[r]] = Fraction(row[-1], den)
         return self._x(values, shift=True)
 
     def _multipliers(self, cost, art_cost: int) -> tuple:
@@ -352,12 +408,13 @@ class _Simplex:
         den, cells = cost
         out = [_ZERO] * self.norient
         for k, sign, col, artificial in self.origin:
-            if artificial:
-                out[k] = Fraction(sign * (cells[col] - art_cost * den), den)
-            else:
-                out[k] = Fraction(cells[col], den)
+            v = sign * (cells[col] - art_cost * den) if artificial else cells[col]
+            if v:
+                out[k] = Fraction(v, den)
         for j, k in self.lower_row.items():
-            out[k] = Fraction(cells[self.cols[j][0]], den)
+            v = cells[self.cols[j][0]]
+            if v:
+                out[k] = Fraction(v, den)
         return tuple(out)
 
     # -- phases ------------------------------------------------------------
@@ -404,11 +461,17 @@ class _Simplex:
                     ray[self.basis[r]] = Fraction(-coef, den_r)
             return Unbounded(ray=self._x(ray, shift=False), point=self._point())
 
-        x = self._point()
-        value = sum(c * v for c, v in zip(self.lp.objective, x))
+        # At the optimum the cost row's last cell over its denominator is
+        # -(cvec / c_den) . y for y = x - l, and cvec is c negated for max;
+        # c . x adds c . l, where some lower bound is nonzero.
+        den, cells = cost2
+        value = Fraction(cells[-1] if self.lp.sense == "max" else -cells[-1], den)
+        shift = [c * low for c, low in zip(self.lp.objective, self.lp.lower) if c and low]
+        if shift:
+            value += sum(shift)
         # The extracted multipliers already satisfy the max-sense convention
         # (c = A'^T y) when cvec was negated, so no sign flip is needed.
-        return Optimal(x=x, value=value, dual=self._multipliers(cost2, 0))
+        return Optimal(x=self._point(), value=value, dual=self._multipliers(cost2, 0))
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
@@ -432,7 +495,8 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
     if not 0 <= index < lp.n:
         raise InputError(f"component index {index} out of range")
     obj = tuple(_ONE if j == index else _ZERO for j in range(lp.n))
-    # lp's rows and bounds are validated already: copy them, do not rebuild
+    # lp's rows and bounds are validated already: copy them, and the oriented
+    # system if lp has built it (it does not read the objective), not rebuild
     probe = copy.copy(lp)
     object.__setattr__(probe, "objective", obj)
     object.__setattr__(probe, "sense", "max")
@@ -452,13 +516,23 @@ def lp_max_component(lp: LinearProgram, index: int):
 def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
     """Re-validate an outcome's certificate exactly; raises CertificateError.
 
-    This is pure linear algebra on the sparse oriented system (`_oriented`):
-    no re-solving. It runs in integers: the rows share one common
-    denominator, the objective has its own, and so do the entries of each
-    vector of the outcome; each vector must have one entry per variable, or
-    per oriented row for a multiplier vector.
+    This is pure linear algebra on the sparse oriented system (`_oriented`,
+    read through `LinearProgram._system`): no re-solving. It runs in
+    integers: the rows share one common denominator, the objective has its
+    own, and so do the entries of each vector of the outcome; each vector
+    must have one entry per variable, or per oriented row for a multiplier
+    vector.
+
+    An optimal certificate needs no complementary-slackness test: it follows
+    from the three that are made. Write the oriented rows as A'x <= b' and
+    let s = b' - A'x. Feasibility gives s_i >= 0 on every inequality row and
+    s_i = 0 on every equality row, and the sign test gives y_i >= 0 on every
+    inequality row, so each term y_i * s_i of y . s is >= 0. Stationarity
+    gives A'^T y = -sign * c, and strong duality -sign * (b' . y) = value =
+    c . x, so y . s = b' . y - (A'^T y) . x = -sign * (value - c . x) = 0. A
+    sum of terms >= 0 that is 0 has every term 0: y_i > 0 only where s_i = 0.
     """
-    den, rows = _oriented(lp)
+    den, rows = lp._system
     cost, c_den = _over_common_den(lp.objective)
     sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
     if isinstance(outcome, Optimal):
@@ -475,9 +549,6 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
             raise CertificateError("dual stationarity violated")
         if -sign * total * value.denominator != value.numerator * den * y_den:
             raise CertificateError("strong duality violated")
-        for yi, (terms, rhs, _eq) in zip(outcome.dual, rows):
-            if yi and sum(a * x[j] for j, a in terms) != rhs * x_den:
-                raise CertificateError("complementary slackness violated")
     elif isinstance(outcome, Infeasible):
         combo, total, _y_den = _combine(lp.n, rows, outcome.farkas, "farkas")
         if any(combo):

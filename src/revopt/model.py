@@ -42,7 +42,9 @@ Scalar = Fraction
 INF = float("inf")
 NEG_INF = float("-inf")
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+#: a rational wire literal, as (numerator, denominator or None), with any
+#: surrounding whitespace
+_RAT_RE = re.compile(r"\s*([+-]?\d+)(?:/([1-9]\d*))?\s*")
 
 
 class InputError(ValueError):
@@ -68,11 +70,11 @@ def rat(text) -> Fraction:
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
-        literal = text.strip()
-        if not _RAT_RE.match(literal):
+        match = _RAT_RE.fullmatch(text)
+        if match is None:
             raise InputError(f"not a rational literal: {text!r}")
-        num, _, den = literal.partition("/")
-        return Fraction(int(num), int(den or 1))
+        num, den = match.groups()
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
     raise InputError(f"not a rational literal: {text!r}")
 
 
@@ -163,11 +165,11 @@ class HPolyhedron:
     @cached_property
     def _rows(self) -> tuple:
         """The integer image: each row (A_r, b_r) times its own least common
-        denominator."""
+        denominator L_r, as (A_r * L_r, b_r * L_r, L_r)."""
         rows = []
         for row, rhs in zip(self.a, self.b):
-            nums, _den = _over_common_den((*row, rhs))
-            rows.append((tuple(nums[:-1]), nums[-1]))
+            nums, den = _over_common_den((*row, rhs))
+            rows.append((tuple(nums[:-1]), nums[-1], den))
         return tuple(rows)
 
     def contains(self, x) -> bool:
@@ -177,7 +179,7 @@ class HPolyhedron:
 
     def _holds(self, nums, den) -> bool:
         """Does the point nums / den satisfy every row?"""
-        return all(sum(map(mul, a, nums)) <= b * den for a, b in self._rows)
+        return all(sum(map(mul, a, nums)) <= b * den for a, b, _ in self._rows)
 
 
 @dataclass(frozen=True)

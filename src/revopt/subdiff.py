@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .lp import INF, LinearProgram, Optimal, lp_solve, lp_value
 from .model import (
@@ -24,6 +25,7 @@ from .model import (
     InputError,
     PolyhedralConvexFunction,
     _dot,
+    _over_common_den,
     rat,
 )
 
@@ -115,17 +117,25 @@ def subdiff_epigraph(fn: PolyhedralConvexFunction, point) -> tuple[tuple, tuple]
     Hence E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}. Returns the
     points (delta_i, a_i) in piece order and the rays (sigma_r, C_r) in row
     order, repeats dropped; the ray (1, 0) is left implicit. `point` must lie
-    in dom fn.
+    in dom fn. Each delta_i and sigma_r is read off the integer images of fn
+    and its domain at the point over its common denominator.
     """
     point = tuple(rat(v) for v in point)
-    if not fn.is_finite_at(point):
-        raise InputError("point is off the domain")
-    top = fn.value(point)
-    points = [(top - p.value(point), p.a) for p in fn.pieces]
+    if len(point) != fn.n:
+        raise InputError("point dimension mismatch")
+    nums, den = _over_common_den(point)
     dom = fn.domain
+    if dom is not None and not dom._holds(nums, den):
+        raise InputError("point is off the domain")
+    values = fn._scaled_pieces(nums, den)
+    top, scale = max(values), fn._image[0] * den
+    points = [(Fraction(top - v, scale), p.a) for v, p in zip(values, fn.pieces)]
     rays = []
     if dom is not None:
-        rays = [(d - _dot(c, point), c) for c, d in zip(dom.a, dom.b)]
+        rays = [
+            (Fraction(b * den - sum(map(mul, a, nums)), row_den * den), c)
+            for (a, b, row_den), c in zip(dom._rows, dom.a)
+        ]
     return tuple(dict.fromkeys(points)), tuple(dict.fromkeys(rays))
 
 

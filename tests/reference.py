@@ -19,6 +19,7 @@ references read; the library builds the same rows in integers.
 """
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +33,6 @@ from revopt.lp import (
     Unbounded,
 )
 from revopt.model import (
-    _RAT_RE,
     INF,
     HPolyhedron,
     InputError,
@@ -46,6 +46,9 @@ from revopt.subdiff import epigraph_inf, joint_domain
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _MINUS_ONE = Fraction(-1)
+
+#: the two-pass parser's own pattern, which it matched after `strip`
+_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 # -- scalars and evaluation in Fraction arithmetic ------------------------------

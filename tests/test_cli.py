@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from corpus import face_domain_family
-from revopt import cli, oracle
+from revopt import certificates, cli, lp, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
 from revopt.lp import CertificateError, _Simplex
@@ -418,6 +418,56 @@ def test_f_at_x_bar_is_read_at_most_once_per_decision_and_replay(monkeypatch):
     assert most_checks >= 2
 
 
+def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
+    # The template built once per problem and mode orients the probe matrix
+    # once, and each ray probe, with its own t column, once more; a check's
+    # LP carries its system rescaled, so neither the simplex in a decision
+    # nor the certificate check in replay builds it again.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += face_domain_family(24)
+    built = []  # (inside membership_lp, the LP oriented)
+    probes = []  # (probe, is a ray probe)
+    inside = []
+    oriented, membership_lp = lp._oriented, certificates.membership_lp
+
+    def counting_oriented(problem_lp):
+        built.append((bool(inside), problem_lp))
+        return oriented(problem_lp)
+
+    def counting_membership_lp(*args, **kwargs):
+        inside.append(True)
+        try:
+            probe = membership_lp(*args, **kwargs)
+        finally:
+            inside.pop()
+        probes.append((probe, kwargs.get("ray") is not None))
+        return probe
+
+    monkeypatch.setattr(lp, "_oriented", counting_oriented)
+    for module in (certificates, cli):
+        monkeypatch.setattr(module, "membership_lp", counting_membership_lp)
+
+    def assert_oriented_once():
+        rays = sum(ray for _probe, ray in probes)
+        points = any(not ray for _probe, ray in probes)
+        assert sum(inner for inner, _lp in built) == points + rays
+        derived = {id(probe) for probe, _ray in probes}
+        assert not any(id(problem_lp) in derived for _inner, problem_lp in built)
+        built.clear()
+        probes.clear()
+        return rays
+
+    most_rays = 0
+    for problem in problems:
+        for mode in MODES:
+            fresh = parse_problem(problem_to_doc(problem))
+            doc = cli._verdict_to_doc(cli.verify(fresh, mode))
+            most_rays = max(most_rays, assert_oriented_once())
+            replay(parse_problem(problem_to_doc(problem)), doc)
+            assert_oriented_once()
+    assert most_rays >= 1
+
+
 def test_replay_trusts_no_solver(capsys, monkeypatch):
     # Replay re-validates the stored certificates by linear algebra alone:
     # every report of the problem files replays with the simplex disabled.
@@ -542,6 +592,22 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
         forged(lambda d: d.pop("mode")),
         forged(lambda d: d["checks"][0].update(generator=[])),
         forged(lambda d: d["checks"][optimal]["outcome"]["x"].pop()),
+        # An unknown outcome tag or mode.
+        forged(lambda d: d["checks"][0]["outcome"].update(tag="feasible")),
+        forged(lambda d: d.update(mode="reverse")),
+        # A literal that is not rational, where replay reads a rational.
+        forged(lambda d: d["checks"][0].update(eps_prime="0.5")),
+        forged(lambda d: d["checks"][0].update(generator=["0.5"])),
+        forged(lambda d: d["checks"][optimal]["outcome"]["x"].__setitem__(0, "0.5")),
+        forged(lambda d: d["checks"][optimal]["outcome"].update(value=0.5)),
+        # A string where replay reads a list, which iterates by character.
+        forged(lambda d: d["checks"][0].update(generator="1")),
+        forged(lambda d: d["checks"][optimal]["outcome"].update(x="1.")),
+        # A part that is not an object, or not a list.
+        forged(lambda d: d["checks"][0].update(outcome="optimal")),
+        forged(lambda d: d["checks"].__setitem__(0, 5)),
+        forged(lambda d: d.update(checks=5)),
+        forged(lambda d: d.update(gates=[["dom-f"]])),
     ):
         with pytest.raises(CertificateError):
             replay(problem, report)

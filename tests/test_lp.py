@@ -11,6 +11,7 @@ from revopt.lp import (
     LinearProgram,
     Optimal,
     Unbounded,
+    _oriented,
     check_outcome,
     lp_max_component,
     lp_solve,
@@ -176,6 +177,31 @@ def test_max_component_lp_reuses_the_validated_rows(monkeypatch):
     assert (probe.rows, probe.lower, probe.upper) == (lp.rows, lp.lower, lp.upper)
     assert probe.rows is lp.rows
     assert lp.objective == (1, 1) and lp.sense == "min"
+
+
+def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
+    template = LinearProgram(
+        2, (1, 1), rows=(((1, 2), "<=", 0), ((Fraction(1, 3), -1), ">=", 0)), lower=(0, None)
+    )
+    derived = template.with_rhs(("1/2", 3))
+    assert derived == LinearProgram(
+        2, (1, 1), rows=(((1, 2), "<=", "1/2"), (("1/3", -1), ">=", 3)), lower=(0, None)
+    )
+    assert derived.rows[0][0] is template.rows[0][0]
+    # The template's system is rescaled to the new common denominator 6 and
+    # set on the derived LP: it is the one `_oriented` builds.
+    assert "_system" in vars(derived)
+    assert derived._system == _oriented(derived) and derived._system[0] == 6
+    # From an LP whose right-hand sides are not zero, `_oriented` builds it.
+    again = derived.with_rhs((1, 2))
+    assert "_system" not in vars(again) and again._system == _oriented(again)
+    for bad in ((1,), (1, 2, 3), (1, "0.5"), (1, None), (True, 1), (1.0, 1)):
+        with pytest.raises(InputError):
+            template.with_rhs(bad)
+    calls = []  # only the new right-hand sides are parsed
+    monkeypatch.setattr("revopt.lp.rat", lambda v: calls.append(v) or Fraction(v))
+    template.with_rhs((4, 5))
+    assert calls == [4, 5]
 
 
 def _bounded_lp(objective=(-1, 1, 0), sense="min", rhs=1):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import reference
-from corpus import corpus
+from corpus import corpus, face_domain_family
 from revopt import certificates, lp, oracle, pareto, polytope, subdiff
 from revopt.certificates import MODES, membership_lp, verify
 from revopt.lp import (
@@ -222,6 +222,38 @@ def test_every_lp_of_verify_on_the_corpus_head_matches(monkeypatch):
     assert len(lps) >= 200
     kinds = {type(_assert_same(problem_lp)) for problem_lp in lps}
     assert kinds == {Optimal, Unbounded, Infeasible}
+
+
+def test_every_probe_of_verify_carries_the_system_its_constructor_builds(monkeypatch):
+    # A probe is derived from its (problem, mode)'s zero right-hand side
+    # template by `with_rhs`, which rescales the template's integer system
+    # instead of building one: on the problem files, the acceptance corpus
+    # and h with a face domain (ray probes), in every mode, it is the system
+    # that `_oriented` builds from the same LP assembled by the constructor.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000) + face_domain_family(24)
+    probes = []
+    original = certificates.membership_lp
+
+    def record(*args, **kwargs):
+        probes.append(original(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(certificates, "membership_lp", record)
+    for problem in problems:
+        for mode in MODES:
+            verify(problem, mode)
+    monkeypatch.undo()
+    assert len(probes) > 1000
+    assert any(b.denominator > 1 for probe in probes for *_, b in probe.rows)
+    # a ray probe maximizes t, its last column, and not alpha = sum lam
+    assert any(probe.objective[0] == 0 for probe in probes)
+    for probe in probes:
+        built = LinearProgram(
+            probe.n, probe.objective, probe.sense, probe.rows, probe.lower, probe.upper
+        )
+        assert built == probe
+        assert vars(probe)["_system"] == lp._oriented(built)
 
 
 # -- the shape of the tableau --------------------------------------------------

@@ -65,6 +65,19 @@ def test_rat_rejects_non_rationals(bad):
         rat(bad)
 
 
+@pytest.mark.parametrize(
+    "text,value",
+    [(" 3 ", F(3)), ("+3", F(3)), ("-0", F(0)), ("3/6", F(1, 2))]
+    + [(bad, None) for bad in ("1.5", "1e3", "1/0", "1/-2", "1_000", "", True, 1.0, None)],
+)
+def test_rat_reads_exactly_the_wire_literals(text, value):
+    if value is None:
+        with pytest.raises(InputError):
+            rat(text)
+    else:
+        assert _parsed(rat, text) == (F, value)
+
+
 def _parsed(parse, text):
     """The exact value `parse` reads from `text`, or "rejected"."""
     try:

@@ -24,9 +24,9 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def _calls(tree, callee):
-    """Qualified names ("f", "C.m", "f.g") of the functions that call
-    `callee`(...); "" for module-level calls."""
+def _scopes(tree, matches):
+    """Qualified names ("f", "C.m", "f.g") of the functions that hold a node
+    for which `matches` is true, once per node; "" at module level."""
     found = []
 
     def visit(node, scope):
@@ -34,15 +34,23 @@ def _calls(tree, callee):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name == callee:
-                    found.append(".".join(scope))
+            if matches(child):
+                found.append(".".join(scope))
             visit(child, scope)
 
     visit(tree, ())
     return found
+
+
+def _calls(tree, callee):
+    """The scopes (`_scopes`) of the calls `callee`(...)."""
+
+    def is_call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        return (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == callee
+
+    return _scopes(tree, is_call)
 
 
 def test_linear_programs_are_assembled_in_four_places_only():
@@ -63,20 +71,30 @@ def test_linear_programs_are_assembled_in_four_places_only():
 
 
 def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
-    # One builder turns an LP into its integer oriented system, whose layout
-    # every certificate indexes; the tableau and the certificate check read
-    # it, and the Fraction layout `oriented_rows` is gone.
+    # One builder turns an LP's Fraction data into its integer oriented
+    # system, whose layout every certificate indexes: the LP's cached
+    # `_system`, which the tableau and the certificate check read, and which
+    # `with_rhs` rescales for the LPs it derives. The Fraction layout
+    # `oriented_rows` is gone.
     sites = set()
+    readers = set()
     for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sites |= {(path.stem, scope) for scope in _calls(tree, "_oriented")}
+        reads = _scopes(tree, lambda node: getattr(node, "attr", None) == "_system")
+        readers |= {(path.stem, scope) for scope in reads}
         assert _calls(tree, "oriented_rows") == []
         assert not any(
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node.name == "oriented_rows"
             for node in ast.walk(tree)
         )
-    assert sites == {("lp", "_Simplex.__init__"), ("lp", "check_outcome")}
+    assert sites == {("lp", "LinearProgram._system")}
+    assert readers == {
+        ("lp", "_Simplex.__init__"),
+        ("lp", "check_outcome"),
+        ("lp", "LinearProgram.with_rhs"),
+    }
 
 
 def test_no_module_but_cli_imports_unbounded():
