@@ -1,18 +1,17 @@
 """Command dispatch and machine-readable reporting.
 
-Every command prints one JSON report to stdout with all numbers as rational
-strings, and exits with: 0 certified / check passed, 1 refuted / violation
-found, 2 inapplicable, 3 input error. Reports are replayable: the recorded LP
-certificates re-validate bit-exactly against the problem file (see `replay`).
+Every command prints one JSON report to stdout as one compact line, all numbers
+as rational strings, and exits with: 0 certified / check passed, 1 refuted /
+violation found, 2 inapplicable, 3 input or usage error. Reports are replayable:
+the recorded LP certificates re-validate bit-exactly against the problem file.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .certificates import (
     CERTIFIED,
@@ -350,77 +349,78 @@ def _cmd_pareto(args) -> tuple[dict, int]:
     return doc, EXIT_PASS if rep.passed else EXIT_REFUTED
 
 
-_SEED_HELP = "accepted for compatibility; has no effect (the decision is exact)"
+_USAGE = """revopt verify  --problem FILE --mode {rop|constrained|equality|convex} \\
+               [--cross-check-grid LO HI STEP] [--seed N]
+revopt falsify --problem FILE --mode MODE [--seed N]
+revopt subdiff --problem FILE --fn {objective|reverse|constraint:j} --eps E
+revopt brute   --problem FILE --mode MODE --box LO HI --step S
+revopt pareto  --problem FILE --box LO HI --step S [--sigma {s|e|w}]
+"""
+
+#: flag -> (arity, allowed values, `int` or None); `--a-b`'s value is `args.a_b`
+_FLAGS = {
+    "--problem": (1, None), "--mode": (1, MODES), "--fn": (1, None), "--eps": (1, None),
+    "--box": (2, None), "--step": (1, None), "--cross-check-grid": (3, None),
+    "--seed": (1, int), "--sigma": (1, SIGMA_KINDS),
+}
+
+#: command -> (handler, required flags, optional flags)
+_COMMANDS = {
+    "verify": (_cmd_verify, ("--problem", "--mode"), ("--cross-check-grid", "--seed")),
+    "falsify": (_cmd_falsify, ("--problem", "--mode"), ("--seed",)),
+    "subdiff": (_cmd_subdiff, ("--problem", "--fn", "--eps"), ()),
+    "brute": (_cmd_brute, ("--problem", "--mode", "--box", "--step"), ()),
+    "pareto": (_cmd_pareto, ("--problem", "--box", "--step"), ("--sigma",)),
+}
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing leaves no
-    state in it, and building it costs about as much as a small verify."""
-    parser = argparse.ArgumentParser(
-        prog="revopt",
-        description="Exact epsilon-optimality certificates for reverse convex programs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="decide the certificate for all eps' >= 0")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument(
-        "--cross-check-grid",
-        nargs=3,
-        metavar=("LO", "HI", "STEP"),
-        help="attach a brute-force oracle cross-check on this grid",
-    )
-    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("falsify", help="the same exact decision as verify")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    p.set_defaults(handler=_cmd_falsify)
-
-    p = sub.add_parser("subdiff", help="generators of an eps-subdifferential")
-    p.add_argument("--problem", required=True)
-    p.add_argument(
-        "--fn",
-        required=True,
-        help="objective, reverse, or constraint:<j>",
-    )
-    p.add_argument("--eps", required=True)
-    p.set_defaults(handler=_cmd_subdiff)
-
-    p = sub.add_parser("brute", help="grid oracle eps-argmin")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--mode", required=True, choices=MODES)
-    p.add_argument("--box", nargs=2, metavar=("LO", "HI"), required=True)
-    p.add_argument("--step", required=True)
-    p.set_defaults(handler=_cmd_brute)
-
-    p = sub.add_parser("pareto", help="bicriteria bridge checks on a grid")
-    p.add_argument("--problem", required=True)
-    p.add_argument("--box", nargs=2, metavar=("LO", "HI"), required=True)
-    p.add_argument("--step", required=True)
-    p.add_argument("--sigma", choices=list(SIGMA_KINDS))
-    p.set_defaults(handler=_cmd_pareto)
-
-    return parser
+def _parse(argv) -> SimpleNamespace | None:
+    """A command line's args by `_COMMANDS` and `_FLAGS`, or None for -h and
+    --help. InputError unless its syntax is `_USAGE`'s: no flag abbreviated,
+    `--flag=value`, `--` or a flag twice; a value may start with one `-`."""
+    if "-h" in argv or "--help" in argv:
+        return None
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        raise InputError(f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}")
+    handler, required, optional = _COMMANDS[command]
+    flags = required + optional
+    given = {}
+    rest = iter(argv[1:])
+    for flag in rest:
+        if flag not in flags or flag in given:
+            raise InputError(f"{command}: unknown or repeated argument {flag!r}")
+        arity, allowed = _FLAGS[flag]
+        values = [next(rest, "--") for _ in range(arity)]  # a missing value reads "--"
+        if any(v.startswith("--") for v in values):
+            raise InputError(f"{command}: {flag} expects {arity} value(s)")
+        try:
+            if allowed is int:
+                int(values[0])
+            elif allowed is not None and values[0] not in allowed:
+                raise ValueError
+        except ValueError:
+            raise InputError(f"{command}: bad {flag} value {values[0]!r}") from None
+        given[flag] = values[0] if arity == 1 else values
+    missing = [flag for flag in required if flag not in given]
+    if missing:
+        raise InputError(f"{command}: missing {', '.join(missing)}")
+    names = {flag[2:].replace("-", "_"): given.get(flag) for flag in flags}
+    return SimpleNamespace(command=command, handler=handler, **names)
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT_ERROR if exc.code not in (0, None) else 0
-    try:
+        args = _parse(argv)
+        if args is None:
+            sys.stdout.write(_USAGE)
+            return EXIT_PASS
         doc, code = args.handler(args)
     except (InputError, Inapplicable) as exc:
-        code = (
-            EXIT_INAPPLICABLE if isinstance(exc, Inapplicable) else EXIT_INPUT_ERROR
-        )
-        doc = {"command": args.command, "error": str(exc)}
-    print(json.dumps(doc, indent=2))
+        code = EXIT_INAPPLICABLE if isinstance(exc, Inapplicable) else EXIT_INPUT_ERROR
+        doc = {"command": argv[0] if argv else None, "error": str(exc)}
+    print(json.dumps(doc, separators=(",", ":")))
     return code
 
 

@@ -63,19 +63,22 @@ def rat(text) -> Fraction:
     """Parse an exact rational from an int or a "p/q" / integer string.
 
     Decimal or float literals and booleans (an `int` subtype) are rejected:
-    the wire format is rationals only.
+    the wire format is rationals only. A `str` and a `Fraction` are told by
+    their exact class first, since `isinstance(text, Fraction)` is an ABC
+    check; subclasses take the `isinstance` branches and read the same.
     """
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, str):
-        match = _RAT_RE.fullmatch(text)
-        if match is None:
+    if text.__class__ is not str:
+        if text.__class__ is Fraction or isinstance(text, Fraction):
+            return text
+        if isinstance(text, int) and not isinstance(text, bool):
+            return Fraction(text)
+        if not isinstance(text, str):
             raise InputError(f"not a rational literal: {text!r}")
-        num, den = match.groups()
-        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
-    raise InputError(f"not a rational literal: {text!r}")
+    match = _RAT_RE.fullmatch(text)
+    if match is None:
+        raise InputError(f"not a rational literal: {text!r}")
+    num, den = match.groups()
+    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
 
 
 def fmt(value) -> str:
@@ -124,7 +127,7 @@ class AffineForm:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(rat(v) for v in self.a))
+        object.__setattr__(self, "a", tuple(map(rat, self.a)))
         object.__setattr__(self, "b", rat(self.b))
 
     @property
@@ -146,8 +149,8 @@ class HPolyhedron:
     n: int
 
     def __post_init__(self):
-        rows = tuple(tuple(rat(v) for v in row) for row in self.a)
-        rhs = tuple(rat(v) for v in self.b)
+        rows = tuple(tuple(map(rat, row)) for row in self.a)
+        rhs = tuple(map(rat, self.b))
         if len(rows) != len(rhs):
             raise InputError("polyhedron: row/rhs count mismatch")
         for row in rows:

@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
@@ -85,8 +87,7 @@ def test_verify_cross_check(problem_b, capsys):
     assert cc["consistent"] is True
 
 
-def test_parser_is_built_once_and_keeps_no_state(problem_b, capsys):
-    cli._build_parser.cache_clear()
+def test_argv_parsing_keeps_no_state_across_calls(problem_b, capsys):
     plain = ["verify", "--problem", problem_b, "--mode", "rop"]
     code, first = _run(capsys, plain)
     grid = ["--cross-check-grid", "-3", "3", "1/4"]
@@ -97,8 +98,91 @@ def test_parser_is_built_once_and_keeps_no_state(problem_b, capsys):
     assert "oracle_cross_check" not in second
     assert second == first
     assert run(["verify", "--problem", problem_b]) == 3  # no --mode
-    info = cli._build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    capsys.readouterr()
+
+
+def _line(command, flags):
+    return [command, *(word for flag, values in flags.items() for word in (flag, *values))]
+
+
+def _usage_errors(problem):
+    """The complete command lines with only their required flags, and (id,
+    argv) pairs of usage errors."""
+    box = {"--box": ["0", "1"], "--step": ["1"]}
+    required = {
+        "verify": {"--problem": [problem], "--mode": ["rop"]},
+        "falsify": {"--problem": [problem], "--mode": ["rop"]},
+        "subdiff": {"--problem": [problem], "--fn": ["objective"], "--eps": ["0"]},
+        "brute": {"--problem": [problem], "--mode": ["rop"], **box},
+        "pareto": {"--problem": [problem], **box},
+    }
+    full = [_line(command, flags) for command, flags in required.items()]
+    verify, pareto = full[0], full[-1]
+    cases = [
+        ("empty", []),
+        ("unknown-command", ["certify", *verify[1:]]),
+        ("eps-prime", [*verify, "--eps-prime", "0,2"]),
+        ("abbreviation", ["verify", "--prob", problem, "--mode", "rop"]),
+        ("equals-sign", ["verify", "--problem", problem, "--mode=rop"]),
+        ("double-dash", [*verify, "--"]),
+        ("missing-value", [*verify, "--seed"]),
+        ("missing-grid-value", [*verify, "--cross-check-grid", "-3", "3"]),
+        ("flag-as-value", ["verify", "--problem", "--mode", "rop"]),
+        ("bad-mode", ["verify", "--problem", problem, "--mode", "bogus"]),
+        ("bad-sigma", [*pareto, "--sigma", "q"]),
+        ("bad-seed", [*verify, "--seed", "x"]),
+        # a repeated flag is rejected, not overridden by its last value
+        ("repeated-flag", [*verify, "--mode", "convex"]),
+        ("flag-of-another-command", [*verify, "--step", "1"]),
+    ]
+    for command, flags in required.items():
+        for left_out in flags:
+            kept = {flag: values for flag, values in flags.items() if flag != left_out}
+            cases.append((f"{command}-without-{left_out[2:]}", _line(command, kept)))
+    return full, cases
+
+
+def test_usage_errors_are_a_json_error_line_with_exit_3(problem_a, capsys):
+    full, cases = _usage_errors(problem_a)
+    assert len(cases) == 14 + 2 + 2 + 3 + 4 + 3
+    for name, argv in cases:
+        code = run(argv)
+        out = capsys.readouterr().out
+        assert code == 3, name
+        assert out.count("\n") == 1 and out.endswith("\n"), name
+        doc = json.loads(out)
+        assert set(doc) == {"command", "error"}, name
+        assert doc["command"] == (argv[0] if argv else None), name
+    for argv in full:  # the complete lines are accepted
+        assert run(argv) in (0, 1), argv
+        assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def test_help_prints_the_usage_and_negative_values_parse(problem_b, capsys):
+    for argv in (["--help"], ["-h"], ["verify", "-h"], ["pareto", "--help"]):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == cli._USAGE
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert cli._USAGE in readme  # the synopsis, verbatim
+    argv = ["brute", "--problem", problem_b, "--mode", "rop", "--box", "-3", "3", "--step", "1"]
+    code, doc = _run(capsys, argv)
+    assert code == 0 and doc["min_value"] == "1"
+    argv = ["verify", "--problem", problem_b, "--mode", "rop"]
+    code, doc = _run(capsys, [*argv, "--cross-check-grid", "-3", "3", "1/4"])
+    assert code == 1 and doc["oracle_cross_check"]["consistent"] is True
+
+
+def test_every_flag_of_the_table_is_in_the_usage():
+    lines = cli._USAGE.replace("\\\n", "").splitlines()
+    for command, (_handler, required, optional) in cli._COMMANDS.items():
+        (line,) = [line for line in lines if line.split()[1] == command]
+        assert re.findall(r"--[a-z-]+", line) == [*required, *optional], command
+        assert re.findall(r"\[(--[a-z-]+)", line) == list(optional), command
+        words = line.replace("[", " ").replace("]", " ").split()
+        for flag in required + optional:
+            after = words[words.index(flag) + 1 :]
+            values = list(takewhile(lambda word: not word.startswith("--"), after))
+            assert len(values) == cli._FLAGS[flag][0], flag
 
 
 def test_verify_inapplicable(tmp_path, capsys):
@@ -325,6 +409,28 @@ def test_reports_byte_identical(problem_b, capsys):
     run(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+_REPORT_KEYS = ["command", "verdict", "mode", "reason", "gates", "checks", "witness"]
+_CHECK_KEYS = ["eps_prime", "generator", "kind", "accepted", "sup", "outcome"]
+
+
+def test_a_report_is_one_compact_json_line(capsys):
+    examples = [p for p in PROBLEMS if p.stem in ("example_a", "example_b")]
+    assert len(examples) == 2
+    for path in examples:
+        problem = load_problem(str(path))
+        for mode in MODES:
+            for command in ("verify", "falsify"):
+                code = run([command, "--problem", str(path), "--mode", mode])
+                out = capsys.readouterr().out
+                doc = json.loads(out)
+                assert out == json.dumps(doc, separators=(",", ":")) + "\n"
+                assert list(doc) == _REPORT_KEYS
+                assert doc["command"] == command and doc["mode"] == mode
+                assert code == {"CERTIFIED_ON_GRID": 0, "REFUTED": 1}[doc["verdict"]]
+                assert all(list(check) == _CHECK_KEYS for check in doc["checks"])
+                replay(problem, doc)
 
 
 def test_replay_validates_and_detects_tampering(problem_b, capsys):

@@ -102,6 +102,30 @@ def test_rat_accepts_and_rejects_what_the_two_pass_parser_did():
     assert 100 < accepted < len(literals) - 100
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(F):
+    pass
+
+
+def test_rat_reads_subclasses_and_rejects_bool():
+    # The exact-class fast paths leave subclasses to the isinstance branches.
+    assert _parsed(rat, _Str(" 3/6 ")) == (F, F(1, 2))
+    assert _parsed(rat, _Str("0.5")) == "rejected"
+    assert _parsed(rat, _Int(-4)) == (F, F(-4))
+    own = _Fraction(3, 4)
+    assert rat(own) is own
+    assert _parsed(rat, True) == _parsed(rat, False) == "rejected"
+    for text in (_Str(" 3/6 "), _Str("0.5"), _Int(-4), own, True, False, 7, F(2, 6), "-0/3"):
+        assert _parsed(rat, text) == _parsed(reference.reference_rat, text), text
+
+
 @pytest.mark.parametrize(
     "value,text",
     [(F(3, 4), "3/4"), (F(-6, 2), "-3"), (F(0), "0"), (7, "7"), (-2, "-2"), (INF, "inf"), (NEG_INF, "-inf")],

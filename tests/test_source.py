@@ -1,13 +1,17 @@
 """Invariants of the library source itself."""
 
 import ast
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import revopt
+from revopt import cli
+from revopt.problemfile import load_problem
 
 
 def test_library_has_no_assert_statements():
@@ -150,6 +154,60 @@ def test_unused_imports_are_kept_only_where_the_bench_traces_them():
     # The scan sees the imports it is meant to check.
     assert ("revopt.certificates", "lp_max_component") in kept
     assert kept - _bench_bindings() == set()
+
+
+def test_the_cli_parses_argv_by_its_table_and_writes_one_compact_report():
+    # argparse cost more than a tenth of a small verify, and json's indent
+    # path runs the pure-Python encoder; a report is written in one place.
+    tree = ast.parse(Path(revopt.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"argparse", "functools"})
+    dumps = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dumps"
+    ]
+    assert len(dumps) == 1
+    assert [kw.arg for kw in dumps[0].keywords] == ["separators"]
+    assert not any(
+        isinstance(node, ast.keyword) and node.arg == "indent" for node in ast.walk(tree)
+    )
+
+
+def test_the_cli_calls_every_traced_function_through_its_module_global(monkeypatch):
+    # bench/spans.py traces these by rebinding revopt.cli's globals, which
+    # only works while the cli calls them by those names at call time.
+    traced = {attr for module, attr in _bench_bindings() if module == "revopt.cli"}
+    assert traced == {
+        "verify", "falsify", "load_problem", "check_outcome", "subdiff_vrep", "brute_eps_argmin"
+    }
+    calls = dict.fromkeys(traced, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in traced:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    root = Path(revopt.__file__).resolve().parents[2]
+    path = str(root / "problems" / "example_b.json")
+    grid = ["--cross-check-grid", "-3", "3", "1"]
+    report = io.StringIO()
+    with redirect_stdout(report):
+        cli.run(["verify", "--problem", path, "--mode", "rop", *grid])
+    cli.replay(load_problem(path), json.loads(report.getvalue()))
+    with redirect_stdout(io.StringIO()):
+        cli.run(["falsify", "--problem", path, "--mode", "rop"])
+        cli.run(["subdiff", "--problem", path, "--fn", "reverse", "--eps", "0"])
+    assert all(calls.values()), calls
 
 
 _VERIFY_AND_REPLAY = """
