@@ -301,8 +301,6 @@ def _cmd_subdiff(args) -> tuple[dict, int]:
 
 def _cmd_brute(args) -> tuple[dict, int]:
     problem = load_problem(args.problem)
-    if args.mode not in MODE_MAP:
-        raise InputError(f"unknown mode {args.mode!r}")
     lo, hi = rat(args.box[0]), rat(args.box[1])
     grid = GridSpec(((lo, hi),) * problem.n, rat(args.step))
     res = brute_eps_argmin(problem, MODE_MAP[args.mode], grid)
@@ -426,3 +424,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

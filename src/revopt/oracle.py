@@ -11,7 +11,11 @@ k once scaled by a positive integer, so its values along the last axis form an
 integer arithmetic progression (a `range`), and a function's row is the
 pointwise max of its pieces' ranges. f shares one scale with eps; h, each g
 and each domain row have their own, since only their signs are compared.
-Values turn back into `Fraction`s only in the results.
+The grid keeps its own integer image, lo and step over one common
+denominator, and the evaluators read it together with the integer images the
+model keeps of each function and domain, so building them takes no `Fraction`
+arithmetic. Values and coordinates turn back into `Fraction`s only in the
+results.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress, product, repeat
-from math import prod
+from math import gcd, lcm, prod
 from operator import eq, ge, le, mul
 
 # lp_solve stays bound here because bench/spans.py traces it.
@@ -32,7 +36,6 @@ from .model import (
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
-    _lcm_den,
     _over_common_den,
     rat,
 )
@@ -79,31 +82,38 @@ class GridSpec:
         step = rat(self.step)
         if step <= 0:
             raise InputError("grid step must be > 0")
-        for lo, hi in box:
-            if lo > hi:
-                raise InputError("grid box has lo > hi")
-            if ((hi - lo) / step).denominator != 1:
-                raise InputError("grid span must be an integer number of steps")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "step", step)
+        _, los, his, step = self._image
+        for lo, hi in zip(los, his):
+            if lo > hi:
+                raise InputError("grid box has lo > hi")
+            if (hi - lo) % step:
+                raise InputError("grid span must be an integer number of steps")
         count = prod(self.shape)
         if count > GRID_CAP:
             raise InputError(f"grid has {count} points, cap is {GRID_CAP}")
+
+    @cached_property
+    def _image(self) -> tuple:
+        """The integer image (q, L, H, S): the box's bounds and the step over
+        one common denominator q, lo_j = L_j / q, hi_j = H_j / q, step = S / q."""
+        nums, q = _over_common_den([*(v for axis in self.box for v in axis), self.step])
+        return q, tuple(nums[0:-1:2]), tuple(nums[1:-1:2]), nums[-1]
 
     @property
     def n(self) -> int:
         return len(self.box)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         """Points per axis."""
-        return tuple(int((hi - lo) / self.step) + 1 for lo, hi in self.box)
+        _, los, his, step = self._image
+        return tuple((hi - lo) // step + 1 for lo, hi in zip(los, his))
 
     def axes(self) -> list[list[Fraction]]:
-        return [
-            [lo + k * self.step for k in range(m)]
-            for (lo, _), m in zip(self.box, self.shape)
-        ]
+        q, los, _, step = self._image
+        return [[Fraction(lo + k * step, q) for k in range(m)] for lo, m in zip(los, self.shape)]
 
     def points(self):
         return product(*self.axes())
@@ -114,16 +124,11 @@ class GridSpec:
         return product(*map(range, self.shape[:-1]))
 
 
-def _integer_forms(forms, grid: GridSpec, extra=()):
-    """Each affine form (a, b) on the grid x = lo + step * k as integers
-    (c, s) with scale * (<a, x> + b) = c + <s, k>, and that scale: the least
-    positive integer that clears every denominator, those of `extra` too."""
-    los = [lo for lo, _ in grid.box]
-    real = [
-        (b + sum(map(mul, a, los)), [a_j * grid.step for a_j in a]) for a, b in forms
-    ]
-    scale = _lcm_den([*(v for c, s in real for v in (c, *s)), *extra])
-    return [(int(c * scale), [int(v * scale) for v in s]) for c, s in real], scale
+def _integer_forms(rows, grid: GridSpec):
+    """Each integer affine form (A, B) on the grid x = (L + S k) / q (the
+    grid's `_image`) as integers (c, s) with q * (<A, x> + B) = c + <s, k>."""
+    q, los, _, step = grid._image
+    return [(sum(map(mul, a, los), b * q), [v * step for v in a]) for a, b in rows]
 
 
 class _GridEvaluator:
@@ -133,19 +138,22 @@ class _GridEvaluator:
     Scaled by `scale`, each piece is integer-affine in the index vector, so its
     values along a row are an integer arithmetic progression; each domain row,
     scaled on its own, keeps the points with a nonpositive progression, which
-    is one interval of the row.
+    is one interval of the row. `scale` is the least positive integer that
+    clears the pieces' denominators on the grid and those of `extra`.
     """
 
     def __init__(self, fn: PolyhedralConvexFunction, grid: GridSpec, extra=()):
-        self.pieces, self.scale = _integer_forms(
-            ((p.a, p.b) for p in fn.pieces), grid, extra
-        )
+        den, rows = fn._image
+        forms = _integer_forms(rows, grid)
+        # The pieces are forms / (D q); their least scale is D q / g.
+        big = den * grid._image[0]
+        g = gcd(big, *(v for c, s in forms for v in (c, *s)))
+        self.scale = lcm(big // g, *(e.denominator for e in extra))
+        t = self.scale * g // big
+        self.pieces = [(c // g * t, [v // g * t for v in s]) for c, s in forms]
         self.dom_rows = []
         if fn.domain is not None:
-            self.dom_rows = [
-                _integer_forms([(row, -rhs)], grid)[0][0]
-                for row, rhs in zip(fn.domain.a, fn.domain.b)
-            ]
+            self.dom_rows = _integer_forms(((a, -b) for a, b, _ in fn.domain._rows), grid)
         self.m = grid.shape[-1]
 
     def row(self, lead) -> list:
@@ -274,11 +282,12 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
 
     # Pruned whenever the best fell, `near` holds exactly the eps-argmin.
     threshold = best + eps
+    q, los, _, step = grid._image
 
     # The points share their coordinate objects, and equal slacks one object.
     @cache
     def tick(j, k):
-        return grid.box[j][0] + k * grid.step
+        return Fraction(los[j] + k * step, q)
 
     @cache
     def slack(v):

@@ -16,12 +16,16 @@ before it evaluated and re-validated in integers; `reference_rat` parsed each
 literal twice. `reference_oriented_rows` is the library's earlier `Fraction`
 form of the oriented layout, which the certificate check's and the LP's
 references read; the library builds the same rows in integers.
+`reference_integer_forms` is the library's earlier `Fraction` route to the
+grid evaluators' integer forms, before they read the integer images of the
+grid and of each function.
 """
 
 import itertools
 import re
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from revopt.certificates import _phis
 from revopt.lp import (
@@ -38,6 +42,7 @@ from revopt.model import (
     InputError,
     PolyhedralConvexFunction,
     _dot,
+    _lcm_den,
     rat,
 )
 from revopt.oracle import BoundaryReport, BruteResult, GridSpec
@@ -171,6 +176,18 @@ def _within(oriented, x, cone=False):
         if v > b or (eq and v != b):
             return False
     return True
+
+
+def reference_integer_forms(forms, grid: GridSpec, extra=()):
+    """Each affine form (a, b) on the grid x = lo + step * k as integers
+    (c, s) with scale * (<a, x> + b) = c + <s, k>, and that scale: the least
+    positive integer that clears every denominator, those of `extra` too."""
+    los = [lo for lo, _ in grid.box]
+    real = [
+        (b + sum(map(mul, a, los)), [a_j * grid.step for a_j in a]) for a, b in forms
+    ]
+    scale = _lcm_den([*(v for c, s in real for v in (c, *s)), *extra])
+    return [(int(c * scale), [int(v * scale) for v in s]) for c, s in real], scale
 
 
 class GridEvaluator:

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -156,6 +159,28 @@ def test_usage_errors_are_a_json_error_line_with_exit_3(problem_a, capsys):
     for argv in full:  # the complete lines are accepted
         assert run(argv) in (0, 1), argv
         assert "error" not in json.loads(capsys.readouterr().out)
+
+
+def test_brute_rejects_an_unknown_mode_by_the_flag_table(problem_a, capsys):
+    argv = ["brute", "--problem", problem_a, "--mode", "bogus", "--box", "0", "1", "--step", "1"]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 3 and out.count("\n") == 1
+    assert json.loads(out) == {"command": "brute", "error": "brute: bad --mode value 'bogus'"}
+
+
+def test_python_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for module in ("revopt", "revopt.cli"):
+        argv = ["verify", "--problem", "problems/example_b.json", "--mode", "rop"]
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1, module  # REFUTED
+        assert proc.stdout.count("\n") == 1, module
+        assert json.loads(proc.stdout)["verdict"] == "REFUTED", module
 
 
 def test_help_prints_the_usage_and_negative_values_parse(problem_b, capsys):

@@ -2,14 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 import pytest
 
 import reference
-from revopt.model import AffineForm, HPolyhedron, PolyhedralConvexFunction, ReverseProblem
+from revopt.model import INF, AffineForm, HPolyhedron, PolyhedralConvexFunction, ReverseProblem
 from revopt.oracle import (
     ORACLE_MODES,
     GridSpec,
+    _GridEvaluator,
     boundary_equivalence_check,
     boundary_projection,
     brute_eps_argmin,
@@ -141,6 +144,64 @@ def test_boundary_projection_matches_the_breakpoint_walk():
         pi = boundary_projection(f, h, x, y)
         assert pi == reference.reference_boundary_projection(f, h, x, y)
         assert h.value(pi) == 0
+
+
+def _primitive(w):
+    """The integer vector w over the gcd of its entries: equal for any two
+    positive multiples of one vector."""
+    g = gcd(*w)
+    return tuple(x // g for x in w) if g else tuple(w)
+
+
+def test_grid_evaluators_match_the_fraction_forms():
+    # Pieces and domains take denominators in {1, 2, 3, 5, 7}; lo and step in
+    # {11, 13}, eps in {17, 19}: every scale mixes denominators of all three.
+    rng = random.Random(23)
+    for trial in range(60):
+        n = 1 + trial % 3
+        step = F(rng.randint(1, 4), rng.choice((11, 13)))
+        box = []
+        for _ in range(n):
+            lo = F(rng.randint(-40, 0), rng.choice((11, 13)))
+            box.append((lo, lo + step * rng.randint(0, {1: 30, 2: 9, 3: 4}[n])))
+        grid = GridSpec(tuple(box), step)
+        assert grid.shape == tuple(int((hi - lo) / step) + 1 for lo, hi in box)
+        ticks = [[lo + k * step for k in range(m)] for (lo, _), m in zip(box, grid.shape)]
+        assert grid.axes() == ticks
+        fn = _fn(rng, n, domain=trial % 2 == 0)
+        extra = (F(rng.randint(1, 9), rng.choice((17, 19))),) if trial % 3 else ()
+        ev = _GridEvaluator(fn, grid, extra)
+        forms = ((p.a, p.b) for p in fn.pieces)
+        assert (ev.pieces, ev.scale) == reference.reference_integer_forms(forms, grid, extra)
+        # A domain row may keep any positive scale: only its sign is read.
+        if fn.domain is None:
+            assert ev.dom_rows == []
+            continue
+        assert len(ev.dom_rows) == fn.domain.m
+        for (c, s), row, rhs in zip(ev.dom_rows, fn.domain.a, fn.domain.b):
+            ((c0, s0),), _ = reference.reference_integer_forms([(row, -rhs)], grid)
+            assert _primitive((c, *s)) == _primitive((c0, *s0))
+
+
+def test_grid_evaluators_walk_their_rows_without_fraction_arithmetic(monkeypatch):
+    fn = _fn(random.Random(52), 2, domain=True)  # 3 pieces; 2 domain rows cut the grid
+    step = F(3, 13)
+    grid = GridSpec(((F(-17, 11), F(-17, 11) + 9 * step), (F(2, 13), F(2, 13) + 8 * step)), step)
+    # The model's and the grid's integer images are built once per object.
+    fn._image, fn.domain._rows, grid._image, grid.shape
+
+    def no_arithmetic(*args):
+        raise AssertionError("Fraction arithmetic on the grid")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            patch.setattr(F, name, no_arithmetic)
+        ev = _GridEvaluator(fn, grid, (F(1, 19),))
+        rows = [ev.row(lead) for lead in grid.leads()]
+    values = [v if v == INF else F(v, ev.scale) for row in rows for v in row]
+    ref = reference.GridEvaluator(fn, grid.axes())
+    assert values == [ref.value(idx) for idx in product(*map(range, grid.shape))]
+    assert INF in values and len(set(values)) > 2  # the domain cuts the grid
 
 
 def test_eff_set_matches_the_pairwise_scan_with_ties_and_duplicates():

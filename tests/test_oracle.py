@@ -37,8 +37,15 @@ def grid_1d(step=F(1, 4)):
 def test_grid_validation():
     with pytest.raises(InputError):
         GridSpec(((F(0), F(1)),), F(0))
+    with pytest.raises(InputError, match="step must be > 0"):
+        GridSpec(((F(0), F(1)),), F(-1, 2))
+    with pytest.raises(InputError, match="lo > hi"):
+        GridSpec(((F(0), F(1)), (F(1, 3), F(1, 5))), F(1, 15))
     with pytest.raises(InputError):
         GridSpec(((F(0), F(1)),), F(3, 7))
+    with pytest.raises(InputError, match="integer number of steps"):
+        GridSpec(((F(-2, 11), F(1, 2)),), F(1, 13))  # a span of 195/22 steps
+    assert GridSpec(((F(-2, 11), F(1, 2)),), F(1, 22)).shape == (16,)
     with pytest.raises(InputError, match="grid has 1002001 points"):
         GridSpec(((F(0), F(1)),) * 2, F(1, 1000))  # 1001 x 1001 points
     with pytest.raises(InputError):
