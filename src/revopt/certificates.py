@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .lp import INF, NEG_INF, LinearProgram, lp_solve, lp_value
@@ -140,25 +141,69 @@ def _phis(mode, problem: ReverseProblem) -> tuple:
     }[mode]
 
 
-def _probe_columns(problem: ReverseProblem, mode):
-    """The columns lam, nu and eta of `mode`'s probe (`membership_lp`), as
-    (slope rows, budget row, objective of a point probe), with f(x_bar)
-    evaluated once; `membership_lp` calls it once per problem and mode."""
-    f, phis, x_bar = problem.objective, _phis(mode, problem), problem.point
-    dom = joint_domain(f.n, (f, *phis))
-    shift = problem.epsilon - f.value(x_bar)  # alpha's budget coefficient
-    # (slope, budget coefficient, objective coefficient) per column
-    cols = [(p.a, p.b + shift, _ONE) for p in f.pieces]
-    cols += [(p.a, p.b, _ZERO) for phi in phis for p in phi.pieces]
-    cols += [(row, -rhs, _ZERO) for row, rhs in zip(dom.a, dom.b)]
-    slopes, budget, gain = zip(*cols)
-    return tuple(zip(*slopes)), budget, gain
+def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
+    """`mode`'s probe (`membership_lp`) with every right-hand side zero, built
+    from the integer images of f, the phi_j and their domains.
+
+    Its columns lam, nu and eta, in that order, each have a slope (their n
+    rows) and a budget coefficient, read off the images over their own
+    denominators; alpha's budget coefficient eps - f(x_bar) joins each lam's
+    in integers. The LP gets its values as `Fraction`s (the pieces' and
+    domains' own, but for the budget coefficients of lam and eta) and as
+    ints over its least common denominator (its `_scaled`), so nothing is
+    validated or converted again."""
+    f, phis = problem.objective, _phis(mode, problem)
+    xs, x_den = problem._point_image
+    if f.domain is not None and not f.domain._holds(xs, x_den):
+        raise InputError("probe: the point is off the domain of f")
+    d_f, f_image = f._image
+    eps = problem.epsilon
+    # b_i + eps - f(x_bar) = (B_i * q / D + shift) / q
+    q = d_f * x_den * eps.denominator
+    shift = eps.numerator * d_f * x_den - max(f._scaled_pieces(xs, x_den)) * eps.denominator
+    budget = [b * (q // d_f) + shift for _, b in f_image]
+    # per column: its slope and budget coefficient, as Fractions (`fracs`) and
+    # as ints over a slope and a budget denominator (`ints`)
+    fracs = [(p.a, Fraction(c, q)) for p, c in zip(f.pieces, budget)]
+    ints = [(a, c, d_f, q) for (a, _), c in zip(f_image, budget)]
+    # the least common denominator: the f slopes' and budgets' reduced ones,
+    # and those of the images of the phi_j and of each domain row, least already
+    dens = [d_f // gcd(d_f, *(v for a, _ in f_image for v in a)), q // gcd(q, *budget)]
+    for phi in phis:
+        d, image = phi._image
+        fracs += [(p.a, p.b) for p in phi.pieces]
+        ints += [(a, b, d, d) for a, b in image]
+        dens.append(d)
+    for fn in (f, *phis):
+        dom = fn.domain
+        if dom is not None:
+            fracs += [(row, -rhs) for row, rhs in zip(dom.a, dom.b)]
+            ints += [(a, -b, d, d) for a, b, d in dom._rows]
+            dens += [d for *_, d in dom._rows]
+    den = lcm(*dens)
+    # each value times den; exact, as den is a multiple of its reduced denominator
+    scaled = [[a[k] * den // sd for a, _, sd, _ in ints] for k in range(problem.n)]
+    scaled.append([c * den // bd for _, c, _, bd in ints])
+    slopes, budgets = zip(*fracs)
+    rows = [(row, "=", _ZERO) for row in zip(*slopes)]
+    rows.append((budgets, ">=", _ZERO))
+    size = len(fracs)
+    zeros = (_ZERO,) * size
+    return LinearProgram._from_scaled(
+        (den, [(row, 0) for row in scaled], [0] * size, [None] * size),
+        n=size,
+        objective=(_ONE,) * len(f.pieces) + zeros[len(f.pieces) :],
+        sense="max",
+        rows=tuple(rows),
+        lower=zeros,
+        upper=(None,) * size,
+    )
 
 
-def _budget_rhs(x_bar, eps_prime, xstar) -> Fraction:
+def _budget_rhs(problem: ReverseProblem, eps_prime, xstar) -> Fraction:
     """The budget row's right-hand side -<x*, x_bar> - eps', from x_bar and
     x* over their common denominators: one Fraction."""
-    xb, xb_den = _over_common_den(x_bar)
+    xb, xb_den = problem._point_image
     xs, xs_den = _over_common_den(xstar)
     den = xb_den * xs_den
     num = -sum(map(mul, xs, xb)) * eps_prime.denominator - eps_prime.numerator * den
@@ -179,20 +224,18 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
 
     Only the right-hand sides and the t column depend on the check. The
     template, the point probe with every right-hand side zero (the probe at
-    (eps', x*) = (0, 0)), is built, validated and oriented in integers once
-    per problem and mode, and memoised in the problem's own instance dict, so
-    it lives and dies with the problem; `verify`, `union_member` and `replay`
-    all reuse it. A point probe is the template with its right-hand sides
-    swapped in by `LinearProgram.with_rhs`, which validates only those and
-    rescales the template's oriented system. A ray probe adds the t column to
-    the template's rows, builds that LP with zero right-hand sides, and
-    derives the probe from it the same way.
+    (eps', x*) = (0, 0)), is built from the integer images and oriented once
+    per problem and mode (`_probe_template`), and memoised in the problem's
+    own instance dict, so it lives and dies with the problem; `verify`,
+    `union_member` and `replay` all reuse it. A point probe is the template
+    with its right-hand sides swapped in by `LinearProgram.with_rhs`, which
+    validates only those and rescales the template's oriented system. A ray
+    probe adds the t column to the template's rows, builds that LP with zero
+    right-hand sides, and derives the probe from it the same way.
     """
     memo = vars(problem).setdefault("_probe_templates", {})
     if mode not in memo:
-        slopes, budget, gain = _probe_columns(problem, mode)
-        rows = [(row, "=", _ZERO) for row in slopes] + [(budget, ">=", _ZERO)]
-        memo[mode] = LinearProgram(len(gain), gain, "max", rows, (_ZERO,) * len(gain))
+        memo[mode] = _probe_template(problem, mode)
     template = memo[mode]
     if ray is not None:
         d_eps, d_x = ray
@@ -200,7 +243,7 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
         rows = [((*a, t), rel, b) for (a, rel, b), t in zip(template.rows, t_col)]
         n = template.n + 1
         template = LinearProgram(n, (_ZERO,) * template.n + (_ONE,), "max", rows, (_ZERO,) * n)
-    return template.with_rhs((*xstar, _budget_rhs(problem.point, eps_prime, xstar)))
+    return template.with_rhs((*xstar, _budget_rhs(problem, eps_prime, xstar)))
 
 
 def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:
@@ -217,14 +260,14 @@ def _probe(lp: LinearProgram, ray=False) -> MembershipEvidence:
 def _point_gates(problem: ReverseProblem, mode):
     """The gates on x_bar itself, in order, as (name, passed, reason); lazy,
     so a caller that stops at the first failure evaluates no further gate."""
-    f, h, x_bar = problem.objective, problem.reverse, problem.point
-    yield "dom-f", f.is_finite_at(x_bar), "point-off-domain"
+    f, h, x_bar = problem.objective, problem.reverse, problem._point_image
+    yield "dom-f", f.domain is None or f.domain._holds(*x_bar), "point-off-domain"
     if mode == "convex":
-        yield "h<=0", h.value(x_bar) <= 0, "point-off-domain"
+        yield "h<=0", h._value_at(*x_bar) <= 0, "point-off-domain"
         return
-    yield "h=0", h.value(x_bar) == 0, "point-not-on-boundary"
+    yield "h=0", h._value_at(*x_bar) == 0, "point-not-on-boundary"
     if mode == "constrained":
-        feasible = all(g.value(x_bar) <= 0 for g in problem.constraints)
+        feasible = all(g._value_at(*x_bar) <= 0 for g in problem.constraints)
         yield "G<=0", feasible, "point-off-domain"
 
 

@@ -14,10 +14,14 @@ only the other rows carry an artificial and phase 1 runs only if one does.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
-free multipliers), each row as its nonzero terms. `_oriented` builds it from
-the `Fraction` data in integers over one common denominator, at most once per
-LP (`LinearProgram._system`), and the tableau and `check_outcome` read it. A
-lower bound's multiplier is the reduced cost of its variable's column.
+free multipliers), each row as its nonzero terms. `_oriented` lays it out, at
+most once per LP (`LinearProgram._system`), from the LP's data in integers
+over one common denominator (`LinearProgram._scaled`), and the tableau and
+`check_outcome` read it. A lower bound's multiplier is the reduced cost of its
+variable's column. A builder that holds that integer data already, as the
+membership probe's template does, hands it over with the LP
+(`LinearProgram._from_scaled`) instead of having it re-derived from the
+`Fraction`s.
 
 An LP whose right-hand sides are all zero is a template: `with_rhs` derives
 the LP that differs from it only in its right-hand sides, validating only
@@ -34,7 +38,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .model import INF, NEG_INF, InputError, _lcm_den, _over_common_den, rat
+from .model import INF, NEG_INF, InputError, _built, _lcm_den, _over_common_den, rat
 
 __all__ = [
     "LinearProgram",
@@ -106,6 +110,34 @@ class LinearProgram:
             raise InputError("lp: bound vector length mismatch")
         return vals
 
+    @classmethod
+    def _from_scaled(cls, scaled, **fields) -> "LinearProgram":
+        """The LP whose fields are `fields` and whose `_scaled` is `scaled`,
+        both as given: nothing is checked or converted. For a builder whose
+        values are valid already and that holds them over one common
+        denominator; the two must describe the same LP."""
+        return _built(cls, _scaled=scaled, **fields)
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """The rows and bounds over one common denominator den > 0, the least:
+        `(den, rows, lower, upper)`, each row `(coeffs, rhs)` and each bound
+        (None where there is none) times den, all ints."""
+        bounds = [v for v in (*self.lower, *self.upper) if v is not None]
+        den = _lcm_den([*bounds, *(v for coeffs, _, rhs in self.rows for v in (*coeffs, rhs))])
+        rows = [
+            (
+                [v.numerator * (den // v.denominator) if v else 0 for v in coeffs],
+                rhs.numerator * (den // rhs.denominator),
+            )
+            for coeffs, _, rhs in self.rows
+        ]
+        lower, upper = (
+            [None if v is None else v.numerator * (den // v.denominator) for v in side]
+            for side in (self.lower, self.upper)
+        )
+        return den, rows, lower, upper
+
     @cached_property
     def _system(self) -> tuple[int, list]:
         """The oriented system in integers (`_oriented`), built on first use;
@@ -127,6 +159,7 @@ class LinearProgram:
         fields = vars(lp)
         fields.update(vars(self))  # this LP's fields, and its system if built
         fields["rows"] = tuple((coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs))
+        fields.pop("_scaled", None)  # it holds this LP's right-hand sides
         if any(b for *_, b in self.rows):
             fields.pop("_system", None)
         else:
@@ -141,21 +174,19 @@ def _oriented(lp: LinearProgram) -> tuple[int, list]:
     the row's nonzero `(column, coefficient)` pairs. Constraint rows come
     first (`>=` rows negated), then per variable its lower bound row `-x_j <=
     -l_j` and its upper bound row `x_j <= u_j`, one term each. Certificates
-    index into `rows`."""
-    bounds = [v for v in (*lp.lower, *lp.upper) if v is not None]
-    den = _lcm_den([*bounds, *(v for coeffs, _, rhs in lp.rows for v in (*coeffs, rhs))])
+    index into `rows`. It reads the LP's data from `_scaled`."""
+    den, scaled, lower, upper = lp._scaled
     rows = []
-    for coeffs, rel, rhs in lp.rows:
-        scale = -den if rel == ">=" else den
-        terms = [
-            (j, v.numerator * (scale // v.denominator)) for j, v in enumerate(coeffs) if v
-        ]
-        rows.append((terms, rhs.numerator * (scale // rhs.denominator), rel == "="))
-    for j, (low, up) in enumerate(zip(lp.lower, lp.upper)):
+    for (coeffs, rhs), (_, rel, _) in zip(scaled, lp.rows):
+        if rel == ">=":
+            rows.append(([(j, -v) for j, v in enumerate(coeffs) if v], -rhs, False))
+        else:
+            rows.append(([(j, v) for j, v in enumerate(coeffs) if v], rhs, rel == "="))
+    for j, (low, up) in enumerate(zip(lower, upper)):
         if low is not None:
-            rows.append(([(j, -den)], -low.numerator * (den // low.denominator), False))
+            rows.append(([(j, -den)], -low, False))
         if up is not None:
-            rows.append(([(j, den)], up.numerator * (den // up.denominator), False))
+            rows.append(([(j, den)], up, False))
     return den, rows
 
 

@@ -4,11 +4,14 @@ All quantities are `fractions.Fraction` values ("scalars" below); nothing in
 this package ever rounds. Extended values use the distinguished tag `INF`,
 never a large number, so indicator semantics stay exact.
 
-Each function and polyhedron also keeps an integer image of its rows, built
-once, on first use: a function's pieces share one common denominator, and
-each domain row has its own. Evaluation brings the point to one common
-denominator, compares integers, and builds at most one `Fraction`, for the
-value.
+Each function and polyhedron also keeps an integer image of its rows: a
+function's pieces share one common denominator, and each domain row has its
+own. A constructor called from Python parses its values with `rat` and builds
+the images on first use; a problem file's parser, which has read every
+literal with `rat` once already, hands its values to `_parsed_function` and
+`_parsed_problem`, which check shapes only and build the images at once.
+Evaluation brings the point to one common denominator, compares integers, and
+builds at most one `Fraction`, for the value.
 """
 
 from __future__ import annotations
@@ -74,15 +77,24 @@ def rat(text) -> Fraction:
             return Fraction(text)
         if not isinstance(text, str):
             raise InputError(f"not a rational literal: {text!r}")
-    match = _RAT_RE.fullmatch(text)
-    if match is None:
-        raise InputError(f"not a rational literal: {text!r}")
-    num, den = match.groups()
-    return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    if text.isdecimal():  # digits alone: what `_RAT_RE` reads as (text, None)
+        num, den = text, None
+    else:
+        match = _RAT_RE.fullmatch(text)
+        if match is None:
+            raise InputError(f"not a rational literal: {text!r}")
+        num, den = match.groups()
+    try:
+        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise InputError(f"rational literal too long: {len(text)} characters") from None
 
 
 def fmt(value) -> str:
-    """Canonical string for a scalar: "p/q", plain integer, or "inf"."""
+    """Canonical string for a scalar: "p/q", plain integer, or "inf".
+
+    InputError when a numerator or denominator has more digits than `str`
+    converts (sys.get_int_max_str_digits)."""
     # Only the float tags can be infinite; comparing a Fraction with a float
     # would convert the float to a Fraction first.
     if value.__class__ is float:
@@ -90,7 +102,10 @@ def fmt(value) -> str:
             return "inf"
         if value == NEG_INF:
             return "-inf"
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError("a rational is too long to print") from None
 
 
 def fmt_vec(vec) -> list[str]:
@@ -112,11 +127,66 @@ def _over_common_den(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _as_vector(values, n: int, what: str) -> tuple[Fraction, ...]:
-    vec = tuple(rat(v) for v in values)
-    if len(vec) != n:
-        raise InputError(f"{what}: expected length {n}, got {len(vec)}")
-    return vec
+def _built(cls, **fields):
+    """An instance of the frozen dataclass `cls` whose fields, and any cached
+    images, are `fields` as given: its `__post_init__` does not run, so
+    nothing is parsed or checked. For values `rat` returned and shapes the
+    caller has checked."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _piece_image(pieces) -> tuple:
+    """A function's integer image (D, rows): each piece (a_i, b_i) times D,
+    the least common denominator of all the pieces, as (A_i, B_i)."""
+    den = lcm(*[v.denominator for p in pieces for v in (*p.a, p.b)])
+    return den, tuple(
+        (_times(p.a, den), p.b.numerator * (den // p.b.denominator)) for p in pieces
+    )
+
+
+def _row_images(a, b) -> tuple:
+    """A polyhedron's integer image: each row (A_r, b_r) times its own least
+    common denominator L_r, as (A_r * L_r, b_r * L_r, L_r)."""
+    rows = []
+    for row, rhs in zip(a, b):
+        den = lcm(rhs.denominator, *[v.denominator for v in row])
+        rows.append((_times(row, den), rhs.numerator * (den // rhs.denominator), den))
+    return tuple(rows)
+
+
+def _times(values, den: int) -> tuple:
+    """Each of some rationals times `den`, a multiple of their denominators."""
+    return tuple([v.numerator * (den // v.denominator) for v in values])
+
+
+def _check_polyhedron(a, b, n: int) -> None:
+    if len(a) != len(b):
+        raise InputError("polyhedron: row/rhs count mismatch")
+    for row in a:
+        if len(row) != n:
+            raise InputError(f"polyhedron: row width {len(row)} != dimension {n}")
+
+
+def _check_function(n: int, pieces, domain) -> None:
+    if not pieces:
+        raise InputError("function needs at least one affine piece")
+    for p in pieces:
+        if p.n != n:
+            raise InputError(f"piece dimension {p.n} != function dimension {n}")
+    if domain is not None and domain.n != n:
+        raise InputError("domain dimension mismatch")
+
+
+def _check_problem(n: int, point, epsilon, fns) -> None:
+    if len(point) != n:
+        raise InputError(f"point: expected length {n}, got {len(point)}")
+    if epsilon < 0:
+        raise InputError("epsilon must be >= 0")
+    for fn in fns:
+        if fn.n != n:
+            raise InputError("problem functions must share the dimension")
 
 
 @dataclass(frozen=True)
@@ -151,13 +221,7 @@ class HPolyhedron:
     def __post_init__(self):
         rows = tuple(tuple(map(rat, row)) for row in self.a)
         rhs = tuple(map(rat, self.b))
-        if len(rows) != len(rhs):
-            raise InputError("polyhedron: row/rhs count mismatch")
-        for row in rows:
-            if len(row) != self.n:
-                raise InputError(
-                    f"polyhedron: row width {len(row)} != dimension {self.n}"
-                )
+        _check_polyhedron(rows, rhs, self.n)
         object.__setattr__(self, "a", rows)
         object.__setattr__(self, "b", rhs)
 
@@ -167,13 +231,8 @@ class HPolyhedron:
 
     @cached_property
     def _rows(self) -> tuple:
-        """The integer image: each row (A_r, b_r) times its own least common
-        denominator L_r, as (A_r * L_r, b_r * L_r, L_r)."""
-        rows = []
-        for row, rhs in zip(self.a, self.b):
-            nums, den = _over_common_den((*row, rhs))
-            rows.append((tuple(nums[:-1]), nums[-1], den))
-        return tuple(rows)
+        """The integer image (`_row_images`)."""
+        return _row_images(self.a, self.b)
 
     def contains(self, x) -> bool:
         if len(x) != self.n:
@@ -201,31 +260,22 @@ class PolyhedralConvexFunction:
         pieces = tuple(
             p if isinstance(p, AffineForm) else AffineForm(*p) for p in self.pieces
         )
-        if not pieces:
-            raise InputError("function needs at least one affine piece")
-        for p in pieces:
-            if p.n != self.n:
-                raise InputError(
-                    f"piece dimension {p.n} != function dimension {self.n}"
-                )
-        if self.domain is not None and self.domain.n != self.n:
-            raise InputError("domain dimension mismatch")
+        _check_function(self.n, pieces, self.domain)
         object.__setattr__(self, "pieces", pieces)
 
     @cached_property
     def _image(self) -> tuple:
-        """The integer image (D, rows): each piece (a_i, b_i) times D, the
-        least common denominator of all the pieces, as (A_i, B_i)."""
-        nums, den = _over_common_den([v for p in self.pieces for v in (*p.a, p.b)])
-        n = self.n
-        rows = [nums[k : k + n + 1] for k in range(0, len(nums), n + 1)]
-        return den, tuple((tuple(row[:n]), row[n]) for row in rows)
+        """The integer image (D, rows) of the pieces (`_piece_image`)."""
+        return _piece_image(self.pieces)
 
     def value(self, x):
         """Exact value: max over pieces on the domain, INF outside it."""
         if len(x) != self.n:
             raise InputError("eval: dimension mismatch")
-        nums, den = _over_common_den(x)
+        return self._value_at(*_over_common_den(x))
+
+    def _value_at(self, nums, den):
+        """The value at the point nums / den."""
         if self.domain is not None and not self.domain._holds(nums, den):
             return INF
         return Fraction(max(self._scaled_pieces(nums, den)), self._image[0] * den)
@@ -266,11 +316,57 @@ class ReverseProblem:
     constraints: tuple[PolyhedralConvexFunction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _as_vector(self.point, self.n, "point"))
-        object.__setattr__(self, "epsilon", rat(self.epsilon))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if self.epsilon < 0:
-            raise InputError("epsilon must be >= 0")
-        for fn in (self.objective, self.reverse, *self.constraints):
-            if fn.n != self.n:
-                raise InputError("problem functions must share the dimension")
+        point, epsilon = tuple(map(rat, self.point)), rat(self.epsilon)
+        constraints = tuple(self.constraints)
+        _check_problem(
+            self.n, point, epsilon, (self.objective, self.reverse, *constraints)
+        )
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "constraints", constraints)
+
+    @cached_property
+    def _point_image(self) -> tuple:
+        """The point over its least common denominator: (nums, den)."""
+        nums, den = _over_common_den(self.point)
+        return tuple(nums), den
+
+
+# -- construction from a parse -------------------------------------------------
+
+
+def _parsed_function(n: int, pieces, domain) -> PolyhedralConvexFunction:
+    """The function of a problem file: `pieces` are its (a_i, b_i) and
+    `domain` is None or its (A, b), every value one `rat` returned. The
+    constructors' shape checks run, in their order, and nothing is parsed
+    again; the integer images are built here, from the parsed values."""
+    if domain is not None:
+        rows, rhs = domain
+        _check_polyhedron(rows, rhs, n)
+        domain = _built(HPolyhedron, a=rows, b=rhs, n=n, _rows=_row_images(rows, rhs))
+    forms = tuple(_built(AffineForm, a=a, b=b) for a, b in pieces)
+    _check_function(n, forms, domain)
+    return _built(
+        PolyhedralConvexFunction,
+        n=n,
+        pieces=forms,
+        domain=domain,
+        _image=_piece_image(forms),
+    )
+
+
+def _parsed_problem(n: int, objective, reverse, constraints, point, epsilon) -> ReverseProblem:
+    """The problem of a problem file, from functions of `_parsed_function`
+    and a point and epsilon that `rat` returned; checked as the constructor
+    checks, with nothing parsed again."""
+    constraints = tuple(constraints)
+    _check_problem(n, point, epsilon, (objective, reverse, *constraints))
+    return _built(
+        ReverseProblem,
+        n=n,
+        objective=objective,
+        reverse=reverse,
+        point=point,
+        epsilon=epsilon,
+        constraints=constraints,
+    )

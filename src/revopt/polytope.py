@@ -188,17 +188,31 @@ def prune(n: int, vertices, rays) -> VPolytope:
     The candidates are deduplicated (rays normalized, zero rays dropped) and
     sorted; then rays, and after them vertices, are dropped one at a time in
     lex order when the generators still kept without them already give them.
+    In one dimension that pass needs no LP (`_prune_line`).
     """
+    rays = sorted({_normalize_ray(r) for r in rays if any(r)})
+    vertices = sorted(set(vertices))
+    if n == 1:
+        return VPolytope(1, _prune_line(vertices, rays), tuple(rays))
     origin = ((_ZERO,) * n,)
-    kept_rays = _drop_redundant(
-        sorted({_normalize_ray(r) for r in rays if any(r)}),
-        lambda others: VPolytope(n, origin, others),
-    )
-    kept_verts = _drop_redundant(
-        sorted(set(vertices)),
-        lambda others: VPolytope(n, others, kept_rays),
-    )
+    kept_rays = _drop_redundant(rays, lambda others: VPolytope(n, origin, others))
+    kept_verts = _drop_redundant(vertices, lambda others: VPolytope(n, others, kept_rays))
     return VPolytope(n, kept_verts, kept_rays)
+
+
+def _prune_line(vertices, rays) -> tuple:
+    """The vertices the lex-order pass keeps on a line, from the sorted
+    distinct `vertices` and normalized `rays` (each of which it keeps): the
+    minimum and the maximum with no ray, the minimum with the ray +1 alone,
+    the maximum with -1 alone, and the last with both, whose cone is the line."""
+    if not vertices:
+        return ()
+    up, down = (_ONE,) in rays, (-_ONE,) in rays
+    if up and not down:
+        return (vertices[0],)
+    if up or down or len(vertices) == 1:
+        return (vertices[-1],)
+    return (vertices[0], vertices[-1])
 
 
 def _drop_redundant(candidates, body) -> tuple:

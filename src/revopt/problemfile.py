@@ -1,7 +1,9 @@
 """Problem-file ingestion: exact rationals on the wire, unknown fields rejected.
 
 The document is JSON with every scalar serialized as a "p/q" or integer
-string; no floating point is accepted anywhere.
+string; no floating point is accepted anywhere. Each literal is read by `rat`
+exactly once, and the model objects and their integer images are built from
+those values (`_parsed_function`, `_parsed_problem`), not parsed again.
 """
 
 from __future__ import annotations
@@ -9,11 +11,11 @@ from __future__ import annotations
 import json
 
 from .model import (
-    AffineForm,
-    HPolyhedron,
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
+    _parsed_function,
+    _parsed_problem,
     fmt,
     rat,
 )
@@ -29,9 +31,8 @@ _DOMAIN_FIELDS = {"A", "b"}
 def _check_fields(doc: dict, allowed: set, what: str):
     if not isinstance(doc, dict):
         raise InputError(f"{what}: expected an object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InputError(f"{what}: unknown fields {sorted(unknown)}")
+    if not allowed.issuperset(doc):
+        raise InputError(f"{what}: unknown fields {sorted(set(doc) - allowed)}")
 
 
 def _array(value, what: str) -> list:
@@ -41,7 +42,7 @@ def _array(value, what: str) -> list:
 
 
 def _vector(value, what: str) -> tuple:
-    return tuple(rat(v) for v in _array(value, what))
+    return tuple(map(rat, _array(value, what)))
 
 
 def _parse_function(doc, n: int, what: str) -> PolyhedralConvexFunction:
@@ -54,7 +55,7 @@ def _parse_function(doc, n: int, what: str) -> PolyhedralConvexFunction:
         _check_fields(piece, _PIECE_FIELDS, at)
         if "a" not in piece or "b" not in piece:
             raise InputError(f"{at}: needs fields a and b")
-        pieces.append(AffineForm(_vector(piece["a"], f"{at}.a"), rat(piece["b"])))
+        pieces.append((_vector(piece["a"], f"{at}.a"), rat(piece["b"])))
     domain = None
     if "domain" in doc and doc["domain"] is not None:
         dom = doc["domain"]
@@ -62,12 +63,11 @@ def _parse_function(doc, n: int, what: str) -> PolyhedralConvexFunction:
         if "A" not in dom or "b" not in dom:
             raise InputError(f"{what}.domain: needs fields A and b")
         rows = _array(dom["A"], f"{what}.domain.A")
-        domain = HPolyhedron(
+        domain = (
             tuple(_vector(row, f"{what}.domain.A[{k}]") for k, row in enumerate(rows)),
             _vector(dom["b"], f"{what}.domain.b"),
-            n,
         )
-    return PolyhedralConvexFunction(n, tuple(pieces), domain)
+    return _parsed_function(n, pieces, domain)
 
 
 def parse_problem(doc) -> ReverseProblem:
@@ -86,7 +86,7 @@ def parse_problem(doc) -> ReverseProblem:
     )
     point = _vector(doc["point"], "point")
     epsilon = rat(doc["epsilon"])
-    return ReverseProblem(n, objective, reverse, point, epsilon, constraints)
+    return _parsed_problem(n, objective, reverse, constraints, point, epsilon)
 
 
 def load_problem(path: str) -> ReverseProblem:
@@ -97,6 +97,8 @@ def load_problem(path: str) -> ReverseProblem:
         raise InputError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"problem file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad UTF-8, or a number of more digits than int() converts
+        raise InputError(f"cannot read problem file: {exc}") from exc
     return parse_problem(doc)
 
 

@@ -18,7 +18,8 @@ form of the oriented layout, which the certificate check's and the LP's
 references read; the library builds the same rows in integers.
 `reference_integer_forms` is the library's earlier `Fraction` route to the
 grid evaluators' integer forms, before they read the integer images of the
-grid and of each function.
+grid and of each function. `reference_prune` is the library's earlier
+`prune`, which decided every candidate by an LP also in one dimension.
 """
 
 import itertools
@@ -47,6 +48,7 @@ from revopt.model import (
 )
 from revopt.oracle import BoundaryReport, BruteResult, GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
+from revopt.polytope import VPolytope, _drop_redundant, _normalize_ray
 from revopt.subdiff import epigraph_inf, joint_domain
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -609,6 +611,22 @@ class _Simplex:
 
 def reference_lp_solve(lp: LinearProgram) -> LpOutcome:
     return _Simplex(lp).solve()
+
+
+def reference_prune(n: int, vertices, rays) -> VPolytope:
+    """`prune` by one feasibility LP per candidate in every dimension: rays,
+    then vertices, dropped one at a time in lex order when the generators
+    still kept without them already give them."""
+    origin = ((_ZERO,) * n,)
+    kept_rays = _drop_redundant(
+        sorted({_normalize_ray(r) for r in rays if any(r)}),
+        lambda others: VPolytope(n, origin, others),
+    )
+    kept_verts = _drop_redundant(
+        sorted(set(vertices)),
+        lambda others: VPolytope(n, others, kept_rays),
+    )
+    return VPolytope(n, kept_verts, kept_rays)
 
 
 def reference_membership_lp(problem, mode, eps_prime, xstar, ray=None):

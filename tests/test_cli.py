@@ -340,20 +340,26 @@ def test_input_errors_exit_3(tmp_path, capsys):
     bad.write_text("{not json")
     code, doc = _run(capsys, ["verify", "--problem", str(bad), "--mode", "rop"])
     assert code == 3
+    assert doc["error"] == (
+        "problem file is not valid JSON: Expecting property name enclosed in"
+        " double quotes: line 1 column 2 (char 1)"
+    )
 
     doc_float = example_a_doc()
     doc_float["epsilon"] = "0.5"
     p = tmp_path / "float.json"
     p.write_text(json.dumps(doc_float))
-    code, _ = _run(capsys, ["verify", "--problem", str(p), "--mode", "rop"])
+    code, doc = _run(capsys, ["verify", "--problem", str(p), "--mode", "rop"])
     assert code == 3
+    assert doc["error"] == "not a rational literal: '0.5'"
 
     doc_unknown = example_a_doc()
     doc_unknown["extra"] = 1
     p2 = tmp_path / "unknown.json"
     p2.write_text(json.dumps(doc_unknown))
-    code, _ = _run(capsys, ["verify", "--problem", str(p2), "--mode", "rop"])
+    code, doc = _run(capsys, ["verify", "--problem", str(p2), "--mode", "rop"])
     assert code == 3
+    assert doc["error"] == "problem: unknown fields ['extra']"
 
 
 def _set(doc, path, value):
@@ -362,36 +368,53 @@ def _set(doc, path, value):
     doc[path[-1]] = value
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("constraints",), None),
-        (("constraints",), {}),
-        (("objective", "pieces"), 5),
-        (("objective", "pieces", 0, "a"), "1"),
-        (("point",), "1"),
-        (("n",), True),
-        (("epsilon",), True),
-        (("objective", "pieces", 0, "b"), False),
-        (("reverse", "domain"), {"A": "1", "b": ["1"]}),
-        (("reverse", "domain"), {"A": ["1"], "b": ["1"]}),
-        (("reverse", "domain"), {"A": [["1"]], "b": "1"}),
-    ],
-    ids=[
-        "constraints-null",
-        "constraints-object",
-        "pieces-number",
-        "a-string",
-        "point-string",
-        "n-boolean",
-        "epsilon-boolean",
-        "b-boolean",
-        "A-string",
-        "A-row-string",
-        "domain-b-string",
-    ],
-)
-def test_malformed_shapes_exit_3(tmp_path, capsys, path, value):
+# Each malformed shape with the error its report gives. A string where an
+# array belongs is rejected as a whole, never read character by character.
+_MALFORMED = {
+    "constraints-null": (("constraints",), None, "constraints: expected an array"),
+    "constraints-object": (("constraints",), {}, "constraints: expected an array"),
+    "pieces-number": (("objective", "pieces"), 5, "objective.pieces: expected an array"),
+    "a-string": (("objective", "pieces", 0, "a"), "1", "objective.pieces[0].a: expected an array"),
+    "a-string-12": (
+        ("objective", "pieces", 0, "a"), "12", "objective.pieces[0].a: expected an array"
+    ),
+    "point-string": (("point",), "1", "point: expected an array"),
+    "n-boolean": (("n",), True, "problem: n must be a positive integer"),
+    "epsilon-boolean": (("epsilon",), True, "not a rational literal: True"),
+    "b-boolean": (("objective", "pieces", 0, "b"), False, "not a rational literal: False"),
+    "a-boolean": (("objective", "pieces", 0, "a"), [True], "not a rational literal: True"),
+    "a-float": (("objective", "pieces", 0, "a"), [1.5], "not a rational literal: 1.5"),
+    "b-zero-denominator": (
+        ("objective", "pieces", 0, "b"), "1/0", "not a rational literal: '1/0'"
+    ),
+    "b-negative-denominator": (
+        ("objective", "pieces", 0, "b"), "1/-2", "not a rational literal: '1/-2'"
+    ),
+    "piece-list": (
+        ("objective", "pieces", 0), ["1", "0"], "objective.pieces[0]: expected an object"
+    ),
+    "A-string": (
+        ("reverse", "domain"), {"A": "1", "b": ["1"]}, "reverse.domain.A: expected an array"
+    ),
+    "A-row-string": (
+        ("reverse", "domain"), {"A": ["1"], "b": ["1"]}, "reverse.domain.A[0]: expected an array"
+    ),
+    "domain-b-string": (
+        ("reverse", "domain"), {"A": [["1"]], "b": "1"}, "reverse.domain.b: expected an array"
+    ),
+    "A-row-wide": (
+        ("reverse", "domain"),
+        {"A": [["1", "2"]], "b": ["1"]},
+        "polyhedron: row width 2 != dimension 1",
+    ),
+    "a-wide": (("objective", "pieces", 0, "a"), ["1", "2"], "piece dimension 2 != function dimension 1"),
+    "point-wide": (("point",), ["1", "2"], "point: expected length 1, got 2"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_shapes_exit_3(tmp_path, capsys, name):
+    path, value, error = _MALFORMED[name]
     doc = example_a_doc()
     _set(doc, path, value)
     p = tmp_path / "malformed.json"
@@ -402,7 +425,46 @@ def test_malformed_shapes_exit_3(tmp_path, capsys, path, value):
     ):
         code, out = _run(capsys, [argv[0], "--problem", str(p), *argv[1:]])
         assert code == 3
-        assert "error" in out
+        assert out == {"command": argv[0], "error": error}
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python converts ints of any length")
+def test_over_long_numbers_are_input_errors(tmp_path, capsys):
+    # Python converts ints to and from strings of at most
+    # sys.get_int_max_str_digits() digits (4300 by default). Past it, a
+    # literal read by `rat` or by json, and a value printed by `fmt`, give
+    # one JSON error line and exit 3, not a traceback and the REFUTED code 1;
+    # replay raises a CertificateError.
+    digits = "1" * (_DIGIT_LIMIT + 700)
+    halves = [str(10 ** (_DIGIT_LIMIT // 2 + 200) + k) for k in (1, 3)]  # coprime
+    doc = example_a_doc(eps=f"1/{halves[0]}")
+    doc["objective"]["pieces"][0]["b"] = f"1/{halves[1]}"
+    files = {  # the text, and the start of its error
+        "literal": (json.dumps(example_a_doc(eps=digits)), "rational literal too long"),
+        "bare-integer": (
+            json.dumps(example_a_doc(eps="EPS")).replace('"EPS"', digits),
+            "cannot read problem file: Exceeds the limit",
+        ),
+        # both parse, but the report's numbers have their denominators' product
+        "printed": (json.dumps(doc), "a rational is too long to print"),
+    }
+    for name, (text, error) in files.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        for command in ("verify", "falsify"):
+            code = run([command, "--problem", str(p), "--mode", "rop"])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 3 and len(lines) == 1, name
+            out = json.loads(lines[0])
+            assert out["command"] == command and out["error"].startswith(error), name
+    path = next(p for p in PROBLEMS if p.name == "example_b.json")
+    _, report = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+    report["checks"][0]["eps_prime"] = digits
+    with pytest.raises(CertificateError):
+        replay(load_problem(str(path)), report)
 
 
 def test_subdiff_rejects_a_constraint_index_out_of_range(tmp_path, capsys):

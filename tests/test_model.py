@@ -1,11 +1,16 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 F = Fraction
 
 import pytest
 
 import reference
+from corpus import corpus, face_domain_family
+from revopt import model, problemfile
+from revopt.problemfile import dump_problem, load_problem, parse_problem, problem_to_doc
 from revopt.model import (
     INF,
     NEG_INF,
@@ -218,3 +223,81 @@ def test_problem_validation():
         ReverseProblem(1, f, h, (Fraction(1),), Fraction(-1))
     with pytest.raises(InputError):
         ReverseProblem(2, f, h, (Fraction(1), Fraction(0)), Fraction(0))
+
+
+def _rational_problem(rng, n, constraints):
+    """A problem whose every function has rational pieces and a rational
+    domain with room around its centre."""
+
+    def fn():
+        pieces = tuple(
+            AffineForm(_rational_point(rng, n), F(rng.randint(-9, 9), rng.choice((1, 4, 5))))
+            for _ in range(rng.randint(1, 3))
+        )
+        centre = _rational_point(rng, n)
+        rows = [_rational_point(rng, n) for _ in range(rng.randint(1, 3))]
+        rhs = [sum(a * x for a, x in zip(row, centre)) + F(1, 3) for row in rows]
+        return PolyhedralConvexFunction(n, pieces, HPolyhedron(tuple(rows), tuple(rhs), n))
+
+    eps = F(rng.randint(0, 9), rng.choice((1, 2, 7)))
+    return ReverseProblem(n, fn(), fn(), _rational_point(rng, n), eps, [fn() for _ in range(constraints)])
+
+
+def _python_problems():
+    rng = random.Random(41)
+    problems = corpus(6, 4) + face_domain_family(6)
+    return problems + [_rational_problem(rng, n, n - 1) for n in (1, 2, 3) for _ in range(4)]
+
+
+def _literal_count(doc) -> int:
+    """The rational literals of a problem document: every scalar but n."""
+    if isinstance(doc, dict):
+        return sum(_literal_count(v) for k, v in doc.items() if k != "n")
+    if isinstance(doc, list):
+        return sum(map(_literal_count, doc))
+    return doc is not None
+
+
+def test_a_problem_file_reads_each_literal_once(monkeypatch, tmp_path):
+    paths = [str(p) for p in sorted(Path(__file__).resolve().parents[1].glob("problems/*.json"))]
+    for k, problem in enumerate(_python_problems()):
+        paths.append(str(tmp_path / f"p{k}.json"))
+        dump_problem(problem, paths[-1])
+    calls = []
+    original = model.rat
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+
+    monkeypatch.setattr(model, "rat", counting)
+    monkeypatch.setattr(problemfile, "rat", counting)
+    total = 0
+    for path in paths:
+        calls.clear()
+        load_problem(path)
+        with open(path, encoding="utf-8") as fh:
+            literals = _literal_count(json.load(fh))
+        assert len(calls) == literals, path
+        total += literals
+    assert len(paths) >= 30 and total > 800
+
+
+def test_a_parsed_problem_has_the_images_of_the_problem_built_in_python():
+    # The parse builds the integer images from its values at once; they are
+    # the images the constructors' lazy ones give for the same problem.
+    checked = 0
+    for problem in _python_problems():
+        parsed = parse_problem(problem_to_doc(problem))
+        assert parsed == problem
+        for fn, again in zip(
+            (problem.objective, problem.reverse, *problem.constraints),
+            (parsed.objective, parsed.reverse, *parsed.constraints),
+        ):
+            assert "_image" in vars(again) and again._image == fn._image
+            if fn.domain is not None:
+                assert "_rows" in vars(again.domain)
+                assert again.domain._rows == fn.domain._rows
+                checked += any(den > 1 for *_, den in fn.domain._rows)
+            checked += fn._image[0] > 1
+    assert checked > 40

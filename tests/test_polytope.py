@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 
+import reference
+from corpus import corpus
+from revopt import polytope, subdiff
 from revopt.lp import Infeasible, LinearProgram, lp_solve
 from revopt.model import HPolyhedron
-from revopt.polytope import VPolytope, project, vertex_enumerate, vpoly_member
+from revopt.polytope import VPolytope, project, prune, vertex_enumerate, vpoly_member
+from revopt.subdiff import SubdiffQuery, subdiff_vrep
 
 F = Fraction
 
@@ -281,3 +285,35 @@ def test_lp_optimum_matches_vertex_minimum():
         assert out.value == best
         checked += 1
     assert checked > 25
+
+
+def test_prune_on_a_line_keeps_what_the_lp_pass_keeps_by_one_sort(monkeypatch):
+    # Random candidates (repeats, zero rays and rays of any length among
+    # them), and those of the 1-D subdiff_vrep calls on the acceptance corpus.
+    rng = random.Random(17)
+    cases = []
+    for _ in range(300):
+        verts = [(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))),) for _ in range(rng.randint(0, 5))]
+        rays = [(Fraction(rng.choice((-3, -1, 0, 1, 2)), rng.choice((1, 4))),) for _ in range(rng.randint(0, 3))]
+        cases.append((1, verts, rays))
+
+    def record(n, vertices, rays):
+        cases.append((n, list(vertices), list(rays)))
+        return prune(n, vertices, rays)
+
+    monkeypatch.setattr(subdiff, "prune", record)
+    for problem in corpus(40, 0):
+        for fn in (problem.objective, problem.reverse):
+            for eps in (Fraction(0), Fraction(1, 2), Fraction(2)):
+                subdiff_vrep(SubdiffQuery(fn, problem.point, eps))
+    monkeypatch.undo()
+    assert len(cases) > 400
+    expected = [reference.reference_prune(*case) for case in cases]
+    kept = {len(vp.vertices) for vp in expected} | {len(vp.rays) for vp in expected}
+    assert kept == {0, 1, 2}
+
+    def no_lp(lp):
+        raise AssertionError("prune solved an LP on a line")
+
+    monkeypatch.setattr(polytope, "lp_solve", no_lp)
+    assert [prune(*case) for case in cases] == expected

@@ -101,6 +101,49 @@ def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
     }
 
 
+_IMAGES = {"_image", "_rows"}
+
+
+def _definitions(tree, names):
+    """Qualified names ("C.m") of the functions named in `names`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if child.name in names:
+                    found.append(".".join(scope + (child.name,)))
+                visit(child, scope + (child.name,))
+
+    visit(tree, ())
+    return found
+
+
+def test_the_integer_images_are_built_in_model_only():
+    # The layout of a function's and a polyhedron's integer images is
+    # model's: only model.py defines, assigns or names (as a keyword or a
+    # string) `_image` and `_rows`, so problemfile, certificates and the
+    # rest can only read them. oracle's GridSpec has an image of its own grid.
+    def builds(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in _IMAGES and not isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.keyword):
+            return node.arg in _IMAGES
+        return isinstance(node, ast.Constant) and node.value in _IMAGES
+
+    sites = set()
+    for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites |= {(path.stem, scope) for scope in _scopes(tree, builds)}
+        sites |= {(path.stem, name) for name in _definitions(tree, _IMAGES)}
+    assert {site for site in sites if site[0] != "model"} == {("oracle", "GridSpec._image")}
+    assert {
+        ("model", "HPolyhedron._rows"),
+        ("model", "PolyhedralConvexFunction._image"),
+        ("model", "_parsed_function"),
+    } <= sites
+
+
 def test_no_module_but_cli_imports_unbounded():
     # lp defines Unbounded, and lp.lp_value is the one reading of an outcome
     # as a value; cli builds and writes outcomes for reports, so it needs the
