@@ -223,27 +223,33 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     objective maximizes sum lam, or t.
 
     Only the right-hand sides and the t column depend on the check. The
-    template, the point probe with every right-hand side zero (the probe at
-    (eps', x*) = (0, 0)), is built from the integer images and oriented once
-    per problem and mode (`_probe_template`), and memoised in the problem's
-    own instance dict, so it lives and dies with the problem; `verify`,
-    `union_member` and `replay` all reuse it. A point probe is the template
-    with its right-hand sides swapped in by `LinearProgram.with_rhs`, which
-    validates only those and rescales the template's oriented system. A ray
-    probe adds the t column to the template's rows, builds that LP with zero
-    right-hand sides, and derives the probe from it the same way.
+    template, the point probe with every right-hand side zero, is built from
+    the integer images and oriented once per problem and mode
+    (`_probe_template`), and memoised in the problem's own instance dict, so
+    it lives and dies with the problem; `verify`, `union_member` and `replay`
+    all reuse it. The probe at (eps', x*) = (0, 0) is the template itself, so
+    `verify`'s gate solves it. Any other point probe is the template with its
+    right-hand sides swapped in by `LinearProgram.with_rhs`, which validates
+    only those; the probe reads the template's oriented system rescaled, and
+    its solve starts from the template's optimal basis (`lp_solve`). A ray
+    probe adds the t column to the template's rows and is built with its
+    right-hand sides as an LP of its own, solved from scratch: its zero
+    right-hand side form would be solved only to start it.
     """
     memo = vars(problem).setdefault("_probe_templates", {})
     if mode not in memo:
         memo[mode] = _probe_template(problem, mode)
     template = memo[mode]
-    if ray is not None:
-        d_eps, d_x = ray
-        t_col = [-v for v in d_x] + [_dot(d_x, problem.point) + d_eps]
-        rows = [((*a, t), rel, b) for (a, rel, b), t in zip(template.rows, t_col)]
-        n = template.n + 1
-        template = LinearProgram(n, (_ZERO,) * template.n + (_ONE,), "max", rows, (_ZERO,) * n)
-    return template.with_rhs((*xstar, _budget_rhs(problem, eps_prime, xstar)))
+    if ray is None and not eps_prime and not any(xstar):
+        return template  # the probe at (0, 0) is the template itself
+    rhs = (*xstar, _budget_rhs(problem, eps_prime, xstar))
+    if ray is None:
+        return template.with_rhs(rhs)
+    d_eps, d_x = ray
+    t_col = [-v for v in d_x] + [_dot(d_x, problem.point) + d_eps]
+    rows = [((*a, t), rel, b) for (a, rel, _), t, b in zip(template.rows, t_col, rhs)]
+    n = template.n + 1
+    return LinearProgram(n, (_ZERO,) * template.n + (_ONE,), "max", rows, (_ZERO,) * n)
 
 
 def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:

@@ -191,8 +191,9 @@ def replay(problem, report: dict) -> None:
     verdict tag from the gates and those checks. Raises CertificateError on
     any mismatch and on any malformed part that replay reads: a missing
     field, a part of the wrong JSON type, an unknown mode, kind or outcome
-    tag, a literal that is not rational, or a generator without one entry
-    per variable. A ray check logs its direction, and starts at the first
+    tag, a literal that is not rational, a generator without one entry per
+    variable, or a check logged although x_bar is off dom f, where no probe
+    exists. A ray check logs its direction, and starts at the first
     generator of h's eps'-subdifferentials (`subdiff_epigraph`).
     """
     _require(report, ("mode",), "the report")
@@ -211,14 +212,17 @@ def replay(problem, report: dict) -> None:
         if len(generator) != problem.n:
             raise CertificateError("generator length mismatch")
         kind = check["kind"]
-        if kind == "vertex":
-            lp = membership_lp(problem, mode, eps_prime, generator)
-        elif kind == "ray":
+        if kind not in ("vertex", "ray"):
+            raise CertificateError(f"unknown check kind {kind!r}")
+        point, ray = (eps_prime, generator), None
+        if kind == "ray":
             if base is None:
                 (base, *_), _rays = subdiff_epigraph(problem.reverse, problem.point)
-            lp = membership_lp(problem, mode, *base, ray=(eps_prime, generator))
-        else:
-            raise CertificateError(f"unknown check kind {kind!r}")
+            point, ray = base, (eps_prime, generator)
+        try:
+            lp = membership_lp(problem, mode, *point, ray=ray)
+        except InputError as exc:  # x_bar off dom f: the problem has no probe
+            raise CertificateError(f"the check has no probe LP ({exc})") from None
         outcome = _outcome_from_doc(check["outcome"])
         check_outcome(lp, outcome)
         ev = probe_evidence(lp, outcome, ray=kind == "ray")

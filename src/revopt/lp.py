@@ -1,16 +1,20 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-Two-phase primal simplex in exact integer arithmetic with Bland's rule, so
-every solve terminates and identical inputs give identical outcomes. Each
-outcome carries its own evidence: an optimal basis yields a dual vector
-(strong duality and complementary slackness hold exactly), infeasibility
-yields a Farkas vector, unboundedness yields an improving recession ray.
+Two-phase primal simplex in exact integer arithmetic with Bland's rule, and
+its dual form for warm starts, so every solve terminates and identical inputs
+give identical outcomes. Each outcome carries its own evidence: an optimal
+basis yields a dual vector (strong duality and complementary slackness hold
+exactly), infeasibility yields a Farkas vector, unboundedness yields an
+improving recession ray.
 
 The tableau is a lean standard form (`_Simplex`): a lower-bounded variable is
 one native nonnegative column, shifted by its bound, and only a free variable
 is split in two; lower bounds never become rows, upper bounds do; and an
 inequality row starts from its slack whenever its right-hand side allows, so
 only the other rows carry an artificial and phase 1 runs only if one does.
+When every right-hand side of the tableau is 0 the artificial sum is 0 at the
+start, so phase 1 skips its iterations and its cost row and only drives the
+artificials out.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
@@ -23,10 +27,18 @@ membership probe's template does, hands it over with the LP
 (`LinearProgram._from_scaled`) instead of having it re-derived from the
 `Fraction`s.
 
-An LP whose right-hand sides are all zero is a template: `with_rhs` derives
-the LP that differs from it only in its right-hand sides, validating only
-those, and carries the template's system over to it rescaled, so a family of
-checks on one matrix builds and validates that matrix once.
+`with_rhs` derives the LP that differs from a template only in its
+right-hand sides, validating only those. When the template's right-hand sides
+are all zero, the derived LP's system is the template's rescaled, so a family
+of checks on one matrix builds and validates that matrix once. It is solved
+once too: `lp_solve` caches an LP's solved tableau on the LP, and a derived
+LP whose template's solve ended `Optimal` starts from that final basis, which
+stays dual feasible when only right-hand sides change. It brings in its
+right-hand column as B^-1 b', B^-1 read off the starting columns, and runs a
+dual simplex under the dual form of Bland's rule; an infeasible end is read
+off the blocking row, or off a row that phase 1 dropped as redundant, as a
+Farkas vector. The template is solved first if it was not, so an outcome is
+fixed by the template and the right-hand sides, whatever was solved before.
 """
 
 from __future__ import annotations
@@ -140,30 +152,59 @@ class LinearProgram:
 
     @cached_property
     def _system(self) -> tuple[int, list]:
-        """The oriented system in integers (`_oriented`), built on first use;
-        `with_rhs` sets it on the LPs it derives."""
-        return _oriented(self)
+        """The oriented system in integers, built on first use: by
+        `_oriented`, or, for an LP that `with_rhs` derived from a template
+        whose right-hand sides are all zero, as the template's rescaled
+        (`_rescaled`)."""
+        template = vars(self).get("_template")
+        if template is None or any(b for *_, b in template.rows):
+            return _oriented(self)
+        return _rescaled(template._system, template.rows, [b for *_, b in self.rows])
+
+    @cached_property
+    def _costs(self) -> tuple[list[int], int]:
+        """The objective over its least common denominator
+        (`_over_common_den`), which the simplex and `check_outcome` read;
+        `with_rhs` hands it on to the LPs it derives, which share the
+        objective."""
+        return _over_common_den(self.objective)
+
+    @cached_property
+    def _solved(self) -> "_Simplex":
+        """This LP's tableau, solved: `lp_solve` reads its outcome. An LP
+        that `with_rhs` derived from a template starts from the template's
+        final basis when the template's solve ends `Optimal` (solving the
+        template first if need be), and from scratch otherwise; so the outcome
+        is fixed by the template and the right-hand sides alone."""
+        template = vars(self).get("_template")
+        if template is not None and isinstance(template._solved.outcome, Optimal):
+            return template._solved.resolved(self)
+        tableau = _Simplex(self)
+        tableau.outcome = tableau.solve()
+        return tableau
 
     def with_rhs(self, values) -> "LinearProgram":
         """This LP with its rows' right-hand sides replaced by `values`, one
         per row. Only `values` are validated (`rat`): the coefficients and
-        bounds are this LP's, validated already, and are shared, not copied.
-        When this LP's right-hand sides are all zero, its oriented system is
-        over the least common denominator of the coefficients and bounds
-        alone, so the derived LP's is that system rescaled to take in the
-        denominators of `values`; otherwise `_oriented` builds it on use."""
+        bounds are this LP's, validated already, and are shared, not copied,
+        and so is the objective's integer form (`_costs`), made once here for
+        every LP derived. The derived LP keeps this one as its template: its
+        solve starts from this LP's (`_solved`). When this LP's right-hand
+        sides are all zero, its oriented system is over the least common
+        denominator of the coefficients and bounds alone, so the derived LP's,
+        when it is asked for, is that system rescaled to take in the
+        denominators of `values` (`_system`)."""
         rhs = tuple(rat(v) for v in values)
         if len(rhs) != len(self.rows):
             raise InputError("lp: right-hand side length mismatch")
         lp = object.__new__(type(self))
         fields = vars(lp)
-        fields.update(vars(self))  # this LP's fields, and its system if built
+        fields.update(vars(self))  # this LP's fields and cached values
+        fields["_costs"] = self._costs
         fields["rows"] = tuple((coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs))
-        fields.pop("_scaled", None)  # it holds this LP's right-hand sides
-        if any(b for *_, b in self.rows):
-            fields.pop("_system", None)
-        else:
-            fields["_system"] = _rescaled(self._system, self.rows, rhs)
+        for name in ("_scaled", "_system", "_solved"):  # they read the right-hand sides
+            fields.pop(name, None)
+        fields["_template"] = self
         return lp
 
 
@@ -261,7 +302,9 @@ class _Simplex:
     native column carries them). An inequality row whose shifted right-hand
     side is >= 0 starts with its slack basic; every other row is negated if
     needed so its right-hand side is >= 0 and gets an artificial. Phase 1 runs
-    only when some row has an artificial.
+    only when some row has an artificial, and its Bland iterations only when
+    some right-hand side is nonzero: otherwise the artificial sum is 0 at the
+    start, and only driving the artificials out is left.
 
     Multipliers in the oriented layout: a tableau row's come from the reduced
     cost of its starting basic column, the slack or the artificial, whose
@@ -272,12 +315,17 @@ class _Simplex:
     Rows are integer vectors sharing one positive denominator each, taken
     from the integer oriented system over den^2 (the shift multiplies two
     values over den) and reduced, so the hot loops stay in machine integers.
+
+    The tableau holds no reference to its LP, only the LP's shared tuples, so
+    an LP can cache its solved tableau (`LinearProgram._solved`) and an LP
+    derived from it by `with_rhs` re-solves from it (`resolved`).
     """
 
     MAX_PIVOTS = 200_000
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
+        self.rows, self.lower, self.objective = lp.rows, lp.lower, lp.objective
+        self.sense, self.costs = lp.sense, lp._costs
         # per variable: its column, and its negative part's (None if native)
         self.cols = []
         ncol = 0
@@ -308,7 +356,8 @@ class _Simplex:
         self.width = self.nreal + self.nart + 1  # + rhs
         self.tab = []  # rows as (den, int cells)
         self.basis = []
-        # per row: (oriented index, sign, starting basic column, artificial?)
+        # per row: (oriented index, sign, starting basic column, artificial?);
+        # the constraint rows come first, in order
         self.origin = []
         slack, art = ncol, self.nreal
         den2 = den * den
@@ -336,7 +385,8 @@ class _Simplex:
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, r: int, j: int, cost) -> tuple[int, list[int]]:
+    def _pivot(self, r: int, j: int, cost):
+        """Pivot on row r, column j; returns `cost` updated (None stays None)."""
         den_r, row = self.tab[r]
         piv = row[j]
         self.tab[r] = (den_r, row) = _reduce_row(piv, row)
@@ -348,12 +398,14 @@ class _Simplex:
             if fac:
                 merged = [a * den_r - fac * b for a, b in zip(other, row)]
                 self.tab[i] = _reduce_row(den_i * den_r, merged)
+        self.basis[r] = j
+        if cost is None:
+            return None
         den_c, cc = cost
         fac = cc[j]
         if fac:
             merged = [a * den_r - fac * b for a, b in zip(cc, row)]
             cost = _reduce_row(den_c * den_r, merged)
-        self.basis[r] = j
         return cost
 
     def _run(self, cost, allowed: int):
@@ -390,6 +442,37 @@ class _Simplex:
             if pivots > self.MAX_PIVOTS:  # Bland terminates; guard bugs only
                 raise RuntimeError("simplex pivot budget exceeded")
 
+    def _dual_run(self, cost):
+        """Dual simplex iterations under the dual form of Bland's rule, from
+        a dual feasible basis (no negative reduced cost on a real column);
+        returns (cost, blocking row) where the row is None at optimality and
+        set when the LP is infeasible. The leaving row is the one with the
+        smallest basic column among negative right-hand sides; the entering
+        column has the least ratio reduced cost / -entry over the row's
+        negative real entries, ties to the smallest column."""
+        pivots = 0
+        while True:
+            leave = None
+            for r in self.live:
+                if self.tab[r][1][-1] < 0 and (leave is None or self.basis[r] < self.basis[leave]):
+                    leave = r
+            if leave is None:
+                return cost, None
+            row = self.tab[leave][1]
+            cc = cost[1]
+            enter = None
+            for j in range(self.nreal):
+                a = row[j]
+                # cc[j] / -a < cc[enter] / -row[enter], both denominators > 0
+                if a < 0 and (enter is None or cc[j] * row[enter] > cc[enter] * a):
+                    enter = j
+            if enter is None:
+                return cost, leave
+            cost = self._pivot(leave, enter, cost)
+            pivots += 1
+            if pivots > self.MAX_PIVOTS:  # dual Bland terminates; guard bugs only
+                raise RuntimeError("simplex pivot budget exceeded")
+
     def _cost_row(self, den: int, costs: dict):
         """Reduced-cost row (den, cells) for column costs {col: int} / den."""
         cells = [0] * self.width
@@ -410,7 +493,7 @@ class _Simplex:
     def _x(self, column_values: dict, shift: bool) -> tuple:
         """A point (shift=True) or a direction in x from column values."""
         out = []
-        for (p, q), low in zip(self.cols, self.lp.lower):
+        for (p, q), low in zip(self.cols, self.lower):
             v = column_values.get(p, _ZERO)
             if q in column_values:
                 v -= column_values[q]
@@ -448,18 +531,52 @@ class _Simplex:
                 out[k] = Fraction(v, den)
         return tuple(out)
 
+    def _row_farkas(self, row) -> tuple:
+        """The Farkas vector of a tableau row (den, cells) whose real entries
+        are all >= 0 and right-hand side < 0, or whose real entries are all 0
+        and right-hand side is not.
+
+        The row combines the starting rows with weights w_i, its entries in
+        their starting columns (a starting row holds its column's only 1). So
+        sign_i * w_i on the oriented rows, and the row's entries in the native
+        columns on the lower bounds -x_j <= -l_j, sum to 0 . x <= the row's
+        right-hand side: `_multipliers` with art_cost 0 reads just these. A
+        slack's entry is sign_i * w_i, so no inequality row's multiplier is
+        negative; with every real entry 0 only equality rows carry one, and
+        the vector is negated for a positive right-hand side.
+        """
+        den, cells = row
+        return self._multipliers((-den if cells[-1] > 0 else den, cells), 0)
+
+    def _optimal(self, cost) -> Optimal:
+        # At the optimum the cost row's last cell over its denominator is
+        # -(cvec / c_den) . y for y = x - l, and cvec is c negated for max;
+        # c . x adds c . l, where some lower bound is nonzero.
+        den, cells = cost
+        value = Fraction(cells[-1] if self.sense == "max" else -cells[-1], den)
+        shift = [c * low for c, low in zip(self.objective, self.lower) if c and low]
+        if shift:
+            value += sum(shift)
+        # The extracted multipliers already satisfy the max-sense convention
+        # (c = A'^T y) when cvec was negated, so no sign flip is needed.
+        return Optimal(x=self._point(), value=value, dual=self._multipliers(cost, 0))
+
     # -- phases ------------------------------------------------------------
 
     def solve(self) -> LpOutcome:
+        """Solve from the starting basis; at an optimum the final cost row is
+        kept as `cost`, for `resolved`."""
         if self.nart:
-            # Phase 1: minimize the artificial sum.
-            arts = range(self.nreal, self.nreal + self.nart)
-            cost1 = self._cost_row(1, {j: 1 for j in arts})
-            cost1, enter = self._run(cost1, self.nreal)
-            if enter is not None:
-                raise RuntimeError("phase 1 unbounded although its objective is >= 0")
-            if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
-                return Infeasible(farkas=self._multipliers(cost1, 1))
+            cost1 = None  # no phase-1 cost row while every artificial is 0
+            if any(row[-1] for _den, row in self.tab):
+                # Phase 1: minimize the artificial sum.
+                arts = range(self.nreal, self.nreal + self.nart)
+                cost1 = self._cost_row(1, {j: 1 for j in arts})
+                cost1, enter = self._run(cost1, self.nreal)
+                if enter is not None:
+                    raise RuntimeError("phase 1 unbounded although its objective is >= 0")
+                if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
+                    return Infeasible(farkas=self._multipliers(cost1, 1))
             # Drive remaining artificials out of the basis (or drop their rows).
             for r in list(self.live):
                 if self.basis[r] >= self.nreal:
@@ -472,8 +589,8 @@ class _Simplex:
                         cost1 = self._pivot(r, enter_col, cost1)
 
         # Phase 2: the real objective on the structural columns.
-        cvec, c_den = _over_common_den(self.lp.objective)
-        if self.lp.sense == "max":
+        cvec, c_den = self.costs
+        if self.sense == "max":
             cvec = [-c for c in cvec]
         costs2 = {}
         for (p, q), c in zip(self.cols, cvec):
@@ -491,23 +608,69 @@ class _Simplex:
                 if coef:
                     ray[self.basis[r]] = Fraction(-coef, den_r)
             return Unbounded(ray=self._x(ray, shift=False), point=self._point())
+        self.cost = cost2
+        return self._optimal(cost2)
 
-        # At the optimum the cost row's last cell over its denominator is
-        # -(cvec / c_den) . y for y = x - l, and cvec is c negated for max;
-        # c . x adds c . l, where some lower bound is nonzero.
-        den, cells = cost2
-        value = Fraction(cells[-1] if self.lp.sense == "max" else -cells[-1], den)
-        shift = [c * low for c, low in zip(self.lp.objective, self.lp.lower) if c and low]
-        if shift:
-            value += sum(shift)
-        # The extracted multipliers already satisfy the max-sense convention
-        # (c = A'^T y) when cvec was negated, so no sign flip is needed.
-        return Optimal(x=self._point(), value=value, dual=self._multipliers(cost2, 0))
+    def resolved(self, lp: LinearProgram) -> "_Simplex":
+        """A copy of this tableau, whose solve ended `Optimal`, re-solved for
+        `lp`: this tableau's LP with other constraint right-hand sides.
+
+        The final basis stays dual feasible, since only the right-hand sides
+        change. The new right-hand column is the old one plus B^-1 times the
+        change of the starting rows' right-hand sides, B^-1 read off the
+        starting columns, and the cost row's last cell moves by the starting
+        columns' reduced costs times that change. A row dropped as redundant
+        whose new right-hand side is not 0 proves `lp` infeasible; otherwise
+        the dual simplex (`_dual_run`) restores primal feasibility, or stops
+        at a row that proves infeasibility. It cannot end unbounded.
+        """
+        moves = []  # (starting column, sign, change of its row's rhs)
+        for (_k, sign, col, _art), (_, rel, old), (_, _, new) in zip(
+            self.origin, self.rows, lp.rows
+        ):
+            change = new - old if old else new
+            if change:
+                moves.append((col, -sign if rel == ">=" else sign, change))
+        den = lcm(*(d.denominator for *_, d in moves))
+        moves = [(col, s * d.numerator * (den // d.denominator)) for col, s, d in moves]
+
+        def moved(row):
+            row_den, cells = row
+            last = cells[-1] * den + sum(cells[col] * d for col, d in moves)
+            cells = [v * den for v in cells] if den > 1 else cells[:]
+            cells[-1] = last
+            return _reduce_row(row_den * den, cells)
+
+        warm = object.__new__(_Simplex)
+        vars(warm).update(vars(self))  # `live` is not changed after a solve: shared
+        del warm.cost
+        warm.rows = lp.rows
+        if len(self.live) < self.m:
+            # A dropped row is a fixed combination of the starting rows with a
+            # zero real part (pivots no longer touch it): its right-hand side
+            # is 0 in every feasible LP of the family, so it is kept as it is.
+            for r in range(self.m):
+                if r not in self.live and (row := moved(self.tab[r]))[1][-1]:
+                    warm.outcome = Infeasible(farkas=self._row_farkas(row))
+                    return warm
+        warm.tab = list(self.tab)
+        for r in self.live:
+            warm.tab[r] = moved(self.tab[r])
+        warm.basis = list(self.basis)
+        cost, blocking = warm._dual_run(moved(self.cost))
+        if blocking is not None:
+            warm.outcome = Infeasible(farkas=warm._row_farkas(warm.tab[blocking]))
+        else:
+            warm.cost = cost
+            warm.outcome = warm._optimal(cost)
+        return warm
 
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
-    """Exact outcome with certificate, deterministic under Bland's rule."""
-    return _Simplex(lp).solve()
+    """Exact outcome with certificate, deterministic under Bland's rule (and
+    its dual form when the LP re-solves from its template's basis). The
+    solved tableau is cached on the LP (`LinearProgram._solved`)."""
+    return lp._solved.outcome
 
 
 def lp_value(lp: LinearProgram, outcome: LpOutcome):
@@ -527,8 +690,11 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
         raise InputError(f"component index {index} out of range")
     obj = tuple(_ONE if j == index else _ZERO for j in range(lp.n))
     # lp's rows and bounds are validated already: copy them, and the oriented
-    # system if lp has built it (it does not read the objective), not rebuild
+    # system if lp has built it (it does not read the objective), not rebuild;
+    # what depends on the objective is dropped
     probe = copy.copy(lp)
+    for name in ("_costs", "_solved", "_template"):
+        vars(probe).pop(name, None)
     object.__setattr__(probe, "objective", obj)
     object.__setattr__(probe, "sense", "max")
     return probe
@@ -564,7 +730,7 @@ def check_outcome(lp: LinearProgram, outcome: LpOutcome) -> None:
     sum of terms >= 0 that is 0 has every term 0: y_i > 0 only where s_i = 0.
     """
     den, rows = lp._system
-    cost, c_den = _over_common_den(lp.objective)
+    cost, c_den = lp._costs
     sign = 1 if lp.sense == "min" else -1  # min: c + A'^T y = 0; max: c - A'^T y = 0
     if isinstance(outcome, Optimal):
         x, x_den = _vector(outcome.x, lp.n, "x")

@@ -288,7 +288,8 @@ def test_verify_essential_gate_reports_trivial_side():
 def test_a_failed_essential_gate_costs_one_probe(monkeypatch):
     # The probe at (0, 0) is the gate and its certificate, so it is the whole
     # decision in every boundary mode: no epigraph LP through essential_check
-    # and no subdifferential membership LP is asked.
+    # and no subdifferential membership LP is asked. That probe is the
+    # (problem, mode)'s template itself, not an LP derived from it.
     import revopt.certificates as certificates
     import revopt.subdiff as subdiff
 
@@ -319,6 +320,45 @@ def test_a_failed_essential_gate_costs_one_probe(monkeypatch):
         assert v.gates[-1] == ("essential", False)
         assert len(solved) == 1, mode
         assert solved == [v.log[0].evidence.lp], mode
+        assert solved[0] is vars(problem)["_probe_templates"][mode], mode
+        assert "_template" not in vars(solved[0]), mode
+
+
+def test_vertex_checks_re_solve_from_the_gate_probe(monkeypatch):
+    # A passed essential gate leaves the (0, 0) probe solved to an optimum;
+    # every vertex check is derived from it and re-solves from its final
+    # basis, so the gate's is the only tableau a decision without rays
+    # builds, and each LP still goes through `lp_solve` once.
+    import revopt.certificates as certificates
+    from revopt.lp import _Simplex
+
+    real, solved, built = certificates.lp_solve, [], []
+    original_init = _Simplex.__init__
+
+    def counted(problem_lp):
+        solved.append(problem_lp)
+        return real(problem_lp)
+
+    def counting_init(self, problem_lp):
+        built.append(problem_lp)
+        original_init(self, problem_lp)
+
+    monkeypatch.setattr(certificates, "lp_solve", counted)
+    monkeypatch.setattr(_Simplex, "__init__", counting_init)
+    most_checks = 0
+    for problem in corpus(120, 80, seed_base=1000)[:60]:
+        for mode in ("rop", "equality"):
+            solved.clear()
+            built.clear()
+            v = verify(problem, mode)
+            if ("essential", True) not in v.gates:
+                continue
+            gate = vars(problem)["_probe_templates"][mode]
+            assert solved[0] is gate and built == [gate]
+            assert solved[1:] == [rec.evidence.lp for rec in v.log]
+            assert all(vars(probe)["_template"] is gate for probe in solved[1:])
+            most_checks = max(most_checks, len(v.log))
+    assert most_checks >= 2
 
 
 def test_constrained_lp_without_constraints_is_the_rop_lp():

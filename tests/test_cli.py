@@ -612,53 +612,53 @@ def test_f_at_x_bar_is_read_at_most_once_per_decision_and_replay(monkeypatch):
 
 
 def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
-    # The template built once per problem and mode orients the probe matrix
-    # once, and each ray probe, with its own t column, once more; a check's
-    # LP carries its system rescaled, so neither the simplex in a decision
+    # The template built once per problem and mode, which is also the probe
+    # at (0, 0), orients the probe matrix once, and each ray probe, with its
+    # own t column, once more; a point probe derived from the template reads
+    # the template's system rescaled, so neither the simplex in a decision
     # nor the certificate check in replay builds it again.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += face_domain_family(24)
-    built = []  # (inside membership_lp, the LP oriented)
+    built = []  # the LPs oriented, anywhere
     probes = []  # (probe, is a ray probe)
-    inside = []
     oriented, membership_lp = lp._oriented, certificates.membership_lp
 
     def counting_oriented(problem_lp):
-        built.append((bool(inside), problem_lp))
+        built.append(problem_lp)
         return oriented(problem_lp)
 
-    def counting_membership_lp(*args, **kwargs):
-        inside.append(True)
-        try:
-            probe = membership_lp(*args, **kwargs)
-        finally:
-            inside.pop()
+    def recording_membership_lp(*args, **kwargs):
+        probe = membership_lp(*args, **kwargs)
         probes.append((probe, kwargs.get("ray") is not None))
         return probe
 
     monkeypatch.setattr(lp, "_oriented", counting_oriented)
     for module in (certificates, cli):
-        monkeypatch.setattr(module, "membership_lp", counting_membership_lp)
+        monkeypatch.setattr(module, "membership_lp", recording_membership_lp)
 
     def assert_oriented_once():
-        rays = sum(ray for _probe, ray in probes)
-        points = any(not ray for _probe, ray in probes)
-        assert sum(inner for inner, _lp in built) == points + rays
-        derived = {id(probe) for probe, _ray in probes}
-        assert not any(id(problem_lp) in derived for _inner, problem_lp in built)
+        rays = [probe for probe, ray in probes if ray]
+        points = [probe for probe, ray in probes if not ray]
+        templates = {id(vars(probe).get("_template", probe)): probe for probe in points}
+        assert len(templates) <= 1
+        derived = {id(probe) for probe in points} - set(templates)
+        expected = sorted([*templates, *map(id, rays)])
+        matrix = set(expected) | derived
+        assert sorted(id(problem_lp) for problem_lp in built if id(problem_lp) in matrix) == expected
         built.clear()
         probes.clear()
-        return rays
+        return len(rays), len(derived)
 
-    most_rays = 0
+    most_rays = most_derived = 0
     for problem in problems:
         for mode in MODES:
             fresh = parse_problem(problem_to_doc(problem))
             doc = cli._verdict_to_doc(cli.verify(fresh, mode))
-            most_rays = max(most_rays, assert_oriented_once())
+            rays, derived = assert_oriented_once()
+            most_rays, most_derived = max(most_rays, rays), max(most_derived, derived)
             replay(parse_problem(problem_to_doc(problem)), doc)
             assert_oriented_once()
-    assert most_rays >= 1
+    assert most_rays >= 1 and most_derived >= 1
 
 
 def test_replay_trusts_no_solver(capsys, monkeypatch):
@@ -804,3 +804,18 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
     ):
         with pytest.raises(CertificateError):
             replay(problem, report)
+
+
+def test_replay_rejects_checks_logged_for_a_point_off_the_domain_of_f(capsys):
+    # With x_bar off dom f there is no probe LP to re-check a logged check
+    # against: replay rejects the report as a bad certificate, in every mode,
+    # not by the InputError the probe builder raises.
+    path = next(p for p in PROBLEMS if p.name == "example_b.json")
+    problem_doc = problem_to_doc(load_problem(str(path)))
+    problem_doc["objective"]["domain"] = {"A": [["1"]], "b": ["-100"]}  # x <= -100
+    off_domain = parse_problem(problem_doc)
+    for mode in MODES:
+        _, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", mode])
+        assert doc["checks"]
+        with pytest.raises(CertificateError, match="off the domain of f"):
+            replay(off_domain, doc)

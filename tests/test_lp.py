@@ -177,6 +177,16 @@ def test_max_component_lp_reuses_the_validated_rows(monkeypatch):
     assert (probe.rows, probe.lower, probe.upper) == (lp.rows, lp.lower, lp.upper)
     assert probe.rows is lp.rows
     assert lp.objective == (1, 1) and lp.sense == "min"
+    # What lp cached for its own objective, its solve among it, is not carried
+    # over, and neither is a template of lp's: the probe is solved afresh.
+    monkeypatch.undo()
+    derived = lp.with_rhs((2,))
+    assert isinstance(lp_solve(derived), Unbounded)  # min x + y with y free
+    for source in (lp, derived):
+        probe = max_component_lp(source, 1)
+        assert not {"_costs", "_solved", "_template"} & set(vars(probe))
+        fresh = LinearProgram(2, (0, 1), "max", source.rows, source.lower)
+        assert lp_solve(probe) == lp_solve(fresh) and lp_value(probe, lp_solve(probe)) > 0
 
 
 def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
@@ -188,13 +198,18 @@ def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
         2, (1, 1), rows=(((1, 2), "<=", "1/2"), (("1/3", -1), ">=", 3)), lower=(0, None)
     )
     assert derived.rows[0][0] is template.rows[0][0]
-    # The template's system is rescaled to the new common denominator 6 and
-    # set on the derived LP: it is the one `_oriented` builds.
-    assert "_system" in vars(derived)
+    # The derived LP's system, once asked for, is the template's rescaled to
+    # the new common denominator 6: it is the one `_oriented` builds, and
+    # only the template's is built.
+    oriented = []
+    monkeypatch.setattr("revopt.lp._oriented", lambda lp: oriented.append(lp) or _oriented(lp))
+    assert vars(derived)["_template"] is template and "_system" not in vars(derived)
     assert derived._system == _oriented(derived) and derived._system[0] == 6
+    assert oriented == [template]
     # From an LP whose right-hand sides are not zero, `_oriented` builds it.
     again = derived.with_rhs((1, 2))
     assert "_system" not in vars(again) and again._system == _oriented(again)
+    assert oriented == [template, again]
     for bad in ((1,), (1, 2, 3), (1, "0.5"), (1, None), (True, 1), (1.0, 1)):
         with pytest.raises(InputError):
             template.with_rhs(bad)
@@ -202,6 +217,28 @@ def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
     monkeypatch.setattr("revopt.lp.rat", lambda v: calls.append(v) or Fraction(v))
     template.with_rhs((4, 5))
     assert calls == [4, 5]
+
+
+def test_the_objective_is_brought_to_its_common_denominator_once_per_template(monkeypatch):
+    # The LPs `with_rhs` derives share their template's objective, and its
+    # integer form: the simplex and `check_outcome` of each read the one
+    # made for the template.
+    import revopt.lp
+
+    template = LinearProgram(
+        2, (Fraction(1, 2), Fraction(1, 3)), rows=(((1, 1), ">=", 0),), lower=(0, 0)
+    )
+    scaled = []
+    original = revopt.lp._over_common_den
+    monkeypatch.setattr(
+        revopt.lp, "_over_common_den", lambda values: scaled.append(values) or original(values)
+    )
+    check_outcome(template, lp_solve(template))
+    for rhs in (1, -2, "1/2"):
+        derived = template.with_rhs((rhs,))
+        assert derived._costs is template._costs
+        check_outcome(derived, lp_solve(derived))
+    assert [values for values in scaled if values is template.objective] == [template.objective]
 
 
 def _bounded_lp(objective=(-1, 1, 0), sense="min", rhs=1):

@@ -4,6 +4,7 @@ references in `reference.py`."""
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,11 +226,12 @@ def test_every_lp_of_verify_on_the_corpus_head_matches(monkeypatch):
 
 
 def test_every_probe_of_verify_carries_the_system_its_constructor_builds(monkeypatch):
-    # A probe is derived from its (problem, mode)'s zero right-hand side
-    # template by `with_rhs`, which rescales the template's integer system
-    # instead of building one: on the problem files, the acceptance corpus
-    # and h with a face domain (ray probes), in every mode, it is the system
-    # that `_oriented` builds from the same LP assembled by the constructor.
+    # A point probe is derived from its (problem, mode)'s zero right-hand
+    # side template by `with_rhs`, and its integer system is the template's
+    # rescaled, not built anew: on the problem files, the acceptance corpus
+    # and h with a face domain (ray probes), in every mode, each probe's
+    # system is the one that `_oriented` builds from the same LP assembled by
+    # the constructor.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += corpus(120, 80, seed_base=1000) + face_domain_family(24)
     probes = []
@@ -253,7 +255,7 @@ def test_every_probe_of_verify_carries_the_system_its_constructor_builds(monkeyp
             probe.n, probe.objective, probe.sense, probe.rows, probe.lower, probe.upper
         )
         assert built == probe
-        assert vars(probe)["_system"] == lp._oriented(built)
+        assert probe._system == lp._oriented(built)
 
 
 # -- the shape of the tableau --------------------------------------------------
@@ -320,3 +322,178 @@ def test_rows_that_cannot_start_from_their_slack_get_an_artificial(rel, rhs):
     simplex = _Simplex(problem_lp)
     assert simplex.nart == 1
     _assert_same(problem_lp)
+
+
+# -- warm starts -----------------------------------------------------------------
+
+
+def _wide_modes(seed):
+    """`bench/gen.wide_modes(seed)`: the benchmark's rational instances, n in
+    {2, 3}, h with a face domain on every other group of eight."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import gen
+
+    return gen.wide_modes(seed)
+
+
+def _assert_warm_matches(problem_lp, outcome, solved=None):
+    """`outcome`, which `lp_solve` gave `problem_lp`, against the reference
+    simplex: same kind and value, and a certificate that re-validates. The
+    reference's outcomes are kept in `solved`, by LP, when it is given."""
+    if solved is None:
+        solved = {}
+    if problem_lp not in solved:
+        solved[problem_lp] = reference.reference_lp_solve(problem_lp)
+    old = solved[problem_lp]
+    assert type(outcome) is type(old)
+    if isinstance(outcome, Optimal):
+        assert outcome.value == old.value
+    check_outcome(problem_lp, outcome)
+
+
+def test_lps_re_solved_from_their_template_match_the_reference(monkeypatch):
+    # Any LP solved to an optimum is a template: the LPs `with_rhs` derives
+    # from it re-solve from its final basis, with every bound kind, free
+    # columns, and rows that start from an artificial.
+    resolved = []
+    original = _Simplex.resolved
+    monkeypatch.setattr(
+        _Simplex, "resolved", lambda self, lp: resolved.append(lp) or original(self, lp)
+    )
+    rng = random.Random(73)
+    kinds = {Optimal: 0, Infeasible: 0}
+    pivoted = 0
+    for _ in range(400):
+        template = _random_lp(rng)
+        lp_solve(template)
+        for _ in range(3):
+            derived = template.with_rhs([_rational(rng, 5) for _ in template.rows])
+            out = lp_solve(derived)
+            _assert_warm_matches(derived, out)
+            if resolved and resolved[-1] is derived:
+                kinds[type(out)] += 1
+                pivoted += derived._solved.basis != template._solved.basis
+    assert min(kinds.values()) >= 40 and pivoted >= 40, (kinds, pivoted)
+
+
+def test_every_probe_of_verify_matches_the_reference_through_the_real_solver(monkeypatch):
+    # Each probe as `verify` solves it, warm from the gate probe's basis or
+    # not, on the problem files, the corpus head, h with a face domain and
+    # the rational wide instances, in every mode.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000)[:50] + face_domain_family(24)
+    problems += [instance.problem for instance in _wide_modes(0)]
+    seen = []
+
+    def record(problem_lp):
+        outcome = lp.lp_solve(problem_lp)
+        seen.append((problem_lp, outcome))
+        return outcome
+
+    monkeypatch.setattr(certificates, "lp_solve", record)
+    for problem in problems:
+        for mode in MODES:
+            verify(problem, mode)
+    monkeypatch.undo()
+    warm = [out for probe, out in seen if "_template" in vars(probe)]
+    assert len(warm) > 500
+    assert {type(out) for out in warm} == {Optimal, Infeasible}
+    solved = {}  # an LP that two modes share is solved by the reference once
+    for problem_lp, outcome in seen:
+        _assert_warm_matches(problem_lp, outcome, solved)
+    assert len(solved) < len(seen)
+
+
+def test_a_probe_can_take_dual_pivots():
+    # min x + 2y over x, y >= 0 and x + y >= 0 ends on its slack's basis; at
+    # x + y >= 1 that row's right-hand side turns negative, and the dual
+    # ratio test brings in x, the column of least reduced cost.
+    template = LinearProgram(2, (1, 2), rows=(((1, 1), ">=", 0),), lower=(0, 0))
+    assert lp_solve(template) == Optimal((0, 0), 0, (0, 1, 2))
+    derived = template.with_rhs((1,))
+    out = lp_solve(derived)
+    assert out == Optimal((1, 0), 1, (1, 0, 1))
+    assert derived._solved.basis != template._solved.basis
+    _assert_warm_matches(derived, out)
+    # at x + y >= -1 the basis stays optimal: no pivot
+    relaxed = template.with_rhs((-1,))
+    assert lp_solve(relaxed) == Optimal((0, 0), 0, (0, 1, 2))
+    assert relaxed._solved.basis == template._solved.basis
+
+
+def test_a_row_dropped_as_redundant_proves_a_probe_infeasible(monkeypatch):
+    # x + y = 0 and 2x + 2y = 0: phase 1 drops the second row as redundant.
+    # A probe whose right-hand sides break 2 * (row 1) = (row 2) is
+    # infeasible by that combination alone, without a dual simplex step.
+    template = LinearProgram(
+        2, (1, 0), rows=(((1, 1), "=", 0), ((2, 2), "=", 0)), lower=(0, 0)
+    )
+    assert isinstance(lp_solve(template), Optimal)
+    assert len(template._solved.live) == 1
+
+    def refuse(self, cost):
+        raise AssertionError("the dual simplex ran")
+
+    monkeypatch.setattr(_Simplex, "_dual_run", refuse)
+    for rhs in ((1, 3), (1, 1), (F(1, 2), 0)):
+        derived = template.with_rhs(rhs)
+        out = lp_solve(derived)
+        assert isinstance(out, Infeasible)
+        assert out.farkas[2:] == (0, 0)  # no lower bound takes part
+        _assert_warm_matches(derived, out)
+    monkeypatch.undo()
+    consistent = template.with_rhs((1, 2))
+    assert lp_solve(consistent) == reference.reference_lp_solve(consistent)
+
+
+def test_a_zero_right_hand_side_lp_with_equality_rows_skips_phase_one(monkeypatch):
+    # Every artificial is 0 at the start: no phase-1 cost row and no Bland
+    # iterations, only the artificials driven out and phase 2.
+    runs, cost_rows = [], []
+    original_run, original_cost_row = _Simplex._run, _Simplex._cost_row
+    monkeypatch.setattr(
+        _Simplex, "_run", lambda self, cost, allowed: runs.append(1) or original_run(self, cost, allowed)
+    )
+    monkeypatch.setattr(
+        _Simplex, "_cost_row", lambda self, den, costs: cost_rows.append(costs) or original_cost_row(self, den, costs)
+    )
+    # max x + y over x - y = 0, x + 2y - z = 0, x <= 2y and x, y, z >= 0
+    problem_lp = LinearProgram(
+        3,
+        (1, 1, 0),
+        "max",
+        rows=(((1, -1, 0), "=", 0), ((1, 2, -1), "=", 0), ((1, -2, 0), "<=", 0)),
+        lower=(0, 0, 0),
+    )
+    simplex = _Simplex(problem_lp)
+    assert simplex.nart == 2
+    out = simplex.solve()
+    assert len(runs) == 1 and len(cost_rows) == 1
+    assert isinstance(out, Unbounded)
+    _assert_warm_matches(problem_lp, out)
+    # the same LP with a nonzero right-hand side runs phase 1
+    runs.clear()
+    _Simplex(problem_lp.with_rhs((0, 1, 0))).solve()
+    assert len(runs) == 2
+
+
+def test_a_probe_solved_in_a_fresh_problem_matches_the_one_verify_logged():
+    # A probe's outcome is fixed by its template and right-hand sides: solved
+    # in a fresh problem, where no gate probe was solved before, each logged
+    # vertex check comes out as `verify` logged it.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000)[:50]
+    compared = 0
+    for problem in problems:
+        for mode in MODES:
+            for rec in verify(problem, mode).log:
+                if rec.kind != "vertex" or not any((rec.eps_prime, *rec.generator)):
+                    continue
+                fresh = dataclasses.replace(problem)
+                ev = certificates.union_member(fresh, mode, rec.eps_prime, rec.generator)
+                assert vars(fresh)["_probe_templates"][mode] is vars(ev.lp)["_template"]
+                assert ev.outcome == rec.evidence.outcome
+                compared += 1
+    assert compared >= 50

@@ -78,8 +78,8 @@ def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
     # One builder turns an LP's Fraction data into its integer oriented
     # system, whose layout every certificate indexes: the LP's cached
     # `_system`, which the tableau and the certificate check read, and which
-    # `with_rhs` rescales for the LPs it derives. The Fraction layout
-    # `oriented_rows` is gone.
+    # an LP that `with_rhs` derived reads as its template's rescaled. The
+    # Fraction layout `oriented_rows` is gone.
     sites = set()
     readers = set()
     for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
@@ -97,8 +97,39 @@ def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
     assert readers == {
         ("lp", "_Simplex.__init__"),
         ("lp", "check_outcome"),
-        ("lp", "LinearProgram.with_rhs"),
+        ("lp", "LinearProgram._system"),
     }
+
+
+_SOLVER_NAMES = {"_Simplex", "_solved", "resolved", "solve", "_solve", "_run", "_dual_run"}
+
+
+def test_certificates_solves_only_through_its_lp_solve_binding():
+    # The bench tracer (bench/spans.py) and the tests count a decision's LPs
+    # by wrapping `lp_solve` where certificates binds it, and a warm start
+    # happens inside that one call. So certificates never names the tableau
+    # or a solve step, not even as a string, and calls the solver only by
+    # its module-level name.
+    tree = ast.parse((Path(revopt.__file__).parent / "certificates.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name for alias in node.names}
+    assert names & _SOLVER_NAMES == set()
+    solver_calls = [
+        node.func
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "lp_solve"
+    ]
+    assert solver_calls and all(isinstance(func, ast.Name) for func in solver_calls)
+    assert ("revopt.certificates", "lp_solve") in _bench_bindings()
 
 
 _IMAGES = {"_image", "_rows"}
