@@ -7,9 +7,14 @@ argument exactly: the root of h on a segment has a closed form.
 
 The grid is walked a row at a time in integers. On x = lo + step * k every
 affine piece, domain row and constraint is integer-affine in the index vector
-k once scaled by a positive integer, so its values along the last axis form an
-integer arithmetic progression (a `range`), and a function's row is the
-pointwise max of its pieces' ranges. f shares one scale with eps; h, each g
+k once scaled by a positive integer, so along the last axis it is an integer
+arithmetic progression c + t * k. A function is the max of its pieces'
+progressions, convex in k, so each domain row, {h < 0}, {h <= 0} and each
+{g <= 0} is one index interval of the row, found by one floor or ceiling
+division per piece. The oracle takes a row's feasible points as at most two
+such intervals and makes f's values (the pointwise max of its pieces'
+`range`s) only on them; `grid_sample`, `bridge_check` and the boundary
+report read every point's values. f shares one scale with eps; h, each g
 and each domain row have their own, since only their signs are compared.
 The grid keeps its own integer image, lo and step over one common
 denominator, and the evaluators read it together with the integer images the
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import compress, product, repeat
 from math import gcd, lcm, prod
-from operator import eq, ge, le, mul
+from operator import getitem, mul
 
 # lp_solve stays bound here because bench/spans.py traces it.
 from .lp import lp_solve  # noqa: F401
@@ -66,6 +71,18 @@ MODE_MAP = {
     "constrained": "constrained-reverse",
     "convex": "convex",
 }
+
+
+class _Axis(dict):
+    """k -> the coordinate (lo + k * step) / q of a grid axis, made when first
+    read."""
+
+    def __init__(self, lo: int, step: int, q: int):
+        self.lo, self.step, self.q = lo, step, q
+
+    def __missing__(self, k):
+        tick = self[k] = Fraction(self.lo + k * self.step, self.q)
+        return tick
 
 
 @dataclass(frozen=True)
@@ -115,6 +132,13 @@ class GridSpec:
         q, los, _, step = self._image
         return [[Fraction(lo + k * step, q) for k in range(m)] for lo, m in zip(los, self.shape)]
 
+    @cached_property
+    def _ticks(self) -> tuple:
+        """Each axis's coordinates by index, each made once per grid when
+        first read, so that the results on one grid share them."""
+        q, los, _, step = self._image
+        return tuple(_Axis(lo, step, q) for lo in los)
+
     def points(self):
         return product(*self.axes())
 
@@ -131,15 +155,44 @@ def _integer_forms(rows, grid: GridSpec):
     return [(sum(map(mul, a, los), b * q), [v * step for v in a]) for a, b in rows]
 
 
+def _shift(forms, lead):
+    """Integer forms (c, s) shifted to the row at leading indices `lead`:
+    (c', t) with c + <s, (*lead, k)> = c' + t * k."""
+    return [(c + sum(map(mul, s, lead)), s[-1]) for c, s in forms]
+
+
+def _at_most(pieces, lo, hi, cut):
+    """The index interval [lo', hi') of the k in [lo, hi) where
+    max_i (c_i + t_i * k) <= cut, for pieces (c_i, t_i): each piece bounds k
+    on one side by a floor or a ceiling division. Empty when lo' >= hi'; an
+    integer max is < cut where it is <= cut - 1."""
+    for c, t in pieces:
+        # t * k <= cut - c
+        if t > 0:
+            hi = min(hi, (cut - c) // t + 1)
+        elif t < 0:
+            lo = max(lo, -((c - cut) // t))
+        elif c > cut:
+            return lo, lo
+    return lo, hi
+
+
+def _values(pieces, lo, hi) -> list:
+    """max_i (c_i + t_i * k) for k in [lo, hi), lo < hi, as integers."""
+    runs = [range(c + t * lo, c + t * hi, t) if t else [c] * (hi - lo) for c, t in pieces]
+    return list(runs[0]) if len(runs) == 1 else list(map(max, *runs))
+
+
 class _GridEvaluator:
     """Exact scaled values of a polyhedral function on a grid, one row at a time.
 
     A row is the run of points along the last axis at fixed leading indices.
-    Scaled by `scale`, each piece is integer-affine in the index vector, so its
-    values along a row are an integer arithmetic progression; each domain row,
-    scaled on its own, keeps the points with a nonpositive progression, which
-    is one interval of the row. `scale` is the least positive integer that
-    clears the pieces' denominators on the grid and those of `extra`.
+    Scaled by `scale`, each piece is integer-affine in the index vector, so
+    along a row it is an integer arithmetic progression c + t * k (`shifted`);
+    each domain row, scaled on its own, keeps the points where its progression
+    is <= 0, so the row's domain is one index interval (`domain`). `scale` is
+    the least positive integer that clears the pieces' denominators on the
+    grid and those of `extra`.
     """
 
     def __init__(self, fn: PolyhedralConvexFunction, grid: GridSpec, extra=()):
@@ -156,27 +209,21 @@ class _GridEvaluator:
             self.dom_rows = _integer_forms(((a, -b) for a, b, _ in fn.domain._rows), grid)
         self.m = grid.shape[-1]
 
+    def domain(self, lead) -> tuple[int, int]:
+        """The index interval [lo, hi) of the row inside the domain, empty
+        when lo >= hi."""
+        return _at_most(_shift(self.dom_rows, lead), 0, self.m, 0)
+
+    def shifted(self, lead) -> list:
+        """The scaled pieces along the row as progressions (c, t) in k."""
+        return _shift(self.pieces, lead)
+
     def row(self, lead) -> list:
         """Scaled values along the row at leading indices `lead`; INF off dom."""
-        lo, hi = 0, self.m
-        for c, s in self.dom_rows:
-            c += sum(map(mul, s, lead))
-            t = s[-1]
-            # c + t * k <= 0
-            if t > 0:
-                hi = min(hi, -c // t + 1)
-            elif t < 0:
-                lo = max(lo, -(c // t))
-            elif c > 0:
-                hi = 0
+        lo, hi = self.domain(lead)
         if hi <= lo:
             return [INF] * self.m
-        runs = []
-        for c, s in self.pieces:
-            t = s[-1]
-            c += sum(map(mul, s, lead)) + t * lo
-            runs.append(range(c, c + t * (hi - lo), t) if t else repeat(c, hi - lo))
-        vals = list(runs[0]) if len(runs) == 1 else list(map(max, *runs))
+        vals = _values(self.shifted(lead), lo, hi)
         if lo == 0 and hi == self.m:
             return vals
         return [INF] * lo + vals + [INF] * (self.m - hi)
@@ -189,8 +236,10 @@ def _grid_images(f, h, grid: GridSpec, extra=()):
     f_ev, h_ev = _GridEvaluator(f, grid, extra), _GridEvaluator(h, grid)
     images = []
     for lead in grid.leads():
-        for fv, hv in zip(f_ev.row(lead), h_ev.row(lead)):
-            images.append(None if fv == INF or hv == INF else (fv, -hv))
+        images += [
+            None if fv == INF or hv == INF else (fv, -hv)
+            for fv, hv in zip(f_ev.row(lead), h_ev.row(lead))
+        ]
     return images, f_ev.scale, h_ev.scale
 
 
@@ -225,18 +274,36 @@ def _shared(key, result):
     return result
 
 
-#: oracle mode -> the test h's scaled value must pass at a feasible point
-#: (off dom h, h = +inf passes only h >= 0)
-_H_TEST = {
-    "reverse": ge,
-    "equality": eq,
-    "constrained-reverse": ge,
-    "convex": le,
-}
+def _feasible_runs(mode, h_ev, g_evs, lead) -> list:
+    """The feasible points of the row at `lead` as at most two nonempty index
+    intervals [a, b), in order. Along a row h and each g are convex, so
+    {h < 0}, {h <= 0} and {g <= 0} are intervals of their domains."""
+    lo, hi = h_ev.domain(lead)
+    h = h_ev.shifted(lead)
+    if mode == "convex":
+        runs = [_at_most(h, lo, hi, 0)]
+    else:
+        # h < 0 on [a, b); elsewhere h >= 0, or h = +inf off dom h.
+        a, b = _at_most(h, lo, hi, -1)
+        start, stop = _at_most(h, lo, hi, 0) if mode == "equality" else (0, h_ev.m)
+        runs = [(start, stop)] if a >= b else [(start, a), (b, stop)]
+    runs = [(a, b) for a, b in runs if a < b]
+    for g_ev in g_evs:
+        if not runs:
+            break
+        lo, hi = _at_most(g_ev.shifted(lead), *g_ev.domain(lead), 0)
+        runs = [(max(a, lo), min(b, hi)) for a, b in runs]
+        runs = [(a, b) for a, b in runs if a < b]
+    return runs
 
 
 def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> BruteResult:
-    """Exact eps-argmin over the feasible grid points for the given mode."""
+    """Exact eps-argmin over the feasible grid points for the given mode.
+
+    `feasible_count` counts the grid points that pass the mode's h and g
+    test, those where f = +inf included; `min_value` is INF when f = +inf at
+    every one of them.
+    """
     if mode not in ORACLE_MODES:
         raise InputError(f"unknown oracle mode {mode!r}")
     if grid.n != problem.n:
@@ -247,7 +314,6 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
     if mode == "constrained-reverse":
         g_evs = [_GridEvaluator(g, grid) for g in problem.constraints]
     eps = int(problem.epsilon * f_ev.scale)
-    test, zeros, ks_all = _H_TEST[mode], repeat(0), range(grid.shape[-1])
 
     feasible = 0
     best = None
@@ -255,25 +321,26 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
     # eps of the running best; pruned whenever the best falls.
     near = []
     for lead in grid.leads():
-        ks = list(compress(ks_all, map(test, h_ev.row(lead), zeros)))
-        for g_ev in g_evs:
-            if not ks:
-                break
-            g_row = g_ev.row(lead)
-            ks = [k for k in ks if g_row[k] <= 0]
-        if not ks:
+        runs = _feasible_runs(mode, h_ev, g_evs, lead)
+        if not runs:
             continue
-        feasible += len(ks)
-        f_row = f_ev.row(lead)
-        vals = [f_row[k] for k in ks]
-        low = min(vals)
-        if low == INF:
+        lo, hi = f_ev.domain(lead)
+        pieces = f_ev.shifted(lead)
+        parts = []
+        for a, b in runs:
+            feasible += b - a
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                parts.append((range(a, b), _values(pieces, a, b)))
+        if not parts:
             continue
+        low = min(min(vals) for _, vals in parts)
         if best is None or low < best:
             best = low
             near = [item for item in near if item[2] <= best + eps]
         cut = best + eps
-        near.extend((lead, k, v) for k, v in zip(ks, vals) if v <= cut)
+        for ks, vals in parts:
+            near += compress(zip(repeat(lead), ks, vals), map(cut.__ge__, vals))
     bound = problem.objective.lipschitz_bound() * grid.step
     if feasible == 0:
         return BruteResult(mode, 0, None, (), (), bound)
@@ -282,24 +349,19 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
 
     # Pruned whenever the best fell, `near` holds exactly the eps-argmin.
     threshold = best + eps
-    q, los, _, step = grid._image
+    ticks = grid._ticks
 
-    # The points share their coordinate objects, and equal slacks one object.
-    @cache
-    def tick(j, k):
-        return Fraction(los[j] + k * step, q)
-
+    # Equal slacks share one object.
     @cache
     def slack(v):
         return Fraction(threshold - v, f_ev.scale)
 
-    axes = range(grid.n)
     res = BruteResult(
         mode,
         feasible,
         Fraction(best, f_ev.scale),
-        tuple(tuple(map(tick, axes, (*lead, k))) for lead, k, _ in near),
-        tuple(slack(v) for _, _, v in near),
+        tuple([tuple(map(getitem, ticks, (*lead, k))) for lead, k, _ in near]),
+        tuple([slack(v) for _, _, v in near]),
         bound,
     )
     key = (grid, mode, feasible, bound, f_ev.scale, best, threshold, hash(tuple(near)))

@@ -14,12 +14,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter, lt
+from itertools import accumulate, compress, repeat
+from operator import and_, itemgetter, le, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
 from .lp import lp_max_component, lp_solve  # noqa: F401
-from .model import InputError, PolyhedralConvexFunction, _dot, rat
+from .model import INF, InputError, PolyhedralConvexFunction, _dot, rat
 from .oracle import GridSpec, _grid_images, _shared
 from .subdiff import SubdiffQuery, epigraph_inf, joint_domain, subdiff_member
 
@@ -102,51 +102,52 @@ def eff_set(sample: ParetoSample, eps, sigma: str) -> tuple[int, ...]:
     eps = tuple(rat(v) for v in eps)
     if len(eps) != sample.r:
         raise InputError("eps length mismatch")
-    return _efficient(sample.images, sample.r, eps, sigma)
+    return _efficient(sample.images, sample.r, eps, (sigma,))[0]
 
 
-def _efficient(images, r: int, eps, sigma: str) -> tuple[int, ...]:
-    """`eff_set` on images of any exactly ordered numbers.
+def _efficient(images, r: int, eps, sigmas) -> tuple[tuple[int, ...], ...]:
+    """`eff_set` on images of any exactly ordered numbers, one index tuple per
+    kind in `sigmas`.
 
     Point i is kept unless some image o satisfies o <^sigma y_i - eps. For
     sigma = s that asks for one coordinate of o below the shifted image, so the
     per-coordinate minima decide it; for r = 1 the three kinds coincide with it.
     For r = 2 one sort by the first criterion and the prefix minima of the
-    second decide w and e (the r = 2 maxima sweep of Kung, Luccio and
+    second decide w and e together (the r = 2 maxima sweep of Kung, Luccio and
     Preparata, JACM 1975); r >= 3 scans all pairs.
     """
-    present = [img for img in images if img is not None]
-    if not present:
-        return ()
-    shifted = (
-        (i, tuple(a - e for a, e in zip(img, eps)))
-        for i, img in enumerate(images)
-        if img is not None
-    )
-    if sigma == "s" or r == 1:
+    index = [i for i, img in enumerate(images) if img is not None]
+    if not index:
+        return ((),) * len(sigmas)
+    present = [images[i] for i in index]
+    # the shifted images y_i - eps, one column per criterion
+    cols = [[v - e for v in col] for col, e in zip(zip(*present), eps)]
+    keep = {}
+    if r == 1 or "s" in sigmas:
         lows = [min(col) for col in zip(*present)]
-        return tuple(i for i, t in shifted if not any(map(lt, lows, t)))
+        keep["s"] = [not any(map(lt, lows, t)) for t in zip(*cols)]
+        if r == 1:
+            keep["w"] = keep["e"] = keep["s"]
+    if r == 2 and ("w" in sigmas or "e" in sigmas):
+        t1s, t2s = cols
+        ordered = sorted(present, key=itemgetter(0))
+        firsts = list(map(itemgetter(0), ordered))
+        # below[c]: the least second coordinate among the c least first ones
+        below = [INF, *accumulate(map(itemgetter(1), ordered), min)]
+        # w: some o < t, that is o1 < t1 and o2 < t2. e: some o <= t with
+        # o != t, that is o1 < t1 and o2 <= t2, or o1 <= t1 and o2 < t2.
+        left = list(map(below.__getitem__, map(bisect_left, repeat(firsts), t1s)))
+        keep["w"] = list(map(le, t2s, left))
+        if "e" in sigmas:
+            right = map(below.__getitem__, map(bisect_right, repeat(firsts), t1s))
+            keep["e"] = list(map(and_, map(lt, t2s, left), map(le, t2s, right)))
     if r > 2:
-        return tuple(
-            i
-            for i, t in shifted
-            if not any(_sigma_dominates(o, t, sigma) for o in present)
-        )
-    present.sort(key=itemgetter(0))
-    firsts = [o1 for o1, _ in present]
-    # below[c]: the least second coordinate among the c least first ones
-    below = [None, *accumulate((o2 for _, o2 in present), min)]
-
-    def dominated(t1, t2):
-        # w: some o < t. e: some o <= t with o != t, that is o1 < t1 and
-        # o2 <= t2, or o1 <= t1 and o2 < t2.
-        c = bisect_left(firsts, t1)
-        if sigma == "w":
-            return c > 0 and below[c] < t2
-        c_eq = bisect_right(firsts, t1)
-        return (c > 0 and below[c] <= t2) or (c_eq > 0 and below[c_eq] < t2)
-
-    return tuple(i for i, (t1, t2) in shifted if not dominated(t1, t2))
+        shifted = list(zip(*cols))
+        for sigma in set(sigmas) - {"s"}:
+            keep[sigma] = [
+                not any(_sigma_dominates(o, t, sigma) for o in present) for t in shifted
+            ]
+    return tuple(tuple(compress(index, keep[sigma])) for sigma in sigmas)
 
 
 # -- the (ROP) <-> (BOP) bridge -----------------------------------------------
@@ -196,8 +197,7 @@ def _bridge(images, eps) -> BridgeReport:
         return BridgeReport(True, (), (), (), (), ())
     best = min(images[i][0] for i in finite)
     argmin = tuple(i for i in finite if images[i][0] <= best + eps)
-    weak = _efficient(images, 2, (eps, 0), "w")
-    eff = _efficient(images, 2, (eps, 0), "e")
+    weak, eff = _efficient(images, 2, (eps, 0), ("w", "e"))
     weak_set, argmin_set = set(weak), set(argmin)
     missing_weak = tuple(i for i in argmin if i not in weak_set)
     missing_arg = tuple(i for i in eff if images[i][1] == 0 and i not in argmin_set)

@@ -17,7 +17,14 @@ from revopt.oracle import (
     boundary_projection,
     brute_eps_argmin,
 )
-from revopt.pareto import SIGMA_KINDS, ParetoSample, bridge_check, eff_set, grid_sample
+from revopt.pareto import (
+    SIGMA_KINDS,
+    ParetoSample,
+    _efficient,
+    bridge_check,
+    eff_set,
+    grid_sample,
+)
 
 F = Fraction
 DENOMINATORS = (1, 2, 3, 5, 7)
@@ -57,6 +64,26 @@ def _grid(rng, n):
     return GridSpec(tuple(box), step)
 
 
+def _bowl(rng, grid):
+    """h with a falling and a rising piece along the last axis, 0 at two grid
+    points of one row and < 0 between them; half the time also a piece flat at
+    0, so that h >= 0 and {h = 0} is a run of the row."""
+    n, step, m = grid.n, grid.step, grid.shape[-1]
+    k1 = rng.randrange(m - 2)
+    lead = [rng.randrange(size) for size in grid.shape[:-1]]
+    k2 = rng.randrange(k1 + 2, m)
+    pieces = []
+    for sign, k in ((-1, k1), (1, k2)):
+        at = tuple(lo + i * step for (lo, _), i in zip(grid.box, (*lead, k)))
+        a = [_rational(rng) for _ in range(n - 1)]
+        a.append(sign * F(rng.randint(1, 9), rng.choice(DENOMINATORS)))
+        pieces.append(AffineForm(tuple(a), -sum(x * y for x, y in zip(a, at))))
+    if rng.random() < 0.5:
+        pieces.append(AffineForm((F(0),) * n, F(0)))
+    domain = _domain(rng, n) if rng.random() < 0.3 else None
+    return PolyhedralConvexFunction(n, tuple(pieces), domain)
+
+
 def _case(seed, n):
     rng = random.Random(seed)
     grid = _grid(rng, n)
@@ -65,12 +92,18 @@ def _case(seed, n):
     f = _fn(rng, n, domain=rng.random() < 0.4)
     zero = None if idx is None else tuple(lo + k * grid.step for (lo, _), k in zip(grid.box, idx))
     h = _fn(rng, n, through=zero, domain=rng.random() < 0.4)
+    if seed >= BOWL_SEEDS:
+        h = _bowl(rng, grid)
     gs = tuple(_fn(rng, n, domain=rng.random() < 0.4) for _ in range(rng.randint(0, 2)))
     eps = F(rng.randint(0, 6), rng.choice(DENOMINATORS))
     return ReverseProblem(n, f, h, (F(0),) * n, eps, gs), grid
 
 
-CASES = [(seed, n) for n in (1, 2, 3) for seed in range(12 * n, 12 * n + 12)]
+#: cases from this seed on take h from `_bowl`
+BOWL_SEEDS = 100
+CASES = [(seed, n) for n in (1, 2, 3) for seed in range(12 * n, 12 * n + 12)] + [
+    (seed, n) for n in (1, 2, 3) for seed in range(BOWL_SEEDS + 4 * n, BOWL_SEEDS + 4 * n + 4)
+]
 
 
 @pytest.mark.parametrize("seed,n", CASES)
@@ -82,10 +115,51 @@ def test_brute_eps_argmin_matches_the_fraction_reference(seed, n):
         ), mode
 
 
+def _row_branches(problem, grid):
+    """The shapes that the grid's rows give the oracle's feasible intervals,
+    read off the reference's values at every point."""
+    axes, m = grid.axes(), grid.shape[-1]
+    fns = (problem.objective, problem.reverse, *problem.constraints)
+    evs = [reference.GridEvaluator(fn, axes) for fn in fns]
+    hit = set()
+    for lead in grid.leads():
+        f, h, *gs = [[ev.value((*lead, k)) for k in range(m)] for ev in evs]
+        neg = [k for k, v in enumerate(h) if v < 0]
+        zeros = [k for k, v in enumerate(h) if v == 0]
+        if not neg:
+            hit.add("no h < 0")
+        elif len(neg) == m:
+            hit.add("h < 0 on the whole row")
+        elif (neg[0] == 0) != (neg[-1] == m - 1):
+            hit.add("h < 0 at one end only")
+        else:
+            hit.add("two reverse runs")
+            if zeros and zeros[0] < neg[0] < neg[-1] < zeros[-1]:
+                hit.add("two equality runs")
+        if any(b - a == 1 for a, b in zip(zeros, zeros[1:])):
+            hit.add("h flat at 0")
+        # {h < 0} starts where a falling piece crosses 0: at a grid point or
+        # between two.
+        if neg and neg[0] > 0 and h[neg[0] - 1] != INF:
+            on_grid = h[neg[0] - 1] == 0
+            hit.add("falling root on the grid" if on_grid else "falling root off it")
+        for mode in ORACLE_MODES:
+            g_rows = gs if mode == "constrained-reverse" else []
+            ok = [k for k in range(m) if reference._feasible(mode, h[k], [g[k] for g in g_rows])]
+            if ok and all(f[k] == INF for k in ok):
+                hit.add("f = +inf at every feasible point of a row")
+        passing = [k for k in range(m) if h[k] >= 0]
+        for fn, g in zip(problem.constraints, gs):
+            if fn.domain is not None and len({g[k] == INF for k in passing}) == 2:
+                hit.add("dom g cuts the points that pass h")
+    return hit
+
+
 def test_reference_cases_reach_every_branch():
     # The comparisons above mean something only if the cases hit feasible
-    # points in every mode, off-domain points and argmin sets of several points.
-    feasible, off_domain, several = set(), 0, 0
+    # points in every mode, off-domain points, argmin sets of several points,
+    # and every shape of a row's feasible intervals.
+    feasible, off_domain, several, rows = set(), 0, 0, set()
     for seed, n in CASES:
         problem, grid = _case(seed, n)
         for mode in ORACLE_MODES:
@@ -94,8 +168,21 @@ def test_reference_cases_reach_every_branch():
                 feasible.add(mode)
             off_domain += res.min_value == float("inf")
             several += len(res.eps_argmin) > 1
+        rows |= _row_branches(problem, grid)
     assert feasible == set(ORACLE_MODES)
     assert off_domain and several
+    assert rows == {
+        "no h < 0",
+        "h < 0 on the whole row",
+        "h < 0 at one end only",
+        "two reverse runs",
+        "two equality runs",
+        "h flat at 0",
+        "falling root on the grid",
+        "falling root off it",
+        "f = +inf at every feasible point of a row",
+        "dom g cuts the points that pass h",
+    }
 
 
 @pytest.mark.parametrize("seed,n", CASES)
@@ -218,3 +305,9 @@ def test_eff_set_matches_the_pairwise_scan_with_ties_and_duplicates():
             eps = tuple(F(rng.randint(-2, 3), 2) for _ in range(r))
             for sigma in SIGMA_KINDS:
                 assert eff_set(sample, eps, sigma) == reference.eff_set(sample, eps, sigma)
+            if r == 2:
+                # The bridge's call: w and e from one sort, at the shift (eps, 0).
+                shift = (eps[0], F(0))
+                assert _efficient(sample.images, 2, shift, ("w", "e")) == tuple(
+                    reference.eff_set(sample, shift, sigma) for sigma in "we"
+                )

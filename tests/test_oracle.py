@@ -149,28 +149,47 @@ def test_boundary_equivalence_inapplicable_when_essential_fails():
 
 
 def _record_rows(monkeypatch):
-    """Patch the grid evaluator to record (function, leading indices) per row."""
-    calls = []
-    init, row = oracle._GridEvaluator.__init__, oracle._GridEvaluator.row
+    """Patch the grid layer to record, per call, (function, leading indices)
+    for each row a function's pieces are shifted to, (function, leading
+    indices, lo, hi) for each run of values made from them, and any full row
+    of values asked for."""
+    calls = {"shifted": [], "values": [], "row": []}
+    init, shifted = oracle._GridEvaluator.__init__, oracle._GridEvaluator.shifted
+    values = oracle._values
+    made = {}  # id of a shifted piece list -> (its list, function, lead)
 
     def recording_init(self, fn, grid, extra=()):
         init(self, fn, grid, extra)
         self.fn = fn
 
+    def recording_shifted(self, lead):
+        pieces = shifted(self, lead)
+        calls["shifted"].append((self.fn, lead))
+        made[id(pieces)] = (pieces, self.fn, lead)
+        return pieces
+
+    def recording_values(pieces, lo, hi):
+        _, fn, lead = made[id(pieces)]
+        calls["values"].append((fn, lead, lo, hi))
+        return values(pieces, lo, hi)
+
     def recording_row(self, lead):
-        calls.append((self.fn, lead))
-        return row(self, lead)
+        calls["row"].append((self.fn, lead))
 
     monkeypatch.setattr(oracle._GridEvaluator, "__init__", recording_init)
+    monkeypatch.setattr(oracle._GridEvaluator, "shifted", recording_shifted)
     monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+    monkeypatch.setattr(oracle, "_values", recording_values)
     return calls
 
 
-def test_brute_evaluates_each_grid_function_once_per_point(monkeypatch):
+def test_brute_reads_h_and_g_as_intervals_and_makes_f_only_where_feasible(monkeypatch):
     # Rows run along x2 at fixed x1 in {-1, -1/2, 0, 1/2, 1}. h = x1 passes
     # h >= 0 on the rows x1 >= 0, g = 1/2 - x1 <= 0 holds on x1 >= 1/2 only:
-    # h is evaluated on every row, g only on rows where some point passes h,
-    # f only on rows that hold a feasible point, and no function twice on a row.
+    # h's pieces are shifted to every row, g's only to rows where some point
+    # passes h, and neither makes a value; f's values are made only on the
+    # feasible interval of each row that has one (here the whole row), and no
+    # function is shifted twice to a row.
     calls = _record_rows(monkeypatch)
     f = fn(2, ((0, 1), 0), ((0, -1), 0))
     h = fn(2, ((1, 0), 0))
@@ -186,15 +205,23 @@ def test_brute_evaluates_each_grid_function_once_per_point(monkeypatch):
         "convex": ({-1, F(-1, 2), 0}, {-1, F(-1, 2), 0}),
     }
     for mode, (h_rows, feasible_rows) in expect.items():
-        calls.clear()
+        for log in calls.values():
+            log.clear()
         res = brute_eps_argmin(p, mode, grid)
-        assert res.eps_argmin and len(set(calls)) == len(calls)
         assert res.feasible_count == 5 * len(feasible_rows)
-        seen = {fn_: [lead for key, lead in calls if key is fn_] for fn_ in (f, h, g)}
+        # f = |x2| and eps = 1/2: x2 in {-1/2, 0, 1/2} on every feasible row.
+        assert res.min_value == 0
+        assert res.eps_argmin == tuple(
+            (x1, x2) for x1 in sorted(feasible_rows) for x2 in (F(-1, 2), F(0), F(1, 2))
+        )
+        shifted = calls["shifted"]
+        assert len(set(shifted)) == len(shifted) and calls["row"] == []
+        seen = {fn_: [lead for key, lead in shifted if key is fn_] for fn_ in (f, h, g)}
         assert seen[h] == list(rows.values())
         g_rows = h_rows if mode == "constrained-reverse" else set()
         assert seen[g] == [rows[x1] for x1 in sorted(g_rows)]
         assert seen[f] == [rows[x1] for x1 in sorted(feasible_rows)]
+        assert calls["values"] == [(f, rows[x1], 0, 5) for x1 in sorted(feasible_rows)]
 
 
 def test_equal_live_results_share_one_object():
