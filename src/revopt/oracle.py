@@ -12,9 +12,12 @@ arithmetic progression c + t * k. A function is the max of its pieces'
 progressions, convex in k, so each domain row, {h < 0}, {h <= 0} and each
 {g <= 0} is one index interval of the row, found by one floor or ceiling
 division per piece. The oracle takes a row's feasible points as at most two
-such intervals and makes f's values (the pointwise max of its pieces'
-`range`s) only on them; `grid_sample`, `bridge_check` and the boundary
-report read every point's values. f shares one scale with eps; h, each g
+such intervals, cut to dom f, and reads f's least value on each in closed
+form (`_least`); once the best over all rows is known, one more cut leaves
+each interval's run within eps of it, and f's values (the pointwise max of
+its pieces' `range`s) are made only there, for the points the result holds.
+`grid_sample`, `bridge_check` and the boundary report read every point's
+values. f shares one scale with eps; h, each g
 and each domain row have their own, since only their signs are compared.
 The grid keeps its own integer image, lo and step over one common
 denominator, and the evaluators read it together with the integer images the
@@ -29,7 +32,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import compress, product, repeat
+from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import getitem, mul
 
@@ -183,6 +186,39 @@ def _values(pieces, lo, hi) -> list:
     return list(runs[0]) if len(runs) == 1 else list(map(max, *runs))
 
 
+def _least(pieces, lo, hi) -> int:
+    """min over k in [lo, hi), lo < hi, of max_i (c_i + t_i * k).
+
+    Over the reals this is a one-variable LP: the max of the falling pieces
+    meets the max of the rising ones at one point, the crossing
+    (c - c') / (t' - t) of the falling and rising pair whose crossing value
+    (c t' - c' t) / (t' - t) is highest (pairs tied on that value cross at
+    the same point), and the flat pieces only raise the value. The function
+    is convex, so the integer minimum is at that crossing's floor or the next
+    index, clamped to [lo, hi); with no falling piece it is at lo, with no
+    rising piece at hi - 1. The pair scan costs (falling x rising) steps, a
+    step about five values of one piece at one point, so where the run's
+    values cost less, the minimum is taken over them.
+    """
+    down = [(c, t) for c, t in pieces if t < 0]
+    up = [(c, t) for c, t in pieces if t > 0]
+    if not down:
+        ks = (lo,)
+    elif not up:
+        ks = (hi - 1,)
+    elif 5 * len(down) * len(up) > len(pieces) * (hi - lo):
+        return min(_values(pieces, lo, hi))
+    else:
+        top = None  # the highest crossing value so far, top / bottom
+        for c, t in down:
+            for d, u in up:
+                num, den = c * u - d * t, u - t
+                if top is None or num * bottom > top * den:
+                    top, bottom, at = num, den, (c - d) // den
+        ks = (min(max(at, lo), hi - 1), min(max(at + 1, lo), hi - 1))
+    return min([max([c + t * k for c, t in pieces]) for k in ks])
+
+
 class _GridEvaluator:
     """Exact scaled values of a polyhedral function on a grid, one row at a time.
 
@@ -300,6 +336,12 @@ def _feasible_runs(mode, h_ev, g_evs, lead) -> list:
 def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> BruteResult:
     """Exact eps-argmin over the feasible grid points for the given mode.
 
+    Two passes over the rows. The first keeps each row's feasible intervals
+    inside dom f and takes the best value from `_least` on each, one step per
+    pair of a falling and a rising piece of f, not a value per point. The
+    second cuts each kept interval to its run {f <= best + eps} and makes f's
+    values only there: no other point of the grid gets a value of f.
+
     `feasible_count` counts the grid points that pass the mode's h and g
     test, those where f = +inf included; `min_value` is INF when f = +inf at
     every one of them.
@@ -316,39 +358,36 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
     eps = int(problem.epsilon * f_ev.scale)
 
     feasible = 0
-    best = None
-    # (leading indices, last index, scaled f) of the feasible points within
-    # eps of the running best; pruned whenever the best falls.
-    near = []
+    # (leading indices, f's pieces along the row, a, b) for each feasible
+    # run [a, b) of a row, cut to dom f
+    kept = []
     for lead in grid.leads():
         runs = _feasible_runs(mode, h_ev, g_evs, lead)
         if not runs:
             continue
         lo, hi = f_ev.domain(lead)
         pieces = f_ev.shifted(lead)
-        parts = []
         for a, b in runs:
             feasible += b - a
             a, b = max(a, lo), min(b, hi)
             if a < b:
-                parts.append((range(a, b), _values(pieces, a, b)))
-        if not parts:
-            continue
-        low = min(min(vals) for _, vals in parts)
-        if best is None or low < best:
-            best = low
-            near = [item for item in near if item[2] <= best + eps]
-        cut = best + eps
-        for ks, vals in parts:
-            near += compress(zip(repeat(lead), ks, vals), map(cut.__ge__, vals))
+                kept.append((lead, pieces, a, b))
     bound = problem.objective.lipschitz_bound() * grid.step
     if feasible == 0:
         return BruteResult(mode, 0, None, (), (), bound)
-    if best is None:
+    if not kept:
         return BruteResult(mode, feasible, INF, (), (), bound)
 
-    # Pruned whenever the best fell, `near` holds exactly the eps-argmin.
+    best = min([_least(pieces, a, b) for _, pieces, a, b in kept])
     threshold = best + eps
+    # (leading indices, last index, scaled f) of the eps-argmin in grid
+    # order: f is convex along a row, so a run's points within eps of the
+    # best are one run.
+    near = []
+    for lead, pieces, a, b in kept:
+        a, b = _at_most(pieces, a, b, threshold)
+        if a < b:
+            near += zip(repeat(lead), range(a, b), _values(pieces, a, b))
     ticks = grid._ticks
 
     # Equal slacks share one object.

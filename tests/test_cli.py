@@ -1,8 +1,11 @@
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import takewhile
 from pathlib import Path
@@ -288,6 +291,43 @@ def test_brute_command(problem_a, capsys):
     assert code == 0
     assert doc["min_value"] == "1"
     assert doc["eps_argmin"] == [["-1"], ["1"]]
+
+
+def _grid_command_digest(commands) -> str:
+    """sha256 over each command's problem file name, argv, exit code and
+    printed report, in order."""
+    digest = hashlib.sha256()
+    for path, argv in commands:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run([argv[0], "--problem", str(path), *argv[1:]])
+        digest.update(f"{path.name} {' '.join(argv)}\n{code}\n{out.getvalue()}".encode())
+    return digest.hexdigest()
+
+
+#: `_grid_command_digest`s of the commands below, taken before the oracle
+#: read f's interval minimum in closed form
+BRUTE_DIGEST = "e50b56ab4ed330b2202d35c91a18bc59ac49287a462ce3afe238e0a8b6f7e1f5"
+CROSS_CHECK_DIGEST = "3640e92541903fcbf20b320a1db5893707e716bce746a2f34f38cd194001b541"
+
+
+def test_grid_commands_print_the_pinned_bytes():
+    # The grid layer's outputs on the shipped problems, pinned byte for byte:
+    # a rewrite of the oracle must leave every report as it was.
+    brute = [
+        (path, ["brute", "--mode", mode, "--box", "-3", "3", "--step", step])
+        for path in PROBLEMS
+        for mode in MODES
+        for step in ("1/4", "3/7")
+    ]
+    verify = [
+        (path, ["verify", "--mode", mode, "--cross-check-grid", "-3", "3", "1/4"])
+        for path in PROBLEMS
+        for mode in MODES
+    ]
+    assert len(PROBLEMS) == 2
+    assert _grid_command_digest(brute) == BRUTE_DIGEST
+    assert _grid_command_digest(verify) == CROSS_CHECK_DIGEST
 
 
 def test_pareto_command(problem_a, capsys):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import gcd
 
 import pytest
@@ -84,6 +84,16 @@ def _bowl(rng, grid):
     return PolyhedralConvexFunction(n, tuple(pieces), domain)
 
 
+def _valley(rng, n):
+    """f with a falling and a rising piece along the last axis that read no
+    other axis, so that every row has the same values of f."""
+    pieces = []
+    for sign in (-1, 1):
+        slope = sign * F(rng.randint(1, 9), rng.choice(DENOMINATORS))
+        pieces.append(AffineForm((F(0),) * (n - 1) + (slope,), _rational(rng)))
+    return PolyhedralConvexFunction(n, tuple(pieces))
+
+
 def _case(seed, n):
     rng = random.Random(seed)
     grid = _grid(rng, n)
@@ -96,13 +106,19 @@ def _case(seed, n):
         h = _bowl(rng, grid)
     gs = tuple(_fn(rng, n, domain=rng.random() < 0.4) for _ in range(rng.randint(0, 2)))
     eps = F(rng.randint(0, 6), rng.choice(DENOMINATORS))
+    if seed >= VALLEY_SEEDS:
+        f, eps = _valley(rng, n), F(rng.randint(0, 40), rng.choice((1, 2)))
     return ReverseProblem(n, f, h, (F(0),) * n, eps, gs), grid
 
 
-#: cases from this seed on take h from `_bowl`
-BOWL_SEEDS = 100
+#: cases from this seed on take h from `_bowl`, and from the next one on
+#: also f from `_valley` and an eps up to 40
+BOWL_SEEDS, VALLEY_SEEDS = 100, 200
 CASES = [(seed, n) for n in (1, 2, 3) for seed in range(12 * n, 12 * n + 12)] + [
-    (seed, n) for n in (1, 2, 3) for seed in range(BOWL_SEEDS + 4 * n, BOWL_SEEDS + 4 * n + 4)
+    (seed, n)
+    for base in (BOWL_SEEDS, VALLEY_SEEDS)
+    for n in (1, 2, 3)
+    for seed in range(base + 4 * n, base + 4 * n + 4)
 ]
 
 
@@ -115,15 +131,20 @@ def test_brute_eps_argmin_matches_the_fraction_reference(seed, n):
         ), mode
 
 
-def _row_branches(problem, grid):
-    """The shapes that the grid's rows give the oracle's feasible intervals,
-    read off the reference's values at every point."""
+def _reference_rows(problem, grid):
+    """The reference's values of f, h and each g along each row, in order."""
     axes, m = grid.axes(), grid.shape[-1]
     fns = (problem.objective, problem.reverse, *problem.constraints)
     evs = [reference.GridEvaluator(fn, axes) for fn in fns]
+    return [[[ev.value((*lead, k)) for k in range(m)] for ev in evs] for lead in grid.leads()]
+
+
+def _row_branches(problem, grid):
+    """The shapes that the grid's rows give the oracle's feasible intervals,
+    read off the reference's values at every point."""
+    m = grid.shape[-1]
     hit = set()
-    for lead in grid.leads():
-        f, h, *gs = [[ev.value((*lead, k)) for k in range(m)] for ev in evs]
+    for f, h, *gs in _reference_rows(problem, grid):
         neg = [k for k, v in enumerate(h) if v < 0]
         zeros = [k for k, v in enumerate(h) if v == 0]
         if not neg:
@@ -155,10 +176,64 @@ def _row_branches(problem, grid):
     return hit
 
 
+def _argmin_branches(problem, grid):
+    """The shapes that f takes on the feasible runs and the eps-argmin takes
+    across rows, read off the reference's values at every point."""
+    m, rows = grid.shape[-1], _reference_rows(problem, grid)
+    slopes = [piece.a[-1] for piece in problem.objective.pieces]
+    hit = set()
+    for mode in ORACLE_MODES:
+        g_mode = mode == "constrained-reverse"
+        lows, runs = [], []  # per row: least f at its feasible points, and its runs in dom f
+        for f, h, *gs in rows:
+            g_vals = [[g[k] for g in gs] if g_mode else () for k in range(m)]
+            ok = [reference._feasible(mode, h[k], g_vals[k]) for k in range(m)]
+            row = []
+            for feasible, ks in groupby(range(m), ok.__getitem__):
+                ks = list(ks)
+                finite = [k for k in ks if f[k] != INF]
+                if not feasible or not finite:
+                    continue
+                row.append(finite)
+                if len(finite) < len(ks):
+                    hit.add("dom f cuts a feasible run")
+                if min(slopes) >= 0 < max(slopes):
+                    hit.add("f rising only")
+                if max(slopes) <= 0 > min(slopes):
+                    hit.add("f falling only")
+                # The run's least value at one end, where f goes on falling
+                # past it.
+                a, b, low = finite[0], finite[-1], min(f[k] for k in finite)
+                if f[a] == low and 0 < a and f[a - 1] < low:
+                    hit.add("f least at a run's end")
+                if f[b] == low and b + 1 < m and f[b + 1] < low:
+                    hit.add("f least at a run's end")
+            lows.append(min((f[k] for finite in row for k in finite), default=None))
+            runs.append((f, row))
+        found = [low for low in lows if low is not None]
+        if not found:
+            continue
+        best = min(found)
+        if problem.epsilon == 0:
+            hit.add("eps = 0")
+        if found.count(best) > 1:
+            hit.add("equal least values on several rows")
+        if found[0] > best:
+            hit.add("the best falls on a later row")
+        cut = best + problem.epsilon
+        if mode == "reverse" and any(
+            len(row) == 2 and all(any(f[k] <= cut for k in finite) for finite in row)
+            for f, row in runs
+        ):
+            hit.add("both reverse runs of a row hold near points")
+    return hit
+
+
 def test_reference_cases_reach_every_branch():
     # The comparisons above mean something only if the cases hit feasible
     # points in every mode, off-domain points, argmin sets of several points,
-    # and every shape of a row's feasible intervals.
+    # every shape of a row's feasible intervals, and every shape of f on them
+    # and of the eps-argmin across rows.
     feasible, off_domain, several, rows = set(), 0, 0, set()
     for seed, n in CASES:
         problem, grid = _case(seed, n)
@@ -168,7 +243,7 @@ def test_reference_cases_reach_every_branch():
                 feasible.add(mode)
             off_domain += res.min_value == float("inf")
             several += len(res.eps_argmin) > 1
-        rows |= _row_branches(problem, grid)
+        rows |= _row_branches(problem, grid) | _argmin_branches(problem, grid)
     assert feasible == set(ORACLE_MODES)
     assert off_domain and several
     assert rows == {
@@ -182,6 +257,14 @@ def test_reference_cases_reach_every_branch():
         "falling root off it",
         "f = +inf at every feasible point of a row",
         "dom g cuts the points that pass h",
+        "f rising only",
+        "f falling only",
+        "f least at a run's end",
+        "both reverse runs of a row hold near points",
+        "equal least values on several rows",
+        "the best falls on a later row",
+        "eps = 0",
+        "dom f cuts a feasible run",
     }
 
 

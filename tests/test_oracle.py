@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import compress
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revopt.model import AffineForm, InputError, PolyhedralConvexFunction, ReverseProblem
 from revopt import oracle
@@ -151,11 +154,12 @@ def test_boundary_equivalence_inapplicable_when_essential_fails():
 def _record_rows(monkeypatch):
     """Patch the grid layer to record, per call, (function, leading indices)
     for each row a function's pieces are shifted to, (function, leading
-    indices, lo, hi) for each run of values made from them, and any full row
-    of values asked for."""
-    calls = {"shifted": [], "values": [], "row": []}
+    indices, lo, hi) for each run of values made from them and for each run
+    whose least value is taken from them, and any full row of values asked
+    for."""
+    calls = {"shifted": [], "values": [], "least": [], "row": []}
     init, shifted = oracle._GridEvaluator.__init__, oracle._GridEvaluator.shifted
-    values = oracle._values
+    values, least = oracle._values, oracle._least
     made = {}  # id of a shifted piece list -> (its list, function, lead)
 
     def recording_init(self, fn, grid, extra=()):
@@ -173,6 +177,11 @@ def _record_rows(monkeypatch):
         calls["values"].append((fn, lead, lo, hi))
         return values(pieces, lo, hi)
 
+    def recording_least(pieces, lo, hi):
+        _, fn, lead = made[id(pieces)]
+        calls["least"].append((fn, lead, lo, hi))
+        return least(pieces, lo, hi)
+
     def recording_row(self, lead):
         calls["row"].append((self.fn, lead))
 
@@ -180,6 +189,7 @@ def _record_rows(monkeypatch):
     monkeypatch.setattr(oracle._GridEvaluator, "shifted", recording_shifted)
     monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
     monkeypatch.setattr(oracle, "_values", recording_values)
+    monkeypatch.setattr(oracle, "_least", recording_least)
     return calls
 
 
@@ -187,9 +197,10 @@ def test_brute_reads_h_and_g_as_intervals_and_makes_f_only_where_feasible(monkey
     # Rows run along x2 at fixed x1 in {-1, -1/2, 0, 1/2, 1}. h = x1 passes
     # h >= 0 on the rows x1 >= 0, g = 1/2 - x1 <= 0 holds on x1 >= 1/2 only:
     # h's pieces are shifted to every row, g's only to rows where some point
-    # passes h, and neither makes a value; f's values are made only on the
-    # feasible interval of each row that has one (here the whole row), and no
-    # function is shifted twice to a row.
+    # passes h, and neither makes a value. f's least value is read once per
+    # feasible interval (here the whole row) in closed form, and f's values
+    # are made only on each feasible row's eps-near run; no function is
+    # shifted twice to a row.
     calls = _record_rows(monkeypatch)
     f = fn(2, ((0, 1), 0), ((0, -1), 0))
     h = fn(2, ((1, 0), 0))
@@ -221,7 +232,48 @@ def test_brute_reads_h_and_g_as_intervals_and_makes_f_only_where_feasible(monkey
         g_rows = h_rows if mode == "constrained-reverse" else set()
         assert seen[g] == [rows[x1] for x1 in sorted(g_rows)]
         assert seen[f] == [rows[x1] for x1 in sorted(feasible_rows)]
-        assert calls["values"] == [(f, rows[x1], 0, 5) for x1 in sorted(feasible_rows)]
+        assert calls["least"] == [(f, rows[x1], 0, 5) for x1 in sorted(feasible_rows)]
+        # x2 in {-1/2, 0, 1/2} is the index run [1, 4).
+        assert calls["values"] == [(f, rows[x1], 1, 4) for x1 in sorted(feasible_rows)]
+
+
+_SLOPES = st.integers(-40, 40)
+_OFFSETS = st.one_of(st.integers(-2000, 2000), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def _row_pieces(draw):
+    """(pieces, lo, hi, eps): 1-64 progressions (c, t) with slopes of both
+    signs and 0, or of one sign and 0, some of them through one integer point
+    (k0, v) so that crossings fall on an integer, at or outside [lo, hi), and
+    their crossing values tie; the rest cross anywhere."""
+    lo = draw(st.integers(-50, 50))
+    hi = lo + draw(st.one_of(st.just(1), st.integers(1, 400)))
+    count = draw(st.integers(1, 64))
+    shared = draw(st.integers(0, count))
+    sign = draw(st.sampled_from((None, None, 1, -1)))
+    slopes = _SLOPES if sign is None else _SLOPES.map(lambda t: sign * abs(t))
+    size = count - shared
+    free = draw(st.lists(st.tuples(_OFFSETS, slopes), min_size=size, max_size=size))
+    k0, v = draw(st.integers(lo - 20, hi + 20)), draw(_OFFSETS)
+    through = draw(st.lists(slopes, min_size=shared, max_size=shared))
+    pieces = draw(st.permutations(free + [(v - t * k0, t) for t in through]))
+    eps = draw(st.one_of(st.just(0), st.integers(0, 300), st.integers(0, 10**31)))
+    return pieces, lo, hi, eps
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_row_pieces())
+def test_least_and_the_near_run_match_the_row_values(case):
+    # `_least` against the minimum of the row's values, and `_at_most` at the
+    # eps cut against filtering those values one by one.
+    pieces, lo, hi, eps = case
+    values = oracle._values(pieces, lo, hi)
+    best = oracle._least(pieces, lo, hi)
+    assert best == min(values)
+    for cut in (best - 1, best, best + eps):
+        a, b = oracle._at_most(pieces, lo, hi, cut)
+        assert list(range(a, b)) == list(compress(range(lo, hi), map(cut.__ge__, values)))
 
 
 def test_equal_live_results_share_one_object():
