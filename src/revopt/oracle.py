@@ -197,8 +197,9 @@ def _least(pieces, lo, hi) -> int:
     is convex, so the integer minimum is at that crossing's floor or the next
     index, clamped to [lo, hi); with no falling piece it is at lo, with no
     rising piece at hi - 1. The pair scan costs (falling x rising) steps, a
-    step about five values of one piece at one point, so where the run's
-    values cost less, the minimum is taken over them.
+    step about five values of one piece at one point: with 2-4 pieces it is
+    2-3 times faster than reading a 49-point run's values, with 64 pieces
+    about 2 times slower.
     """
     down = [(c, t) for c, t in pieces if t < 0]
     up = [(c, t) for c, t in pieces if t > 0]
@@ -206,8 +207,6 @@ def _least(pieces, lo, hi) -> int:
         ks = (lo,)
     elif not up:
         ks = (hi - 1,)
-    elif 5 * len(down) * len(up) > len(pieces) * (hi - lo):
-        return min(_values(pieces, lo, hi))
     else:
         top = None  # the highest crossing value so far, top / bottom
         for c, t in down:
