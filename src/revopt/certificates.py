@@ -64,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from operator import mul
 
 from .lp import INF, NEG_INF, LinearProgram, lp_solve, lp_value
@@ -142,16 +141,13 @@ def _phis(mode, problem: ReverseProblem) -> tuple:
 
 
 def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
-    """`mode`'s probe (`membership_lp`) with every right-hand side zero, built
-    from the integer images of f, the phi_j and their domains.
+    """`mode`'s probe (`membership_lp`) with every right-hand side zero.
 
     Its columns lam, nu and eta, in that order, each have a slope (their n
-    rows) and a budget coefficient, read off the images over their own
-    denominators; alpha's budget coefficient eps - f(x_bar) joins each lam's
-    in integers. The LP gets its values as `Fraction`s (the pieces' and
-    domains' own, but for the budget coefficients of lam and eta) and as
-    ints over its least common denominator (its `_scaled`), so nothing is
-    validated or converted again."""
+    rows) and a budget coefficient, the pieces' and domain rows' own values;
+    each lam's budget coefficient also takes in alpha's, eps - f(x_bar),
+    computed in integers off the image of f. Every value is a `Fraction`
+    already, so the LP is built from them unchecked (`LinearProgram._trusted`)."""
     f, phis = problem.objective, _phis(mode, problem)
     xs, x_den = problem._point_image
     if f.domain is not None and not f.domain._holds(xs, x_den):
@@ -161,36 +157,19 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     # b_i + eps - f(x_bar) = (B_i * q / D + shift) / q
     q = d_f * x_den * eps.denominator
     shift = eps.numerator * d_f * x_den - max(f._scaled_pieces(xs, x_den)) * eps.denominator
-    budget = [b * (q // d_f) + shift for _, b in f_image]
-    # per column: its slope and budget coefficient, as Fractions (`fracs`) and
-    # as ints over a slope and a budget denominator (`ints`)
-    fracs = [(p.a, Fraction(c, q)) for p, c in zip(f.pieces, budget)]
-    ints = [(a, c, d_f, q) for (a, _), c in zip(f_image, budget)]
-    # the least common denominator: the f slopes' and budgets' reduced ones,
-    # and those of the images of the phi_j and of each domain row, least already
-    dens = [d_f // gcd(d_f, *(v for a, _ in f_image for v in a)), q // gcd(q, *budget)]
+    # per column: its slope and budget coefficient
+    columns = [(p.a, Fraction(b * (q // d_f) + shift, q)) for p, (_, b) in zip(f.pieces, f_image)]
     for phi in phis:
-        d, image = phi._image
-        fracs += [(p.a, p.b) for p in phi.pieces]
-        ints += [(a, b, d, d) for a, b in image]
-        dens.append(d)
+        columns += [(p.a, p.b) for p in phi.pieces]
     for fn in (f, *phis):
-        dom = fn.domain
-        if dom is not None:
-            fracs += [(row, -rhs) for row, rhs in zip(dom.a, dom.b)]
-            ints += [(a, -b, d, d) for a, b, d in dom._rows]
-            dens += [d for *_, d in dom._rows]
-    den = lcm(*dens)
-    # each value times den; exact, as den is a multiple of its reduced denominator
-    scaled = [[a[k] * den // sd for a, _, sd, _ in ints] for k in range(problem.n)]
-    scaled.append([c * den // bd for _, c, _, bd in ints])
-    slopes, budgets = zip(*fracs)
+        if fn.domain is not None:
+            columns += [(row, -rhs) for row, rhs in zip(fn.domain.a, fn.domain.b)]
+    slopes, budgets = zip(*columns)
     rows = [(row, "=", _ZERO) for row in zip(*slopes)]
     rows.append((budgets, ">=", _ZERO))
-    size = len(fracs)
+    size = len(columns)
     zeros = (_ZERO,) * size
-    return LinearProgram._from_scaled(
-        (den, [(row, 0) for row in scaled], [0] * size, [None] * size),
+    return LinearProgram._trusted(
         n=size,
         objective=(_ONE,) * len(f.pieces) + zeros[len(f.pieces) :],
         sense="max",

@@ -19,6 +19,7 @@ from .certificates import (
     MODES,
     REFUTED,
     CertificateVerdict,
+    _point_gates,
     falsify,
     membership_lp,
     probe_evidence,
@@ -160,24 +161,24 @@ def _gates(gates) -> list:
 
 def _implied_verdict(gates, checks) -> str | None:
     """The verdict tag that the gates and the re-read checks, as (kind,
-    accepted, at (0, 0)) triples, imply; None when no verdict fits them."""
+    accepted) pairs, imply; None when no verdict fits them."""
     failed = [i for i, (_name, ok) in enumerate(gates) if not ok]
     if failed:
         if failed != [len(gates) - 1]:
             return None
         if gates[-1][0] == "essential":
-            return CERTIFIED if checks == [("vertex", True, True)] else None
+            return CERTIFIED if checks == [("vertex", True)] else None
         return None if checks else INAPPLICABLE
     if not checks:
         return None
-    if all(ok for _kind, ok, _zero in checks):
+    if all(ok for _kind, ok in checks):
         return CERTIFIED
     # A refutation ends on a rejected vertex check; a ray check rejected just
     # before it is the one that located that point.
     *rest, last = checks
-    if last[:2] != ("vertex", False) or not all(ok for _k, ok, _z in rest[:-1]):
+    if last != ("vertex", False) or not all(ok for _kind, ok in rest[:-1]):
         return None
-    if rest and rest[-1][:2] == ("vertex", False):
+    if rest and rest[-1] == ("vertex", False):
         return None
     return REFUTED
 
@@ -187,14 +188,20 @@ def replay(problem, report: dict) -> None:
 
     Rebuilds each check's LP with `membership_lp`, the builder `verify` solved,
     checks the stored outcome's certificate exactly and re-reads the check's
-    `accepted` and `sup` off it (`probe_evidence`); then re-derives the
-    verdict tag from the gates and those checks. Raises CertificateError on
-    any mismatch and on any malformed part that replay reads: a missing
-    field, a part of the wrong JSON type, an unknown mode, kind or outcome
-    tag, a literal that is not rational, a generator without one entry per
-    variable, or a check logged although x_bar is off dom f, where no probe
-    exists. A ray check logs its direction, and starts at the first
-    generator of h's eps'-subdifferentials (`subdiff_epigraph`).
+    `accepted` and `sup` off it (`probe_evidence`). Then it evaluates the
+    gates on x_bar (`_point_gates`) up to the first that fails, which must
+    open the report's gates, and re-derives the verdict tag from the gates
+    and the checks. A certificate must log the checks that `verify` runs:
+    the single check at (0, 0) in convex mode or after a failed essential
+    gate, and otherwise the generators of h's eps'-subdifferentials
+    (`subdiff_epigraph`), its points as vertex checks and then its rays as
+    ray checks; a ray check logs its direction and starts at the first point.
+
+    Raises CertificateError on any mismatch and on any malformed part that
+    replay reads: a missing field, a part of the wrong JSON type, an unknown
+    mode, kind or outcome tag, a literal that is not rational, a generator
+    without one entry per variable, or a check logged although x_bar is off
+    dom f, where no probe exists.
     """
     _require(report, ("mode",), "the report")
     mode = report["mode"]
@@ -203,8 +210,9 @@ def replay(problem, report: dict) -> None:
     checks = report.get("checks", [])
     if not isinstance(checks, list):
         raise CertificateError("the checks are not a list")
-    base = None
+    epigraph = None
     seen = []
+    logged = []
     for check in checks:
         _require(check, _CHECK_FIELDS, "a check")
         eps_prime = _rational(check["eps_prime"], "eps_prime")
@@ -216,9 +224,8 @@ def replay(problem, report: dict) -> None:
             raise CertificateError(f"unknown check kind {kind!r}")
         point, ray = (eps_prime, generator), None
         if kind == "ray":
-            if base is None:
-                (base, *_), _rays = subdiff_epigraph(problem.reverse, problem.point)
-            point, ray = base, (eps_prime, generator)
+            epigraph = epigraph or subdiff_epigraph(problem.reverse, problem.point)
+            point, ray = epigraph[0][0], (eps_prime, generator)
         try:
             lp = membership_lp(problem, mode, *point, ray=ray)
         except InputError as exc:  # x_bar off dom f: the problem has no probe
@@ -228,18 +235,37 @@ def replay(problem, report: dict) -> None:
         ev = probe_evidence(lp, outcome, ray=kind == "ray")
         if check["accepted"] is not ev.member or check["sup"] != fmt(ev.sup):
             raise CertificateError("accepted or sup disagrees with the outcome")
-        seen.append((kind, ev.member, not any((eps_prime, *generator))))
-    if report.get("verdict") != _implied_verdict(_gates(report.get("gates", [])), seen):
+        seen.append((kind, ev.member))
+        logged.append((eps_prime, generator, kind))
+    gates = _gates(report.get("gates", []))
+    point_gates = []
+    for name, ok, _reason in _point_gates(problem, mode):
+        point_gates.append([name, ok])
+        if not ok:
+            break
+    if gates[: len(point_gates)] != point_gates:
+        raise CertificateError("the gates on x_bar do not evaluate as the report claims")
+    verdict = report.get("verdict")
+    if verdict != _implied_verdict(gates, seen):
         raise CertificateError("the verdict does not follow from the gates and checks")
+    if verdict == CERTIFIED:
+        if mode == "convex" or not gates[-1][1]:  # a certificate's failed gate is `essential`
+            covered = [(0, (0,) * problem.n, "vertex")]
+        else:
+            points, rays = epigraph or subdiff_epigraph(problem.reverse, problem.point)
+            covered = [(*p, "vertex") for p in points] + [(*r, "ray") for r in rays]
+        if logged != covered:
+            raise CertificateError("the checks are not the ones a certificate logs")
 
 
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_decide(args) -> tuple[dict, int]:
+    """`verify` and `falsify`: the same report but for its command."""
     problem = load_problem(args.problem)
-    verdict = verify(problem, args.mode)
-    doc = {"command": "verify", **_verdict_to_doc(verdict)}
+    verdict = (verify if args.command == "verify" else falsify)(problem, args.mode)
+    doc = {"command": args.command, **_verdict_to_doc(verdict)}
     if args.cross_check_grid is not None:
         lo, hi, step = (rat(v) for v in args.cross_check_grid)
         grid = GridSpec(((lo, hi),) * problem.n, step)
@@ -266,13 +292,6 @@ def _cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
     else:
         doc["consistent"] = threshold - res.min_value <= res.error_bound
     return doc
-
-
-def _cmd_falsify(args) -> tuple[dict, int]:
-    problem = load_problem(args.problem)
-    verdict = falsify(problem, args.mode)
-    doc = {"command": "falsify", **_verdict_to_doc(verdict)}
-    return doc, _EXIT_CODE[verdict.tag]
 
 
 def _cmd_subdiff(args) -> tuple[dict, int]:
@@ -359,7 +378,8 @@ revopt brute   --problem FILE --mode MODE --box LO HI --step S
 revopt pareto  --problem FILE --box LO HI --step S [--sigma {s|e|w}]
 """
 
-#: flag -> (arity, allowed values, `int` or None); `--a-b`'s value is `args.a_b`
+#: flag -> (arity, allowed values, `int` or None); `--a-b`'s value is `args.a_b`,
+#: None unless given
 _FLAGS = {
     "--problem": (1, None), "--mode": (1, MODES), "--fn": (1, None), "--eps": (1, None),
     "--box": (2, None), "--step": (1, None), "--cross-check-grid": (3, None),
@@ -368,8 +388,8 @@ _FLAGS = {
 
 #: command -> (handler, required flags, optional flags)
 _COMMANDS = {
-    "verify": (_cmd_verify, ("--problem", "--mode"), ("--cross-check-grid", "--seed")),
-    "falsify": (_cmd_falsify, ("--problem", "--mode"), ("--seed",)),
+    "verify": (_cmd_decide, ("--problem", "--mode"), ("--cross-check-grid", "--seed")),
+    "falsify": (_cmd_decide, ("--problem", "--mode"), ("--seed",)),
     "subdiff": (_cmd_subdiff, ("--problem", "--fn", "--eps"), ()),
     "brute": (_cmd_brute, ("--problem", "--mode", "--box", "--step"), ()),
     "pareto": (_cmd_pareto, ("--problem", "--box", "--step"), ("--sigma",)),
@@ -407,7 +427,7 @@ def _parse(argv) -> SimpleNamespace | None:
     missing = [flag for flag in required if flag not in given]
     if missing:
         raise InputError(f"{command}: missing {', '.join(missing)}")
-    names = {flag[2:].replace("-", "_"): given.get(flag) for flag in flags}
+    names = {flag[2:].replace("-", "_"): given.get(flag) for flag in _FLAGS}
     return SimpleNamespace(command=command, handler=handler, **names)
 
 

@@ -22,10 +22,7 @@ free multipliers), each row as its nonzero terms. `_oriented` lays it out, at
 most once per LP (`LinearProgram._system`), from the LP's data in integers
 over one common denominator (`LinearProgram._scaled`), and the tableau and
 `check_outcome` read it. A lower bound's multiplier is the reduced cost of its
-variable's column. A builder that holds that integer data already, as the
-membership probe's template does, hands it over with the LP
-(`LinearProgram._from_scaled`) instead of having it re-derived from the
-`Fraction`s.
+variable's column.
 
 `with_rhs` derives the LP that differs from a template only in its
 right-hand sides, validating only those. When the template's right-hand sides
@@ -43,14 +40,13 @@ fixed by the template and the right-hand sides, whatever was solved before.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .model import INF, NEG_INF, InputError, _built, _lcm_den, _over_common_den, rat
+from .model import INF, NEG_INF, InputError, _built, _over_common_den, rat
 
 __all__ = [
     "LinearProgram",
@@ -123,23 +119,25 @@ class LinearProgram:
         return vals
 
     @classmethod
-    def _from_scaled(cls, scaled, **fields) -> "LinearProgram":
-        """The LP whose fields are `fields` and whose `_scaled` is `scaled`,
-        both as given: nothing is checked or converted. For a builder whose
-        values are valid already and that holds them over one common
-        denominator; the two must describe the same LP."""
-        return _built(cls, _scaled=scaled, **fields)
+    def _trusted(cls, n, objective, sense, rows, lower, upper) -> "LinearProgram":
+        """The LP with these fields as given: nothing is checked or converted.
+        For a builder whose values `rat` returned already, in the shapes that
+        the constructor makes."""
+        return _built(
+            cls, n=n, objective=objective, sense=sense, rows=rows, lower=lower, upper=upper
+        )
 
     @cached_property
     def _scaled(self) -> tuple:
         """The rows and bounds over one common denominator den > 0, the least:
         `(den, rows, lower, upper)`, each row `(coeffs, rhs)` and each bound
         (None where there is none) times den, all ints."""
-        bounds = [v for v in (*self.lower, *self.upper) if v is not None]
-        den = _lcm_den([*bounds, *(v for coeffs, _, rhs in self.rows for v in (*coeffs, rhs))])
+        dens = {v.denominator for coeffs, _, rhs in self.rows for v in (*coeffs, rhs)}
+        dens.update(v.denominator for v in (*self.lower, *self.upper) if v is not None)
+        den = lcm(*dens)
         rows = [
             (
-                [v.numerator * (den // v.denominator) if v else 0 for v in coeffs],
+                [v.numerator * (den // v.denominator) for v in coeffs],
                 rhs.numerator * (den // rhs.denominator),
             )
             for coeffs, _, rhs in self.rows
@@ -189,7 +187,8 @@ class LinearProgram:
         bounds are this LP's, validated already, and are shared, not copied,
         and so is the objective's integer form (`_costs`), made once here for
         every LP derived. The derived LP keeps this one as its template: its
-        solve starts from this LP's (`_solved`). When this LP's right-hand
+        solve starts from this LP's (`_solved`). It carries no other cached
+        value of this LP's. When this LP's right-hand
         sides are all zero, its oriented system is over the least common
         denominator of the coefficients and bounds alone, so the derived LP's,
         when it is asked for, is that system rescaled to take in the
@@ -197,15 +196,17 @@ class LinearProgram:
         rhs = tuple(rat(v) for v in values)
         if len(rhs) != len(self.rows):
             raise InputError("lp: right-hand side length mismatch")
-        lp = object.__new__(type(self))
-        fields = vars(lp)
-        fields.update(vars(self))  # this LP's fields and cached values
-        fields["_costs"] = self._costs
-        fields["rows"] = tuple((coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs))
-        for name in ("_scaled", "_system", "_solved"):  # they read the right-hand sides
-            fields.pop(name, None)
-        fields["_template"] = self
-        return lp
+        return _built(
+            type(self),
+            n=self.n,
+            objective=self.objective,
+            sense=self.sense,
+            rows=tuple((coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs)),
+            lower=self.lower,
+            upper=self.upper,
+            _costs=self._costs,
+            _template=self,
+        )
 
 
 def _oriented(lp: LinearProgram) -> tuple[int, list]:
@@ -689,15 +690,7 @@ def max_component_lp(lp: LinearProgram, index: int) -> LinearProgram:
     if not 0 <= index < lp.n:
         raise InputError(f"component index {index} out of range")
     obj = tuple(_ONE if j == index else _ZERO for j in range(lp.n))
-    # lp's rows and bounds are validated already: copy them, and the oriented
-    # system if lp has built it (it does not read the objective), not rebuild;
-    # what depends on the objective is dropped
-    probe = copy.copy(lp)
-    for name in ("_costs", "_solved", "_template"):
-        vars(probe).pop(name, None)
-    object.__setattr__(probe, "objective", obj)
-    object.__setattr__(probe, "sense", "max")
-    return probe
+    return LinearProgram(lp.n, obj, "max", lp.rows, lp.lower, lp.upper)
 
 
 def lp_max_component(lp: LinearProgram, index: int):

@@ -765,6 +765,9 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
             _, doc = _run(capsys, ["verify", "--problem", path, "--mode", mode])
             replay(load_problem(path), doc)
             reports[Path(path).stem, mode] = doc
+            # A refutation cut to its refuting check replays on its own.
+            if doc["verdict"] == "REFUTED":
+                replay(load_problem(path), {**doc, "checks": doc["checks"][-1:]})
     assert {doc["verdict"] for doc in reports.values()} == {
         "CERTIFIED_ON_GRID", "REFUTED", "INAPPLICABLE"
     }
@@ -794,6 +797,41 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
         (b, forged(("example_b", "rop"), checks=[])),
     ):
         with pytest.raises(CertificateError):
+            replay(problem, doc)
+
+    def certificate(problem, mode, gates, eps_prime):
+        """A certificate whose one check, at (eps', 0), is accepted."""
+        zero = (F(0),)
+        probe = certificates.membership_lp(problem, mode, eps_prime, zero)
+        evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
+        assert evidence.member
+        log = (certificates.CheckRecord(eps_prime, zero, "vertex", evidence),)
+        return cli._verdict_to_doc(
+            certificates.CertificateVerdict("CERTIFIED_ON_GRID", mode, gates=gates, log=log)
+        )
+
+    # x_bar off {h = 0} is INAPPLICABLE at any eps; at eps = 2 its probe at
+    # (0, 0) is accepted, and a report that forges the h=0 gate logs it.
+    off_eps2 = parse_problem({**off, "epsilon": "2"})
+    assert certificates.verify(off_eps2, "rop").reason == "point-not-on-boundary"
+    forged_gate = certificate(off_eps2, "rop", gates, F(0))
+    with pytest.raises(CertificateError, match="gates on x_bar"):
+        replay(off_eps2, forged_gate)
+    # Forgery (1): a refutation without its refuting check, relabelled. And
+    # where a certificate is the check at (0, 0) alone, in convex mode (example
+    # B is refuted there) and after a failed essential gate, a check at
+    # eps' = 10 in its place.
+    assert all(reports["example_b", mode]["verdict"] == "REFUTED" for mode in MODES)
+    convex_gates = (("dom-f", True), ("h<=0", True))
+    for problem, doc in (
+        *(
+            (b, forged(key, checks=reports[key]["checks"][:-1], verdict="CERTIFIED_ON_GRID"))
+            for key in (("example_b", mode) for mode in ("rop", "constrained", "equality"))
+        ),
+        (b, certificate(b, "convex", convex_gates, F(10))),
+        (a1, certificate(a1, "rop", gates, F(10))),
+    ):
+        with pytest.raises(CertificateError, match="the ones a certificate logs"):
             replay(problem, doc)
 
     # A rejected vertex check before the refuting one is no refutation.

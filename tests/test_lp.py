@@ -169,17 +169,14 @@ def test_determinism_repeated_solves():
         assert lp_solve(lp) == lp_solve(lp)
 
 
-def test_max_component_lp_reuses_the_validated_rows(monkeypatch):
+def test_max_component_lp_maximizes_one_variable_and_carries_no_cache():
     lp = LinearProgram(2, (1, 1), rows=(((1, 2), "<=", 3),), lower=(0, None))
-    monkeypatch.setattr("revopt.lp.rat", None)  # no value is parsed again
     probe = max_component_lp(lp, 1)
     assert (probe.objective, probe.sense) == ((0, 1), "max")
     assert (probe.rows, probe.lower, probe.upper) == (lp.rows, lp.lower, lp.upper)
-    assert probe.rows is lp.rows
     assert lp.objective == (1, 1) and lp.sense == "min"
     # What lp cached for its own objective, its solve among it, is not carried
     # over, and neither is a template of lp's: the probe is solved afresh.
-    monkeypatch.undo()
     derived = lp.with_rhs((2,))
     assert isinstance(lp_solve(derived), Unbounded)  # min x + y with y free
     for source in (lp, derived):
@@ -187,6 +184,22 @@ def test_max_component_lp_reuses_the_validated_rows(monkeypatch):
         assert not {"_costs", "_solved", "_template"} & set(vars(probe))
         fresh = LinearProgram(2, (0, 1), "max", source.rows, source.lower)
         assert lp_solve(probe) == lp_solve(fresh) and lp_value(probe, lp_solve(probe)) > 0
+
+
+def test_derived_lps_carry_only_their_fields_and_named_caches():
+    # `with_rhs` and `max_component_lp` build an LP from its fields, so
+    # nothing else that sits in the source LP's instance dict reaches it.
+    lp = LinearProgram(2, (1, 1), rows=(((1, 2), "<=", 0),), lower=(0, None))
+    lp_solve(lp)
+    planted = object()
+    vars(lp)["_planted"] = planted
+    fields = {"n", "objective", "sense", "rows", "lower", "upper"}
+    derived = lp.with_rhs((2,))
+    assert set(vars(derived)) == fields | {"_costs", "_template"}
+    assert vars(derived)["_template"] is lp
+    probe = max_component_lp(lp, 0)
+    assert set(vars(probe)) == fields
+    assert not any(value is planted for value in (*vars(derived).values(), *vars(probe).values()))
 
 
 def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):

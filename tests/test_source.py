@@ -74,6 +74,28 @@ def test_linear_programs_are_assembled_in_four_places_only():
     assert sites == allowed
 
 
+def test_objects_are_built_past_their_constructor_in_four_places_only():
+    # An LP or a model object is made without its constructor's checks only
+    # from values that are valid already: a problem file's parse, the LP
+    # builder for such values, and `with_rhs`, which names the fields and
+    # caches it carries. Nothing copies an object and patches the copy.
+    sites = set()
+    for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites |= {(path.stem, scope) for scope in _calls(tree, "_built")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "copy" not in {alias.name for alias in node.names}, path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "copy", path.name
+    assert sites == {
+        ("model", "_parsed_function"),
+        ("model", "_parsed_problem"),
+        ("lp", "LinearProgram._trusted"),
+        ("lp", "LinearProgram.with_rhs"),
+    }
+
+
 def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
     # One builder turns an LP's Fraction data into its integer oriented
     # system, whose layout every certificate indexes: the LP's cached
