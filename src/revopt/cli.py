@@ -196,6 +196,10 @@ def replay(problem, report: dict) -> None:
     gate, and otherwise the generators of h's eps'-subdifferentials
     (`subdiff_epigraph`), its points as vertex checks and then its rays as
     ray checks; a ray check logs its direction and starts at the first point.
+    A refutation's last check must be at a point of E = {(eps', s) : s in
+    d_eps' h(x_bar)} that `verify` refutes on: (0, 0) in convex mode, and
+    otherwise one of those points, or the first point plus t > 0 times one
+    of those rays; a report cut to that check alone still replays.
 
     Raises CertificateError on any mismatch and on any malformed part that
     replay reads: a missing field, a part of the wrong JSON type, an unknown
@@ -256,6 +260,25 @@ def replay(problem, report: dict) -> None:
             covered = [(*p, "vertex") for p in points] + [(*r, "ray") for r in rays]
         if logged != covered:
             raise CertificateError("the checks are not the ones a certificate logs")
+    elif verdict == REFUTED:
+        eps_prime, generator, _ = logged[-1]
+        if mode == "convex":
+            on_e = eps_prime == 0 and not any(generator)
+        else:
+            points, rays = epigraph or subdiff_epigraph(problem.reverse, problem.point)
+            on_e = (eps_prime, generator) in points or any(
+                _beyond((eps_prime, *generator), (points[0][0], *points[0][1]), (sigma, *c))
+                for sigma, c in rays
+            )
+        if not on_e:
+            raise CertificateError("the refuting check is not a point of E that verify refutes on")
+
+
+def _beyond(point, base, ray) -> bool:
+    """Is point = base + t * ray for some t > 0?"""
+    gap = [p - b for p, b in zip(point, base)]
+    t = next((g / r for g, r in zip(gap, ray) if r), None)
+    return t is not None and t > 0 and all(g == t * r for g, r in zip(gap, ray))
 
 
 # -- commands ------------------------------------------------------------------

@@ -288,8 +288,10 @@ class PolyhedralConvexFunction:
         return self.domain is None or self.domain.contains(x)
 
     def lipschitz_bound(self) -> Fraction:
-        """max_i ||a_i||_1, so |f(x)-f(y)| <= L * ||x-y||_inf on the domain."""
-        return max(sum(abs(c) for c in p.a) for p in self.pieces)
+        """max_i ||a_i||_1, so |f(x)-f(y)| <= L * ||x-y||_inf on the domain;
+        read off the integer image, whose rows are the a_i times D."""
+        den, rows = self._image
+        return Fraction(max([sum(map(abs, a)) for a, _ in rows]), den)
 
     def scaled(self, lam: Fraction) -> "PolyhedralConvexFunction":
         """lam * f for lam > 0 (pieces scale, the domain does not)."""

@@ -5,20 +5,26 @@ point; it only misses off-grid optima, bounded by lipschitz_bound * step.
 The boundary-improvement map pi(x) realizes the interior-to-boundary descent
 argument exactly: the root of h on a segment has a closed form.
 
-The grid is walked a row at a time in integers. On x = lo + step * k every
-affine piece, domain row and constraint is integer-affine in the index vector
-k once scaled by a positive integer, so along the last axis it is an integer
-arithmetic progression c + t * k. A function is the max of its pieces'
+The grid is walked one piece at a time over all rows, in integers. A row is
+the run of points along the last axis at fixed leading indices. On
+x = lo + step * k every affine piece, domain row and constraint is
+integer-affine in the index vector k once scaled by a positive integer, so
+along row r it is an integer arithmetic progression C[r] + t * k; each form's
+constants C on every row are made once per evaluator, by one accumulation
+over the leading axes (`_row_tables`). A function is the max of its pieces'
 progressions, convex in k, so each domain row, {h < 0}, {h <= 0} and each
-{g <= 0} is one index interval of the row, found by one floor or ceiling
-division per piece. The oracle takes a row's feasible points as at most two
-such intervals, cut to dom f, and reads f's least value on each in closed
-form (`_least`); once the best over all rows is known, one more cut leaves
-each interval's run within eps of it, and f's values (the pointwise max of
-its pieces' `range`s) are made only there, for the points the result holds.
-`grid_sample`, `bridge_check` and the boundary report read every point's
-values. f shares one scale with eps; h, each g
-and each domain row have their own, since only their signs are compared.
+{g <= 0} is one index interval of each row, bounded by one floor or ceiling
+division per piece; one pass per piece takes that bound on every row at once
+(`_rows_at_most`). The oracle loops over the rows only to combine these
+intervals: a row's feasible points are at most two intervals, cut to dom f.
+It takes f's pieces to a row only where an interval is kept, and reads f's
+least value on each in closed form (`_least`); once the best over all rows is
+known, one more cut leaves each interval's run within eps of it, and f's
+values (the pointwise max of its pieces' `range`s) are made only there, for
+the points the result holds. `grid_sample`, `bridge_check` and the boundary
+report read every point's values, from the same row tables (`values`). f
+shares one scale with eps; h, each g and each domain row have their own,
+since only their signs are compared.
 The grid keeps its own integer image, lo and step over one common
 denominator, and the evaluators read it together with the integer images the
 model keeps of each function and domain, so building them takes no `Fraction`
@@ -32,7 +38,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import product, repeat
+from itertools import chain, count, product, repeat
 from math import gcd, lcm, prod
 from operator import getitem, mul
 
@@ -158,10 +164,18 @@ def _integer_forms(rows, grid: GridSpec):
     return [(sum(map(mul, a, los), b * q), [v * step for v in a]) for a, b in rows]
 
 
-def _shift(forms, lead):
-    """Integer forms (c, s) shifted to the row at leading indices `lead`:
-    (c', t) with c + <s, (*lead, k)> = c' + t * k."""
-    return [(c + sum(map(mul, s, lead)), s[-1]) for c, s in forms]
+def _row_tables(forms, grid: GridSpec, num=1, den=1):
+    """Each integer form (c, s) from `_integer_forms`, times num / den (den
+    divides every coefficient), as (C, t): C its constant on every row, in
+    the order of `grid.leads()`, and t its step along the row, so that
+    (c + <s, (*lead, k)>) * num / den = C[r] + t * k on row r. C is one
+    nested accumulation over the leading axes."""
+    tables = [([c // den * num], s[-1] // den * num) for c, s in forms]
+    for j, m in enumerate(grid.shape[:-1]):
+        for (consts, _), (_, s) in zip(tables, forms):
+            v = s[j] // den * num
+            consts[:] = [a + v * k for a in consts for k in range(m)]
+    return tables
 
 
 def _at_most(pieces, lo, hi, cut):
@@ -177,6 +191,23 @@ def _at_most(pieces, lo, hi, cut):
             lo = max(lo, -((c - cut) // t))
         elif c > cut:
             return lo, lo
+    return lo, hi
+
+
+def _rows_at_most(pieces, lo, hi, cut):
+    """`_at_most` on every row at once: per row r, the index interval
+    [lo'[r], hi'[r]) of the k in [lo[r], hi[r]) where
+    max_i (C_i[r] + t_i * k) <= cut, for row tables (C_i, t_i). One pass per
+    piece over all rows: a rising piece lowers every row's hi, a falling one
+    raises every row's lo, and a flat one empties the rows where it is above
+    the cut. With every lo >= 0, a row is empty where lo' >= hi'."""
+    for consts, t in pieces:
+        if t > 0:
+            hi = [min(b, (cut - c) // t + 1) for c, b in zip(consts, hi)]
+        elif t < 0:
+            lo = [max(a, -((c - cut) // t)) for c, a in zip(consts, lo)]
+        else:
+            hi = [0 if c > cut else b for c, b in zip(consts, hi)]
     return lo, hi
 
 
@@ -219,49 +250,66 @@ def _least(pieces, lo, hi) -> int:
 
 
 class _GridEvaluator:
-    """Exact scaled values of a polyhedral function on a grid, one row at a time.
+    """Exact scaled values of a polyhedral function on a grid, all rows at once.
 
-    A row is the run of points along the last axis at fixed leading indices.
-    Scaled by `scale`, each piece is integer-affine in the index vector, so
-    along a row it is an integer arithmetic progression c + t * k (`shifted`);
-    each domain row, scaled on its own, keeps the points where its progression
-    is <= 0, so the row's domain is one index interval (`domain`). `scale` is
-    the least positive integer that clears the pieces' denominators on the
-    grid and those of `extra`.
+    A row is the run of points along the last axis at fixed leading indices,
+    numbered in the order of `grid.leads()`. Scaled by `scale`, each piece is
+    integer-affine in the index vector, so along row r it is an integer
+    arithmetic progression C[r] + t * k; `pieces` holds each piece's table
+    (C, t) from `_row_tables`, and `dom_rows` each domain row's, scaled on
+    its own. A domain row keeps the points where its progression is <= 0, so
+    each row's domain is one index interval: `domain` holds their bounds
+    (lo, hi) as two lists, a row empty where lo >= hi. `scale` is the least
+    positive integer that clears the pieces' denominators on the grid and
+    those of `extra`.
     """
 
     def __init__(self, fn: PolyhedralConvexFunction, grid: GridSpec, extra=()):
-        den, rows = fn._image
-        forms = _integer_forms(rows, grid)
+        den, image = fn._image
+        forms = _integer_forms(image, grid)
         # The pieces are forms / (D q); their least scale is D q / g.
         big = den * grid._image[0]
-        g = gcd(big, *(v for c, s in forms for v in (c, *s)))
+        g = gcd(big, *[v for c, s in forms for v in (c, *s)])
         self.scale = lcm(big // g, *(e.denominator for e in extra))
-        t = self.scale * g // big
-        self.pieces = [(c // g * t, [v // g * t for v in s]) for c, s in forms]
+        self.pieces = _row_tables(forms, grid, self.scale * g // big, g)
+        self.m = m = grid.shape[-1]
+        rows = len(self.pieces[0][0])
         self.dom_rows = []
         if fn.domain is not None:
-            self.dom_rows = _integer_forms(((a, -b) for a, b, _ in fn.domain._rows), grid)
-        self.m = grid.shape[-1]
+            self.dom_rows = _row_tables(
+                _integer_forms(((a, -b) for a, b, _ in fn.domain._rows), grid), grid
+            )
+        self.domain = _rows_at_most(self.dom_rows, [0] * rows, [m] * rows, 0)
 
-    def domain(self, lead) -> tuple[int, int]:
-        """The index interval [lo, hi) of the row inside the domain, empty
-        when lo >= hi."""
-        return _at_most(_shift(self.dom_rows, lead), 0, self.m, 0)
+    def at_most(self, cut, lo=None, hi=None) -> tuple[list, list]:
+        """Per row, the index interval [lo', hi') of the domain where the
+        scaled function is <= cut, as two lists, a row empty where
+        lo' >= hi'; with lists lo and hi, only within each row's [lo, hi)."""
+        d_lo, d_hi = self.domain
+        if lo is not None:
+            d_lo, d_hi = list(map(max, lo, d_lo)), list(map(min, hi, d_hi))
+        return _rows_at_most(self.pieces, d_lo, d_hi, cut)
 
-    def shifted(self, lead) -> list:
-        """The scaled pieces along the row as progressions (c, t) in k."""
-        return _shift(self.pieces, lead)
+    def along(self, r) -> list:
+        """The scaled pieces along row r as progressions (c, t) in k."""
+        return [(consts[r], t) for consts, t in self.pieces]
 
-    def row(self, lead) -> list:
-        """Scaled values along the row at leading indices `lead`; INF off dom."""
-        lo, hi = self.domain(lead)
-        if hi <= lo:
-            return [INF] * self.m
-        vals = _values(self.shifted(lead), lo, hi)
-        if lo == 0 and hi == self.m:
-            return vals
-        return [INF] * lo + vals + [INF] * (self.m - hi)
+    def values(self) -> list:
+        """Scaled values at every grid point, in the order of `grid.points()`;
+        INF off dom."""
+        m = self.m
+        runs = [
+            chain.from_iterable([range(c, c + t * m, t) if t else repeat(c, m) for c in consts])
+            for consts, t in self.pieces
+        ]
+        vals = list(runs[0]) if len(runs) == 1 else list(map(max, *runs))
+        for start, lo, hi in zip(range(0, len(vals), m), *self.domain):
+            if lo > 0 or hi < m:
+                lo = min(lo, m)
+                hi = max(lo, min(hi, m))
+                vals[start : start + lo] = repeat(INF, lo)
+                vals[start + hi : start + m] = repeat(INF, m - hi)
+        return vals
 
 
 def _grid_images(f, h, grid: GridSpec, extra=()):
@@ -269,12 +317,10 @@ def _grid_images(f, h, grid: GridSpec, extra=()):
     dom f or dom h, each criterion scaled to integers by its own positive
     factor (f's also clears the denominators of `extra`); and the factors."""
     f_ev, h_ev = _GridEvaluator(f, grid, extra), _GridEvaluator(h, grid)
-    images = []
-    for lead in grid.leads():
-        images += [
-            None if fv == INF or hv == INF else (fv, -hv)
-            for fv, hv in zip(f_ev.row(lead), h_ev.row(lead))
-        ]
+    images = [
+        None if fv == INF or hv == INF else (fv, -hv)
+        for fv, hv in zip(f_ev.values(), h_ev.values())
+    ]
     return images, f_ev.scale, h_ev.scale
 
 
@@ -309,37 +355,41 @@ def _shared(key, result):
     return result
 
 
-def _feasible_runs(mode, h_ev, g_evs, lead) -> list:
-    """The feasible points of the row at `lead` as at most two nonempty index
-    intervals [a, b), in order. Along a row h and each g are convex, so
-    {h < 0}, {h <= 0} and {g <= 0} are intervals of their domains."""
-    lo, hi = h_ev.domain(lead)
-    h = h_ev.shifted(lead)
-    if mode == "convex":
-        runs = [_at_most(h, lo, hi, 0)]
-    else:
-        # h < 0 on [a, b); elsewhere h >= 0, or h = +inf off dom h.
-        a, b = _at_most(h, lo, hi, -1)
-        start, stop = _at_most(h, lo, hi, 0) if mode == "equality" else (0, h_ev.m)
-        runs = [(start, stop)] if a >= b else [(start, a), (b, stop)]
-    runs = [(a, b) for a, b in runs if a < b]
+def _feasible_runs(mode, h_ev, g_evs) -> list:
+    """The feasible points of every row as (r, a, b) for each nonempty index
+    interval [a, b) of row r, at most two per row, in grid order. Along a row
+    h and each g are convex, so {h < 0}, {h <= 0} and {g <= 0} are intervals
+    of their domains, each read for all rows in one pass per piece."""
+    m, rows = h_ev.m, len(h_ev.domain[0])
+    # Each row's window: the points where every g <= 0, and h <= 0 outside
+    # reverse mode.
+    lo, hi = [0] * rows, [m] * rows
     for g_ev in g_evs:
-        if not runs:
-            break
-        lo, hi = _at_most(g_ev.shifted(lead), *g_ev.domain(lead), 0)
-        runs = [(max(a, lo), min(b, hi)) for a, b in runs]
-        runs = [(a, b) for a, b in runs if a < b]
+        lo, hi = g_ev.at_most(0, lo, hi)
+    if mode == "equality" or mode == "convex":
+        lo, hi = h_ev.at_most(0, lo, hi)
+    if mode == "convex":
+        return [(r, a, b) for r, a, b in zip(count(), lo, hi) if a < b]
+    runs = []
+    # h < 0 on [a, b); elsewhere h >= 0, or h = +inf off dom h.
+    for r, a, b, start, stop in zip(count(), *h_ev.at_most(-1), lo, hi):
+        for a, b in ((start, stop),) if a >= b else ((start, min(a, stop)), (max(b, start), stop)):
+            if a < b:
+                runs.append((r, a, b))
     return runs
 
 
 def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> BruteResult:
     """Exact eps-argmin over the feasible grid points for the given mode.
 
-    Two passes over the rows. The first keeps each row's feasible intervals
-    inside dom f and takes the best value from `_least` on each, one step per
-    pair of a falling and a rising piece of f, not a value per point. The
-    second cuts each kept interval to its run {f <= best + eps} and makes f's
-    values only there: no other point of the grid gets a value of f.
+    h and each g are read on all rows at once, one pass per piece
+    (`_feasible_runs`); the rows are then looped over only where they keep a
+    feasible interval. The first loop cuts each interval to dom f, takes f's
+    pieces to the row, and takes the best value from `_least` on each, one
+    step per pair of a falling and a rising piece of f, not a value per
+    point. The second cuts each kept interval to its run {f <= best + eps}
+    and makes f's values only there: no other point of the grid gets a value
+    of f.
 
     `feasible_count` counts the grid points that pass the mode's h and g
     test, those where f = +inf included; `min_value` is INF when f = +inf at
@@ -354,23 +404,20 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
     g_evs = []
     if mode == "constrained-reverse":
         g_evs = [_GridEvaluator(g, grid) for g in problem.constraints]
-    eps = int(problem.epsilon * f_ev.scale)
+    eps = f_ev.scale // problem.epsilon.denominator * problem.epsilon.numerator
 
     feasible = 0
-    # (leading indices, f's pieces along the row, a, b) for each feasible
-    # run [a, b) of a row, cut to dom f
+    # (row, f's pieces along it, a, b) for each feasible run [a, b) of a row,
+    # cut to dom f
     kept = []
-    for lead in grid.leads():
-        runs = _feasible_runs(mode, h_ev, g_evs, lead)
-        if not runs:
-            continue
-        lo, hi = f_ev.domain(lead)
-        pieces = f_ev.shifted(lead)
-        for a, b in runs:
-            feasible += b - a
-            a, b = max(a, lo), min(b, hi)
-            if a < b:
-                kept.append((lead, pieces, a, b))
+    f_lo, f_hi = f_ev.domain
+    for r, a, b in _feasible_runs(mode, h_ev, g_evs):
+        feasible += b - a
+        a, b = max(a, f_lo[r]), min(b, f_hi[r])
+        if a < b:
+            if not kept or kept[-1][0] != r:
+                pieces = f_ev.along(r)
+            kept.append((r, pieces, a, b))
     bound = problem.objective.lipschitz_bound() * grid.step
     if feasible == 0:
         return BruteResult(mode, 0, None, (), (), bound)
@@ -383,10 +430,11 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
     # order: f is convex along a row, so a run's points within eps of the
     # best are one run.
     near = []
-    for lead, pieces, a, b in kept:
+    leads = list(grid.leads())
+    for r, pieces, a, b in kept:
         a, b = _at_most(pieces, a, b, threshold)
         if a < b:
-            near += zip(repeat(lead), range(a, b), _values(pieces, a, b))
+            near += zip(repeat(leads[r]), range(a, b), _values(pieces, a, b))
     ticks = grid._ticks
 
     # Equal slacks share one object.
@@ -475,7 +523,7 @@ def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
     # f and eps share one scale; -h is compared only with 0.
     images, f_scale, _ = _grid_images(f, h, grid, (eps,))
     fvals, neg_h = zip(*images)
-    eps = int(eps * f_scale)
+    eps = f_scale // eps.denominator * eps.numerator
     pts = list(grid.points())
     feas = [i for i, v in enumerate(neg_h) if v <= 0]
     if not feas:

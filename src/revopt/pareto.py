@@ -186,7 +186,7 @@ def bridge_check(f, h, box, step, eps) -> BridgeReport:
     # Scaling each criterion by a positive factor, and eps with f, keeps
     # every set below.
     images, f_scale, _ = _grid_images(f, h, GridSpec(tuple(box), step), (eps,))
-    return _bridge(images, int(eps * f_scale))
+    return _bridge(images, f_scale // eps.denominator * eps.numerator)
 
 
 def _bridge(images, eps) -> BridgeReport:

@@ -244,7 +244,7 @@ def brute_eps_argmin(problem, mode, grid: GridSpec) -> BruteResult:
             continue
         best = val if best is None else min(best, val)
         seen.append((idx, val))
-    bound = problem.objective.lipschitz_bound() * grid.step
+    bound = max(sum(abs(c) for c in p.a) for p in problem.objective.pieces) * grid.step
     if feasible == 0:
         return BruteResult(mode, 0, None, (), (), bound)
     if best is None:

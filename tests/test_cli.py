@@ -346,24 +346,24 @@ def test_pareto_command(problem_a, capsys):
 
 def test_pareto_command_samples_the_grid_once(monkeypatch, capsys):
     calls = []
-    row = oracle._GridEvaluator.row
+    values = oracle._GridEvaluator.values
 
-    def recording_row(self, lead):
-        calls.append(lead)
-        return row(self, lead)
+    def recording_values(self):
+        calls.append(self.m)
+        return values(self)
 
     def no_pointwise_value(self, x):
-        raise AssertionError("the grid is evaluated a row at a time")
+        raise AssertionError("the grid is evaluated all rows at once")
 
     problems = Path(__file__).resolve().parent.parent / "problems"
     for name in ("example_a.json", "example_b.json"):
         path = str(problems / name)
         argv = ["pareto", "--problem", path, "--box", "-1", "1", "--step", "1/2"]
-        monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+        monkeypatch.setattr(oracle._GridEvaluator, "values", recording_values)
         monkeypatch.setattr(PolyhedralConvexFunction, "value", no_pointwise_value)
         calls.clear()
         code, doc = _run(capsys, [*argv, "--sigma", "w"])
-        assert calls == [(), ()]  # f and h on the one row of 5 grid points
+        assert calls == [5, 5]  # f and h once each, on the one row of 5 grid points
         monkeypatch.undo()
         p = load_problem(path)
         box = ((F(-1), F(1)),)
@@ -599,6 +599,42 @@ def test_replay_covers_ray_checks(tmp_path, capsys):
     ray["generator"] = ["2"]  # a direction the report did not check
     with pytest.raises(CertificateError):
         replay(problem, rep)
+
+
+def test_replay_takes_a_refutation_beyond_a_ray_only_on_that_ray(tmp_path, capsys):
+    # h = 2x - 2 on dom h = {x >= -1} at x_bar = 1: E is (0, 2) plus the cone
+    # of (1, 0) and the ray (2, -1). The check at (0, 2) is accepted, the ray
+    # from it leaves the union, and verify refutes at (6, -1) beyond it.
+    doc = {
+        "n": 1,
+        "objective": {"pieces": [{"a": ["1"], "b": "-3"}]},
+        "reverse": {
+            "pieces": [{"a": ["2"], "b": "-2"}],
+            "domain": {"A": [["-1"]], "b": ["1"]},
+        },
+        "point": ["1"],
+        "epsilon": "0",
+    }
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(doc))
+    _, rep = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+    problem = load_problem(str(path))
+    assert [(c["eps_prime"], c["generator"], c["kind"]) for c in rep["checks"]] == [
+        ("0", ["2"], "vertex"), ("2", ["-1"], "ray"), ("6", ["-1"], "vertex")
+    ]
+    assert rep["verdict"] == "REFUTED"
+    replay(problem, rep)
+    replay(problem, {**rep, "checks": rep["checks"][-1:]})
+    # (6, -2) is rejected too, but lies on no ray from (0, 2).
+    probe = certificates.membership_lp(problem, "rop", F(6), (F(-2),))
+    evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
+    assert not evidence.member
+    log = (certificates.CheckRecord(F(6), (F(-2),), "vertex", evidence),)
+    forged = cli._verdict_to_doc(
+        certificates.CertificateVerdict("REFUTED", "rop", gates=rep["gates"], log=log)
+    )
+    with pytest.raises(CertificateError, match="not a point of E"):
+        replay(problem, forged)
 
 
 def test_replay_covers_convex_mode(tmp_path, capsys):
@@ -839,6 +875,30 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
     last = refuted["checks"][-1]
     with pytest.raises(CertificateError):
         replay(b, {**refuted, "checks": [last, last]})
+
+    def refutation(problem, mode, gates, eps_prime, xstar):
+        """A refutation whose one check, at (eps', x*), is rejected."""
+        probe = certificates.membership_lp(problem, mode, eps_prime, xstar)
+        evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
+        assert not evidence.member
+        log = (certificates.CheckRecord(eps_prime, xstar, "vertex", evidence),)
+        return cli._verdict_to_doc(
+            certificates.CertificateVerdict("REFUTED", mode, gates=gates, log=log)
+        )
+
+    # A refutation on a point off E = {(eps', s) : s in d_eps' h(x_bar)}:
+    # d_0 h(1) = {1} for example A, which verify certifies in rop mode; and
+    # example B, refuted in every mode, with its refuting check moved off E.
+    a = load_problem(next(str(p) for p in PROBLEMS if p.name == "example_a.json"))
+    assert reports["example_a", "rop"]["verdict"] == "CERTIFIED_ON_GRID"
+    passed = [["dom-f", True], ["h=0", True], ["essential", True]]
+    gates_of = {mode: reports["example_b", mode]["gates"] for mode in MODES}
+    for problem, doc in (
+        (a, refutation(a, "rop", passed, F(0), (F(-7),))),
+        *((b, refutation(b, mode, gates_of[mode], F(0), (F(-7),))) for mode in MODES),
+    ):
+        with pytest.raises(CertificateError, match="not a point of E"):
+            replay(problem, doc)
 
 
 def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import groupby, product
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -94,6 +95,40 @@ def _valley(rng, n):
     return PolyhedralConvexFunction(n, tuple(pieces))
 
 
+def _lead_point(rng, grid):
+    """A point strictly inside the grid's box on its leading axes, off the
+    grid's ticks, and 0 on the last axis."""
+    point = []
+    for (lo, hi), m in zip(grid.box[:-1], grid.shape[:-1]):
+        k = rng.randrange(m - 1)
+        point.append(lo + grid.step * (k + F(rng.randint(1, 4), 5)))
+    return (*point, F(0))
+
+
+def _flat_piece(rng, grid):
+    """A piece flat along the last axis that crosses 0 between two rows, so
+    that it is > 0 on some rows and < 0 on the others."""
+    n = grid.n
+    a = [_rational(rng) for _ in range(n - 1)] + [F(0)]
+    a[rng.randrange(n - 1)] = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(DENOMINATORS))
+    return AffineForm(tuple(a), -sum(x * y for x, y in zip(a, _lead_point(rng, grid))))
+
+
+def _row_domain(rng, grid):
+    """A domain flat along the last axis that leaves out whole rows on one
+    side of a point between two rows."""
+    piece = _flat_piece(rng, grid)
+    return HPolyhedron((piece.a,), (-piece.b,), grid.n)
+
+
+def _with_flat_rows(rng, grid, fn, domain=False):
+    """fn with one more piece flat along the last axis, and with `domain`, a
+    domain that leaves out whole rows."""
+    pieces = (*fn.pieces, _flat_piece(rng, grid))
+    domain = _row_domain(rng, grid) if domain else fn.domain
+    return PolyhedralConvexFunction(grid.n, pieces, domain)
+
+
 def _case(seed, n):
     rng = random.Random(seed)
     grid = _grid(rng, n)
@@ -106,20 +141,32 @@ def _case(seed, n):
         h = _bowl(rng, grid)
     gs = tuple(_fn(rng, n, domain=rng.random() < 0.4) for _ in range(rng.randint(0, 2)))
     eps = F(rng.randint(0, 6), rng.choice(DENOMINATORS))
-    if seed >= VALLEY_SEEDS:
+    if VALLEY_SEEDS <= seed < ROWS_SEEDS:
         f, eps = _valley(rng, n), F(rng.randint(0, 40), rng.choice((1, 2)))
+    if seed >= ROWS_SEEDS:
+        # Flat pieces and domain rows that take out whole rows of h, of a g
+        # and of f, different rows for each.
+        h = _with_flat_rows(rng, grid, h, domain=rng.random() < 0.5)
+        gs = (_with_flat_rows(rng, grid, _fn(rng, n), domain=True),)
+        f = PolyhedralConvexFunction(n, f.pieces, _row_domain(rng, grid))
     return ReverseProblem(n, f, h, (F(0),) * n, eps, gs), grid
 
 
-#: cases from this seed on take h from `_bowl`, and from the next one on
-#: also f from `_valley` and an eps up to 40
-BOWL_SEEDS, VALLEY_SEEDS = 100, 200
-CASES = [(seed, n) for n in (1, 2, 3) for seed in range(12 * n, 12 * n + 12)] + [
-    (seed, n)
-    for base in (BOWL_SEEDS, VALLEY_SEEDS)
-    for n in (1, 2, 3)
-    for seed in range(base + 4 * n, base + 4 * n + 4)
-]
+#: cases from this seed on take h from `_bowl`; from the next one on also f
+#: from `_valley` and an eps up to 40; from the last one on, instead of f from
+#: `_valley`, h, one g and f each lose whole rows to a piece or a domain row
+#: flat along the last axis
+BOWL_SEEDS, VALLEY_SEEDS, ROWS_SEEDS = 100, 200, 300
+CASES = (
+    [(seed, n) for n in (1, 2, 3) for seed in range(12 * n, 12 * n + 12)]
+    + [
+        (seed, n)
+        for base in (BOWL_SEEDS, VALLEY_SEEDS)
+        for n in (1, 2, 3)
+        for seed in range(base + 4 * n, base + 4 * n + 4)
+    ]
+    + [(seed, n) for n in (2, 3) for seed in range(ROWS_SEEDS + 4 * n, ROWS_SEEDS + 4 * n + 4)]
+)
 
 
 @pytest.mark.parametrize("seed,n", CASES)
@@ -229,12 +276,48 @@ def _argmin_branches(problem, grid):
     return hit
 
 
+def _pass_branches(problem, grid):
+    """The shapes that one pass over all rows meets, read off the pieces and
+    the reference's values at every point: a piece of h or a g flat along
+    the last axis (t = 0) that is > 0 on some rows, all of which it empties,
+    while another row keeps a point <= 0; a domain row that empties whole
+    rows but not all; and n = 3 with both leading axes longer than one."""
+    hit = set()
+    axes, rows = grid.axes(), _reference_rows(problem, grid)
+    leads = list(grid.leads())
+    for i, fn in enumerate((problem.objective, problem.reverse, *problem.constraints)):
+        vals = [row[i] for row in rows]
+        kept = any(v <= 0 for row in vals for v in row)
+        for piece in fn.pieces if i else ():
+            if piece.a[-1] == 0 and kept:
+                at = [
+                    piece.b + sum(a * axis[k] for a, axis, k in zip(piece.a, axes, lead))
+                    for lead in leads
+                ]
+                if any(v > 0 for v in at):
+                    hit.add("a flat piece empties some rows but not others")
+        empty = [all(v == INF for v in row) for row in vals]
+        if fn.domain is not None and any(empty) and not all(empty):
+            hit.add("a domain row empties whole rows")
+    if grid.n == 3 and min(grid.shape[:-1]) > 1:
+        hit.add("n = 3 with both leading axes longer than one")
+    return hit
+
+
+#: the shapes of `_pass_branches`, which some case meets all on one grid
+PASS_BRANCHES = {
+    "a flat piece empties some rows but not others",
+    "a domain row empties whole rows",
+    "n = 3 with both leading axes longer than one",
+}
+
+
 def test_reference_cases_reach_every_branch():
     # The comparisons above mean something only if the cases hit feasible
     # points in every mode, off-domain points, argmin sets of several points,
     # every shape of a row's feasible intervals, and every shape of f on them
     # and of the eps-argmin across rows.
-    feasible, off_domain, several, rows = set(), 0, 0, set()
+    feasible, off_domain, several, together, rows = set(), 0, 0, 0, set()
     for seed, n in CASES:
         problem, grid = _case(seed, n)
         for mode in ORACLE_MODES:
@@ -243,9 +326,11 @@ def test_reference_cases_reach_every_branch():
                 feasible.add(mode)
             off_domain += res.min_value == float("inf")
             several += len(res.eps_argmin) > 1
-        rows |= _row_branches(problem, grid) | _argmin_branches(problem, grid)
+        passes = _pass_branches(problem, grid)
+        together += passes == PASS_BRANCHES
+        rows |= _row_branches(problem, grid) | _argmin_branches(problem, grid) | passes
     assert feasible == set(ORACLE_MODES)
-    assert off_domain and several
+    assert off_domain and several and together
     assert rows == {
         "no h < 0",
         "h < 0 on the whole row",
@@ -265,6 +350,7 @@ def test_reference_cases_reach_every_branch():
         "the best falls on a later row",
         "eps = 0",
         "dom f cuts a feasible run",
+        *PASS_BRANCHES,
     }
 
 
@@ -323,6 +409,13 @@ def _primitive(w):
     return tuple(x // g for x in w) if g else tuple(w)
 
 
+def _row_table(forms, grid):
+    """Each integer form (c, s) as (C, t): C[r] = c + <s, (*lead, 0)> at the
+    r-th leading indices of `grid.leads()`, and t = s[-1]."""
+    leads = list(grid.leads())
+    return [([c + sum(map(mul, s, lead)) for lead in leads], s[-1]) for c, s in forms]
+
+
 def test_grid_evaluators_match_the_fraction_forms():
     # Pieces and domains take denominators in {1, 2, 3, 5, 7}; lo and step in
     # {11, 13}, eps in {17, 19}: every scale mixes denominators of all three.
@@ -342,15 +435,17 @@ def test_grid_evaluators_match_the_fraction_forms():
         extra = (F(rng.randint(1, 9), rng.choice((17, 19))),) if trial % 3 else ()
         ev = _GridEvaluator(fn, grid, extra)
         forms = ((p.a, p.b) for p in fn.pieces)
-        assert (ev.pieces, ev.scale) == reference.reference_integer_forms(forms, grid, extra)
+        ref_forms, scale = reference.reference_integer_forms(forms, grid, extra)
+        assert (ev.pieces, ev.scale) == (_row_table(ref_forms, grid), scale)
         # A domain row may keep any positive scale: only its sign is read.
         if fn.domain is None:
             assert ev.dom_rows == []
             continue
         assert len(ev.dom_rows) == fn.domain.m
-        for (c, s), row, rhs in zip(ev.dom_rows, fn.domain.a, fn.domain.b):
-            ((c0, s0),), _ = reference.reference_integer_forms([(row, -rhs)], grid)
-            assert _primitive((c, *s)) == _primitive((c0, *s0))
+        for (consts, t), row, rhs in zip(ev.dom_rows, fn.domain.a, fn.domain.b):
+            ref_row, _ = reference.reference_integer_forms([(row, -rhs)], grid)
+            ((consts0, t0),) = _row_table(ref_row, grid)
+            assert _primitive((*consts, t)) == _primitive((*consts0, t0))
 
 
 def test_grid_evaluators_walk_their_rows_without_fraction_arithmetic(monkeypatch):
@@ -367,8 +462,9 @@ def test_grid_evaluators_walk_their_rows_without_fraction_arithmetic(monkeypatch
         for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
             patch.setattr(F, name, no_arithmetic)
         ev = _GridEvaluator(fn, grid, (F(1, 19),))
-        rows = [ev.row(lead) for lead in grid.leads()]
-    values = [v if v == INF else F(v, ev.scale) for row in rows for v in row]
+        scaled = ev.values()
+        ev.at_most(0)
+    values = [v if v == INF else F(v, ev.scale) for v in scaled]
     ref = reference.GridEvaluator(fn, grid.axes())
     assert values == [ref.value(idx) for idx in product(*map(range, grid.shape))]
     assert INF in values and len(set(values)) > 2  # the domain cuts the grid

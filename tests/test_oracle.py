@@ -152,70 +152,81 @@ def test_boundary_equivalence_inapplicable_when_essential_fails():
 
 
 def _record_rows(monkeypatch):
-    """Patch the grid layer to record, per call, (function, leading indices)
-    for each row a function's pieces are shifted to, (function, leading
-    indices, lo, hi) for each run of values made from them and for each run
-    whose least value is taken from them, and any full row of values asked
-    for."""
-    calls = {"shifted": [], "values": [], "least": [], "row": []}
-    init, shifted = oracle._GridEvaluator.__init__, oracle._GridEvaluator.shifted
+    """Patch the grid layer to record, per call, (function, number of forms)
+    for each evaluator made, the forms being its pieces and domain rows each
+    turned into one row table; (function, row) for each row a function's
+    pieces are taken to; (function, row, lo, hi) for each run of values made
+    from them and for each run whose least value is taken from them; and
+    each evaluator asked for its values at every grid point."""
+    calls = {"tables": [], "along": [], "values": [], "least": [], "grid values": []}
+    init, along = oracle._GridEvaluator.__init__, oracle._GridEvaluator.along
+    tables = oracle._row_tables
     values, least = oracle._values, oracle._least
-    made = {}  # id of a shifted piece list -> (its list, function, lead)
+    made = {}  # id of a piece list taken to a row -> (its list, function, row)
+    forms = []  # forms turned into tables since the last evaluator was made
+
+    def recording_tables(forms_, grid, *scale):
+        forms.extend(forms_)
+        return tables(forms_, grid, *scale)
 
     def recording_init(self, fn, grid, extra=()):
+        forms.clear()
         init(self, fn, grid, extra)
         self.fn = fn
+        calls["tables"].append((fn, len(forms)))
 
-    def recording_shifted(self, lead):
-        pieces = shifted(self, lead)
-        calls["shifted"].append((self.fn, lead))
-        made[id(pieces)] = (pieces, self.fn, lead)
+    def recording_along(self, r):
+        pieces = along(self, r)
+        calls["along"].append((self.fn, r))
+        made[id(pieces)] = (pieces, self.fn, r)
         return pieces
 
     def recording_values(pieces, lo, hi):
-        _, fn, lead = made[id(pieces)]
-        calls["values"].append((fn, lead, lo, hi))
+        _, fn, r = made[id(pieces)]
+        calls["values"].append((fn, r, lo, hi))
         return values(pieces, lo, hi)
 
     def recording_least(pieces, lo, hi):
-        _, fn, lead = made[id(pieces)]
-        calls["least"].append((fn, lead, lo, hi))
+        _, fn, r = made[id(pieces)]
+        calls["least"].append((fn, r, lo, hi))
         return least(pieces, lo, hi)
 
-    def recording_row(self, lead):
-        calls["row"].append((self.fn, lead))
+    def recording_grid_values(self):
+        calls["grid values"].append(self.fn)
 
+    monkeypatch.setattr(oracle, "_row_tables", recording_tables)
     monkeypatch.setattr(oracle._GridEvaluator, "__init__", recording_init)
-    monkeypatch.setattr(oracle._GridEvaluator, "shifted", recording_shifted)
-    monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+    monkeypatch.setattr(oracle._GridEvaluator, "along", recording_along)
+    monkeypatch.setattr(oracle._GridEvaluator, "values", recording_grid_values)
     monkeypatch.setattr(oracle, "_values", recording_values)
     monkeypatch.setattr(oracle, "_least", recording_least)
     return calls
 
 
 def test_brute_reads_h_and_g_as_intervals_and_makes_f_only_where_feasible(monkeypatch):
-    # Rows run along x2 at fixed x1 in {-1, -1/2, 0, 1/2, 1}. h = x1 passes
-    # h >= 0 on the rows x1 >= 0, g = 1/2 - x1 <= 0 holds on x1 >= 1/2 only:
-    # h's pieces are shifted to every row, g's only to rows where some point
-    # passes h, and neither makes a value. f's least value is read once per
-    # feasible interval (here the whole row) in closed form, and f's values
-    # are made only on each feasible row's eps-near run; no function is
-    # shifted twice to a row.
+    # Rows run along x2 at fixed x1 in {-1, -1/2, 0, 1/2, 1}, rows 0-4. h = x1
+    # passes h >= 0 on the rows x1 >= 0, g = 1/2 - x1 <= 0 holds on x1 >= 1/2
+    # only. Each function's pieces become one row table per call, g's only in
+    # constrained mode, and h and g are read from their tables for all rows
+    # at once, without a value. f's pieces are taken only to the rows with a
+    # feasible point, once each; f's least value is read once per feasible
+    # interval (here the whole row) in closed form, and f's values are made
+    # only on each feasible row's eps-near run.
     calls = _record_rows(monkeypatch)
     f = fn(2, ((0, 1), 0), ((0, -1), 0))
     h = fn(2, ((1, 0), 0))
     g = fn(2, ((-1, 0), F(1, 2)))
     p = ReverseProblem(2, f, h, (F(0), F(0)), F(1, 2), (g,))
     grid = GridSpec(((F(-1), F(1)),) * 2, F(1, 2))
-    rows = {x1: (k,) for k, x1 in enumerate((F(-1), F(-1, 2), F(0), F(1, 2), F(1)))}
+    rows = {x1: r for r, x1 in enumerate((F(-1), F(-1, 2), F(0), F(1, 2), F(1)))}
     expect = {
-        # mode: (rows where h passes, rows with a feasible point)
-        "reverse": ({0, F(1, 2), 1}, {0, F(1, 2), 1}),
-        "equality": ({0}, {0}),
-        "constrained-reverse": ({0, F(1, 2), 1}, {F(1, 2), 1}),
-        "convex": ({-1, F(-1, 2), 0}, {-1, F(-1, 2), 0}),
+        # mode: rows with a feasible point
+        "reverse": {0, F(1, 2), 1},
+        "equality": {0},
+        "constrained-reverse": {F(1, 2), 1},
+        "convex": {-1, F(-1, 2), 0},
     }
-    for mode, (h_rows, feasible_rows) in expect.items():
+    for mode, feasible_rows in expect.items():
         for log in calls.values():
             log.clear()
         res = brute_eps_argmin(p, mode, grid)
@@ -225,16 +236,14 @@ def test_brute_reads_h_and_g_as_intervals_and_makes_f_only_where_feasible(monkey
         assert res.eps_argmin == tuple(
             (x1, x2) for x1 in sorted(feasible_rows) for x2 in (F(-1, 2), F(0), F(1, 2))
         )
-        shifted = calls["shifted"]
-        assert len(set(shifted)) == len(shifted) and calls["row"] == []
-        seen = {fn_: [lead for key, lead in shifted if key is fn_] for fn_ in (f, h, g)}
-        assert seen[h] == list(rows.values())
-        g_rows = h_rows if mode == "constrained-reverse" else set()
-        assert seen[g] == [rows[x1] for x1 in sorted(g_rows)]
-        assert seen[f] == [rows[x1] for x1 in sorted(feasible_rows)]
-        assert calls["least"] == [(f, rows[x1], 0, 5) for x1 in sorted(feasible_rows)]
+        # One table per form: f's two pieces, h's and g's one piece each.
+        tabled = [(f, 2), (h, 1)] + ([(g, 1)] if mode == "constrained-reverse" else [])
+        assert calls["tables"] == tabled and calls["grid values"] == []
+        feasible = [rows[x1] for x1 in sorted(feasible_rows)]
+        assert calls["along"] == [(f, r) for r in feasible]
+        assert calls["least"] == [(f, r, 0, 5) for r in feasible]
         # x2 in {-1/2, 0, 1/2} is the index run [1, 4).
-        assert calls["values"] == [(f, rows[x1], 1, 4) for x1 in sorted(feasible_rows)]
+        assert calls["values"] == [(f, r, 1, 4) for r in feasible]
 
 
 _SLOPES = st.integers(-40, 40)

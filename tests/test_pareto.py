@@ -143,14 +143,14 @@ def test_bridge_saturated_epsilon():
 
 def test_bridge_check_evaluates_f_and_h_once_per_grid_point(monkeypatch):
     # h is +inf right of x = 2, so some grid points have no image. f and h
-    # are each evaluated once on every row of the grid: the one row in 1-D,
-    # the 5 rows at x1 = -1, -1/2, ..., 1 in 2-D.
+    # are each evaluated once over the whole grid, all rows at once: the one
+    # row in 1-D, the 5 rows at x1 = -1, -1/2, ..., 1 in 2-D.
     calls = []
-    row = oracle._GridEvaluator.row
+    values = oracle._GridEvaluator.values
 
-    def recording_row(self, lead):
-        calls.append((self, lead))
-        return row(self, lead)
+    def recording_values(self):
+        calls.append((self, len(self.domain[0])))
+        return values(self)
 
     h1 = PolyhedralConvexFunction(
         1, abs_minus_one().pieces, HPolyhedron(((F(1),),), (F(2),), 1)
@@ -160,20 +160,18 @@ def test_bridge_check_evaluates_f_and_h_once_per_grid_point(monkeypatch):
     )
     f2 = fn(2, ((1, 0), 0), ((0, -1), 0))
     cases = (
-        (steep(), h1, ((F(-3), F(3)),), F(1, 4), [()]),
-        (f2, h2, ((F(-1), F(1)),) * 2, F(1, 2), [(k,) for k in range(5)]),
+        (steep(), h1, ((F(-3), F(3)),), F(1, 4), 1),
+        (f2, h2, ((F(-1), F(1)),) * 2, F(1, 2), 5),
     )
-    for f, h, box, step, leads in cases:
+    for f, h, box, step, rows in cases:
         for eps in (F(0), F(1, 2), F(100)):
             expected = bridge_check(f, h, box, step, eps)
-            monkeypatch.setattr(oracle._GridEvaluator, "row", recording_row)
+            monkeypatch.setattr(oracle._GridEvaluator, "values", recording_values)
             calls.clear()
             assert bridge_check(f, h, box, step, eps) == expected
             monkeypatch.undo()
-            evaluators = {ev for ev, _ in calls}
-            assert len(evaluators) == 2
-            for ev in evaluators:
-                assert [lead for key, lead in calls if key is ev] == leads
+            assert len(calls) == len(set(calls)) == 2
+            assert [count for _, count in calls] == [rows, rows]
 
 
 def test_reee_two_point_example():

@@ -197,6 +197,17 @@ def test_the_integer_images_are_built_in_model_only():
     } <= sites
 
 
+def test_the_grid_is_walked_one_piece_at_a_time_over_all_rows():
+    # oracle takes each form's constants on every row once per evaluator
+    # (`_row_tables`) and each criterion's interval on every row in one pass
+    # per piece (`_rows_at_most`): no per-row shift of the pieces, and no
+    # evaluator method that takes a row's leading indices.
+    tree = ast.parse((Path(revopt.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    assert _definitions(tree, {"_shift", "domain", "shifted", "row"}) == []
+    assert _calls(tree, "_row_tables") == ["_GridEvaluator.__init__"] * 2
+    assert _calls(tree, "_rows_at_most") == ["_GridEvaluator.__init__", "_GridEvaluator.at_most"]
+
+
 def test_no_module_but_cli_imports_unbounded():
     # lp defines Unbounded, and lp.lp_value is the one reading of an outcome
     # as a value; cli builds and writes outcomes for reports, so it needs the
