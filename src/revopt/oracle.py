@@ -361,8 +361,8 @@ def _feasible_runs(mode, h_ev, g_evs) -> list:
     h and each g are convex, so {h < 0}, {h <= 0} and {g <= 0} are intervals
     of their domains, each read for all rows in one pass per piece."""
     m, rows = h_ev.m, len(h_ev.domain[0])
-    # Each row's window: the points where every g <= 0, and h <= 0 outside
-    # reverse mode.
+    # Each row's window: the points where every g <= 0, and h <= 0 in
+    # equality and convex mode.
     lo, hi = [0] * rows, [m] * rows
     for g_ev in g_evs:
         lo, hi = g_ev.at_most(0, lo, hi)
