@@ -28,8 +28,11 @@ since only their signs are compared.
 The grid keeps its own integer image, lo and step over one common
 denominator, and the evaluators read it together with the integer images the
 model keeps of each function and domain, so building them takes no `Fraction`
-arithmetic. Values and coordinates turn back into `Fraction`s only in the
-results.
+arithmetic. A result keeps the eps-argmin in the same integers: its index
+runs (row, a, b), f's scaled values on them, f's scale and the scaled
+threshold. Values and coordinates turn back into `Fraction`s only when a
+caller reads a result's `eps_argmin` or `slack`; a result is equal to another,
+and shared with it, by that integer form alone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, count, product, repeat
 from math import gcd, lcm, prod
 from operator import getitem, mul
@@ -324,35 +327,68 @@ def _grid_images(f, h, grid: GridSpec, extra=()):
     return images, f_ev.scale, h_ev.scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class BruteResult:
-    """The eps-argmin over the feasible grid points, in grid order."""
+    """The eps-argmin over the feasible grid points, in grid order, kept in
+    the grid's integers: `runs` holds each run of it as (r, a, b), the index
+    interval [a, b) of row r in the order of `grid.leads()`, and `values`
+    f's values on those runs, one after another, times `scale`; `threshold`
+    is (min_value + eps) * scale. The points and the slacks are made as
+    `Fraction`s when first read (`eps_argmin`, `slack`). Equality and hashing
+    are over the fields, this integer form, so they compare no point."""
 
     mode: str
     feasible_count: int
     min_value: object  # Fraction, INF, or None when no grid point is feasible
-    eps_argmin: tuple
-    slack: tuple  # per argmin point: min_value + eps - f(x)
     error_bound: Fraction
+    grid: GridSpec
+    runs: tuple
+    values: tuple
+    scale: int
+    threshold: int | None  # None when no feasible point is in dom f
 
     @property
     def empty(self) -> bool:
         return self.feasible_count == 0
 
+    @cached_property
+    def eps_argmin(self) -> tuple:
+        """The argmin points, each a tuple of `Fraction` coordinates: a run's
+        points are its row's leading coordinates and the last axis's ticks."""
+        *heads, last = self.grid._ticks
+        leads = list(self.grid.leads())
+        points = []
+        for r, a, b in self.runs:
+            cols = [repeat(x, b - a) for x in map(getitem, heads, leads[r])]
+            points += zip(*cols, map(last.__getitem__, range(a, b)))
+        return tuple(points)
 
-#: Grid results still referenced somewhere, under a key derived from each.
+    @cached_property
+    def slack(self) -> tuple:
+        """Per argmin point, min_value + eps - f(x); equal slacks share one
+        object."""
+        made = {v: Fraction(self.threshold - v, self.scale) for v in set(self.values)}
+        return tuple(map(made.__getitem__, self.values))
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(mode={self.mode!r}, "
+            f"feasible_count={self.feasible_count!r}, min_value={self.min_value!r}, "
+            f"eps_argmin={self.eps_argmin!r}, slack={self.slack!r}, "
+            f"error_bound={self.error_bound!r})"
+        )
+
+
+#: Grid results still referenced somewhere, under their class and fields.
 _LIVE_RESULTS = weakref.WeakValueDictionary()
 
 
-def _shared(key, result):
-    """`result`, or an equal result made earlier under `key` and still
-    referenced: a caller that keeps the results of many passes over the same
-    instances holds each distinct result once."""
-    live = _LIVE_RESULTS.get(key)
-    if live == result:
-        return live
-    _LIVE_RESULTS[key] = result
-    return result
+def _shared(cls, *fields):
+    """cls(*fields), or the result made earlier from equal fields and still
+    referenced. A result's fields are its whole content, so an equal key is
+    an equal result and nothing is compared: a caller that keeps the results
+    of many passes over the same instances holds each distinct result once."""
+    return _LIVE_RESULTS.setdefault((cls, fields), cls(*fields))
 
 
 def _feasible_runs(mode, h_ev, g_evs) -> list:
@@ -420,38 +456,27 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
             kept.append((r, pieces, a, b))
     bound = problem.objective.lipschitz_bound() * grid.step
     if feasible == 0:
-        return BruteResult(mode, 0, None, (), (), bound)
+        return BruteResult(mode, 0, None, bound, grid, (), (), f_ev.scale, None)
     if not kept:
-        return BruteResult(mode, feasible, INF, (), (), bound)
+        return BruteResult(mode, feasible, INF, bound, grid, (), (), f_ev.scale, None)
 
     best = min([_least(pieces, a, b) for _, pieces, a, b in kept])
     threshold = best + eps
-    # (leading indices, last index, scaled f) of the eps-argmin in grid
-    # order: f is convex along a row, so a run's points within eps of the
-    # best are one run.
-    near = []
-    leads = list(grid.leads())
+    # The eps-argmin as index runs (r, a, b) in grid order and f's scaled
+    # values on them: f is convex along a row, so a run's points within eps
+    # of the best are one run.
+    runs, values = [], []
     for r, pieces, a, b in kept:
         a, b = _at_most(pieces, a, b, threshold)
         if a < b:
-            near += zip(repeat(leads[r]), range(a, b), _values(pieces, a, b))
-    ticks = grid._ticks
-
-    # Equal slacks share one object.
-    @cache
-    def slack(v):
-        return Fraction(threshold - v, f_ev.scale)
-
-    res = BruteResult(
-        mode,
-        feasible,
-        Fraction(best, f_ev.scale),
-        tuple([tuple(map(getitem, ticks, (*lead, k))) for lead, k, _ in near]),
-        tuple([slack(v) for _, _, v in near]),
-        bound,
+            runs.append((r, a, b))
+            values += _values(pieces, a, b)
+    scale = f_ev.scale
+    min_value = Fraction(best, scale)
+    runs, values = tuple(runs), tuple(values)
+    return _shared(
+        BruteResult, mode, feasible, min_value, bound, grid, runs, values, scale, threshold
     )
-    key = (grid, mode, feasible, bound, f_ev.scale, best, threshold, hash(tuple(near)))
-    return _shared(key, res)
 
 
 def boundary_projection(f, h, x, y):

@@ -201,8 +201,7 @@ def _bridge(images, eps) -> BridgeReport:
     weak_set, argmin_set = set(weak), set(argmin)
     missing_weak = tuple(i for i in argmin if i not in weak_set)
     missing_arg = tuple(i for i in eff if images[i][1] == 0 and i not in argmin_set)
-    key = (argmin, weak, eff, missing_weak, missing_arg)
-    return _shared(key, BridgeReport(False, *key))
+    return _shared(BridgeReport, False, argmin, weak, eff, missing_weak, missing_arg)
 
 
 # -- the efficient-set intersection identity -----------------------------------

@@ -46,7 +46,7 @@ from revopt.model import (
     _lcm_den,
     rat,
 )
-from revopt.oracle import BoundaryReport, BruteResult, GridSpec
+from revopt.oracle import BoundaryReport, GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.polytope import VPolytope, _drop_redundant, _normalize_ray
 from revopt.subdiff import epigraph_inf, joint_domain
@@ -227,7 +227,9 @@ def _feasible(mode, h_val, g_vals):
     return h_val >= 0 and all(g <= 0 for g in g_vals)
 
 
-def brute_eps_argmin(problem, mode, grid: GridSpec) -> BruteResult:
+def brute_eps_argmin(problem, mode, grid: GridSpec) -> tuple:
+    """The oracle's result as its readers see it: (mode, feasible_count,
+    min_value, eps_argmin, slack, error_bound)."""
     axes = grid.axes()
     f_ev = GridEvaluator(problem.objective, axes)
     h_ev = GridEvaluator(problem.reverse, axes)
@@ -246,14 +248,14 @@ def brute_eps_argmin(problem, mode, grid: GridSpec) -> BruteResult:
         seen.append((idx, val))
     bound = max(sum(abs(c) for c in p.a) for p in problem.objective.pieces) * grid.step
     if feasible == 0:
-        return BruteResult(mode, 0, None, (), (), bound)
+        return mode, 0, None, (), (), bound
     if best is None:
-        return BruteResult(mode, feasible, INF, (), (), bound)
+        return mode, feasible, INF, (), (), bound
     threshold = best + problem.epsilon
     kept = [(idx, val) for idx, val in seen if val <= threshold]
     argmin = tuple(tuple(axes[j][k] for j, k in enumerate(idx)) for idx, _ in kept)
     slack = tuple(threshold - val for _, val in kept)
-    return BruteResult(mode, feasible, best, argmin, slack, bound)
+    return mode, feasible, best, argmin, slack, bound
 
 
 def reference_boundary_projection(f, h, x, y):

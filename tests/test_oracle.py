@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import compress
 
@@ -5,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revopt.model import AffineForm, InputError, PolyhedralConvexFunction, ReverseProblem
+import reference
+from revopt.model import (
+    INF,
+    AffineForm,
+    HPolyhedron,
+    InputError,
+    PolyhedralConvexFunction,
+    ReverseProblem,
+)
 from revopt import oracle
 from revopt.oracle import (
     GridSpec,
@@ -13,12 +22,13 @@ from revopt.oracle import (
     boundary_projection,
     brute_eps_argmin,
 )
+from revopt.pareto import BridgeReport, bridge_check
 
 F = Fraction
 
 
-def fn(n, *pieces):
-    return PolyhedralConvexFunction(n, tuple(AffineForm(a, b) for a, b in pieces))
+def fn(n, *pieces, domain=None):
+    return PolyhedralConvexFunction(n, tuple(AffineForm(a, b) for a, b in pieces), domain)
 
 
 def absf():
@@ -95,6 +105,13 @@ def test_brute_empty_flag():
     res = brute_eps_argmin(p, "reverse", grid_1d())
     assert res.empty
     assert res.min_value is None
+    assert res.eps_argmin == () and res.slack == ()
+    # Feasible points, |x| >= 1, all off dom f = [-1/2, 1/2].
+    dom = HPolyhedron(((F(1),), (F(-1),)), (F(1, 2), F(1, 2)), 1)
+    off = ReverseProblem(1, fn(1, ((1,), 0), domain=dom), abs_minus_one(), (F(0),), F(0))
+    res = brute_eps_argmin(off, "reverse", grid_1d())
+    assert not res.empty and res.min_value == INF
+    assert res.eps_argmin == () and res.slack == ()
 
 
 def test_brute_error_bound():
@@ -292,7 +309,98 @@ def test_equal_live_results_share_one_object():
     assert again is first
     relaxed = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1))
     assert brute_eps_argmin(relaxed, "reverse", grid_1d()) != first
-    # A key shared by unequal results never hands back the wrong one.
-    other = oracle.BruteResult("reverse", 1, F(2), ((F(2),),), (F(0),), F(1))
-    assert oracle._shared(("key",), first) is first
-    assert oracle._shared(("key",), other) is other
+    # The key is the result's whole integer form: equal fields hand back the
+    # live result, and a key that differs in one field, here the threshold,
+    # makes a result of its own.
+    fields = [getattr(first, field.name) for field in dataclasses.fields(first)]
+    assert oracle._shared(oracle.BruteResult, *fields) is first
+    other = oracle._shared(oracle.BruteResult, *fields[:-1], fields[-1] + 1)
+    assert other is not first and other.eps_argmin == first.eps_argmin
+    assert other.slack == tuple(s + F(1, fields[-2]) for s in first.slack)
+
+
+def _raise(*args):
+    raise AssertionError("results compared")
+
+
+def test_no_fraction_per_argmin_point_until_read(monkeypatch):
+    # The oracle keeps the eps-argmin as index runs: a call makes min_value
+    # and no tick or slack, and equal results are shared without comparing
+    # them.
+    p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1, 2))
+    grid = grid_1d()
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(oracle, "Fraction", counting)
+    res = brute_eps_argmin(p, "reverse", grid)
+    assert "_ticks" not in vars(grid)
+    assert len(made) == 1 and res.min_value == 1
+    want = reference.brute_eps_argmin(p, "reverse", grid)
+    assert (res.eps_argmin, res.slack) == want[3:5] and len(res.eps_argmin) == 6
+    monkeypatch.setattr(oracle.BruteResult, "__eq__", _raise)
+    monkeypatch.setattr(BridgeReport, "__eq__", _raise)
+    assert brute_eps_argmin(p, "reverse", grid_1d()) is res
+    box = ((F(-3), F(3)),)
+    report = bridge_check(absf(), abs_minus_one(), box, F(1, 4), F(1, 2))
+    assert not report.vacuous
+    assert bridge_check(absf(), abs_minus_one(), box, F(1, 4), F(1, 2)) is report
+
+
+def test_a_result_shared_by_equal_grids_reads_the_same_points():
+    p = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1, 2))
+    grids = grid_1d(), grid_1d()
+    first, second = (brute_eps_argmin(p, "reverse", grid) for grid in grids)
+    assert second is first and first.grid is grids[0]
+    for grid in grids:
+        assert first.eps_argmin == reference.brute_eps_argmin(p, "reverse", grid)[3]
+
+
+#: the repr of a 1-D, a 2-D and a 3-D result, which must not change: the bench
+#: report digests hash it
+PINNED_REPRS = {
+    1: (
+        "BruteResult(mode='reverse', feasible_count=18, min_value=Fraction(1, 1), "
+        "eps_argmin=((Fraction(-3, 2),), (Fraction(-5, 4),), (Fraction(-1, 1),), "
+        "(Fraction(1, 1),), (Fraction(5, 4),), (Fraction(3, 2),)), "
+        "slack=(Fraction(0, 1), Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), "
+        "Fraction(1, 4), Fraction(0, 1)), error_bound=Fraction(1, 4))"
+    ),
+    2: (
+        "BruteResult(mode='constrained-reverse', feasible_count=10, "
+        "min_value=Fraction(13, 42), eps_argmin=((Fraction(1, 2), Fraction(-1, 2)), "
+        "(Fraction(1, 2), Fraction(0, 1)), (Fraction(1, 2), Fraction(1, 2)), "
+        "(Fraction(1, 1), Fraction(0, 1))), slack=(Fraction(0, 1), Fraction(1, 2), "
+        "Fraction(0, 1), Fraction(1, 3)), error_bound=Fraction(2, 3))"
+    ),
+    3: (
+        "BruteResult(mode='reverse', feasible_count=18, min_value=Fraction(1, 2), "
+        "eps_argmin=((Fraction(0, 1), Fraction(0, 1), Fraction(1, 2)), "
+        "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1)), "
+        "(Fraction(0, 1), Fraction(1, 2), Fraction(1, 2)), "
+        "(Fraction(1, 2), Fraction(0, 1), Fraction(0, 1)), "
+        "(Fraction(1, 2), Fraction(1, 2), Fraction(0, 1))), "
+        "slack=(Fraction(2, 3), Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), "
+        "Fraction(1, 6)), error_bound=Fraction(3, 2))"
+    ),
+}
+
+
+def test_repr_is_pinned():
+    one = ReverseProblem(1, absf(), abs_minus_one(), (F(1),), F(1, 2))
+    f2 = fn(2, ((F(1, 3), 1), F(1, 7)), ((F(1, 3), -1), F(1, 7)))
+    g2 = fn(2, ((-1, 0), F(1, 2)))
+    two = ReverseProblem(2, f2, fn(2, ((1, 0), 0)), (F(0), F(0)), F(1, 2), (g2,))
+    f3 = fn(3, ((1, 1, 1), 0), ((-1, -1, -1), 0), ((1, -1, 0), F(1, 3)))
+    h3 = fn(3, ((1, 0, -1), F(-1, 2)), ((-1, 0, 1), F(-1, 2)))
+    three = ReverseProblem(3, f3, h3, (F(1), F(0), F(0)), F(2, 3))
+    runs = {
+        1: (one, "reverse", grid_1d()),
+        2: (two, "constrained-reverse", GridSpec(((F(-1), F(1)),) * 2, F(1, 2))),
+        3: (three, "reverse", GridSpec(((F(0), F(1)),) * 3, F(1, 2))),
+    }
+    for n, (p, mode, grid) in runs.items():
+        assert repr(brute_eps_argmin(p, mode, grid)) == PINNED_REPRS[n], n
