@@ -147,7 +147,9 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     rows) and a budget coefficient, the pieces' and domain rows' own values;
     each lam's budget coefficient also takes in alpha's, eps - f(x_bar),
     computed in integers off the image of f. Every value is a `Fraction`
-    already, so the LP is built from them unchecked (`LinearProgram._trusted`)."""
+    already, so the LP is built from them unchecked, together with its
+    columns in integers, read off the images of f, of each phi and of the
+    domain rows, which its solve starts from (`LinearProgram._cone`)."""
     f, phis = problem.objective, _phis(mode, problem)
     xs, x_den = problem._point_image
     if f.domain is not None and not f.domain._holds(xs, x_den):
@@ -157,26 +159,23 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     # b_i + eps - f(x_bar) = (B_i * q / D + shift) / q
     q = d_f * x_den * eps.denominator
     shift = eps.numerator * d_f * x_den - max(f._scaled_pieces(xs, x_den)) * eps.denominator
-    # per column: its slope and budget coefficient
-    columns = [(p.a, Fraction(b * (q // d_f) + shift, q)) for p, (_, b) in zip(f.pieces, f_image)]
+    lam = [b * (q // d_f) + shift for _, b in f_image]
+    # per column: its slope and budget coefficient, as Fractions and in
+    # integers (slopes, den, budget, budget_den)
+    columns = [(p.a, Fraction(c, q)) for p, c in zip(f.pieces, lam)]
+    images = [(a, d_f, c, q) for (a, _), c in zip(f_image, lam)]
     for phi in phis:
+        d, image = phi._image
         columns += [(p.a, p.b) for p in phi.pieces]
+        images += [(a, d, b, d) for a, b in image]
     for fn in (f, *phis):
         if fn.domain is not None:
             columns += [(row, -rhs) for row, rhs in zip(fn.domain.a, fn.domain.b)]
+            images += [(a, d, -b, d) for a, b, d in fn.domain._rows]
     slopes, budgets = zip(*columns)
     rows = [(row, "=", _ZERO) for row in zip(*slopes)]
     rows.append((budgets, ">=", _ZERO))
-    size = len(columns)
-    zeros = (_ZERO,) * size
-    return LinearProgram._trusted(
-        n=size,
-        objective=(_ONE,) * len(f.pieces) + zeros[len(f.pieces) :],
-        sense="max",
-        rows=tuple(rows),
-        lower=zeros,
-        upper=(None,) * size,
-    )
+    return LinearProgram._cone(tuple(rows), len(f.pieces), tuple(images))
 
 
 def _budget_rhs(problem: ReverseProblem, eps_prime, xstar) -> Fraction:
@@ -202,18 +201,20 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     objective maximizes sum lam, or t.
 
     Only the right-hand sides and the t column depend on the check. The
-    template, the point probe with every right-hand side zero, is built from
-    the integer images and oriented once per problem and mode
-    (`_probe_template`), and memoised in the problem's own instance dict, so
-    it lives and dies with the problem; `verify`, `union_member` and `replay`
-    all reuse it. The probe at (eps', x*) = (0, 0) is the template itself, so
-    `verify`'s gate solves it. Any other point probe is the template with its
-    right-hand sides swapped in by `LinearProgram.with_rhs`, which validates
-    only those; the probe reads the template's oriented system rescaled, and
-    its solve starts from the template's optimal basis (`lp_solve`). A ray
-    probe adds the t column to the template's rows and is built with its
-    right-hand sides as an LP of its own, solved from scratch: its zero
-    right-hand side form would be solved only to start it.
+    template, the point probe with every right-hand side zero, is built once
+    per problem and mode from the integer images (`_probe_template`), and
+    memoised in the problem's own instance dict, so it lives and dies with
+    the problem; `verify`, `union_member` and `replay` all reuse it. The probe
+    at (eps', x*) = (0, 0) is the template itself, so `verify`'s gate solves
+    it, starting from the template's integer columns; its oriented system is
+    built once, and only if `replay`'s certificate check reads it. Any other
+    point probe is the template with its right-hand sides swapped in by
+    `LinearProgram.with_rhs`, which validates only those; the probe reads the
+    template's oriented system rescaled, and its solve starts from the
+    template's optimal basis (`lp_solve`). A ray probe adds the t column to
+    the template's rows and is built with its right-hand sides as an LP of
+    its own, solved from scratch: its zero right-hand side form would be
+    solved only to start it.
     """
     memo = vars(problem).setdefault("_probe_templates", {})
     if mode not in memo:

@@ -20,9 +20,15 @@ Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
 free multipliers), each row as its nonzero terms. `_oriented` lays it out, at
 most once per LP (`LinearProgram._system`), from the LP's data in integers
-over one common denominator (`LinearProgram._scaled`), and the tableau and
-`check_outcome` read it. A lower bound's multiplier is the reduced cost of its
-variable's column.
+over one common denominator (`LinearProgram._scaled`), and the generic
+tableau layout and `check_outcome` read it. A lower bound's multiplier is the
+reduced cost of its variable's column.
+
+An LP that `LinearProgram._cone` builds, max of a sum of nonnegative columns
+over rows whose right-hand sides are all 0 (the membership probes' template),
+carries its columns in integers, and its tableau is laid out from them in
+closed form (`_Simplex.from_columns`), the generic layout's start without the
+oriented system; that system is built only when something reads it.
 
 `with_rhs` derives the LP that differs from a template only in its
 right-hand sides, validating only those. When the template's right-hand sides
@@ -119,12 +125,27 @@ class LinearProgram:
         return vals
 
     @classmethod
-    def _trusted(cls, n, objective, sense, rows, lower, upper) -> "LinearProgram":
-        """The LP with these fields as given: nothing is checked or converted.
-        For a builder whose values `rat` returned already, in the shapes that
-        the constructor makes."""
+    def _cone(cls, rows, costed: int, columns) -> "LinearProgram":
+        """max x_0 + ... + x_{costed-1} over x >= 0 subject to `rows`: equality
+        rows, then one `>=` row, every right-hand side 0; its values are
+        `Fraction`s already, so nothing is checked or converted. `columns`
+        are its integer columns, one per variable, `(slopes, den, budget,
+        budget_den)`: its entries in the equality rows over den and in the
+        last row over budget_den, all ints. Its solve lays its starting
+        tableau out from them (`_Simplex.from_columns`); its oriented system
+        is built from `rows` only when something reads it (`_system`)."""
+        n = len(columns)
+        zeros = (_ZERO,) * n
         return _built(
-            cls, n=n, objective=objective, sense=sense, rows=rows, lower=lower, upper=upper
+            cls,
+            n=n,
+            objective=(_ONE,) * costed + zeros[costed:],
+            sense="max",
+            rows=rows,
+            lower=zeros,
+            upper=(None,) * n,
+            _costs=([1] * costed + [0] * (n - costed), 1),
+            _columns=columns,
         )
 
     @cached_property
@@ -177,7 +198,8 @@ class LinearProgram:
         template = vars(self).get("_template")
         if template is not None and isinstance(template._solved.outcome, Optimal):
             return template._solved.resolved(self)
-        tableau = _Simplex(self)
+        columns = vars(self).get("_columns")
+        tableau = _Simplex(self) if columns is None else _Simplex.from_columns(self, columns)
         tableau.outcome = tableau.solve()
         return tableau
 
@@ -313,9 +335,11 @@ class _Simplex:
     native column, in phase 2 for `Optimal.dual` and in phase 1 for
     `Infeasible.farkas`.
 
-    Rows are integer vectors sharing one positive denominator each, taken
-    from the integer oriented system over den^2 (the shift multiplies two
-    values over den) and reduced, so the hot loops stay in machine integers.
+    Rows are integer vectors sharing one positive denominator each, reduced,
+    so the hot loops stay in machine integers. The generic layout
+    (`__init__`) takes them from the integer oriented system over den^2 (the
+    shift multiplies two values over den); `from_columns` lays the same rows
+    out for an LP of `LinearProgram._cone` from its integer columns.
 
     The tableau holds no reference to its LP, only the LP's shared tuples, so
     an LP can cache its solved tableau (`LinearProgram._solved`) and an LP
@@ -323,6 +347,48 @@ class _Simplex:
     """
 
     MAX_PIVOTS = 200_000
+
+    @classmethod
+    def from_columns(cls, lp: LinearProgram, columns) -> "_Simplex":
+        """The tableau `_Simplex(lp)` lays out, for an LP of
+        `LinearProgram._cone`, laid out in closed form from its integer
+        `columns`, with no oriented system. Every column is native. The
+        equality rows come first, each started from its own artificial, then
+        the `>=` row, negated to `<=` and started from its slack; with every
+        right-hand side 0 no row is negated to make it >= 0. Each row is over
+        the least common denominator of its columns' denominators, reduced,
+        so it is the generic layout's row."""
+        self = object.__new__(cls)
+        self.rows, self.lower, self.objective = lp.rows, lp.lower, lp.objective
+        self.sense, self.costs = lp.sense, lp._costs
+        size, n = len(columns), len(lp.rows) - 1  # n equality rows
+        self.m = n + 1
+        self.norient = self.m + size
+        self.cols = [(j, None) for j in range(size)]
+        self.lower_row = {j: self.m + j for j in range(size)}
+        slack = size  # the `>=` row's; the artificials follow it
+        self.nreal = size + 1
+        self.nart = n
+        self.width = size + n + 2
+        slopes, dens, budgets, budget_dens = zip(*columns)
+        den = lcm(*dens)
+        scales = [den // d for d in dens]
+        tail = [0] * (n + 2)
+        self.tab = []
+        for i, row in enumerate(zip(*slopes)):
+            cells = [a * k for a, k in zip(row, scales)] + tail
+            cells[size + 1 + i] = den
+            self.tab.append(_reduce_row(den, cells))
+        den = lcm(*budget_dens)
+        cells = [-b * (den // d) for b, d in zip(budgets, budget_dens)] + tail
+        cells[slack] = den
+        self.tab.append(_reduce_row(den, cells))
+        arts = range(size + 1, size + 1 + n)
+        self.basis = [*arts, slack]
+        self.origin = [(i, 1, art, True) for i, art in enumerate(arts)]
+        self.origin.append((n, 1, slack, False))
+        self.live = list(range(self.m))
+        return self
 
     def __init__(self, lp: LinearProgram):
         self.rows, self.lower, self.objective = lp.rows, lp.lower, lp.objective

@@ -328,12 +328,15 @@ def test_vertex_checks_re_solve_from_the_gate_probe(monkeypatch):
     # A passed essential gate leaves the (0, 0) probe solved to an optimum;
     # every vertex check is derived from it and re-solves from its final
     # basis, so the gate's is the only tableau a decision without rays
-    # builds, and each LP still goes through `lp_solve` once.
+    # builds, laid out from the template's integer columns with no oriented
+    # system, and each LP still goes through `lp_solve` once.
     import revopt.certificates as certificates
+    from revopt import lp
     from revopt.lp import _Simplex
 
-    real, solved, built = certificates.lp_solve, [], []
-    original_init = _Simplex.__init__
+    real, solved, built, laid_out, oriented = certificates.lp_solve, [], [], [], []
+    original_init, original_from_columns = _Simplex.__init__, _Simplex.from_columns
+    original_oriented = lp._oriented
 
     def counted(problem_lp):
         solved.append(problem_lp)
@@ -343,21 +346,32 @@ def test_vertex_checks_re_solve_from_the_gate_probe(monkeypatch):
         built.append(problem_lp)
         original_init(self, problem_lp)
 
+    def counting_from_columns(problem_lp, columns):
+        laid_out.append(problem_lp)
+        return original_from_columns(problem_lp, columns)
+
+    problems = corpus(120, 80, seed_base=1000)[:60]
     monkeypatch.setattr(certificates, "lp_solve", counted)
     monkeypatch.setattr(_Simplex, "__init__", counting_init)
+    monkeypatch.setattr(_Simplex, "from_columns", counting_from_columns)
+    monkeypatch.setattr(
+        lp, "_oriented", lambda problem_lp: oriented.append(problem_lp) or original_oriented(problem_lp)
+    )
     most_checks = 0
-    for problem in corpus(120, 80, seed_base=1000)[:60]:
+    for problem in problems:
         for mode in ("rop", "equality"):
             solved.clear()
-            built.clear()
+            laid_out.clear()
             v = verify(problem, mode)
             if ("essential", True) not in v.gates:
                 continue
+            assert not any(rec.kind == "ray" for rec in v.log)
             gate = vars(problem)["_probe_templates"][mode]
-            assert solved[0] is gate and built == [gate]
+            assert solved[0] is gate and laid_out == [gate]
             assert solved[1:] == [rec.evidence.lp for rec in v.log]
             assert all(vars(probe)["_template"] is gate for probe in solved[1:])
             most_checks = max(most_checks, len(v.log))
+    assert built == [] and oriented == []
     assert most_checks >= 2
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import takewhile
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import face_domain_family
+from corpus import corpus, face_domain_family
 from revopt import certificates, cli, lp, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
@@ -293,7 +295,7 @@ def test_brute_command(problem_a, capsys):
     assert doc["eps_argmin"] == [["-1"], ["1"]]
 
 
-def _grid_command_digest(commands) -> str:
+def _command_digest(commands) -> str:
     """sha256 over each command's problem file name, argv, exit code and
     printed report, in order."""
     digest = hashlib.sha256()
@@ -305,7 +307,7 @@ def _grid_command_digest(commands) -> str:
     return digest.hexdigest()
 
 
-#: `_grid_command_digest`s of the commands below, taken before the oracle
+#: `_command_digest`s of the commands below, taken before the oracle
 #: read f's interval minimum in closed form
 BRUTE_DIGEST = "e50b56ab4ed330b2202d35c91a18bc59ac49287a462ce3afe238e0a8b6f7e1f5"
 CROSS_CHECK_DIGEST = "3640e92541903fcbf20b320a1db5893707e716bce746a2f34f38cd194001b541"
@@ -326,8 +328,29 @@ def test_grid_commands_print_the_pinned_bytes():
         for mode in MODES
     ]
     assert len(PROBLEMS) == 2
-    assert _grid_command_digest(brute) == BRUTE_DIGEST
-    assert _grid_command_digest(verify) == CROSS_CHECK_DIGEST
+    assert _command_digest(brute) == BRUTE_DIGEST
+    assert _command_digest(verify) == CROSS_CHECK_DIGEST
+
+
+#: `_command_digest` of the decisions below, taken before the probe
+#: template's starting tableau was laid out from its integer columns
+DECISION_DIGEST = "245ae70c949b51a28bd183c24042c1592a66775c816c3195242b7f73d205b531"
+
+
+def test_decisions_print_the_pinned_bytes(tmp_path):
+    # Every verify and falsify report, in every mode, on the shipped
+    # problems, the acceptance corpus and h with a face domain, pinned byte
+    # for byte: a faster solver must leave every report as it was.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000) + face_domain_family(30)
+    commands = []
+    for i, problem in enumerate(problems):
+        path = tmp_path / f"p{i:03d}.json"
+        path.write_text(json.dumps(problem_to_doc(problem)))
+        for mode in MODES:
+            commands += [(path, [command, "--mode", mode]) for command in ("verify", "falsify")]
+    assert len(commands) == 8 * 232
+    assert _command_digest(commands) == DECISION_DIGEST
 
 
 def test_pareto_command(problem_a, capsys):
@@ -688,11 +711,12 @@ def test_f_at_x_bar_is_read_at_most_once_per_decision_and_replay(monkeypatch):
 
 
 def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
-    # The template built once per problem and mode, which is also the probe
-    # at (0, 0), orients the probe matrix once, and each ray probe, with its
-    # own t column, once more; a point probe derived from the template reads
-    # the template's system rescaled, so neither the simplex in a decision
-    # nor the certificate check in replay builds it again.
+    # A decision orients only its ray probes, each with its own t column: the
+    # template built once per problem and mode, which is also the probe at
+    # (0, 0), starts its solve from its integer columns, and a point probe
+    # derived from it re-solves from its basis. Replay's certificate check
+    # orients the template once, and each ray probe once; a point probe
+    # derived from the template reads the template's system rescaled.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += face_domain_family(24)
     built = []  # the LPs oriented, anywhere
@@ -712,14 +736,14 @@ def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
     for module in (certificates, cli):
         monkeypatch.setattr(module, "membership_lp", recording_membership_lp)
 
-    def assert_oriented_once():
+    def assert_oriented_once(templates_too):
         rays = [probe for probe, ray in probes if ray]
         points = [probe for probe, ray in probes if not ray]
         templates = {id(vars(probe).get("_template", probe)): probe for probe in points}
         assert len(templates) <= 1
         derived = {id(probe) for probe in points} - set(templates)
-        expected = sorted([*templates, *map(id, rays)])
-        matrix = set(expected) | derived
+        expected = sorted([*(templates if templates_too else ()), *map(id, rays)])
+        matrix = set(templates) | set(map(id, rays)) | derived
         assert sorted(id(problem_lp) for problem_lp in built if id(problem_lp) in matrix) == expected
         built.clear()
         probes.clear()
@@ -730,11 +754,44 @@ def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
         for mode in MODES:
             fresh = parse_problem(problem_to_doc(problem))
             doc = cli._verdict_to_doc(cli.verify(fresh, mode))
-            rays, derived = assert_oriented_once()
+            rays, derived = assert_oriented_once(templates_too=False)
             most_rays, most_derived = max(most_rays, rays), max(most_derived, derived)
             replay(parse_problem(problem_to_doc(problem)), doc)
-            assert_oriented_once()
+            assert_oriented_once(templates_too=True)
     assert most_rays >= 1 and most_derived >= 1
+
+
+def test_a_decision_and_its_replay_leave_no_reference_cycle():
+    # A problem keeps its probe templates in its own instance dict, and no LP,
+    # tableau, verdict or report refers back to it: once the caller drops the
+    # problem and what it got back, reference counting alone frees the
+    # problem and its templates, with the cycle collector off.
+    docs = [problem_to_doc(load_problem(str(path))) for path in PROBLEMS]
+    docs += [problem_to_doc(problem) for problem in face_domain_family(24)]
+    seen = set()
+    templates = 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for doc in docs:
+            for mode in MODES:
+                report = cli._verdict_to_doc(cli.verify(parse_problem(doc), mode))
+                for step in ("verify", "falsify", "replay"):
+                    problem = parse_problem(doc)
+                    if step == "replay":
+                        out = replay(problem, report)
+                    else:
+                        out = getattr(cli, step)(problem, mode)
+                        seen |= {out.tag, *(rec.kind for rec in out.log)}
+                    refs = [weakref.ref(problem)]
+                    refs += [weakref.ref(t) for t in vars(problem).get("_probe_templates", {}).values()]
+                    templates += len(refs) - 1
+                    del problem, out
+                    assert all(ref() is None for ref in refs), (step, mode)
+    finally:
+        if enabled:
+            gc.enable()
+    assert {"REFUTED", "CERTIFIED_ON_GRID", "ray"} <= seen and templates > 100
 
 
 def test_replay_trusts_no_solver(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from revopt.lp import (
     check_outcome,
     lp_solve,
 )
+from revopt.model import InputError
 from revopt.problemfile import load_problem
 
 F = Fraction
@@ -322,6 +323,36 @@ def test_rows_that_cannot_start_from_their_slack_get_an_artificial(rel, rhs):
     simplex = _Simplex(problem_lp)
     assert simplex.nart == 1
     _assert_same(problem_lp)
+
+
+def test_the_probe_template_starts_from_its_columns_as_the_generic_layout_starts_it():
+    # A probe template's tableau is laid out in closed form from its integer
+    # columns (`_Simplex.from_columns`), without its oriented system. The
+    # generic layout `_Simplex(template)` is the reference: on every template
+    # of the problem files, the corpus, h with a face domain and the rational
+    # wide instances, in every mode, the two starts agree field by field and
+    # solve to equal outcomes and final tableaux.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000) + face_domain_family(30)
+    problems += [instance.problem for instance in _wide_modes(0)]
+    kinds = set()
+    laid_out = 0
+    for problem in problems:
+        zero = (F(0),) * problem.n
+        for mode in MODES:
+            try:
+                template = membership_lp(problem, mode, F(0), zero)
+            except InputError:  # x_bar is off dom f: there is no probe
+                continue
+            closed = _Simplex.from_columns(template, vars(template)["_columns"])
+            assert not {"_scaled", "_system"} & set(vars(template))
+            generic = _Simplex(template)
+            assert vars(closed) == vars(generic)
+            outcome = closed.solve()
+            assert outcome == generic.solve() and vars(closed) == vars(generic)
+            kinds.add(type(outcome))
+            laid_out += 1
+    assert laid_out > 1000 and kinds == {Optimal, Unbounded}
 
 
 # -- warm starts -----------------------------------------------------------------

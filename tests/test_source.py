@@ -76,9 +76,10 @@ def test_linear_programs_are_assembled_in_four_places_only():
 
 def test_objects_are_built_past_their_constructor_in_four_places_only():
     # An LP or a model object is made without its constructor's checks only
-    # from values that are valid already: a problem file's parse, the LP
-    # builder for such values, and `with_rhs`, which names the fields and
-    # caches it carries. Nothing copies an object and patches the copy.
+    # from values that are valid already: a problem file's parse, the probe
+    # template's builder for such values (`_cone`), and `with_rhs`; the two LP
+    # builders name the fields and caches they set. Nothing copies an object
+    # and patches the copy.
     sites = set()
     for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -91,7 +92,7 @@ def test_objects_are_built_past_their_constructor_in_four_places_only():
     assert sites == {
         ("model", "_parsed_function"),
         ("model", "_parsed_problem"),
-        ("lp", "LinearProgram._trusted"),
+        ("lp", "LinearProgram._cone"),
         ("lp", "LinearProgram.with_rhs"),
     }
 
