@@ -178,14 +178,20 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     return LinearProgram._cone(tuple(rows), len(f.pieces), tuple(images))
 
 
-def _budget_rhs(problem: ReverseProblem, eps_prime, xstar) -> Fraction:
-    """The budget row's right-hand side -<x*, x_bar> - eps', from x_bar and
-    x* over their common denominators: one Fraction."""
+def _probe_rhs(problem: ReverseProblem, eps_prime, xstar) -> tuple:
+    """The point probe's right-hand sides, x* and the budget row's
+    -<x*, x_bar> - eps', and the same in integers over one denominator:
+    `(rhs, (nums, den))`. Both come from x_bar's and x*'s images; the budget
+    is the one Fraction made."""
     xb, xb_den = problem._point_image
     xs, xs_den = _over_common_den(xstar)
-    den = xb_den * xs_den
-    num = -sum(map(mul, xs, xb)) * eps_prime.denominator - eps_prime.numerator * den
-    return Fraction(num, den * eps_prime.denominator)
+    eps_den = eps_prime.denominator
+    den = xb_den * xs_den * eps_den
+    budget = -sum(map(mul, xs, xb)) * eps_den - eps_prime.numerator * xb_den * xs_den
+    scale = xb_den * eps_den
+    nums = [v * scale for v in xs] if scale != 1 else xs
+    nums.append(budget)
+    return (*xstar, Fraction(budget, den)), (nums, den)
 
 
 def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
@@ -209,9 +215,11 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     it, starting from the template's integer columns; its oriented system is
     built once, and only if `replay`'s certificate check reads it. Any other
     point probe is the template with its right-hand sides swapped in by
-    `LinearProgram.with_rhs`, which validates only those; the probe reads the
-    template's oriented system rescaled, and its solve starts from the
-    template's optimal basis (`lp_solve`). A ray probe adds the t column to
+    `LinearProgram.with_rhs`, which validates only those and is handed them in
+    integers over one denominator too, computed off the images of x_bar and
+    x* (`_probe_rhs`); the probe reads the template's oriented system
+    rescaled, and its solve re-solves from the template's optimal tableau in
+    those integers (`lp_solve`). A ray probe adds the t column to
     the template's rows and is built with its right-hand sides as an LP of
     its own, solved from scratch: its zero right-hand side form would be
     solved only to start it.
@@ -222,9 +230,9 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     template = memo[mode]
     if ray is None and not eps_prime and not any(xstar):
         return template  # the probe at (0, 0) is the template itself
-    rhs = (*xstar, _budget_rhs(problem, eps_prime, xstar))
+    rhs, image = _probe_rhs(problem, eps_prime, xstar)
     if ray is None:
-        return template.with_rhs(rhs)
+        return template.with_rhs(rhs, image)
     d_eps, d_x = ray
     t_col = [-v for v in d_x] + [_dot(d_x, problem.point) + d_eps]
     rows = [((*a, t), rel, b) for (a, rel, _), t, b in zip(template.rows, t_col, rhs)]

@@ -36,12 +36,14 @@ are all zero, the derived LP's system is the template's rescaled, so a family
 of checks on one matrix builds and validates that matrix once. It is solved
 once too: `lp_solve` caches an LP's solved tableau on the LP, and a derived
 LP whose template's solve ended `Optimal` starts from that final basis, which
-stays dual feasible when only right-hand sides change. It brings in its
-right-hand column as B^-1 b', B^-1 read off the starting columns, and runs a
-dual simplex under the dual form of Bland's rule; an infeasible end is read
-off the blocking row, or off a row that phase 1 dropped as redundant, as a
-Farkas vector. The template is solved first if it was not, so an outcome is
-fixed by the template and the right-hand sides, whatever was solved before.
+stays dual feasible when only right-hand sides change (`_Simplex.resolved`).
+It computes its right-hand column B^-1 b' in integers (`LinearProgram._rhs`)
+and takes the first step of a dual simplex under the dual form of Bland's
+rule on the template's shared rows: the outcome is read off that column, or
+off a blocking or redundant row as a Farkas vector, and the rows are copied
+and the dual simplex run only when a pivot is due. The template is solved
+first if it was not, so an outcome is fixed by the template and the
+right-hand sides, whatever was solved before.
 """
 
 from __future__ import annotations
@@ -145,6 +147,7 @@ class LinearProgram:
             lower=zeros,
             upper=(None,) * n,
             _costs=([1] * costed + [0] * (n - costed), 1),
+            _rhs=([0] * len(rows), 1),
             _columns=columns,
         )
 
@@ -189,6 +192,14 @@ class LinearProgram:
         return _over_common_den(self.objective)
 
     @cached_property
+    def _rhs(self) -> tuple[list[int], int]:
+        """The rows' right-hand sides over one positive common denominator,
+        `(nums, den)`, the least (`_over_common_den`); `with_rhs` sets it for
+        the LP it derives, and may be handed it. A tableau keeps its LP's
+        (`_Simplex.rhs`), and a re-solve reads both (`_Simplex.resolved`)."""
+        return _over_common_den([b for *_, b in self.rows])
+
+    @cached_property
     def _solved(self) -> "_Simplex":
         """This LP's tableau, solved: `lp_solve` reads its outcome. An LP
         that `with_rhs` derived from a template starts from the template's
@@ -203,14 +214,16 @@ class LinearProgram:
         tableau.outcome = tableau.solve()
         return tableau
 
-    def with_rhs(self, values) -> "LinearProgram":
+    def with_rhs(self, values, image=None) -> "LinearProgram":
         """This LP with its rows' right-hand sides replaced by `values`, one
         per row. Only `values` are validated (`rat`): the coefficients and
         bounds are this LP's, validated already, and are shared, not copied,
         and so is the objective's integer form (`_costs`), made once here for
         every LP derived. The derived LP keeps this one as its template: its
         solve starts from this LP's (`_solved`). It carries no other cached
-        value of this LP's. When this LP's right-hand
+        value of this LP's. Its `_rhs` is made here, or is `image` when the
+        caller has `values` in integers already, `(nums, den)` with den > 0,
+        taken unchecked. When this LP's right-hand
         sides are all zero, its oriented system is over the least common
         denominator of the coefficients and bounds alone, so the derived LP's,
         when it is asked for, is that system rescaled to take in the
@@ -227,6 +240,7 @@ class LinearProgram:
             lower=self.lower,
             upper=self.upper,
             _costs=self._costs,
+            _rhs=_over_common_den(rhs) if image is None else image,
             _template=self,
         )
 
@@ -341,6 +355,13 @@ class _Simplex:
     shift multiplies two values over den); `from_columns` lays the same rows
     out for an LP of `LinearProgram._cone` from its integer columns.
 
+    Each layout records once which variables have a nonzero lower bound, with
+    it (`shifted`), and c . l (`offset`, None when there is none), which a
+    point and a value add back; and per constraint row the starting column
+    and the sign a change of its right-hand side takes (`moving`), with the
+    right-hand sides that the last column is B^-1 of (`rhs`), which a
+    re-solve reads.
+
     The tableau holds no reference to its LP, only the LP's shared tuples, so
     an LP can cache its solved tableau (`LinearProgram._solved`) and an LP
     derived from it by `with_rhs` re-solves from it (`resolved`).
@@ -359,8 +380,8 @@ class _Simplex:
         the least common denominator of its columns' denominators, reduced,
         so it is the generic layout's row."""
         self = object.__new__(cls)
-        self.rows, self.lower, self.objective = lp.rows, lp.lower, lp.objective
-        self.sense, self.costs = lp.sense, lp._costs
+        self.sense, self.costs, self.rhs = lp.sense, lp._costs, lp._rhs
+        self.shifted, self.offset = [], None
         size, n = len(columns), len(lp.rows) - 1  # n equality rows
         self.m = n + 1
         self.norient = self.m + size
@@ -387,11 +408,11 @@ class _Simplex:
         self.basis = [*arts, slack]
         self.origin = [(i, 1, art, True) for i, art in enumerate(arts)]
         self.origin.append((n, 1, slack, False))
+        self.moving = [(art, 1) for art in arts] + [(slack, -1)]
         self.live = list(range(self.m))
         return self
 
     def __init__(self, lp: LinearProgram):
-        self.rows, self.lower, self.objective = lp.rows, lp.lower, lp.objective
         self.sense, self.costs = lp.sense, lp._costs
         # per variable: its column, and its negative part's (None if native)
         self.cols = []
@@ -410,6 +431,10 @@ class _Simplex:
                 self.lower_row[j] = k
                 if rhs:
                     lower[j] = -rhs
+        # the variables whose lower bound is not 0, with it, and c . l
+        self.shifted = [(j, lp.lower[j]) for j in lower]
+        offset = [lp.objective[j] * low for j, low in self.shifted if lp.objective[j]]
+        self.offset = sum(offset) if offset else None
         # tableau rows as (oriented index, terms, shifted rhs times den^2, eq)
         spec = [
             (k, terms, rhs * den - sum(a * lower[j] for j, a in terms if j in lower), eq)
@@ -448,6 +473,13 @@ class _Simplex:
             self.tab.append(_reduce_row(den2, row))
             self.basis.append(start)
             self.origin.append((k, sign, start, not by_slack))
+        # per constraint row: its starting column, and the sign a change of
+        # its right-hand side takes in the tableau
+        self.moving = [
+            (col, -sign if rel == ">=" else sign)
+            for (_k, sign, col, _art), (_, rel, _) in zip(self.origin, lp.rows)
+        ]
+        self.rhs = lp._rhs  # the right-hand sides the last column is B^-1 of
         self.live = list(range(self.m))  # rows not deleted as redundant
 
     # -- pivoting ---------------------------------------------------------
@@ -560,13 +592,14 @@ class _Simplex:
     def _x(self, column_values: dict, shift: bool) -> tuple:
         """A point (shift=True) or a direction in x from column values."""
         out = []
-        for (p, q), low in zip(self.cols, self.lower):
+        for p, q in self.cols:
             v = column_values.get(p, _ZERO)
             if q in column_values:
                 v -= column_values[q]
-            elif shift and low:
-                v += low
             out.append(v)
+        if shift:
+            for j, low in self.shifted:
+                out[j] += low
         return tuple(out)
 
     def _point(self) -> tuple:
@@ -598,10 +631,12 @@ class _Simplex:
                 out[k] = Fraction(v, den)
         return tuple(out)
 
-    def _row_farkas(self, row) -> tuple:
+    def _row_farkas(self, row, rhs: int) -> tuple:
         """The Farkas vector of a tableau row (den, cells) whose real entries
-        are all >= 0 and right-hand side < 0, or whose real entries are all 0
-        and right-hand side is not.
+        are all >= 0 and whose right-hand side, of the sign of `rhs`, is < 0,
+        or whose real entries are all 0 and whose right-hand side is not. The
+        row's own last cell is not read: a re-solve hands in the sign of its
+        new right-hand side (`resolved`).
 
         The row combines the starting rows with weights w_i, its entries in
         their starting columns (a starting row holds its column's only 1). So
@@ -613,17 +648,20 @@ class _Simplex:
         the vector is negated for a positive right-hand side.
         """
         den, cells = row
-        return self._multipliers((-den if cells[-1] > 0 else den, cells), 0)
+        return self._multipliers((-den if rhs > 0 else den, cells), 0)
+
+    def _value(self, last: int, den: int) -> Fraction:
+        """The objective value at the basic solution whose cost row ends in
+        last / den: that is -(cvec / c_den) . y for y = x - l, and cvec is c
+        negated for max; c . x adds c . l, where some lower bound is not 0."""
+        value = Fraction(last if self.sense == "max" else -last, den)
+        if self.offset is not None:
+            value += self.offset
+        return value
 
     def _optimal(self, cost) -> Optimal:
-        # At the optimum the cost row's last cell over its denominator is
-        # -(cvec / c_den) . y for y = x - l, and cvec is c negated for max;
-        # c . x adds c . l, where some lower bound is nonzero.
         den, cells = cost
-        value = Fraction(cells[-1] if self.sense == "max" else -cells[-1], den)
-        shift = [c * low for c, low in zip(self.objective, self.lower) if c and low]
-        if shift:
-            value += sum(shift)
+        value = self._value(cells[-1], den)
         # The extracted multipliers already satisfy the max-sense convention
         # (c = A'^T y) when cvec was negated, so no sign flip is needed.
         return Optimal(x=self._point(), value=value, dual=self._multipliers(cost, 0))
@@ -679,54 +717,84 @@ class _Simplex:
         return self._optimal(cost2)
 
     def resolved(self, lp: LinearProgram) -> "_Simplex":
-        """A copy of this tableau, whose solve ended `Optimal`, re-solved for
-        `lp`: this tableau's LP with other constraint right-hand sides.
+        """This tableau, whose solve ended `Optimal`, re-solved for `lp`: this
+        tableau's LP with other constraint right-hand sides.
 
         The final basis stays dual feasible, since only the right-hand sides
         change. The new right-hand column is the old one plus B^-1 times the
         change of the starting rows' right-hand sides, B^-1 read off the
-        starting columns, and the cost row's last cell moves by the starting
-        columns' reduced costs times that change. A row dropped as redundant
-        whose new right-hand side is not 0 proves `lp` infeasible; otherwise
-        the dual simplex (`_dual_run`) restores primal feasibility, or stops
-        at a row that proves infeasibility. It cannot end unbounded.
-        """
-        moves = []  # (starting column, sign, change of its row's rhs)
-        for (_k, sign, col, _art), (_, rel, old), (_, _, new) in zip(
-            self.origin, self.rows, lp.rows
-        ):
-            change = new - old if old else new
-            if change:
-                moves.append((col, -sign if rel == ">=" else sign, change))
-        den = lcm(*(d.denominator for *_, d in moves))
-        moves = [(col, s * d.numerator * (den // d.denominator)) for col, s, d in moves]
+        starting columns; the change is taken in integers, from `lp._rhs` and
+        this tableau's `rhs`. A row dropped as redundant whose new right-hand
+        side is not 0 proves `lp` infeasible; otherwise the dual simplex
+        (`_dual_run`) restores primal feasibility, or stops at a row that
+        proves infeasibility. It cannot end unbounded.
 
-        def moved(row):
-            row_den, cells = row
-            last = cells[-1] * den + sum(cells[col] * d for col, d in moves)
-            cells = [v * den for v in cells] if den > 1 else cells[:]
-            cells[-1] = last
-            return _reduce_row(row_den * den, cells)
+        Its first step is taken on this tableau's rows, computing only the new
+        column. With no negative entry there the basis is optimal as it
+        stands: x and the value are read off the new column and the cost
+        row's last cell, moved by the starting columns' reduced costs times
+        the change, and the dual is this tableau's, since no reduced cost
+        moved. A leaving row with no negative real entry blocks: its Farkas
+        vector is read off this tableau's row, signed by its new right-hand
+        side. Only when a pivot is due are the rows and the cost row copied
+        with the new column, and the dual simplex run on the copies. A result
+        that took no pivot shares this tableau's rows, cost row and `rhs`
+        (the right-hand sides its last column is B^-1 of), so it can be
+        re-solved from in turn.
+        """
+        nums, den = lp._rhs
+        old, old_den = self.rhs
+        if any(old):
+            common = lcm(den, old_den)
+            nums = [a * (common // den) - b * (common // old_den) for a, b in zip(nums, old)]
+            den = common
+        moves = [(col, sign * d) for (col, sign), d in zip(self.moving, nums) if d]
+
+        def moved(cells) -> int:
+            """The row's new right-hand side, over its denominator times den."""
+            return cells[-1] * den + sum(cells[col] * d for col, d in moves)
 
         warm = object.__new__(_Simplex)
         vars(warm).update(vars(self))  # `live` is not changed after a solve: shared
-        del warm.cost
-        warm.rows = lp.rows
+        tab = self.tab
         if len(self.live) < self.m:
             # A dropped row is a fixed combination of the starting rows with a
             # zero real part (pivots no longer touch it): its right-hand side
             # is 0 in every feasible LP of the family, so it is kept as it is.
             for r in range(self.m):
-                if r not in self.live and (row := moved(self.tab[r]))[1][-1]:
-                    warm.outcome = Infeasible(farkas=self._row_farkas(row))
+                if r not in self.live and (rhs := moved(tab[r][1])):
+                    warm.outcome = Infeasible(farkas=self._row_farkas(tab[r], rhs))
                     return warm
-        warm.tab = list(self.tab)
-        for r in self.live:
-            warm.tab[r] = moved(self.tab[r])
+        column = {r: moved(tab[r][1]) for r in self.live}
+        leave = None
+        for r, rhs in column.items():
+            if rhs < 0 and (leave is None or self.basis[r] < self.basis[leave]):
+                leave = r
+        if leave is None:
+            values = {self.basis[r]: Fraction(v, tab[r][0] * den) for r, v in column.items() if v}
+            cost_den, cost = self.cost
+            value = self._value(moved(cost), cost_den * den)
+            warm.outcome = Optimal(self._x(values, shift=True), value, self.outcome.dual)
+            return warm
+        if min(tab[leave][1][: self.nreal]) >= 0:
+            warm.outcome = Infeasible(farkas=self._row_farkas(tab[leave], column[leave]))
+            return warm
+
+        def copied(row, rhs):
+            row_den, cells = row
+            cells = [v * den for v in cells] if den > 1 else cells[:]
+            cells[-1] = rhs
+            return _reduce_row(row_den * den, cells)
+
+        warm.tab = list(tab)
+        for r, rhs in column.items():
+            warm.tab[r] = copied(tab[r], rhs)
         warm.basis = list(self.basis)
-        cost, blocking = warm._dual_run(moved(self.cost))
+        warm.rhs = lp._rhs
+        cost, blocking = warm._dual_run(copied(self.cost, moved(self.cost[1])))
         if blocking is not None:
-            warm.outcome = Infeasible(farkas=warm._row_farkas(warm.tab[blocking]))
+            row = warm.tab[blocking]
+            warm.outcome = Infeasible(farkas=warm._row_farkas(row, row[1][-1]))
         else:
             warm.cost = cost
             warm.outcome = warm._optimal(cost)

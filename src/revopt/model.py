@@ -7,9 +7,12 @@ never a large number, so indicator semantics stay exact.
 Each function and polyhedron also keeps an integer image of its rows: a
 function's pieces share one common denominator, and each domain row has its
 own. A constructor called from Python parses its values with `rat` and builds
-the images on first use; a problem file's parser, which has read every
-literal with `rat` once already, hands its values to `_parsed_function` and
-`_parsed_problem`, which check shapes only and build the images at once.
+the images on first use. A problem file's parser reads every literal once
+(`_literal`), into its `Fraction` and its numerator and denominator in lowest
+terms (a small integer's shared, `_SMALL_LITERALS`), and hands both to
+`_parsed_function` and `_parsed_problem`: they check
+shapes only, build the objects from the Fractions and the images at once from
+the integers, so no Fraction is read back.
 Evaluation brings the point to one common denominator, compares integers, and
 builds at most one `Fraction`, for the value.
 """
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 __all__ = [
@@ -49,6 +52,11 @@ NEG_INF = float("-inf")
 #: surrounding whitespace
 _RAT_RE = re.compile(r"\s*([+-]?\d+)(?:/([1-9]\d*))?\s*")
 
+#: the integer literals from -256 to 256 as `fmt` writes them, read once for
+#: every file: `_literal`'s (Fraction, numerator, denominator) of each, so a
+#: small integer, the common literal, makes no Fraction of its own
+_SMALL_LITERALS = {str(k): (Fraction(k), k, 1) for k in range(-256, 257)}
+
 
 class InputError(ValueError):
     """Malformed input: dimension mismatch, bad literal, invalid field."""
@@ -68,16 +76,33 @@ def rat(text) -> Fraction:
     Decimal or float literals and booleans (an `int` subtype) are rejected:
     the wire format is rationals only. A `str` and a `Fraction` are told by
     their exact class first, since `isinstance(text, Fraction)` is an ABC
-    check; subclasses take the `isinstance` branches and read the same.
+    check; subclasses take the `isinstance` branches and read the same. A
+    string is read by `_literal`.
     """
     if text.__class__ is not str:
         if text.__class__ is Fraction or isinstance(text, Fraction):
             return text
         if isinstance(text, int) and not isinstance(text, bool):
             return Fraction(text)
-        if not isinstance(text, str):
-            raise InputError(f"not a rational literal: {text!r}")
-    if text.isdecimal():  # digits alone: what `_RAT_RE` reads as (text, None)
+    return _literal(text)[0]
+
+
+def _literal(text) -> tuple[Fraction, int, int]:
+    """A wire literal, an int or a "p/q" / integer string, read once: the
+    `Fraction` that `rat` makes of it, and its numerator and denominator in
+    lowest terms, taken from the text rather than read back from the
+    Fraction; an integer string from -256 to 256 as `fmt` writes it is looked
+    up (`_SMALL_LITERALS`). InputError as `rat` gives it."""
+    if text.__class__ is str:
+        known = _SMALL_LITERALS.get(text)
+        if known is not None:
+            return known
+    elif isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text), text, 1
+    elif not isinstance(text, str):
+        raise InputError(f"not a rational literal: {text!r}")
+    # digits alone, or after a minus: what `_RAT_RE` reads as (text, None)
+    if text.isdecimal() or (text[:1] == "-" and text[1:].isdecimal()):
         num, den = text, None
     else:
         match = _RAT_RE.fullmatch(text)
@@ -85,9 +110,14 @@ def rat(text) -> Fraction:
             raise InputError(f"not a rational literal: {text!r}")
         num, den = match.groups()
     try:
-        return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        num = int(num)
+        if den is None:
+            return Fraction(num), num, 1
+        den = int(den)
     except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
         raise InputError(f"rational literal too long: {len(text)} characters") from None
+    g = gcd(num, den)
+    return Fraction(num, den), num // g, den // g
 
 
 def fmt(value) -> str:
@@ -137,28 +167,43 @@ def _built(cls, **fields):
     return obj
 
 
-def _piece_image(pieces) -> tuple:
-    """A function's integer image (D, rows): each piece (a_i, b_i) times D,
-    the least common denominator of all the pieces, as (A_i, B_i)."""
-    den = lcm(*[v.denominator for p in pieces for v in (*p.a, p.b)])
+def _function_image(pieces) -> tuple:
+    """A function's integer image (D, rows), from its pieces (a_i, b_i) with
+    their integers, `((a, nums, dens), (b, num, den))` as `_literal` reads a
+    problem file's (`_read`): each piece times D, the least common
+    denominator of all of them, as (A_i, B_i)."""
+    den = lcm(*[lcm(b_den, *dens) for (_, _, dens), (_, _, b_den) in pieces])
     return den, tuple(
-        (_times(p.a, den), p.b.numerator * (den // p.b.denominator)) for p in pieces
+        [
+            (_times(nums, dens, den), b_num * (den // b_den))
+            for (_, nums, dens), (_, b_num, b_den) in pieces
+        ]
     )
 
 
-def _row_images(a, b) -> tuple:
-    """A polyhedron's integer image: each row (A_r, b_r) times its own least
-    common denominator L_r, as (A_r * L_r, b_r * L_r, L_r)."""
-    rows = []
-    for row, rhs in zip(a, b):
-        den = lcm(rhs.denominator, *[v.denominator for v in row])
-        rows.append((_times(row, den), rhs.numerator * (den // rhs.denominator), den))
-    return tuple(rows)
+def _polyhedron_image(rows, rhs) -> tuple:
+    """A polyhedron's integer image, from its rows A_r and right-hand sides
+    b_r with their integers, each vector `(values, nums, dens)` (`_read`):
+    each row times its own least common denominator L_r, as
+    (A_r * L_r, b_r * L_r, L_r)."""
+    out = []
+    for (_, nums, dens), num, d in zip(rows, rhs[1], rhs[2]):
+        den = lcm(d, *dens)
+        out.append((_times(nums, dens, den), num * (den // d), den))
+    return tuple(out)
 
 
-def _times(values, den: int) -> tuple:
-    """Each of some rationals times `den`, a multiple of their denominators."""
-    return tuple([v.numerator * (den // v.denominator) for v in values])
+def _times(nums, dens, den: int) -> tuple:
+    """Each of the rationals nums / dens times `den`, a multiple of dens."""
+    if den == 1:
+        return tuple(nums)
+    return tuple([v * (den // d) for v, d in zip(nums, dens)])
+
+
+def _read(values) -> tuple:
+    """Some rationals with their integers, `(values, nums, dens)`, as a
+    problem file's vector is read."""
+    return values, [v.numerator for v in values], [v.denominator for v in values]
 
 
 def _check_polyhedron(a, b, n: int) -> None:
@@ -231,8 +276,8 @@ class HPolyhedron:
 
     @cached_property
     def _rows(self) -> tuple:
-        """The integer image (`_row_images`)."""
-        return _row_images(self.a, self.b)
+        """The integer image (`_polyhedron_image`)."""
+        return _polyhedron_image([_read(row) for row in self.a], _read(self.b))
 
     def contains(self, x) -> bool:
         if len(x) != self.n:
@@ -265,8 +310,9 @@ class PolyhedralConvexFunction:
 
     @cached_property
     def _image(self) -> tuple:
-        """The integer image (D, rows) of the pieces (`_piece_image`)."""
-        return _piece_image(self.pieces)
+        """The integer image (D, rows) of the pieces (`_function_image`)."""
+        pieces = [(_read(p.a), (p.b, p.b.numerator, p.b.denominator)) for p in self.pieces]
+        return _function_image(pieces)
 
     def value(self, x):
         """Exact value: max over pieces on the domain, INF outside it."""
@@ -338,37 +384,45 @@ class ReverseProblem:
 
 
 def _parsed_function(n: int, pieces, domain) -> PolyhedralConvexFunction:
-    """The function of a problem file: `pieces` are its (a_i, b_i) and
-    `domain` is None or its (A, b), every value one `rat` returned. The
+    """The function of a problem file. Each vector of it comes as `(values,
+    nums, dens)` and each scalar as `(value, num, den)`, as `_literal` read
+    them: `pieces` are its (a_i, b_i) and `domain` is None or its (A, b). The
     constructors' shape checks run, in their order, and nothing is parsed
-    again; the integer images are built here, from the parsed values."""
+    again; the objects are built from the values and their integer images,
+    at once, from the integers."""
     if domain is not None:
         rows, rhs = domain
-        _check_polyhedron(rows, rhs, n)
-        domain = _built(HPolyhedron, a=rows, b=rhs, n=n, _rows=_row_images(rows, rhs))
-    forms = tuple(_built(AffineForm, a=a, b=b) for a, b in pieces)
+        a = tuple([values for values, _, _ in rows])
+        _check_polyhedron(a, rhs[0], n)
+        image = _polyhedron_image(rows, rhs)
+        domain = _built(HPolyhedron, a=a, b=rhs[0], n=n, _rows=image)
+    forms = tuple([_built(AffineForm, a=a, b=b) for (a, _, _), (b, _, _) in pieces])
     _check_function(n, forms, domain)
     return _built(
         PolyhedralConvexFunction,
         n=n,
         pieces=forms,
         domain=domain,
-        _image=_piece_image(forms),
+        _image=_function_image(pieces),
     )
 
 
 def _parsed_problem(n: int, objective, reverse, constraints, point, epsilon) -> ReverseProblem:
-    """The problem of a problem file, from functions of `_parsed_function`
-    and a point and epsilon that `rat` returned; checked as the constructor
-    checks, with nothing parsed again."""
+    """The problem of a problem file, from functions of `_parsed_function`,
+    a point `(values, nums, dens)` and an epsilon that `_literal` read;
+    checked as the constructor checks, with nothing parsed again. The point's
+    image is built from its integers."""
     constraints = tuple(constraints)
-    _check_problem(n, point, epsilon, (objective, reverse, *constraints))
+    values, nums, dens = point
+    _check_problem(n, values, epsilon, (objective, reverse, *constraints))
+    den = lcm(*dens)
     return _built(
         ReverseProblem,
         n=n,
         objective=objective,
         reverse=reverse,
-        point=point,
+        point=values,
         epsilon=epsilon,
         constraints=constraints,
+        _point_image=(_times(nums, dens, den), den),
     )

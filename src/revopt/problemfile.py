@@ -1,9 +1,12 @@
 """Problem-file ingestion: exact rationals on the wire, unknown fields rejected.
 
 The document is JSON with every scalar serialized as a "p/q" or integer
-string; no floating point is accepted anywhere. Each literal is read by `rat`
-exactly once, and the model objects and their integer images are built from
-those values (`_parsed_function`, `_parsed_problem`), not parsed again.
+string; no floating point is accepted anywhere. Each literal is read exactly
+once (`_literal`), into its `Fraction` and its numerator and denominator in
+lowest terms; an integer from -256 to 256 shares a Fraction made at import.
+The model objects are built from the Fractions and their integer images from
+the integers (`_parsed_function`, `_parsed_problem`): nothing is parsed again
+and no Fraction is read back.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from .model import (
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
+    _literal,
     _parsed_function,
     _parsed_problem,
     fmt,
-    rat,
 )
 
 __all__ = ["parse_problem", "load_problem", "problem_to_doc", "dump_problem"]
@@ -42,7 +45,15 @@ def _array(value, what: str) -> list:
 
 
 def _vector(value, what: str) -> tuple:
-    return tuple(map(rat, _array(value, what)))
+    """An array of literals, each read once (`_literal`), as `(values, nums,
+    dens)`: the Fractions, and their numerators and denominators."""
+    values, nums, dens = [], [], []
+    for text in _array(value, what):
+        v, num, den = _literal(text)
+        values.append(v)
+        nums.append(num)
+        dens.append(den)
+    return tuple(values), nums, dens
 
 
 def _parse_function(doc, n: int, what: str) -> PolyhedralConvexFunction:
@@ -55,7 +66,7 @@ def _parse_function(doc, n: int, what: str) -> PolyhedralConvexFunction:
         _check_fields(piece, _PIECE_FIELDS, at)
         if "a" not in piece or "b" not in piece:
             raise InputError(f"{at}: needs fields a and b")
-        pieces.append((_vector(piece["a"], f"{at}.a"), rat(piece["b"])))
+        pieces.append((_vector(piece["a"], f"{at}.a"), _literal(piece["b"])))
     domain = None
     if "domain" in doc and doc["domain"] is not None:
         dom = doc["domain"]
@@ -85,7 +96,7 @@ def parse_problem(doc) -> ReverseProblem:
         for j, g in enumerate(_array(doc.get("constraints", []), "constraints"))
     )
     point = _vector(doc["point"], "point")
-    epsilon = rat(doc["epsilon"])
+    epsilon, _, _ = _literal(doc["epsilon"])
     return _parsed_problem(n, objective, reverse, constraints, point, epsilon)
 
 

@@ -6,7 +6,9 @@ sign-changing segment.
 """
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from revopt.model import (
     AffineForm,
@@ -285,3 +287,14 @@ def face_domain_family(count, seed=8):
         eps = gap * F(rng.randint(0, 15), 10)
         out.append(ReverseProblem(f.n, f, h, x_bar, eps))
     return out
+
+
+def wide_modes(seed):
+    """`bench/gen.wide_modes(seed)`: the benchmark's rational instances, n in
+    {2, 3}, h with a face domain on every other group of eight."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import gen
+
+    return gen.wide_modes(seed)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from corpus import (
     exact_feasible_inf,
     face_domain_family,
     random_fn,
+    wide_modes,
 )
 from revopt.certificates import (
     MODES,
@@ -659,3 +661,96 @@ def test_mode_coherence_constrained_vs_rop():
             b = verify(p, "constrained")
             assert a.tag == b.tag
             assert a.witness == b.witness
+
+
+# -- invariances ---------------------------------------------------------------
+
+
+def _decision(problem, mode):
+    v = verify(problem, mode)
+    return v.tag, v.reason, v.gates
+
+
+@functools.cache
+def _invariance_cases():
+    """The corpus head (n = 1, integer data) and the bench's rational
+    instances (n in {2, 3}, h with a face domain on every other eight), each
+    with its decision in every mode."""
+    problems = corpus(120, 80, seed_base=1000)[:50] + [i.problem for i in wide_modes(0)]
+    return [(p, {mode: _decision(p, mode) for mode in MODES}) for p in problems]
+
+
+def _assert_invariant(transform):
+    """Each problem and `transform` of it get the same verdict, reason and
+    gates in every mode; both verdicts occur."""
+    tags = set()
+    for problem, decisions in _invariance_cases():
+        moved = transform(problem)
+        for mode, decision in decisions.items():
+            assert _decision(moved, mode) == decision, (problem, mode)
+            tags.add(decision[0])
+    assert {"CERTIFIED_ON_GRID", "REFUTED"} <= tags
+
+
+def test_verdicts_are_invariant_under_scaling_f_and_eps():
+    # f and eps times 5/3: f's image, the template's budget column and every
+    # probe's right-hand side take the denominator 3.
+    k = F(5, 3)
+    _assert_invariant(
+        lambda p: ReverseProblem(
+            p.n, p.objective.scaled(k), p.reverse, p.point, p.epsilon * k, p.constraints
+        )
+    )
+
+
+def _substituted(fn, t, c):
+    """fn(T y + c) as a function of y: each piece (a, b) becomes
+    (T^T a, <a, c> + b) and each domain row (A_r, d_r) becomes
+    (T^T A_r, d_r - <A_r, c>)."""
+    n = fn.n
+
+    def row(a):
+        return tuple(sum(a[i] * t[i][j] for i in range(n)) for j in range(n))
+
+    def at_c(a):
+        return sum(ai * ci for ai, ci in zip(a, c))
+
+    pieces = tuple(AffineForm(row(p.a), p.b + at_c(p.a)) for p in fn.pieces)
+    domain = fn.domain
+    if domain is not None:
+        domain = HPolyhedron(
+            tuple(row(a) for a in domain.a),
+            tuple(d - at_c(a) for a, d in zip(domain.a, domain.b)),
+            n,
+        )
+    return PolyhedralConvexFunction(n, pieces, domain)
+
+
+def test_verdicts_are_invariant_under_an_affine_change_of_variables():
+    # x = T y + c with T rational upper triangular and invertible, and c
+    # rational: every piece, domain row and the point get denominators.
+    rng = random.Random(97)
+
+    def transform(problem):
+        n = problem.n
+        t = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            t[i][i] = rng.choice((F(2, 3), F(-3, 2), F(5, 7), F(1)))
+            for j in range(i + 1, n):
+                t[i][j] = F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        c = [F(rng.randint(-5, 5), rng.choice((1, 2, 7))) for _ in range(n)]
+        y = [F(0)] * n  # T y = x_bar - c, by back substitution
+        for i in reversed(range(n)):
+            rest = sum(t[i][j] * y[j] for j in range(i + 1, n))
+            y[i] = (problem.point[i] - c[i] - rest) / t[i][i]
+        sub = lambda fn: _substituted(fn, t, c)  # noqa: E731
+        return ReverseProblem(
+            n,
+            sub(problem.objective),
+            sub(problem.reverse),
+            tuple(y),
+            problem.epsilon,
+            tuple(map(sub, problem.constraints)),
+        )
+
+    _assert_invariant(transform)

@@ -472,6 +472,31 @@ _MALFORMED = {
     ),
     "a-wide": (("objective", "pieces", 0, "a"), ["1", "2"], "piece dimension 2 != function dimension 1"),
     "point-wide": (("point",), ["1", "2"], "point: expected length 1, got 2"),
+    # A bad literal is reported as it reads, wherever it sits, before any
+    # shape check of its vector or row.
+    "domain-row-literal": (
+        ("reverse", "domain"), {"A": [["1", "1.5"]], "b": ["1"]}, "not a rational literal: '1.5'"
+    ),
+    "domain-b-literal": (
+        ("reverse", "domain"), {"A": [["1"]], "b": ["--1"]}, "not a rational literal: '--1'"
+    ),
+    "domain-literal-past-a-wide-row": (
+        ("reverse", "domain"),
+        {"A": [["1", "2"], ["x"]], "b": ["1", "1"]},
+        "not a rational literal: 'x'",
+    ),
+    "constraint-piece-literal": (
+        ("constraints",),
+        [{"pieces": [{"a": ["1"], "b": "0"}]}, {"pieces": [{"a": ["1/0"], "b": "0"}]}],
+        "not a rational literal: '1/0'",
+    ),
+    "constraint-b-literal": (
+        ("constraints",), [{"pieces": [{"a": ["1"], "b": "- 1"}]}], "not a rational literal: '- 1'"
+    ),
+    "point-minus": (("point",), ["-"], "not a rational literal: '-'"),
+    "point-signs": (("point",), ["+-1"], "not a rational literal: '+-1'"),
+    "point-boolean": (("point",), [False], "not a rational literal: False"),
+    "point-literal-past-the-length": (("point",), ["1", "x"], "not a rational literal: 'x'"),
 }
 
 

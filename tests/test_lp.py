@@ -195,7 +195,7 @@ def test_derived_lps_carry_only_their_fields_and_named_caches():
     vars(lp)["_planted"] = planted
     fields = {"n", "objective", "sense", "rows", "lower", "upper"}
     derived = lp.with_rhs((2,))
-    assert set(vars(derived)) == fields | {"_costs", "_template"}
+    assert set(vars(derived)) == fields | {"_costs", "_rhs", "_template"}
     assert vars(derived)["_template"] is lp
     probe = max_component_lp(lp, 0)
     assert set(vars(probe)) == fields

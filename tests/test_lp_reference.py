@@ -4,14 +4,13 @@ references in `reference.py`."""
 import dataclasses
 import math
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import reference
-from corpus import corpus, face_domain_family
+from corpus import corpus, face_domain_family, wide_modes
 from revopt import certificates, lp, oracle, pareto, polytope, subdiff
 from revopt.certificates import MODES, membership_lp, verify
 from revopt.lp import (
@@ -334,7 +333,7 @@ def test_the_probe_template_starts_from_its_columns_as_the_generic_layout_starts
     # solve to equal outcomes and final tableaux.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += corpus(120, 80, seed_base=1000) + face_domain_family(30)
-    problems += [instance.problem for instance in _wide_modes(0)]
+    problems += [instance.problem for instance in wide_modes(0)]
     kinds = set()
     laid_out = 0
     for problem in problems:
@@ -356,17 +355,6 @@ def test_the_probe_template_starts_from_its_columns_as_the_generic_layout_starts
 
 
 # -- warm starts -----------------------------------------------------------------
-
-
-def _wide_modes(seed):
-    """`bench/gen.wide_modes(seed)`: the benchmark's rational instances, n in
-    {2, 3}, h with a face domain on every other group of eight."""
-    bench = str(Path(__file__).resolve().parent.parent / "bench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    import gen
-
-    return gen.wide_modes(seed)
 
 
 def _assert_warm_matches(problem_lp, outcome, solved=None):
@@ -409,13 +397,95 @@ def test_lps_re_solved_from_their_template_match_the_reference(monkeypatch):
     assert min(kinds.values()) >= 40 and pivoted >= 40, (kinds, pivoted)
 
 
+def _redundant_lp(rng):
+    """x + y = b1, y - z = b2 and their sum x + 2y - z = b3 over x, y, z >= 0,
+    under a random objective that keeps the minimum bounded: phase 1 drops
+    the third row as redundant, and it stays so for every right-hand side."""
+    rows = (((1, 1, 0), "=", rng.randint(0, 3)), ((0, 1, -1), "=", rng.randint(-2, 2)))
+    rows += (((1, 2, -1), "=", rows[0][2] + rows[1][2]),)
+    objective = tuple(_rational(rng, 3) + 4 for _ in range(3))
+    return LinearProgram(3, objective, "min", rows, (0, 0, 0))
+
+
+def test_warm_re_solves_take_each_path_and_match_the_reference(monkeypatch):
+    # A re-solve takes the dual simplex's first step on its template's shared
+    # rows. Each of its paths, on templates whose right-hand sides are not
+    # zero, matches the reference simplex and re-validates:
+    # - optimal with no pivot: the rows are shared and the dual is the
+    #   template's own;
+    # - blocked with no pivot: the Farkas vector is read off the template's
+    #   row, signed by the row's new right-hand side, not by its own, which
+    #   is >= 0 and often > 0;
+    # - a pivot: only then are the rows copied;
+    # - a row dropped as redundant whose new right-hand side is not 0;
+    # - a derived LP used as a template in turn, whether it pivoted or not.
+    read = []  # (row, rhs) of each Farkas vector read off a tableau row
+    original = _Simplex._row_farkas
+    monkeypatch.setattr(
+        _Simplex, "_row_farkas", lambda self, row, rhs: read.append((row, rhs)) or original(self, row, rhs)
+    )
+    rng = random.Random(79)
+    paths = dict.fromkeys(
+        (
+            "optimal",
+            "blocked",
+            "blocked where the template's is > 0",
+            "pivot",
+            "dropped",
+            "optimal, then a template",
+            "pivot, then a template",
+        ),
+        0,
+    )
+
+    def re_solve(template, depth):
+        out = lp_solve(template)
+        if not isinstance(out, Optimal):
+            return
+        solved = template._solved
+        for _ in range(3):
+            read.clear()
+            derived = template.with_rhs([_rational(rng, 5) for _ in template.rows])
+            got = lp_solve(derived)
+            _assert_warm_matches(derived, got)
+            warm = derived._solved
+            if warm.tab is not solved.tab:
+                assert warm.basis != solved.basis
+                path = "pivot"
+            elif isinstance(got, Optimal):
+                assert got.dual is out.dual and warm.basis == solved.basis
+                path = "optimal"
+            else:
+                ((row, rhs),) = read
+                assert got.farkas == original(solved, row, rhs)
+                r = next(r for r, other in enumerate(solved.tab) if other is row)
+                if r in solved.live:
+                    # an optimal tableau's right-hand sides are >= 0
+                    assert rhs < 0 <= row[1][-1]
+                    path = "blocked"
+                    paths["blocked where the template's is > 0"] += row[1][-1] > 0
+                else:
+                    assert rhs != 0
+                    path = "dropped"
+            paths[path] += 1
+            if depth == 0 and isinstance(got, Optimal):
+                paths[f"{path}, then a template"] += 1
+                re_solve(derived, 1)
+
+    for _ in range(150):
+        re_solve(_random_lp(rng), 0)
+    for _ in range(30):
+        re_solve(_redundant_lp(rng), 0)
+    assert len(paths) == 7 and min(paths.values()) >= 20, paths
+
+
 def test_every_probe_of_verify_matches_the_reference_through_the_real_solver(monkeypatch):
     # Each probe as `verify` solves it, warm from the gate probe's basis or
     # not, on the problem files, the corpus head, h with a face domain and
     # the rational wide instances, in every mode.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += corpus(120, 80, seed_base=1000)[:50] + face_domain_family(24)
-    problems += [instance.problem for instance in _wide_modes(0)]
+    problems += [instance.problem for instance in wide_modes(0)]
     seen = []
 
     def record(problem_lp):

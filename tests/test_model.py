@@ -107,6 +107,36 @@ def test_rat_accepts_and_rejects_what_the_two_pass_parser_did():
     assert 100 < accepted < len(literals) - 100
 
 
+def _error(parse, text):
+    try:
+        parse(text)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def test_a_literal_is_read_as_rat_reads_it_with_its_integers_in_lowest_terms():
+    # A problem file's literals are read once by `_literal`: the value the
+    # reference parser reads, with its numerator and denominator in lowest
+    # terms taken from the text, and rat's error text for what it rejects.
+    literals = ["-", "-1", "-007", "--1", "-+1", "- 1", "-1/", "-007/014", "0/9", "-0"]
+    literals += ["١٢", "-١٢", "١٢/٢٤", " -6/4\t", "2/4", 6, -9, True, 2.0, None]
+    literals += [_Str("-6/4"), _Str("0.5"), _Int(-4)]
+    rng = random.Random(5)
+    literals += ["".join(rng.choices("0123456789/+- ._", k=rng.randint(1, 6))) for _ in range(3000)]
+    read = 0
+    for text in literals:
+        expected = _parsed(reference.reference_rat, text)
+        if expected == "rejected":
+            assert _error(model._literal, text) == _error(rat, text) is not None, text
+            continue
+        value, num, den = model._literal(text)
+        assert (type(value), value) == expected, text
+        assert (num, den) == (value.numerator, value.denominator), text
+        read += den > 1
+    assert read > 40
+
+
 class _Str(str):
     pass
 
@@ -263,33 +293,81 @@ def test_a_problem_file_reads_each_literal_once(monkeypatch, tmp_path):
     for k, problem in enumerate(_python_problems()):
         paths.append(str(tmp_path / f"p{k}.json"))
         dump_problem(problem, paths[-1])
-    calls = []
-    original = model.rat
+    calls, parsed, read_back, made = [], [], [], []
+    original = model._literal
 
     def counting(text):
         calls.append(text)
         return original(text)
 
-    monkeypatch.setattr(model, "rat", counting)
-    monkeypatch.setattr(problemfile, "rat", counting)
-    total = 0
+    def making(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def watched(name):
+        prop = getattr(Fraction, name)
+        return property(lambda value: read_back.append(name) or prop.fget(value))
+
+    # Each literal is read once, into its Fraction and its integers; no
+    # Fraction is parsed again by `rat` or read back for an image, and an
+    # integer from -256 to 256 shares the Fraction made for it at import.
+    monkeypatch.setattr(problemfile, "_literal", counting)
+    monkeypatch.setattr(model, "rat", lambda text: parsed.append(text) or rat(text))
+    total = shared = 0
     for path in paths:
         calls.clear()
-        load_problem(path)
+        made.clear()
         with open(path, encoding="utf-8") as fh:
             literals = _literal_count(json.load(fh))
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "numerator", watched("numerator"))
+            m.setattr(Fraction, "denominator", watched("denominator"))
+            m.setattr(model, "Fraction", making)
+            load_problem(path)
         assert len(calls) == literals, path
+        small = [t for t in calls if t.lstrip("-").isdigit() and int(t) in range(-256, 257)]
+        assert len(made) == literals - len(small), path
         total += literals
-    assert len(paths) >= 30 and total > 800
+        shared += len(small)
+    assert parsed == [] and read_back == []
+    assert len(paths) >= 30 and total > 800 and total - 100 > shared > 400
+
+
+def _respell(doc):
+    """Write each literal of a problem document as another spelling of its
+    value: times 2/2, with a "+" sign or padded with blanks, in turn."""
+    spellings = (
+        lambda v: f"{v.numerator * 2}/{v.denominator * 2}",
+        lambda v: f"+{v}" if v >= 0 else str(v),
+        lambda v: f" {v}\t",
+    )
+    count = 0
+
+    def respell(node):
+        nonlocal count
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in list(items):
+            if isinstance(value, str):
+                count += 1
+                node[key] = spellings[count % 3](F(value))
+            elif isinstance(value, (dict, list)):
+                respell(value)
+
+    respell(doc)
 
 
 def test_a_parsed_problem_has_the_images_of_the_problem_built_in_python():
-    # The parse builds the integer images from its values at once; they are
-    # the images the constructors' lazy ones give for the same problem.
+    # The parse builds the integer images from its integers at once, the
+    # point's too; they are the images the constructors' lazy ones give for
+    # the same problem, whatever spelling of a literal the file uses.
     checked = 0
-    for problem in _python_problems():
-        parsed = parse_problem(problem_to_doc(problem))
+    for k, problem in enumerate(_python_problems()):
+        doc = problem_to_doc(problem)
+        if k % 2:  # unreduced, signed and padded spellings of the same values
+            _respell(doc)
+        parsed = parse_problem(doc)
         assert parsed == problem
+        assert "_point_image" in vars(parsed) and parsed._point_image == problem._point_image
         for fn, again in zip(
             (problem.objective, problem.reverse, *problem.constraints),
             (parsed.objective, parsed.reverse, *parsed.constraints),
