@@ -58,6 +58,13 @@ accepts exactly when inf f over R >= f(x_bar) - eps, so that one probe is the
 decision's single vertex check, as it decides convex mode with its own phi;
 rejected, the gate passes and the probe is not logged. `essential_check`
 computes the same gate from the primal side and is kept as its reference.
+
+A decision builds only what it reads. The template is built from its
+integer columns and every point probe from its right-hand sides in integers,
+so no probe's `Fraction` rows are made unless a ray probe, a certificate
+check or a tracer reads them. The gates on x_bar compare each function's
+largest scaled piece with 0 in integers, and E's generators are read off the
+problem's integer image of x_bar.
 """
 
 from __future__ import annotations
@@ -146,10 +153,10 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     Its columns lam, nu and eta, in that order, each have a slope (their n
     rows) and a budget coefficient, the pieces' and domain rows' own values;
     each lam's budget coefficient also takes in alpha's, eps - f(x_bar),
-    computed in integers off the image of f. Every value is a `Fraction`
-    already, so the LP is built from them unchecked, together with its
-    columns in integers, read off the images of f, of each phi and of the
-    domain rows, which its solve starts from (`LinearProgram._cone`)."""
+    computed in integers off the image of f. The LP is built from its
+    columns in integers alone, read off the images of f, of each phi and of
+    the domain rows (`LinearProgram._cone`): its solve starts from them, and
+    its `Fraction` rows are made only if something reads them."""
     f, phis = problem.objective, _phis(mode, problem)
     xs, x_den = problem._point_image
     if f.domain is not None and not f.domain._holds(xs, x_den):
@@ -159,39 +166,30 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     # b_i + eps - f(x_bar) = (B_i * q / D + shift) / q
     q = d_f * x_den * eps.denominator
     shift = eps.numerator * d_f * x_den - max(f._scaled_pieces(xs, x_den)) * eps.denominator
-    lam = [b * (q // d_f) + shift for _, b in f_image]
-    # per column: its slope and budget coefficient, as Fractions and in
-    # integers (slopes, den, budget, budget_den)
-    columns = [(p.a, Fraction(c, q)) for p, c in zip(f.pieces, lam)]
-    images = [(a, d_f, c, q) for (a, _), c in zip(f_image, lam)]
+    # per column: its slopes, their denominator, its budget coefficient and
+    # that one's denominator, all ints
+    columns = [(a, d_f, b * (q // d_f) + shift, q) for a, b in f_image]
     for phi in phis:
         d, image = phi._image
-        columns += [(p.a, p.b) for p in phi.pieces]
-        images += [(a, d, b, d) for a, b in image]
+        columns += [(a, d, b, d) for a, b in image]
     for fn in (f, *phis):
         if fn.domain is not None:
-            columns += [(row, -rhs) for row, rhs in zip(fn.domain.a, fn.domain.b)]
-            images += [(a, d, -b, d) for a, b, d in fn.domain._rows]
-    slopes, budgets = zip(*columns)
-    rows = [(row, "=", _ZERO) for row in zip(*slopes)]
-    rows.append((budgets, ">=", _ZERO))
-    return LinearProgram._cone(tuple(rows), len(f.pieces), tuple(images))
+            columns += [(a, d, -b, d) for a, b, d in fn.domain._rows]
+    return LinearProgram._cone(len(f.pieces), tuple(columns))
 
 
-def _probe_rhs(problem: ReverseProblem, eps_prime, xstar) -> tuple:
+def _probe_rhs(problem: ReverseProblem, eps_prime, xstar) -> tuple[list[int], int]:
     """The point probe's right-hand sides, x* and the budget row's
-    -<x*, x_bar> - eps', and the same in integers over one denominator:
-    `(rhs, (nums, den))`. Both come from x_bar's and x*'s images; the budget
-    is the one Fraction made."""
+    -<x*, x_bar> - eps', in integers over one denominator, `(nums, den)`,
+    computed off the images of x_bar and x*."""
     xb, xb_den = problem._point_image
     xs, xs_den = _over_common_den(xstar)
     eps_den = eps_prime.denominator
-    den = xb_den * xs_den * eps_den
     budget = -sum(map(mul, xs, xb)) * eps_den - eps_prime.numerator * xb_den * xs_den
     scale = xb_den * eps_den
     nums = [v * scale for v in xs] if scale != 1 else xs
     nums.append(budget)
-    return (*xstar, Fraction(budget, den)), (nums, den)
+    return nums, xb_den * xs_den * eps_den
 
 
 def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
@@ -215,14 +213,14 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     it, starting from the template's integer columns; its oriented system is
     built once, and only if `replay`'s certificate check reads it. Any other
     point probe is the template with its right-hand sides swapped in by
-    `LinearProgram.with_rhs`, which validates only those and is handed them in
-    integers over one denominator too, computed off the images of x_bar and
-    x* (`_probe_rhs`); the probe reads the template's oriented system
-    rescaled, and its solve re-solves from the template's optimal tableau in
-    those integers (`lp_solve`). A ray probe adds the t column to
-    the template's rows and is built with its right-hand sides as an LP of
-    its own, solved from scratch: its zero right-hand side form would be
-    solved only to start it.
+    `LinearProgram.with_rhs`, handed them in integers over one denominator,
+    computed off the images of x_bar and x* (`_probe_rhs`); its solve
+    re-solves from the template's optimal tableau in those integers
+    (`lp_solve`), and its `Fraction` rows, and its oriented system, the
+    template's rescaled, are made only if something reads them. A ray probe
+    adds the t column to the template's rows and is built with its
+    right-hand sides as an LP of its own, solved from scratch: its zero
+    right-hand side form would be solved only to start it.
     """
     memo = vars(problem).setdefault("_probe_templates", {})
     if mode not in memo:
@@ -230,9 +228,11 @@ def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
     template = memo[mode]
     if ray is None and not eps_prime and not any(xstar):
         return template  # the probe at (0, 0) is the template itself
-    rhs, image = _probe_rhs(problem, eps_prime, xstar)
+    image = _probe_rhs(problem, eps_prime, xstar)
     if ray is None:
-        return template.with_rhs(rhs, image)
+        return template.with_rhs(image=image)
+    nums, den = image
+    rhs = (*xstar, Fraction(nums[-1], den))
     d_eps, d_x = ray
     t_col = [-v for v in d_x] + [_dot(d_x, problem.point) + d_eps]
     rows = [((*a, t), rel, b) for (a, rel, _), t, b in zip(template.rows, t_col, rhs)]
@@ -251,17 +251,26 @@ def _probe(lp: LinearProgram, ray=False) -> MembershipEvidence:
     return probe_evidence(lp, lp_solve(lp), ray)
 
 
+def _sign(fn: PolyhedralConvexFunction, x_bar) -> int | None:
+    """The sign of fn at x_bar = (nums, den), -1, 0 or 1, read off its
+    largest scaled piece in integers; None off dom fn."""
+    top = fn._scaled_max(*x_bar)
+    return None if top is None else (top > 0) - (top < 0)
+
+
 def _point_gates(problem: ReverseProblem, mode):
     """The gates on x_bar itself, in order, as (name, passed, reason); lazy,
-    so a caller that stops at the first failure evaluates no further gate."""
+    so a caller that stops at the first failure evaluates no further gate.
+    Each sign is compared in integers (`_sign`), and off a domain a gate
+    fails."""
     f, h, x_bar = problem.objective, problem.reverse, problem._point_image
     yield "dom-f", f.domain is None or f.domain._holds(*x_bar), "point-off-domain"
     if mode == "convex":
-        yield "h<=0", h._value_at(*x_bar) <= 0, "point-off-domain"
+        yield "h<=0", _sign(h, x_bar) in (-1, 0), "point-off-domain"
         return
-    yield "h=0", h._value_at(*x_bar) == 0, "point-not-on-boundary"
+    yield "h=0", _sign(h, x_bar) == 0, "point-not-on-boundary"
     if mode == "constrained":
-        feasible = all(g._value_at(*x_bar) <= 0 for g in problem.constraints)
+        feasible = all(_sign(g, x_bar) in (-1, 0) for g in problem.constraints)
         yield "G<=0", feasible, "point-off-domain"
 
 
@@ -345,7 +354,7 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     exact witness. The check at (0, 0) decides convex mode and, in the other
     modes, the essential gate: accepted, it certifies on its own."""
     _phis(mode, problem)  # rejects an unknown mode before any gate
-    f, h, x_bar = problem.objective, problem.reverse, problem.point
+    f, h = problem.objective, problem.reverse
     gates = []
     log = []
 
@@ -381,7 +390,7 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
         if out := gate("slater", slater, "slater-fails"):
             return out
 
-    points, rays = subdiff_epigraph(h, x_bar)
+    points, rays = subdiff_epigraph(h, problem.point, problem._point_image)
     for eps_prime, slope in points:
         if out := check(eps_prime, slope):
             return out

@@ -228,7 +228,7 @@ def replay(problem, report: dict) -> None:
             raise CertificateError(f"unknown check kind {kind!r}")
         point, ray = (eps_prime, generator), None
         if kind == "ray":
-            epigraph = epigraph or subdiff_epigraph(problem.reverse, problem.point)
+            epigraph = epigraph or _generators(problem)
             point, ray = epigraph[0][0], (eps_prime, generator)
         try:
             lp = membership_lp(problem, mode, *point, ray=ray)
@@ -256,7 +256,7 @@ def replay(problem, report: dict) -> None:
         if mode == "convex" or not gates[-1][1]:  # a certificate's failed gate is `essential`
             covered = [(0, (0,) * problem.n, "vertex")]
         else:
-            points, rays = epigraph or subdiff_epigraph(problem.reverse, problem.point)
+            points, rays = epigraph or _generators(problem)
             covered = [(*p, "vertex") for p in points] + [(*r, "ray") for r in rays]
         if logged != covered:
             raise CertificateError("the checks are not the ones a certificate logs")
@@ -265,13 +265,19 @@ def replay(problem, report: dict) -> None:
         if mode == "convex":
             on_e = eps_prime == 0 and not any(generator)
         else:
-            points, rays = epigraph or subdiff_epigraph(problem.reverse, problem.point)
+            points, rays = epigraph or _generators(problem)
             on_e = (eps_prime, generator) in points or any(
                 _beyond((eps_prime, *generator), (points[0][0], *points[0][1]), (sigma, *c))
                 for sigma, c in rays
             )
         if not on_e:
             raise CertificateError("the refuting check is not a point of E that verify refutes on")
+
+
+def _generators(problem):
+    """The generators of E at x_bar (`subdiff_epigraph`), read off x_bar's
+    integer image."""
+    return subdiff_epigraph(problem.reverse, problem.point, problem._point_image)
 
 
 def _beyond(point, base, ray) -> bool:
@@ -419,23 +425,41 @@ _COMMANDS = {
 }
 
 
+#: per command, the flags it takes
+_TAKES = {
+    command: {*required, *optional} for command, (_handler, required, optional) in _COMMANDS.items()
+}
+
+#: flag -> (arity, allowed values, its attribute), as `_FLAGS` has them
+_READS = {
+    flag: (arity, allowed, flag[2:].replace("-", "_"))
+    for flag, (arity, allowed) in _FLAGS.items()
+}
+
+#: every flag's attribute, None until the flag is given
+_UNSET = dict.fromkeys(name for _arity, _allowed, name in _READS.values())
+
+
 def _parse(argv) -> SimpleNamespace | None:
-    """A command line's args by `_COMMANDS` and `_FLAGS`, or None for -h and
-    --help. InputError unless its syntax is `_USAGE`'s: no flag abbreviated,
-    `--flag=value`, `--` or a flag twice; a value may start with one `-`."""
+    """A command line's args by `_COMMANDS` and `_FLAGS`, read against the
+    tables built from them at import, or None for -h and --help. InputError
+    unless its syntax is `_USAGE`'s: no flag abbreviated, `--flag=value`,
+    `--` or a flag twice; a value may start with one `-`."""
     if "-h" in argv or "--help" in argv:
         return None
     command = argv[0] if argv else None
     if command not in _COMMANDS:
         raise InputError(f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}")
-    handler, required, optional = _COMMANDS[command]
-    flags = required + optional
-    given = {}
+    handler, required, _optional = _COMMANDS[command]
+    takes = _TAKES[command]
+    names = dict(_UNSET)
+    given = set()
     rest = iter(argv[1:])
     for flag in rest:
-        if flag not in flags or flag in given:
+        if flag not in takes or flag in given:
             raise InputError(f"{command}: unknown or repeated argument {flag!r}")
-        arity, allowed = _FLAGS[flag]
+        given.add(flag)
+        arity, allowed, name = _READS[flag]
         values = [next(rest, "--") for _ in range(arity)]  # a missing value reads "--"
         if any(v.startswith("--") for v in values):
             raise InputError(f"{command}: {flag} expects {arity} value(s)")
@@ -446,11 +470,10 @@ def _parse(argv) -> SimpleNamespace | None:
                 raise ValueError
         except ValueError:
             raise InputError(f"{command}: bad {flag} value {values[0]!r}") from None
-        given[flag] = values[0] if arity == 1 else values
+        names[name] = values[0] if arity == 1 else values
     missing = [flag for flag in required if flag not in given]
     if missing:
         raise InputError(f"{command}: missing {', '.join(missing)}")
-    names = {flag[2:].replace("-", "_"): given.get(flag) for flag in _FLAGS}
     return SimpleNamespace(command=command, handler=handler, **names)
 
 

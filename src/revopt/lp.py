@@ -26,14 +26,18 @@ reduced cost of its variable's column.
 
 An LP that `LinearProgram._cone` builds, max of a sum of nonnegative columns
 over rows whose right-hand sides are all 0 (the membership probes' template),
-carries its columns in integers, and its tableau is laid out from them in
-closed form (`_Simplex.from_columns`), the generic layout's start without the
-oriented system; that system is built only when something reads it.
+is given only its columns in integers, and its tableau is laid out from them
+in closed form (`_Simplex.from_columns`), the generic layout's start without
+the oriented system; that system, and the LP's `Fraction` `rows`, are built
+from the columns only when something reads them.
 
 `with_rhs` derives the LP that differs from a template only in its
-right-hand sides, validating only those. When the template's right-hand sides
-are all zero, the derived LP's system is the template's rescaled, so a family
-of checks on one matrix builds and validates that matrix once. It is solved
+right-hand sides, validating only those, or taking them in integers over one
+denominator, in which case its `rows` too are built only on first read, from
+the template's and those integers. When the template's right-hand sides are
+all zero, the derived LP's system is the template's rescaled to the integer
+right-hand sides, so a family of checks on one matrix builds and validates
+that matrix once and no check makes rows of its own. It is solved
 once too: `lp_solve` caches an LP's solved tableau on the LP, and a derived
 LP whose template's solve ended `Optimal` starts from that final basis, which
 stays dual feasible when only right-hand sides change (`_Simplex.resolved`).
@@ -127,15 +131,15 @@ class LinearProgram:
         return vals
 
     @classmethod
-    def _cone(cls, rows, costed: int, columns) -> "LinearProgram":
-        """max x_0 + ... + x_{costed-1} over x >= 0 subject to `rows`: equality
-        rows, then one `>=` row, every right-hand side 0; its values are
-        `Fraction`s already, so nothing is checked or converted. `columns`
-        are its integer columns, one per variable, `(slopes, den, budget,
-        budget_den)`: its entries in the equality rows over den and in the
-        last row over budget_den, all ints. Its solve lays its starting
-        tableau out from them (`_Simplex.from_columns`); its oriented system
-        is built from `rows` only when something reads it (`_system`)."""
+    def _cone(cls, costed: int, columns) -> "LinearProgram":
+        """max x_0 + ... + x_{costed-1} over x >= 0 subject to equality rows,
+        then one `>=` row, every right-hand side 0, given by its integer
+        columns, one per variable, `(slopes, den, budget, budget_den)`: its
+        entries in the equality rows over den and in the last row over
+        budget_den, all ints. Nothing is checked or converted. Its solve lays
+        its starting tableau out from them (`_Simplex.from_columns`); its
+        `Fraction` rows (`_built_rows`) and its oriented system (`_system`)
+        are built only when something reads them."""
         n = len(columns)
         zeros = (_ZERO,) * n
         return _built(
@@ -143,12 +147,29 @@ class LinearProgram:
             n=n,
             objective=(_ONE,) * costed + zeros[costed:],
             sense="max",
-            rows=rows,
             lower=zeros,
             upper=(None,) * n,
             _costs=([1] * costed + [0] * (n - costed), 1),
-            _rhs=([0] * len(rows), 1),
+            _rhs=([0] * (len(columns[0][0]) + 1), 1),
             _columns=columns,
+        )
+
+    def _built_rows(self) -> tuple:
+        """`rows` of an LP built past its constructor without them, made on
+        first read: a `_cone` LP's from its integer columns, and the rows of
+        an LP that `with_rhs` derived from an integer image as its
+        template's with the image's right-hand sides. They equal the rows the
+        constructor makes of the same values."""
+        columns = vars(self).get("_columns")
+        if columns is not None:
+            slopes, dens, budgets, budget_dens = zip(*columns)
+            rows = [(tuple(map(Fraction, row, dens)), "=", _ZERO) for row in zip(*slopes)]
+            rows.append((tuple(map(Fraction, budgets, budget_dens)), ">=", _ZERO))
+            return tuple(rows)
+        nums, den = self._rhs
+        return tuple(
+            (coeffs, rel, Fraction(b, den))
+            for (coeffs, rel, _), b in zip(self._template.rows, nums)
         )
 
     @cached_property
@@ -176,12 +197,13 @@ class LinearProgram:
     def _system(self) -> tuple[int, list]:
         """The oriented system in integers, built on first use: by
         `_oriented`, or, for an LP that `with_rhs` derived from a template
-        whose right-hand sides are all zero, as the template's rescaled
-        (`_rescaled`)."""
+        whose right-hand sides are all zero, as the template's rescaled to
+        the derived LP's right-hand sides, read off its `_rhs` (`_rescaled`),
+        so its own `rows` are not made."""
         template = vars(self).get("_template")
-        if template is None or any(b for *_, b in template.rows):
+        if template is None or any(template._rhs[0]):
             return _oriented(self)
-        return _rescaled(template._system, template.rows, [b for *_, b in self.rows])
+        return _rescaled(template._system, template.rows, self._rhs)
 
     @cached_property
     def _costs(self) -> tuple[list[int], int]:
@@ -214,35 +236,50 @@ class LinearProgram:
         tableau.outcome = tableau.solve()
         return tableau
 
-    def with_rhs(self, values, image=None) -> "LinearProgram":
+    def with_rhs(self, values=None, image=None) -> "LinearProgram":
         """This LP with its rows' right-hand sides replaced by `values`, one
-        per row. Only `values` are validated (`rat`): the coefficients and
-        bounds are this LP's, validated already, and are shared, not copied,
-        and so is the objective's integer form (`_costs`), made once here for
-        every LP derived. The derived LP keeps this one as its template: its
-        solve starts from this LP's (`_solved`). It carries no other cached
-        value of this LP's. Its `_rhs` is made here, or is `image` when the
-        caller has `values` in integers already, `(nums, den)` with den > 0,
-        taken unchecked. When this LP's right-hand
-        sides are all zero, its oriented system is over the least common
-        denominator of the coefficients and bounds alone, so the derived LP's,
-        when it is asked for, is that system rescaled to take in the
-        denominators of `values` (`_system`)."""
-        rhs = tuple(rat(v) for v in values)
-        if len(rhs) != len(self.rows):
+        per row, or by `image`, the same in integers over one denominator,
+        `(nums, den)` with den > 0. Only `values` are validated (`rat`);
+        `image` is taken unchecked but for its length, and the derived LP's
+        `rows` are then built only when read (`_built_rows`). The
+        coefficients and bounds are this LP's, validated already, and are
+        shared, not copied, and so is the objective's integer form (`_costs`),
+        made once here for every LP derived. The derived LP keeps this one as
+        its template: its solve starts from this LP's (`_solved`). It carries
+        no other cached value of this LP's. Its `_rhs` is `image`, or is made
+        here from `values`. When this LP's right-hand sides are all zero, its
+        oriented system is over the least common denominator of the
+        coefficients and bounds alone, so the derived LP's, when it is asked
+        for, is that system rescaled to take in the denominators of the new
+        right-hand sides (`_system`)."""
+        fields = {}
+        if image is None:
+            rhs = tuple(rat(v) for v in values)
+            image = _over_common_den(rhs)
+            fields["rows"] = tuple(
+                (coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs)
+            )
+        if len(image[0]) != len(self._rhs[0]):
             raise InputError("lp: right-hand side length mismatch")
         return _built(
             type(self),
             n=self.n,
             objective=self.objective,
             sense=self.sense,
-            rows=tuple((coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs)),
             lower=self.lower,
             upper=self.upper,
             _costs=self._costs,
-            _rhs=_over_common_den(rhs) if image is None else image,
+            _rhs=image,
             _template=self,
+            **fields,
         )
+
+
+# An LP built past its constructor (`_cone`, or `with_rhs` handed an image)
+# has no `rows` in its instance dict: they are made on first read. The
+# constructor sets them, so a constructed LP never reads this.
+LinearProgram.rows = cached_property(LinearProgram._built_rows)
+LinearProgram.rows.__set_name__(LinearProgram, "rows")
 
 
 def _oriented(lp: LinearProgram) -> tuple[int, list]:
@@ -268,21 +305,28 @@ def _oriented(lp: LinearProgram) -> tuple[int, list]:
     return den, rows
 
 
-def _rescaled(system, rows, rhs) -> tuple[int, list]:
+def _rescaled(system, rows, image) -> tuple[int, list]:
     """The oriented `system` of an LP whose constraint `rows` have zero
-    right-hand sides, with those right-hand sides set to `rhs`: what
-    `_oriented` makes of the derived LP. Its denominator is lcm(den, the
-    denominators of rhs); while that is den, the rows' terms and the bound
-    rows are `system`'s own, shared since no reader mutates them."""
+    right-hand sides, with those right-hand sides set to `image`, `(nums,
+    den)`: what `_oriented` makes of the derived LP. Each right-hand side is
+    taken in lowest terms, as `_oriented` reads it off its `Fraction`, and
+    the denominator is lcm(den, their denominators); while that is den, the
+    rows' terms and the bound rows are `system`'s own, shared since no reader
+    mutates them."""
     den, oriented = system
-    new_den = lcm(den, *(b.denominator for b in rhs))
+    nums, rhs_den = image
+    rhs = []
+    for v in nums:
+        g = gcd(v, rhs_den)
+        rhs.append((v // g, rhs_den // g))
+    new_den = lcm(den, *(d for _, d in rhs))
     k = new_den // den
     out = []
-    for (terms, _zero, eq), (_coeffs, rel, _b), b in zip(oriented, rows, rhs):
+    for (terms, _zero, eq), (_coeffs, rel, _b), (num, d) in zip(oriented, rows, rhs):
         if k != 1:
             terms = [(j, a * k) for j, a in terms]
         scale = -new_den if rel == ">=" else new_den
-        out.append((terms, b.numerator * (scale // b.denominator), eq))
+        out.append((terms, num * (scale // d), eq))
     bounds = oriented[len(rhs) :]
     if k != 1:
         bounds = [([(j, a * k) for j, a in terms], v * k, eq) for terms, v, eq in bounds]
@@ -382,7 +426,7 @@ class _Simplex:
         self = object.__new__(cls)
         self.sense, self.costs, self.rhs = lp.sense, lp._costs, lp._rhs
         self.shifted, self.offset = [], None
-        size, n = len(columns), len(lp.rows) - 1  # n equality rows
+        size, n = len(columns), len(lp._rhs[0]) - 1  # n equality rows
         self.m = n + 1
         self.norient = self.m + size
         self.cols = [(j, None) for j in range(size)]

@@ -322,9 +322,15 @@ class PolyhedralConvexFunction:
 
     def _value_at(self, nums, den):
         """The value at the point nums / den."""
+        top = self._scaled_max(nums, den)
+        return INF if top is None else Fraction(top, self._image[0] * den)
+
+    def _scaled_max(self, nums, den) -> int | None:
+        """The value at the point nums / den times D * den, an int (D of
+        `_image`), read off the largest scaled piece; None off the domain."""
         if self.domain is not None and not self.domain._holds(nums, den):
-            return INF
-        return Fraction(max(self._scaled_pieces(nums, den)), self._image[0] * den)
+            return None
+        return max(self._scaled_pieces(nums, den))
 
     def _scaled_pieces(self, nums, den) -> list[int]:
         """Each piece at the point nums / den, times D * den (D of `_image`)."""

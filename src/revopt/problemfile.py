@@ -101,9 +101,15 @@ def parse_problem(doc) -> ReverseProblem:
 
 
 def load_problem(path: str) -> ReverseProblem:
+    """The problem in the file at `path`. Its bytes are read at once and
+    decoded as UTF-8 once, with text mode's newlines: CRLF and a lone CR
+    read as LF, so JSON error positions are text mode's."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -6,9 +6,12 @@ with columns (x, t) and rows fn's pieces, the stacked domain rows of fn and
 of the region (`joint_domain`), then the region's pieces. Membership, the
 essential and Slater gates, the bicriteria checks and the oracle's interior
 point are each one call to it. Over all eps >= 0 at once the sets stack into
-a polyhedron with closed-form generators (`subdiff_epigraph`), and the
-generator representation of one set is its slice at eps, read off those
-generators in closed form (`subdiff_vrep`). The scaling law
+a polyhedron with closed-form generators (`subdiff_epigraph`), read off the
+integer images of the function, its domain and the point (a problem's own
+image of its point when the caller hands it in), with repeats dropped by
+those images before a `Fraction` is made; and the generator representation
+of one set is its slice at eps, read off those generators in closed form
+(`subdiff_vrep`). The scaling law
 d_eps(lam f) = lam * d_(eps/lam) f  is exposed as an operation so both routes
 can be compared generator-for-generator.
 """
@@ -107,7 +110,7 @@ def subdiff_member(q: SubdiffQuery, s) -> bool:
     return value >= q.fn.value(q.point) - _dot(s, q.point) - q.eps
 
 
-def subdiff_epigraph(fn: PolyhedralConvexFunction, point) -> tuple[tuple, tuple]:
+def subdiff_epigraph(fn: PolyhedralConvexFunction, point, image=None) -> tuple[tuple, tuple]:
     """Generators of E = {(eps, s) : eps >= 0, s in d_eps fn(point)}.
 
     For fn = max_i (<a_i, x> + b_i) on dom fn = {C x <= d}, LP duality gives
@@ -117,26 +120,39 @@ def subdiff_epigraph(fn: PolyhedralConvexFunction, point) -> tuple[tuple, tuple]
     Hence E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}. Returns the
     points (delta_i, a_i) in piece order and the rays (sigma_r, C_r) in row
     order, repeats dropped; the ray (1, 0) is left implicit. `point` must lie
-    in dom fn. Each delta_i and sigma_r is read off the integer images of fn
-    and its domain at the point over its common denominator.
+    in dom fn.
+
+    Everything is read off the integer images of fn and its domain at the
+    point over its common denominator: `image`, `(nums, den)`, when the
+    caller has it (a problem's `_point_image`), taken unchecked, or else
+    made here from `point`. Repeats are dropped by those images, first seen
+    first, before any `Fraction` is made: a point repeats exactly when
+    (top - v_i, A_i) does, over f's common D, and a ray exactly when its
+    domain row's image (A_r, b_r, L_r) does.
     """
-    point = tuple(rat(v) for v in point)
-    if len(point) != fn.n:
-        raise InputError("point dimension mismatch")
-    nums, den = _over_common_den(point)
+    if image is None:
+        point = tuple(rat(v) for v in point)
+        if len(point) != fn.n:
+            raise InputError("point dimension mismatch")
+        image = _over_common_den(point)
+    nums, den = image
     dom = fn.domain
     if dom is not None and not dom._holds(nums, den):
         raise InputError("point is off the domain")
     values = fn._scaled_pieces(nums, den)
-    top, scale = max(values), fn._image[0] * den
-    points = [(Fraction(top - v, scale), p.a) for v, p in zip(values, fn.pieces)]
-    rays = []
+    d_f, pieces = fn._image
+    top, scale = max(values), d_f * den
+    points = {}
+    for v, (a, _), p in zip(values, pieces, fn.pieces):
+        if (top - v, a) not in points:
+            points[top - v, a] = (Fraction(top - v, scale), p.a)
+    rays = {}
     if dom is not None:
-        rays = [
-            (Fraction(b * den - sum(map(mul, a, nums)), row_den * den), c)
-            for (a, b, row_den), c in zip(dom._rows, dom.a)
-        ]
-    return tuple(dict.fromkeys(points)), tuple(dict.fromkeys(rays))
+        for row, c in zip(dom._rows, dom.a):
+            if row not in rays:
+                a, b, row_den = row
+                rays[row] = (Fraction(b * den - sum(map(mul, a, nums)), row_den * den), c)
+    return tuple(points.values()), tuple(rays.values())
 
 
 def subdiff_vrep(q: SubdiffQuery) -> VPolytope:

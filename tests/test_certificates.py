@@ -1,7 +1,10 @@
 import dataclasses
 import functools
 import random
+import sys
 from fractions import Fraction
+from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from corpus import (
     random_fn,
     wide_modes,
 )
+from revopt import certificates, cli
 from revopt.certificates import (
     MODES,
     essential_check,
@@ -26,7 +30,8 @@ from revopt.certificates import (
     union_member,
     verify,
 )
-from revopt.lp import check_outcome, lp_solve
+from revopt.cli import replay
+from revopt.lp import LinearProgram, _oriented, check_outcome, lp_solve
 from revopt.model import (
     AffineForm,
     HPolyhedron,
@@ -34,6 +39,7 @@ from revopt.model import (
     PolyhedralConvexFunction,
     ReverseProblem,
 )
+from revopt.problemfile import load_problem
 from revopt.subdiff import SubdiffQuery, subdiff_epigraph, subdiff_member
 
 F = Fraction
@@ -375,6 +381,104 @@ def test_vertex_checks_re_solve_from_the_gate_probe(monkeypatch):
             most_checks = max(most_checks, len(v.log))
     assert built == [] and oriented == []
     assert most_checks >= 2
+
+
+def _fractions_made_within(scopes, run) -> tuple:
+    """run()'s result, with the count of the Fractions made while a function
+    whose code object is in `scopes` is on the stack: calls to
+    `Fraction.__new__`, and to `Fraction._from_coprime_ints` where
+    arithmetic makes them that way."""
+    makers = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        makers.add(Fraction._from_coprime_ints.__func__.__code__)
+    made = 0
+
+    def profile(frame, event, _arg):
+        nonlocal made
+        if event == "call" and frame.f_code in makers:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in scopes:
+                caller = caller.f_back
+            made += caller is not None
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return made, result
+
+
+def _eager_probe(problem, mode, eps_prime, xstar, ray=None):
+    """`membership_lp`'s probe assembled from the problem's Fractions by the
+    LinearProgram constructor: lam, nu and eta columns (and t for a ray),
+    the slope rows = x*, and the budget row >= -<x*, x_bar> - eps'."""
+    f, x_bar = problem.objective, problem.point
+    phis = certificates._phis(mode, problem)
+    alpha = problem.epsilon - f.value(x_bar)
+    cols = [(p.a, p.b + alpha) for p in f.pieces]
+    cols += [(p.a, p.b) for phi in phis for p in phi.pieces]
+    for g in (f, *phis):
+        if g.domain is not None:
+            cols += [(row, -rhs) for row, rhs in zip(g.domain.a, g.domain.b)]
+    if ray is not None:
+        d_eps, d_x = ray
+        cols.append((tuple(-v for v in d_x), sum(map(mul, d_x, x_bar)) + d_eps))
+    slopes, budget = zip(*cols)
+    rows = [(row, "=", x) for row, x in zip(zip(*slopes), xstar)]
+    rows.append((budget, ">=", -sum(map(mul, xstar, x_bar)) - eps_prime))
+    n = len(cols)
+    if ray is None:  # max alpha = sum lam
+        objective = (1,) * len(f.pieces) + (0,) * (n - len(f.pieces))
+    else:  # max t
+        objective = (0,) * (n - 1) + (1,)
+    return LinearProgram(n, objective, "max", rows, (0,) * n)
+
+
+def test_a_decision_builds_only_what_it_reads(monkeypatch):
+    # A verify with no ray check reads no probe's Fraction rows: neither the
+    # template's nor any derived probe's `rows` are built, and the template,
+    # the right-hand sides (`_probe_rhs`) and the gates on x_bar
+    # (`_point_gates`) make no Fraction. Where rows are read, by replay's
+    # certificate checks through the oriented system and by every ray probe,
+    # they equal those of the probe that the constructor builds eagerly from
+    # the problem's Fractions, and so does the system.
+    paths = sorted(Path(__file__).resolve().parent.parent.glob("problems/*.json"))
+    problems = [load_problem(str(path)) for path in paths]
+    problems += corpus(120, 80, seed_base=1000) + [inst.problem for inst in wide_modes(0)]
+    scopes = {
+        certificates._probe_template.__code__,
+        certificates._probe_rhs.__code__,
+        certificates._point_gates.__code__,
+    }
+    original = certificates.membership_lp
+    built = []
+
+    def recorded(*args, **kwargs):
+        built.append((args, kwargs, original(*args, **kwargs)))
+        return built[-1][2]
+
+    monkeypatch.setattr(certificates, "membership_lp", recorded)
+    monkeypatch.setattr(cli, "membership_lp", recorded)
+    kinds = {"without rays": 0, "with rays": 0}
+    for problem in problems:
+        for mode in MODES:
+            built.clear()
+            made, v = _fractions_made_within(scopes, lambda: verify(problem, mode))
+            assert made == 0, mode
+            rays = any(rec.kind == "ray" for rec in v.log)
+            if built and not rays:
+                probes = [lp for *_, lp in built] + [vars(problem)["_probe_templates"][mode]]
+                assert not any("rows" in vars(lp) for lp in probes), mode
+            kinds["with rays" if rays else "without rays"] += bool(built)
+            read = [(args, kwargs, lp) for args, kwargs, lp in built if kwargs.get("ray")]
+            built.clear()
+            replay(problem, cli._verdict_to_doc(v))
+            for args, kwargs, lp in read + built:
+                eager = _eager_probe(*args, **kwargs)
+                assert lp.rows == eager.rows and lp == eager, mode
+                assert lp._system == _oriented(eager), mode
+    assert kinds["without rays"] >= 1000 and kinds["with rays"] >= 5, kinds
 
 
 def test_constrained_lp_without_constraints_is_the_rop_lp():

@@ -166,6 +166,132 @@ def test_usage_errors_are_a_json_error_line_with_exit_3(problem_a, capsys):
         assert "error" not in json.loads(capsys.readouterr().out)
 
 
+#: the error text of each usage error of `_usage_errors`
+_USAGE_ERROR_TEXT = {
+    "empty": "unknown command None; expected one of verify, falsify, subdiff, brute, pareto",
+    "unknown-command": (
+        "unknown command 'certify'; expected one of verify, falsify, subdiff, brute, pareto"
+    ),
+    "eps-prime": "verify: unknown or repeated argument '--eps-prime'",
+    "abbreviation": "verify: unknown or repeated argument '--prob'",
+    "equals-sign": "verify: unknown or repeated argument '--mode=rop'",
+    "double-dash": "verify: unknown or repeated argument '--'",
+    "missing-value": "verify: --seed expects 1 value(s)",
+    "missing-grid-value": "verify: --cross-check-grid expects 3 value(s)",
+    "flag-as-value": "verify: --problem expects 1 value(s)",
+    "bad-mode": "verify: bad --mode value 'bogus'",
+    "bad-sigma": "pareto: bad --sigma value 'q'",
+    "bad-seed": "verify: bad --seed value 'x'",
+    "repeated-flag": "verify: unknown or repeated argument '--mode'",
+    "flag-of-another-command": "verify: unknown or repeated argument '--step'",
+    "verify-without-problem": "verify: missing --problem",
+    "verify-without-mode": "verify: missing --mode",
+    "falsify-without-problem": "falsify: missing --problem",
+    "falsify-without-mode": "falsify: missing --mode",
+    "subdiff-without-problem": "subdiff: missing --problem",
+    "subdiff-without-fn": "subdiff: missing --fn",
+    "subdiff-without-eps": "subdiff: missing --eps",
+    "brute-without-problem": "brute: missing --problem",
+    "brute-without-mode": "brute: missing --mode",
+    "brute-without-box": "brute: missing --box",
+    "brute-without-step": "brute: missing --step",
+    "pareto-without-problem": "pareto: missing --problem",
+    "pareto-without-box": "pareto: missing --box",
+    "pareto-without-step": "pareto: missing --step",
+}
+
+
+def test_usage_errors_read_their_exact_text(problem_a, capsys):
+    # Each usage error names what is wrong in a fixed text; -h or --help
+    # anywhere prints the usage, even after a bad flag; and a value may
+    # start with one `-` whatever the flag's arity.
+    _full, cases = _usage_errors(problem_a)
+    assert [name for name, _argv in cases] == list(_USAGE_ERROR_TEXT)
+    for name, argv in cases:
+        assert run(argv) == 3, name
+        assert json.loads(capsys.readouterr().out)["error"] == _USAGE_ERROR_TEXT[name], name
+    for argv in (["verify", "--bogus", "-h"], ["verify", "--seed", "--help"], ["certify", "-h"]):
+        assert run(argv) == 0, argv
+        assert capsys.readouterr().out == cli._USAGE, argv
+    problem = ["--problem", problem_a]
+    lines = {
+        1: ["subdiff", *problem, "--fn", "objective", "--eps", "-1"],
+        2: ["pareto", *problem, "--box", "-3", "-1", "--step", "1"],
+        3: ["verify", *problem, "--mode", "rop", "--cross-check-grid", "-3", "-1", "-1/2"],
+    }
+    args = {arity: cli._parse(argv) for arity, argv in lines.items()}
+    assert (args[1].eps, args[2].box, args[3].cross_check_grid) == (
+        "-1", ["-3", "-1"], ["-3", "-1", "-1/2"]
+    )
+    assert cli._parse([*lines[1][:-1], "-"]).eps == "-"
+    assert args[3].seed is None and args[1].mode is None
+
+
+def _problem_file_cases():
+    """(id, bytes) of problem files that text mode and a byte read must read
+    alike: line ends, a BOM, other encodings."""
+    text = json.dumps(example_b_doc(), indent=1)
+    malformed = '{\n"n": ,}\n'
+    return [
+        ("crlf", text.replace("\n", "\r\n").encode()),
+        ("cr", text.replace("\n", "\r").encode()),
+        ("crlf-malformed", malformed.replace("\n", "\r\n").encode()),
+        ("cr-malformed", malformed.replace("\n", "\r").encode()),
+        ("mixed-malformed", '{\r\n"n":\r1,\n\r"x" ]'.encode()),
+        ("bom", b"\xef\xbb\xbf" + text.encode()),
+        ("utf-16", text.encode("utf-16")),
+        ("invalid-utf-8", b'{"n": "\xff"}'),
+    ]
+
+
+def test_the_problem_file_reads_as_text_mode_reads_it(tmp_path, capsys):
+    # CRLF and lone-CR line ends read as LF, so a JSON error's position is
+    # counted in text mode's characters; a BOM, UTF-16 and invalid UTF-8
+    # are input errors, and so are a missing file and a directory.
+    not_json = "problem file is not valid JSON"
+    expected = {
+        "crlf": (1, None),
+        "cr": (1, None),
+        "crlf-malformed": (3, f"{not_json}: Expecting value: line 2 column 6 (char 7)"),
+        "cr-malformed": (3, f"{not_json}: Expecting value: line 2 column 6 (char 7)"),
+        "mixed-malformed": (3, f"{not_json}: Expecting ':' delimiter: line 5 column 5 (char 15)"),
+        "bom": (
+            3,
+            f"{not_json}: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)",
+        ),
+        "utf-16": (
+            3,
+            "cannot read problem file: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+        ),
+        "invalid-utf-8": (
+            3,
+            "cannot read problem file: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte",
+        ),
+    }
+    plain = tmp_path / "plain.json"
+    plain.write_bytes(json.dumps(example_b_doc(), indent=1).encode())
+    _code, reference = _run(capsys, ["verify", "--problem", str(plain), "--mode", "rop"])
+    cases = _problem_file_cases()
+    assert [name for name, _data in cases] == list(expected)
+    for name, data in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        code, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+        assert code == expected[name][0], name
+        error = {"command": "verify", "error": expected[name][1]}
+        assert doc == (reference if code == 1 else error), name
+    missing, directory = tmp_path / "missing.json", tmp_path
+    for path, error in (
+        (missing, f"cannot read problem file: [Errno 2] No such file or directory: '{missing}'"),
+        (directory, f"cannot read problem file: [Errno 21] Is a directory: '{directory}'"),
+    ):
+        code, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", "rop"])
+        assert (code, doc) == (3, {"command": "verify", "error": error})
+
+
 def test_brute_rejects_an_unknown_mode_by_the_flag_table(problem_a, capsys):
     argv = ["brute", "--problem", problem_a, "--mode", "bogus", "--box", "0", "1", "--step", "1"]
     code = run(argv)

@@ -232,6 +232,27 @@ def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
     assert calls == [4, 5]
 
 
+def test_an_lp_derived_from_an_integer_image_builds_its_rows_when_read():
+    # `with_rhs` handed the right-hand sides in integers, not in lowest terms
+    # here, takes them unchecked but for their length: the derived LP
+    # re-solves from its template and is checked without rows of its own,
+    # its system the template's rescaled, and its rows, built on first read,
+    # are those the values make.
+    template = LinearProgram(
+        2, (1, 1), rows=(((1, 2), "<=", 0), ((Fraction(1, 3), -1), ">=", 0)), lower=(0, 0)
+    )
+    by_values = template.with_rhs(("1/2", 3))
+    derived = template.with_rhs(image=([6, 36], 12))
+    check_outcome(derived, lp_solve(derived))
+    assert derived._system == _oriented(by_values) and derived._system[0] == 6
+    assert "rows" not in vars(derived)
+    assert derived.rows == by_values.rows and derived == by_values
+    assert derived.rows[0][0] is template.rows[0][0] and "rows" in vars(derived)
+    for image in (([1], 1), ([1, 2, 3], 1)):
+        with pytest.raises(InputError):
+            template.with_rhs(image=image)
+
+
 def test_the_objective_is_brought_to_its_common_denominator_once_per_template(monkeypatch):
     # The LPs `with_rhs` derives share their template's objective, and its
     # integer form: the simplex and `check_outcome` of each read the one

@@ -4,10 +4,13 @@ import ast
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import revopt
 from revopt import cli
@@ -356,3 +359,74 @@ def test_verify_and_replay_do_not_depend_on_assert_statements(tmp_path):
         runs[flags] = proc.stdout
     assert runs[("-O",)] == runs[()]
     assert runs[()].count(b'"verdict"') == 12
+
+
+_DECIDE_AND_REPLAY = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+
+def reports(paths):
+    from revopt import cli
+    from revopt.problemfile import load_problem
+
+    out = []
+    for path in paths:
+        for mode in cli.MODES:
+            for command in ("verify", "falsify"):
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    code = cli.run([command, "--problem", path, "--mode", mode])
+                out.append(f"{code}\\n{buf.getvalue()}")
+                if command == "verify":
+                    cli.replay(load_problem(path), json.loads(buf.getvalue()))
+    return "".join(out)
+"""
+
+
+def _other_interpreters() -> dict:
+    """Interpreters of another Python >= 3.10 than this one, by (major,
+    minor), one each: python3.X on the PATH, then those installed beside
+    this one's base prefix (a pyenv-style versions directory)."""
+    candidates = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    beside = Path(sys.base_prefix).parent
+    candidates += sorted(str(path) for path in beside.glob("*/bin/python3"))
+    found = {}
+    for exe in dict.fromkeys(filter(None, candidates)):
+        probe = subprocess.run(
+            [exe, "-I", "-c", "import sys; print(*sys.version_info[:2])"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        if probe.returncode == 0:
+            version = tuple(map(int, probe.stdout.split()))
+            if version >= (3, 10) and version != sys.version_info[:2]:
+                found.setdefault(version, exe)
+    return found
+
+
+def test_every_supported_interpreter_writes_the_same_reports():
+    # pyproject.toml claims Python >= 3.10: under every other such
+    # interpreter found, verify, falsify and replay on the problem files in
+    # every mode, run on the stdlib alone in a subprocess, write the bytes
+    # that this interpreter writes in process.
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other Python >= 3.10 found")
+    src = Path(revopt.__file__).resolve().parents[1]
+    paths = sorted(str(path) for path in (src.parent / "problems").glob("*.json"))
+    namespace = {}
+    exec(_DECIDE_AND_REPLAY, namespace)
+    expected = namespace["reports"](paths)
+    assert expected.count('"verdict"') == 4 * 2 * len(paths) >= 16
+    main = "sys.path.insert(0, sys.argv[1]); sys.stdout.write(reports(sys.argv[2:]))"
+    for version, exe in interpreters.items():
+        proc = subprocess.run(
+            [exe, "-I", "-c", _DECIDE_AND_REPLAY + main, str(src), *paths],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (version, proc.stderr)
+        assert proc.stdout == expected, version
