@@ -27,7 +27,7 @@ from .certificates import (
     union_member,
     verify,
 )
-from .oracle import GridSpec, boundary_projection, brute_eps_argmin
+from .oracle import GridSpec, brute_eps_argmin
 from .pareto import ParetoSample, bridge_check, eff_set, reee_check, vdom
 from .problemfile import load_problem, parse_problem, problem_to_doc
 

@@ -20,9 +20,9 @@ Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
 free multipliers), each row as its nonzero terms. `_oriented` lays it out, at
 most once per LP (`LinearProgram._system`), from the LP's data in integers
-over one common denominator (`LinearProgram._scaled`), and the generic
-tableau layout and `check_outcome` read it. A lower bound's multiplier is the
-reduced cost of its variable's column.
+over their least common denominator, and the generic tableau layout and
+`check_outcome` read it. A lower bound's multiplier is the reduced cost of
+its variable's column.
 
 An LP that `LinearProgram._cone` builds, max of a sum of nonnegative columns
 over rows whose right-hand sides are all 0 (the membership probes' template),
@@ -32,22 +32,22 @@ the oriented system; that system, and the LP's `Fraction` `rows`, are built
 from the columns only when something reads them.
 
 `with_rhs` derives the LP that differs from a template only in its
-right-hand sides, validating only those, or taking them in integers over one
-denominator, in which case its `rows` too are built only on first read, from
-the template's and those integers. When the template's right-hand sides are
-all zero, the derived LP's system is the template's rescaled to the integer
-right-hand sides, so a family of checks on one matrix builds and validates
-that matrix once and no check makes rows of its own. It is solved
-once too: `lp_solve` caches an LP's solved tableau on the LP, and a derived
-LP whose template's solve ended `Optimal` starts from that final basis, which
-stays dual feasible when only right-hand sides change (`_Simplex.resolved`).
-It computes its right-hand column B^-1 b' in integers (`LinearProgram._rhs`)
-and takes the first step of a dual simplex under the dual form of Bland's
-rule on the template's shared rows: the outcome is read off that column, or
-off a blocking or redundant row as a Farkas vector, and the rows are copied
-and the dual simplex run only when a pivot is due. The template is solved
-first if it was not, so an outcome is fixed by the template and the
-right-hand sides, whatever was solved before.
+right-hand sides, taking them in integers over one denominator; its `rows`
+too are built only on first read, from the template's and those integers.
+When the template's right-hand sides are all zero, the derived LP's system
+is the template's rescaled to the integer right-hand sides, so a family of
+checks on one matrix builds and validates that matrix once and no check
+makes rows of its own. It is solved once too: `lp_solve` caches an LP's
+solved tableau on the LP, and a derived LP whose template's solve ended
+`Optimal` starts from that final basis, which stays dual feasible when only
+right-hand sides change (`_Simplex.resolved`). It computes its right-hand
+column B^-1 b' in integers (`LinearProgram._rhs`) and takes the first step
+of a dual simplex under the dual form of Bland's rule on the template's
+shared rows: the outcome is read off that column, or off a blocking or
+redundant row as a Farkas vector, and the rows are copied and the dual
+simplex run only when a pivot is due. The template is solved first if it was
+not, so an outcome is fixed by the template and the right-hand sides,
+whatever was solved before.
 """
 
 from __future__ import annotations
@@ -157,9 +157,9 @@ class LinearProgram:
     def _built_rows(self) -> tuple:
         """`rows` of an LP built past its constructor without them, made on
         first read: a `_cone` LP's from its integer columns, and the rows of
-        an LP that `with_rhs` derived from an integer image as its
-        template's with the image's right-hand sides. They equal the rows the
-        constructor makes of the same values."""
+        an LP that `with_rhs` derived as its template's with the image's
+        right-hand sides. They equal the rows the constructor makes of the
+        same values."""
         columns = vars(self).get("_columns")
         if columns is not None:
             slopes, dens, budgets, budget_dens = zip(*columns)
@@ -171,27 +171,6 @@ class LinearProgram:
             (coeffs, rel, Fraction(b, den))
             for (coeffs, rel, _), b in zip(self._template.rows, nums)
         )
-
-    @cached_property
-    def _scaled(self) -> tuple:
-        """The rows and bounds over one common denominator den > 0, the least:
-        `(den, rows, lower, upper)`, each row `(coeffs, rhs)` and each bound
-        (None where there is none) times den, all ints."""
-        dens = {v.denominator for coeffs, _, rhs in self.rows for v in (*coeffs, rhs)}
-        dens.update(v.denominator for v in (*self.lower, *self.upper) if v is not None)
-        den = lcm(*dens)
-        rows = [
-            (
-                [v.numerator * (den // v.denominator) for v in coeffs],
-                rhs.numerator * (den // rhs.denominator),
-            )
-            for coeffs, _, rhs in self.rows
-        ]
-        lower, upper = (
-            [None if v is None else v.numerator * (den // v.denominator) for v in side]
-            for side in (self.lower, self.upper)
-        )
-        return den, rows, lower, upper
 
     @cached_property
     def _system(self) -> tuple[int, list]:
@@ -216,9 +195,9 @@ class LinearProgram:
     @cached_property
     def _rhs(self) -> tuple[list[int], int]:
         """The rows' right-hand sides over one positive common denominator,
-        `(nums, den)`, the least (`_over_common_den`); `with_rhs` sets it for
-        the LP it derives, and may be handed it. A tableau keeps its LP's
-        (`_Simplex.rhs`), and a re-solve reads both (`_Simplex.resolved`)."""
+        `(nums, den)`, the least (`_over_common_den`); `with_rhs` is handed
+        it for the LP it derives. A tableau keeps its LP's (`_Simplex.rhs`),
+        and a re-solve reads both (`_Simplex.resolved`)."""
         return _over_common_den([b for *_, b in self.rows])
 
     @cached_property
@@ -236,29 +215,21 @@ class LinearProgram:
         tableau.outcome = tableau.solve()
         return tableau
 
-    def with_rhs(self, values=None, image=None) -> "LinearProgram":
-        """This LP with its rows' right-hand sides replaced by `values`, one
-        per row, or by `image`, the same in integers over one denominator,
-        `(nums, den)` with den > 0. Only `values` are validated (`rat`);
-        `image` is taken unchecked but for its length, and the derived LP's
-        `rows` are then built only when read (`_built_rows`). The
+    def with_rhs(self, image) -> "LinearProgram":
+        """This LP with its rows' right-hand sides replaced by `image`, one
+        per row in integers over one denominator, `(nums, den)` with den > 0.
+        The image is taken unchecked but for its length, and the derived
+        LP's `rows` are built only when read (`_built_rows`). The
         coefficients and bounds are this LP's, validated already, and are
-        shared, not copied, and so is the objective's integer form (`_costs`),
-        made once here for every LP derived. The derived LP keeps this one as
-        its template: its solve starts from this LP's (`_solved`). It carries
-        no other cached value of this LP's. Its `_rhs` is `image`, or is made
-        here from `values`. When this LP's right-hand sides are all zero, its
+        shared, not copied, and so is the objective's integer form
+        (`_costs`), made once here for every LP derived. The derived LP keeps
+        this one as its template: its solve starts from this LP's
+        (`_solved`). It carries no other cached value of this LP's; its
+        `_rhs` is `image`. When this LP's right-hand sides are all zero, its
         oriented system is over the least common denominator of the
         coefficients and bounds alone, so the derived LP's, when it is asked
         for, is that system rescaled to take in the denominators of the new
         right-hand sides (`_system`)."""
-        fields = {}
-        if image is None:
-            rhs = tuple(rat(v) for v in values)
-            image = _over_common_den(rhs)
-            fields["rows"] = tuple(
-                (coeffs, rel, b) for (coeffs, rel, _), b in zip(self.rows, rhs)
-            )
         if len(image[0]) != len(self._rhs[0]):
             raise InputError("lp: right-hand side length mismatch")
         return _built(
@@ -271,13 +242,12 @@ class LinearProgram:
             _costs=self._costs,
             _rhs=image,
             _template=self,
-            **fields,
         )
 
 
-# An LP built past its constructor (`_cone`, or `with_rhs` handed an image)
-# has no `rows` in its instance dict: they are made on first read. The
-# constructor sets them, so a constructed LP never reads this.
+# An LP built past its constructor (`_cone` or `with_rhs`) has no `rows` in
+# its instance dict: they are made on first read. The constructor sets them,
+# so a constructed LP never reads this.
 LinearProgram.rows = cached_property(LinearProgram._built_rows)
 LinearProgram.rows.__set_name__(LinearProgram, "rows")
 
@@ -289,19 +259,20 @@ def _oriented(lp: LinearProgram) -> tuple[int, list]:
     the row's nonzero `(column, coefficient)` pairs. Constraint rows come
     first (`>=` rows negated), then per variable its lower bound row `-x_j <=
     -l_j` and its upper bound row `x_j <= u_j`, one term each. Certificates
-    index into `rows`. It reads the LP's data from `_scaled`."""
-    den, scaled, lower, upper = lp._scaled
+    index into `rows`."""
+    dens = {v.denominator for coeffs, _, rhs in lp.rows for v in (*coeffs, rhs)}
+    dens.update(v.denominator for v in (*lp.lower, *lp.upper) if v is not None)
+    den = lcm(*dens)
     rows = []
-    for (coeffs, rhs), (_, rel, _) in zip(scaled, lp.rows):
-        if rel == ">=":
-            rows.append(([(j, -v) for j, v in enumerate(coeffs) if v], -rhs, False))
-        else:
-            rows.append(([(j, v) for j, v in enumerate(coeffs) if v], rhs, rel == "="))
-    for j, (low, up) in enumerate(zip(lower, upper)):
+    for coeffs, rel, rhs in lp.rows:
+        scale = -den if rel == ">=" else den
+        terms = [(j, v.numerator * (scale // v.denominator)) for j, v in enumerate(coeffs) if v]
+        rows.append((terms, rhs.numerator * (scale // rhs.denominator), rel == "="))
+    for j, (low, up) in enumerate(zip(lp.lower, lp.upper)):
         if low is not None:
-            rows.append(([(j, -den)], -low, False))
+            rows.append(([(j, -den)], -low.numerator * (den // low.denominator), False))
         if up is not None:
-            rows.append(([(j, den)], up, False))
+            rows.append(([(j, den)], up.numerator * (den // up.denominator), False))
     return den, rows
 
 

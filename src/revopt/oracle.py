@@ -2,8 +2,6 @@
 
 Feasibility is exact at every grid point, so the oracle never misclassifies a
 point; it only misses off-grid optima, bounded by lipschitz_bound * step.
-The boundary-improvement map pi(x) realizes the interior-to-boundary descent
-argument exactly: the root of h on a segment has a closed form.
 
 The grid is walked one piece at a time over all rows, in integers. A row is
 the run of points along the last axis at fixed leading indices. On
@@ -21,10 +19,10 @@ It takes f's pieces to a row only where an interval is kept, and reads f's
 least value on each in closed form (`_least`); once the best over all rows is
 known, one more cut leaves each interval's run within eps of it, and f's
 values (the pointwise max of its pieces' `range`s) are made only there, for
-the points the result holds. `grid_sample`, `bridge_check` and the boundary
-report read every point's values, from the same row tables (`values`). f
-shares one scale with eps; h, each g and each domain row have their own,
-since only their signs are compared.
+the points the result holds. `grid_sample` and `bridge_check` read every
+point's values, from the same row tables (`values`). f shares one scale
+with eps; h, each g and each domain row have their own, since only their
+signs are compared.
 The grid keeps its own integer image, lo and step over one common
 denominator, and the evaluators read it together with the integer images the
 model keeps of each function and domain, so building them takes no `Fraction`
@@ -49,28 +47,20 @@ from operator import getitem, mul
 from .lp import lp_solve  # noqa: F401
 from .model import (
     INF,
-    HPolyhedron,
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
     _over_common_den,
     rat,
 )
-from .subdiff import epigraph_inf
 
 __all__ = [
     "GridSpec",
     "GRID_CAP",
     "BruteResult",
     "brute_eps_argmin",
-    "boundary_projection",
-    "boundary_equivalence_check",
-    "BoundaryReport",
     "ORACLE_MODES",
 ]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 ORACLE_MODES = ("reverse", "equality", "constrained-reverse", "convex")
 
@@ -478,118 +468,3 @@ def brute_eps_argmin(problem: ReverseProblem, mode: str, grid: GridSpec) -> Brut
         BruteResult, mode, feasible, min_value, bound, grid, runs, values, scale, threshold
     )
 
-
-def boundary_projection(f, h, x, y):
-    """The point pi on [y, x] with h(pi) = 0 nearest to x.
-
-    Requires h(x) > 0 and h(y) < 0. Along x + t (y - x), piece i of h is
-    c_i + t d_i with d_i = piece_i(y) - c_i, and h <= 0 where every piece is.
-    A piece with d_i >= 0 is negative on all of [0, 1], as it is at y; one
-    with d_i < 0 is <= 0 from t = c_i / -d_i on. So the root is the largest
-    c_i / (c_i - piece_i(y)) over the pieces with piece_i(y) < c_i.
-    """
-    x = tuple(rat(v) for v in x)
-    y = tuple(rat(v) for v in y)
-    hx, hy = h.value(x), h.value(y)
-    if hx == INF or hx <= 0:
-        raise InputError("boundary projection requires h(x) > 0")
-    if hy == INF or hy >= 0:
-        raise InputError("boundary projection requires h(y) < 0")
-    nums, den = _projection(h, x, _pieces_at(h, y))
-    pi = tuple(Fraction(v, den) for v in nums)
-    if h.value(pi) != 0 or not f.value(pi) < f.value(x):
-        raise RuntimeError("boundary projection is off {h = 0} or does not descend")
-    return pi
-
-
-def _pieces_at(h, y):
-    """(ys, r, vals): y = ys / r and each piece of h at y times D * r, where
-    D is the denominator of h's integer image."""
-    ys, r = _over_common_den(y)
-    return ys, r, h._scaled_pieces(ys, r)
-
-
-def _projection(h, x, y_image):
-    """`boundary_projection`'s pi, unchecked, as integers nums / den; y
-    given by `_pieces_at`. With piece_i(x) = c / (D q) and piece_i(y) =
-    d / (D r), the root c_i / (c_i - piece_i(y)) is c r / (c r - d q)."""
-    ys, r, y_vals = y_image
-    xs, q = _over_common_den(x)
-    top = bottom = None  # the largest root so far, top / bottom
-    for c, d in zip(h._scaled_pieces(xs, q), y_vals):
-        num = c * r
-        gap = num - d * q
-        if gap > 0 and (top is None or num * bottom > top * gap):
-            top, bottom = num, gap
-    # pi = (1 - root) x + root y over the denominator bottom * q * r
-    return [(bottom - top) * u * r + top * v * q for u, v in zip(xs, ys)], bottom * q * r
-
-
-@dataclass(frozen=True)
-class BoundaryReport:
-    applicable: bool
-    reason: str | None
-    equality_side: tuple
-    reverse_side: tuple
-    difference: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.applicable and not self.difference
-
-
-def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
-    """Grid realization of `eps-argmin over {h=0} equals eps-argmin over
-    {h>=0} restricted to {h=0}`, with the h>=0 minimum improved by projecting
-    every interior feasible grid point to the boundary."""
-    eps = rat(eps)
-    if f.domain is not None or h.domain is not None:
-        return BoundaryReport(False, "functions must be finite-valued", (), (), ())
-    # f and eps share one scale; -h is compared only with 0.
-    images, f_scale, _ = _grid_images(f, h, grid, (eps,))
-    fvals, neg_h = zip(*images)
-    eps = f_scale // eps.denominator * eps.numerator
-    pts = list(grid.points())
-    feas = [i for i, v in enumerate(neg_h) if v <= 0]
-    if not feas:
-        return BoundaryReport(False, "no feasible grid point", (), (), ())
-    m_all = min(fvals)
-    m_feas = min(fvals[i] for i in feas)
-    if not m_all < m_feas:
-        return BoundaryReport(False, "essential assumption fails on the grid", (), (), ())
-    # Interior descent point: exact minimizer of f over the box.
-    n = grid.n
-    box_rows, box_rhs = [], []
-    for j, (lo, hi) in enumerate(grid.box):
-        e = tuple(_ONE if k == j else _ZERO for k in range(n))
-        box_rows += [e, tuple(-v for v in e)]
-        box_rhs += [hi, -lo]
-    on_box = PolyhedralConvexFunction(n, f.pieces, HPolyhedron(box_rows, box_rhs, n))
-    _, y = epigraph_inf(on_box)
-    if y is None:
-        raise RuntimeError("a box-constrained epigraph LP has no optimum")
-    if h.value(y) >= 0:
-        return BoundaryReport(False, "interior point not found (h(y) >= 0)", (), (), ())
-
-    boundary = [i for i in feas if neg_h[i] == 0]
-    m_boundary = min((fvals[i] for i in boundary), default=None)
-    # h at y, and each piece at y, are the same for every interior point;
-    # f(pi) and h(pi) are read through f's and h's integer images.
-    y_image = _pieces_at(h, y)
-    f_den = f._image[0]
-    improved = m_feas
-    for i in feas:
-        if neg_h[i] < 0:
-            nums, den = _projection(h, pts[i], y_image)
-            # f(pi) * f_scale, and f(x) * f_scale = fvals[i]
-            val = Fraction(max(f._scaled_pieces(nums, den)) * f_scale, f_den * den)
-            if max(h._scaled_pieces(nums, den)) != 0 or not val < fvals[i]:
-                raise RuntimeError("boundary projection is off {h = 0} or does not descend")
-            if val < improved:
-                improved = val
-    equality_side = tuple(
-        pts[i] for i in boundary if m_boundary is not None and fvals[i] <= m_boundary + eps
-    )
-    reverse_side = tuple(pts[i] for i in boundary if fvals[i] <= improved + eps)
-    diff = tuple(sorted(set(equality_side) ^ set(reverse_side)))
-    return BoundaryReport(True, None, equality_side, reverse_side, diff)

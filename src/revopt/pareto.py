@@ -1,12 +1,10 @@
 """Finite-sample bicriteria machinery: preorders, eps-sigma-efficient sets
 (one sort for two criteria), the bridge between the reverse program and its
-bicriteria counterpart (on the oracle's integer grid values), the
-intersection identity for efficient sets, the strong-subdifferential product
-formula, and the r = 2 scalarization check.
+bicriteria counterpart (on the oracle's integer grid values), and the
+intersection identity for efficient sets.
 
 Proper efficiency (sigma = p) is excluded from set scans: it is a union over
-an infinite cone family, and only its scalarization-side sufficient test is
-needed here (strictly positive weights in `scalarization_check`).
+an infinite cone family.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ from operator import and_, itemgetter, le, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
 from .lp import lp_max_component, lp_solve  # noqa: F401
-from .model import INF, InputError, PolyhedralConvexFunction, _dot, rat
+from .model import INF, InputError, rat
 from .oracle import GridSpec, _grid_images, _shared
-from .subdiff import SubdiffQuery, epigraph_inf, joint_domain, subdiff_member
 
 __all__ = [
     "ParetoSample",
@@ -33,11 +30,7 @@ __all__ = [
     "BridgeReport",
     "reee_check",
     "ReeeReport",
-    "product_rule_check",
-    "scalarization_check",
 ]
-
-_ZERO = Fraction(0)
 
 SIGMA_KINDS = ("s", "e", "w")
 
@@ -249,77 +242,3 @@ def reee_check(sample: ParetoSample, eps, eps_prime_list) -> ReeeReport:
         witnesses.append((i, witness, still_out))
     return ReeeReport(tuple(inclusions), tuple(witnesses))
 
-
-# -- strong-subdifferential product formula ------------------------------------
-
-
-def product_rule_check(components, x_bar, eps, a_matrix) -> bool:
-    """A is in the strong eps-subdifferential of F = (f_1, ..., f_r) iff each
-    row lies in the scalar eps_i-subdifferential of its component, the
-    components of F being the f_i restricted to dom F."""
-    components = tuple(components)
-    x_bar = tuple(rat(v) for v in x_bar)
-    eps = tuple(rat(v) for v in eps)
-    rows = tuple(tuple(rat(v) for v in row) for row in a_matrix)
-    if not (len(components) == len(eps) == len(rows)):
-        raise InputError("component/eps/matrix row counts differ")
-    n = components[0].n
-    for fn, row in zip(components, rows):
-        if fn.n != n or len(row) != n:
-            raise InputError("dimension mismatch")
-        if not fn.is_finite_at(x_bar):
-            raise InputError("x_bar must lie in every component domain")
-
-    dom = joint_domain(n, components)
-    restricted = (PolyhedralConvexFunction(n, fn.pieces, dom) for fn in components)
-    return all(
-        subdiff_member(SubdiffQuery(fn, x_bar, eps_i), row)
-        for fn, row, eps_i in zip(restricted, rows, eps)
-    )
-
-
-# -- r = 2 scalarization -------------------------------------------------------
-
-
-def scalarization_check(f, x_bar, eps, a_matrix, lam) -> bool:
-    """Sufficient direction of the scalarization theorem for F = (f, 0):
-    if the lam-combined row is a <lam, eps>-subgradient of lam o F, then no x
-    strictly violates the weak-subdifferential inequality. Returns the truth
-    of that implication (checked by exact refutation search)."""
-    x_bar = tuple(rat(v) for v in x_bar)
-    eps = tuple(rat(v) for v in eps)
-    lam = tuple(rat(v) for v in lam)
-    rows = tuple(tuple(rat(v) for v in row) for row in a_matrix)
-    if len(eps) != 2 or len(lam) != 2 or len(rows) != 2:
-        raise InputError("the bridge scalarization is bicriteria (r = 2)")
-    if any(v < 0 for v in lam) or all(v == 0 for v in lam):
-        raise InputError("lambda must be >= 0 and nonzero")
-    n = f.n
-    if not f.is_finite_at(x_bar):
-        raise InputError("x_bar must lie in dom f")
-
-    lam1, lam2 = lam
-    if lam1 > 0:
-        scalar_fn = f.scaled(lam1)
-    else:
-        # lam o F collapses to the zero function on dom f.
-        scalar_fn = PolyhedralConvexFunction(n, (((_ZERO,) * n, _ZERO),), f.domain)
-    combined = tuple(lam1 * a + lam2 * b for a, b in zip(rows[0], rows[1]))
-    budget = lam1 * eps[0] + lam2 * eps[1]
-    scalar_side = subdiff_member(SubdiffQuery(scalar_fn, x_bar, budget), combined)
-    if not scalar_side:
-        return True  # vacuous implication
-
-    # Refutation search: x in dom f with F(x) strictly below
-    # F(x_bar) + A(x - x_bar) - eps in both criteria, i.e. a negative infimum
-    # of max(f - f(x_bar) - <a1, . - x_bar> + eps1, -<a2, . - x_bar> + eps2).
-    a1, a2 = rows
-    shift = f.value(x_bar) - _dot(a1, x_bar) - eps[0]
-    gap = PolyhedralConvexFunction(
-        n,
-        tuple((tuple(pa - r for pa, r in zip(p.a, a1)), p.b - shift) for p in f.pieces)
-        + ((tuple(-r for r in a2), _dot(a2, x_bar) + eps[1]),),
-        f.domain,
-    )
-    inf_val, _ = epigraph_inf(gap)
-    return inf_val >= 0

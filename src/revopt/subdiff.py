@@ -3,15 +3,14 @@
 `epigraph_inf` is the one epigraph LP of the library: the exact infimum of
 fn(x) - <slope, x> over dom fn cut by {phi <= 0} for each phi of a region,
 with columns (x, t) and rows fn's pieces, the stacked domain rows of fn and
-of the region (`joint_domain`), then the region's pieces. Membership, the
-essential and Slater gates, the bicriteria checks and the oracle's interior
-point are each one call to it. Over all eps >= 0 at once the sets stack into
-a polyhedron with closed-form generators (`subdiff_epigraph`), read off the
-integer images of the function, its domain and the point (a problem's own
-image of its point when the caller hands it in), with repeats dropped by
-those images before a `Fraction` is made; and the generator representation
-of one set is its slice at eps, read off those generators in closed form
-(`subdiff_vrep`). The scaling law
+of the region (`joint_domain`), then the region's pieces. Membership and
+the essential and Slater gates are each one call to it. Over all eps >= 0 at
+once the sets stack into a polyhedron with closed-form generators
+(`subdiff_epigraph`), read off the integer images of the function, its
+domain and the point (a problem's own image of its point when the caller
+hands it in), with repeats dropped by those images before a `Fraction` is
+made; and the generator representation of one set is its slice at eps, read
+off those generators in closed form (`subdiff_vrep`). The scaling law
 d_eps(lam f) = lam * d_(eps/lam) f  is exposed as an operation so both routes
 can be compared generator-for-generator.
 """

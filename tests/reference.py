@@ -1,15 +1,16 @@
 """Slow reference implementations for tests only.
 
-The grid layer's references evaluate every grid point separately in
-`Fraction` arithmetic and decide efficiency by scanning all pairs, the way the
-library did before its integer row evaluator and its sorting sweep. The
-boundary projection's reference isolates the root by walking h's breakpoints
-on the segment, where the library uses a closed form. The LP reference
-(`reference_lp_solve`) is the library's earlier simplex: every variable split
-x = p - q, every bound an oriented row, and an artificial on every row. Tests assert that the library's results equal these exactly (for
-LPs: the same outcome class and optimal value). The membership probe's
-reference (`reference_membership_lp`) is the library's earlier builder, which
-kept alpha as a column of its own. The evaluation references
+The grid layer's references evaluate every grid point separately in `Fraction`
+arithmetic and decide efficiency by scanning all pairs, the way the library
+did before its integer row evaluator and its sorting sweep. The boundary
+projection and the boundary equivalence check live here only: the library has
+neither, and the projection isolates the root by walking h's breakpoints on
+the segment. The LP reference (`reference_lp_solve`) is the library's earlier
+simplex: every variable split x = p - q, every bound an oriented row, and an
+artificial on every row. Tests assert that the library's results equal these
+exactly (for LPs: the same outcome class and optimal value). The membership
+probe's reference (`reference_membership_lp`) is the library's earlier
+builder, which kept alpha as a column of its own. The evaluation references
 (`reference_value`, `reference_contains`) and the certificate check's
 (`reference_check_outcome`) are the library's earlier `Fraction` versions,
 before it evaluated and re-validated in integers; `reference_rat` parsed each
@@ -18,12 +19,13 @@ form of the oriented layout, which the certificate check's and the LP's
 references read; the library builds the same rows in integers.
 `reference_integer_forms` is the library's earlier `Fraction` route to the
 grid evaluators' integer forms, before they read the integer images of the
-grid and of each function. `reference_prune` is the library's earlier
-`prune`, which decided every candidate by an LP also in one dimension.
+grid and of each function. `reference_prune` is the library's earlier `prune`,
+which decided every candidate by an LP also in one dimension.
 """
 
 import itertools
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -46,7 +48,7 @@ from revopt.model import (
     _lcm_den,
     rat,
 )
-from revopt.oracle import BoundaryReport, GridSpec
+from revopt.oracle import GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.polytope import VPolytope, _drop_redundant, _normalize_ray
 from revopt.subdiff import epigraph_inf, joint_domain
@@ -304,7 +306,23 @@ def reference_boundary_projection(f, h, x, y):
     return pi
 
 
+@dataclass(frozen=True)
+class BoundaryReport:
+    applicable: bool
+    reason: str | None
+    equality_side: tuple
+    reverse_side: tuple
+    difference: tuple
+
+    @property
+    def passed(self) -> bool:
+        return self.applicable and not self.difference
+
+
 def boundary_equivalence_check(f, h, grid: GridSpec, eps) -> BoundaryReport:
+    """Grid realization of `eps-argmin over {h=0} equals eps-argmin over
+    {h>=0} restricted to {h=0}`, with the h>=0 minimum improved by projecting
+    every interior feasible grid point to the boundary."""
     eps = rat(eps)
     if f.domain is not None or h.domain is not None:
         return BoundaryReport(False, "functions must be finite-valued", (), (), ())

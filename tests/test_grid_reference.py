@@ -14,8 +14,6 @@ from revopt.oracle import (
     ORACLE_MODES,
     GridSpec,
     _GridEvaluator,
-    boundary_equivalence_check,
-    boundary_projection,
     brute_eps_argmin,
 )
 from revopt.pareto import (
@@ -370,42 +368,6 @@ def test_grid_sample_and_bridge_match_the_fraction_reference(seed, n):
     assert bridge_check(f, h, grid.box, grid.step, problem.epsilon) == (
         reference.bridge_check(f, h, grid.box, grid.step, problem.epsilon)
     )
-
-
-def test_boundary_equivalence_matches_the_fraction_reference():
-    applicable = 0
-    for seed, n in CASES[:24]:
-        problem, grid = _case(seed, n)
-        f = PolyhedralConvexFunction(n, problem.objective.pieces)
-        h = PolyhedralConvexFunction(n, problem.reverse.pieces)
-        rep = boundary_equivalence_check(f, h, grid, problem.epsilon)
-        assert rep == reference.boundary_equivalence_check(f, h, grid, problem.epsilon)
-        applicable += rep.applicable
-    assert applicable
-
-
-def test_boundary_projection_matches_the_breakpoint_walk():
-    # h has 2-6 rational pieces, all negative at y; x is drawn until h(x) > 0.
-    # f(z) = <x - y, z> falls along [x, y], so every projection descends.
-    rng = random.Random(17)
-    for _ in range(300):
-        n = rng.randint(1, 3)
-        y = tuple(_rational(rng) for _ in range(n))
-        pieces = []
-        for _ in range(rng.randint(2, 6)):
-            a = tuple(_rational(rng) for _ in range(n))
-            drop = F(rng.randint(1, 12), rng.choice(DENOMINATORS))
-            pieces.append(AffineForm(a, -sum(u * v for u, v in zip(a, y)) - drop))
-        h = PolyhedralConvexFunction(n, tuple(pieces))
-        x = y
-        while h.value(x) <= 0:
-            x = tuple(v + 2 * _rational(rng) for v in x)
-        f = PolyhedralConvexFunction(
-            n, (AffineForm(tuple(u - v for u, v in zip(x, y)), F(0)),)
-        )
-        pi = boundary_projection(f, h, x, y)
-        assert pi == reference.reference_boundary_projection(f, h, x, y)
-        assert h.value(pi) == 0
 
 
 def _primitive(w):

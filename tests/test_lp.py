@@ -177,7 +177,7 @@ def test_max_component_lp_maximizes_one_variable_and_carries_no_cache():
     assert lp.objective == (1, 1) and lp.sense == "min"
     # What lp cached for its own objective, its solve among it, is not carried
     # over, and neither is a template of lp's: the probe is solved afresh.
-    derived = lp.with_rhs((2,))
+    derived = lp.with_rhs(([2], 1))
     assert isinstance(lp_solve(derived), Unbounded)  # min x + y with y free
     for source in (lp, derived):
         probe = max_component_lp(source, 1)
@@ -194,8 +194,9 @@ def test_derived_lps_carry_only_their_fields_and_named_caches():
     planted = object()
     vars(lp)["_planted"] = planted
     fields = {"n", "objective", "sense", "rows", "lower", "upper"}
-    derived = lp.with_rhs((2,))
-    assert set(vars(derived)) == fields | {"_costs", "_rhs", "_template"}
+    derived = lp.with_rhs(([2], 1))
+    # a derived LP's rows are made when first read
+    assert set(vars(derived)) == fields - {"rows"} | {"_costs", "_rhs", "_template"}
     assert vars(derived)["_template"] is lp
     probe = max_component_lp(lp, 0)
     assert set(vars(probe)) == fields
@@ -203,10 +204,12 @@ def test_derived_lps_carry_only_their_fields_and_named_caches():
 
 
 def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
+    # The right-hand sides come in integers over one denominator, so only
+    # their count is checked, and nothing is parsed.
     template = LinearProgram(
         2, (1, 1), rows=(((1, 2), "<=", 0), ((Fraction(1, 3), -1), ">=", 0)), lower=(0, None)
     )
-    derived = template.with_rhs(("1/2", 3))
+    derived = template.with_rhs(([1, 6], 2))
     assert derived == LinearProgram(
         2, (1, 1), rows=(((1, 2), "<=", "1/2"), (("1/3", -1), ">=", 3)), lower=(0, None)
     )
@@ -220,16 +223,16 @@ def test_with_rhs_validates_only_the_new_right_hand_sides(monkeypatch):
     assert derived._system == _oriented(derived) and derived._system[0] == 6
     assert oriented == [template]
     # From an LP whose right-hand sides are not zero, `_oriented` builds it.
-    again = derived.with_rhs((1, 2))
+    again = derived.with_rhs(([1, 2], 1))
     assert "_system" not in vars(again) and again._system == _oriented(again)
     assert oriented == [template, again]
-    for bad in ((1,), (1, 2, 3), (1, "0.5"), (1, None), (True, 1), (1.0, 1)):
+    for bad in (([1], 1), ([1, 2, 3], 1)):
         with pytest.raises(InputError):
             template.with_rhs(bad)
-    calls = []  # only the new right-hand sides are parsed
+    calls = []
     monkeypatch.setattr("revopt.lp.rat", lambda v: calls.append(v) or Fraction(v))
-    template.with_rhs((4, 5))
-    assert calls == [4, 5]
+    template.with_rhs(([4, 5], 1))
+    assert calls == []
 
 
 def test_an_lp_derived_from_an_integer_image_builds_its_rows_when_read():
@@ -241,7 +244,9 @@ def test_an_lp_derived_from_an_integer_image_builds_its_rows_when_read():
     template = LinearProgram(
         2, (1, 1), rows=(((1, 2), "<=", 0), ((Fraction(1, 3), -1), ">=", 0)), lower=(0, 0)
     )
-    by_values = template.with_rhs(("1/2", 3))
+    by_values = LinearProgram(
+        2, (1, 1), rows=(((1, 2), "<=", "1/2"), (("1/3", -1), ">=", 3)), lower=(0, 0)
+    )
     derived = template.with_rhs(image=([6, 36], 12))
     check_outcome(derived, lp_solve(derived))
     assert derived._system == _oriented(by_values) and derived._system[0] == 6
@@ -268,8 +273,8 @@ def test_the_objective_is_brought_to_its_common_denominator_once_per_template(mo
         revopt.lp, "_over_common_den", lambda values: scaled.append(values) or original(values)
     )
     check_outcome(template, lp_solve(template))
-    for rhs in (1, -2, "1/2"):
-        derived = template.with_rhs((rhs,))
+    for image in (([1], 1), ([-2], 1), ([1], 2)):
+        derived = template.with_rhs(image)
         assert derived._costs is template._costs
         check_outcome(derived, lp_solve(derived))
     assert [values for values in scaled if values is template.objective] == [template.objective]

@@ -16,12 +16,7 @@ from revopt.model import (
     ReverseProblem,
 )
 from revopt import oracle
-from revopt.oracle import (
-    GridSpec,
-    boundary_equivalence_check,
-    boundary_projection,
-    brute_eps_argmin,
-)
+from revopt.oracle import GridSpec, brute_eps_argmin
 from revopt.pareto import BridgeReport, bridge_check
 
 F = Fraction
@@ -121,26 +116,25 @@ def test_brute_error_bound():
 
 
 def test_boundary_projection_examples():
+    project = reference.reference_boundary_projection
     f, h = absf(), abs_minus_one()
-    pi = boundary_projection(f, h, (F(2),), (F(0),))
-    assert pi == (F(1),)
-    pi = boundary_projection(f, h, (F(-3),), (F(0),))
-    assert pi == (F(-1),)
+    assert project(f, h, (F(2),), (F(0),)) == (F(1),)
+    assert project(f, h, (F(-3),), (F(0),)) == (F(-1),)
     with pytest.raises(InputError):
-        boundary_projection(f, h, (F(1),), (F(0),))  # h(x) = 0 is not > 0
+        project(f, h, (F(1),), (F(0),))  # h(x) = 0 is not > 0
 
 
 def test_boundary_projection_2d():
     # h(x) = max(x1, x2) - 1 crosses zero on the segment from (2,2) to (0,0).
     h = fn(2, ((1, 0), -1), ((0, 1), -1))
     f = fn(2, ((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0))
-    pi = boundary_projection(f, h, (F(2), F(2)), (F(0), F(0)))
+    pi = reference.reference_boundary_projection(f, h, (F(2), F(2)), (F(0), F(0)))
     assert pi == (F(1), F(1))
     assert h.value(pi) == 0
 
 
 def test_boundary_equivalence_abs():
-    rep = boundary_equivalence_check(absf(), abs_minus_one(), grid_1d(), F(0))
+    rep = reference.boundary_equivalence_check(absf(), abs_minus_one(), grid_1d(), F(0))
     assert rep.applicable
     assert rep.equality_side == ((F(-1),), (F(1),))
     assert rep.reverse_side == ((F(-1),), (F(1),))
@@ -148,14 +142,14 @@ def test_boundary_equivalence_abs():
 
 
 def test_boundary_equivalence_steep():
-    rep = boundary_equivalence_check(steep(), abs_minus_one(), grid_1d(), F(0))
+    rep = reference.boundary_equivalence_check(steep(), abs_minus_one(), grid_1d(), F(0))
     assert rep.applicable
     assert rep.equality_side == ((F(-1),),)
     assert rep.passed
 
 
 def test_boundary_equivalence_steep_relaxed():
-    rep = boundary_equivalence_check(steep(), abs_minus_one(), grid_1d(), F(1))
+    rep = reference.boundary_equivalence_check(steep(), abs_minus_one(), grid_1d(), F(1))
     assert rep.equality_side == ((F(-1),), (F(1),))
     assert rep.reverse_side == ((F(-1),), (F(1),))
     assert rep.passed
@@ -164,7 +158,7 @@ def test_boundary_equivalence_steep_relaxed():
 def test_boundary_equivalence_inapplicable_when_essential_fails():
     # f constant: the grid minimum over all points equals the feasible one.
     f = fn(1, ((0,), 5))
-    rep = boundary_equivalence_check(f, abs_minus_one(), grid_1d(), F(0))
+    rep = reference.boundary_equivalence_check(f, abs_minus_one(), grid_1d(), F(0))
     assert not rep.applicable
 
 

@@ -4,16 +4,16 @@ from fractions import Fraction
 import pytest
 
 from revopt import oracle
-from revopt.model import AffineForm, HPolyhedron, InputError, PolyhedralConvexFunction
-from revopt.pareto import (
-    ParetoSample,
-    bridge_check,
-    eff_set,
-    product_rule_check,
-    reee_check,
-    scalarization_check,
-    vdom,
+from revopt.model import (
+    AffineForm,
+    HPolyhedron,
+    InputError,
+    PolyhedralConvexFunction,
+    _dot,
+    rat,
 )
+from revopt.pareto import ParetoSample, bridge_check, eff_set, reee_check, vdom
+from revopt.subdiff import SubdiffQuery, epigraph_inf, joint_domain, subdiff_member
 
 F = Fraction
 
@@ -199,6 +199,80 @@ def test_reee_random_samples():
         eps = (F(rng.randint(0, 2)), F(rng.randint(0, 2)))
         rep = reee_check(s, eps, [(F(1), F(0)), (F(1, 2), F(1, 2))])
         assert rep.passed
+
+
+# -- the paper's strong-subdifferential product formula and r = 2
+# scalarization: no command runs either check, so both live here, with the
+# tests of the statements they check.
+
+
+def product_rule_check(components, x_bar, eps, a_matrix) -> bool:
+    """A is in the strong eps-subdifferential of F = (f_1, ..., f_r) iff each
+    row lies in the scalar eps_i-subdifferential of its component, the
+    components of F being the f_i restricted to dom F."""
+    components = tuple(components)
+    x_bar = tuple(rat(v) for v in x_bar)
+    eps = tuple(rat(v) for v in eps)
+    rows = tuple(tuple(rat(v) for v in row) for row in a_matrix)
+    if not (len(components) == len(eps) == len(rows)):
+        raise InputError("component/eps/matrix row counts differ")
+    n = components[0].n
+    for fn, row in zip(components, rows):
+        if fn.n != n or len(row) != n:
+            raise InputError("dimension mismatch")
+        if not fn.is_finite_at(x_bar):
+            raise InputError("x_bar must lie in every component domain")
+
+    dom = joint_domain(n, components)
+    restricted = (PolyhedralConvexFunction(n, fn.pieces, dom) for fn in components)
+    return all(
+        subdiff_member(SubdiffQuery(fn, x_bar, eps_i), row)
+        for fn, row, eps_i in zip(restricted, rows, eps)
+    )
+
+
+def scalarization_check(f, x_bar, eps, a_matrix, lam) -> bool:
+    """Sufficient direction of the scalarization theorem for F = (f, 0):
+    if the lam-combined row is a <lam, eps>-subgradient of lam o F, then no x
+    strictly violates the weak-subdifferential inequality. Returns the truth
+    of that implication (checked by exact refutation search)."""
+    x_bar = tuple(rat(v) for v in x_bar)
+    eps = tuple(rat(v) for v in eps)
+    lam = tuple(rat(v) for v in lam)
+    rows = tuple(tuple(rat(v) for v in row) for row in a_matrix)
+    if len(eps) != 2 or len(lam) != 2 or len(rows) != 2:
+        raise InputError("the bridge scalarization is bicriteria (r = 2)")
+    if any(v < 0 for v in lam) or all(v == 0 for v in lam):
+        raise InputError("lambda must be >= 0 and nonzero")
+    n = f.n
+    if not f.is_finite_at(x_bar):
+        raise InputError("x_bar must lie in dom f")
+
+    lam1, lam2 = lam
+    if lam1 > 0:
+        scalar_fn = f.scaled(lam1)
+    else:
+        # lam o F collapses to the zero function on dom f.
+        scalar_fn = PolyhedralConvexFunction(n, (((F(0),) * n, F(0)),), f.domain)
+    combined = tuple(lam1 * a + lam2 * b for a, b in zip(rows[0], rows[1]))
+    budget = lam1 * eps[0] + lam2 * eps[1]
+    scalar_side = subdiff_member(SubdiffQuery(scalar_fn, x_bar, budget), combined)
+    if not scalar_side:
+        return True  # vacuous implication
+
+    # Refutation search: x in dom f with F(x) strictly below
+    # F(x_bar) + A(x - x_bar) - eps in both criteria, i.e. a negative infimum
+    # of max(f - f(x_bar) - <a1, . - x_bar> + eps1, -<a2, . - x_bar> + eps2).
+    a1, a2 = rows
+    shift = f.value(x_bar) - _dot(a1, x_bar) - eps[0]
+    gap = PolyhedralConvexFunction(
+        n,
+        tuple((tuple(pa - r for pa, r in zip(p.a, a1)), p.b - shift) for p in f.pieces)
+        + ((tuple(-r for r in a2), _dot(a2, x_bar) + eps[1]),),
+        f.domain,
+    )
+    inf_val, _ = epigraph_inf(gap)
+    return inf_val >= 0
 
 
 def test_product_rule_examples():

@@ -1,6 +1,8 @@
 """Invariants of the library source itself."""
 
 import ast
+import importlib
+import inspect
 import io
 import json
 import os
@@ -8,13 +10,16 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import revopt
+from corpus import make_instance
 from revopt import cli
-from revopt.problemfile import load_problem
+from revopt.model import AffineForm, PolyhedralConvexFunction
+from revopt.problemfile import dump_problem, load_problem
 
 
 def test_library_has_no_assert_statements():
@@ -264,6 +269,112 @@ def test_unused_imports_are_kept_only_where_the_bench_traces_them():
     # The scan sees the imports it is meant to check.
     assert ("revopt.certificates", "lp_max_component") in unread
     assert unread - _bench_bindings() == set()
+
+
+#: public functions that no command reaches and the bench and the acceptance
+#: suite do not name, each with the reason it stays public
+_CALLERLESS = {
+    ("revopt.cli", "main"): "the console script, which hands argv to `cli.run`",
+    ("revopt.lp", "max_component_lp"): "the LP that the bench-traced `lp_max_component` solves",
+    ("revopt.pareto", "vdom"): "the orthant order that `reee_check` compares by",
+}
+
+
+def _imported_from_revopt(path: Path) -> set:
+    """The ids of the `revopt` objects that the file at `path` imports by
+    name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("revopt"):
+            module = importlib.import_module(node.module)
+            found |= {id(getattr(module, alias.name)) for alias in node.names}
+    return found
+
+
+def _command_lines(paths, constraints):
+    """Every command of `cli._USAGE` on each problem file, with each of its
+    choices: verify (with the grid cross-check) and falsify, and brute, in
+    every mode; pareto with each sigma and without; subdiff on each function
+    at three values of eps."""
+    lines = []
+    for path, count in zip(paths, constraints):
+        problem = ["--problem", path]
+        grid = ["--box", "-3", "3", "--step", "1"]
+        cross_check = ["--cross-check-grid", "-3", "3", "1"]
+        for mode in cli.MODES:
+            lines.append(["verify", *problem, "--mode", mode, *cross_check])
+            lines.append(["falsify", *problem, "--mode", mode])
+            lines.append(["brute", *problem, "--mode", mode, *grid])
+        for sigma in ((), *(["--sigma", kind] for kind in cli.SIGMA_KINDS)):
+            lines.append(["pareto", *problem, *grid, *sigma])
+        fns = ["objective", "reverse", *(f"constraint:{j}" for j in range(count))]
+        for fn in fns:
+            for eps in ("0", "1/2", "2"):
+                lines.append(["subdiff", *problem, "--fn", fn, "--eps", eps])
+    return lines
+
+
+def test_every_public_function_has_a_caller(tmp_path):
+    # A public function earns its place by a caller: a command reaches it,
+    # the bench traces or imports it, or the acceptance suite imports it.
+    # Every command runs in process under a profiler on the problem files, a
+    # 2-D corpus problem and a problem with a constraint, and each verify
+    # report is replayed.
+    root = Path(revopt.__file__).resolve().parents[2]
+    paths = sorted(str(path) for path in (root / "problems").glob("*.json"))
+    example_b = load_problem(paths[-1])
+    g = PolyhedralConvexFunction(1, (AffineForm((1,), -2), AffineForm((-1,), -2)))
+    for name, problem in (
+        ("corpus_2d", make_instance(1120, 2)),
+        ("constrained", replace(example_b, constraints=(g,))),
+    ):
+        paths.append(str(tmp_path / f"{name}.json"))
+        dump_problem(problem, paths[-1])
+    constraints = [len(load_problem(path).constraints) for path in paths]
+    assert constraints[-1] == 1 and load_problem(paths[-2]).n == 2
+
+    reached = set()
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    codes = []
+    sys.setprofile(profile)
+    try:
+        for argv in _command_lines(paths, constraints):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                codes.append(cli.run(argv))
+            report = json.loads(out.getvalue())
+            if argv[0] == "verify" and "verdict" in report:
+                cli.replay(load_problem(argv[2]), report)
+    finally:
+        sys.setprofile(None)
+    assert cli.EXIT_INPUT_ERROR not in codes
+
+    public = {}
+    for path in sorted(Path(revopt.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"revopt.{path.stem}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                public.setdefault(id(obj), (module.__name__, name, obj))
+    named = {
+        id(getattr(importlib.import_module(module), attr)) for module, attr in _bench_bindings()
+    }
+    for path in sorted((root / "bench").glob("*.py")):
+        named |= _imported_from_revopt(path)
+    named |= _imported_from_revopt(root / "tests" / "test_acceptance.py")
+    assert set(_CALLERLESS) <= {(module, name) for module, name, _ in public.values()}
+    callerless = [
+        (module, name)
+        for key, (module, name, obj) in public.items()
+        if obj.__code__ not in reached
+        and key not in named
+        and (module, name) not in _CALLERLESS
+    ]
+    assert callerless == []
 
 
 def test_the_cli_parses_argv_by_its_table_and_writes_one_compact_report():

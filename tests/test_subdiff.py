@@ -361,7 +361,7 @@ def test_epigraph_inf_matches_the_reference_epigraph_lp():
 
 def test_an_empty_region_reads_as_plus_infinity_at_every_gate(monkeypatch):
     # inf over the empty set is +inf, so each gate is one comparison with it.
-    from revopt import pareto
+    import test_pareto
     from revopt.certificates import essential_check, slater_check
 
     at_least_one = HPolyhedron(((F(-1),),), (F(-1),), 1)  # x >= 1
@@ -377,8 +377,8 @@ def test_an_empty_region_reads_as_plus_infinity_at_every_gate(monkeypatch):
     # search region nonempty through the API, so the infimum is fed directly.
     a = ((F(1),), (F(0),))
     for inf_val, holds in ((INF, True), (F(-1), False)):
-        monkeypatch.setattr(pareto, "epigraph_inf", lambda fn: (inf_val, None))
-        check = pareto.scalarization_check(absf(), (F(1),), (F(0),) * 2, a, (F(1),) * 2)
+        monkeypatch.setattr(test_pareto, "epigraph_inf", lambda fn: (inf_val, None))
+        check = test_pareto.scalarization_check(absf(), (F(1),), (F(0),) * 2, a, (F(1),) * 2)
         assert check is holds
 
 
