@@ -4,6 +4,13 @@ Every command prints one JSON report to stdout as one compact line, all numbers
 as rational strings, and exits with: 0 certified / check passed, 1 refuted /
 violation found, 2 inapplicable, 3 input or usage error. Reports are replayable:
 the recorded LP certificates re-validate bit-exactly against the problem file.
+
+A `verify` or `falsify` report is written in one pass from its verdict
+(`_verdict_text`): its strings are rational literals and fixed tokens, none of
+which JSON escapes, so the line is the compact `json.dumps` of the report's
+object without that object being built. The other reports, and the error
+line, go through `json.dumps` (`_json_line`). A number that is too long to
+print is an input error wherever it is (`fmt`, `fmt_array`).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .certificates import (
     verify,
 )
 from .lp import INF, CertificateError, Infeasible, Optimal, Unbounded, check_outcome
-from .model import Inapplicable, InputError, fmt, fmt_vec, rat
+from .model import Inapplicable, InputError, fmt, fmt_array, fmt_vec, rat
 from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
 from .pareto import SIGMA_KINDS, _bridge, eff_set, grid_sample
 from .problemfile import load_problem
@@ -46,26 +53,60 @@ _EXIT_CODE = {
 }
 
 
-# -- serialization -------------------------------------------------------------
+# -- reports --------------------------------------------------------------------
+
+#: JSON's spelling of a gate's or a check's boolean
+_BOOL = {True: "true", False: "false"}
 
 
-def _outcome_to_doc(outcome) -> dict:
+def _json_line(doc) -> str:
+    """A report that is not a decision's, or an error, as one compact line."""
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def _outcome_text(outcome) -> str:
+    """A check's outcome as the JSON object of its tag and vectors."""
     if isinstance(outcome, Optimal):
-        return {
-            "tag": "optimal",
-            "x": fmt_vec(outcome.x),
-            "value": fmt(outcome.value),
-            "dual": fmt_vec(outcome.dual),
-        }
+        return (
+            f'{{"tag":"optimal","x":{fmt_array(outcome.x)},'
+            f'"value":"{fmt(outcome.value)}","dual":{fmt_array(outcome.dual)}}}'
+        )
     if isinstance(outcome, Infeasible):
-        return {"tag": "infeasible", "farkas": fmt_vec(outcome.farkas)}
+        return f'{{"tag":"infeasible","farkas":{fmt_array(outcome.farkas)}}}'
     if isinstance(outcome, Unbounded):
-        return {
-            "tag": "unbounded",
-            "ray": fmt_vec(outcome.ray),
-            "point": fmt_vec(outcome.point),
-        }
+        return (
+            f'{{"tag":"unbounded","ray":{fmt_array(outcome.ray)},'
+            f'"point":{fmt_array(outcome.point)}}}'
+        )
     raise InputError(f"unknown outcome {outcome!r}")
+
+
+def _verdict_text(command: str, verdict: CertificateVerdict) -> str:
+    """A `verify` or `falsify` report of `verdict`, written in one pass and
+    left open after its `witness`. Every string in it is a rational literal
+    (`fmt`) or a token of a closed set: a verdict tag, mode, gate name,
+    reason or check kind. None needs JSON escaping, so each is written as it
+    is, and the text is `json.dumps` of the report's object, compact."""
+    gates = ",".join([f'["{name}",{_BOOL[ok]}]' for name, ok in verdict.gates])
+    checks = ",".join(
+        [
+            f'{{"eps_prime":"{fmt(rec.eps_prime)}","generator":{fmt_array(rec.generator)},'
+            f'"kind":"{rec.kind}","accepted":{_BOOL[rec.evidence.member]},'
+            f'"sup":"{fmt(rec.evidence.sup)}","outcome":{_outcome_text(rec.evidence.outcome)}}}'
+            for rec in verdict.log
+        ]
+    )
+    reason = "null" if verdict.reason is None else f'"{verdict.reason}"'
+    witness = verdict.witness
+    if witness is None:
+        witness = "null"
+    else:
+        eps_prime, xstar = witness
+        witness = f'{{"eps_prime":"{fmt(eps_prime)}","x_star":{fmt_array(xstar)}}}'
+    return (
+        f'{{"command":"{command}","verdict":"{verdict.tag}","mode":"{verdict.mode}",'
+        f'"reason":{reason},"gates":[{gates}],"checks":[{checks}],"witness":{witness}'
+    )
 
 
 _OUTCOME_FIELDS = {
@@ -91,31 +132,6 @@ def _outcome_from_doc(doc) -> object:
     if tag == "infeasible":
         return Infeasible(farkas=_rationals(doc["farkas"], "farkas"))
     return Unbounded(ray=_rationals(doc["ray"], "ray"), point=_rationals(doc["point"], "point"))
-
-
-def _verdict_to_doc(verdict: CertificateVerdict) -> dict:
-    doc = {
-        "verdict": verdict.tag,
-        "mode": verdict.mode,
-        "reason": verdict.reason,
-        "gates": [[name, ok] for name, ok in verdict.gates],
-        "checks": [
-            {
-                "eps_prime": fmt(rec.eps_prime),
-                "generator": fmt_vec(rec.generator),
-                "kind": rec.kind,
-                "accepted": rec.evidence.member,
-                "sup": fmt(rec.evidence.sup),
-                "outcome": _outcome_to_doc(rec.evidence.outcome),
-            }
-            for rec in verdict.log
-        ],
-        "witness": None,
-    }
-    if verdict.witness is not None:
-        eps_prime, xstar = verdict.witness
-        doc["witness"] = {"eps_prime": fmt(eps_prime), "x_star": fmt_vec(xstar)}
-    return doc
 
 
 # -- replay --------------------------------------------------------------------
@@ -290,40 +306,40 @@ def _beyond(point, base, ray) -> bool:
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_decide(args) -> tuple[dict, int]:
+def _cmd_decide(args) -> tuple[str, int]:
     """`verify` and `falsify`: the same report but for its command."""
     problem = load_problem(args.problem)
     verdict = (verify if args.command == "verify" else falsify)(problem, args.mode)
-    doc = {"command": args.command, **_verdict_to_doc(verdict)}
+    line = _verdict_text(args.command, verdict)
     if args.cross_check_grid is not None:
         lo, hi, step = (rat(v) for v in args.cross_check_grid)
         grid = GridSpec(((lo, hi),) * problem.n, step)
-        doc["oracle_cross_check"] = _cross_check_doc(problem, args.mode, grid, verdict)
-    return doc, _EXIT_CODE[verdict.tag]
+        line += f',"oracle_cross_check":{_cross_check_text(problem, args.mode, grid, verdict)}'
+    return line + "}", _EXIT_CODE[verdict.tag]
 
 
-def _cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
+def _cross_check_text(problem, mode, grid: GridSpec, verdict) -> str:
+    """The grid oracle's cross-check of `verdict` as a JSON object; its mode
+    is a `MODE_MAP` value."""
     res = brute_eps_argmin(problem, MODE_MAP[mode], grid)
-    doc = {
-        "mode": res.mode,
-        "feasible_count": res.feasible_count,
-        "min_value": None if res.min_value is None else fmt(res.min_value),
-        "error_bound": fmt(res.error_bound),
-        "consistent": True,
-    }
-    if verdict.tag == INAPPLICABLE or res.min_value is None or res.min_value == INF:
-        return doc
-    threshold = problem.objective.value(problem.point) - problem.epsilon
-    if verdict.tag == REFUTED:
-        # An exact refutation tolerates a grid minimum above the threshold
-        # only within the grid error bound.
-        doc["consistent"] = res.min_value - threshold <= res.error_bound
-    else:
-        doc["consistent"] = threshold - res.min_value <= res.error_bound
-    return doc
+    consistent = True
+    if verdict.tag != INAPPLICABLE and res.min_value is not None and res.min_value != INF:
+        threshold = problem.objective.value(problem.point) - problem.epsilon
+        if verdict.tag == REFUTED:
+            # An exact refutation tolerates a grid minimum above the threshold
+            # only within the grid error bound.
+            consistent = res.min_value - threshold <= res.error_bound
+        else:
+            consistent = threshold - res.min_value <= res.error_bound
+    min_value = "null" if res.min_value is None else f'"{fmt(res.min_value)}"'
+    return (
+        f'{{"mode":"{res.mode}","feasible_count":{res.feasible_count},'
+        f'"min_value":{min_value},"error_bound":"{fmt(res.error_bound)}",'
+        f'"consistent":{_BOOL[consistent]}}}'
+    )
 
 
-def _cmd_subdiff(args) -> tuple[dict, int]:
+def _cmd_subdiff(args) -> tuple[str, int]:
     problem = load_problem(args.problem)
     which = args.fn
     if which == "objective":
@@ -348,10 +364,10 @@ def _cmd_subdiff(args) -> tuple[dict, int]:
         "rays": [fmt_vec(r) for r in vrep.rays],
         "empty": vrep.is_empty(),
     }
-    return doc, EXIT_PASS
+    return _json_line(doc), EXIT_PASS
 
 
-def _cmd_brute(args) -> tuple[dict, int]:
+def _cmd_brute(args) -> tuple[str, int]:
     problem = load_problem(args.problem)
     lo, hi = rat(args.box[0]), rat(args.box[1])
     grid = GridSpec(((lo, hi),) * problem.n, rat(args.step))
@@ -366,10 +382,10 @@ def _cmd_brute(args) -> tuple[dict, int]:
         "slack": fmt_vec(res.slack),
         "error_bound": fmt(res.error_bound),
     }
-    return doc, EXIT_PASS
+    return _json_line(doc), EXIT_PASS
 
 
-def _cmd_pareto(args) -> tuple[dict, int]:
+def _cmd_pareto(args) -> tuple[str, int]:
     problem = load_problem(args.problem)
     lo, hi = rat(args.box[0]), rat(args.box[1])
     box = ((lo, hi),) * problem.n
@@ -396,7 +412,7 @@ def _cmd_pareto(args) -> tuple[dict, int]:
         members = eff_set(sample, (problem.epsilon, Fraction(0)), args.sigma)
         doc["sigma"] = args.sigma
         doc["sigma_set"] = [fmt_vec(pts[i]) for i in members]
-    return doc, EXIT_PASS if rep.passed else EXIT_REFUTED
+    return _json_line(doc), EXIT_PASS if rep.passed else EXIT_REFUTED
 
 
 _USAGE = """revopt verify  --problem FILE --mode {rop|constrained|equality|convex} \\
@@ -484,11 +500,11 @@ def run(argv=None) -> int:
         if args is None:
             sys.stdout.write(_USAGE)
             return EXIT_PASS
-        doc, code = args.handler(args)
+        line, code = args.handler(args)
     except (InputError, Inapplicable) as exc:
         code = EXIT_INAPPLICABLE if isinstance(exc, Inapplicable) else EXIT_INPUT_ERROR
-        doc = {"command": argv[0] if argv else None, "error": str(exc)}
-    print(json.dumps(doc, separators=(",", ":")))
+        line = _json_line({"command": argv[0] if argv else None, "error": str(exc)})
+    sys.stdout.write(line + "\n")
     return code
 
 

@@ -14,7 +14,9 @@ inequality row starts from its slack whenever its right-hand side allows, so
 only the other rows carry an artificial and phase 1 runs only if one does.
 When every right-hand side of the tableau is 0 the artificial sum is 0 at the
 start, so phase 1 skips its iterations and its cost row and only drives the
-artificials out.
+artificials out. Phase 2 then starts from the objective, which is its cost
+row at the starting basis of slacks and artificials, carried through those
+pivots rather than made afresh for the basis they leave.
 
 Certificates are stated against the *oriented* system: every constraint row
 and every variable bound rewritten in `a . x <= b` form (equalities kept with
@@ -330,11 +332,7 @@ def _reduce_row(den: int, cells: list[int]) -> tuple[int, list[int]]:
     if den < 0:
         den = -den
         cells = [-v for v in cells]
-    g = den
-    for v in cells:
-        g = gcd(g, v)
-        if g == 1:
-            return den, cells
+    g = gcd(den, *cells)
     if g > 1:
         den //= g
         cells = [v // g for v in cells]
@@ -501,17 +499,17 @@ class _Simplex:
 
     def _pivot(self, r: int, j: int, cost):
         """Pivot on row r, column j; returns `cost` updated (None stays None)."""
-        den_r, row = self.tab[r]
-        piv = row[j]
-        self.tab[r] = (den_r, row) = _reduce_row(piv, row)
+        tab = self.tab
+        den_r, row = tab[r]
+        tab[r] = (den_r, row) = _reduce_row(row[j], row)
         for i in self.live:
             if i == r:
                 continue
-            den_i, other = self.tab[i]
+            den_i, other = tab[i]
             fac = other[j]
             if fac:
                 merged = [a * den_r - fac * b for a, b in zip(other, row)]
-                self.tab[i] = _reduce_row(den_i * den_r, merged)
+                tab[i] = _reduce_row(den_i * den_r, merged)
         self.basis[r] = j
         if cost is None:
             return None
@@ -587,14 +585,27 @@ class _Simplex:
             if pivots > self.MAX_PIVOTS:  # dual Bland terminates; guard bugs only
                 raise RuntimeError("simplex pivot budget exceeded")
 
-    def _cost_row(self, den: int, costs: dict):
-        """Reduced-cost row (den, cells) for column costs {col: int} / den."""
+    def _objective_row(self):
+        """Phase 2's cost row (den, cells) at a basis that costs nothing: the
+        objective on the structural columns, negated for max, over its
+        least common denominator, so reduced."""
+        cvec, c_den = self.costs
+        if self.sense == "max":
+            cvec = [-c for c in cvec]
         cells = [0] * self.width
-        for j, v in costs.items():
-            cells[j] = v
-        cost = (den, cells)
+        for (p, q), c in zip(self.cols, cvec):
+            if c:
+                cells[p] = c
+                if q is not None:
+                    cells[q] = -c
+        return c_den, cells
+
+    def _cost_row(self, start):
+        """The reduced-cost row (den, cells) at the current basis of `start`,
+        the column costs (den, cells) at a basis that costs nothing."""
+        den, costs = cost = start
         for r in self.live:
-            cb = costs.get(self.basis[r])
+            cb = costs[self.basis[r]]
             if cb:
                 den_c, cc = cost
                 den_r, row = self.tab[r]
@@ -668,7 +679,10 @@ class _Simplex:
     def _value(self, last: int, den: int) -> Fraction:
         """The objective value at the basic solution whose cost row ends in
         last / den: that is -(cvec / c_den) . y for y = x - l, and cvec is c
-        negated for max; c . x adds c . l, where some lower bound is not 0."""
+        negated for max; c . x adds c . l, where some lower bound is not 0.
+        A zero value with nothing to add is the shared zero."""
+        if not last and self.offset is None:
+            return _ZERO
         value = Fraction(last if self.sense == "max" else -last, den)
         if self.offset is not None:
             value += self.offset
@@ -685,19 +699,28 @@ class _Simplex:
 
     def solve(self) -> LpOutcome:
         """Solve from the starting basis; at an optimum the final cost row is
-        kept as `cost`, for `resolved`."""
+        kept as `cost`, for `resolved`.
+
+        The starting basis is slacks and artificials, which cost nothing in
+        phase 2, so phase 2's reduced-cost row there is the objective itself
+        (`_objective_row`). When phase 1 skips its iterations, that row is
+        carried through the drive-out's pivots to the basis phase 2 starts
+        from; only after phase-1 iterations is it made afresh for that basis
+        (`_cost_row`). Rows are reduced, so both give the same row."""
+        cost = self._objective_row()
         if self.nart:
-            cost1 = None  # no phase-1 cost row while every artificial is 0
-            if any(row[-1] for _den, row in self.tab):
+            phase_one = any(row[-1] for _den, row in self.tab)
+            if phase_one:
                 # Phase 1: minimize the artificial sum.
-                arts = range(self.nreal, self.nreal + self.nart)
-                cost1 = self._cost_row(1, {j: 1 for j in arts})
-                cost1, enter = self._run(cost1, self.nreal)
+                cells = [0] * self.width
+                cells[self.nreal : self.nreal + self.nart] = [1] * self.nart
+                cost1, enter = self._run(self._cost_row((1, cells)), self.nreal)
                 if enter is not None:
                     raise RuntimeError("phase 1 unbounded although its objective is >= 0")
                 if cost1[1][-1] < 0:  # cells[-1]/den tracks -objective
                     return Infeasible(farkas=self._multipliers(cost1, 1))
             # Drive remaining artificials out of the basis (or drop their rows).
+            carried = None if phase_one else cost
             for r in list(self.live):
                 if self.basis[r] >= self.nreal:
                     enter_col = next(
@@ -706,20 +729,11 @@ class _Simplex:
                     if enter_col is None:
                         self.live.remove(r)  # redundant row
                     else:
-                        cost1 = self._pivot(r, enter_col, cost1)
+                        carried = self._pivot(r, enter_col, carried)
+            cost = self._cost_row(cost) if phase_one else carried
 
         # Phase 2: the real objective on the structural columns.
-        cvec, c_den = self.costs
-        if self.sense == "max":
-            cvec = [-c for c in cvec]
-        costs2 = {}
-        for (p, q), c in zip(self.cols, cvec):
-            if c:
-                costs2[p] = c
-                if q is not None:
-                    costs2[q] = -c
-        cost2 = self._cost_row(c_den, costs2)
-        cost2, enter = self._run(cost2, self.nreal)
+        cost, enter = self._run(cost, self.nreal)
         if enter is not None:
             ray = {enter: _ONE}
             for r in self.live:
@@ -728,8 +742,8 @@ class _Simplex:
                 if coef:
                     ray[self.basis[r]] = Fraction(-coef, den_r)
             return Unbounded(ray=self._x(ray, shift=False), point=self._point())
-        self.cost = cost2
-        return self._optimal(cost2)
+        self.cost = cost
+        return self._optimal(cost)
 
     def resolved(self, lp: LinearProgram) -> "_Simplex":
         """This tableau, whose solve ended `Optimal`, re-solved for `lp`: this

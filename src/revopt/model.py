@@ -35,6 +35,7 @@ __all__ = [
     "rat",
     "fmt",
     "fmt_vec",
+    "fmt_array",
     "AffineForm",
     "HPolyhedron",
     "PolyhedralConvexFunction",
@@ -121,17 +122,11 @@ def _literal(text) -> tuple[Fraction, int, int]:
 
 
 def fmt(value) -> str:
-    """Canonical string for a scalar: "p/q", plain integer, or "inf".
+    """Canonical string for a scalar: "p/q", plain integer, or "inf" and
+    "-inf" for the float tags, which is what `str` writes of each.
 
     InputError when a numerator or denominator has more digits than `str`
     converts (sys.get_int_max_str_digits)."""
-    # Only the float tags can be infinite; comparing a Fraction with a float
-    # would convert the float to a Fraction first.
-    if value.__class__ is float:
-        if value == INF:
-            return "inf"
-        if value == NEG_INF:
-            return "-inf"
     try:
         return str(value)
     except ValueError:
@@ -140,6 +135,17 @@ def fmt(value) -> str:
 
 def fmt_vec(vec) -> list[str]:
     return [fmt(v) for v in vec]
+
+
+def fmt_array(vec) -> str:
+    """The compact JSON text of `fmt_vec(vec)`, written directly: no string
+    `fmt` makes needs escaping. InputError as `fmt` gives it."""
+    if not vec:
+        return "[]"
+    try:
+        return '["' + '","'.join(map(str, vec)) + '"]'
+    except ValueError:
+        raise InputError("a rational is too long to print") from None
 
 
 def _dot(a, b):

@@ -20,7 +20,11 @@ references read; the library builds the same rows in integers.
 `reference_integer_forms` is the library's earlier `Fraction` route to the
 grid evaluators' integer forms, before they read the integer images of the
 grid and of each function. `reference_prune` is the library's earlier `prune`,
-which decided every candidate by an LP also in one dimension.
+which decided every candidate by an LP also in one dimension. The report
+references (`reference_verdict_doc`, `reference_cross_check_doc`) are the
+command line's earlier report objects, which it gave to `json.dumps`, before
+it wrote each decision's report in one pass; replay reads a report as this
+object.
 """
 
 import itertools
@@ -30,7 +34,8 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from revopt.certificates import _phis
+from revopt import oracle
+from revopt.certificates import INAPPLICABLE, REFUTED, CertificateVerdict, _phis
 from revopt.lp import (
     CertificateError,
     Infeasible,
@@ -46,9 +51,11 @@ from revopt.model import (
     PolyhedralConvexFunction,
     _dot,
     _lcm_den,
+    fmt,
+    fmt_vec,
     rat,
 )
-from revopt.oracle import GridSpec
+from revopt.oracle import MODE_MAP, GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.polytope import VPolytope, _drop_redundant, _normalize_ray
 from revopt.subdiff import epigraph_inf, joint_domain
@@ -670,3 +677,72 @@ def reference_membership_lp(problem, mode, eps_prime, xstar, ray=None):
     rows.append((budget, ">=", -_dot(xstar, x_bar) - eps_prime))
     n = len(cols)
     return LinearProgram(n, (_ZERO,) * (n - 1) + (_ONE,), "max", rows, (_ZERO,) * n)
+
+
+# -- reports as objects ---------------------------------------------------------
+
+
+def reference_outcome_doc(outcome) -> dict:
+    if isinstance(outcome, Optimal):
+        return {
+            "tag": "optimal",
+            "x": fmt_vec(outcome.x),
+            "value": fmt(outcome.value),
+            "dual": fmt_vec(outcome.dual),
+        }
+    if isinstance(outcome, Infeasible):
+        return {"tag": "infeasible", "farkas": fmt_vec(outcome.farkas)}
+    if isinstance(outcome, Unbounded):
+        return {
+            "tag": "unbounded",
+            "ray": fmt_vec(outcome.ray),
+            "point": fmt_vec(outcome.point),
+        }
+    raise InputError(f"unknown outcome {outcome!r}")
+
+
+def reference_verdict_doc(verdict: CertificateVerdict) -> dict:
+    """A decision's report object but for its `command`."""
+    doc = {
+        "verdict": verdict.tag,
+        "mode": verdict.mode,
+        "reason": verdict.reason,
+        "gates": [[name, ok] for name, ok in verdict.gates],
+        "checks": [
+            {
+                "eps_prime": fmt(rec.eps_prime),
+                "generator": fmt_vec(rec.generator),
+                "kind": rec.kind,
+                "accepted": rec.evidence.member,
+                "sup": fmt(rec.evidence.sup),
+                "outcome": reference_outcome_doc(rec.evidence.outcome),
+            }
+            for rec in verdict.log
+        ],
+        "witness": None,
+    }
+    if verdict.witness is not None:
+        eps_prime, xstar = verdict.witness
+        doc["witness"] = {"eps_prime": fmt(eps_prime), "x_star": fmt_vec(xstar)}
+    return doc
+
+
+def reference_cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
+    """The `oracle_cross_check` object of a `verify --cross-check-grid`
+    report, from the library's grid oracle."""
+    res = oracle.brute_eps_argmin(problem, MODE_MAP[mode], grid)
+    doc = {
+        "mode": res.mode,
+        "feasible_count": res.feasible_count,
+        "min_value": None if res.min_value is None else fmt(res.min_value),
+        "error_bound": fmt(res.error_bound),
+        "consistent": True,
+    }
+    if verdict.tag == INAPPLICABLE or res.min_value is None or res.min_value == INF:
+        return doc
+    threshold = problem.objective.value(problem.point) - problem.epsilon
+    if verdict.tag == REFUTED:
+        doc["consistent"] = res.min_value - threshold <= res.error_bound
+    else:
+        doc["consistent"] = threshold - res.min_value <= res.error_bound
+    return doc

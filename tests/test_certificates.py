@@ -19,6 +19,7 @@ from corpus import (
     random_fn,
     wide_modes,
 )
+from reference import reference_verdict_doc
 from revopt import certificates, cli
 from revopt.certificates import (
     MODES,
@@ -473,7 +474,7 @@ def test_a_decision_builds_only_what_it_reads(monkeypatch):
             kinds["with rays" if rays else "without rays"] += bool(built)
             read = [(args, kwargs, lp) for args, kwargs, lp in built if kwargs.get("ray")]
             built.clear()
-            replay(problem, cli._verdict_to_doc(v))
+            replay(problem, reference_verdict_doc(v))
             for args, kwargs, lp in read + built:
                 eager = _eager_probe(*args, **kwargs)
                 assert lp.rows == eager.rows and lp == eager, mode
@@ -599,7 +600,7 @@ def test_every_logged_check_revalidates_against_its_own_lp(monkeypatch):
             for rec in v.log:
                 check_outcome(rec.evidence.lp, rec.evidence.outcome)
             rebuilt.clear()
-            cli.replay(problem, cli._verdict_to_doc(v))
+            cli.replay(problem, reference_verdict_doc(v))
             assert rebuilt == [rec.evidence.lp for rec in v.log]
     v = verify(ray_problem(), "rop")
     assert v.tag == "CERTIFIED_ON_GRID"
@@ -694,7 +695,7 @@ def test_the_essential_gate_fails_exactly_when_the_zero_probe_accepts():
             assert [(r.kind, r.eps_prime, r.generator) for r in v.log] == [
                 ("vertex", 0, zero)
             ]
-            cli.replay(problem, cli._verdict_to_doc(v))
+            cli.replay(problem, reference_verdict_doc(v))
             if mode == "rop":
                 inf = exact_feasible_inf(f, problem.reverse)
                 assert inf is None or inf >= f.value(x_bar) - eps

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import io
@@ -14,12 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from corpus import corpus, face_domain_family
+from corpus import corpus, face_domain_family, wide_modes
+from reference import reference_cross_check_doc, reference_verdict_doc
 from revopt import certificates, cli, lp, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
 from revopt.lp import CertificateError, _Simplex
-from revopt.model import PolyhedralConvexFunction
+from revopt.model import INF, PolyhedralConvexFunction
+from revopt.oracle import GridSpec
 from revopt.pareto import bridge_check
 from revopt.problemfile import load_problem, parse_problem, problem_to_doc
 
@@ -479,6 +482,107 @@ def test_decisions_print_the_pinned_bytes(tmp_path):
     assert _command_digest(commands) == DECISION_DIGEST
 
 
+#: every string a decision's report holds that is not a rational literal
+_REPORT_TOKENS = {
+    "verify", "falsify",  # commands
+    "CERTIFIED_ON_GRID", "REFUTED", "INAPPLICABLE",  # verdict tags
+    *MODES, *oracle.MODE_MAP.values(),
+    "dom-f", "h=0", "h<=0", "G<=0", "essential", "slater",  # gate names
+    "point-off-domain", "point-not-on-boundary", "slater-fails",  # reasons
+    "vertex", "ray", "optimal", "infeasible", "unbounded",  # kinds, outcome tags
+    "inf", "-inf",
+}
+_LITERAL = re.compile(r"-?\d+(/\d+)?")
+
+
+def _strings(doc):
+    """Every string in a JSON document, keys aside."""
+    if isinstance(doc, str):
+        yield doc
+    elif isinstance(doc, list):
+        for item in doc:
+            yield from _strings(item)
+    elif isinstance(doc, dict):
+        for item in doc.values():
+            yield from _strings(item)
+
+
+def _inapplicable_docs():
+    """A problem per INAPPLICABLE reason, with the mode that gives it: x_bar
+    off {h = 0}, x_bar off dom f, G(x_bar) > 0, and a constraint with no
+    strictly feasible point (g = 0)."""
+    off_boundary = {**example_a_doc(), "point": ["2"]}
+    off_domain = example_b_doc()
+    off_domain["objective"]["domain"] = {"A": [["1"]], "b": ["0"]}
+    g_positive = {**example_b_doc(), "constraints": [{"pieces": [{"a": ["1"], "b": "0"}]}]}
+    no_slater = {**example_b_doc(), "constraints": [{"pieces": [{"a": ["0"], "b": "0"}]}]}
+    return [
+        (off_boundary, "rop", "point-not-on-boundary"),
+        (off_domain, "rop", "point-off-domain"),
+        (g_positive, "constrained", "point-off-domain"),
+        (no_slater, "constrained", "slater-fails"),
+    ]
+
+
+def test_decision_reports_are_the_compact_json_of_the_reference_objects(tmp_path, monkeypatch):
+    # A decision's report line is written in one pass from its verdict; it
+    # must be `json.dumps` of the report object the command line built
+    # before (`reference_verdict_doc`, `reference_cross_check_doc`), byte
+    # for byte: on the problem files, the acceptance corpus, h with a face
+    # domain (its ray checks) and the rational wide instances, in every
+    # mode, through verify with and without the grid cross-check and through
+    # falsify (which takes no grid), and on a problem for each INAPPLICABLE
+    # reason. Each string written without escaping is a rational literal or
+    # a token that JSON writes as it is.
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000) + face_domain_family(30)
+    problems += [instance.problem for instance in wide_modes(0)]
+    cases = [(problem_to_doc(p), mode, None) for p in problems for mode in MODES]
+    cases += _inapplicable_docs()
+    verdicts = []
+
+    def recorded(decide):
+        def decide_and_record(problem, mode):
+            verdicts.append((problem, decide(problem, mode)))
+            return verdicts[-1][1]
+
+        return decide_and_record
+
+    monkeypatch.setattr(cli, "verify", recorded(cli.verify))
+    monkeypatch.setattr(cli, "falsify", recorded(cli.falsify))
+    grid = ("-2", "2", "1")
+    sups, kinds, strings = set(), set(), set()
+    for i, (doc, mode, reason) in enumerate(cases):
+        path = tmp_path / f"p{i:03d}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["verify", "--problem", str(path), "--mode", mode],
+            ["verify", "--problem", str(path), "--mode", mode, "--cross-check-grid", *grid],
+            ["falsify", "--problem", str(path), "--mode", mode],
+        ):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = run(argv)
+            problem, verdict = verdicts.pop()
+            expected = {"command": argv[0], **reference_verdict_doc(verdict)}
+            if len(argv) > 5:
+                box = GridSpec(((F(-2), F(2)),) * problem.n, F(1))
+                expected["oracle_cross_check"] = reference_cross_check_doc(
+                    problem, mode, box, verdict
+                )
+            assert out.getvalue() == json.dumps(expected, separators=(",", ":")) + "\n"
+            assert code == cli._EXIT_CODE[verdict.tag]
+            assert reason is None or (verdict.tag, verdict.reason) == ("INAPPLICABLE", reason)
+            sups.update(rec.evidence.sup for rec in verdict.log)
+            kinds.update(rec.kind for rec in verdict.log)
+            strings.update(_strings(expected))
+    assert {INF, -INF} < sups and kinds == {"vertex", "ray"}
+    tokens = {text for text in strings if not _LITERAL.fullmatch(text)}
+    assert tokens <= _REPORT_TOKENS and len(tokens) > 20
+    for token in _REPORT_TOKENS:
+        assert json.dumps(token) == f'"{token}"'
+
+
 def test_pareto_command(problem_a, capsys):
     code, doc = _run(
         capsys,
@@ -681,6 +785,33 @@ def test_over_long_numbers_are_input_errors(tmp_path, capsys):
         replay(load_problem(str(path)), report)
 
 
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python converts ints of any length")
+def test_a_too_long_dual_entry_is_an_input_error(monkeypatch, capsys):
+    # Every number of a report is printed as `fmt` prints it: a verdict whose
+    # only rational too long to print is one dual entry of one check is an
+    # input error, one JSON error line and exit 3.
+    path = str(next(p for p in PROBLEMS if p.name == "example_b.json"))
+    verdict = certificates.verify(load_problem(path), "rop")
+    k, rec = next(
+        (k, rec)
+        for k, rec in enumerate(verdict.log)
+        if isinstance(rec.evidence.outcome, lp.Optimal) and len(rec.evidence.outcome.dual) > 1
+    )
+    outcome = rec.evidence.outcome
+    dual = (*outcome.dual[:-1], F(1, 10 ** (_DIGIT_LIMIT + 1)))
+    evidence = dataclasses.replace(rec.evidence, outcome=lp.Optimal(outcome.x, outcome.value, dual))
+    log = list(verdict.log)
+    log[k] = dataclasses.replace(rec, evidence=evidence)
+    forged = dataclasses.replace(verdict, log=tuple(log))
+    monkeypatch.setattr(cli, "verify", lambda problem, mode: forged)
+    code = run(["verify", "--problem", path, "--mode", "rop"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3 and len(lines) == 1
+    assert json.loads(lines[0]) == {"command": "verify", "error": "a rational is too long to print"}
+    monkeypatch.setattr(cli, "verify", lambda problem, mode: verdict)
+    assert run(["verify", "--problem", path, "--mode", "rop"]) == 1
+
+
 def test_subdiff_rejects_a_constraint_index_out_of_range(tmp_path, capsys):
     doc = example_a_doc()
     doc["constraints"] = [{"pieces": [{"a": ["1"], "b": "-5"}]}]
@@ -804,7 +935,7 @@ def test_replay_takes_a_refutation_beyond_a_ray_only_on_that_ray(tmp_path, capsy
     evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
     assert not evidence.member
     log = (certificates.CheckRecord(F(6), (F(-2),), "vertex", evidence),)
-    forged = cli._verdict_to_doc(
+    forged = reference_verdict_doc(
         certificates.CertificateVerdict("REFUTED", "rop", gates=rep["gates"], log=log)
     )
     with pytest.raises(CertificateError, match="not a point of E"):
@@ -852,7 +983,7 @@ def test_f_at_x_bar_is_read_at_most_once_per_decision_and_replay(monkeypatch):
         for mode in MODES:
             fresh = parse_problem(problem_to_doc(problem))
             seen.clear()
-            doc = cli._verdict_to_doc(cli.verify(fresh, mode))
+            doc = reference_verdict_doc(cli.verify(fresh, mode))
             assert f_at_x_bar(fresh) <= 1
             fresh = parse_problem(problem_to_doc(problem))
             replay(fresh, doc)
@@ -904,7 +1035,7 @@ def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
     for problem in problems:
         for mode in MODES:
             fresh = parse_problem(problem_to_doc(problem))
-            doc = cli._verdict_to_doc(cli.verify(fresh, mode))
+            doc = reference_verdict_doc(cli.verify(fresh, mode))
             rays, derived = assert_oriented_once(templates_too=False)
             most_rays, most_derived = max(most_rays, rays), max(most_derived, derived)
             replay(parse_problem(problem_to_doc(problem)), doc)
@@ -926,7 +1057,7 @@ def test_a_decision_and_its_replay_leave_no_reference_cycle():
     try:
         for doc in docs:
             for mode in MODES:
-                report = cli._verdict_to_doc(cli.verify(parse_problem(doc), mode))
+                report = reference_verdict_doc(cli.verify(parse_problem(doc), mode))
                 for step in ("verify", "falsify", "replay"):
                     problem = parse_problem(doc)
                     if step == "replay":
@@ -1050,7 +1181,7 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
         evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
         assert evidence.member
         log = (certificates.CheckRecord(eps_prime, zero, "vertex", evidence),)
-        return cli._verdict_to_doc(
+        return reference_verdict_doc(
             certificates.CertificateVerdict("CERTIFIED_ON_GRID", mode, gates=gates, log=log)
         )
 
@@ -1090,7 +1221,7 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
         evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
         assert not evidence.member
         log = (certificates.CheckRecord(eps_prime, xstar, "vertex", evidence),)
-        return cli._verdict_to_doc(
+        return reference_verdict_doc(
             certificates.CertificateVerdict("REFUTED", mode, gates=gates, log=log)
         )
 

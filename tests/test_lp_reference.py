@@ -553,14 +553,25 @@ def test_a_row_dropped_as_redundant_proves_a_probe_infeasible(monkeypatch):
 
 def test_a_zero_right_hand_side_lp_with_equality_rows_skips_phase_one(monkeypatch):
     # Every artificial is 0 at the start: no phase-1 cost row and no Bland
-    # iterations, only the artificials driven out and phase 2.
-    runs, cost_rows = [], []
+    # iterations, only the artificials driven out and phase 2. Phase 2's cost
+    # row is the objective carried through the drive-out's pivots, never
+    # made afresh: at phase 2's start it is the row `_cost_row` makes for the
+    # basis the drive-out left, on this LP and on every probe template of
+    # the problem files, the corpus head and the rational wide instances.
+    runs, cost_rows, carried = [], [], []
     original_run, original_cost_row = _Simplex._run, _Simplex._cost_row
+
+    def run(self, cost, allowed):
+        if not runs and not any(self.rhs[0]):  # phase 2's run: phase 1 skipped
+            fresh = original_cost_row(self, self._objective_row())
+            assert cost == fresh
+            carried.append(cost != self._objective_row())
+        runs.append(1)
+        return original_run(self, cost, allowed)
+
+    monkeypatch.setattr(_Simplex, "_run", run)
     monkeypatch.setattr(
-        _Simplex, "_run", lambda self, cost, allowed: runs.append(1) or original_run(self, cost, allowed)
-    )
-    monkeypatch.setattr(
-        _Simplex, "_cost_row", lambda self, den, costs: cost_rows.append(costs) or original_cost_row(self, den, costs)
+        _Simplex, "_cost_row", lambda self, start: cost_rows.append(1) or original_cost_row(self, start)
     )
     # max x + y over x - y = 0, x + 2y - z = 0, x <= 2y and x, y, z >= 0
     problem_lp = LinearProgram(
@@ -573,13 +584,30 @@ def test_a_zero_right_hand_side_lp_with_equality_rows_skips_phase_one(monkeypatc
     simplex = _Simplex(problem_lp)
     assert simplex.nart == 2
     out = simplex.solve()
-    assert len(runs) == 1 and len(cost_rows) == 1
+    assert len(runs) == 1 and cost_rows == [] and carried == [True]
     assert isinstance(out, Unbounded)
     _assert_warm_matches(problem_lp, out)
-    # the same LP with a nonzero right-hand side runs phase 1
+    # the same LP with a nonzero right-hand side runs phase 1, and phase 2's
+    # cost row is made for the basis phase 1 left
     runs.clear()
     _Simplex(problem_lp.with_rhs(([0, 1, 0], 1))).solve()
-    assert len(runs) == 2
+    assert len(runs) == 2 and len(cost_rows) == 2
+    problems = [load_problem(str(path)) for path in PROBLEMS]
+    problems += corpus(120, 80, seed_base=1000)[:50]
+    problems += [instance.problem for instance in wide_modes(0)]
+    carried.clear()
+    cost_rows.clear()
+    for problem in problems:
+        zero = (F(0),) * problem.n
+        for mode in MODES:
+            try:
+                template = membership_lp(problem, mode, F(0), zero)
+            except InputError:  # x_bar is off dom f: there is no probe
+                continue
+            runs.clear()
+            _Simplex.from_columns(template, vars(template)["_columns"]).solve()
+            assert len(runs) == 1
+    assert cost_rows == [] and len(carried) > 1000 and carried.count(True) > 900
 
 
 def test_a_probe_solved_in_a_fresh_problem_matches_the_one_verify_logged():

@@ -20,6 +20,8 @@ from revopt.model import (
     PolyhedralConvexFunction,
     ReverseProblem,
     fmt,
+    fmt_array,
+    fmt_vec,
     rat,
 )
 
@@ -167,6 +169,9 @@ def test_rat_reads_subclasses_and_rejects_bool():
 )
 def test_fmt_formats_fractions_ints_and_the_infinite_tags(value, text):
     assert fmt(value) == text
+    # a vector's JSON text, written directly, is json's of `fmt_vec`
+    for vec in ((), (value,), (value, F(-1, 3), value)):
+        assert fmt_array(vec) == json.dumps(fmt_vec(vec), separators=(",", ":"))
 
 
 def _random_function(rng, n):
