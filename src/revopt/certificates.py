@@ -85,7 +85,9 @@ from .model import (
 )
 from .subdiff import epigraph_inf, joint_domain, subdiff_epigraph
 
-# Unused here; they stay bound because bench/spans.py traces them at this module.
+# Unused here; they stay bound because bench/spans.py traces them at this
+# module. Binding subdiff_vrep loads no polytope code: subdiff binds the double
+# description on first use.
 from .lp import lp_max_component  # noqa: F401
 from .subdiff import subdiff_member, subdiff_vrep  # noqa: F401
 

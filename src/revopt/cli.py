@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
+from . import _on_first_use
 from .certificates import (
     CERTIFIED,
     INAPPLICABLE,
@@ -33,13 +34,21 @@ from .certificates import (
     verify,
 )
 from .lp import INF, CertificateError, Infeasible, Optimal, Unbounded, check_outcome
-from .model import Inapplicable, InputError, fmt, fmt_array, fmt_vec, rat
-from .oracle import MODE_MAP, GridSpec, brute_eps_argmin
-from .pareto import SIGMA_KINDS, _bridge, eff_set, grid_sample
+from .model import SIGMA_KINDS, Inapplicable, InputError, fmt, fmt_array, fmt_vec, rat
 from .problemfile import load_problem
 from .subdiff import SubdiffQuery, subdiff_epigraph, subdiff_vrep
 
 __all__ = ["main", "run", "replay"]
+
+# The grid layer's names are bound on first use, by `brute`, `pareto` and
+# `--cross-check-grid`, so that a decision loads neither oracle nor pareto.
+_bind_grid, __getattr__ = _on_first_use(
+    globals(),
+    {
+        "oracle": ("MODE_MAP", "GridSpec", "brute_eps_argmin"),
+        "pareto": ("_bridge", "eff_set", "grid_sample"),
+    },
+)
 
 EXIT_PASS = 0
 EXIT_REFUTED = 1
@@ -312,6 +321,7 @@ def _cmd_decide(args) -> tuple[str, int]:
     verdict = (verify if args.command == "verify" else falsify)(problem, args.mode)
     line = _verdict_text(args.command, verdict)
     if args.cross_check_grid is not None:
+        _bind_grid()
         lo, hi, step = (rat(v) for v in args.cross_check_grid)
         grid = GridSpec(((lo, hi),) * problem.n, step)
         line += f',"oracle_cross_check":{_cross_check_text(problem, args.mode, grid, verdict)}'
@@ -368,6 +378,7 @@ def _cmd_subdiff(args) -> tuple[str, int]:
 
 
 def _cmd_brute(args) -> tuple[str, int]:
+    _bind_grid()
     problem = load_problem(args.problem)
     lo, hi = rat(args.box[0]), rat(args.box[1])
     grid = GridSpec(((lo, hi),) * problem.n, rat(args.step))
@@ -386,6 +397,7 @@ def _cmd_brute(args) -> tuple[str, int]:
 
 
 def _cmd_pareto(args) -> tuple[str, int]:
+    _bind_grid()
     problem = load_problem(args.problem)
     lo, hi = rat(args.box[0]), rat(args.box[1])
     box = ((lo, hi),) * problem.n

@@ -40,6 +40,7 @@ __all__ = [
     "HPolyhedron",
     "PolyhedralConvexFunction",
     "ReverseProblem",
+    "SIGMA_KINDS",
 ]
 
 Scalar = Fraction
@@ -48,6 +49,11 @@ Scalar = Fraction
 #: Comparisons against Fraction are exact; arithmetic with it is never done.
 INF = float("inf")
 NEG_INF = float("-inf")
+
+#: the sigma of the eps-sigma-efficient sets that `pareto` scans: strict (s),
+#: Pareto (e) and weak (w) efficiency; kept here so that the cli's `--sigma`
+#: reads it without loading `pareto`
+SIGMA_KINDS = ("s", "e", "w")
 
 #: a rational wire literal, as (numerator, denominator or None), with any
 #: surrounding whitespace

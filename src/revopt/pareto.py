@@ -17,7 +17,7 @@ from operator import and_, itemgetter, le, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
 from .lp import lp_max_component, lp_solve  # noqa: F401
-from .model import INF, InputError, rat
+from .model import INF, SIGMA_KINDS, InputError, rat
 from .oracle import GridSpec, _grid_images, _shared
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "reee_check",
     "ReeeReport",
 ]
-
-SIGMA_KINDS = ("s", "e", "w")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from . import _on_first_use
 from .lp import INF, LinearProgram, Optimal, lp_solve, lp_value
 from .model import (
     HPolyhedron,
@@ -31,8 +32,12 @@ from .model import (
     rat,
 )
 
-# project stays bound here because bench/spans.py traces it.
-from .polytope import VPolytope, project, prune  # noqa: F401
+# polytope's names are bound on first use, by `subdiff_vrep` and
+# `scale_subdiff`, so that a decision loads no polytope code. `project`, which
+# nothing here calls, is among them because bench/spans.py traces it here.
+_bind_polytope, __getattr__ = _on_first_use(
+    globals(), {"polytope": ("VPolytope", "project", "prune")}
+)
 
 __all__ = [
     "joint_domain",
@@ -163,6 +168,7 @@ def subdiff_vrep(q: SubdiffQuery) -> VPolytope:
     < delta_j, and (delta_i, a_i) + t (sigma_r, C_r), sigma_r > 0, of E; its
     rays are the C_r with sigma_r = 0. `prune` drops the redundant ones.
     """
+    _bind_polytope()
     if not q.fn.is_finite_at(q.point):
         return VPolytope(q.fn.n, (), ())
     points, rays = subdiff_epigraph(q.fn, q.point)
@@ -183,6 +189,7 @@ def subdiff_vrep(q: SubdiffQuery) -> VPolytope:
 
 def scale_subdiff(q: SubdiffQuery, lam) -> VPolytope:
     """Generators of d_eps(lam * fn)(point), computed via the scaling law."""
+    _bind_polytope()
     lam = rat(lam)
     if lam <= 0:
         raise InputError("lambda must be > 0")

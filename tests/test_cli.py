@@ -424,27 +424,37 @@ def test_brute_command(problem_a, capsys):
     assert doc["eps_argmin"] == [["-1"], ["1"]]
 
 
-def _command_digest(commands) -> str:
+def _report_digest(results) -> str:
     """sha256 over each command's problem file name, argv, exit code and
-    printed report, in order."""
+    printed report, in order, from (path, argv, code, report) tuples."""
     digest = hashlib.sha256()
+    for path, argv, code, out in results:
+        digest.update(f"{Path(path).name} {' '.join(argv)}\n{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+def _command_digest(commands) -> str:
+    """`_report_digest` of each (path, argv) command, run in process."""
+    results = []
     for path, argv in commands:
         out = io.StringIO()
         with redirect_stdout(out):
             code = run([argv[0], "--problem", str(path), *argv[1:]])
-        digest.update(f"{path.name} {' '.join(argv)}\n{code}\n{out.getvalue()}".encode())
-    return digest.hexdigest()
+        results.append((path, argv, code, out.getvalue()))
+    return _report_digest(results)
 
 
-#: `_command_digest`s of the commands below, taken before the oracle
-#: read f's interval minimum in closed form
+#: `_command_digest`s of the commands below: brute and the cross-check taken
+#: before the oracle read f's interval minimum in closed form, pareto and
+#: subdiff before the grid layer and the double description loaded on first use
 BRUTE_DIGEST = "e50b56ab4ed330b2202d35c91a18bc59ac49287a462ce3afe238e0a8b6f7e1f5"
 CROSS_CHECK_DIGEST = "3640e92541903fcbf20b320a1db5893707e716bce746a2f34f38cd194001b541"
+PARETO_SUBDIFF_DIGEST = "701a66b27d506ffceb38ac5d40c9303272d6540c26924e6052faa3f0f22c8465"
 
 
-def test_grid_commands_print_the_pinned_bytes():
-    # The grid layer's outputs on the shipped problems, pinned byte for byte:
-    # a rewrite of the oracle must leave every report as it was.
+def _grid_commands() -> list:
+    """The commands on the shipped problems that run the grid layer or the
+    double description, as (commands, pinned digest) groups."""
     brute = [
         (path, ["brute", "--mode", mode, "--box", "-3", "3", "--step", step])
         for path in PROBLEMS
@@ -456,9 +466,218 @@ def test_grid_commands_print_the_pinned_bytes():
         for path in PROBLEMS
         for mode in MODES
     ]
+    pareto = [
+        (path, ["pareto", "--box", "-3", "3", "--step", "1/4", *sigma])
+        for path in PROBLEMS
+        for sigma in ((), *(["--sigma", kind] for kind in cli.SIGMA_KINDS))
+    ]
+    subdiff = [
+        (path, ["subdiff", "--fn", fn, "--eps", eps])
+        for path in PROBLEMS
+        for fn in ("objective", "reverse")
+        for eps in ("0", "1/2", "2")
+    ]
+    return [
+        (brute, BRUTE_DIGEST),
+        (verify, CROSS_CHECK_DIGEST),
+        (pareto + subdiff, PARETO_SUBDIFF_DIGEST),
+    ]
+
+
+def test_grid_commands_print_the_pinned_bytes():
+    # The grid layer's outputs on the shipped problems, pinned byte for byte:
+    # a rewrite of the oracle must leave every report as it was.
     assert len(PROBLEMS) == 2
-    assert _command_digest(brute) == BRUTE_DIGEST
-    assert _command_digest(verify) == CROSS_CHECK_DIGEST
+    for commands, digest in _grid_commands():
+        assert _command_digest(commands) == digest
+
+
+#: Run in a fresh interpreter under a profile hook that records every (file
+#: name, code name) that runs: `import revopt.cli` and the decisions, each
+#: verify report replayed, then the commands; prints what ran in each part and
+#: the commands' exit codes and reports.
+_FRESH_COMMANDS = """
+import io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ran = set()
+
+
+def profile(frame, event, _arg):
+    if event == "call":
+        ran.add((Path(frame.f_code.co_filename).name, frame.f_code.co_name))
+
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+
+decisions, commands = json.loads(sys.argv[1])
+sys.setprofile(profile)
+from revopt import cli
+from revopt.problemfile import load_problem
+
+for argv in decisions:
+    code, out = run(argv)
+    if argv[0] == "verify":
+        cli.replay(load_problem(argv[2]), json.loads(out))
+decided = sorted(ran)
+ran.clear()
+reports = [run(argv) for argv in commands]
+sys.setprofile(None)
+json.dump({"decided": decided, "commands": sorted(ran), "reports": reports}, sys.stdout)
+"""
+
+#: the modules that no decision runs
+_LAZY_FILES = {"oracle.py", "pareto.py", "polytope.py"}
+
+
+def _fresh(script, *args) -> dict:
+    """The JSON that `script` prints, run with `args` in a fresh interpreter
+    that writes no bytecode."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_a_decision_runs_no_grid_or_polytope_code():
+    # `import revopt.cli` and verify, falsify and replay on the shipped
+    # problems in every mode run no line of the grid layer or the double
+    # description, module bodies included; brute, pareto, subdiff and the
+    # cross-check then load them and print the pinned bytes.
+    decisions = [
+        [command, "--problem", str(path), "--mode", mode]
+        for path in PROBLEMS
+        for mode in MODES
+        for command in ("verify", "falsify")
+    ]
+    groups = _grid_commands()
+    commands = [
+        [argv[0], "--problem", str(path), *argv[1:]]
+        for group, _digest in groups
+        for path, argv in group
+    ]
+    result = _fresh(_FRESH_COMMANDS, json.dumps([decisions, commands]))
+    decided = {name for name, _code in result["decided"]}
+    assert {"certificates.py", "lp.py", "cli.py"} <= decided
+    assert decided.isdisjoint(_LAZY_FILES)
+    assert {(name, "<module>") for name in _LAZY_FILES} <= set(map(tuple, result["commands"]))
+    reports = iter(result["reports"])
+    for group, digest in groups:
+        assert _report_digest([(path, argv, *next(reports)) for path, argv in group]) == digest
+
+
+#: the names that the package re-exported when it imported every module
+_REEXPORTS = {
+    "model": (
+        "INF", "AffineForm", "HPolyhedron", "Inapplicable", "InputError",
+        "PolyhedralConvexFunction", "ReverseProblem",
+    ),
+    "lp": ("LinearProgram", "lp_max_component", "lp_solve"),
+    "polytope": ("VPolytope", "project", "vertex_enumerate"),
+    "subdiff": (
+        "SubdiffQuery", "scale_subdiff", "subdiff_epigraph", "subdiff_member", "subdiff_vrep",
+    ),
+    "certificates": (
+        "CertificateVerdict", "essential_check", "falsify", "membership_lp", "slater_check",
+        "union_member", "verify",
+    ),
+    "oracle": ("GridSpec", "brute_eps_argmin"),
+    "pareto": ("ParetoSample", "bridge_check", "eff_set", "reee_check", "vdom"),
+    "problemfile": ("load_problem", "parse_problem", "problem_to_doc"),
+}
+
+#: Run in a fresh interpreter after `import revopt.cli`: binds cli's
+#: `brute_eps_argmin` and subdiff's `prune` to counting wrappers before either
+#: module has bound them, runs a cross-check and a `subdiff_vrep`, then reads
+#: every re-exported name from the package and its module and every bench
+#: binding; prints what it saw.
+_FRESH_NAMES = """
+import importlib, io, json, sys
+from contextlib import redirect_stdout
+
+from revopt import cli, subdiff
+
+path, reexports, bench = json.loads(sys.argv[1])
+bound_early = sorted({"brute_eps_argmin", "prune"} & {*vars(cli), *vars(subdiff)})
+calls = []
+
+
+def counted(fn):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+cli.brute_eps_argmin = early_brute = counted(sys.modules["revopt.oracle"].brute_eps_argmin)
+subdiff.prune = early_prune = counted(sys.modules["revopt.polytope"].prune)
+with redirect_stdout(io.StringIO()):
+    cli.run(["verify", "--problem", path, "--mode", "rop", "--cross-check-grid", "-3", "3", "1"])
+problem = cli.load_problem(path)
+vrep = subdiff.subdiff_vrep(subdiff.SubdiffQuery(problem.reverse, problem.point, 1))
+kept = [cli.brute_eps_argmin is early_brute, subdiff.prune is early_prune]
+
+import revopt
+
+differ = [
+    name
+    for module, names in reexports.items()
+    for name in names
+    if getattr(revopt, name) is not getattr(importlib.import_module(f"revopt.{module}"), name)
+]
+sys.path.insert(0, bench)
+from spans import BINDINGS
+
+unresolved = [
+    [module, attr]
+    for module, attr, _name in BINDINGS
+    if not callable(getattr(sys.modules[module], attr, None))
+]
+json.dump(
+    {
+        "bound_early": bound_early,
+        "calls": calls,
+        "kept": kept,
+        "vertices": len(vrep.vertices),
+        "differ": differ,
+        "unresolved": unresolved,
+        "bindings": len(BINDINGS),
+    },
+    sys.stdout,
+)
+"""
+
+
+def test_every_name_resolves_and_an_early_binding_is_the_one_called():
+    # After `import revopt.cli` alone, a binding set before its module binds
+    # the name on first use is kept and called; every name the package
+    # re-exported resolves to its module's object, and every binding the
+    # bench traces resolves by getattr.
+    bench = Path(cli.__file__).resolve().parents[2] / "bench"
+    path = str(PROBLEMS[0])
+    result = _fresh(_FRESH_NAMES, json.dumps([path, _REEXPORTS, str(bench)]))
+    assert result["bound_early"] == []
+    assert result["calls"] == ["brute_eps_argmin", "prune"]
+    assert result["kept"] == [True, True]
+    assert result["vertices"] == 2
+    assert sum(map(len, _REEXPORTS.values())) == 35
+    assert result["differ"] == []
+    assert result["unresolved"] == [] and result["bindings"] > 0
+    sigma_kinds = [sys.modules[f"revopt.{module}"].SIGMA_KINDS for module in ("model", "pareto")]
+    assert all(kinds is cli.SIGMA_KINDS for kinds in sigma_kinds)
 
 
 #: `_command_digest` of the decisions below, taken before the probe

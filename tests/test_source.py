@@ -248,8 +248,8 @@ def _bench_bindings():
 
 def test_unused_imports_are_kept_only_where_the_bench_traces_them():
     # An import that its module never reads is dead code unless bench/spans.py
-    # wraps the function at that module; the package's __init__ imports only
-    # to re-export, so its public names are exempt.
+    # wraps the function at that module. The package's __init__ re-exports by
+    # its module __getattr__, so it is held to the same rule.
     unread = set()
     for path in sorted(Path(revopt.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -263,7 +263,7 @@ def test_unused_imports_are_kept_only_where_the_bench_traces_them():
             for alias in node.names:
                 # `import a.b` binds a
                 name = alias.asname or alias.name.split(".")[0]
-                if name in read or (module == "revopt" and not name.startswith("_")):
+                if name in read:
                     continue
                 unread.add((module, name))
     # The scan sees the imports it is meant to check.
@@ -461,7 +461,7 @@ def test_verify_and_replay_do_not_depend_on_assert_statements(tmp_path):
     runs = {}
     for flags in ((), ("-O",)):
         proc = subprocess.run(
-            [sys.executable, *flags, "-c", _VERIFY_AND_REPLAY, *paths],
+            [sys.executable, "-B", *flags, "-c", _VERIFY_AND_REPLAY, *paths],
             env=env,
             capture_output=True,
             check=True,
@@ -521,7 +521,8 @@ def test_every_supported_interpreter_writes_the_same_reports():
     # pyproject.toml claims Python >= 3.10: under every other such
     # interpreter found, verify, falsify and replay on the problem files in
     # every mode, run on the stdlib alone in a subprocess, write the bytes
-    # that this interpreter writes in process.
+    # that this interpreter writes in process. -I ignores
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the runs from writing into src/.
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no other Python >= 3.10 found")
@@ -534,7 +535,7 @@ def test_every_supported_interpreter_writes_the_same_reports():
     main = "sys.path.insert(0, sys.argv[1]); sys.stdout.write(reports(sys.argv[2:]))"
     for version, exe in interpreters.items():
         proc = subprocess.run(
-            [exe, "-I", "-c", _DECIDE_AND_REPLAY + main, str(src), *paths],
+            [exe, "-I", "-B", "-c", _DECIDE_AND_REPLAY + main, str(src), *paths],
             capture_output=True,
             text=True,
             timeout=120,
