@@ -208,6 +208,20 @@ def _implied_verdict(gates, checks) -> str | None:
     return REFUTED
 
 
+def _gate_names(point_gates, mode, gates) -> list:
+    """The gate names `verify` writes after the gates on x_bar: those up to
+    the first failure; then, had they all passed, `essential` unless the mode
+    is convex; then, in constrained mode, `slater` after a passed
+    `essential`, whose flag is read off the report's `gates`."""
+    names = [name for name, _ok in point_gates]
+    if point_gates[-1][1] and mode != "convex":
+        k = len(names)
+        names.append("essential")
+        if mode == "constrained" and len(gates) > k and gates[k][1]:
+            names.append("slater")
+    return names
+
+
 def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
@@ -215,12 +229,14 @@ def replay(problem, report: dict) -> None:
     checks the stored outcome's certificate exactly and re-reads the check's
     `accepted` and `sup` off it (`probe_evidence`). Then it evaluates the
     gates on x_bar (`_point_gates`) up to the first that fails, which must
-    open the report's gates, and re-derives the verdict tag from the gates
-    and the checks. A certificate must log the checks that `verify` runs:
-    the single check at (0, 0) in convex mode or after a failed essential
-    gate, and otherwise the generators of h's eps'-subdifferentials
-    (`subdiff_epigraph`), its points as vertex checks and then its rays as
-    ray checks; a ray check logs its direction and starts at the first point.
+    open the report's gates, checks that the gates are the ones `verify`
+    writes (`_gate_names`), each flag a boolean, and re-derives the verdict
+    tag from the gates and the checks. A certificate must log the checks
+    that `verify` runs: the single check at (0, 0) in convex mode or after a
+    failed essential gate, and otherwise the generators of h's
+    eps'-subdifferentials (`subdiff_epigraph`), its points as vertex checks
+    and then its rays as ray checks; a ray check logs its direction and
+    starts at the first point.
     A refutation's last check must be at a point of E = {(eps', s) : s in
     d_eps' h(x_bar)} that `verify` refutes on: (0, 0) in convex mode, and
     otherwise one of those points, or the first point plus t > 0 times one
@@ -230,7 +246,7 @@ def replay(problem, report: dict) -> None:
     replay reads: a missing field, a part of the wrong JSON type, an unknown
     mode, kind or outcome tag, a literal that is not rational, a generator
     without one entry per variable, or a check logged although x_bar is off
-    dom f, where no probe exists.
+    dom f (or a ray check although it is off dom h), where no probe exists.
     """
     _require(report, ("mode",), "the report")
     mode = report["mode"]
@@ -252,12 +268,12 @@ def replay(problem, report: dict) -> None:
         if kind not in ("vertex", "ray"):
             raise CertificateError(f"unknown check kind {kind!r}")
         point, ray = (eps_prime, generator), None
-        if kind == "ray":
-            epigraph = epigraph or _generators(problem)
-            point, ray = epigraph[0][0], (eps_prime, generator)
         try:
+            if kind == "ray":
+                epigraph = epigraph or _generators(problem)
+                point, ray = epigraph[0][0], (eps_prime, generator)
             lp = membership_lp(problem, mode, *point, ray=ray)
-        except InputError as exc:  # x_bar off dom f: the problem has no probe
+        except InputError as exc:  # x_bar off dom f, or off dom h for a ray: no probe
             raise CertificateError(f"the check has no probe LP ({exc})") from None
         outcome = _outcome_from_doc(check["outcome"])
         check_outcome(lp, outcome)
@@ -274,6 +290,10 @@ def replay(problem, report: dict) -> None:
             break
     if gates[: len(point_gates)] != point_gates:
         raise CertificateError("the gates on x_bar do not evaluate as the report claims")
+    if not all(isinstance(ok, bool) for _name, ok in gates):
+        raise CertificateError("a gate's flag is not a boolean")
+    if [name for name, _ok in gates] != _gate_names(point_gates, mode, gates):
+        raise CertificateError("the gates are not the ones verify writes")
     verdict = report.get("verdict")
     if verdict != _implied_verdict(gates, seen):
         raise CertificateError("the verdict does not follow from the gates and checks")

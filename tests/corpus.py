@@ -1,99 +1,64 @@
-"""Randomized desk-scale corpus shared by the acceptance criteria.
+"""Instance families and an independent exact truth for the tests.
 
-Instances have integer-coefficient pieces with coefficients in [-3, 3] and a
-candidate point constructed exactly on {h = 0} by root isolation along a
-sign-changing segment.
+The generator is the benchmark's: `bench/gen.py` draws the acceptance corpus
+(`corpus`, via `gen.corpus_instance`) and the rational `wide_modes` instances,
+and its `box_domain`, `_boundary_point` and integer f (`random_fn`) build the
+test-only families here. `bench/truth.py` (`truth`) gives the exact infimum
+in convex mode. What stays here is test-only: the adversarial and
+face-domain families, which draw rational data of their own,
+`beta_capped_member`, and `exact_feasible_inf` with its epigraph LP. That
+one stays as a second exact truth, written apart from `truth.exact_inf`: the
+bench tests check the one against the other, and the acceptance criteria
+read it.
+
+Each family is generated once per argument tuple per session, and every call
+hands out fresh problems (`_fresh`), so that no test sees the probe templates
+or solved tableaux that a decision memoised in an earlier test's copy.
 """
 
+import dataclasses
+import functools
+import inspect
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from revopt.model import (
-    AffineForm,
-    HPolyhedron,
-    PolyhedralConvexFunction,
-    ReverseProblem,
-)
+from revopt.model import AffineForm, HPolyhedron, PolyhedralConvexFunction, ReverseProblem
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import gen  # noqa: E402
+import truth  # noqa: E402,F401
+from gen import _boundary_point, box_domain  # noqa: E402
+from gen import _int_fn as random_fn  # noqa: E402,F401
 
 F = Fraction
 
-BOX_LO, BOX_HI = F(-3), F(3)
+
+def _fresh(item):
+    """A new problem (or `gen.Instance` around one) with the same fields, and
+    none of the state that a decision memoised in the original."""
+    if isinstance(item, gen.Instance):
+        return dataclasses.replace(item, problem=dataclasses.replace(item.problem))
+    return dataclasses.replace(item)
 
 
-def box_domain(n):
-    rows, rhs = [], []
-    for j in range(n):
-        e = [F(0)] * n
-        e[j] = F(1)
-        rows.append(tuple(e))
-        rhs.append(BOX_HI)
-        e = [F(0)] * n
-        e[j] = F(-1)
-        rows.append(tuple(e))
-        rhs.append(-BOX_LO)
-    return HPolyhedron(tuple(rows), tuple(rhs), n)
+def _generated_once(build):
+    """`build` with each argument tuple generated once per session; every
+    call returns a new list of fresh copies of that generation."""
+    signature = inspect.signature(build)
+    cached = functools.cache(lambda *args: tuple(build(*args)))
 
+    @functools.wraps(build)
+    def family(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return [_fresh(item) for item in cached(*bound.args)]
 
-def random_fn(rng, n, max_pieces=4, domain=None):
-    pieces = tuple(
-        AffineForm(
-            tuple(F(rng.randint(-3, 3)) for _ in range(n)),
-            F(rng.randint(-3, 3)),
-        )
-        for _ in range(rng.randint(1, max_pieces))
-    )
-    return PolyhedralConvexFunction(n, pieces, domain)
-
-
-def _random_point(rng, n):
-    return tuple(F(rng.randint(-12, 12), rng.choice([1, 2, 3, 4])) for _ in range(n))
-
-
-def _segment_root(h, pos, neg):
-    """First zero of h on [pos, neg], walking from the h>0 endpoint."""
-    cs = [p.value(pos) for p in h.pieces]
-    ds = [
-        sum(a * (yj - xj) for a, yj, xj in zip(p.a, neg, pos)) for p in h.pieces
-    ]
-    nodes = {F(0), F(1)}
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if ds[i] != ds[j]:
-                t = (cs[j] - cs[i]) / (ds[i] - ds[j])
-                if 0 < t < 1:
-                    nodes.add(t)
-    prev_t = F(0)
-    prev_g = max(cs)
-    for t in sorted(nodes)[1:]:
-        gt = max(c + t * d for c, d in zip(cs, ds))
-        if prev_g > 0 >= gt:
-            root = prev_t + (t - prev_t) * prev_g / (prev_g - gt)
-            return tuple((1 - root) * p + root * q for p, q in zip(pos, neg))
-        prev_t, prev_g = t, gt
-    raise AssertionError("sign change lost")
-
-
-def _boundary_point(rng, n, draw_h):
-    """Draw h until a sign-changing segment gives a root inside the box."""
-    while True:
-        h = draw_h()
-        pos = neg = None
-        for _ in range(60):
-            pt = _random_point(rng, n)
-            val = h.value(pt)
-            if val > 0 and pos is None:
-                pos = pt
-            elif val < 0 and neg is None:
-                neg = pt
-            if pos is not None and neg is not None:
-                break
-        if pos is None or neg is None:
-            continue
-        x_bar = _segment_root(h, pos, neg)
-        if all(BOX_LO <= c <= BOX_HI for c in x_bar):
-            return h, x_bar
+    return family
 
 
 def _epigraph_lp(f, fns, extra_rows):
@@ -172,52 +137,15 @@ def exact_feasible_inf(f, h):
     return best
 
 
-def exact_convex_inf(f, h):
-    """Exact inf of f over {h <= 0} (and dom f, dom h): the region is one
-    polyhedron, so one epigraph LP decides it; its outcome is re-validated
-    with check_outcome. Returns a scalar, -inf, or None (empty region)."""
-    from revopt.lp import Infeasible, Unbounded, check_outcome, lp_solve
-
-    lp = _epigraph_lp(f, (f, h), [(p.a, "<=", -p.b) for p in h.pieces])
-    out = lp_solve(lp)
-    check_outcome(lp, out)
-    if isinstance(out, Infeasible):
-        return None
-    if isinstance(out, Unbounded):
-        return float("-inf")
-    return out.value
-
-
-def make_instance(seed: int, n: int) -> ReverseProblem:
-    """A reverse problem with the candidate exactly on the boundary {h = 0}.
-
-    The objective carries the sampling box as its effective domain, so the
-    grid oracle and the certificate engines reason about the same feasible
-    competition (and the extended-value multiplier path gets exercised).
-    Every third seed tunes epsilon into the certification window between the
-    feasible and unconstrained slacks of the candidate.
-    """
-    rng = random.Random(seed)
-    f = random_fn(rng, n, domain=box_domain(n))
-    h, x_bar = _boundary_point(rng, n, lambda: random_fn(rng, n, max_pieces=4))
-    eps = rng.choice([F(0), F(0), F(1, 4), F(1), F(2)])
-    if seed % 3 == 0:
-        fx = f.value(x_bar)
-        feas_inf = exact_feasible_inf(f, h)
-        everywhere = PolyhedralConvexFunction(n, ((tuple([F(0)] * n), F(0)),))
-        box_inf = exact_feasible_inf(f, everywhere)
-        if feas_inf is not None and box_inf is not None and box_inf < feas_inf:
-            eps = fx - feas_inf + (feas_inf - box_inf) / 4
-    return ReverseProblem(n, f, h, x_bar, eps)
-
-
+@_generated_once
 def corpus(count_1d=120, count_2d=80, seed_base=1000):
-    out = []
-    for i in range(count_1d):
-        out.append(make_instance(seed_base + i, 1))
-    for i in range(count_2d):
-        out.append(make_instance(seed_base + count_1d + i, 2))
-    return out
+    """The acceptance corpus: `gen.corpus_instance` at seeds seed_base + i,
+    `count_1d` one-dimensional instances and then `count_2d` two-dimensional
+    ones. Each candidate lies exactly on {h = 0}, f carries the sampling box
+    as its domain, and every third seed tunes epsilon into the certification
+    window."""
+    out = [gen.corpus_instance(seed_base + i, 1) for i in range(count_1d)]
+    return out + [gen.corpus_instance(seed_base + count_1d + i, 2) for i in range(count_2d)]
 
 
 # -- adversarial families ------------------------------------------------------
@@ -263,6 +191,7 @@ def adversarial_candidate(rng, face_domain=False):
     return f, h, x_bar, gap
 
 
+@_generated_once
 def adversarial_family(count, seed=7):
     """`count` draws of candidates that are not eps-optimal: eps is the exact
     gap times k/10 for k in 0..9. Draws with gap 0 (x_bar optimal) are
@@ -277,6 +206,7 @@ def adversarial_family(count, seed=7):
     return out
 
 
+@_generated_once
 def face_domain_family(count, seed=8):
     """`count` candidates whose h has a face domain; eps is the exact gap
     times k/10 for k in 0..15, so both verdicts occur."""
@@ -289,12 +219,8 @@ def face_domain_family(count, seed=8):
     return out
 
 
+@_generated_once
 def wide_modes(seed):
-    """`bench/gen.wide_modes(seed)`: the benchmark's rational instances, n in
+    """`gen.wide_modes(seed)`: the benchmark's rational instances, n in
     {2, 3}, h with a face domain on every other group of eight."""
-    bench = str(Path(__file__).resolve().parent.parent / "bench")
-    if bench not in sys.path:
-        sys.path.insert(0, bench)
-    import gen
-
     return gen.wide_modes(seed)

@@ -13,10 +13,10 @@ from corpus import (
     beta_capped_member,
     box_domain,
     corpus,
-    exact_convex_inf,
     exact_feasible_inf,
     face_domain_family,
     random_fn,
+    truth,
     wide_modes,
 )
 from reference import reference_verdict_doc
@@ -559,7 +559,7 @@ def _interior_candidate(rng):
         x = tuple(F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(n))
         if f.is_finite_at(x) and h.value(x) < 0:
             break
-    inf = exact_convex_inf(f, h)
+    inf = truth.exact_inf(ReverseProblem(n, f, h, x, 0), "convex")
     gap = f.value(x) - inf
     eps = gap * F(rng.randint(0, 15), 10) if gap > 0 else F(rng.randint(0, 2))
     return ReverseProblem(n, f, h, x, eps), inf

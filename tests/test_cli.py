@@ -1392,6 +1392,18 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
     ):
         with pytest.raises(CertificateError):
             replay(problem, doc)
+    # Gates that verify never writes: flags that are not JSON booleans, a
+    # gate appended, and the last gate dropped or renamed. In convex mode the
+    # last gate is one on x_bar, whose comparison rejects those two already.
+    for path in PROBLEMS:
+        for mode in MODES:
+            honest = reports[path.stem, mode]["gates"]
+            forgeries = [[[name, int(ok)] for name, ok in honest], honest + [["bogus", True]]]
+            if mode != "convex":
+                forgeries += [honest[:-1], honest[:-1] + [["zzz", honest[-1][1]]]]
+            for forged_gates, match in zip(forgeries, ["not a boolean"] + ["verify writes"] * 3):
+                with pytest.raises(CertificateError, match=match):
+                    replay(load_problem(str(path)), forged((path.stem, mode), gates=forged_gates))
 
     def certificate(problem, mode, gates, eps_prime):
         """A certificate whose one check, at (eps', 0), is accepted."""
@@ -1500,6 +1512,23 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
     ):
         with pytest.raises(CertificateError):
             replay(problem, report)
+    # A ray check where x_bar is off dom h, so that E has no generators to
+    # start the ray at: f = x, h = x - 1 on {x <= 0} and x_bar = 1.
+    off_dom_h = parse_problem(
+        {
+            "n": 1,
+            "objective": {"pieces": [{"a": ["1"], "b": "0"}]},
+            "reverse": {
+                "pieces": [{"a": ["1"], "b": "-1"}],
+                "domain": {"A": [["1"]], "b": ["0"]},
+            },
+            "point": ["1"],
+            "epsilon": "0",
+        }
+    )
+    ray = forged(lambda d: d["checks"][0].update(kind="ray", generator=["1"]))
+    with pytest.raises(CertificateError, match="no probe LP"):
+        replay(off_dom_h, {**ray, "checks": ray["checks"][:1]})
 
 
 def test_replay_rejects_checks_logged_for_a_point_off_the_domain_of_f(capsys):

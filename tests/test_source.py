@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import revopt
-from corpus import make_instance
+from corpus import gen
 from revopt import cli
 from revopt.model import AffineForm, PolyhedralConvexFunction
 from revopt.problemfile import dump_problem, load_problem
@@ -271,6 +271,37 @@ def test_unused_imports_are_kept_only_where_the_bench_traces_them():
     assert unread - _bench_bindings() == set()
 
 
+def _def_shapes(path: Path) -> dict:
+    """Each def in the file, nested ones too, keyed by `ast.dump` of its
+    arguments and of its body without the docstring: "file:name" lists."""
+    shapes = {}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            key = ast.dump(node.args) + "".join(map(ast.dump, body))
+            shapes.setdefault(key, []).append(f"{path.name}:{node.name}")
+    return shapes
+
+
+def test_the_tests_copy_no_bench_generator_or_truth():
+    # The tests draw their families from bench/gen.py and take the convex
+    # truth from bench/truth.py: a def in tests/ with the arguments and body
+    # of one there is a copy that can drift from the one the bench runs.
+    root = Path(revopt.__file__).resolve().parents[2]
+    bench = {}
+    for path in (root / "bench" / "gen.py", root / "bench" / "truth.py"):
+        for key, names in _def_shapes(path).items():
+            bench.setdefault(key, []).extend(names)
+    copies = [
+        (name, bench[key])
+        for path in sorted((root / "tests").glob("*.py"))
+        for key, names in _def_shapes(path).items()
+        if key in bench
+        for name in names
+    ]
+    assert copies == []
+
+
 #: public functions that no command reaches and the bench and the acceptance
 #: suite do not name, each with the reason it stays public
 _CALLERLESS = {
@@ -325,7 +356,7 @@ def test_every_public_function_has_a_caller(tmp_path):
     example_b = load_problem(paths[-1])
     g = PolyhedralConvexFunction(1, (AffineForm((1,), -2), AffineForm((-1,), -2)))
     for name, problem in (
-        ("corpus_2d", make_instance(1120, 2)),
+        ("corpus_2d", gen.corpus_instance(1120, 2)),
         ("constrained", replace(example_b, constraints=(g,))),
     ):
         paths.append(str(tmp_path / f"{name}.json"))
