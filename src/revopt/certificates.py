@@ -69,7 +69,6 @@ problem's integer image of x_bar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -81,6 +80,7 @@ from .model import (
     ReverseProblem,
     _dot,
     _over_common_den,
+    _record,
     rat,
 )
 from .subdiff import epigraph_inf, joint_domain, subdiff_epigraph
@@ -118,7 +118,7 @@ INAPPLICABLE = "INAPPLICABLE"
 # -- the membership probe -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class MembershipEvidence:
     """Outcome of one homogenized membership probe.
 
@@ -322,7 +322,7 @@ def slater_check(G, f) -> bool:
 # -- verdicts -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class CheckRecord:
     """One logged membership probe. A vertex check tests the point
     (eps_prime, generator); a ray check tests the ray with direction
@@ -334,7 +334,7 @@ class CheckRecord:
     evidence: MembershipEvidence  # the check passed iff evidence.member
 
 
-@dataclass(frozen=True)
+@_record
 class CertificateVerdict:
     tag: str
     mode: str

@@ -54,13 +54,12 @@ whatever was solved before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .model import INF, NEG_INF, InputError, _built, _over_common_den, rat
+from .model import INF, NEG_INF, InputError, _built, _over_common_den, _record, rat
 
 __all__ = [
     "LinearProgram",
@@ -86,7 +85,7 @@ class CertificateError(AssertionError):
     """An LP certificate failed exact re-validation."""
 
 
-@dataclass(frozen=True)
+@_record
 class LinearProgram:
     """min/max <c, x> subject to rows `a . x rel b` and optional var bounds.
 
@@ -306,20 +305,20 @@ def _rescaled(system, rows, image) -> tuple[int, list]:
     return new_den, out + bounds
 
 
-@dataclass(frozen=True)
+@_record
 class Optimal:
     x: tuple[Fraction, ...]
     value: Fraction
     dual: tuple[Fraction, ...]  # one multiplier per oriented row
 
 
-@dataclass(frozen=True)
+@_record
 class Unbounded:
     ray: tuple[Fraction, ...]
     point: tuple[Fraction, ...]  # feasible point the ray improves from
 
 
-@dataclass(frozen=True)
+@_record
 class Infeasible:
     farkas: tuple[Fraction, ...]  # one multiplier per oriented row
 

@@ -15,16 +15,24 @@ shapes only, build the objects from the Fractions and the images at once from
 the integers, so no Fraction is read back.
 Evaluation brings the point to one common denominator, compares integers, and
 builds at most one `Fraction`, for the value.
+
+The package's frozen value types (the model's four classes here, the LP and
+its outcomes, the verdicts, the grid and its results, the Pareto reports) are
+records made by `_record`: the fields, constructor, equality, hash, repr and
+frozenness that `dataclass(frozen=True)` gave them, with one small `exec` per
+class, for the constructor. Every command runs in a fresh process, and the
+dataclass module would load `inspect`, and with it `ast`, `dis` and
+`tokenize`, into each one; decorating the twelve records a decision loads
+cost it more than the decision itself.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 
 __all__ = [
     "INF",
@@ -169,11 +177,69 @@ def _over_common_den(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+class _FrozenField(AttributeError):
+    """An assignment to, or deletion of, an attribute of a record."""
+
+
+def _frozen_set(self, name, value):
+    raise _FrozenField(f"cannot assign to field {name!r}")
+
+
+def _frozen_del(self, name):
+    raise _FrozenField(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """`cls` as a frozen record: what `dataclass(frozen=True)` made of it,
+    without loading the dataclass module (and with it `inspect`) into every
+    command. The fields are the class's own annotations, in order, with its
+    class-level values as defaults, listed in `cls._fields`. One `exec`
+    makes `__init__`, which sets each field by `object.__setattr__` and then
+    runs `__post_init__` if the class has one; writing `self.__dict__`
+    instead would give each instance a dict of its own and make every later
+    read of a field slower. `__eq__` (same class only), `__hash__` and
+    `__repr__` read the field tuple, the repr in the dataclass's text; a
+    method the class defines itself is kept. Assigning or deleting an
+    attribute raises `_FrozenField`, an AttributeError; `object.__setattr__`
+    and `cached_property` write past it."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f"_d_{k}": cls.__dict__[k] for k in names if k in cls.__dict__}
+    params = "".join(f", {k}=_d_{k}" if f"_d_{k}" in defaults else f", {k}" for k in names)
+    code = "\n".join(
+        [f"def __init__(self{params}):"]
+        + [f"    _set(self, {k!r}, {k})" for k in names]
+        + ["    self.__post_init__()"] * hasattr(cls, "__post_init__")
+    )
+    made = {"__name__": cls.__module__, "_set": object.__setattr__, **defaults}
+    exec(code, made)
+    made["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    values = attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        shown = ", ".join(map("{}={!r}".format, names, values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    for method in (made["__init__"], __eq__, __hash__, __repr__):
+        if method.__name__ not in cls.__dict__:
+            setattr(cls, method.__name__, method)
+    cls._fields = names
+    cls.__setattr__, cls.__delattr__ = _frozen_set, _frozen_del
+    return cls
+
+
 def _built(cls, **fields):
-    """An instance of the frozen dataclass `cls` whose fields, and any cached
-    images, are `fields` as given: its `__post_init__` does not run, so
-    nothing is parsed or checked. For values `rat` returned and shapes the
-    caller has checked."""
+    """An instance of the record `cls` whose fields, and any cached images,
+    are `fields` as given: its `__post_init__` does not run, so nothing is
+    parsed or checked. For values `rat` returned and shapes the caller has
+    checked."""
     obj = object.__new__(cls)
     vars(obj).update(fields)
     return obj
@@ -246,7 +312,7 @@ def _check_problem(n: int, point, epsilon, fns) -> None:
             raise InputError("problem functions must share the dimension")
 
 
-@dataclass(frozen=True)
+@_record
 class AffineForm:
     """One affine piece x |-> <a, x> + b."""
 
@@ -267,7 +333,7 @@ class AffineForm:
         return sum((ai * xi for ai, xi in zip(self.a, x)), self.b)
 
 
-@dataclass(frozen=True)
+@_record
 class HPolyhedron:
     """Inequality description {x : A x <= b}; rows may be empty (whole space)."""
 
@@ -301,7 +367,7 @@ class HPolyhedron:
         return all(sum(map(mul, a, nums)) <= b * den for a, b, _ in self._rows)
 
 
-@dataclass(frozen=True)
+@_record
 class PolyhedralConvexFunction:
     """Max of finitely many affine pieces plus an optional polyhedral domain.
 
@@ -369,7 +435,7 @@ class PolyhedralConvexFunction:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class ReverseProblem:
     """min f(x) subject to h(x) >= 0 (and optionally G(x) <= 0), candidate
     point and tolerance included."""

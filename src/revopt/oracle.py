@@ -36,7 +36,6 @@ and shared with it, by that integer form alone.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, product, repeat
@@ -51,6 +50,7 @@ from .model import (
     PolyhedralConvexFunction,
     ReverseProblem,
     _over_common_den,
+    _record,
     rat,
 )
 
@@ -87,7 +87,7 @@ class _Axis(dict):
         return tick
 
 
-@dataclass(frozen=True)
+@_record
 class GridSpec:
     """Axis-aligned rational grid: box intervals plus a common step."""
 
@@ -317,7 +317,7 @@ def _grid_images(f, h, grid: GridSpec, extra=()):
     return images, f_ev.scale, h_ev.scale
 
 
-@dataclass(frozen=True, repr=False)
+@_record
 class BruteResult:
     """The eps-argmin over the feasible grid points, in grid order, kept in
     the grid's integers: `runs` holds each run of it as (r, a, b), the index

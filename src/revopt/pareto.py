@@ -10,14 +10,13 @@ an infinite cone family.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import and_, itemgetter, le, lt
 
 # lp_solve and lp_max_component stay bound here because bench/spans.py traces them.
 from .lp import lp_max_component, lp_solve  # noqa: F401
-from .model import INF, SIGMA_KINDS, InputError, rat
+from .model import INF, SIGMA_KINDS, InputError, _record, rat
 from .oracle import GridSpec, _grid_images, _shared
 
 __all__ = [
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class ParetoSample:
     """A discretized feasible set with exact criterion images.
 
@@ -155,7 +154,7 @@ def grid_sample(f, h, box, step) -> tuple[ParetoSample, GridSpec]:
     return ParetoSample(2, tuple(grid.points()), images), grid
 
 
-@dataclass(frozen=True)
+@_record
 class BridgeReport:
     vacuous: bool
     eps_argmin: tuple[int, ...]
@@ -198,7 +197,7 @@ def _bridge(images, eps) -> BridgeReport:
 # -- the efficient-set intersection identity -----------------------------------
 
 
-@dataclass(frozen=True)
+@_record
 class ReeeReport:
     inclusions: tuple  # (eps', holds) per listed eps'
     witnesses: tuple  # (excluded index, witness eps', excluded at witness)

@@ -12,12 +12,11 @@ keeps the arithmetic in machine integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .lp import INF, LinearProgram, lp_solve, lp_value
-from .model import HPolyhedron, InputError, _dot, _over_common_den
+from .model import HPolyhedron, InputError, _dot, _over_common_den, _record
 
 __all__ = [
     "VPolytope",
@@ -31,7 +30,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@_record
 class VPolytope:
     """conv(vertices) + cone(rays); empty iff both lists are empty."""
 

@@ -17,7 +17,6 @@ can be compared generator-for-generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -29,6 +28,7 @@ from .model import (
     PolyhedralConvexFunction,
     _dot,
     _over_common_den,
+    _record,
     rat,
 )
 
@@ -83,7 +83,7 @@ def epigraph_inf(fn: PolyhedralConvexFunction, region=(), slope=None):
     return lp_value(lp, out), (out.x[:n] if isinstance(out, Optimal) else None)
 
 
-@dataclass(frozen=True)
+@_record
 class SubdiffQuery:
     """The set d_eps fn(point); empty by convention when point is off-domain."""
 

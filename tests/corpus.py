@@ -13,7 +13,10 @@ read it.
 
 Each family is generated once per argument tuple per session, and every call
 hands out fresh problems (`_fresh`), so that no test sees the probe templates
-or solved tableaux that a decision memoised in an earlier test's copy.
+or solved tableaux that a decision memoised in an earlier test's copy. The
+families that draw from one `random.Random(seed)` keep one stream per seed
+(`_drawn`): a family of fewer draws is a prefix of a longer one, and no draw
+is made twice in a session.
 """
 
 import dataclasses
@@ -24,6 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from reference import replace
 from revopt.model import AffineForm, HPolyhedron, PolyhedralConvexFunction, ReverseProblem
 
 BENCH = str(Path(__file__).resolve().parent.parent / "bench")
@@ -42,8 +46,8 @@ def _fresh(item):
     """A new problem (or `gen.Instance` around one) with the same fields, and
     none of the state that a decision memoised in the original."""
     if isinstance(item, gen.Instance):
-        return dataclasses.replace(item, problem=dataclasses.replace(item.problem))
-    return dataclasses.replace(item)
+        return dataclasses.replace(item, problem=replace(item.problem))
+    return replace(item)
 
 
 def _generated_once(build):
@@ -191,32 +195,48 @@ def adversarial_candidate(rng, face_domain=False):
     return f, h, x_bar, gap
 
 
+#: (draw, seed) -> the generator of that stream and the draws made from it
+_STREAMS = {}
+
+
+def _drawn(draw, seed, count) -> list:
+    """The first `count` results of `draw(rng)` on `random.Random(seed)`.
+    Each (draw, seed) is one stream per session, extended on demand."""
+    rng, draws = _STREAMS.setdefault((draw, seed), (random.Random(seed), []))
+    while len(draws) < count:
+        draws.append(draw(rng))
+    return draws[:count]
+
+
+def _adversarial_draw(rng):
+    """One draw of `adversarial_family`: its problem, or None at gap 0."""
+    f, h, x_bar, gap = adversarial_candidate(rng)
+    if gap > 0:
+        eps = gap * F(rng.randint(0, 9), 10)
+        return ReverseProblem(f.n, f, h, x_bar, eps)
+    return None
+
+
+def _face_domain_draw(rng):
+    """One draw of `face_domain_family`."""
+    f, h, x_bar, gap = adversarial_candidate(rng, face_domain=True)
+    eps = gap * F(rng.randint(0, 15), 10)
+    return ReverseProblem(f.n, f, h, x_bar, eps)
+
+
 @_generated_once
 def adversarial_family(count, seed=7):
     """`count` draws of candidates that are not eps-optimal: eps is the exact
     gap times k/10 for k in 0..9. Draws with gap 0 (x_bar optimal) are
     skipped, so fewer than `count` problems come back."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        f, h, x_bar, gap = adversarial_candidate(rng)
-        if gap > 0:
-            eps = gap * F(rng.randint(0, 9), 10)
-            out.append(ReverseProblem(f.n, f, h, x_bar, eps))
-    return out
+    return [p for p in _drawn(_adversarial_draw, seed, count) if p is not None]
 
 
 @_generated_once
 def face_domain_family(count, seed=8):
     """`count` candidates whose h has a face domain; eps is the exact gap
     times k/10 for k in 0..15, so both verdicts occur."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        f, h, x_bar, gap = adversarial_candidate(rng, face_domain=True)
-        eps = gap * F(rng.randint(0, 15), 10)
-        out.append(ReverseProblem(f.n, f, h, x_bar, eps))
-    return out
+    return _drawn(_face_domain_draw, seed, count)
 
 
 @_generated_once

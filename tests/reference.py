@@ -24,7 +24,8 @@ which decided every candidate by an LP also in one dimension. The report
 references (`reference_verdict_doc`, `reference_cross_check_doc`) are the
 command line's earlier report objects, which it gave to `json.dumps`, before
 it wrote each decision's report in one pass; replay reads a report as this
-object.
+object. `fields` and `replace` read a library record's field names and build
+a changed copy of it through its constructor.
 """
 
 import itertools
@@ -59,6 +60,17 @@ from revopt.oracle import MODE_MAP, GridSpec
 from revopt.pareto import BridgeReport, ParetoSample, _sigma_dominates
 from revopt.polytope import VPolytope, _drop_redundant, _normalize_ray
 from revopt.subdiff import epigraph_inf, joint_domain
+
+
+def fields(record) -> tuple:
+    """The field names of a library record or record class, in order."""
+    return record._fields
+
+
+def replace(record, **changes):
+    """A new record of `record`'s class, built by its constructor from its
+    fields with `changes` applied, as `dataclasses.replace` builds one."""
+    return type(record)(**{name: getattr(record, name) for name in fields(record)} | changes)
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _MINUS_ONE = Fraction(-1)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 import sys
@@ -19,7 +18,7 @@ from corpus import (
     truth,
     wide_modes,
 )
-from reference import reference_verdict_doc
+from reference import reference_verdict_doc, replace
 from revopt import certificates, cli
 from revopt.certificates import (
     MODES,
@@ -319,7 +318,7 @@ def test_a_failed_essential_gate_costs_one_probe(monkeypatch):
     # f = |x| is 0-optimal at x_bar = 0, on the boundary of h(y) = y, also
     # under g(x) = x - 1 <= 0.
     p = ReverseProblem(1, absf(), vanishing_at((F(0),)), (F(0),), F(0))
-    with_g = dataclasses.replace(p, constraints=(fn(1, ((1,), -1)),))
+    with_g = replace(p, constraints=(fn(1, ((1,), -1)),))
     for problem, mode in (
         (p, "rop"), (p, "constrained"), (with_g, "constrained"), (p, "equality"),
     ):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import io
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus, face_domain_family, wide_modes
-from reference import reference_cross_check_doc, reference_verdict_doc
+from reference import reference_cross_check_doc, reference_verdict_doc, replace
 from revopt import certificates, cli, lp, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
@@ -494,8 +493,9 @@ def test_grid_commands_print_the_pinned_bytes():
 
 #: Run in a fresh interpreter under a profile hook that records every (file
 #: name, code name) that runs: `import revopt.cli` and the decisions, each
-#: verify report replayed, then the commands; prints what ran in each part and
-#: the commands' exit codes and reports.
+#: verify report replayed, then the commands; prints what ran in each part,
+#: the modules loaded after the import and after the decisions, and the
+#: commands' exit codes and reports.
 _FRESH_COMMANDS = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -521,19 +521,33 @@ sys.setprofile(profile)
 from revopt import cli
 from revopt.problemfile import load_problem
 
+imported = sorted(sys.modules)
 for argv in decisions:
     code, out = run(argv)
     if argv[0] == "verify":
         cli.replay(load_problem(argv[2]), json.loads(out))
 decided = sorted(ran)
+loaded = sorted(sys.modules)
 ran.clear()
 reports = [run(argv) for argv in commands]
 sys.setprofile(None)
-json.dump({"decided": decided, "commands": sorted(ran), "reports": reports}, sys.stdout)
+json.dump(
+    {
+        "decided": decided,
+        "imported": imported,
+        "loaded": loaded,
+        "commands": sorted(ran),
+        "reports": reports,
+    },
+    sys.stdout,
+)
 """
 
 #: the modules that no decision runs
 _LAZY_FILES = {"oracle.py", "pareto.py", "polytope.py"}
+
+#: standard modules that no decision loads: `dataclasses` and what it brings
+_UNLOADED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def _fresh(script, *args) -> dict:
@@ -571,6 +585,14 @@ def test_a_decision_runs_no_grid_or_polytope_code():
     result = _fresh(_FRESH_COMMANDS, json.dumps([decisions, commands]))
     decided = {name for name, _code in result["decided"]}
     assert {"certificates.py", "lp.py", "cli.py"} <= decided
+    # neither the import nor a decision loads a module of `_UNLOADED` that a
+    # bare interpreter does not load already
+    bare = subprocess.run(
+        [sys.executable, "-B", "-c", "import sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "revopt.cli" in result["imported"] and "sys" in bare
+    assert (_UNLOADED - set(bare)) & {*result["imported"], *result["loaded"]} == set()
     assert decided.isdisjoint(_LAZY_FILES)
     assert {(name, "<module>") for name in _LAZY_FILES} <= set(map(tuple, result["commands"]))
     reports = iter(result["reports"])
@@ -1018,10 +1040,10 @@ def test_a_too_long_dual_entry_is_an_input_error(monkeypatch, capsys):
     )
     outcome = rec.evidence.outcome
     dual = (*outcome.dual[:-1], F(1, 10 ** (_DIGIT_LIMIT + 1)))
-    evidence = dataclasses.replace(rec.evidence, outcome=lp.Optimal(outcome.x, outcome.value, dual))
+    evidence = replace(rec.evidence, outcome=lp.Optimal(outcome.x, outcome.value, dual))
     log = list(verdict.log)
-    log[k] = dataclasses.replace(rec, evidence=evidence)
-    forged = dataclasses.replace(verdict, log=tuple(log))
+    log[k] = replace(rec, evidence=evidence)
+    forged = replace(verdict, log=tuple(log))
     monkeypatch.setattr(cli, "verify", lambda problem, mode: forged)
     code = run(["verify", "--problem", path, "--mode", "rop"])
     lines = capsys.readouterr().out.splitlines()

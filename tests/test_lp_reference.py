@@ -1,7 +1,6 @@
 """The lean simplex, and the integer certificate check, against the
 references in `reference.py`."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -100,19 +99,19 @@ def _forgeries(outcome):
     shifted by 1/7 and by -1/7, each nonzero multiplier negated, each entry
     dropped, a zero entry appended; an optimum's value shifted by 1/7 too."""
     yield outcome
-    for field in dataclasses.fields(outcome):
-        vec = getattr(outcome, field.name)
+    for name in reference.fields(outcome):
+        vec = getattr(outcome, name)
         if not isinstance(vec, tuple):
-            yield dataclasses.replace(outcome, **{field.name: vec + F(1, 7)})
+            yield reference.replace(outcome, **{name: vec + F(1, 7)})
             continue
-        yield dataclasses.replace(outcome, **{field.name: vec + (F(0),)})
+        yield reference.replace(outcome, **{name: vec + (F(0),)})
         for k, v in enumerate(vec):
             forged = [vec[:k] + (v + d,) + vec[k + 1 :] for d in (F(1, 7), F(-1, 7))]
             forged.append(vec[:k] + vec[k + 1 :])
-            if field.name in ("dual", "farkas") and v:
+            if name in ("dual", "farkas") and v:
                 forged.append(vec[:k] + (-v,) + vec[k + 1 :])
             for new in forged:
-                yield dataclasses.replace(outcome, **{field.name: new})
+                yield reference.replace(outcome, **{name: new})
 
 
 def _random_and_probe_lps(monkeypatch):
@@ -622,7 +621,7 @@ def test_a_probe_solved_in_a_fresh_problem_matches_the_one_verify_logged():
             for rec in verify(problem, mode).log:
                 if rec.kind != "vertex" or not any((rec.eps_prime, *rec.generator)):
                     continue
-                fresh = dataclasses.replace(problem)
+                fresh = reference.replace(problem)
                 ev = certificates.union_member(fresh, mode, rec.eps_prime, rec.generator)
                 assert vars(fresh)["_probe_templates"][mode] is vars(ev.lp)["_template"]
                 assert ev.outcome == rec.evidence.outcome

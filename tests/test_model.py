@@ -384,3 +384,189 @@ def test_a_parsed_problem_has_the_images_of_the_problem_built_in_python():
                 checked += any(den > 1 for *_, den in fn.domain._rows)
             checked += fn._image[0] > 1
     assert checked > 40
+
+
+# -- the records ----------------------------------------------------------------
+
+
+def _record_samples() -> dict:
+    """Instances of every record class of the library, by class: the
+    problems, functions, forms and domains of the shipped problems, part of
+    the acceptance corpus and face-domain problems; the verdicts, checks,
+    probes, LPs and outcomes of deciding them; and the grid, subdifferential
+    and Pareto objects of the grid tests."""
+    from revopt import oracle, pareto, subdiff
+    from revopt.certificates import MODES, verify
+
+    root = Path(__file__).resolve().parent.parent
+    problems = [load_problem(str(path)) for path in sorted(root.glob("problems/*.json"))]
+    problems += corpus(120, 80, seed_base=1000)[::20] + face_domain_family(6)
+    out = []
+    for problem in problems:
+        fns = (problem.objective, problem.reverse, *problem.constraints)
+        out += [problem, *fns, *(p for fn in fns for p in fn.pieces)]
+        out += [fn.domain for fn in fns if fn.domain is not None]
+        for mode in MODES:
+            verdict = verify(problem, mode)
+            out += [verdict, *verdict.log]
+            out += [r.evidence for r in verdict.log] + [r.evidence.lp for r in verdict.log]
+            out += [r.evidence.outcome for r in verdict.log]
+        query = subdiff.SubdiffQuery(problem.reverse, problem.point, problem.epsilon)
+        out += [query, subdiff.subdiff_vrep(query)]
+        box = ((F(-2), F(2)),) * problem.n
+        grid = oracle.GridSpec(box, F(1, 2))
+        out += [grid] + [oracle.brute_eps_argmin(problem, mode, grid) for mode in oracle.MODE_MAP.values()]
+        sample, _ = pareto.grid_sample(problem.objective, problem.reverse, box, F(1, 2))
+        out += [sample, pareto.reee_check(sample, (F(0), F(0)), [(F(1), F(1)), (F(0), F(1, 2))])]
+        out.append(pareto.bridge_check(problem.objective, problem.reverse, box, F(1, 2), F(1)))
+    by_class = {}
+    for obj in out:
+        by_class.setdefault(type(obj), []).append(obj)
+    return by_class
+
+
+def _twin(cls):
+    """The frozen dataclass with `cls`'s name, module, fields, defaults and
+    `__post_init__`."""
+    import dataclasses
+
+    names = reference.fields(cls)
+    defaults = cls.__init__.__defaults__ or ()
+    first_default = len(names) - len(defaults)
+    spec = [(k, object) for k in names[:first_default]]
+    spec += [(k, object, dataclasses.field(default=v)) for k, v in zip(names[first_default:], defaults)]
+    namespace = {"__module__": cls.__module__}
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclasses.make_dataclass(cls.__name__, spec, namespace=namespace, frozen=True)
+
+
+def _raised(make):
+    """What `make()` raises, as (its class, or AttributeError for any of its
+    subclasses, and its text); None when it raises nothing."""
+    try:
+        make()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return (AttributeError if isinstance(exc, AttributeError) else type(exc)), str(exc)
+    return None
+
+
+def test_records_behave_as_the_frozen_dataclasses_they_were():
+    # Every record reprs, compares and hashes as a frozen dataclass twin of
+    # its class does on the same field values, and a construction or
+    # mutation that the twin rejects is rejected with the same error text.
+    from revopt import certificates, lp, oracle, pareto, polytope, subdiff
+
+    records = [
+        model.AffineForm, model.HPolyhedron, model.PolyhedralConvexFunction,
+        model.ReverseProblem, lp.LinearProgram, lp.Optimal, lp.Unbounded, lp.Infeasible,
+        certificates.MembershipEvidence, certificates.CheckRecord,
+        certificates.CertificateVerdict, subdiff.SubdiffQuery, oracle.GridSpec,
+        oracle.BruteResult, pareto.ParetoSample, pareto.BridgeReport, pareto.ReeeReport,
+        polytope.VPolytope,
+    ]
+    samples = _record_samples()
+    assert set(samples) == set(records)
+    for cls in records:
+        twin = _twin(cls)
+        names = reference.fields(cls)
+        pairs = []
+        for obj in samples[cls]:
+            values = [getattr(obj, k) for k in names]
+            twin_obj = object.__new__(twin)  # the same values, not converted again
+            vars(twin_obj).update(zip(names, values))
+            pairs.append((obj, twin_obj))
+            if cls is oracle.BruteResult:  # its own repr, of the points it reads
+                assert repr(obj).startswith("BruteResult(mode=") and "eps_argmin=" in repr(obj)
+            else:
+                assert repr(obj) == repr(twin_obj)
+            assert hash(obj) == hash(twin_obj)
+            assert obj == reference.replace(obj) and not obj != reference.replace(obj)
+            for make in (
+                lambda c: c(**dict(zip(names[1:], values[1:]))),  # a missing argument
+                lambda c: c(*values, None),  # an extra argument
+                lambda c: c(*values, bogus=None),  # an unknown keyword
+                lambda c: c(*values, **{names[0]: values[0]}),  # a repeated keyword
+            ):
+                assert _raised(lambda: make(cls)) == _raised(lambda: make(twin)) is not None
+        for (a, ta), (b, tb) in zip(pairs, pairs[1:] + pairs[:1]):
+            assert (a == b) is (ta == tb) and (a != b) is (ta != tb)
+        obj, twin_obj = pairs[0]
+        for name in (*names, "bogus"):
+            for mutate in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
+                assert _raised(lambda: mutate(obj)) == _raised(lambda: mutate(twin_obj))
+                assert _raised(lambda: mutate(obj))[0] is AttributeError
+    # instances of two classes never compare equal, even on equal fields
+    first = [samples[cls][0] for cls in records]
+    for a in first:
+        assert [b for b in first if a == b] == [a]
+
+    @model._record
+    class Twin:
+        farkas: tuple
+
+    same = (lp.Infeasible((F(1),)), Twin((F(1),)))
+    assert same[0] != same[1] and not same[0] == same[1] and len(set(map(hash, same))) == 1
+
+
+def test_a_record_runs_post_init_on_construction_only(monkeypatch):
+    # `__post_init__` runs once per construction, positional or keyword,
+    # and never for an instance that `_built` makes; a class without one
+    # gets none.
+    assert type(AffineForm((1,), 2).b) is Fraction
+    assert type(model._built(AffineForm, a=(1,), b=2).b) is int
+    samples = _record_samples()
+    checked = 0
+    for cls, objs in samples.items():
+        names = reference.fields(cls)
+        values = {k: getattr(objs[0], k) for k in names}
+        if not hasattr(cls, "__post_init__"):
+            assert "__post_init__" not in vars(cls)
+            continue
+        calls = []
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(self))
+        made = [cls(*values.values()), cls(**values)]
+        assert calls == made
+        built = model._built(cls, **values)
+        assert calls == made and built == made[0]
+        checked += 1
+    assert checked == 8
+
+
+def test_the_rng_families_are_prefixes_of_one_stream_per_seed(monkeypatch):
+    # A face-domain or adversarial family of fewer draws is the prefix of one
+    # stream per seed: the counts the tests ask for shorter than the longest
+    # hand out what a direct draw from the seed makes, as does the start of
+    # the longest, and a fresh stream extended on demand draws the same.
+    import corpus as families
+
+    def direct(seed, count, face_domain):
+        rng, out = random.Random(seed), []
+        for _ in range(count):
+            f, h, x_bar, gap = families.adversarial_candidate(rng, face_domain=face_domain)
+            if face_domain or gap > 0:
+                eps = gap * F(rng.randint(0, 15 if face_domain else 9), 10)
+                out.append(problem_to_doc(ReverseProblem(f.n, f, h, x_bar, eps)))
+            else:
+                out.append(None)
+        return out
+
+    for family, seed, counts, longest, face_domain in (
+        (families.face_domain_family, 8, (6, 12, 24, 30, 60), 300, True),
+        (families.adversarial_family, 7, (60,), 748, False),
+    ):
+        drawn = direct(seed, max(counts), face_domain)
+        for count in counts:
+            assert [problem_to_doc(p) for p in family(count, seed)] == [
+                doc for doc in drawn[:count] if doc is not None
+            ]
+        start = [doc for doc in drawn if doc is not None]
+        assert [problem_to_doc(p) for p in family(longest, seed)[: len(start)]] == start
+        assert len(family(longest, seed)) > len(start)
+
+    monkeypatch.setattr(families, "_STREAMS", {})
+    drawn = direct(8, 24, True)
+    for count in (6, 24, 12):
+        made = families._drawn(families._face_domain_draw, 8, count)
+        assert [problem_to_doc(p) for p in made] == drawn[:count]
+    assert len(families._STREAMS[families._face_domain_draw, 8][1]) == 24

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 from itertools import compress
 
@@ -306,7 +305,7 @@ def test_equal_live_results_share_one_object():
     # The key is the result's whole integer form: equal fields hand back the
     # live result, and a key that differs in one field, here the threshold,
     # makes a result of its own.
-    fields = [getattr(first, field.name) for field in dataclasses.fields(first)]
+    fields = [getattr(first, name) for name in reference.fields(first)]
     assert oracle._shared(oracle.BruteResult, *fields) is first
     other = oracle._shared(oracle.BruteResult, *fields[:-1], fields[-1] + 1)
     assert other is not first and other.eps_argmin == first.eps_argmin

@@ -10,13 +10,13 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import revopt
 from corpus import gen
+from reference import replace
 from revopt import cli
 from revopt.model import AffineForm, PolyhedralConvexFunction
 from revopt.problemfile import dump_problem, load_problem
@@ -215,6 +215,26 @@ def test_the_grid_is_walked_one_piece_at_a_time_over_all_rows():
     assert _definitions(tree, {"_shift", "domain", "shifted", "row"}) == []
     assert _calls(tree, "_row_tables") == ["_GridEvaluator.__init__"] * 2
     assert _calls(tree, "_rows_at_most") == ["_GridEvaluator.__init__", "_GridEvaluator.at_most"]
+
+
+def test_no_module_of_src_imports_dataclasses():
+    # Every command runs in a fresh process, and `dataclasses` brings in
+    # `inspect`, `ast`, `dis` and `tokenize`: the records are made by
+    # `model._record` instead.
+    importers = set()
+    modules = sorted(Path(revopt.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.name)
+    assert importers == set()
 
 
 def test_no_module_but_cli_imports_unbounded():
