@@ -1,4 +1,4 @@
-"""Problem-file ingestion: exact rationals on the wire, unknown fields rejected.
+"""Problem files: exact rationals on the wire, unknown fields rejected.
 
 The document is JSON with every scalar serialized as a "p/q" or integer
 string; no floating point is accepted anywhere. Each literal is read exactly
@@ -7,6 +7,11 @@ lowest terms; an integer from -256 to 256 shares a Fraction made at import.
 The model objects are built from the Fractions and their integer images from
 the integers (`_parsed_function`, `_parsed_problem`): nothing is parsed again
 and no Fraction is read back.
+
+A file is written in one pass (`_problem_text`): its indent-2 JSON text is
+made straight from the records, as `fmt` prints each scalar, and written
+with LF newlines in one write once it is whole. `problem_to_doc` is that
+text's object, so the file's layout is written down in this one place.
 """
 
 from __future__ import annotations
@@ -119,34 +124,68 @@ def load_problem(path: str) -> ReverseProblem:
     return parse_problem(doc)
 
 
-def _function_to_doc(fn: PolyhedralConvexFunction) -> dict:
-    doc = {
-        "pieces": [
-            {"a": [fmt(v) for v in p.a], "b": fmt(p.b)} for p in fn.pieces
-        ]
-    }
+def _strings(vec, pad: str) -> str:
+    """The indent-2 JSON text of `fmt_vec(vec)` for a list opened on a line
+    indented by `pad`: one literal a line, indented two more. No string `fmt`
+    makes needs escaping."""
+    if not vec:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + '"' + ('",\n' + inner + '"').join(map(fmt, vec)) + '"\n' + pad + "]"
+
+
+def _function_text(fn: PolyhedralConvexFunction, pad: str) -> str:
+    """The indent-2 JSON text of one function's object, opened on a line
+    indented by `pad`: its pieces, then its domain if it has one."""
+    keys = pad + "  "  # the function's keys
+    items = keys + "  "  # the pieces, and the domain's keys
+    fields = items + "  "  # a piece's keys, and the domain's rows
+    pieces = (",\n" + items).join(
+        "{\n" + fields + '"a": ' + _strings(p.a, fields) + ",\n" + fields
+        + '"b": "' + fmt(p.b) + '"\n' + items + "}"
+        for p in fn.pieces
+    )
+    text = "{\n" + keys + '"pieces": [\n' + items + pieces + "\n" + keys + "]"
     if fn.domain is not None:
-        doc["domain"] = {
-            "A": [[fmt(v) for v in row] for row in fn.domain.a],
-            "b": [fmt(v) for v in fn.domain.b],
-        }
-    return doc
+        rows = fn.domain.a
+        a = "[]"
+        if rows:
+            a = "[\n" + fields + (",\n" + fields).join(_strings(row, fields) for row in rows)
+            a += "\n" + items + "]"
+        text += ",\n" + keys + '"domain": {\n' + items + '"A": ' + a + ",\n" + items
+        text += '"b": ' + _strings(fn.domain.b, items) + "\n" + keys + "}"
+    return text + "\n" + pad + "}"
+
+
+def _problem_text(problem: ReverseProblem) -> str:
+    """The problem file's text, written in one pass from the records: the
+    text `json.dumps(doc, indent=2)` gives of the problem's document, and a
+    newline. The keys come in the order n, objective, reverse, point,
+    epsilon, and constraints only if there are any. InputError as `fmt`
+    gives it."""
+    text = (
+        '{\n  "n": ' + str(problem.n)
+        + ',\n  "objective": ' + _function_text(problem.objective, "  ")
+        + ',\n  "reverse": ' + _function_text(problem.reverse, "  ")
+        + ',\n  "point": ' + _strings(problem.point, "  ")
+        + ',\n  "epsilon": "' + fmt(problem.epsilon) + '"'
+    )
+    if problem.constraints:
+        text += ',\n  "constraints": [\n    ' + ",\n    ".join(
+            _function_text(g, "    ") for g in problem.constraints
+        ) + "\n  ]"
+    return text + "\n}\n"
 
 
 def problem_to_doc(problem: ReverseProblem) -> dict:
-    doc = {
-        "n": problem.n,
-        "objective": _function_to_doc(problem.objective),
-        "reverse": _function_to_doc(problem.reverse),
-        "point": [fmt(v) for v in problem.point],
-        "epsilon": fmt(problem.epsilon),
-    }
-    if problem.constraints:
-        doc["constraints"] = [_function_to_doc(g) for g in problem.constraints]
-    return doc
+    """The problem's document: the JSON object of its file's text."""
+    return json.loads(_problem_text(problem))
 
 
 def dump_problem(problem: ReverseProblem, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_doc(problem), fh, indent=2)
-        fh.write("\n")
+    """Write the problem's file: its text is made in full first, so a
+    problem `fmt` cannot print leaves the file as it was, then written with
+    LF newlines in one write."""
+    text = _problem_text(problem).encode()
+    with open(path, "wb") as fh:
+        fh.write(text)

@@ -24,8 +24,10 @@ which decided every candidate by an LP also in one dimension. The report
 references (`reference_verdict_doc`, `reference_cross_check_doc`) are the
 command line's earlier report objects, which it gave to `json.dumps`, before
 it wrote each decision's report in one pass; replay reads a report as this
-object. `fields` and `replace` read a library record's field names and build
-a changed copy of it through its constructor.
+object. `reference_problem_to_doc` is the library's earlier problem document,
+which it gave to `json.dump` with indent 2 to write a problem file, before it
+wrote the file's text in one pass. `fields` and `replace` read a library
+record's field names and build a changed copy of it through its constructor.
 """
 
 import itertools
@@ -757,4 +759,30 @@ def reference_cross_check_doc(problem, mode, grid: GridSpec, verdict) -> dict:
         doc["consistent"] = res.min_value - threshold <= res.error_bound
     else:
         doc["consistent"] = threshold - res.min_value <= res.error_bound
+    return doc
+
+
+# -- problem files as objects ----------------------------------------------------
+
+
+def _reference_function_doc(fn: PolyhedralConvexFunction) -> dict:
+    doc = {"pieces": [{"a": fmt_vec(p.a), "b": fmt(p.b)} for p in fn.pieces]}
+    if fn.domain is not None:
+        doc["domain"] = {"A": [fmt_vec(row) for row in fn.domain.a], "b": fmt_vec(fn.domain.b)}
+    return doc
+
+
+def reference_problem_to_doc(problem) -> dict:
+    """A problem's document as the library built it before it wrote a
+    problem file's text in one pass; the file was
+    `json.dumps(doc, indent=2)` of it and a newline."""
+    doc = {
+        "n": problem.n,
+        "objective": _reference_function_doc(problem.objective),
+        "reverse": _reference_function_doc(problem.reverse),
+        "point": fmt_vec(problem.point),
+        "epsilon": fmt(problem.epsilon),
+    }
+    if problem.constraints:
+        doc["constraints"] = [_reference_function_doc(g) for g in problem.constraints]
     return doc

@@ -8,7 +8,7 @@ F = Fraction
 import pytest
 
 import reference
-from corpus import corpus, face_domain_family
+from corpus import corpus, face_domain_family, wide_modes
 from revopt import model, problemfile
 from revopt.problemfile import dump_problem, load_problem, parse_problem, problem_to_doc
 from revopt.model import (
@@ -384,6 +384,58 @@ def test_a_parsed_problem_has_the_images_of_the_problem_built_in_python():
                 checked += any(den > 1 for *_, den in fn.domain._rows)
             checked += fn._image[0] > 1
     assert checked > 40
+
+
+def _hand_written_problems():
+    """Problems in 3 dimensions with negative and many-digit literals: a
+    domain with no rows, domains on the constraints too, and without any."""
+    empty = HPolyhedron((), (), 3)
+    box = HPolyhedron(((1, 0, 0), (F(-12, 7), 0, 1)), (F(-333, 10), 5), 3)
+    f = PolyhedralConvexFunction(3, (AffineForm((F(-1234, 567), 0, 89), F(-10, 3)),), empty)
+    h = PolyhedralConvexFunction(
+        3, (AffineForm((1, 2, 3), -1), AffineForm((0, 0, -1), F(1, 2))), box
+    )
+    g = PolyhedralConvexFunction(3, (AffineForm((1, 0, 0), -100),), empty)
+    free = PolyhedralConvexFunction(3, (AffineForm((-7, F(22, 7), 0), F(987654321, 1000)),))
+    point = (F(-5, 123456789), 0, 77)
+    return [
+        ReverseProblem(3, f, h, point, F(1000001, 3), (g, h.scaled(F(2, 3)))),
+        ReverseProblem(3, h, f, (0, 0, 0), 0, (g,)),
+        ReverseProblem(3, free, f, point, F(1, 10**30)),
+        ReverseProblem(3, f, free, (0, -1, 0), 0, (free,)),
+    ]
+
+
+def test_a_problem_file_is_the_indent_2_text_of_its_document(tmp_path):
+    # The file's text is written in one pass from the records; it is byte
+    # for byte the text json's indent-2 encoder gave of the document the
+    # library built before, the empty lists of a domain with no rows too.
+    root = Path(__file__).resolve().parent.parent
+    problems = [load_problem(str(path)) for path in sorted(root.glob("problems/*.json"))]
+    problems += corpus(120, 80, 1000) + [inst.problem for inst in wide_modes(0)]
+    problems += face_domain_family(24) + _hand_written_problems()
+    path = tmp_path / "p.json"
+    for problem in problems:
+        doc = reference.reference_problem_to_doc(problem)
+        dump_problem(problem, str(path))
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        loaded = load_problem(str(path))
+        for name in reference.fields(problem):
+            assert getattr(loaded, name) == getattr(problem, name), name
+        assert problem_to_doc(problem) == doc
+    assert sum(bool(p.constraints) for p in problems) >= 3
+    domains = [fn.domain for p in problems for fn in (p.objective, p.reverse, *p.constraints)]
+    assert sum(d is not None and d.m == 0 for d in domains) >= 3
+
+
+def test_a_problem_that_cannot_be_printed_leaves_its_file_as_it_was(tmp_path):
+    path = tmp_path / "p.json"
+    problem = ReverseProblem(1, absf(), absf(), (1,), 0)
+    dump_problem(problem, str(path))
+    before = path.read_bytes()
+    with pytest.raises(InputError, match="too long to print"):
+        dump_problem(reference.replace(problem, epsilon=F(10**5000)), str(path))
+    assert path.read_bytes() == before
 
 
 # -- the records ----------------------------------------------------------------

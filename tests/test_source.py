@@ -430,7 +430,8 @@ def test_every_public_function_has_a_caller(tmp_path):
 
 def test_the_cli_parses_argv_by_its_table_and_writes_one_compact_report():
     # argparse cost more than a tenth of a small verify, and json's indent
-    # path runs the pure-Python encoder; a report is written in one place.
+    # path runs the pure-Python encoder; a report is written in one place,
+    # and a problem file's text in one pass, with no json encoder at all.
     tree = ast.parse(Path(revopt.__file__).with_name("cli.py").read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -448,6 +449,13 @@ def test_the_cli_parses_argv_by_its_table_and_writes_one_compact_report():
     assert [kw.arg for kw in dumps[0].keywords] == ["separators"]
     assert not any(
         isinstance(node, ast.keyword) and node.arg == "indent" for node in ast.walk(tree)
+    )
+    tree = ast.parse(Path(revopt.__file__).with_name("problemfile.py").read_text(encoding="utf-8"))
+    assert not any(
+        (isinstance(node, ast.keyword) and node.arg == "indent")
+        or (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"))
+        or (isinstance(node, ast.alias) and node.name in ("dump", "dumps"))
+        for node in ast.walk(tree)
     )
 
 
