@@ -27,25 +27,24 @@ In the three boundary modes (rop, constrained, equality) the quantifier over
 eps' is discharged exactly. Let E = {(eps', s) : eps' >= 0, s in
 d_eps' h(x_bar)} and W = {(eps', x*) : x* in the union at eps'}. By
 `subdiff_epigraph`, E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}
-over the pieces i and the domain rows r of h. W is the projection onto
-(eps', x*) of the polyhedron of `membership_lp` (eps' and x* read as variables)
-cut by alpha > 0, so W is convex, and E is inside W exactly when:
+over the pieces i and the domain rows r of h. Every row of `membership_lp`'s
+polyhedron P is homogeneous in (eps', x*, lam, nu, eta), so W, its projection
+onto (eps', x*) cut by alpha > 0, is a convex cone, and its closure K is the
+projection with alpha >= 0: the (eps', x*) whose probe is feasible. A closed
+convex cone is its own recession cone (Rockafellar, Convex Analysis, section
+8), so a direction recedes in W exactly when it lies in K, and E is inside W
+exactly when:
 
-- every point (delta_i, a_i) lies in W: one max-alpha probe each;
+- every point (delta_i, a_i) lies in W: its probe's sup alpha is > 0;
 - the ray (1, 0) recedes in W: nothing to check, since raising eps' only
   relaxes the budget row;
-- every ray (sigma_r, C_r) recedes in W: one max-t probe that starts at
-  (delta_0, a_0) and moves eps' and x* together, so the t column's budget
-  coefficient is <C_r, x_bar> + sigma_r. The probe allows alpha = 0, which is
-  sound: an unbounded t gives a recession direction of the closed polyhedron
-  (alpha >= 0) that projects onto a positive multiple of the ray, and its
-  alpha component is >= 0, so adding it to any point with alpha > 0 keeps
-  alpha > 0. A finite supremum t* puts the ray's point at any t > t* outside
-  even the closed polyhedron's projection.
+- every ray (sigma_r, C_r) lies in K: its probe is feasible. Rejected, the
+  probe's Farkas vector gives a linear form L (`_farkas_form`) that is >= 0
+  on K, so at the accepted (delta_0, a_0), and < 0 at the ray, so the ray's
+  point from (delta_0, a_0) at t = L(delta_0, a_0) / -L(ray) + 1 is outside K.
 
-Every failure therefore exhibits an exact point of E outside W: a
-(delta_i, a_i), or the ray's point at t* + 1, which is logged as the last
-(vertex) check. Refutations are exact by the necessity direction of the
+Every failure therefore exhibits an exact point of E outside W, logged as the
+last (vertex) check. Refutations are exact by the necessity direction of the
 characterization and positive verdicts by its sufficiency; the positive tag
 keeps its historical name CERTIFIED_ON_GRID, which reports and tools match.
 
@@ -56,15 +55,16 @@ point gates put x_bar in it. By LP duality the probe at (eps', x*) = (0, 0)
 accepts exactly when inf f over R >= f(x_bar) - eps, so that one probe is the
 `essential` gate: accepted, it proves eps-optimality and certifies as the
 decision's single vertex check, as it decides convex mode with its own phi;
-rejected, the gate passes and the probe is not logged. `essential_check`
-computes the same gate from the primal side and is kept as its reference.
+rejected, the gate passes and carries the probe as its evidence
+(`CertificateVerdict.essential`), not as a check. `essential_check` computes
+the same gate from the primal side and is kept as its reference.
 
 A decision builds only what it reads. The template is built from its
 integer columns and every point probe from its right-hand sides in integers,
-so no probe's `Fraction` rows are made unless a ray probe, a certificate
-check or a tracer reads them. The gates on x_bar compare each function's
-largest scaled piece with 0 in integers, and E's generators are read off the
-problem's integer image of x_bar.
+so no probe's `Fraction` rows are made unless a certificate check or a
+tracer reads them. The gates on x_bar compare each function's largest scaled
+piece with 0 in integers, and E's generators are read off the problem's
+integer image of x_bar.
 """
 
 from __future__ import annotations
@@ -72,13 +72,12 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .lp import INF, NEG_INF, LinearProgram, lp_solve, lp_value
+from .lp import NEG_INF, LinearProgram, lp_solve, lp_value
 from .model import (
     Inapplicable,
     InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
-    _dot,
     _over_common_den,
     _record,
     rat,
@@ -106,7 +105,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 MODES = ("rop", "constrained", "equality", "convex")
 
@@ -122,9 +120,9 @@ INAPPLICABLE = "INAPPLICABLE"
 class MembershipEvidence:
     """Outcome of one homogenized membership probe.
 
-    `sup` is the supremum of alpha = sum lam (or of the ray parameter t): the
-    optimal value, INF when unbounded, NEG_INF when infeasible. `outcome` is the
-    certified LP outcome backing it, stated against `lp`, the probe solved.
+    `sup` is the supremum of alpha = sum lam: the optimal value, INF when
+    unbounded, NEG_INF when infeasible. `outcome` is the certified LP
+    outcome backing it, stated against `lp`, the probe solved.
     """
 
     member: bool
@@ -194,63 +192,54 @@ def _probe_rhs(problem: ReverseProblem, eps_prime, xstar) -> tuple[list[int], in
     return nums, xb_den * xs_den * eps_den
 
 
-def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar, ray=None):
+def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar) -> LinearProgram:
     """The probe LP for x* in the union over alpha > 0 and mu >= 0 of
     d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar), with `mode`'s phi.
 
     Nonnegative columns: lam on the pieces of f, nu on the pieces of each
-    phi_j (summing to mu_j), eta on the rows of the `joint_domain` of f and
-    the phi_j, and the ray parameter t when `ray` = (d_eps', d_x*) is given
-    ((eps', x*) then moves to (eps' + t*d_eps', x* + t*d_x*)). alpha = sum lam
-    is not a column: its budget coefficient eps - f(x_bar) joins each lam's.
-    Rows: the n slopes (= x*) and the budget (>= -<x*, x_bar> - eps'). The
-    objective maximizes sum lam, or t.
+    phi_j (summing to mu_j) and eta on the rows of the `joint_domain` of f and
+    the phi_j. alpha = sum lam is not a column: its budget coefficient
+    eps - f(x_bar) joins each lam's. Rows: the n slopes (= x*) and the budget
+    (>= -<x*, x_bar> - eps'). The objective maximizes sum lam; read by
+    feasibility, the probe decides a ray's direction (`probe_evidence`).
 
-    Only the right-hand sides and the t column depend on the check. The
-    template, the point probe with every right-hand side zero, is built once
-    per problem and mode from the integer images (`_probe_template`), and
+    Only the right-hand sides depend on the check. The template, the probe
+    with every right-hand side zero and so the probe at (0, 0), is built once
+    per problem and mode from the integer images (`_probe_template`) and
     memoised in the problem's own instance dict, so it lives and dies with
-    the problem; `verify`, `union_member` and `replay` all reuse it. The probe
-    at (eps', x*) = (0, 0) is the template itself, so `verify`'s gate solves
-    it, starting from the template's integer columns; its oriented system is
-    built once, and only if `replay`'s certificate check reads it. Any other
-    point probe is the template with its right-hand sides swapped in by
-    `LinearProgram.with_rhs`, handed them in integers over one denominator,
-    computed off the images of x_bar and x* (`_probe_rhs`); its solve
-    re-solves from the template's optimal tableau in those integers
-    (`lp_solve`), and its `Fraction` rows, and its oriented system, the
-    template's rescaled, are made only if something reads them. A ray probe
-    adds the t column to the template's rows and is built with its
-    right-hand sides as an LP of its own, solved from scratch: its zero
-    right-hand side form would be solved only to start it.
+    the problem. Any other probe is the template with its right-hand sides,
+    computed in integers off the images of x_bar and x* (`_probe_rhs`),
+    swapped in by `LinearProgram.with_rhs`: its solve re-solves from the
+    template's optimal tableau (`lp_solve`), and its `Fraction` rows and its
+    oriented system, the template's rescaled, are made only if read.
     """
     memo = vars(problem).setdefault("_probe_templates", {})
     if mode not in memo:
         memo[mode] = _probe_template(problem, mode)
     template = memo[mode]
-    if ray is None and not eps_prime and not any(xstar):
+    if not eps_prime and not any(xstar):
         return template  # the probe at (0, 0) is the template itself
-    image = _probe_rhs(problem, eps_prime, xstar)
-    if ray is None:
-        return template.with_rhs(image=image)
-    nums, den = image
-    rhs = (*xstar, Fraction(nums[-1], den))
-    d_eps, d_x = ray
-    t_col = [-v for v in d_x] + [_dot(d_x, problem.point) + d_eps]
-    rows = [((*a, t), rel, b) for (a, rel, _), t, b in zip(template.rows, t_col, rhs)]
-    n = template.n + 1
-    return LinearProgram(n, (_ZERO,) * template.n + (_ONE,), "max", rows, (_ZERO,) * n)
+    return template.with_rhs(image=_probe_rhs(problem, eps_prime, xstar))
 
 
 def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:
     """Read a probe's outcome: a point is a member when sup alpha > 0, a ray
-    when t is unbounded. Solves nothing, so `replay` re-reads logged checks."""
+    direction when the probe is feasible (sup alpha > -inf). Solves nothing,
+    so `replay` re-reads logged checks."""
     sup = lp_value(lp, outcome)
-    return MembershipEvidence(sup == INF if ray else sup > 0, sup, lp, outcome)
+    return MembershipEvidence(sup != NEG_INF if ray else sup > 0, sup, lp, outcome)
 
 
 def _probe(lp: LinearProgram, ray=False) -> MembershipEvidence:
     return probe_evidence(lp, lp_solve(lp), ray)
+
+
+def _farkas_form(y, x_bar, eps_prime, xstar):
+    """L(eps', x*) = y . b' for the oriented right-hand sides b' of the probe
+    at (eps', x*): x*, the budget row's <x*, x_bar> + eps', then 0 on the
+    bounds. A Farkas vector y of one probe makes L < 0 at its point, >= 0 on K."""
+    n = len(xstar)
+    return sum(map(mul, y, xstar)) + y[n] * (sum(map(mul, xstar, x_bar)) + eps_prime)
 
 
 def _sign(fn: PolyhedralConvexFunction, x_bar) -> int | None:
@@ -324,9 +313,9 @@ def slater_check(G, f) -> bool:
 
 @_record
 class CheckRecord:
-    """One logged membership probe. A vertex check tests the point
-    (eps_prime, generator); a ray check tests the ray with direction
-    (eps_prime, generator) = (sigma_r, C_r) from h's first generator."""
+    """One logged membership probe at (eps_prime, generator). A vertex check
+    tests that point; a ray check tests the direction (sigma_r, C_r) of a
+    ray of E, which passes when its probe is feasible."""
 
     eps_prime: Fraction
     generator: tuple
@@ -341,6 +330,7 @@ class CertificateVerdict:
     reason: str | None = None
     gates: tuple = ()
     log: tuple = ()
+    essential: MembershipEvidence | None = None  # a passed essential gate's probe
 
     @property
     def witness(self):
@@ -359,9 +349,10 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     f, h = problem.objective, problem.reverse
     gates = []
     log = []
+    essential = None
 
-    def verdict(tag, **kw):
-        return CertificateVerdict(tag, mode, gates=tuple(gates), log=tuple(log), **kw)
+    def verdict(tag, reason=None):
+        return CertificateVerdict(tag, mode, reason, tuple(gates), tuple(log), essential)
 
     def gate(name, ok, reason):
         gates.append((name, ok))
@@ -378,7 +369,8 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
 
     # Accepted, the probe at (0, 0) proves x_bar eps-optimal over dom f and
     # {phi <= 0}, which holds the feasible set; rejected, it proves the
-    # essential assumption (LP duality), which only a refutation needs.
+    # essential assumption (LP duality), which only a refutation needs, and
+    # the passed gate carries it.
     zero = (_ZERO,) * problem.n
     ev = _probe(membership_lp(problem, mode, _ZERO, zero))
     if mode != "convex":
@@ -386,6 +378,7 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     if ev.member or mode == "convex":
         log.append(CheckRecord(_ZERO, zero, "vertex", ev))
         return verdict(CERTIFIED if ev.member else REFUTED)
+    essential = ev
 
     if mode == "constrained":
         slater = slater_check(problem.constraints, f)
@@ -398,19 +391,19 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
             return out
     base = points[0]
     for ray in rays:
-        ev = _probe(membership_lp(problem, mode, *base, ray=ray), ray=True)
+        ev = _probe(membership_lp(problem, mode, *ray), ray=True)
         log.append(CheckRecord(*ray, "ray", ev))
         if not ev.member:
-            # The ray leaves the union at t = sup; refute on the point of E
-            # one step beyond it.
-            if ev.sup == NEG_INF:
-                raise RuntimeError("the ray's base point left the union")
-            t_out = ev.sup + 1
+            # L (`_farkas_form`) is >= 0 on the closed cone, so at the accepted
+            # base, and < 0 at the ray: past t = L(base) / -L(ray) the ray's
+            # point from the base is outside the cone.
+            y, x_bar = ev.outcome.farkas, problem.point
+            t_out = _farkas_form(y, x_bar, *base) / -_farkas_form(y, x_bar, *ray) + 1
             eps_prime = base[0] + t_out * ray[0]
             xstar = tuple(b + t_out * r for b, r in zip(base[1], ray[1]))
             out = check(eps_prime, xstar)
             if out is None:
-                raise RuntimeError("a subgradient beyond the ray's sup was accepted")
+                raise RuntimeError("a point of E outside the closed cone was accepted")
             return out
     return verdict(CERTIFIED)
 

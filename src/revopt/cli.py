@@ -96,7 +96,10 @@ def _verdict_text(command: str, verdict: CertificateVerdict) -> str:
     (`fmt`) or a token of a closed set: a verdict tag, mode, gate name,
     reason or check kind. None needs JSON escaping, so each is written as it
     is, and the text is `json.dumps` of the report's object, compact."""
-    gates = ",".join([f'["{name}",{_BOOL[ok]}]' for name, ok in verdict.gates])
+    proof = "" if verdict.essential is None else f",{_outcome_text(verdict.essential.outcome)}"
+    gates = ",".join(
+        [f'["{name}",{_BOOL[ok]}{proof * (name == "essential")}]' for name, ok in verdict.gates]
+    )
     checks = ",".join(
         [
             f'{{"eps_prime":"{fmt(rec.eps_prime)}","generator":{fmt_array(rec.generator)},'
@@ -174,14 +177,20 @@ def _rationals(values, what) -> tuple:
     return tuple(_rational(v, what) for v in values)
 
 
-def _gates(gates) -> list:
-    """A report's gates, each a [name, passed] pair; CertificateError unless
-    they are."""
+def _gates(gates) -> tuple[list, object]:
+    """A report's gates as [name, passed] pairs, and the outcome that a passed
+    `essential` gate carries third (None without one); CertificateError unless
+    every gate but that one is such a pair, each flag a boolean."""
     if not isinstance(gates, list) or not all(
-        isinstance(gate, list) and len(gate) == 2 for gate in gates
+        isinstance(gate, list) and len(gate) in (2, 3) for gate in gates
     ):
         raise CertificateError("the gates are not a list of [name, passed] pairs")
-    return gates
+    if not all(isinstance(gate[1], bool) for gate in gates):
+        raise CertificateError("a gate's flag is not a boolean")
+    if any((len(gate) == 3) != (gate[:2] == ["essential", True]) for gate in gates):
+        raise CertificateError("a passed essential gate, and it alone, carries an outcome")
+    proof = next((gate[2] for gate in gates if len(gate) == 3), None)
+    return [gate[:2] for gate in gates], proof
 
 
 def _implied_verdict(gates, checks) -> str | None:
@@ -225,18 +234,19 @@ def _gate_names(point_gates, mode, gates) -> list:
 def replay(problem, report: dict) -> None:
     """Re-validate every recorded LP certificate against the problem file.
 
-    Rebuilds each check's LP with `membership_lp`, the builder `verify` solved,
-    checks the stored outcome's certificate exactly and re-reads the check's
-    `accepted` and `sup` off it (`probe_evidence`). Then it evaluates the
-    gates on x_bar (`_point_gates`) up to the first that fails, which must
-    open the report's gates, checks that the gates are the ones `verify`
-    writes (`_gate_names`), each flag a boolean, and re-derives the verdict
-    tag from the gates and the checks. A certificate must log the checks
-    that `verify` runs: the single check at (0, 0) in convex mode or after a
+    Rebuilds each check's probe, `membership_lp(problem, mode, eps_prime,
+    generator)` for a vertex and a ray check alike, checks the stored
+    outcome's certificate exactly and re-reads the check's `accepted` and
+    `sup` off it (`probe_evidence`). Then it evaluates the gates on x_bar
+    (`_point_gates`) up to the first that fails, which must open the report's
+    gates (`_gates`), checks that they are the ones `verify` writes
+    (`_gate_names`), re-validates a passed `essential` gate's outcome against
+    the probe at (0, 0), which must reject, and re-derives the verdict tag
+    from the gates and the checks. A certificate must log the checks that
+    `verify` runs: the single check at (0, 0) in convex mode or after a
     failed essential gate, and otherwise the generators of h's
     eps'-subdifferentials (`subdiff_epigraph`), its points as vertex checks
-    and then its rays as ray checks; a ray check logs its direction and
-    starts at the first point.
+    and then its rays as ray checks.
     A refutation's last check must be at a point of E = {(eps', s) : s in
     d_eps' h(x_bar)} that `verify` refutes on: (0, 0) in convex mode, and
     otherwise one of those points, or the first point plus t > 0 times one
@@ -246,7 +256,7 @@ def replay(problem, report: dict) -> None:
     replay reads: a missing field, a part of the wrong JSON type, an unknown
     mode, kind or outcome tag, a literal that is not rational, a generator
     without one entry per variable, or a check logged although x_bar is off
-    dom f (or a ray check although it is off dom h), where no probe exists.
+    dom f, where no probe exists.
     """
     _require(report, ("mode",), "the report")
     mode = report["mode"]
@@ -255,7 +265,6 @@ def replay(problem, report: dict) -> None:
     checks = report.get("checks", [])
     if not isinstance(checks, list):
         raise CertificateError("the checks are not a list")
-    epigraph = None
     seen = []
     logged = []
     for check in checks:
@@ -267,13 +276,9 @@ def replay(problem, report: dict) -> None:
         kind = check["kind"]
         if kind not in ("vertex", "ray"):
             raise CertificateError(f"unknown check kind {kind!r}")
-        point, ray = (eps_prime, generator), None
         try:
-            if kind == "ray":
-                epigraph = epigraph or _generators(problem)
-                point, ray = epigraph[0][0], (eps_prime, generator)
-            lp = membership_lp(problem, mode, *point, ray=ray)
-        except InputError as exc:  # x_bar off dom f, or off dom h for a ray: no probe
+            lp = membership_lp(problem, mode, eps_prime, generator)
+        except InputError as exc:  # x_bar off dom f: no probe
             raise CertificateError(f"the check has no probe LP ({exc})") from None
         outcome = _outcome_from_doc(check["outcome"])
         check_outcome(lp, outcome)
@@ -282,7 +287,7 @@ def replay(problem, report: dict) -> None:
             raise CertificateError("accepted or sup disagrees with the outcome")
         seen.append((kind, ev.member))
         logged.append((eps_prime, generator, kind))
-    gates = _gates(report.get("gates", []))
+    gates, proof = _gates(report.get("gates", []))
     point_gates = []
     for name, ok, _reason in _point_gates(problem, mode):
         point_gates.append([name, ok])
@@ -290,10 +295,14 @@ def replay(problem, report: dict) -> None:
             break
     if gates[: len(point_gates)] != point_gates:
         raise CertificateError("the gates on x_bar do not evaluate as the report claims")
-    if not all(isinstance(ok, bool) for _name, ok in gates):
-        raise CertificateError("a gate's flag is not a boolean")
     if [name for name, _ok in gates] != _gate_names(point_gates, mode, gates):
         raise CertificateError("the gates are not the ones verify writes")
+    if proof is not None:
+        gate_lp = membership_lp(problem, mode, 0, (0,) * problem.n)
+        outcome = _outcome_from_doc(proof)
+        check_outcome(gate_lp, outcome)
+        if probe_evidence(gate_lp, outcome).member:
+            raise CertificateError("the passed essential gate's probe at (0, 0) accepts")
     verdict = report.get("verdict")
     if verdict != _implied_verdict(gates, seen):
         raise CertificateError("the verdict does not follow from the gates and checks")
@@ -301,7 +310,7 @@ def replay(problem, report: dict) -> None:
         if mode == "convex" or not gates[-1][1]:  # a certificate's failed gate is `essential`
             covered = [(0, (0,) * problem.n, "vertex")]
         else:
-            points, rays = epigraph or _generators(problem)
+            points, rays = subdiff_epigraph(problem.reverse, problem.point, problem._point_image)
             covered = [(*p, "vertex") for p in points] + [(*r, "ray") for r in rays]
         if logged != covered:
             raise CertificateError("the checks are not the ones a certificate logs")
@@ -310,19 +319,13 @@ def replay(problem, report: dict) -> None:
         if mode == "convex":
             on_e = eps_prime == 0 and not any(generator)
         else:
-            points, rays = epigraph or _generators(problem)
+            points, rays = subdiff_epigraph(problem.reverse, problem.point, problem._point_image)
             on_e = (eps_prime, generator) in points or any(
                 _beyond((eps_prime, *generator), (points[0][0], *points[0][1]), (sigma, *c))
                 for sigma, c in rays
             )
         if not on_e:
             raise CertificateError("the refuting check is not a point of E that verify refutes on")
-
-
-def _generators(problem):
-    """The generators of E at x_bar (`subdiff_epigraph`), read off x_bar's
-    integer image."""
-    return subdiff_epigraph(problem.reverse, problem.point, problem._point_image)
 
 
 def _beyond(point, base, ray) -> bool:

@@ -378,7 +378,11 @@ def _shared(cls, *fields):
     referenced. A result's fields are its whole content, so an equal key is
     an equal result and nothing is compared: a caller that keeps the results
     of many passes over the same instances holds each distinct result once."""
-    return _LIVE_RESULTS.setdefault((cls, fields), cls(*fields))
+    key = (cls, fields)
+    result = _LIVE_RESULTS.get(key)
+    if result is None:
+        result = _LIVE_RESULTS[key] = cls(*fields)
+    return result
 
 
 def _feasible_runs(mode, h_ev, g_evs) -> list:

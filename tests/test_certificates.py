@@ -31,8 +31,9 @@ from revopt.certificates import (
     verify,
 )
 from revopt.cli import replay
-from revopt.lp import LinearProgram, _oriented, check_outcome, lp_solve
+from revopt.lp import LinearProgram, _oriented, check_outcome, lp_solve, lp_value
 from revopt.model import (
+    INF,
     AffineForm,
     HPolyhedron,
     Inapplicable,
@@ -409,10 +410,10 @@ def _fractions_made_within(scopes, run) -> tuple:
     return made, result
 
 
-def _eager_probe(problem, mode, eps_prime, xstar, ray=None):
+def _eager_probe(problem, mode, eps_prime, xstar):
     """`membership_lp`'s probe assembled from the problem's Fractions by the
-    LinearProgram constructor: lam, nu and eta columns (and t for a ray),
-    the slope rows = x*, and the budget row >= -<x*, x_bar> - eps'."""
+    LinearProgram constructor: lam, nu and eta columns, the slope rows = x*,
+    and the budget row >= -<x*, x_bar> - eps'."""
     f, x_bar = problem.objective, problem.point
     phis = certificates._phis(mode, problem)
     alpha = problem.epsilon - f.value(x_bar)
@@ -421,28 +422,22 @@ def _eager_probe(problem, mode, eps_prime, xstar, ray=None):
     for g in (f, *phis):
         if g.domain is not None:
             cols += [(row, -rhs) for row, rhs in zip(g.domain.a, g.domain.b)]
-    if ray is not None:
-        d_eps, d_x = ray
-        cols.append((tuple(-v for v in d_x), sum(map(mul, d_x, x_bar)) + d_eps))
     slopes, budget = zip(*cols)
     rows = [(row, "=", x) for row, x in zip(zip(*slopes), xstar)]
     rows.append((budget, ">=", -sum(map(mul, xstar, x_bar)) - eps_prime))
     n = len(cols)
-    if ray is None:  # max alpha = sum lam
-        objective = (1,) * len(f.pieces) + (0,) * (n - len(f.pieces))
-    else:  # max t
-        objective = (0,) * (n - 1) + (1,)
+    objective = (1,) * len(f.pieces) + (0,) * (n - len(f.pieces))  # max alpha = sum lam
     return LinearProgram(n, objective, "max", rows, (0,) * n)
 
 
 def test_a_decision_builds_only_what_it_reads(monkeypatch):
-    # A verify with no ray check reads no probe's Fraction rows: neither the
-    # template's nor any derived probe's `rows` are built, and the template,
-    # the right-hand sides (`_probe_rhs`) and the gates on x_bar
-    # (`_point_gates`) make no Fraction. Where rows are read, by replay's
-    # certificate checks through the oriented system and by every ray probe,
-    # they equal those of the probe that the constructor builds eagerly from
-    # the problem's Fractions, and so does the system.
+    # A verify reads no probe's Fraction rows, with ray checks or without:
+    # neither the template's nor any derived probe's `rows` are built, and
+    # the template, the right-hand sides (`_probe_rhs`) and the gates on
+    # x_bar (`_point_gates`) make no Fraction. Where rows are read, by
+    # replay's certificate checks through the oriented system, they equal
+    # those of the probe that the constructor builds eagerly from the
+    # problem's Fractions, and so does the system.
     paths = sorted(Path(__file__).resolve().parent.parent.glob("problems/*.json"))
     problems = [load_problem(str(path)) for path in paths]
     problems += corpus(120, 80, seed_base=1000) + [inst.problem for inst in wide_modes(0)]
@@ -454,9 +449,9 @@ def test_a_decision_builds_only_what_it_reads(monkeypatch):
     original = certificates.membership_lp
     built = []
 
-    def recorded(*args, **kwargs):
-        built.append((args, kwargs, original(*args, **kwargs)))
-        return built[-1][2]
+    def recorded(*args):
+        built.append((args, original(*args)))
+        return built[-1][1]
 
     monkeypatch.setattr(certificates, "membership_lp", recorded)
     monkeypatch.setattr(cli, "membership_lp", recorded)
@@ -466,23 +461,22 @@ def test_a_decision_builds_only_what_it_reads(monkeypatch):
             built.clear()
             made, v = _fractions_made_within(scopes, lambda: verify(problem, mode))
             assert made == 0, mode
-            rays = any(rec.kind == "ray" for rec in v.log)
-            if built and not rays:
-                probes = [lp for *_, lp in built] + [vars(problem)["_probe_templates"][mode]]
+            if built:
+                probes = [lp for _, lp in built] + [vars(problem)["_probe_templates"][mode]]
                 assert not any("rows" in vars(lp) for lp in probes), mode
+            rays = any(rec.kind == "ray" for rec in v.log)
             kinds["with rays" if rays else "without rays"] += bool(built)
-            read = [(args, kwargs, lp) for args, kwargs, lp in built if kwargs.get("ray")]
             built.clear()
             replay(problem, reference_verdict_doc(v))
-            for args, kwargs, lp in read + built:
-                eager = _eager_probe(*args, **kwargs)
+            for args, lp in built:
+                eager = _eager_probe(*args)
                 assert lp.rows == eager.rows and lp == eager, mode
                 assert lp._system == _oriented(eager), mode
     assert kinds["without rays"] >= 1000 and kinds["with rays"] >= 5, kinds
 
 
 def test_constrained_lp_without_constraints_is_the_rop_lp():
-    # Same columns, rows and order, with and without a ray column.
+    # Same columns, rows and order.
     rng = random.Random(11)
     dom = box_domain(1)
     for _ in range(40):
@@ -494,15 +488,15 @@ def test_constrained_lp_without_constraints_is_the_rop_lp():
         p = ReverseProblem(1, f, abs_minus_one(), (F(1),), F(rng.randint(0, 2)))
         ep = F(rng.randint(0, 3), 2)
         xs = (F(rng.randint(-4, 4), rng.randint(1, 2)),)
-        for ray in (None, (F(rng.randint(0, 2)), (F(rng.choice([-1, 1])),))):
-            rop = membership_lp(p, "rop", ep, xs, ray=ray)
-            assert membership_lp(p, "constrained", ep, xs, ray=ray) == rop
+        assert membership_lp(p, "constrained", ep, xs) == membership_lp(p, "rop", ep, xs)
 
 
 def test_membership_lp_matches_the_alpha_column_reference():
     # Folding alpha = sum lam into the lam columns changes neither the
-    # verdict nor the supremum of any probe verify logs, vertex or ray, and
-    # drops exactly alpha's column and its row.
+    # verdict nor the supremum of any probe verify logs, vertex check or ray
+    # check, and drops exactly alpha's column and its row. A ray check also
+    # accepts exactly when the reference max-t probe from h's first
+    # generator is unbounded.
     from reference import reference_membership_lp
 
     covered = set()
@@ -511,24 +505,64 @@ def test_membership_lp_matches_the_alpha_column_reference():
         for mode in MODES:
             for rec in verify(problem, mode).log:
                 ray = rec.kind == "ray"
-                if ray:
-                    base = base or subdiff_epigraph(problem.reverse, problem.point)[0][0]
-                    old = reference_membership_lp(
-                        problem, mode, *base, ray=(rec.eps_prime, rec.generator)
-                    )
-                else:
-                    old = reference_membership_lp(
-                        problem, mode, rec.eps_prime, rec.generator
-                    )
+                old = reference_membership_lp(problem, mode, rec.eps_prime, rec.generator)
                 ref = probe_evidence(old, lp_solve(old), ray=ray)
                 new = rec.evidence
                 assert (new.member, new.sup) == (ref.member, ref.sup)
                 assert len(new.lp.rows) == problem.n + 1
                 assert (len(old.rows), old.n) == (len(new.lp.rows) + 1, new.lp.n + 1)
+                if ray:
+                    base = base or subdiff_epigraph(problem.reverse, problem.point)[0][0]
+                    t_lp = reference_membership_lp(
+                        problem, mode, *base, ray=(rec.eps_prime, rec.generator)
+                    )
+                    assert new.member == (lp_value(t_lp, lp_solve(t_lp)) == INF)
                 covered.add((rec.kind, new.member))
     assert covered == {
         ("vertex", True), ("vertex", False), ("ray", True), ("ray", False)
     }
+
+
+def test_a_ray_check_decides_what_the_max_t_probe_decided():
+    # W is a convex cone and a direction recedes in it exactly when its own
+    # point probe is feasible, so each ray check, that probe, accepts exactly
+    # when the reference max-t probe from h's first generator (alpha = 0
+    # allowed) is unbounded. A rejected ray refutes at base + t_out * ray on
+    # a t_out past the reference's finite supremum t*, where even the closed
+    # cone has left the ray.
+    from reference import reference_membership_lp
+
+    problems = [inst.problem for seed in (0, 1) for inst in wide_modes(seed)]
+    counts = {"accepted": 0, "refuted": 0}
+    for problem in problems + face_domain_family(60):
+        base = None
+        for mode in MODES:
+            v = verify(problem, mode)
+            for i, rec in enumerate(v.log):
+                if rec.kind != "ray":
+                    continue
+                base = base or subdiff_epigraph(problem.reverse, problem.point)[0][0]
+                ray = (rec.eps_prime, rec.generator)
+                t_lp = reference_membership_lp(problem, mode, *base, ray=ray)
+                t_star = lp_value(t_lp, lp_solve(t_lp))
+                assert rec.evidence.member == (t_star == INF)
+                if rec.evidence.member:
+                    counts["accepted"] += 1
+                    continue
+                counts["refuted"] += 1
+                assert i == len(v.log) - 2 and v.tag == "REFUTED"
+                eps_prime, xstar = v.witness
+                t_out = next(
+                    (p - b) / r
+                    for p, b, r in zip((eps_prime, *xstar), (base[0], *base[1]), (ray[0], *ray[1]))
+                    if r
+                )
+                assert (eps_prime, xstar) == (
+                    base[0] + t_out * ray[0],
+                    tuple(b + t_out * r for b, r in zip(base[1], ray[1])),
+                )
+                assert 0 <= t_star < t_out, (t_out, t_star)
+    assert counts == {"accepted": 76, "refuted": 17}
 
 
 def test_verify_convex_mode():
@@ -600,7 +634,8 @@ def test_every_logged_check_revalidates_against_its_own_lp(monkeypatch):
                 check_outcome(rec.evidence.lp, rec.evidence.outcome)
             rebuilt.clear()
             cli.replay(problem, reference_verdict_doc(v))
-            assert rebuilt == [rec.evidence.lp for rec in v.log]
+            gate = [v.essential.lp] if v.essential is not None else []
+            assert rebuilt == [rec.evidence.lp for rec in v.log] + gate
     v = verify(ray_problem(), "rop")
     assert v.tag == "CERTIFIED_ON_GRID"
     assert [rec.kind for rec in v.log] == ["vertex", "ray"]

@@ -15,7 +15,12 @@ from pathlib import Path
 import pytest
 
 from corpus import corpus, face_domain_family, wide_modes
-from reference import reference_cross_check_doc, reference_verdict_doc, replace
+from reference import (
+    reference_cross_check_doc,
+    reference_outcome_doc,
+    reference_verdict_doc,
+    replace,
+)
 from revopt import certificates, cli, lp, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
@@ -443,11 +448,13 @@ def _command_digest(commands) -> str:
     return _report_digest(results)
 
 
-#: `_command_digest`s of the commands below: brute and the cross-check taken
-#: before the oracle read f's interval minimum in closed form, pareto and
-#: subdiff before the grid layer and the double description loaded on first use
+#: `_command_digest`s of the commands below: brute taken before the oracle
+#: read f's interval minimum in closed form, the cross-check when a passed
+#: essential gate came to carry its probe's outcome (its oracle objects
+#: unchanged), pareto and subdiff before the grid layer and the double
+#: description loaded on first use
 BRUTE_DIGEST = "e50b56ab4ed330b2202d35c91a18bc59ac49287a462ce3afe238e0a8b6f7e1f5"
-CROSS_CHECK_DIGEST = "3640e92541903fcbf20b320a1db5893707e716bce746a2f34f38cd194001b541"
+CROSS_CHECK_DIGEST = "754cc96e46881e0a44a02ebc9e987df182609db3be4a92c331dbb65506776501"
 PARETO_SUBDIFF_DIGEST = "701a66b27d506ffceb38ac5d40c9303272d6540c26924e6052faa3f0f22c8465"
 
 
@@ -702,9 +709,10 @@ def test_every_name_resolves_and_an_early_binding_is_the_one_called():
     assert all(kinds is cli.SIGMA_KINDS for kinds in sigma_kinds)
 
 
-#: `_command_digest` of the decisions below, taken before the probe
-#: template's starting tableau was laid out from its integer columns
-DECISION_DIGEST = "245ae70c949b51a28bd183c24042c1592a66775c816c3195242b7f73d205b531"
+#: `_command_digest` of the decisions below, taken when a ray check became
+#: its direction's point probe and a passed essential gate came to carry its
+#: probe's outcome; verdicts, gate flags and accepted flags were unchanged
+DECISION_DIGEST = "b84dd9bdba208e798092087956705e0fc2d2d84c3725c4240032f4d549d46835"
 
 
 def test_decisions_print_the_pinned_bytes(tmp_path):
@@ -1176,9 +1184,8 @@ def test_replay_takes_a_refutation_beyond_a_ray_only_on_that_ray(tmp_path, capsy
     evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
     assert not evidence.member
     log = (certificates.CheckRecord(F(6), (F(-2),), "vertex", evidence),)
-    forged = reference_verdict_doc(
-        certificates.CertificateVerdict("REFUTED", "rop", gates=rep["gates"], log=log)
-    )
+    forged = reference_verdict_doc(certificates.CertificateVerdict("REFUTED", "rop", log=log))
+    forged["gates"] = rep["gates"]
     with pytest.raises(CertificateError, match="not a point of E"):
         replay(problem, forged)
 
@@ -1234,51 +1241,49 @@ def test_f_at_x_bar_is_read_at_most_once_per_decision_and_replay(monkeypatch):
 
 
 def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
-    # A decision orients only its ray probes, each with its own t column: the
-    # template built once per problem and mode, which is also the probe at
-    # (0, 0), starts its solve from its integer columns, and a point probe
-    # derived from it re-solves from its basis. Replay's certificate check
-    # orients the template once, and each ray probe once; a point probe
-    # derived from the template reads the template's system rescaled.
+    # A decision orients no probe, rays included: the template built once per
+    # problem and mode, which is also the probe at (0, 0), starts its solve
+    # from its integer columns, and every other probe, at a point or at a
+    # ray's direction, is derived from it and re-solves from its basis.
+    # Replay's certificate checks orient the template once; each probe
+    # derived from it reads the template's system rescaled.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += face_domain_family(24)
     built = []  # the LPs oriented, anywhere
-    probes = []  # (probe, is a ray probe)
+    probes = []
     oriented, membership_lp = lp._oriented, certificates.membership_lp
 
     def counting_oriented(problem_lp):
         built.append(problem_lp)
         return oriented(problem_lp)
 
-    def recording_membership_lp(*args, **kwargs):
-        probe = membership_lp(*args, **kwargs)
-        probes.append((probe, kwargs.get("ray") is not None))
-        return probe
+    def recording_membership_lp(*args):
+        probes.append(membership_lp(*args))
+        return probes[-1]
 
     monkeypatch.setattr(lp, "_oriented", counting_oriented)
     for module in (certificates, cli):
         monkeypatch.setattr(module, "membership_lp", recording_membership_lp)
 
     def assert_oriented_once(templates_too):
-        rays = [probe for probe, ray in probes if ray]
-        points = [probe for probe, ray in probes if not ray]
-        templates = {id(vars(probe).get("_template", probe)): probe for probe in points}
+        templates = {id(vars(probe).get("_template", probe)): probe for probe in probes}
         assert len(templates) <= 1
-        derived = {id(probe) for probe in points} - set(templates)
-        expected = sorted([*(templates if templates_too else ()), *map(id, rays)])
-        matrix = set(templates) | set(map(id, rays)) | derived
+        derived = {id(probe) for probe in probes} - set(templates)
+        expected = sorted(templates if templates_too else ())
+        matrix = set(templates) | derived
         assert sorted(id(problem_lp) for problem_lp in built if id(problem_lp) in matrix) == expected
         built.clear()
         probes.clear()
-        return len(rays), len(derived)
+        return len(derived)
 
     most_rays = most_derived = 0
     for problem in problems:
         for mode in MODES:
             fresh = parse_problem(problem_to_doc(problem))
-            doc = reference_verdict_doc(cli.verify(fresh, mode))
-            rays, derived = assert_oriented_once(templates_too=False)
-            most_rays, most_derived = max(most_rays, rays), max(most_derived, derived)
+            verdict = cli.verify(fresh, mode)
+            doc = reference_verdict_doc(verdict)
+            most_derived = max(most_derived, assert_oriented_once(templates_too=False))
+            most_rays = max(most_rays, sum(rec.kind == "ray" for rec in verdict.log))
             replay(parse_problem(problem_to_doc(problem)), doc)
             assert_oriented_once(templates_too=True)
     assert most_rays >= 1 and most_derived >= 1
@@ -1420,7 +1425,10 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
     for path in PROBLEMS:
         for mode in MODES:
             honest = reports[path.stem, mode]["gates"]
-            forgeries = [[[name, int(ok)] for name, ok in honest], honest + [["bogus", True]]]
+            forgeries = [
+                [[name, int(ok), *proof] for name, ok, *proof in honest],
+                honest + [["bogus", True]],
+            ]
             if mode != "convex":
                 forgeries += [honest[:-1], honest[:-1] + [["zzz", honest[-1][1]]]]
             for forged_gates, match in zip(forgeries, ["not a boolean"] + ["verify writes"] * 3):
@@ -1469,28 +1477,63 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
         replay(b, {**refuted, "checks": [last, last]})
 
     def refutation(problem, mode, gates, eps_prime, xstar):
-        """A refutation whose one check, at (eps', x*), is rejected."""
+        """A refutation whose one check, at (eps', x*), is rejected, behind a
+        report's `gates`."""
         probe = certificates.membership_lp(problem, mode, eps_prime, xstar)
         evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
         assert not evidence.member
         log = (certificates.CheckRecord(eps_prime, xstar, "vertex", evidence),)
-        return reference_verdict_doc(
-            certificates.CertificateVerdict("REFUTED", mode, gates=gates, log=log)
-        )
+        doc = reference_verdict_doc(certificates.CertificateVerdict("REFUTED", mode, log=log))
+        return doc | {"gates": gates}
 
     # A refutation on a point off E = {(eps', s) : s in d_eps' h(x_bar)}:
     # d_0 h(1) = {1} for example A, which verify certifies in rop mode; and
     # example B, refuted in every mode, with its refuting check moved off E.
     a = load_problem(next(str(p) for p in PROBLEMS if p.name == "example_a.json"))
     assert reports["example_a", "rop"]["verdict"] == "CERTIFIED_ON_GRID"
-    passed = [["dom-f", True], ["h=0", True], ["essential", True]]
     gates_of = {mode: reports["example_b", mode]["gates"] for mode in MODES}
     for problem, doc in (
-        (a, refutation(a, "rop", passed, F(0), (F(-7),))),
+        (a, refutation(a, "rop", reports["example_a", "rop"]["gates"], F(0), (F(-7),))),
         *((b, refutation(b, mode, gates_of[mode], F(0), (F(-7),))) for mode in MODES),
     ):
         with pytest.raises(CertificateError, match="not a point of E"):
             replay(problem, doc)
+
+
+def test_replay_rejects_a_refutation_behind_a_passed_essential_gate_without_its_probe():
+    # f = 0, h(x) = x, x_bar = 0 and eps = 0: inf f = f(x_bar), so the probe
+    # at (0, 0) accepts and verify certifies. (0, 1) is a point of E, since
+    # d_0 h(0) = {1}, and its probe genuinely rejects. Logged after a passed
+    # essential gate, it reads as a refutation; the gate must carry the
+    # rejected probe at (0, 0) that let verify look past it, and none exists.
+    problem = parse_problem(
+        {
+            "n": 1,
+            "objective": {"pieces": [{"a": ["0"], "b": "0"}]},
+            "reverse": {"pieces": [{"a": ["1"], "b": "0"}]},
+            "point": ["0"],
+            "epsilon": "0",
+        }
+    )
+    honest = certificates.verify(problem, "rop")
+    assert (honest.tag, honest.gates[-1]) == ("CERTIFIED_ON_GRID", ("essential", False))
+    replay(problem, reference_verdict_doc(honest))
+    probe = certificates.membership_lp(problem, "rop", F(0), (F(1),))
+    evidence = certificates.probe_evidence(probe, lp.lp_solve(probe))
+    assert not evidence.member and isinstance(evidence.outcome, lp.Infeasible)
+    log = (certificates.CheckRecord(F(0), (F(1),), "vertex", evidence),)
+    passed = (("dom-f", True), ("h=0", True), ("essential", True))
+    forged = reference_verdict_doc(
+        certificates.CertificateVerdict("REFUTED", "rop", gates=passed, log=log)
+    )
+    with pytest.raises(CertificateError, match="carries an outcome"):
+        replay(problem, forged)
+    # Nor does the gate probe's own outcome back it, or the rejected check's.
+    gate = certificates.membership_lp(problem, "rop", F(0), (F(0),))
+    for outcome, match in ((lp.lp_solve(gate), "accepts"), (evidence.outcome, "length|farkas")):
+        forged["gates"][-1][2:] = [reference_outcome_doc(outcome)]
+        with pytest.raises(CertificateError, match=match):
+            replay(problem, forged)
 
 
 def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
@@ -1531,11 +1574,17 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
         forged(lambda d: d["checks"].__setitem__(0, 5)),
         forged(lambda d: d.update(checks=5)),
         forged(lambda d: d.update(gates=[["dom-f"]])),
+        forged(lambda d: d.update(gates=[["dom-f", True, "proof"]])),
+        forged(lambda d: d.update(gates=[["dom-f", True], ["h=0", True], ["essential", True]])),
+        forged(lambda d: d["gates"][-1].__setitem__(2, "optimal")),
+        forged(lambda d: d["gates"][-1][2].update(tag="feasible")),
     ):
         with pytest.raises(CertificateError):
             replay(problem, report)
-    # A ray check where x_bar is off dom h, so that E has no generators to
-    # start the ray at: f = x, h = x - 1 on {x <= 0} and x_bar = 1.
+    # A ray check where x_bar is off dom h, so that E has no generators: f =
+    # x, h = x - 1 on {x <= 0} and x_bar = 1. Its probe at the direction
+    # exists and its outcome checks, so the gates and the verdict rule reject
+    # it: the h=0 gate fails on x_bar, and a failed gate on x_bar logs no check.
     off_dom_h = parse_problem(
         {
             "n": 1,
@@ -1548,9 +1597,17 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
             "epsilon": "0",
         }
     )
-    ray = forged(lambda d: d["checks"][0].update(kind="ray", generator=["1"]))
-    with pytest.raises(CertificateError, match="no probe LP"):
-        replay(off_dom_h, {**ray, "checks": ray["checks"][:1]})
+    probe = certificates.membership_lp(off_dom_h, "rop", F(0), (F(1),))
+    evidence = certificates.probe_evidence(probe, lp.lp_solve(probe), ray=True)
+    log = (certificates.CheckRecord(F(0), (F(1),), "ray", evidence),)
+    certificate = certificates.CertificateVerdict("CERTIFIED_ON_GRID", "rop", log=log)
+    ray = reference_verdict_doc(certificate)
+    with pytest.raises(CertificateError, match="gates on x_bar"):
+        replay(off_dom_h, {**ray, "gates": doc["gates"]})
+    for verdict in ("CERTIFIED_ON_GRID", "INAPPLICABLE"):
+        evaluated = {"gates": [["dom-f", True], ["h=0", False]], "verdict": verdict}
+        with pytest.raises(CertificateError, match="does not follow"):
+            replay(off_dom_h, {**ray, **evaluated})
 
 
 def test_replay_rejects_checks_logged_for_a_point_off_the_domain_of_f(capsys):

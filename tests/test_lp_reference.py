@@ -225,30 +225,34 @@ def test_every_lp_of_verify_on_the_corpus_head_matches(monkeypatch):
 
 
 def test_every_probe_of_verify_carries_the_system_its_constructor_builds(monkeypatch):
-    # A point probe is derived from its (problem, mode)'s zero right-hand
-    # side template by `with_rhs`, and its integer system is the template's
+    # A probe is derived from its (problem, mode)'s zero right-hand side
+    # template by `with_rhs`, and its integer system is the template's
     # rescaled, not built anew: on the problem files, the acceptance corpus
-    # and h with a face domain (ray probes), in every mode, each probe's
+    # and h with a face domain (ray checks), in every mode, each probe's
     # system is the one that `_oriented` builds from the same LP assembled by
-    # the constructor.
+    # the constructor. A ray check's probe is one of them, at its direction.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += corpus(120, 80, seed_base=1000) + face_domain_family(24)
     probes = []
     original = certificates.membership_lp
 
-    def record(*args, **kwargs):
-        probes.append(original(*args, **kwargs))
+    def record(*args):
+        probes.append(original(*args))
         return probes[-1]
 
     monkeypatch.setattr(certificates, "membership_lp", record)
+    ray_probes = []
     for problem in problems:
         for mode in MODES:
-            verify(problem, mode)
+            log = verify(problem, mode).log
+            ray_probes += [rec.evidence.lp for rec in log if rec.kind == "ray"]
     monkeypatch.undo()
     assert len(probes) > 1000
     assert any(b.denominator > 1 for probe in probes for *_, b in probe.rows)
-    # a ray probe maximizes t, its last column, and not alpha = sum lam
-    assert any(probe.objective[0] == 0 for probe in probes)
+    # every probe maximizes alpha = sum lam, the first of its lam columns
+    assert all(probe.objective[0] == 1 for probe in probes)
+    assert ray_probes and all("_template" in vars(probe) for probe in ray_probes)
+    assert {id(probe) for probe in ray_probes} <= {id(probe) for probe in probes}
     for probe in probes:
         built = LinearProgram(
             probe.n, probe.objective, probe.sense, probe.rows, probe.lower, probe.upper

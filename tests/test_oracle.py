@@ -310,6 +310,15 @@ def test_equal_live_results_share_one_object():
     other = oracle._shared(oracle.BruteResult, *fields[:-1], fields[-1] + 1)
     assert other is not first and other.eps_argmin == first.eps_argmin
     assert other.slack == tuple(s + F(1, fields[-2]) for s in first.slack)
+    # A live result is found before anything is made: only a miss builds one.
+    made = []
+
+    def make(*fields):
+        made.append(fields)
+        return oracle.BruteResult(*fields)
+
+    kept = oracle._shared(make, *fields)
+    assert oracle._shared(make, *fields) is kept and len(made) == 1
 
 
 def _raise(*args):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import revopt
-from corpus import gen
+from corpus import face_domain_family, gen, wide_modes
 from reference import replace
 from revopt import cli
 from revopt.model import AffineForm, PolyhedralConvexFunction
@@ -65,12 +65,12 @@ def _calls(tree, callee):
     return _scopes(tree, is_call)
 
 
-def test_linear_programs_are_assembled_in_four_places_only():
-    # Outside lp.py only the membership-LP builder, the V-polytope membership
-    # test and the one epigraph LP (every exact infimum) build an LP.
+def test_linear_programs_are_assembled_in_two_places_outside_lp():
+    # Outside lp.py only the V-polytope membership test and the one epigraph
+    # LP (every exact infimum) build an LP: every membership probe is the
+    # template that `LinearProgram._cone` builds or one `with_rhs` derives.
     allowed = {
         ("polytope", "vpoly_member"),
-        ("certificates", "membership_lp"),
         ("subdiff", "epigraph_inf"),
     }
     sites = set()
@@ -103,6 +103,38 @@ def test_objects_are_built_past_their_constructor_in_four_places_only():
         ("lp", "LinearProgram._cone"),
         ("lp", "LinearProgram.with_rhs"),
     }
+
+
+def test_a_decision_lays_out_a_generic_tableau_only_for_the_slater_gate(monkeypatch):
+    # Every probe of a decision, a ray check's too, is the template laid out
+    # from its integer columns or re-solved from the template's basis, so
+    # only the Slater gate's epigraph LP enters the generic layout.
+    from revopt import certificates
+    from revopt.lp import _Simplex
+
+    original_init, original_slater = _Simplex.__init__, certificates.slater_check
+    in_slater, laid_out = [], {"slater": 0, "other": 0}
+
+    def slater_check(*args):
+        in_slater.append(True)
+        try:
+            return original_slater(*args)
+        finally:
+            in_slater.pop()
+
+    def counting_init(self, problem_lp):
+        laid_out["slater" if in_slater else "other"] += 1
+        original_init(self, problem_lp)
+
+    problems = [inst.problem for seed in (0, 1) for inst in wide_modes(seed)]
+    problems += face_domain_family(60)  # drawn with exact LPs of their own
+    monkeypatch.setattr(certificates, "slater_check", slater_check)
+    monkeypatch.setattr(_Simplex, "__init__", counting_init)
+    rays = 0
+    for problem in problems:
+        for mode in certificates.MODES:
+            rays += sum(rec.kind == "ray" for rec in certificates.verify(problem, mode).log)
+    assert laid_out["other"] == 0 and laid_out["slater"] > 0 and rays > 0
 
 
 def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
