@@ -1,39 +1,35 @@
 """Theorem engines deciding the epsilon-optimality characterizations.
 
-Every mode checks one inclusion, for each eps' >= 0,
+Every mode is decided as rop. Rop checks one inclusion, for each eps' >= 0,
 
-    d_eps' h(x_bar)  in  U_{alpha > 0, mu >= 0}
-                         d_{alpha*eps + eps'}(alpha f + sum_j mu_j phi_j)(x_bar),
+    d_eps' h(x_bar)  in  U_{alpha > 0} d_{alpha*eps + eps'}(alpha f)(x_bar),
 
-and only the list phi changes: () for rop, (h,) for equality and convex, G for
-constrained. One homogenized membership LP (`membership_lp`) decides every
-test: multipliers lam on the pieces of f sum to alpha, those on the pieces of
-phi_j to mu_j >= 0, and "alpha > 0" is decided by maximizing alpha = sum lam
-and requiring a positive supremum; alpha has no column of its own. Its budget
-row measures alpha f + sum mu_j phi_j against alpha (f(x_bar) - eps) - eps'
-with no mu_j phi_j(x_bar) term:
+and every other mode is rop on its lifted problem (`_lifted`), with f
+replaced by f~ = f + delta{phi <= 0}: each piece (a, b) of each phi_j becomes
+a domain row a.x <= -b. Constrained mode is rop on f + delta{G <= 0};
+equality mode is rop on f + delta{h <= 0}, where h >= 0 leaves {h = 0}; convex
+mode is the single test at (eps', x*) = (0, 0) on f + delta{h <= 0}. Rop's
+characterization holds for any polyhedral f with a domain and needs no
+constraint qualification (Rockafellar, Convex Analysis, Thm. 23.8, the
+polyhedral sum rule), so no mode asks for a Slater point, and the gates on
+x_bar put it in the mode's feasible set, which lies in dom f~.
 
-- equality: the gate puts x_bar on {h = 0}, so the term is zero;
-- constrained: the paper's split alpha*eps + eps' = eps1 + eps2 with
-  -eps2 <= <mu, G(x_bar)> <= 0 cancels the term once eps1 and eps2 are
-  eliminated; the leftover alpha*eps + eps' + <mu, G(x_bar)> >= 0 follows from
-  the budget row by weak duality, since the gates put x_bar in dom f and dom G;
-- convex: the test at (eps', x*) = (0, 0) asks for some beta >= 0 with
-  f + beta h >= f(x_bar) - eps everywhere, which by LP duality is exact
-  eps-optimality over {h <= 0}; a -beta h(x_bar) term would loosen it
-  whenever h(x_bar) < 0.
+One homogenized membership LP (`membership_lp`) decides every test: lam on
+the pieces of f sum to alpha, eta >= 0 sit on the domain rows, and
+"alpha > 0" is decided by maximizing alpha = sum lam and requiring a positive
+supremum; alpha has no column of its own. Its budget row measures alpha f
+against alpha (f(x_bar) - eps) - eps'.
 
-In the three boundary modes (rop, constrained, equality) the quantifier over
-eps' is discharged exactly. Let E = {(eps', s) : eps' >= 0, s in
-d_eps' h(x_bar)} and W = {(eps', x*) : x* in the union at eps'}. By
-`subdiff_epigraph`, E = conv{(delta_i, a_i)} + cone{(1, 0), (sigma_r, C_r)}
-over the pieces i and the domain rows r of h. Every row of `membership_lp`'s
-polyhedron P is homogeneous in (eps', x*, lam, nu, eta), so W, its projection
-onto (eps', x*) cut by alpha > 0, is a convex cone, and its closure K is the
-projection with alpha >= 0: the (eps', x*) whose probe is feasible. A closed
-convex cone is its own recession cone (Rockafellar, Convex Analysis, section
-8), so a direction recedes in W exactly when it lies in K, and E is inside W
-exactly when:
+The quantifier over eps' is discharged exactly. Let E = {(eps', s) :
+eps' >= 0, s in d_eps' h(x_bar)} and W = {(eps', x*) : x* in the union at
+eps'}. By `subdiff_epigraph`, E = conv{(delta_i, a_i)} + cone{(1, 0),
+(sigma_r, C_r)} over the pieces i and the domain rows r of h. Every row of
+`membership_lp`'s polyhedron P is homogeneous in (eps', x*, lam, eta), so
+W, its projection onto (eps', x*) cut by alpha > 0, is a convex cone, and its
+closure K is the projection with alpha >= 0: the (eps', x*) whose probe is
+feasible. A closed convex cone is its own recession cone (Rockafellar,
+Convex Analysis, section 8), so a direction recedes in W exactly when it
+lies in K, and E is inside W exactly when:
 
 - every point (delta_i, a_i) lies in W: its probe's sup alpha is > 0;
 - the ray (1, 0) recedes in W: nothing to check, since raising eps' only
@@ -48,23 +44,20 @@ last (vertex) check. Refutations are exact by the necessity direction of the
 characterization and positive verdicts by its sufficiency; the positive tag
 keeps its historical name CERTIFIED_ON_GRID, which reports and tools match.
 
-Necessity needs the essential assumption: inf f over R = dom f and
-{phi <= 0} is below f(x_bar) - eps. R holds the mode's feasible set (f is +inf
-off dom f; {h >= 0, G <= 0} lies in {G <= 0} and {h = 0} in {h <= 0}) and the
-point gates put x_bar in it. By LP duality the probe at (eps', x*) = (0, 0)
-accepts exactly when inf f over R >= f(x_bar) - eps, so that one probe is the
-`essential` gate: accepted, it proves eps-optimality and certifies as the
-decision's single vertex check, as it decides convex mode with its own phi;
-rejected, the gate passes and carries the probe as its evidence
-(`CertificateVerdict.essential`), not as a check. `essential_check` computes
-the same gate from the primal side and is kept as its reference.
+Necessity needs the essential assumption: inf f~ is below f(x_bar) - eps. By
+LP duality the probe at (eps', x*) = (0, 0) accepts exactly when it is not,
+so that one probe is the `essential` gate: accepted, it proves
+eps-optimality and certifies as the decision's single vertex check, as it
+decides convex mode; rejected, the gate passes and carries the probe as its
+evidence (`CertificateVerdict.essential`), not as a check. `essential_check`
+computes the same gate from the primal side and is kept as its reference.
 
-A decision builds only what it reads. The template is built from its
-integer columns and every point probe from its right-hand sides in integers,
-so no probe's `Fraction` rows are made unless a certificate check or a
-tracer reads them. The gates on x_bar compare each function's largest scaled
-piece with 0 in integers, and E's generators are read off the problem's
-integer image of x_bar.
+A decision builds only what it reads. The lift's domain image is read off
+phi's, the template is built from its integer columns and every point probe
+from its right-hand sides in integers, so no probe's `Fraction` rows are made
+unless a certificate check or a tracer reads them. The gates on x_bar compare
+each function's largest scaled piece with 0 in integers, and E's generators
+are read off the problem's integer image of x_bar.
 """
 
 from __future__ import annotations
@@ -80,6 +73,7 @@ from .model import (
     ReverseProblem,
     _over_common_den,
     _record,
+    _restricted,
     rat,
 )
 from .subdiff import epigraph_inf, joint_domain, subdiff_epigraph
@@ -131,33 +125,31 @@ class MembershipEvidence:
     outcome: object
 
 
-def _phis(mode, problem: ReverseProblem) -> tuple:
-    """The functions phi_j whose multiples join alpha*f in `mode`'s union. The
-    probe at (eps', x*) = (0, 0) with them decides eps-optimality over dom f
-    and {phi <= 0}: convex mode's verdict, and in the other modes the
-    essential gate, whose region this also is."""
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    h = problem.reverse
-    return {
-        "rop": (),
-        "constrained": problem.constraints,
-        "equality": (h,),
-        "convex": (h,),
-    }[mode]
+def _lifted(problem: ReverseProblem, mode) -> ReverseProblem:
+    """`mode`'s problem P~ = (f~, h, x_bar, eps) to decide as rop: the problem
+    itself in rop mode, else f~ = f + delta{phi <= 0} (`_restricted`) with
+    phi = G in constrained mode and (h,) in equality and convex mode.
+    Memoised in the problem's instance dict: it lives and dies with it."""
+    if mode == "rop":
+        return problem
+    memo = vars(problem).setdefault("_lifted", {})
+    if mode not in memo:
+        if mode not in MODES:
+            raise InputError(f"unknown mode {mode!r}")
+        phis = problem.constraints if mode == "constrained" else (problem.reverse,)
+        memo[mode] = _restricted(problem, phis)
+    return memo[mode]
 
 
-def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
-    """`mode`'s probe (`membership_lp`) with every right-hand side zero.
-
-    Its columns lam, nu and eta, in that order, each have a slope (their n
-    rows) and a budget coefficient, the pieces' and domain rows' own values;
-    each lam's budget coefficient also takes in alpha's, eps - f(x_bar),
-    computed in integers off the image of f. The LP is built from its
-    columns in integers alone, read off the images of f, of each phi and of
-    the domain rows (`LinearProgram._cone`): its solve starts from them, and
-    its `Fraction` rows are made only if something reads them."""
-    f, phis = problem.objective, _phis(mode, problem)
+def _probe_template(problem: ReverseProblem) -> LinearProgram:
+    """The rop probe (`membership_lp`) with every right-hand side zero. Its
+    columns lam and eta, in that order, each have a slope (their n rows) and
+    a budget coefficient, the pieces' and domain rows' own values; each lam's
+    also takes in alpha's, eps - f(x_bar). The LP is built from its columns in
+    integers alone, read off the images of f, of its domain rows and of x_bar
+    (`LinearProgram._cone`): its solve starts from them, and its `Fraction`
+    rows are made only if something reads them."""
+    f = problem.objective
     xs, x_den = problem._point_image
     if f.domain is not None and not f.domain._holds(xs, x_den):
         raise InputError("probe: the point is off the domain of f")
@@ -169,12 +161,8 @@ def _probe_template(problem: ReverseProblem, mode) -> LinearProgram:
     # per column: its slopes, their denominator, its budget coefficient and
     # that one's denominator, all ints
     columns = [(a, d_f, b * (q // d_f) + shift, q) for a, b in f_image]
-    for phi in phis:
-        d, image = phi._image
-        columns += [(a, d, b, d) for a, b in image]
-    for fn in (f, *phis):
-        if fn.domain is not None:
-            columns += [(a, d, -b, d) for a, b, d in fn.domain._rows]
+    if f.domain is not None:
+        columns += [(a, d, -b, d) for a, b, d in f.domain._rows]
     return LinearProgram._cone(len(f.pieces), tuple(columns))
 
 
@@ -193,33 +181,30 @@ def _probe_rhs(problem: ReverseProblem, eps_prime, xstar) -> tuple[list[int], in
 
 
 def membership_lp(problem: ReverseProblem, mode, eps_prime, xstar) -> LinearProgram:
-    """The probe LP for x* in the union over alpha > 0 and mu >= 0 of
-    d_{alpha*eps+eps'}(alpha f + sum_j mu_j phi_j)(x_bar), with `mode`'s phi.
-
-    Nonnegative columns: lam on the pieces of f, nu on the pieces of each
-    phi_j (summing to mu_j) and eta on the rows of the `joint_domain` of f and
-    the phi_j. alpha = sum lam is not a column: its budget coefficient
-    eps - f(x_bar) joins each lam's. Rows: the n slopes (= x*) and the budget
-    (>= -<x*, x_bar> - eps'). The objective maximizes sum lam; read by
-    feasibility, the probe decides a ray's direction (`probe_evidence`).
+    """The probe LP for x* in the union over alpha > 0 of
+    d_{alpha*eps+eps'}(alpha f~)(x_bar), f~ the objective of `mode`'s lifted
+    problem (`_lifted`). Nonnegative columns: lam on the pieces of f~ and eta
+    on the rows of its domain. alpha = sum lam is not a column: its budget
+    coefficient eps - f(x_bar) joins each lam's. Rows: the n slopes (= x*) and
+    the budget (>= -<x*, x_bar> - eps'). The objective maximizes sum lam; read
+    by feasibility, the probe decides a ray's direction (`probe_evidence`).
 
     Only the right-hand sides depend on the check. The template, the probe
     with every right-hand side zero and so the probe at (0, 0), is built once
-    per problem and mode from the integer images (`_probe_template`) and
-    memoised in the problem's own instance dict, so it lives and dies with
-    the problem. Any other probe is the template with its right-hand sides,
-    computed in integers off the images of x_bar and x* (`_probe_rhs`),
-    swapped in by `LinearProgram.with_rhs`: its solve re-solves from the
-    template's optimal tableau (`lp_solve`), and its `Fraction` rows and its
-    oriented system, the template's rescaled, are made only if read.
-    """
-    memo = vars(problem).setdefault("_probe_templates", {})
-    if mode not in memo:
-        memo[mode] = _probe_template(problem, mode)
-    template = memo[mode]
+    per lifted problem from the integer images (`_probe_template`) and
+    memoised in its instance dict, so it lives and dies with the problem.
+    Any other probe is the template with its right-hand sides, computed in
+    integers off the images of x_bar and x* (`_probe_rhs`), swapped in by
+    `LinearProgram.with_rhs`: its solve re-solves from the template's optimal
+    tableau (`lp_solve`), and its `Fraction` rows and its oriented system,
+    the template's rescaled, are made only if read."""
+    lifted = _lifted(problem, mode)
+    template = vars(lifted).get("_probe_template")
+    if template is None:
+        template = vars(lifted)["_probe_template"] = _probe_template(lifted)
     if not eps_prime and not any(xstar):
         return template  # the probe at (0, 0) is the template itself
-    return template.with_rhs(image=_probe_rhs(problem, eps_prime, xstar))
+    return template.with_rhs(image=_probe_rhs(lifted, eps_prime, xstar))
 
 
 def probe_evidence(lp: LinearProgram, outcome, ray=False) -> MembershipEvidence:
@@ -268,14 +253,14 @@ def _point_gates(problem: ReverseProblem, mode):
 def union_member(problem: ReverseProblem, mode, eps_prime, xstar) -> MembershipEvidence:
     """Is x* in `mode`'s union at eps'? Raises Inapplicable, with the reason
     `verify` reports, when a gate on x_bar fails."""
-    _phis(mode, problem)  # rejects an unknown mode before any gate
+    lifted = _lifted(problem, mode)  # rejects an unknown mode before any gate
     for _name, ok, reason in _point_gates(problem, mode):
         if not ok:
             raise Inapplicable(reason)
-    return _probe(membership_lp(problem, mode, eps_prime, xstar))
+    return _probe(membership_lp(lifted, "rop", eps_prime, xstar))
 
 
-# -- applicability gates -------------------------------------------------------
+# -- gate references -----------------------------------------------------------
 
 
 def essential_check(f, region, x_bar, eps) -> bool:
@@ -292,6 +277,9 @@ def essential_check(f, region, x_bar, eps) -> bool:
     return inf_val < f.value(x_bar) - rat(eps)
 
 
+# No decision runs it: every mode is decided on its lifted problem, which
+# needs no Slater point. It stays as a reference because bench/spans.py
+# traces it at this module.
 def slater_check(G, f) -> bool:
     """Is there x0 in dom f and dom G with every g_j(x0) < 0?
 
@@ -341,38 +329,33 @@ class CertificateVerdict:
 
 
 def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
-    """Run the applicability gates, then one inclusion check per generator of
-    d_eps' h(x_bar) over all eps' >= 0; the first failure refutes with an
-    exact witness. The check at (0, 0) decides convex mode and, in the other
-    modes, the essential gate: accepted, it certifies on its own."""
-    _phis(mode, problem)  # rejects an unknown mode before any gate
-    f, h = problem.objective, problem.reverse
-    gates = []
-    log = []
-    essential = None
+    """Run the gates on x_bar, then decide `mode` as rop on its lifted
+    problem (`_lifted`): one inclusion check per generator of d_eps' h(x_bar)
+    over all eps' >= 0, the first failure refuting with an exact witness.
+    The check at (0, 0) decides convex mode and, in the other modes, the
+    essential gate: accepted, it certifies on its own."""
+    lifted = _lifted(problem, mode)  # rejects an unknown mode before any gate
+    gates, log, essential = [], [], None
 
     def verdict(tag, reason=None):
         return CertificateVerdict(tag, mode, reason, tuple(gates), tuple(log), essential)
 
-    def gate(name, ok, reason):
+    for name, ok, reason in _point_gates(problem, mode):
         gates.append((name, ok))
-        return None if ok else verdict(INAPPLICABLE, reason=reason)
+        if not ok:
+            return verdict(INAPPLICABLE, reason=reason)
 
     def check(eps_prime, xstar):
-        ev = _probe(membership_lp(problem, mode, eps_prime, xstar))
+        ev = _probe(membership_lp(lifted, "rop", eps_prime, xstar))
         log.append(CheckRecord(eps_prime, xstar, "vertex", ev))
         return None if ev.member else verdict(REFUTED)
 
-    for name, ok, reason in _point_gates(problem, mode):
-        if out := gate(name, ok, reason):
-            return out
-
-    # Accepted, the probe at (0, 0) proves x_bar eps-optimal over dom f and
-    # {phi <= 0}, which holds the feasible set; rejected, it proves the
-    # essential assumption (LP duality), which only a refutation needs, and
-    # the passed gate carries it.
+    # Accepted, the probe at (0, 0) proves x_bar eps-optimal over dom f~,
+    # which holds the feasible set; rejected, it proves the essential
+    # assumption (LP duality), which only a refutation needs, and the passed
+    # gate carries it.
     zero = (_ZERO,) * problem.n
-    ev = _probe(membership_lp(problem, mode, _ZERO, zero))
+    ev = _probe(membership_lp(lifted, "rop", _ZERO, zero))
     if mode != "convex":
         gates.append(("essential", not ev.member))
     if ev.member or mode == "convex":
@@ -380,18 +363,13 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
         return verdict(CERTIFIED if ev.member else REFUTED)
     essential = ev
 
-    if mode == "constrained":
-        slater = slater_check(problem.constraints, f)
-        if out := gate("slater", slater, "slater-fails"):
-            return out
-
-    points, rays = subdiff_epigraph(h, problem.point, problem._point_image)
+    points, rays = subdiff_epigraph(problem.reverse, problem.point, problem._point_image)
     for eps_prime, slope in points:
         if out := check(eps_prime, slope):
             return out
     base = points[0]
     for ray in rays:
-        ev = _probe(membership_lp(problem, mode, *ray), ray=True)
+        ev = _probe(membership_lp(lifted, "rop", *ray), ray=True)
         log.append(CheckRecord(*ray, "ray", ev))
         if not ev.member:
             # L (`_farkas_form`) is >= 0 on the closed cone, so at the accepted

@@ -196,11 +196,9 @@ def _gates(gates) -> tuple[list, object]:
 def _implied_verdict(gates, checks) -> str | None:
     """The verdict tag that the gates and the re-read checks, as (kind,
     accepted) pairs, imply; None when no verdict fits them."""
-    failed = [i for i, (_name, ok) in enumerate(gates) if not ok]
-    if failed:
-        if failed != [len(gates) - 1]:
-            return None
-        if gates[-1][0] == "essential":
+    last_gate, passed = gates[-1]  # `_gate_names` admits no other failed gate
+    if not passed:
+        if last_gate == "essential":
             return CERTIFIED if checks == [("vertex", True)] else None
         return None if checks else INAPPLICABLE
     if not checks:
@@ -217,17 +215,13 @@ def _implied_verdict(gates, checks) -> str | None:
     return REFUTED
 
 
-def _gate_names(point_gates, mode, gates) -> list:
-    """The gate names `verify` writes after the gates on x_bar: those up to
-    the first failure; then, had they all passed, `essential` unless the mode
-    is convex; then, in constrained mode, `slater` after a passed
-    `essential`, whose flag is read off the report's `gates`."""
+def _gate_names(point_gates, mode) -> list:
+    """The gate names `verify` writes: the gates on x_bar up to the first
+    failure, then, had they all passed, `essential` unless the mode is
+    convex."""
     names = [name for name, _ok in point_gates]
     if point_gates[-1][1] and mode != "convex":
-        k = len(names)
         names.append("essential")
-        if mode == "constrained" and len(gates) > k and gates[k][1]:
-            names.append("slater")
     return names
 
 
@@ -295,7 +289,7 @@ def replay(problem, report: dict) -> None:
             break
     if gates[: len(point_gates)] != point_gates:
         raise CertificateError("the gates on x_bar do not evaluate as the report claims")
-    if [name for name, _ok in gates] != _gate_names(point_gates, mode, gates):
+    if [name for name, _ok in gates] != _gate_names(point_gates, mode):
         raise CertificateError("the gates are not the ones verify writes")
     if proof is not None:
         gate_lp = membership_lp(problem, mode, 0, (0,) * problem.n)

@@ -510,3 +510,28 @@ def _parsed_problem(n: int, objective, reverse, constraints, point, epsilon) -> 
         constraints=constraints,
         _point_image=(_times(nums, dens, den), den),
     )
+
+
+def _restricted(problem: ReverseProblem, phis) -> ReverseProblem:
+    """The problem, without constraints, with f + the indicator of
+    {phi <= 0} for each phi in `phis` as its objective: f's pieces and image
+    on a domain whose rows are each piece (a, b) of each phi as a.x <= -b,
+    then those of dom f and of each dom phi. Their image is read off those of
+    phi, a piece (A, B) over its D as (A, -B, D), and of the domains."""
+    f = problem.objective
+    pieces = [p for phi in phis for p in phi.pieces]
+    doms = [fn.domain for fn in (f, *phis) if fn.domain is not None]
+    rows = [(A, -B, phi._image[0]) for phi in phis for A, B in phi._image[1]]
+    domain = _built(
+        HPolyhedron,
+        a=tuple([p.a for p in pieces] + [row for dom in doms for row in dom.a]),
+        b=tuple([-p.b for p in pieces] + [v for dom in doms for v in dom.b]),
+        n=f.n,
+        _rows=tuple(rows + [row for dom in doms for row in dom._rows]),
+    )
+    objective = _built(
+        PolyhedralConvexFunction, n=f.n, pieces=f.pieces, domain=domain, _image=f._image
+    )
+    fields = {name: getattr(problem, name) for name in problem._fields}
+    fields.update(objective=objective, constraints=(), _point_image=problem._point_image)
+    return _built(ReverseProblem, **fields)

@@ -3,9 +3,10 @@
 `epigraph_inf` is the one epigraph LP of the library: the exact infimum of
 fn(x) - <slope, x> over dom fn cut by {phi <= 0} for each phi of a region,
 with columns (x, t) and rows fn's pieces, the stacked domain rows of fn and
-of the region (`joint_domain`), then the region's pieces. Membership and
-the essential and Slater gates are each one call to it. Over all eps >= 0 at
-once the sets stack into a polyhedron with closed-form generators
+of the region (`joint_domain`), then the region's pieces. Membership
+(`subdiff_member`) and the gate references `essential_check` and
+`slater_check`, which no decision runs, are each one call to it. Over all
+eps >= 0 at once the sets stack into a polyhedron with closed-form generators
 (`subdiff_epigraph`), read off the integer images of the function, its
 domain and the point (a problem's own image of its point when the caller
 hands it in), with repeats dropped by those images before a `Fraction` is

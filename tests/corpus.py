@@ -6,7 +6,8 @@ and its `box_domain`, `_boundary_point` and integer f (`random_fn`) build the
 test-only families here. `bench/truth.py` (`truth`) gives the exact infimum
 in convex mode. What stays here is test-only: the adversarial and
 face-domain families, which draw rational data of their own,
-`beta_capped_member`, and `exact_feasible_inf` with its epigraph LP. That
+`beta_capped_member`, the constraints without a Slater point
+(`slater_failing_family`), and `exact_feasible_inf` with its epigraph LP. That
 one stays as a second exact truth, written apart from `truth.exact_inf`: the
 bench tests check the one against the other, and the acceptance criteria
 read it.
@@ -43,10 +44,13 @@ F = Fraction
 
 
 def _fresh(item):
-    """A new problem (or `gen.Instance` around one) with the same fields, and
-    none of the state that a decision memoised in the original."""
+    """A new problem (or `gen.Instance` around one, or a tuple that starts
+    with one) with the same fields, and none of the state that a decision
+    memoised in the original."""
     if isinstance(item, gen.Instance):
         return dataclasses.replace(item, problem=replace(item.problem))
+    if isinstance(item, tuple):
+        return (replace(item[0]), *item[1:])
     return replace(item)
 
 
@@ -244,3 +248,61 @@ def wide_modes(seed):
     """`gen.wide_modes(seed)`: the benchmark's rational instances, n in
     {2, 3}, h with a face domain on every other group of eight."""
     return gen.wide_modes(seed)
+
+
+# -- constraints without a Slater point ----------------------------------------
+
+#: the g that `slater_failing_family` adds to G, by name, as a function of the
+#: dimension, x_bar and a nonzero integer vector c; none has a point of its
+#: domain where it is < 0
+SLATER_FAILING_G = ("zero", "abs", "half", "point")
+
+
+def _slater_failing_g(kind, n, x_bar, c):
+    """g = 0; g = |c.(x - x_bar)|; g = c.(x - x_bar) on the half-space
+    {c.(x - x_bar) >= 0}, which has a domain; and g = 0 on the domain
+    {x_bar} alone, so that G meets dom f in one point."""
+    zero = (F(0),) * n
+    offset = sum(a * x for a, x in zip(c, x_bar))
+    minus_c = tuple(-a for a in c)
+    if kind == "zero":
+        return PolyhedralConvexFunction(n, (AffineForm(zero, 0),))
+    if kind == "abs":
+        return PolyhedralConvexFunction(
+            n, (AffineForm(c, -offset), AffineForm(minus_c, offset))
+        )
+    if kind == "half":
+        half_space = HPolyhedron((minus_c,), (-offset,), n)
+        return PolyhedralConvexFunction(n, (AffineForm(c, -offset),), half_space)
+    units = [tuple(F(int(i == j)) for i in range(n)) for j in range(n)]
+    rows = tuple(units) + tuple(tuple(-v for v in u) for u in units)
+    point = HPolyhedron(rows, tuple(x_bar) + tuple(-x for x in x_bar), n)
+    return PolyhedralConvexFunction(n, (AffineForm(zero, 0),), point)
+
+
+@_generated_once
+def slater_failing_family(seeds=(0, 1, 2, 3)):
+    """The constrained instances of `wide_modes` at `seeds`, each with one
+    more g in G (`SLATER_FAILING_G`), so that no point of dom f and dom G has
+    G < 0. Each comes at eps = eps* and, when that is >= 1/1000, at
+    eps* - 1/1000, where eps* = f(x_bar) - inf, the exact infimum being
+    `truth.exact_inf`'s: x_bar is eps-optimal at the first and not at the
+    second. Items are (problem, eps* - eps, kind)."""
+    out = []
+    for seed in seeds:
+        for inst in wide_modes(seed):
+            if inst.mode != "constrained":
+                continue
+            p = inst.problem
+            rng = random.Random(1000 * seed + inst.index)
+            c = (0,) * p.n
+            while not any(c):
+                c = tuple(F(rng.randint(-3, 3)) for _ in range(p.n))
+            for kind in SLATER_FAILING_G:
+                g = _slater_failing_g(kind, p.n, p.point, c)
+                with_g = replace(p, constraints=p.constraints + (g,))
+                eps_star = p.objective.value(p.point) - truth.exact_inf(with_g, "constrained")
+                for below in (F(0), F(1, 1000)):
+                    if eps_star >= below:
+                        out.append((replace(with_g, epsilon=eps_star - below), below, kind))
+    return out

@@ -27,7 +27,12 @@ it wrote each decision's report in one pass; replay reads a report as this
 object. `reference_problem_to_doc` is the library's earlier problem document,
 which it gave to `json.dump` with indent 2 to write a problem file, before it
 wrote the file's text in one pass. `fields` and `replace` read a library
-record's field names and build a changed copy of it through its constructor.
+record's field names and build a changed copy of it through its constructor;
+`probe_template` finds the probe template a problem memoised. `_phis` is the
+library's earlier list of the functions whose multiples joined alpha*f in a
+mode's probe, which the membership probe's references read: the alpha-column
+LP and `reference_phi_columns`, the integer columns of the earlier template,
+each phi_j with nu columns of its own.
 """
 
 import itertools
@@ -38,7 +43,7 @@ from math import gcd
 from operator import mul
 
 from revopt import oracle
-from revopt.certificates import INAPPLICABLE, REFUTED, CertificateVerdict, _phis
+from revopt.certificates import INAPPLICABLE, MODES, REFUTED, CertificateVerdict
 from revopt.lp import (
     CertificateError,
     Infeasible,
@@ -73,6 +78,15 @@ def replace(record, **changes):
     """A new record of `record`'s class, built by its constructor from its
     fields with `changes` applied, as `dataclasses.replace` builds one."""
     return type(record)(**{name: getattr(record, name) for name in fields(record)} | changes)
+
+
+def probe_template(problem, mode):
+    """The probe template that `membership_lp` memoised for (problem, mode),
+    or None: it lives in the instance dict of the mode's lifted problem,
+    which in rop mode is the problem itself and otherwise lives in the
+    problem's."""
+    lifted = problem if mode == "rop" else vars(problem).get("_lifted", {}).get(mode)
+    return None if lifted is None else vars(lifted).get("_probe_template")
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 _MINUS_ONE = Fraction(-1)
@@ -668,6 +682,44 @@ def reference_prune(n: int, vertices, rays) -> VPolytope:
         lambda others: VPolytope(n, others, kept_rays),
     )
     return VPolytope(n, kept_verts, kept_rays)
+
+
+def _phis(mode, problem) -> tuple:
+    """The functions phi_j whose multiples join alpha*f in `mode`'s union, as
+    the library's earlier probe gave each its own nu columns: () for rop, G
+    for constrained, (h,) for equality and convex. The library lifts them
+    into the domain of f instead."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    h = problem.reverse
+    return {
+        "rop": (),
+        "constrained": problem.constraints,
+        "equality": (h,),
+        "convex": (h,),
+    }[mode]
+
+
+def reference_phi_columns(problem, mode) -> tuple:
+    """The integer columns of `mode`'s probe template as the library built
+    them before it lifted phi into the domain of f, off the images: lam on
+    the pieces of f, nu on the pieces of each phi_j and eta on the domain
+    rows of f and then of each phi_j, each as (slopes, den, budget,
+    budget_den); lam's budget takes in eps - f(x_bar)."""
+    f, phis = problem.objective, _phis(mode, problem)
+    xs, x_den = problem._point_image
+    d_f, f_image = f._image
+    eps = problem.epsilon
+    q = d_f * x_den * eps.denominator
+    shift = eps.numerator * d_f * x_den - max(f._scaled_pieces(xs, x_den)) * eps.denominator
+    columns = [(a, d_f, b * (q // d_f) + shift, q) for a, b in f_image]
+    for phi in phis:
+        d, image = phi._image
+        columns += [(a, d, b, d) for a, b in image]
+    for fn in (f, *phis):
+        if fn.domain is not None:
+            columns += [(a, d, -b, d) for a, b, d in fn.domain._rows]
+    return tuple(columns)
 
 
 def reference_membership_lp(problem, mode, eps_prime, xstar, ray=None):

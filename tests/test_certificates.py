@@ -1,13 +1,18 @@
+import collections
 import functools
+import io
+import json
 import random
 import sys
 from fractions import Fraction
 from operator import mul
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from corpus import (
+    SLATER_FAILING_G,
     adversarial_family,
     beta_capped_member,
     box_domain,
@@ -15,10 +20,17 @@ from corpus import (
     exact_feasible_inf,
     face_domain_family,
     random_fn,
+    slater_failing_family,
     truth,
     wide_modes,
 )
-from reference import reference_verdict_doc, replace
+from reference import (
+    _phis,
+    probe_template,
+    reference_phi_columns,
+    reference_verdict_doc,
+    replace,
+)
 from revopt import certificates, cli
 from revopt.certificates import (
     MODES,
@@ -37,10 +49,11 @@ from revopt.model import (
     AffineForm,
     HPolyhedron,
     Inapplicable,
+    InputError,
     PolyhedralConvexFunction,
     ReverseProblem,
 )
-from revopt.problemfile import load_problem
+from revopt.problemfile import dump_problem, load_problem
 from revopt.subdiff import SubdiffQuery, subdiff_epigraph, subdiff_member
 
 F = Fraction
@@ -111,6 +124,61 @@ def test_slater_respects_the_domains_of_f_and_g():
     assert slater_check((g, g2), on(box_domain(1), absf()))
     # Disjoint domains leave no point to be strictly feasible at.
     assert not slater_check((g2,), on(at_least_one, absf()))
+
+
+# -- the lift ----------------------------------------------------------------
+
+
+def test_the_lifted_template_has_the_phi_form_columns():
+    # Each piece of each phi_j, lifted into dom f~ as a row a.x <= -b, gets
+    # the column that its nu multiplier had when phi_j joined alpha*f in the
+    # union, and the rows keep their order, so in the three modes that lift
+    # the template's integer columns equal the phi-form ones tuple for
+    # tuple. Where x_bar is off dom f~ there is no template, and a gate on
+    # x_bar fails.
+    problems = corpus(120, 80, 1000) + face_domain_family(300)
+    problems += [inst.problem for seed in range(4) for inst in wide_modes(seed)]
+    problems += [problem for problem, _below, _kind in slater_failing_family()]
+    for problem in problems:
+        zero = (F(0),) * problem.n
+        for mode in ("constrained", "equality", "convex"):
+            template = membership_lp(problem, mode, F(0), zero)
+            assert vars(template)["_columns"] == reference_phi_columns(problem, mode), mode
+    # h(x_bar) = 1: x_bar is off {h <= 0}, so off dom f~.
+    off = ReverseProblem(1, absf(), abs_minus_one(), (F(2),), F(0))
+    for mode in ("equality", "convex"):
+        assert not all(ok for _name, ok, _ in certificates._point_gates(off, mode))
+        with pytest.raises(InputError, match="off the domain of f"):
+            membership_lp(off, mode, F(0), (F(0),))
+
+
+def test_constraints_without_a_slater_point_are_decided_exactly(tmp_path):
+    # Constrained mode is rop on f + delta{G <= 0}, which needs no Slater
+    # point. With a g that is nowhere < 0 on its domain (g = 0,
+    # |c.(x - x_bar)|, c.(x - x_bar) on {c.(x - x_bar) >= 0}) or a G that
+    # meets dom f in x_bar alone, every verdict, through verify and through
+    # the command line, is the exact truth's (`truth.exact_inf`): certified
+    # at eps* and refuted at eps* - 1/1000. Every report replays.
+    tally = collections.Counter()
+    for i, (problem, below, kind) in enumerate(slater_failing_family()):
+        assert not slater_check(problem.constraints, problem.objective)
+        want = "REFUTED" if below else "CERTIFIED_ON_GRID"
+        assert verify(problem, "constrained").tag == want, (i, kind)
+        path = tmp_path / f"s{i:04d}.json"
+        dump_problem(problem, str(path))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli.run(["verify", "--problem", str(path), "--mode", "constrained"])
+        report = json.loads(out.getvalue())
+        assert (report["verdict"], code) == (want, cli._EXIT_CODE[want]), (i, kind)
+        replay(load_problem(str(path)), report)
+        tally[kind, want] += 1
+    assert set(tally) == {
+        (kind, want)
+        for kind in SLATER_FAILING_G
+        for want in ("CERTIFIED_ON_GRID", "REFUTED")
+        if (kind, want) != ("point", "REFUTED")  # eps* = 0 there
+    }
 
 
 # -- union membership ----------------------------------------------------
@@ -329,7 +397,7 @@ def test_a_failed_essential_gate_costs_one_probe(monkeypatch):
         assert v.gates[-1] == ("essential", False)
         assert len(solved) == 1, mode
         assert solved == [v.log[0].evidence.lp], mode
-        assert solved[0] is vars(problem)["_probe_templates"][mode], mode
+        assert solved[0] is probe_template(problem, mode), mode
         assert "_template" not in vars(solved[0]), mode
 
 
@@ -375,7 +443,7 @@ def test_vertex_checks_re_solve_from_the_gate_probe(monkeypatch):
             if ("essential", True) not in v.gates:
                 continue
             assert not any(rec.kind == "ray" for rec in v.log)
-            gate = vars(problem)["_probe_templates"][mode]
+            gate = probe_template(problem, mode)
             assert solved[0] is gate and laid_out == [gate]
             assert solved[1:] == [rec.evidence.lp for rec in v.log]
             assert all(vars(probe)["_template"] is gate for probe in solved[1:])
@@ -415,7 +483,7 @@ def _eager_probe(problem, mode, eps_prime, xstar):
     LinearProgram constructor: lam, nu and eta columns, the slope rows = x*,
     and the budget row >= -<x*, x_bar> - eps'."""
     f, x_bar = problem.objective, problem.point
-    phis = certificates._phis(mode, problem)
+    phis = _phis(mode, problem)
     alpha = problem.epsilon - f.value(x_bar)
     cols = [(p.a, p.b + alpha) for p in f.pieces]
     cols += [(p.a, p.b) for phi in phis for p in phi.pieces]
@@ -462,7 +530,7 @@ def test_a_decision_builds_only_what_it_reads(monkeypatch):
             made, v = _fractions_made_within(scopes, lambda: verify(problem, mode))
             assert made == 0, mode
             if built:
-                probes = [lp for _, lp in built] + [vars(problem)["_probe_templates"][mode]]
+                probes = [lp for _, lp in built] + [probe_template(problem, mode)]
                 assert not any("rows" in vars(lp) for lp in probes), mode
             rays = any(rec.kind == "ray" for rec in v.log)
             kinds["with rays" if rays else "without rays"] += bool(built)

@@ -1,3 +1,4 @@
+import dis
 import gc
 import hashlib
 import io
@@ -16,6 +17,7 @@ import pytest
 
 from corpus import corpus, face_domain_family, wide_modes
 from reference import (
+    probe_template,
     reference_cross_check_doc,
     reference_outcome_doc,
     reference_verdict_doc,
@@ -449,12 +451,13 @@ def _command_digest(commands) -> str:
 
 
 #: `_command_digest`s of the commands below: brute taken before the oracle
-#: read f's interval minimum in closed form, the cross-check when a passed
-#: essential gate came to carry its probe's outcome (its oracle objects
-#: unchanged), pareto and subdiff before the grid layer and the double
-#: description loaded on first use
+#: read f's interval minimum in closed form, the cross-check when constrained
+#: mode lost its Slater gate (its reports equal to the earlier ones but for
+#: the dropped `["slater",true]` entry, its oracle objects unchanged), pareto
+#: and subdiff before the grid layer and the double description loaded on
+#: first use
 BRUTE_DIGEST = "e50b56ab4ed330b2202d35c91a18bc59ac49287a462ce3afe238e0a8b6f7e1f5"
-CROSS_CHECK_DIGEST = "754cc96e46881e0a44a02ebc9e987df182609db3be4a92c331dbb65506776501"
+CROSS_CHECK_DIGEST = "3b9c5f706841b206b7aeee7285a18056350e82731c6d148b707487b21682752d"
 PARETO_SUBDIFF_DIGEST = "701a66b27d506ffceb38ac5d40c9303272d6540c26924e6052faa3f0f22c8465"
 
 
@@ -709,10 +712,11 @@ def test_every_name_resolves_and_an_early_binding_is_the_one_called():
     assert all(kinds is cli.SIGMA_KINDS for kinds in sigma_kinds)
 
 
-#: `_command_digest` of the decisions below, taken when a ray check became
-#: its direction's point probe and a passed essential gate came to carry its
-#: probe's outcome; verdicts, gate flags and accepted flags were unchanged
-DECISION_DIGEST = "b84dd9bdba208e798092087956705e0fc2d2d84c3725c4240032f4d549d46835"
+#: `_command_digest` of the decisions below, taken when every mode came to
+#: be decided as rop on its lifted problem and constrained mode lost its
+#: Slater gate: each report equals the one before but for the dropped
+#: `["slater",true]` gate entry
+DECISION_DIGEST = "29604074cc56bb886adf32ea788dfe61b0360c5ea92748025f92ccc7d39be1ac"
 
 
 def test_decisions_print_the_pinned_bytes(tmp_path):
@@ -736,8 +740,8 @@ _REPORT_TOKENS = {
     "verify", "falsify",  # commands
     "CERTIFIED_ON_GRID", "REFUTED", "INAPPLICABLE",  # verdict tags
     *MODES, *oracle.MODE_MAP.values(),
-    "dom-f", "h=0", "h<=0", "G<=0", "essential", "slater",  # gate names
-    "point-off-domain", "point-not-on-boundary", "slater-fails",  # reasons
+    "dom-f", "h=0", "h<=0", "G<=0", "essential",  # gate names
+    "point-off-domain", "point-not-on-boundary",  # reasons
     "vertex", "ray", "optimal", "infeasible", "unbounded",  # kinds, outcome tags
     "inf", "-inf",
 }
@@ -756,20 +760,21 @@ def _strings(doc):
             yield from _strings(item)
 
 
-def _inapplicable_docs():
-    """A problem per INAPPLICABLE reason, with the mode that gives it: x_bar
-    off {h = 0}, x_bar off dom f, G(x_bar) > 0, and a constraint with no
-    strictly feasible point (g = 0)."""
+def _gate_docs():
+    """A problem per INAPPLICABLE reason, with the mode that gives it and the
+    (tag, reason) it gets: x_bar off {h = 0}, x_bar off dom f and
+    G(x_bar) > 0; and a constraint with no strictly feasible point (g = 0),
+    which constrained mode decides as rop on f, refuting example B."""
     off_boundary = {**example_a_doc(), "point": ["2"]}
     off_domain = example_b_doc()
     off_domain["objective"]["domain"] = {"A": [["1"]], "b": ["0"]}
     g_positive = {**example_b_doc(), "constraints": [{"pieces": [{"a": ["1"], "b": "0"}]}]}
     no_slater = {**example_b_doc(), "constraints": [{"pieces": [{"a": ["0"], "b": "0"}]}]}
     return [
-        (off_boundary, "rop", "point-not-on-boundary"),
-        (off_domain, "rop", "point-off-domain"),
-        (g_positive, "constrained", "point-off-domain"),
-        (no_slater, "constrained", "slater-fails"),
+        (off_boundary, "rop", ("INAPPLICABLE", "point-not-on-boundary")),
+        (off_domain, "rop", ("INAPPLICABLE", "point-off-domain")),
+        (g_positive, "constrained", ("INAPPLICABLE", "point-off-domain")),
+        (no_slater, "constrained", ("REFUTED", None)),
     ]
 
 
@@ -780,14 +785,15 @@ def test_decision_reports_are_the_compact_json_of_the_reference_objects(tmp_path
     # for byte: on the problem files, the acceptance corpus, h with a face
     # domain (its ray checks) and the rational wide instances, in every
     # mode, through verify with and without the grid cross-check and through
-    # falsify (which takes no grid), and on a problem for each INAPPLICABLE
-    # reason. Each string written without escaping is a rational literal or
-    # a token that JSON writes as it is.
+    # falsify (which takes no grid), on a problem for each INAPPLICABLE
+    # reason, and on a constraint with no strictly feasible point. Each
+    # string written without escaping is a rational literal or a token that
+    # JSON writes as it is.
     problems = [load_problem(str(path)) for path in PROBLEMS]
     problems += corpus(120, 80, seed_base=1000) + face_domain_family(30)
     problems += [instance.problem for instance in wide_modes(0)]
     cases = [(problem_to_doc(p), mode, None) for p in problems for mode in MODES]
-    cases += _inapplicable_docs()
+    cases += _gate_docs()
     verdicts = []
 
     def recorded(decide):
@@ -801,7 +807,7 @@ def test_decision_reports_are_the_compact_json_of_the_reference_objects(tmp_path
     monkeypatch.setattr(cli, "falsify", recorded(cli.falsify))
     grid = ("-2", "2", "1")
     sups, kinds, strings = set(), set(), set()
-    for i, (doc, mode, reason) in enumerate(cases):
+    for i, (doc, mode, decided) in enumerate(cases):
         path = tmp_path / f"p{i:03d}.json"
         path.write_text(json.dumps(doc))
         for argv in (
@@ -821,7 +827,7 @@ def test_decision_reports_are_the_compact_json_of_the_reference_objects(tmp_path
                 )
             assert out.getvalue() == json.dumps(expected, separators=(",", ":")) + "\n"
             assert code == cli._EXIT_CODE[verdict.tag]
-            assert reason is None or (verdict.tag, verdict.reason) == ("INAPPLICABLE", reason)
+            assert decided is None or (verdict.tag, verdict.reason) == decided
             sups.update(rec.evidence.sup for rec in verdict.log)
             kinds.update(rec.kind for rec in verdict.log)
             strings.update(_strings(expected))
@@ -1290,10 +1296,12 @@ def test_the_probe_matrix_is_oriented_once_per_problem_and_mode(monkeypatch):
 
 
 def test_a_decision_and_its_replay_leave_no_reference_cycle():
-    # A problem keeps its probe templates in its own instance dict, and no LP,
-    # tableau, verdict or report refers back to it: once the caller drops the
-    # problem and what it got back, reference counting alone frees the
-    # problem and its templates, with the cycle collector off.
+    # A problem keeps its lifted problems in its own instance dict, each
+    # lifted problem (the problem itself in rop mode) its probe template in
+    # its own, and no LP, tableau, verdict or report refers back to them:
+    # once the caller drops the problem and what it got back, reference
+    # counting alone frees the problem, its lifted problems and its
+    # templates, with the cycle collector off.
     docs = [problem_to_doc(load_problem(str(path))) for path in PROBLEMS]
     docs += [problem_to_doc(problem) for problem in face_domain_family(24)]
     seen = set()
@@ -1311,9 +1319,12 @@ def test_a_decision_and_its_replay_leave_no_reference_cycle():
                     else:
                         out = getattr(cli, step)(problem, mode)
                         seen |= {out.tag, *(rec.kind for rec in out.log)}
-                    refs = [weakref.ref(problem)]
-                    refs += [weakref.ref(t) for t in vars(problem).get("_probe_templates", {}).values()]
-                    templates += len(refs) - 1
+                    template = probe_template(problem, mode)
+                    lifted = vars(problem).get("_lifted", {}).values()
+                    refs = [weakref.ref(obj) for obj in (problem, *lifted)]
+                    refs += [weakref.ref(template)] if template is not None else []
+                    templates += template is not None
+                    del lifted, template
                     del problem, out
                     assert all(ref() is None for ref in refs), (step, mode)
     finally:
@@ -1498,6 +1509,53 @@ def test_replay_rederives_the_verdict_from_the_gates_and_checks(tmp_path, capsys
     ):
         with pytest.raises(CertificateError, match="not a point of E"):
             replay(problem, doc)
+
+
+def test_the_implied_verdict_runs_every_line_of_its_rule():
+    # A failed gate is the last one (`_gate_names`): a failed essential gate
+    # certifies by one accepted check at (0, 0) and fits nothing else, and a
+    # failed gate on x_bar is INAPPLICABLE with no checks and fits nothing
+    # with one. Passed gates leave the verdict to the checks. On this table
+    # every line of `_implied_verdict` runs.
+    point = [["dom-f", True], ["h=0", True]]
+    failed_essential, failed_point = point + [["essential", False]], point[:1] + [["h=0", False]]
+    passed = point + [["essential", True]]
+    accepted, rejected = ("vertex", True), ("vertex", False)
+    located, ray = ("ray", False), ("ray", True)
+    table = [
+        (failed_essential, [accepted], "CERTIFIED_ON_GRID"),
+        (failed_essential, [], None),
+        (failed_essential, [accepted, accepted], None),
+        (failed_essential, [rejected], None),
+        (failed_point, [], "INAPPLICABLE"),
+        (failed_point, [accepted], None),
+        (failed_point, [rejected], None),
+        (passed, [], None),
+        (passed, [accepted, ray], "CERTIFIED_ON_GRID"),
+        (passed, [accepted, rejected], "REFUTED"),
+        (passed, [accepted, located, rejected], "REFUTED"),
+        (passed, [accepted, located], None),
+        (passed, [located, accepted, rejected], None),
+        (passed, [rejected, rejected], None),
+    ]
+    code = cli._implied_verdict.__code__
+    body = {line for _offset, line in dis.findlinestarts(code)} - {code.co_firstlineno}
+    reached = set()
+
+    def trace(frame, event, _arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            reached.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        verdicts = [cli._implied_verdict(gates, checks) for gates, checks, _ in table]
+    finally:
+        sys.settrace(None)
+    assert verdicts == [tag for _, _, tag in table]
+    assert body <= reached, sorted(body - reached)
 
 
 def test_replay_rejects_a_refutation_behind_a_passed_essential_gate_without_its_probe():

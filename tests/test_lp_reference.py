@@ -627,7 +627,7 @@ def test_a_probe_solved_in_a_fresh_problem_matches_the_one_verify_logged():
                     continue
                 fresh = reference.replace(problem)
                 ev = certificates.union_member(fresh, mode, rec.eps_prime, rec.generator)
-                assert vars(fresh)["_probe_templates"][mode] is vars(ev.lp)["_template"]
+                assert reference.probe_template(fresh, mode) is vars(ev.lp)["_template"]
                 assert ev.outcome == rec.evidence.outcome
                 compared += 1
     assert compared >= 50

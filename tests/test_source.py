@@ -82,9 +82,10 @@ def test_linear_programs_are_assembled_in_two_places_outside_lp():
     assert sites == allowed
 
 
-def test_objects_are_built_past_their_constructor_in_four_places_only():
+def test_objects_are_built_past_their_constructor_in_five_places_only():
     # An LP or a model object is made without its constructor's checks only
-    # from values that are valid already: a problem file's parse, the probe
+    # from values that are valid already: a problem file's parse, a problem's
+    # objective restricted to {phi <= 0} (`_restricted`), the probe
     # template's builder for such values (`_cone`), and `with_rhs`; the two LP
     # builders name the fields and caches they set. Nothing copies an object
     # and patches the copy.
@@ -100,41 +101,34 @@ def test_objects_are_built_past_their_constructor_in_four_places_only():
     assert sites == {
         ("model", "_parsed_function"),
         ("model", "_parsed_problem"),
+        ("model", "_restricted"),
         ("lp", "LinearProgram._cone"),
         ("lp", "LinearProgram.with_rhs"),
     }
 
 
-def test_a_decision_lays_out_a_generic_tableau_only_for_the_slater_gate(monkeypatch):
-    # Every probe of a decision, a ray check's too, is the template laid out
-    # from its integer columns or re-solved from the template's basis, so
-    # only the Slater gate's epigraph LP enters the generic layout.
+def test_no_decision_enters_the_generic_tableau_layout(monkeypatch):
+    # Every probe of a decision, in every mode and a ray check's too, is the
+    # template laid out from its integer columns or re-solved from the
+    # template's basis, and no mode solves an LP of its own, so no decision
+    # enters the generic layout.
     from revopt import certificates
     from revopt.lp import _Simplex
 
-    original_init, original_slater = _Simplex.__init__, certificates.slater_check
-    in_slater, laid_out = [], {"slater": 0, "other": 0}
-
-    def slater_check(*args):
-        in_slater.append(True)
-        try:
-            return original_slater(*args)
-        finally:
-            in_slater.pop()
-
-    def counting_init(self, problem_lp):
-        laid_out["slater" if in_slater else "other"] += 1
-        original_init(self, problem_lp)
+    def forbidden(self, problem_lp):
+        raise AssertionError("a decision laid out a generic tableau")
 
     problems = [inst.problem for seed in (0, 1) for inst in wide_modes(seed)]
     problems += face_domain_family(60)  # drawn with exact LPs of their own
-    monkeypatch.setattr(certificates, "slater_check", slater_check)
-    monkeypatch.setattr(_Simplex, "__init__", counting_init)
-    rays = 0
+    monkeypatch.setattr(_Simplex, "__init__", forbidden)
+    rays = constrained_past_the_gate = 0
     for problem in problems:
         for mode in certificates.MODES:
-            rays += sum(rec.kind == "ray" for rec in certificates.verify(problem, mode).log)
-    assert laid_out["other"] == 0 and laid_out["slater"] > 0 and rays > 0
+            verdict = certificates.verify(problem, mode)
+            rays += sum(rec.kind == "ray" for rec in verdict.log)
+            passed = ("essential", True) in verdict.gates
+            constrained_past_the_gate += mode == "constrained" and passed
+    assert rays > 0 and constrained_past_the_gate > 0
 
 
 def test_the_oriented_system_is_built_for_the_simplex_and_the_check_only():
@@ -360,6 +354,8 @@ _CALLERLESS = {
     ("revopt.cli", "main"): "the console script, which hands argv to `cli.run`",
     ("revopt.lp", "max_component_lp"): "the LP that the bench-traced `lp_max_component` solves",
     ("revopt.pareto", "vdom"): "the orthant order that `reee_check` compares by",
+    ("revopt.subdiff", "epigraph_inf"): "the epigraph LP of the bench-traced gate references",
+    ("revopt.subdiff", "joint_domain"): "the stacked domain that `epigraph_inf` reads",
 }
 
 
