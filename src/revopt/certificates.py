@@ -48,9 +48,10 @@ Necessity needs the essential assumption: inf f~ is below f(x_bar) - eps. By
 LP duality the probe at (eps', x*) = (0, 0) accepts exactly when it is not,
 so that one probe is the `essential` gate: accepted, it proves
 eps-optimality and certifies as the decision's single vertex check, as it
-decides convex mode; rejected, the gate passes and carries the probe as its
-evidence (`CertificateVerdict.essential`), not as a check. `essential_check`
-computes the same gate from the primal side and is kept as its reference.
+decides convex mode; rejected, the gate passes and carries the point z of
+dom f~ with f(z) < f(x_bar) - eps that the probe's dual names
+(`CertificateVerdict.essential`). `essential_check` computes the same gate
+from the primal side and is kept as its reference.
 
 A decision builds only what it reads. The lift's domain image is read off
 phi's, the template is built from its integer columns and every point probe
@@ -318,7 +319,7 @@ class CertificateVerdict:
     reason: str | None = None
     gates: tuple = ()
     log: tuple = ()
-    essential: MembershipEvidence | None = None  # a passed essential gate's probe
+    essential: tuple | None = None  # a passed essential gate's point z
 
     @property
     def witness(self):
@@ -352,8 +353,8 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
 
     # Accepted, the probe at (0, 0) proves x_bar eps-optimal over dom f~,
     # which holds the feasible set; rejected, it proves the essential
-    # assumption (LP duality), which only a refutation needs, and the passed
-    # gate carries it.
+    # assumption, which only a refutation needs, and the passed gate carries
+    # the point z that its dual names.
     zero = (_ZERO,) * problem.n
     ev = _probe(membership_lp(lifted, "rop", _ZERO, zero))
     if mode != "convex":
@@ -361,7 +362,11 @@ def verify(problem: ReverseProblem, mode: str) -> CertificateVerdict:
     if ev.member or mode == "convex":
         log.append(CheckRecord(_ZERO, zero, "vertex", ev))
         return verdict(CERTIFIED if ev.member else REFUTED)
-    essential = ev
+    # Its dual's slope entries y and budget entry u >= 0 put z = -y/u in dom f~
+    # with each piece of f at most f(x_bar) - eps - 1/u there; with u = 0, -y
+    # recedes in dom f~ and lowers each piece by >= 1 per unit step.
+    y, u, step = ev.outcome.dual[: problem.n], ev.outcome.dual[problem.n], problem.epsilon + 1
+    essential = tuple(-v / u if u else x - step * v for x, v in zip(problem.point, y))
 
     points, rays = subdiff_epigraph(problem.reverse, problem.point, problem._point_image)
     for eps_prime, slope in points:

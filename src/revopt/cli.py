@@ -27,6 +27,7 @@ from .certificates import (
     MODES,
     REFUTED,
     CertificateVerdict,
+    _lifted,
     _point_gates,
     falsify,
     membership_lp,
@@ -96,7 +97,7 @@ def _verdict_text(command: str, verdict: CertificateVerdict) -> str:
     (`fmt`) or a token of a closed set: a verdict tag, mode, gate name,
     reason or check kind. None needs JSON escaping, so each is written as it
     is, and the text is `json.dumps` of the report's object, compact."""
-    proof = "" if verdict.essential is None else f",{_outcome_text(verdict.essential.outcome)}"
+    proof = "" if verdict.essential is None else f",{fmt_array(verdict.essential)}"
     gates = ",".join(
         [f'["{name}",{_BOOL[ok]}{proof * (name == "essential")}]' for name, ok in verdict.gates]
     )
@@ -178,7 +179,7 @@ def _rationals(values, what) -> tuple:
 
 
 def _gates(gates) -> tuple[list, object]:
-    """A report's gates as [name, passed] pairs, and the outcome that a passed
+    """A report's gates as [name, passed] pairs, and the point that a passed
     `essential` gate carries third (None without one); CertificateError unless
     every gate but that one is such a pair, each flag a boolean."""
     if not isinstance(gates, list) or not all(
@@ -188,7 +189,7 @@ def _gates(gates) -> tuple[list, object]:
     if not all(isinstance(gate[1], bool) for gate in gates):
         raise CertificateError("a gate's flag is not a boolean")
     if any((len(gate) == 3) != (gate[:2] == ["essential", True]) for gate in gates):
-        raise CertificateError("a passed essential gate, and it alone, carries an outcome")
+        raise CertificateError("a passed essential gate, and it alone, carries a point")
     proof = next((gate[2] for gate in gates if len(gate) == 3), None)
     return [gate[:2] for gate in gates], proof
 
@@ -234,13 +235,14 @@ def replay(problem, report: dict) -> None:
     `sup` off it (`probe_evidence`). Then it evaluates the gates on x_bar
     (`_point_gates`) up to the first that fails, which must open the report's
     gates (`_gates`), checks that they are the ones `verify` writes
-    (`_gate_names`), re-validates a passed `essential` gate's outcome against
-    the probe at (0, 0), which must reject, and re-derives the verdict tag
-    from the gates and the checks. A certificate must log the checks that
-    `verify` runs: the single check at (0, 0) in convex mode or after a
-    failed essential gate, and otherwise the generators of h's
-    eps'-subdifferentials (`subdiff_epigraph`), its points as vertex checks
-    and then its rays as ray checks.
+    (`_gate_names`), evaluates a passed `essential` gate's point z, which
+    must have f~(z) < f(x_bar) - eps for f~ of `mode`'s lifted problem
+    (`_lifted`), and re-derives the verdict tag from the gates and the
+    checks. A certificate must log the checks that `verify` runs: the single
+    check at (0, 0) in convex mode or after a failed essential gate, and
+    otherwise the generators of h's eps'-subdifferentials
+    (`subdiff_epigraph`), its points as vertex checks and then its rays as
+    ray checks.
     A refutation's last check must be at a point of E = {(eps', s) : s in
     d_eps' h(x_bar)} that `verify` refutes on: (0, 0) in convex mode, and
     otherwise one of those points, or the first point plus t > 0 times one
@@ -249,8 +251,8 @@ def replay(problem, report: dict) -> None:
     Raises CertificateError on any mismatch and on any malformed part that
     replay reads: a missing field, a part of the wrong JSON type, an unknown
     mode, kind or outcome tag, a literal that is not rational, a generator
-    without one entry per variable, or a check logged although x_bar is off
-    dom f, where no probe exists.
+    or point without one entry per variable, or a check logged although
+    x_bar is off dom f, where no probe exists.
     """
     _require(report, ("mode",), "the report")
     mode = report["mode"]
@@ -291,12 +293,11 @@ def replay(problem, report: dict) -> None:
         raise CertificateError("the gates on x_bar do not evaluate as the report claims")
     if [name for name, _ok in gates] != _gate_names(point_gates, mode):
         raise CertificateError("the gates are not the ones verify writes")
-    if proof is not None:
-        gate_lp = membership_lp(problem, mode, 0, (0,) * problem.n)
-        outcome = _outcome_from_doc(proof)
-        check_outcome(gate_lp, outcome)
-        if probe_evidence(gate_lp, outcome).member:
-            raise CertificateError("the passed essential gate's probe at (0, 0) accepts")
+    if proof is not None:  # f~ is INF off dom f~, so one comparison puts z in it
+        z, f_tilde = _rationals(proof, "the essential point"), _lifted(problem, mode).objective
+        below = problem.objective.value(problem.point) - problem.epsilon
+        if len(z) != problem.n or not f_tilde.value(z) < below:
+            raise CertificateError("the essential point is not in dom f~ below f(x_bar) - eps")
     verdict = report.get("verdict")
     if verdict != _implied_verdict(gates, seen):
         raise CertificateError("the verdict does not follow from the gates and checks")

@@ -769,12 +769,12 @@ def reference_outcome_doc(outcome) -> dict:
 
 def reference_verdict_doc(verdict: CertificateVerdict) -> dict:
     """A decision's report object but for its `command`. A passed
-    `essential` gate carries its rejected probe's outcome as a third
-    element."""
+    `essential` gate carries its point z, read off the rejected probe's dual,
+    as a third element."""
     gates = [[name, ok] for name, ok in verdict.gates]
     for gate in gates:
         if gate[0] == "essential" and verdict.essential is not None:
-            gate.append(reference_outcome_doc(verdict.essential.outcome))
+            gate.append(fmt_vec(verdict.essential))
     doc = {
         "verdict": verdict.tag,
         "mode": verdict.mode,

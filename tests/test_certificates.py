@@ -689,24 +689,64 @@ def ray_problem(eps=0):
 
 def test_every_logged_check_revalidates_against_its_own_lp(monkeypatch):
     # The evidence's LP is the probe that was solved, in every mode, and
-    # replay rebuilds exactly that LP from the report.
+    # replay rebuilds exactly that LP from the report; a passed essential
+    # gate's point is evaluated, so no other LP is checked.
     from revopt import cli
 
-    rebuilt = []
+    rebuilt, points = [], 0
     monkeypatch.setattr(cli, "check_outcome", lambda lp, _outcome: rebuilt.append(lp))
     for problem in (example_a(), example_b(), ray_problem()):
         for mode in ("rop", "constrained", "equality", "convex"):
             v = verify(problem, mode)
             assert v.log
+            points += v.essential is not None
             for rec in v.log:
                 check_outcome(rec.evidence.lp, rec.evidence.outcome)
             rebuilt.clear()
             cli.replay(problem, reference_verdict_doc(v))
-            gate = [v.essential.lp] if v.essential is not None else []
-            assert rebuilt == [rec.evidence.lp for rec in v.log] + gate
+            assert rebuilt == [rec.evidence.lp for rec in v.log]
+    assert points == 9  # every boundary mode passes its essential gate
     v = verify(ray_problem(), "rop")
     assert v.tag == "CERTIFIED_ON_GRID"
     assert [rec.kind for rec in v.log] == ["vertex", "ray"]
+
+
+def _falling_along_a_ray():
+    """(problem, mode) pairs where f~ is unbounded below along a ray of
+    dom f~: f = x on the line with h = |x| - 1 and x_bar = 1 in rop mode;
+    f = x1 + x2 with G = {x1 >= 0, x2 <= 1}, which keeps the ray along
+    -e2, in constrained mode; f = max(x2, x1 + x2 - 3) with {h <= 0} =
+    {x2 <= 0, x1 >= -5} in equality mode. Each at several eps."""
+    line = ReverseProblem(1, fn(1, ((1,), 0)), abs_minus_one(), (F(1),), F(0))
+    plane_h = fn(2, ((1, 0), -1), ((-1, 0), -1))
+    cut = ReverseProblem(
+        2, fn(2, ((1, 1), 0)), plane_h, (F(1), F(0)), F(0), (fn(2, ((-1, 0), 0), ((0, 1), -1)),)
+    )
+    falling = ReverseProblem(
+        2, fn(2, ((0, 1), 0), ((1, 1), -3)), fn(2, ((0, 1), 0), ((-1, 0), -5)), (F(0), F(0)), F(0)
+    )
+    return [
+        (replace(problem, epsilon=F(eps)), mode)
+        for problem, mode in ((line, "rop"), (cut, "constrained"), (falling, "equality"))
+        for eps in (0, F(1, 2), 3)
+    ]
+
+
+def test_an_essential_point_along_a_ray_of_dom_f_tilde():
+    # When f~ is unbounded below, the rejected probe at (0, 0) may end with
+    # budget multiplier u = 0: then -y, its slope multipliers, recedes in
+    # dom f~ and lowers every piece of f by at least 1 per unit step, so the
+    # gate's point is x_bar - (eps + 1) * y, and its report replays.
+    for problem, mode in _falling_along_a_ray():
+        v = verify(problem, mode)
+        assert dict(v.gates)["essential"], mode
+        dual = lp_solve(probe_template(problem, mode)).dual
+        y, u = dual[: problem.n], dual[problem.n]
+        assert u == 0 and any(y), mode
+        step = problem.epsilon + 1
+        assert v.essential == tuple(x - step * yj for x, yj in zip(problem.point, y))
+        fresh = replace(problem)
+        cli.replay(fresh, json.loads(cli._verdict_text("verify", v) + "}"))
 
 
 def test_verify_runs_no_double_description(monkeypatch):
@@ -790,6 +830,10 @@ def test_the_essential_gate_fails_exactly_when_the_zero_probe_accepts():
             assert gates["essential"] == gate
             assert gate == (not union_member(problem, mode, F(0), zero).member)
             if gate:
+                # the gate's point is in dom f and {phi <= 0}, below f(x_bar) - eps
+                z = v.essential
+                assert f.value(z) < f.value(x_bar) - eps
+                assert all(phi.value(z) <= 0 for phi in region)
                 passed[mode] = passed.get(mode, 0) + 1
                 continue
             failed[mode] = failed.get(mode, 0) + 1

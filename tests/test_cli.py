@@ -1,3 +1,4 @@
+import collections
 import dis
 import gc
 import hashlib
@@ -10,7 +11,8 @@ import sys
 import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import takewhile
+from itertools import product, takewhile
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from revopt import certificates, cli, lp, oracle
 from revopt.certificates import MODES
 from revopt.cli import replay, run
 from revopt.lp import CertificateError, _Simplex
-from revopt.model import INF, PolyhedralConvexFunction
+from revopt.model import INF, PolyhedralConvexFunction, fmt
 from revopt.oracle import GridSpec
 from revopt.pareto import bridge_check
 from revopt.problemfile import load_problem, parse_problem, problem_to_doc
@@ -451,13 +453,13 @@ def _command_digest(commands) -> str:
 
 
 #: `_command_digest`s of the commands below: brute taken before the oracle
-#: read f's interval minimum in closed form, the cross-check when constrained
-#: mode lost its Slater gate (its reports equal to the earlier ones but for
-#: the dropped `["slater",true]` entry, its oracle objects unchanged), pareto
-#: and subdiff before the grid layer and the double description loaded on
-#: first use
+#: read f's interval minimum in closed form, the cross-check when a passed
+#: essential gate came to carry a point (its reports equal to the earlier
+#: ones but for that gate's third element, its oracle objects unchanged),
+#: pareto and subdiff before the grid layer and the double description
+#: loaded on first use
 BRUTE_DIGEST = "e50b56ab4ed330b2202d35c91a18bc59ac49287a462ce3afe238e0a8b6f7e1f5"
-CROSS_CHECK_DIGEST = "3b9c5f706841b206b7aeee7285a18056350e82731c6d148b707487b21682752d"
+CROSS_CHECK_DIGEST = "bd3c10b53809aea337a338fcd649e3715ef46cda5c4825a6728325d4d58ee2a0"
 PARETO_SUBDIFF_DIGEST = "701a66b27d506ffceb38ac5d40c9303272d6540c26924e6052faa3f0f22c8465"
 
 
@@ -712,11 +714,11 @@ def test_every_name_resolves_and_an_early_binding_is_the_one_called():
     assert all(kinds is cli.SIGMA_KINDS for kinds in sigma_kinds)
 
 
-#: `_command_digest` of the decisions below, taken when every mode came to
-#: be decided as rop on its lifted problem and constrained mode lost its
-#: Slater gate: each report equals the one before but for the dropped
-#: `["slater",true]` gate entry
-DECISION_DIGEST = "29604074cc56bb886adf32ea788dfe61b0360c5ea92748025f92ccc7d39be1ac"
+#: `_command_digest` of the decisions below, taken when a passed essential
+#: gate came to carry the point z that its probe's dual names instead of
+#: that probe's outcome: each report equals the one before but for that
+#: gate's third element
+DECISION_DIGEST = "64a64dd0d9036a20d70b223631959b90daaa2c52e5de4fe72e209365a15a067d"
 
 
 def test_decisions_print_the_pinned_bytes(tmp_path):
@@ -1558,12 +1560,12 @@ def test_the_implied_verdict_runs_every_line_of_its_rule():
     assert body <= reached, sorted(body - reached)
 
 
-def test_replay_rejects_a_refutation_behind_a_passed_essential_gate_without_its_probe():
+def test_replay_rejects_a_refutation_behind_a_passed_essential_gate_without_its_point():
     # f = 0, h(x) = x, x_bar = 0 and eps = 0: inf f = f(x_bar), so the probe
     # at (0, 0) accepts and verify certifies. (0, 1) is a point of E, since
     # d_0 h(0) = {1}, and its probe genuinely rejects. Logged after a passed
-    # essential gate, it reads as a refutation; the gate must carry the
-    # rejected probe at (0, 0) that let verify look past it, and none exists.
+    # essential gate, it reads as a refutation; the gate must carry a point
+    # z of dom f with f(z) < f(x_bar) - eps = 0, and none exists.
     problem = parse_problem(
         {
             "n": 1,
@@ -1584,14 +1586,107 @@ def test_replay_rejects_a_refutation_behind_a_passed_essential_gate_without_its_
     forged = reference_verdict_doc(
         certificates.CertificateVerdict("REFUTED", "rop", gates=passed, log=log)
     )
-    with pytest.raises(CertificateError, match="carries an outcome"):
+    with pytest.raises(CertificateError, match="carries a point"):
         replay(problem, forged)
-    # Nor does the gate probe's own outcome back it, or the rejected check's.
+    # Nor does any point back it, nor an outcome, the gate probe's own or the
+    # rejected check's.
     gate = certificates.membership_lp(problem, "rop", F(0), (F(0),))
-    for outcome, match in ((lp.lp_solve(gate), "accepts"), (evidence.outcome, "length|farkas")):
-        forged["gates"][-1][2:] = [reference_outcome_doc(outcome)]
-        with pytest.raises(CertificateError, match=match):
+    for z in (["0"], ["-7/2"], ["5"]):
+        forged["gates"][-1][2:] = [z]
+        with pytest.raises(CertificateError, match="not in dom"):
             replay(problem, forged)
+    for outcome in (lp.lp_solve(gate), evidence.outcome):
+        forged["gates"][-1][2:] = [reference_outcome_doc(outcome)]
+        with pytest.raises(CertificateError, match="not a list"):
+            replay(problem, forged)
+
+
+def _with_point(problem, mode, z) -> dict:
+    """`problem`'s verify report in `mode`, its passed essential gate's point
+    replaced by z."""
+    doc = json.loads(cli._verdict_text("verify", certificates.verify(problem, mode)) + "}")
+    assert doc["gates"][-1][:2] == ["essential", True]
+    doc["gates"][-1][2] = [fmt(v) for v in z]
+    return doc
+
+
+def _on_the_bound(f, x_bar, z, bound):
+    """The point of the segment from x_bar to z, f(z) < bound <= f(x_bar),
+    where f's largest piece meets bound: each piece above it at x_bar falls
+    to it at its own t in (0, 1), and the last of them is the point's."""
+    along = [(p.value(x_bar), p.value(z) - p.value(x_bar)) for p in f.pieces]
+    t = max(((bound - a) / d for a, d in along if a > bound), default=0)
+    return tuple(x + t * (zj - x) for x, zj in zip(x_bar, z))
+
+
+def test_replay_rejects_a_forged_essential_point():
+    # A passed essential gate's point z must lie in dom f~ = dom f and
+    # {phi <= 0} and dom phi, with f(z) < f(x_bar) - eps strictly. Each
+    # forgery breaks one of these and keeps the rest of an honest report.
+    forged = collections.Counter()
+
+    def rejected(problem, mode, z, what):
+        replay(problem, _with_point(problem, mode, certificates.verify(problem, mode).essential))
+        with pytest.raises(CertificateError, match="not in dom"):
+            replay(problem, _with_point(problem, mode, z))
+        forged[what] += 1
+
+    # Off dom f: along a direction d on which every piece of f falls, far
+    # enough from z, f's pieces are below f(x_bar) - eps off the box dom f.
+    for problem in face_domain_family(60):
+        z, f = certificates.verify(problem, "rop").essential, problem.objective
+        directions = product((-1, 0, 1), repeat=problem.n)
+        d = next((d for d in directions if all(sum(map(mul, p.a, d)) < 0 for p in f.pieces)), None)
+        if z is None or d is None:
+            continue
+        far, t = z, 1
+        while f.domain.contains(far):
+            far, t = tuple(zj + t * dj for zj, dj in zip(z, d)), 2 * t
+        assert max(p.value(far) for p in f.pieces) < f.value(problem.point) - problem.epsilon
+        rejected(problem, "rop", far, "off dom f")
+    # phi(z) > 0: the rop gate's point lies in dom f, below f(x_bar) - eps,
+    # and may violate a g of G or have h(z) > 0.
+    boundary = [(i.problem, "constrained") for i in wide_modes(0) if i.mode == "constrained"]
+    boundary += [(problem, "equality") for problem in corpus()]
+    for problem, mode in boundary:
+        z = certificates.verify(problem, "rop").essential
+        phis = problem.constraints if mode == "constrained" else (problem.reverse,)
+        if z is None or certificates.verify(problem, mode).essential is None:
+            continue
+        if any(phi.value(z) > 0 for phi in phis):
+            rejected(problem, mode, z, mode)
+    # f(z) = f(x_bar) - eps: on the segment from x_bar to z, in dom f~.
+    for problem, mode in boundary + [(problem, "rop") for problem in face_domain_family(60)]:
+        z = certificates.verify(problem, mode).essential
+        if z is not None:
+            bound = problem.objective.value(problem.point) - problem.epsilon
+            on = _on_the_bound(problem.objective, problem.point, z, bound)
+            assert certificates._lifted(problem, mode).objective.value(on) == bound
+            rejected(problem, mode, on, f"{mode}, on the bound")
+    assert min(forged.values()) >= 10 and len(forged) == 6, forged
+
+
+def test_replay_checks_a_passed_essential_gate_without_an_lp(capsys, monkeypatch):
+    # replay evaluates a passed essential gate's point: on the shipped
+    # problems in every mode it parses and checks one outcome per logged
+    # check, and solves no LP.
+    parsed, checked, points = [], [], 0
+    real_parse, real_check = cli._outcome_from_doc, cli.check_outcome
+    monkeypatch.setattr(cli, "_outcome_from_doc", lambda doc: parsed.append(doc) or real_parse(doc))
+    monkeypatch.setattr(cli, "check_outcome", lambda lp, out: checked.append(lp) or real_check(lp, out))
+    for path in PROBLEMS:
+        for mode in MODES:
+            _, doc = _run(capsys, ["verify", "--problem", str(path), "--mode", mode])
+            points += len(doc["gates"][-1]) == 3
+            parsed.clear()
+            checked.clear()
+            with monkeypatch.context() as solving:
+                for name in ("__init__", "from_columns"):
+                    solving.setattr(_Simplex, name, lambda *a: pytest.fail("replay solved an LP"))
+                replay(load_problem(str(path)), doc)
+            assert parsed == [check["outcome"] for check in doc["checks"]]
+            assert len(checked) == len(doc["checks"])
+    assert points == 3 * len(PROBLEMS)
 
 
 def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
@@ -1610,6 +1705,9 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
         return copy
 
     optimal = next(i for i, c in enumerate(doc["checks"]) if c["outcome"]["tag"] == "optimal")
+    assert doc["gates"][-1][:2] == ["essential", True]
+    gate_lp = certificates.membership_lp(problem, "rop", F(0), (F(0),))
+    gate_outcome = reference_outcome_doc(lp.lp_solve(gate_lp))
     for report in (
         forged(lambda d: d["checks"][0].pop("sup")),
         forged(lambda d: d["checks"][0].pop("outcome")),
@@ -1634,8 +1732,14 @@ def test_replay_rejects_a_malformed_report_by_certificate_error(capsys):
         forged(lambda d: d.update(gates=[["dom-f"]])),
         forged(lambda d: d.update(gates=[["dom-f", True, "proof"]])),
         forged(lambda d: d.update(gates=[["dom-f", True], ["h=0", True], ["essential", True]])),
+        # A passed essential gate's point of the wrong length, with a literal
+        # that is not rational, a string for it, or the probe outcome that
+        # the gate once carried.
+        forged(lambda d: d["gates"][-1][2].append("0")),
+        forged(lambda d: d["gates"][-1][2].clear()),
+        forged(lambda d: d["gates"][-1][2].__setitem__(0, "0.5")),
         forged(lambda d: d["gates"][-1].__setitem__(2, "optimal")),
-        forged(lambda d: d["gates"][-1][2].update(tag="feasible")),
+        forged(lambda d: d["gates"][-1].__setitem__(2, gate_outcome)),
     ):
         with pytest.raises(CertificateError):
             replay(problem, report)
